@@ -3,14 +3,16 @@ standalone transport solves, solver comparison curves, and feature export.
 
 A JSON config file is the source of truth; flags override individual keys and
 the fully resolved config is echoed into the output directory as config.json.
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error. The
-OTZSL_THREADS environment variable is validated and echoed; every code path
-is single-threaded, so any value keeps runs bit-reproducible.
+The config keys of gen-data, train and eval and their defaults are the fields
+of SyntheticSpec, TrainConfig and EvalConfig, a nested config field x spelled
+x_<field> (ipot_reg, classifier_epochs). Exit codes: 0 success, 1 runtime
+failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,56 +23,16 @@ from . import checkpoint as ckpt
 from . import data as dataio
 from . import ot
 from .errors import ConfigError, DataFormatError, OtzslError
-from .evaluate import ClassifierConfig, EvalConfig, evaluate, save_report
+from .evaluate import PROTOCOLS, EvalConfig, evaluate, save_report
 from .rng import SeededRng
-from .training import TrainConfig, synthesize_class_features, train, write_trace_csv
-
-GEN_DATA_DEFAULTS = {
-    "seen_classes": 8,
-    "unseen_classes": 4,
-    "attr_dim": 16,
-    "feature_dim": 32,
-    "samples_per_class": 60,
-    "noise_sigma": 0.3,
-    "seed": 0,
-}
-
-TRAIN_DEFAULTS = {
-    "data": None,
-    "ot_prob": 0.9,
-    "reg_weight": 1.0,
-    "nca_scale": 0.5,
-    "batch_size": 32,
-    "learning_rate": 0.001,
-    "epochs": 30,
-    "seed": 0,
-    "mode": "standard",
-    "hidden_dim": 128,
-    "ipot_reg": 0.5,
-    "ipot_inner_iters": 1,
-    "ipot_max_outer_iters": 200,
-    "ipot_stop_tol": 1e-7,
-}
-
-EVAL_DEFAULTS = {
-    "data": None,
-    "checkpoint": None,
-    "mode": "standard",
-    "n_synth_per_class": 100,
-    "seed": 0,
-    "top_k": None,
-    "include_real_seen": True,
-    "classifier_learning_rate": 0.001,
-    "classifier_epochs": 50,
-    "classifier_batch_size": 128,
-}
+from .training import MODES, TrainConfig, synthesize_class_features, train, write_trace_csv
 
 SOLVE_OT_DEFAULTS = {
     "cost": None,
     "solver": "ipot",
     "lambda": None,
     "iters": None,
-    "stop_tol": 1e-9,
+    "stop_tol": None,
 }
 
 COMPARE_DEFAULTS = {
@@ -87,6 +49,35 @@ EXPORT_DEFAULTS = {
     "per_class": 100,
     "seed": 0,
 }
+
+
+def flat_fields(config, prefix: str = "") -> dict:
+    """The field values of a config dataclass as flat config keys, a nested
+    config field x spelled x_<field>."""
+    out = {}
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            out.update(flat_fields(value, f"{prefix}{field.name}_"))
+        else:
+            out[prefix + field.name] = value
+    return out
+
+
+def from_flat(template, cfg: dict, prefix: str = ""):
+    """A config dataclass of template's type with every field read from the
+    flat keys that flat_fields gives for it; library validation errors
+    become ConfigError."""
+    kwargs = {}
+    for field in dataclasses.fields(template):
+        value = getattr(template, field.name)
+        key = prefix + field.name
+        kwargs[field.name] = (from_flat(value, cfg, key + "_") if dataclasses.is_dataclass(value)
+                              else cfg[key])
+    try:
+        return type(template)(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def resolve_config(defaults: dict, config_path: str | None, overrides: dict) -> dict:
@@ -111,24 +102,16 @@ def resolve_config(defaults: dict, config_path: str | None, overrides: dict) -> 
     return cfg
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("OTZSL_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"OTZSL_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"OTZSL_THREADS must be positive, got {cap}")
-    return cap
-
-
 def echo_config(cfg: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    resolved = dict(cfg)
-    resolved["threads"] = thread_cap()
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
+        json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _given(**kwargs) -> dict:
+    """The keyword arguments that are set; unset ones keep the callee's defaults."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
 def _require(cfg: dict, key: str, what: str) -> str:
@@ -138,11 +121,9 @@ def _require(cfg: dict, key: str, what: str) -> str:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = resolve_config(GEN_DATA_DEFAULTS, args.config, {"seed": args.seed})
-    try:
-        spec = dataio.SyntheticSpec(**cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    template = dataio.SyntheticSpec()
+    cfg = resolve_config(flat_fields(template), args.config, {"seed": args.seed})
+    spec = from_flat(template, cfg)
     attrs, dataset, _ = dataio.make_synthetic_dataset(spec)
     echo_config(cfg, args.out)
     dataio.save_dataset(args.out, attrs, dataset)
@@ -151,32 +132,16 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    ipot = ot.IpotConfig(
-        reg=cfg["ipot_reg"],
-        inner_iters=cfg["ipot_inner_iters"],
-        max_outer_iters=cfg["ipot_max_outer_iters"],
-        stop_tol=cfg["ipot_stop_tol"],
-    )
-    return TrainConfig(
-        ot_prob=cfg["ot_prob"], reg_weight=cfg["reg_weight"], nca_scale=cfg["nca_scale"],
-        ipot=ipot, batch_size=cfg["batch_size"], learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"], seed=cfg["seed"], mode=cfg["mode"], hidden_dim=cfg["hidden_dim"],
-    )
-
-
 def cmd_train(args) -> int:
     overrides = {
         "data": args.data, "seed": args.seed, "mode": args.mode,
         "epochs": args.epochs, "batch_size": args.batch_size,
     }
-    cfg = resolve_config(TRAIN_DEFAULTS, args.config, overrides)
+    template = TrainConfig()
+    cfg = resolve_config({"data": None, **flat_fields(template)}, args.config, overrides)
     data_dir = _require(cfg, "data", "dataset directory")
     attrs, dataset = dataio.load_dataset(data_dir)
-    try:
-        tc = _train_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    tc = from_flat(template, cfg)
     echo_config(cfg, args.out)
     result = train(dataset, attrs, tc)
     ckpt.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.g, result.f,
@@ -196,23 +161,14 @@ def cmd_eval(args) -> int:
         "seed": args.seed, "n_synth_per_class": args.n_synth_per_class,
         "top_k": args.top_k,
     }
-    cfg = resolve_config(EVAL_DEFAULTS, args.config, overrides)
+    template = EvalConfig()
+    cfg = resolve_config({"data": None, "checkpoint": None, "mode": "standard",
+                          **flat_fields(template)}, args.config, overrides)
     data_dir = _require(cfg, "data", "dataset directory")
     ckpt_path = _require(cfg, "checkpoint", "checkpoint path")
     attrs, dataset = dataio.load_dataset(data_dir)
     g, _, _ = ckpt.load_checkpoint(ckpt_path)
-    try:
-        ec = EvalConfig(
-            n_synth_per_class=cfg["n_synth_per_class"], seed=cfg["seed"],
-            top_k=cfg["top_k"], include_real_seen=cfg["include_real_seen"],
-            classifier=ClassifierConfig(
-                learning_rate=cfg["classifier_learning_rate"],
-                epochs=cfg["classifier_epochs"],
-                batch_size=cfg["classifier_batch_size"],
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    ec = from_flat(template, cfg)
     echo_config(cfg, args.out)
     report = evaluate(cfg["mode"], g, attrs, dataset, ec)
     save_report(report, os.path.join(args.out, "report.json"))
@@ -238,20 +194,16 @@ def cmd_solve_ot(args) -> int:
         raise ConfigError(f"solver must be 'ipot' or 'sinkhorn', got {solver!r}")
     echo_config(cfg, args.out)
     marg = ot.Marginals.uniform(*cost.shape)
-    if solver == "ipot":
-        reg = cfg["lambda"] if cfg["lambda"] is not None else 0.5
-        iters = cfg["iters"] if cfg["iters"] is not None else 100_000
-        try:
-            ipot_cfg = ot.IpotConfig(reg=reg, max_outer_iters=iters, stop_tol=cfg["stop_tol"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        plan = ot.ipot_solve(cost, marg, ipot_cfg, record_trace=True)
-    else:
-        reg = cfg["lambda"] if cfg["lambda"] is not None else 0.1
-        iters = cfg["iters"] if cfg["iters"] is not None else 200
-        if reg <= 0 or iters < 1:
-            raise ConfigError("sinkhorn needs lambda > 0 and iters >= 1")
-        plan = ot.sinkhorn_solve(cost, marg, reg=reg, iterations=iters, record_trace=True)
+    try:
+        if solver == "ipot":
+            ipot_cfg = ot.IpotConfig(**_given(reg=cfg["lambda"], max_outer_iters=cfg["iters"],
+                                              stop_tol=cfg["stop_tol"]))
+            plan = ot.ipot_solve(cost, marg, ipot_cfg, record_trace=True)
+        else:
+            plan = ot.sinkhorn_solve(cost, marg, record_trace=True,
+                                     **_given(reg=cfg["lambda"], iterations=cfg["iters"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     dataio.save_matrix_csv(plan.values, os.path.join(args.out, "plan.csv"))
     if plan.trace is not None:
         dataio.save_matrix_csv(plan.trace, os.path.join(args.out, "solver_trace.csv"))
@@ -345,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the feature generator")
     common(p)
     p.add_argument("--data", help="dataset directory")
-    p.add_argument("--mode", choices=["standard", "generalized", "transductive"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.set_defaults(func=cmd_train)
@@ -354,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--checkpoint", help="checkpoint file from train")
-    p.add_argument("--mode", choices=["standard", "generalized", "transductive"])
+    p.add_argument("--mode", choices=PROTOCOLS)
     p.add_argument("--n-synth-per-class", dest="n_synth_per_class", type=int)
     p.add_argument("--top-k", dest="top_k", type=int)
     p.set_defaults(func=cmd_eval)
@@ -388,7 +340,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,8 @@ from .mlp import adam_init, adam_step
 from .rng import SeededRng
 from .training import synthesize_class_features
 
+PROTOCOLS = ("standard", "generalized", "transductive")
+
 
 @dataclass(frozen=True)
 class ClassifierConfig:
@@ -105,6 +107,20 @@ def predict_ids(clf: ClassifierParams, features) -> np.ndarray:
     return ids[scores.argmax(axis=1)]
 
 
+def _per_class_mean(hits: np.ndarray, labels: np.ndarray, classes):
+    """Within-class means of per-sample hits, packed as per_class_top1 returns them."""
+    per_class = {}
+    missing = []
+    for c in classes:
+        mask = labels == c
+        if not mask.any():
+            missing.append(int(c))
+            continue
+        per_class[int(c)] = float(hits[mask].mean())
+    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
+    return per_class, mean, tuple(missing)
+
+
 def per_class_top1(predictions, labels, classes):
     """Within-class accuracies and their unweighted mean.
 
@@ -115,16 +131,7 @@ def per_class_top1(predictions, labels, classes):
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if predictions.shape != labels.shape:
         raise ValueError(f"{predictions.shape[0]} predictions vs {labels.shape[0]} labels")
-    per_class = {}
-    missing = []
-    for c in classes:
-        mask = labels == c
-        if not mask.any():
-            missing.append(int(c))
-            continue
-        per_class[int(c)] = float((predictions[mask] == c).mean())
-    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return per_class, mean, tuple(missing)
+    return _per_class_mean(predictions == labels, labels, classes)
 
 
 def per_class_topk(scores, class_id_map, labels, classes, k: int):
@@ -136,17 +143,7 @@ def per_class_topk(scores, class_id_map, labels, classes, k: int):
     if not 1 <= k <= ids.size:
         raise ValueError(f"k must be in 1..{ids.size}, got {k}")
     order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    hits = (ids[order] == labels[:, None]).any(axis=1)
-    per_class = {}
-    missing = []
-    for c in classes:
-        mask = labels == c
-        if not mask.any():
-            missing.append(int(c))
-            continue
-        per_class[int(c)] = float(hits[mask].mean())
-    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return per_class, mean, tuple(missing)
+    return _per_class_mean((ids[order] == labels[:, None]).any(axis=1), labels, classes)
 
 
 def harmonic_mean(a_s: float, a_u: float) -> float:
@@ -199,7 +196,7 @@ def _confusion(predictions, labels) -> dict[int, dict[int, int]]:
 
 def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
              data: FeatureDataset, cfg: EvalConfig) -> EvalReport:
-    if mode not in ("standard", "generalized", "transductive"):
+    if mode not in PROTOCOLS:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
     if data.unseen_test[0].shape[0] == 0:
         raise DataFormatError("unseen test split is empty; nothing to evaluate")

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import UNLABELED
 from .errors import SolverError
 from .linalg import log_softmax_rows, unit_rows
 from .mlp import MlpParams, add_grads, init_mlp, mlp_backward, mlp_forward, mlp_forward_cache
 from .rng import SeededRng
-
-UNLABELED = -1
 
 # Class probabilities below this floor are clamped before the log; clamped
 # samples contribute a constant to the loss and nothing to the gradient.
@@ -95,31 +94,6 @@ def generator_forward(g: GeneratorParams, attrs, noises) -> np.ndarray:
     return out[0] if single else out
 
 
-def nca_log_probs(pred_attrs, class_attrs, nca_scale: float) -> np.ndarray:
-    """Log class probabilities from cosine distances in attribute space.
-
-    Row b, column c holds log p(class c | prediction b) where the logit is
-    -nca_scale * (1 - cos(prediction, attribute_c)).
-    """
-    pred = np.atleast_2d(np.asarray(pred_attrs, dtype=np.float64))
-    attrs = np.asarray(class_attrs, dtype=np.float64)
-    if pred.shape[1] != attrs.shape[1]:
-        raise ValueError(f"prediction dim {pred.shape[1]} != attribute dim {attrs.shape[1]}")
-    pred_unit, _ = unit_rows(pred, "predicted attributes")
-    attr_unit, _ = unit_rows(attrs, "class attributes")
-    logits = -nca_scale * (1.0 - pred_unit @ attr_unit.T)
-    return log_softmax_rows(logits)
-
-
-def nca_probability(pred_attr, class_attrs, target_class: int, nca_scale: float) -> float:
-    """p(target class | predicted attribute); the row over classes sums to 1."""
-    log_p = nca_log_probs(pred_attr, class_attrs, nca_scale)
-    n_classes = log_p.shape[1]
-    if not 0 <= target_class < n_classes:
-        raise ValueError(f"target class {target_class} outside [0, {n_classes})")
-    return float(np.exp(log_p[0, target_class]))
-
-
 def _nca_term(pred, targets, attr_unit, nca_scale, grad_weight):
     """Mean negative log class likelihood of a prediction batch, plus the
     gradient of grad_weight * mean w.r.t. the predictions."""
@@ -141,43 +115,6 @@ def _nca_term(pred, targets, attr_unit, nca_scale, grad_weight):
     d_pred = coef * (d_logits @ attr_unit
                      - (d_logits * cos).sum(axis=1, keepdims=True) * pred_unit) / norms[:, None]
     return loss, d_pred, int(floored.sum())
-
-
-def regularizer_loss(real_feats, real_classes, synth_feats, synth_classes,
-                     f: PredictorParams, class_attrs) -> tuple[float, int]:
-    """Mean -log p over labeled real features plus mean -log p over generated
-    ones. Returns (loss, clamped-sample count). Real rows labeled UNLABELED
-    are skipped: their class term is undefined."""
-    attr_unit, _ = unit_rows(np.asarray(class_attrs, dtype=np.float64), "class attributes")
-    real_feats = np.atleast_2d(np.asarray(real_feats, dtype=np.float64))
-    synth_feats = np.atleast_2d(np.asarray(synth_feats, dtype=np.float64))
-    real_classes = np.asarray(real_classes, dtype=np.int64).reshape(-1)
-    synth_classes = np.asarray(synth_classes, dtype=np.int64).reshape(-1)
-    if synth_feats.shape[0] == 0:
-        raise ValueError("synthetic batch is empty")
-
-    total = 0.0
-    clamped = 0
-    labeled = real_classes != UNLABELED
-    if labeled.any():
-        q = mlp_forward(f.net, real_feats[labeled])
-        loss, _, n = _nca_term(q, real_classes[labeled], attr_unit, f.nca_scale, 0.0)
-        total += loss
-        clamped += n
-    q = mlp_forward(f.net, synth_feats)
-    loss, _, n = _nca_term(q, synth_classes, attr_unit, f.nca_scale, 0.0)
-    total += loss
-    clamped += n
-    return total, clamped
-
-
-def total_loss(plan, cost, regularizer: float, reg_weight: float) -> float:
-    """Transport cost of the fixed plan plus the weighted regularizer."""
-    from .ot import transport_cost
-
-    if reg_weight < 0.0:
-        raise ValueError(f"reg_weight must be non-negative, got {reg_weight}")
-    return transport_cost(plan, cost) + reg_weight * regularizer
 
 
 @dataclass
@@ -204,6 +141,8 @@ def _assemble(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
     n, m = real_feats.shape[0], synth_attrs.shape[0]
     if plan.shape != (n, m):
         raise ValueError(f"plan shape {plan.shape} does not match batches ({n}, {m})")
+    if m == 0:
+        raise ValueError("generated batch is empty")
 
     inputs = np.hstack([synth_attrs, synth_noises])
     xhat, g_cache = mlp_forward_cache(g.net, inputs)
@@ -215,6 +154,9 @@ def _assemble(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
 
     attr_unit, _ = unit_rows(np.asarray(class_attrs, dtype=np.float64), "class attributes")
     labeled = real_classes != UNLABELED
+    targets = np.concatenate([real_classes[labeled], synth_classes])
+    if targets.min() < 0 or targets.max() >= attr_unit.shape[0]:
+        raise ValueError(f"target class ids must lie in 0..{attr_unit.shape[0] - 1}")
     reg_term = 0.0
     underflows = 0
 

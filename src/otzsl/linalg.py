@@ -34,27 +34,6 @@ def unit_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarr
     return m / norms[:, None], norms
 
 
-def cosine_distance(x, y) -> float:
-    """1 - cos(x, y), in [0, 2]. Both arguments must have positive norm."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"expected equal-length vectors, got shapes {x.shape} and {y.shape}")
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("cosine distance is undefined for zero-norm vectors")
-    return float(1.0 - float(np.dot(x, y)) / (nx * ny))
-
-
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax, stabilized by per-row max subtraction."""
-    m = as_float_matrix(m, "softmax input")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def log_softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax; stable for arbitrarily large magnitudes."""
     shifted = m - m.max(axis=1, keepdims=True)

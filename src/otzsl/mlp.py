@@ -108,15 +108,6 @@ def add_grads(a: MlpParams, b: MlpParams) -> MlpParams:
     return MlpParams(a.W1 + b.W1, a.b1 + b.b1, a.W2 + b.W2, a.b2 + b.b2)
 
 
-def zero_grads(params: MlpParams) -> MlpParams:
-    return MlpParams(
-        np.zeros_like(params.W1),
-        np.zeros_like(params.b1),
-        np.zeros_like(params.W2),
-        np.zeros_like(params.b2),
-    )
-
-
 @dataclass
 class AdamState:
     """Moment accumulators for a fixed list of parameter blocks."""

@@ -18,6 +18,10 @@ import numpy as np
 from .errors import SolverError
 from .linalg import as_float_matrix, unit_rows
 
+# Largest marginal deviation a plan may show and still count as feasible:
+# IPOT's stop rule, Sinkhorn's converged flag and check_marginals' default.
+FEASIBILITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Marginals:
@@ -62,7 +66,6 @@ class IpotConfig:
     inner_iters: int = 1
     max_outer_iters: int = 100_000
     stop_tol: float = 1e-9
-    feasibility_tol: float = 1e-6
 
     def __post_init__(self):
         if not (self.reg > 0.0 and math.isfinite(self.reg)):
@@ -73,8 +76,6 @@ class IpotConfig:
             raise ValueError("max_outer_iters must be at least 1")
         if self.stop_tol < 0.0:
             raise ValueError("stop_tol must be non-negative")
-        if self.feasibility_tol < 0.0:
-            raise ValueError("feasibility_tol must be non-negative")
 
 
 @dataclass
@@ -124,18 +125,33 @@ def cosine_cost_matrix(real_features, synth_features) -> np.ndarray:
     return np.clip(1.0 - ru @ su.T, 0.0, 2.0)
 
 
-def _check_problem(cost: np.ndarray, marg: Marginals) -> None:
-    n, m = cost.shape
-    if marg.row.size != n or marg.col.size != m:
+def _problem(cost, marg: Marginals | None) -> tuple[np.ndarray, Marginals]:
+    """The validated cost matrix and its marginals, uniform when none are given."""
+    cost = as_float_matrix(cost, "cost matrix")
+    if marg is None:
+        marg = Marginals.uniform(*cost.shape)
+    if (marg.row.size, marg.col.size) != cost.shape:
         raise ValueError(
             f"marginal lengths ({marg.row.size}, {marg.col.size}) do not match cost shape {cost.shape}"
         )
+    return cost, marg
 
 
 def _marginal_deviation(plan: np.ndarray, marg: Marginals) -> float:
     row_dev = float(np.max(np.abs(plan.sum(axis=1) - marg.row)))
     col_dev = float(np.max(np.abs(plan.sum(axis=0) - marg.col)))
     return max(row_dev, col_dev)
+
+
+def _sweeps(K: np.ndarray, a: np.ndarray, marg: Marginals,
+            n: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """n Sinkhorn sweeps on kernel K from the row scaling a, each fitting the
+    column scaling b to the rows and then the rows to b. Returns the new row
+    scaling and the plan diag(a) K diag(b)."""
+    for _ in range(n):
+        b = marg.col / (K.T @ a)
+        a = marg.row / (K @ b)
+    return a, (a[:, None] * K) * b[None, :]
 
 
 def _round_to_polytope(plan: np.ndarray, marg: Marginals) -> np.ndarray:
@@ -170,7 +186,7 @@ def ipot_solve(
     Kernel G = exp(-C/reg) is fixed; every outer step reweights it by the
     current plan (K = G * T), runs `inner_iters` Sinkhorn sweeps, and rescales.
     Stops once the max-abs change of the plan drops below `stop_tol` AND the
-    marginal deviation is within `feasibility_tol`; a converged plan is always
+    marginal deviation is within FEASIBILITY_TOL; a converged plan is always
     feasible at that tolerance. The change criterion alone can fire while mass
     is still crawling along a near-tied edge of the polytope, so a run that
     exhausts `max_outer_iters` comes back with converged=False and whatever
@@ -178,11 +194,7 @@ def ipot_solve(
     returned values are rounded onto the marginal polytope, so every result
     is a valid coupling; trace rows record the raw iterates.
     """
-    cost = as_float_matrix(cost, "cost matrix")
-    if marg is None:
-        marg = Marginals.uniform(*cost.shape)
-    _check_problem(cost, marg)
-
+    cost, marg = _problem(cost, marg)
     G = np.exp(-cost / cfg.reg)
     a = marg.row.copy()
     plan = np.outer(marg.row, marg.col)
@@ -191,11 +203,7 @@ def ipot_solve(
     iterations = 0
 
     for t in range(1, cfg.max_outer_iters + 1):
-        K = G * plan
-        for _ in range(cfg.inner_iters):
-            b = marg.col / (K.T @ a)
-            a = marg.row / (K @ b)
-        new_plan = (a[:, None] * K) * b[None, :]
+        a, new_plan = _sweeps(G * plan, a, marg, cfg.inner_iters)
         if not np.all(np.isfinite(new_plan)):
             raise SolverError(
                 f"ipot_solve hit non-finite scalings at outer iteration {t}; "
@@ -206,7 +214,7 @@ def ipot_solve(
         iterations = t
         if trace is not None:
             trace.append((t, float(np.sum(plan * cost)), _marginal_deviation(plan, marg)))
-        if delta < cfg.stop_tol and _marginal_deviation(plan, marg) <= cfg.feasibility_tol:
+        if delta < cfg.stop_tol and _marginal_deviation(plan, marg) <= FEASIBILITY_TOL:
             converged = True
             break
 
@@ -228,13 +236,10 @@ def sinkhorn_solve(
     """Entropic-regularized solve: fixed kernel K = exp(-C/reg), alternating
     row/column scalings for a fixed iteration count.
 
-    The converged flag reports whether the raw final iterate met the 1e-6
-    feasibility default; the returned values are then rounded onto the
+    The converged flag reports whether the raw final iterate is feasible
+    within FEASIBILITY_TOL; the returned values are then rounded onto the
     marginal polytope like ipot_solve's."""
-    cost = as_float_matrix(cost, "cost matrix")
-    if marg is None:
-        marg = Marginals.uniform(*cost.shape)
-    _check_problem(cost, marg)
+    cost, marg = _problem(cost, marg)
     if not (reg > 0.0 and math.isfinite(reg)):
         raise ValueError(f"reg must be positive, got {reg}")
     if iterations < 1:
@@ -250,22 +255,18 @@ def sinkhorn_solve(
     a = marg.row.copy()
     trace = [] if record_trace else None
     for t in range(1, iterations + 1):
-        b = marg.col / (K.T @ a)
-        a = marg.row / (K @ b)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        a, plan = _sweeps(K, a, marg)
+        if not np.all(np.isfinite(plan)):
             raise SolverError(
                 f"sinkhorn_solve scalings became non-finite at iteration {t}; "
                 "increase the regularization weight"
             )
         if trace is not None:
-            plan_t = (a[:, None] * K) * b[None, :]
-            trace.append((t, float(np.sum(plan_t * cost)), _marginal_deviation(plan_t, marg)))
+            trace.append((t, float(np.sum(plan * cost)), _marginal_deviation(plan, marg)))
 
-    plan = (a[:, None] * K) * b[None, :]
-    report = check_marginals(plan, marg, tol=1e-6)
     return TransportPlan(
         values=_round_to_polytope(plan, marg),
-        converged=report.passed,
+        converged=check_marginals(plan, marg).passed,
         iterations_used=iterations,
         trace=np.asarray(trace) if trace is not None else None,
     )
@@ -340,7 +341,7 @@ def transition_plan(real_classes, synth_classes) -> TransportPlan:
     return TransportPlan(values=values, converged=True, iterations_used=0)
 
 
-def check_marginals(plan, marg: Marginals, tol: float = 1e-6) -> FeasibilityReport:
+def check_marginals(plan, marg: Marginals, tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
     """Measure how far a plan sits from the coupling polytope of `marg`."""
     values = _plan_values(plan)
     if values.shape != (marg.row.size, marg.col.size):

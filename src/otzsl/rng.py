@@ -74,8 +74,3 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic random permutation of range(n)."""
         return np.argsort(self.next_uint64(n), kind="stable")
-
-
-def sample_gaussian(rng: SeededRng, n: int) -> np.ndarray:
-    """Standard-normal vector of length n, advancing ``rng`` deterministically."""
-    return rng.gaussian(n)

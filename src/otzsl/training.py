@@ -6,10 +6,11 @@ Per iteration the batch RNG is consumed in a fixed order (real indices, seen
 replacement draws if any, seen noises, unseen class draws, unseen noises,
 branch coin) so runs are bit-reproducible for a given seed and config.
 
-Modes: "standard" and "generalized" train identically on labeled seen data
-and differ only at evaluation; "transductive" additionally mixes the
-unlabeled pool into the real batches (sentinel class -1) and solves transport
-against the full generated batch, seen and unseen halves alike.
+Modes: "standard" trains on labeled seen data only and serves both the
+standard and the generalized protocol, which differ only in the classifier
+that evaluation trains; "transductive" additionally mixes the unlabeled pool
+into the real batches (sentinel class -1) and solves transport against the
+full generated batch, seen and unseen halves alike.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .mlp import AdamState, MlpParams, adam_init, adam_step
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
 from .rng import SeededRng
 
-MODES = ("standard", "generalized", "transductive")
+MODES = ("standard", "transductive")
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,8 @@ class TrainConfig:
     ot_prob is the probability of solving for the transport plan; with
     probability 1 - ot_prob the label-derived coupling is used instead.
     reg_weight weighs the class-likelihood regularizer against the transport
-    term, and nca_scale is that regularizer's softmax sharpness.
+    term, and nca_scale is that regularizer's softmax sharpness. mode is one
+    of MODES; the generalized protocol evaluates a standard-mode generator.
 
     The default ipot budget is deliberately small (200 sweeps): training only
     needs the current proximal iterate for a gradient, not a certified-feasible
@@ -48,10 +50,10 @@ class TrainConfig:
     """
 
     ot_prob: float = 0.9
-    reg_weight: float = 0.05
+    reg_weight: float = 1.0
     nca_scale: float = 0.5
     ipot: IpotConfig = IpotConfig(max_outer_iters=200, stop_tol=1e-7)
-    batch_size: int = 128
+    batch_size: int = 32
     learning_rate: float = 0.001
     epochs: int = 30
     seed: int = 0

@@ -6,6 +6,7 @@ import pytest
 
 from otzsl import cli
 from otzsl.data import load_matrix_csv, save_matrix_csv
+from otzsl.training import TrainConfig
 
 TINY_GEN = {
     "seen_classes": 3,
@@ -43,13 +44,6 @@ def workspace(tmp_path_factory):
 
 # --- config plumbing ---
 
-def test_threads_env_validated(tmp_path, monkeypatch):
-    monkeypatch.setenv("OTZSL_THREADS", "not-a-number")
-    assert run(["gen-data", "--out", str(tmp_path / "x")]) == 2
-    monkeypatch.setenv("OTZSL_THREADS", "0")
-    assert run(["gen-data", "--out", str(tmp_path / "y")]) == 2
-
-
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seen_classes": 3, "bogus_knob": 1}))
@@ -70,10 +64,46 @@ def test_config_bad_json(tmp_path):
     assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_config_echoed_with_threads(workspace):
+def test_config_echoed(workspace):
     echoed = json.loads((workspace["run"] / "config.json").read_text())
-    assert echoed["threads"] == 1
     assert echoed["epochs"] == 2 and echoed["hidden_dim"] == 8
+
+
+# The config keys each command accepts. gen-data, train and eval derive theirs
+# from the library dataclasses; this list keeps a key from appearing or
+# vanishing unnoticed.
+CONFIG_KEYS = {
+    "gen-data": {"seen_classes", "unseen_classes", "attr_dim", "feature_dim",
+                 "samples_per_class", "noise_sigma", "seed"},
+    "train": {"data", "ot_prob", "reg_weight", "nca_scale", "batch_size", "learning_rate",
+              "epochs", "seed", "mode", "hidden_dim", "ipot_reg", "ipot_inner_iters",
+              "ipot_max_outer_iters", "ipot_stop_tol"},
+    "eval": {"data", "checkpoint", "mode", "n_synth_per_class", "seed", "top_k",
+             "include_real_seen", "classifier_learning_rate", "classifier_epochs",
+             "classifier_batch_size"},
+    "solve-ot": {"cost", "solver", "lambda", "iters", "stop_tol"},
+    "compare-solvers": {"size", "instances", "iters", "seed"},
+    "export": {"data", "checkpoint", "classes", "per_class", "seed"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_keys_pinned(command, workspace, tmp_path):
+    """The echoed config holds every key the command accepts, and only those."""
+    data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.5]]), str(cost))
+    argv = {
+        "gen-data": [],
+        "train": ["--data", data, "--epochs", "1"],
+        "eval": ["--data", data, "--checkpoint", ckpt, "--n-synth-per-class", "2"],
+        "solve-ot": ["--cost", str(cost)],
+        "compare-solvers": ["--size", "2", "--instances", "1", "--iters", "2"],
+        "export": ["--data", data, "--checkpoint", ckpt, "--per-class", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert run([command, *argv, "--out", str(out)]) == 0
+    assert set(json.loads((out / "config.json").read_text())) == CONFIG_KEYS[command]
 
 
 # --- gen-data ---
@@ -131,6 +161,29 @@ def test_train_transductive_mode(workspace, tmp_path, capsys):
                 "--data", str(workspace["data"]), "--mode", "transductive",
                 "--epochs", "1", "--out", str(out)]) == 0
     assert "mode transductive" in capsys.readouterr().out
+
+
+def test_train_defaults_are_the_library_defaults(workspace, tmp_path):
+    out = tmp_path / "defaults"
+    assert run(["train", "--data", str(workspace["data"]), "--out", str(out)]) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    tc = TrainConfig()
+    want = {k: v for k, v in vars(tc).items() if k != "ipot"}
+    want.update({f"ipot_{k}": v for k, v in vars(tc.ipot).items()})
+    assert echoed == {"data": str(workspace["data"]), **want}
+
+
+def test_train_rejects_generalized_mode(workspace, tmp_path, capsys):
+    """generalized is an evaluation protocol; training has no such mode."""
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--data", str(workspace["data"]), "--mode", "generalized",
+             "--out", str(tmp_path / "flag")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "generalized"}))
+    assert run(["train", "--config", str(cfg), "--data", str(workspace["data"]),
+                "--out", str(tmp_path / "config")]) == 2
+    assert "mode must be one of" in capsys.readouterr().err
 
 
 def test_train_missing_dataset_dir(tmp_path, capsys):
@@ -230,6 +283,16 @@ def test_solve_ot_malformed_csv(tmp_path, capsys):
     bad.write_text("being,wrong\n1,2\n")
     assert run(["solve-ot", "--cost", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert ":1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["ipot", "sinkhorn"])
+@pytest.mark.parametrize("flag,value", [("--lambda", "-0.5"), ("--iters", "0")])
+def test_solve_ot_rejects_bad_parameters(tmp_path, capsys, solver, flag, value):
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.5]]), str(cost))
+    assert run(["solve-ot", "--cost", str(cost), "--solver", solver, flag, value,
+                "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_solve_ot_rejects_bad_solver(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otzsl.data import UNLABELED
 from otzsl.generator import (
     GeneratorParams,
     PredictorParams,
@@ -10,14 +11,10 @@ from otzsl.generator import (
     generator_forward,
     init_generator,
     init_predictor,
-    nca_log_probs,
-    nca_probability,
     objective,
-    regularizer_loss,
-    total_loss,
 )
 from otzsl.mlp import MlpParams, adam_step, adam_init
-from otzsl.ot import cosine_cost_matrix, transition_plan
+from otzsl.ot import cosine_cost_matrix, transition_plan, transport_cost
 from otzsl.rng import SeededRng
 
 TWO_CLASS_ATTRS = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -45,10 +42,48 @@ def small_setup(seed, d=3, D=4, hidden=6, n=4, m=5, n_classes=3):
                 g=g, f=f, attrs=attrs)
 
 
-def loss_of(s, reg_weight):
+def objective_of(s, reg_weight=1.0, **changes):
+    """objective() on a small_setup batch, with any of its entries replaced."""
+    s = {**s, **changes}
     return objective(s["plan"], s["real"], s["real_classes"], s["synth_attrs"],
                      s["noises"], s["synth_classes"], s["g"], s["f"], s["attrs"],
-                     reg_weight).total
+                     reg_weight)
+
+
+def loss_of(s, reg_weight):
+    return objective_of(s, reg_weight).total
+
+
+def identity_predictor(k, nca_scale=0.5):
+    """f(x) = x on k-dim features, as relu(x) - relu(-x)."""
+    net = MlpParams(np.vstack([np.eye(k), -np.eye(k)]), np.zeros(2 * k),
+                    np.hstack([np.eye(k), -np.eye(k)]), np.zeros(k))
+    return PredictorParams(net=net, nca_scale=nca_scale)
+
+
+def objective_at(real, real_classes, generated, synth_classes, f, class_attrs,
+                 plan=None, reg_weight=1.0):
+    """objective() with every generated row equal to `generated`: the
+    generator has zero weights and `generated` as its output bias."""
+    real = np.atleast_2d(np.asarray(real, dtype=np.float64))
+    generated = np.asarray(generated, dtype=np.float64)
+    n, m, d = real.shape[0], len(synth_classes), np.asarray(class_attrs).shape[1]
+    g = GeneratorParams(net=MlpParams(np.zeros((1, 2 * d)), np.zeros(1),
+                                      np.zeros((generated.size, 1)), generated))
+    if plan is None:
+        plan = np.full((n, m), 1.0 / (n * m))
+    return objective(plan, real, real_classes, np.zeros((m, d)), np.zeros((m, d)),
+                     synth_classes, g, f, class_attrs, reg_weight)
+
+
+def nca_probability(pred_attr, class_attrs, target_class, nca_scale):
+    """p(target class | predicted attribute), read off objective(): under an
+    identity predictor, one real and one generated copy of the prediction
+    make the regularizer term -2 log p."""
+    pred = np.asarray(pred_attr, dtype=np.float64)
+    res = objective_at(pred, [target_class], pred, [target_class],
+                       identity_predictor(pred.size, nca_scale), class_attrs)
+    return float(np.exp(-res.regularizer_term / 2.0))
 
 
 # ------------------------------------------------------------------ generator
@@ -134,13 +169,19 @@ def test_nca_symmetric_prediction_splits_evenly():
 
 
 def test_nca_target_out_of_range():
-    with pytest.raises(ValueError, match="target class"):
-        nca_probability(np.array([1.0, 0.0]), TWO_CLASS_ATTRS, 2, 0.5)
+    for target in (2, -2):  # -2 is no sentinel and must not index from the end
+        with pytest.raises(ValueError, match="target class"):
+            nca_probability(np.array([1.0, 0.0]), TWO_CLASS_ATTRS, target, 0.5)
 
 
 def test_nca_zero_norm_prediction_errors():
-    with pytest.raises(ValueError, match="zero norm"):
-        nca_probability(np.zeros(2), TWO_CLASS_ATTRS, 0, 0.5)
+    """Non-zero real and generated features, but a predictor whose output is
+    the zero vector: the class-likelihood term must refuse it."""
+    f = identity_predictor(2)
+    f.net.W2[:] = 0.0
+    feat = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="predicted attributes row 0 has zero norm"):
+        objective_at(feat, [0], feat, [0], f, TWO_CLASS_ATTRS)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.floats(0.01, 10.0))
@@ -155,98 +196,95 @@ def test_nca_probabilities_sum_to_one(seed, n_classes, scale):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_nca_log_probs_shape():
-    out = nca_log_probs(np.ones((4, 2)), TWO_CLASS_ATTRS, 0.5)
-    assert out.shape == (4, 2)
-    np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-12)
-
-
 # ---------------------------------------------------------------- regularizer
 
 
 def test_regularizer_single_class_is_zero():
     f = init_predictor(3, 2, 4, SeededRng(5))
-    loss, clamped = regularizer_loss(np.ones((2, 3)), [0, 0], np.ones((2, 3)), [0, 0],
-                                     f, np.array([[1.0, 1.0]]))
-    assert loss == 0.0
-    assert clamped == 0
+    res = objective_at(np.ones((2, 3)), [0, 0], np.ones(3), [0, 0], f, np.array([[1.0, 1.0]]))
+    assert res.regularizer_term == 0.0
+    assert res.underflow_count == 0
 
 
 def test_regularizer_half_probability_closed_form():
-    """One real + one synthetic sample, both predicted at p = 1/2: 2 ln 2."""
-    # identity-ish predictor: f(x) = x for 2-dim features via relu(x) - relu(-x)
-    net = MlpParams(np.vstack([np.eye(2), -np.eye(2)]), np.zeros(4),
-                    np.hstack([np.eye(2), -np.eye(2)]), np.zeros(2))
-    f = PredictorParams(net=net, nca_scale=0.5)
-    mid = np.array([[1.0, 1.0]])  # equidistant from both class attributes
-    loss, clamped = regularizer_loss(mid, [0], mid, [1], f, TWO_CLASS_ATTRS)
-    assert loss == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
-    assert clamped == 0
+    """One real + one generated sample, both predicted at p = 1/2: 2 ln 2."""
+    mid = np.array([1.0, 1.0])  # equidistant from both class attributes
+    res = objective_at(mid, [0], mid, [1], identity_predictor(2), TWO_CLASS_ATTRS)
+    assert res.regularizer_term == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
+    assert res.underflow_count == 0
 
 
 def test_regularizer_duplication_invariance():
     s = small_setup(31)
-    feats = generator_forward(s["g"], s["synth_attrs"], s["noises"])
-    base, _ = regularizer_loss(s["real"], s["real_classes"],
-                               feats, s["synth_classes"], s["f"], s["attrs"])
-    doubled, _ = regularizer_loss(np.tile(s["real"], (2, 1)), np.tile(s["real_classes"], 2),
-                                  np.tile(feats, (2, 1)),
-                                  np.tile(s["synth_classes"], 2), s["f"], s["attrs"])
-    assert doubled == pytest.approx(base, abs=1e-12)
+    base = objective_of(s)
+    doubled = objective_of(s, plan=np.tile(s["plan"], (2, 2)) / 4.0,
+                           real=np.tile(s["real"], (2, 1)),
+                           real_classes=np.tile(s["real_classes"], 2),
+                           synth_attrs=np.tile(s["synth_attrs"], (2, 1)),
+                           noises=np.tile(s["noises"], (2, 1)),
+                           synth_classes=np.tile(s["synth_classes"], 2))
+    assert doubled.regularizer_term == pytest.approx(base.regularizer_term, abs=1e-12)
+    assert doubled.total == pytest.approx(base.total, abs=1e-12)
 
 
 def test_regularizer_skips_unlabeled_rows():
     s = small_setup(32)
-    feats = generator_forward(s["g"], s["synth_attrs"], s["noises"])
+    with_all = objective_of(s).regularizer_term
     labels = s["real_classes"].copy()
-    with_all, _ = regularizer_loss(s["real"], labels, feats,
-                                   s["synth_classes"], s["f"], s["attrs"])
-    labels[0] = -1
-    with_hole, _ = regularizer_loss(s["real"], labels, feats,
-                                    s["synth_classes"], s["f"], s["attrs"])
+    labels[0] = UNLABELED
+    with_hole = objective_of(s, real_classes=labels).regularizer_term
     assert with_hole != pytest.approx(with_all)
-    sub, _ = regularizer_loss(s["real"][1:], s["real_classes"][1:], feats,
-                              s["synth_classes"], s["f"], s["attrs"])
+    sub = objective_of(s, plan=s["plan"][1:], real=s["real"][1:],
+                       real_classes=s["real_classes"][1:]).regularizer_term
     assert with_hole == pytest.approx(sub, abs=1e-12)
 
 
 def test_regularizer_empty_synth_batch_errors():
     f = init_predictor(3, 2, 4, SeededRng(5))
     with pytest.raises(ValueError, match="empty"):
-        regularizer_loss(np.ones((1, 3)), [0], np.ones((0, 3)), [], f, TWO_CLASS_ATTRS)
+        objective_at(np.ones((1, 3)), [0], np.ones(3), [], f, TWO_CLASS_ATTRS,
+                     plan=np.zeros((1, 0)))
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_regularizer_non_negative(seed):
-    s = small_setup(seed)
-    feats = generator_forward(s["g"], s["synth_attrs"], s["noises"])
-    loss, _ = regularizer_loss(s["real"], s["real_classes"], feats,
-                               s["synth_classes"], s["f"], s["attrs"])
-    assert loss >= 0.0
+    assert objective_of(small_setup(seed)).regularizer_term >= 0.0
 
 
 # ----------------------------------------------------------------- total loss
 
 
 def test_total_loss_beta_zero_is_transport_cost():
-    plan = np.array([[0.25, 0.25], [0.25, 0.25]])
-    cost = np.array([[0.1, 0.9], [0.4, 0.2]])
-    assert total_loss(plan, cost, regularizer=3.7, reg_weight=0.0) == pytest.approx(
-        float((plan * cost).sum()))
+    s = small_setup(33)
+    res = objective_of(s, reg_weight=0.0)
+    feats = generator_forward(s["g"], s["synth_attrs"], s["noises"])
+    assert res.total == res.transport_term
+    assert res.total == pytest.approx(
+        transport_cost(s["plan"], cosine_cost_matrix(s["real"], feats)), abs=1e-12)
 
 
 def test_total_loss_hand_value():
-    assert total_loss(np.array([[1.0]]), np.array([[0.2]]), 4.0, 0.05) == pytest.approx(0.4)
+    """Real [1, 0] of class 0 against a generated [1, 1] of class 1 at weight
+    0.05: cosine cost 1 - 1/sqrt(2), p = 1/(1 + e^-0.5) and p = 1/2."""
+    res = objective_at(np.array([1.0, 0.0]), [0], np.array([1.0, 1.0]), [1],
+                       identity_predictor(2), TWO_CLASS_ATTRS,
+                       plan=np.array([[1.0]]), reg_weight=0.05)
+    want = 1.0 - 1.0 / np.sqrt(2.0) + 0.05 * (np.log1p(np.exp(-0.5)) + np.log(2.0))
+    assert res.total == pytest.approx(want, abs=1e-12)
 
 
 def test_total_loss_zero_everything():
-    assert total_loss(np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 0.05) == 0.0
+    """A zero plan and a single class: no transport and no class term."""
+    f = init_predictor(3, 2, 4, SeededRng(5))
+    res = objective_at(np.ones((2, 3)), [0, 0], np.ones(3), [0, 0], f,
+                       np.array([[1.0, 1.0]]), plan=np.zeros((2, 2)), reg_weight=0.05)
+    assert res.total == 0.0
 
 
 def test_total_loss_rejects_negative_weight():
     with pytest.raises(ValueError, match="reg_weight"):
-        total_loss(np.zeros((1, 1)), np.zeros((1, 1)), 0.0, -0.1)
+        objective_of(small_setup(34), reg_weight=-0.1)
 
 
 # ------------------------------------------------------------------ gradients
@@ -356,15 +394,15 @@ def test_objective_and_backward_agree_on_loss_terms():
 
 
 def test_scale_invariance_of_cost_under_feature_scaling():
-    """total_loss at beta = 0 only sees feature directions."""
+    """The transport cost only sees feature directions."""
     s = small_setup(91)
     feats = generator_forward(s["g"], s["synth_attrs"], s["noises"])
     cost = cosine_cost_matrix(s["real"], feats)
     scaled = feats * np.array([1.0, 3.0, 0.5, 10.0, 2.0])[:, None]
     cost_scaled = cosine_cost_matrix(s["real"], scaled)
     np.testing.assert_allclose(cost, cost_scaled, atol=1e-12)
-    assert total_loss(s["plan"], cost, 0.0, 0.0) == pytest.approx(
-        total_loss(s["plan"], cost_scaled, 0.0, 0.0), abs=1e-12)
+    assert transport_cost(s["plan"], cost) == pytest.approx(
+        transport_cost(s["plan"], cost_scaled), abs=1e-12)
 
 
 def test_fifty_adam_steps_decrease_loss():

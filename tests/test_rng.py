@@ -6,20 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otzsl.rng import SeededRng, sample_gaussian
+from otzsl.rng import SeededRng
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 def test_same_seed_same_stream():
-    a = sample_gaussian(SeededRng(7), 64)
-    b = sample_gaussian(SeededRng(7), 64)
+    a = SeededRng(7).gaussian(64)
+    b = SeededRng(7).gaussian(64)
     np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_seeds_differ():
-    a = sample_gaussian(SeededRng(7), 64)
-    b = sample_gaussian(SeededRng(8), 64)
+    a = SeededRng(7).gaussian(64)
+    b = SeededRng(8).gaussian(64)
     assert not np.array_equal(a, b)
 
 

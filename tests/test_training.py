@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otzsl.data import AttributeMatrix, FeatureDataset
+from otzsl.data import UNLABELED, AttributeMatrix, FeatureDataset
 from otzsl.errors import ConfigError, SolverError
-from otzsl.generator import (GeneratorParams, PredictorParams, UNLABELED,
-                             generator_forward, init_predictor)
+from otzsl.generator import (GeneratorParams, PredictorParams, generator_forward,
+                             init_predictor)
 from otzsl.mlp import MlpParams
 from otzsl.ot import IpotConfig, transition_plan
 from otzsl.rng import SeededRng
@@ -45,8 +45,8 @@ def constant_generator(attr_dim, feature_dim, value):
 def test_train_config_defaults():
     cfg = TrainConfig()
     assert cfg.ot_prob == 0.9
-    assert cfg.reg_weight == 0.05
-    assert cfg.batch_size == 128
+    assert cfg.reg_weight == 1.0
+    assert cfg.batch_size == 32
     assert cfg.learning_rate == 0.001
     assert cfg.epochs == 30
     assert cfg.ipot.max_outer_iters == 200
@@ -62,6 +62,7 @@ def test_train_config_defaults():
     ({"epochs": 0}, "epochs"),
     ({"mode": "inductive-ish"}, "mode"),
     ({"hidden_dim": 0}, "hidden_dim"),
+    ({"mode": "generalized"}, "mode"),  # a protocol chosen at evaluation only
 ])
 def test_train_config_rejects(kwargs, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -227,7 +228,7 @@ def test_iterations_per_epoch():
 # --- training loop ---
 
 def quick_cfg(**kwargs):
-    base = dict(batch_size=4, hidden_dim=8, epochs=1, seed=0)
+    base = dict(batch_size=4, hidden_dim=8, epochs=1, seed=0, reg_weight=0.05)
     base.update(kwargs)
     return TrainConfig(**base)
 
@@ -328,7 +329,7 @@ def test_train_wraps_errors_with_iteration_context():
 
 def test_train_loss_decreases(desk_dataset):
     attrs, data, _ = desk_dataset
-    cfg = TrainConfig(batch_size=32, hidden_dim=32, epochs=10, seed=0)
+    cfg = TrainConfig(reg_weight=0.05, batch_size=32, hidden_dim=32, epochs=10, seed=0)
     res = train(data, attrs, cfg)
     iters = iterations_per_epoch(data.seen_train[0].shape[0], 32)
     per_epoch = np.asarray(res.trace.total_loss).reshape(10, iters).mean(axis=1)

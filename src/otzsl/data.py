@@ -380,22 +380,27 @@ def load_matrix_csv(path: str) -> np.ndarray:
     if not os.path.isfile(path):
         raise DataFormatError(f"missing file: {path}")
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if len(lines) < 2 or lines[0] != "rows,cols":
+        lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), start=1) if ln]
+    if len(lines) < 2 or lines[0][1] != "rows,cols":
         raise DataFormatError(f"{path}:1: expected 'rows,cols' header")
     try:
-        n, m = (int(p) for p in lines[1].split(","))
+        n, m = (int(p) for p in lines[1][1].split(","))
     except ValueError:
-        raise DataFormatError(f"{path}:2: expected two integer dimensions") from None
-    if len(lines) != 2 + n:
-        raise DataFormatError(f"{path}: expected {n} data rows, found {len(lines) - 2}")
+        raise DataFormatError(f"{path}:{lines[1][0]}: expected two integer dimensions") from None
+    rows = lines[2:]
+    if len(rows) != n:
+        raise DataFormatError(f"{path}: expected {n} data rows, found {len(rows)}")
     out = np.zeros((n, m))
-    for i, line in enumerate(lines[2:], start=3):
+    for r, (i, line) in enumerate(rows):
         parts = line.split(",")
         if len(parts) != m:
             raise DataFormatError(f"{path}:{i}: expected {m} columns, got {len(parts)}")
         try:
-            out[i - 3] = [float(p) for p in parts]
+            out[r] = [float(p) for p in parts]
         except ValueError as exc:
             raise DataFormatError(f"{path}:{i}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        r, col = divmod(int(bad[0]), m)
+        raise DataFormatError(f"{path}:{rows[r][0]}: column {col + 1} is not a finite number")
     return out

@@ -22,6 +22,12 @@ from .linalg import as_float_matrix, unit_rows
 # IPOT's stop rule, Sinkhorn's converged flag and check_marginals' default.
 FEASIBILITY_TOL = 1e-6
 
+# ipot_solve checks its stop rule once per block of up to _BLOCK_SWEEPS
+# sweeps; the block's plans and their changes together take at most about
+# _BLOCK_BYTES, so a large problem checks after every sweep or every few.
+_BLOCK_SWEEPS = 16
+_BLOCK_BYTES = 4 << 20
+
 
 @dataclass(frozen=True)
 class Marginals:
@@ -143,15 +149,17 @@ def _marginal_deviation(plan: np.ndarray, marg: Marginals) -> float:
     return max(row_dev, col_dev)
 
 
-def _sweeps(K: np.ndarray, a: np.ndarray, marg: Marginals,
-            n: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _sweeps(K: np.ndarray, a: np.ndarray, marg: Marginals, out: np.ndarray,
+            n: int = 1) -> np.ndarray:
     """n Sinkhorn sweeps on kernel K from the row scaling a, each fitting the
-    column scaling b to the rows and then the rows to b. Returns the new row
-    scaling and the plan diag(a) K diag(b)."""
+    column scaling b to the rows and then the rows to b. Writes the plan
+    diag(a) K diag(b) into `out` and returns the new row scaling."""
     for _ in range(n):
         b = marg.col / (K.T @ a)
         a = marg.row / (K @ b)
-    return a, (a[:, None] * K) * b[None, :]
+    np.multiply(a[:, None], K, out=out)
+    out *= b
+    return a
 
 
 def _round_to_polytope(plan: np.ndarray, marg: Marginals) -> np.ndarray:
@@ -193,31 +201,56 @@ def ipot_solve(
     iterate it reached (useful for convergence curves). Either way the
     returned values are rounded onto the marginal polytope, so every result
     is a valid coupling; trace rows record the raw iterates.
+
+    The plans of a block of up to _BLOCK_SWEEPS sweeps go into consecutive
+    slots of one buffer, after the plan the block started from, and the
+    stop and finiteness rules are applied once per block: one subtract, abs
+    and max give every sweep's change, walked in sweep order. Plans are
+    nonnegative, and the plan a sweep started from is finite whenever the
+    walk reaches it, so a non-finite change is exactly a non-finite new
+    plan; the first such sweep raises, and the first sweep that meets the
+    stop rule returns its own plan. Sweeps run past either point within the
+    block are discarded, so the result, `iterations_used`, the trace and
+    the error are those of checking after every sweep.
     """
     cost, marg = _problem(cost, marg)
     G = np.exp(-cost / cfg.reg)
+    K = np.empty_like(G)
+    block = max(1, min(_BLOCK_SWEEPS, (_BLOCK_BYTES // G.nbytes - 1) // 2))
+    plans = np.empty((block + 1,) + G.shape)
+    changes = np.empty((block,) + G.shape)
+    slots = list(plans)
+    np.outer(marg.row, marg.col, out=slots[0])
     a = marg.row.copy()
-    plan = np.outer(marg.row, marg.col)
     trace = [] if record_trace else None
-    converged = False
-    iterations = 0
+    t = 0
 
-    for t in range(1, cfg.max_outer_iters + 1):
-        a, new_plan = _sweeps(G * plan, a, marg, cfg.inner_iters)
-        if not np.all(np.isfinite(new_plan)):
-            raise SolverError(
-                f"ipot_solve hit non-finite scalings at outer iteration {t}; "
-                "the kernel row/column mass collapsed"
-            )
-        delta = float(np.max(np.abs(new_plan - plan)))
-        plan = new_plan
-        iterations = t
-        if trace is not None:
-            trace.append((t, float(np.sum(plan * cost)), _marginal_deviation(plan, marg)))
-        if delta < cfg.stop_tol and _marginal_deviation(plan, marg) <= FEASIBILITY_TOL:
-            converged = True
-            break
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while t < cfg.max_outer_iters:
+            k = min(block, cfg.max_outer_iters - t)
+            for j in range(1, k + 1):
+                np.multiply(G, slots[j - 1], out=K)
+                a = _sweeps(K, a, marg, slots[j], cfg.inner_iters)
+            np.subtract(plans[1:k + 1], plans[:k], out=changes[:k])
+            deltas = np.abs(changes[:k], out=changes[:k]).max(axis=(1, 2)).tolist()
+            for plan, delta in zip(slots[1:], deltas):
+                t += 1
+                if not math.isfinite(delta):
+                    raise SolverError(
+                        f"ipot_solve hit non-finite scalings at outer iteration {t}; "
+                        "the kernel row/column mass collapsed"
+                    )
+                if trace is not None:
+                    trace.append((t, float(np.sum(plan * cost)), _marginal_deviation(plan, marg)))
+                if delta < cfg.stop_tol and _marginal_deviation(plan, marg) <= FEASIBILITY_TOL:
+                    return _result(plan, marg, True, t, trace)
+            slots[0][...] = slots[k]
 
+    return _result(slots[0], marg, False, t, trace)
+
+
+def _result(plan: np.ndarray, marg: Marginals, converged: bool, iterations: int,
+            trace: list | None) -> TransportPlan:
     return TransportPlan(
         values=_round_to_polytope(plan, marg),
         converged=converged,
@@ -253,23 +286,20 @@ def sinkhorn_solve(
         )
 
     a = marg.row.copy()
+    plan = np.empty_like(K)
     trace = [] if record_trace else None
-    for t in range(1, iterations + 1):
-        a, plan = _sweeps(K, a, marg)
-        if not np.all(np.isfinite(plan)):
-            raise SolverError(
-                f"sinkhorn_solve scalings became non-finite at iteration {t}; "
-                "increase the regularization weight"
-            )
-        if trace is not None:
-            trace.append((t, float(np.sum(plan * cost)), _marginal_deviation(plan, marg)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in range(1, iterations + 1):
+            a = _sweeps(K, a, marg, plan)
+            if not np.all(np.isfinite(plan)):
+                raise SolverError(
+                    f"sinkhorn_solve scalings became non-finite at iteration {t}; "
+                    "increase the regularization weight"
+                )
+            if trace is not None:
+                trace.append((t, float(np.sum(plan * cost)), _marginal_deviation(plan, marg)))
 
-    return TransportPlan(
-        values=_round_to_polytope(plan, marg),
-        converged=check_marginals(plan, marg).passed,
-        iterations_used=iterations,
-        trace=np.asarray(trace) if trace is not None else None,
-    )
+    return _result(plan, marg, check_marginals(plan, marg).passed, iterations, trace)
 
 
 def transport_cost(plan, cost) -> float:

@@ -285,6 +285,15 @@ def test_solve_ot_malformed_csv(tmp_path, capsys):
     assert ":1" in capsys.readouterr().err
 
 
+def test_solve_ot_rejects_nonfinite_cost_before_writing(tmp_path, capsys):
+    cost = tmp_path / "cost.csv"
+    cost.write_text("rows,cols\n2,2\n0,nan\n1,0\n")
+    out = tmp_path / "o"
+    assert run(["solve-ot", "--cost", str(cost), "--out", str(out)]) == 2
+    assert "cost.csv:3: column 2 is not a finite number" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
 @pytest.mark.parametrize("solver", ["ipot", "sinkhorn"])
 @pytest.mark.parametrize("flag,value", [("--lambda", "-0.5"), ("--iters", "0")])
 def test_solve_ot_rejects_bad_parameters(tmp_path, capsys, solver, flag, value):

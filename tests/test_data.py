@@ -379,3 +379,21 @@ def test_matrix_bad_cell(tmp_path):
     path.write_text("rows,cols\n1,2\n1,x\n")
     with pytest.raises(DataFormatError, match=":3"):
         load_matrix_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_matrix_nonfinite_cell(tmp_path, cell):
+    path = tmp_path / "m.csv"
+    path.write_text(f"rows,cols\n2,2\n1,2\n3,{cell}\n")
+    with pytest.raises(DataFormatError, match=r"m\.csv:4: column 2 is not a finite number"):
+        load_matrix_csv(str(path))
+
+
+def test_matrix_errors_count_blank_lines(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("rows,cols\n2,2\n\n1,2\n3,nan\n")
+    with pytest.raises(DataFormatError, match=r"m\.csv:5: column 2"):
+        load_matrix_csv(str(path))
+    path.write_text("rows,cols\n\n2,2\n1,2\n\n3,x\n")
+    with pytest.raises(DataFormatError, match=r"m\.csv:6: "):
+        load_matrix_csv(str(path))

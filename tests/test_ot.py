@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,11 @@ from hypothesis import strategies as st
 
 from otzsl.errors import SolverError
 from otzsl.ot import (
+    _BLOCK_SWEEPS,
+    FEASIBILITY_TOL,
     IpotConfig,
     Marginals,
+    _round_to_polytope,
     check_marginals,
     cosine_cost_matrix,
     exact_assignment_oracle,
@@ -192,6 +197,87 @@ def test_ipot_permutation_equivariance():
     assert transport_cost(permuted, C[perm]) == pytest.approx(transport_cost(base, C), abs=1e-9)
 
 
+def ipot_reference(cost, cfg):
+    """Plain IPOT loop that tests the stop rule and finiteness after every
+    sweep; ipot_solve, which tests them once per block, must match it bit
+    for bit."""
+    marg = Marginals.uniform(*cost.shape)
+    G = np.exp(-cost / cfg.reg)
+    a = marg.row.copy()
+    plan = np.outer(marg.row, marg.col)
+    trace = []
+    converged = False
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in range(1, cfg.max_outer_iters + 1):
+            K = G * plan
+            for _ in range(cfg.inner_iters):
+                b = marg.col / (K.T @ a)
+                a = marg.row / (K @ b)
+            new_plan = (a[:, None] * K) * b[None, :]
+            if not np.all(np.isfinite(new_plan)):
+                raise SolverError(
+                    f"ipot_solve hit non-finite scalings at outer iteration {t}; "
+                    "the kernel row/column mass collapsed"
+                )
+            delta = np.max(np.abs(new_plan - plan))
+            plan = new_plan
+            dev = max(np.max(np.abs(plan.sum(axis=1) - marg.row)),
+                      np.max(np.abs(plan.sum(axis=0) - marg.col)))
+            trace.append((t, np.sum(plan * cost), dev))
+            if delta < cfg.stop_tol and dev <= FEASIBILITY_TOL:
+                converged = True
+                break
+    return _round_to_polytope(plan, marg), converged, t, np.asarray(trace)
+
+
+def assert_matches_reference(cost, cfg, record_trace):
+    values, converged, iterations, trace = ipot_reference(cost, cfg)
+    out = ipot_solve(cost, cfg=cfg, record_trace=record_trace)
+    assert np.array_equal(out.values, values)
+    assert out.converged == converged
+    assert out.iterations_used == iterations
+    if record_trace:
+        assert np.array_equal(out.trace, trace)
+    else:
+        assert out.trace is None
+    return out
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("shape", [(7, 7), (6, 11)])
+@pytest.mark.parametrize("inner_iters", [1, 3])
+@pytest.mark.parametrize("budget", [1, 15, 16, 17, 33, 200])
+def test_ipot_budget_capped_matches_reference(budget, inner_iters, shape, record_trace):
+    cost = random_cost(SeededRng(0), *shape)
+    cfg = IpotConfig(inner_iters=inner_iters, max_outer_iters=budget)
+    out = assert_matches_reference(cost, cfg, record_trace)
+    assert not out.converged and out.iterations_used == budget
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("shape,inner_iters", [((7, 7), 1), ((7, 7), 3), ((6, 11), 3)])
+def test_ipot_stop_inside_a_block_matches_reference(shape, inner_iters, record_trace):
+    cost = random_cost(SeededRng(1), *shape)
+    cfg = IpotConfig(inner_iters=inner_iters, max_outer_iters=5000)
+    out = assert_matches_reference(cost, cfg, record_trace)
+    assert out.converged and out.iterations_used % _BLOCK_SWEEPS != 0
+
+
+def test_ipot_blow_up_matches_reference_without_warnings():
+    """A tiny proximal weight drives the scalings to overflow mid-block: the
+    error names the first non-finite sweep, and no RuntimeWarning escapes."""
+    cost = random_cost(SeededRng(0), 16, 16)
+    cfg = IpotConfig(reg=0.002, max_outer_iters=5000)
+    with pytest.raises(SolverError) as expected:
+        ipot_reference(cost, cfg)
+    assert "outer iteration 713;" in str(expected.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as got:
+            ipot_solve(cost, cfg=cfg)
+    assert str(got.value) == str(expected.value)
+
+
 # ------------------------------------------------------------------- sinkhorn
 
 
@@ -223,6 +309,15 @@ def test_sinkhorn_underflow_raises_solver_error():
     C = np.array([[2.0, 2.0], [0.0, 0.0]])
     with pytest.raises(SolverError, match="regularization"):
         sinkhorn_solve(C, reg=0.002)
+
+
+def test_sinkhorn_overflow_raises_without_warnings():
+    """The kernel's rows are subnormal but nonzero, so the first column
+    scaling overflows: a SolverError, and no RuntimeWarning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="non-finite at iteration 1;"):
+            sinkhorn_solve(np.array([[0.5, 1.0], [1.0, 0.5]]), reg=0.0007)
 
 
 def test_sinkhorn_parameter_validation():

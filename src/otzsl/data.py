@@ -2,14 +2,17 @@
 
 On disk a dataset directory holds attributes.csv (one row per class),
 features.csv (one row per sample), and split.json (seen/unseen class ids plus
-row indices for each split). Floats are written with 17 significant digits so
-save/load round-trips are bit-exact. All files are UTF-8 with LF endings.
+row indices for each split). These CSVs and the matrix CSVs share one codec:
+it writes each float as `%.17g`, so round-trips are bit-exact, and reads every
+cell in one `np.loadtxt(..., comments=None)` call, so a cell like `2#3` is an
+error rather than 2. All files are UTF-8 with LF endings.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,8 +234,59 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[AttributeMatrix, Featur
     return attrs, dataset, hidden_map
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_csv(path: str, header: str, values: np.ndarray, ids=None) -> None:
+    """Write `header`, then each row of `values` as `%.17g` floats (a lossless
+    round-trip), led by the row's integer id when `ids` is given."""
+    fmt = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    lead = [""] * len(values) if ids is None else [f"{i}," for i in ids.tolist()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(p + fmt % tuple(row.tolist()) for p, row in zip(lead, values))
+
+
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file, each with its 1-based number."""
+    if not os.path.isfile(path):
+        raise DataFormatError(f"missing file: {path}")
+    with open(path, encoding="utf-8") as fh:
+        return [(i, ln) for i, ln in enumerate(fh.read().splitlines(), start=1) if ln]
+
+
+def _parse_rows(path: str, rows: list[tuple[int, str]], width: int) -> np.ndarray:
+    """Parse numbered CSV lines of `width` cells each into a finite float64
+    array with one numpy call; every failure names its `path:line`."""
+    for i, line in rows:
+        if line.count(",") + 1 != width:
+            raise DataFormatError(f"{path}:{i}: expected {width} columns, got {line.count(',') + 1}")
+    if not rows:  # loadtxt would warn and return shape (0, 1)
+        return np.zeros((0, width))
+    try:  # comments=None, or loadtxt reads the cell `2#3` as 2
+        values = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        for i, line in rows:  # only to name the first line that does not parse
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError as exc:  # numpy counts rows from 0 within the one line it got
+                raise DataFormatError(f"{path}:{i}: {exc}".replace("at row 0, ", "at ")) from None
+        raise
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, col = bad[0]
+        raise DataFormatError(f"{path}:{rows[r][0]}: column {col + 1} is not a finite number")
+    return values
+
+
+def _read_labeled_csv(path: str, header_prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """The class ids and the values of an attributes.csv or features.csv."""
+    lines = _read_lines(path)
+    if not lines or not lines[0][1].startswith(header_prefix):
+        raise DataFormatError(f"{path}: expected header starting with '{header_prefix}'")
+    values = _parse_rows(path, lines[1:], lines[0][1].count(",") + 1)
+    for i, line in lines[1:]:
+        cid = line[:line.index(",")]
+        if not re.fullmatch(r"\s*[+-]?[0-9]{1,15}\s*", cid):  # 15 digits stay exact as floats
+            raise DataFormatError(f"{path}:{i}: class id {cid!r} is not an integer")
+    return values[:, 0].astype(np.int64), values[:, 1:]
 
 
 def export_features_csv(features, labels, path: str) -> None:
@@ -241,70 +295,27 @@ def export_features_csv(features, labels, path: str) -> None:
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if features.shape[0] != labels.shape[0]:
         raise ValueError(f"{features.shape[0]} rows but {labels.shape[0]} labels")
-    dim = features.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("class_id," + ",".join(f"x_{j + 1}" for j in range(dim)) + "\n")
-        for lab, row in zip(labels, features):
-            fh.write(str(int(lab)) + "," + ",".join(_fmt(v) for v in row) + "\n")
-
-
-def _read_csv_rows(path: str, expected_prefix: str):
-    if not os.path.isfile(path):
-        raise DataFormatError(f"missing file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(expected_prefix):
-        raise DataFormatError(f"{path}: expected header starting with '{expected_prefix}'")
-    width = len(lines[0].split(","))
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise DataFormatError(f"{path}:{i}: expected {width} columns, got {len(parts)}")
-        try:
-            out.append((int(parts[0]), [float(p) for p in parts[1:]]))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{i}: {exc}") from None
-    return out
+    header = "class_id," + ",".join(f"x_{j + 1}" for j in range(features.shape[1]))
+    _write_csv(path, header, features, labels)
 
 
 def save_dataset(dir_path: str, attrs: AttributeMatrix, data: FeatureDataset) -> None:
     os.makedirs(dir_path, exist_ok=True)
-    with open(os.path.join(dir_path, "attributes.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("class_id," + ",".join(f"a_{j + 1}" for j in range(attrs.attr_dim)) + "\n")
-        for c in range(attrs.n_classes):
-            fh.write(str(c) + "," + ",".join(_fmt(v) for v in attrs.attrs[c]) + "\n")
+    header = "class_id," + ",".join(f"a_{j + 1}" for j in range(attrs.attr_dim))
+    _write_csv(os.path.join(dir_path, "attributes.csv"), header, attrs.attrs,
+               np.arange(attrs.n_classes))
 
     blocks = [data.seen_train, data.seen_test, data.unseen_test]
-    feats = [b[0] for b in blocks]
-    labels = [b[1] for b in blocks]
-    pool_is_test = data.unseen_unlabeled.shape == data.unseen_test[0].shape and np.array_equal(
-        data.unseen_unlabeled, data.unseen_test[0]
-    )
-    if not pool_is_test and data.unseen_unlabeled.shape[0]:
-        feats.append(data.unseen_unlabeled)
-        labels.append(np.full(data.unseen_unlabeled.shape[0], UNLABELED, dtype=np.int64))
-    all_feats = np.vstack(feats)
-    all_labels = np.concatenate(labels)
-    export_features_csv(all_feats, all_labels, os.path.join(dir_path, "features.csv"))
+    pool = data.unseen_unlabeled
+    if not np.array_equal(pool, data.unseen_test[0]):  # else the test rows double as the pool
+        blocks.append((pool, np.full(len(pool), UNLABELED)))
+    feats, labels = zip(*blocks)
+    export_features_csv(np.vstack(feats), np.concatenate(labels),
+                        os.path.join(dir_path, "features.csv"))
 
-    sizes = [b[0].shape[0] for b in blocks]
-    offsets = np.cumsum([0] + sizes)
-    unseen_rows = list(range(offsets[2], offsets[3]))
-    if pool_is_test:
-        pool_rows = unseen_rows
-    else:
-        pool_rows = list(range(offsets[3], offsets[3] + data.unseen_unlabeled.shape[0]))
-    split = {
-        "seen": list(attrs.seen_ids),
-        "unseen": list(attrs.unseen_ids),
-        "seen_train_rows": list(range(offsets[0], offsets[1])),
-        "seen_test_rows": list(range(offsets[1], offsets[2])),
-        "unseen_test_rows": unseen_rows,
-        "unseen_unlabeled_rows": pool_rows,
-    }
+    ends = np.cumsum([f.shape[0] for f in feats]).tolist()
+    rows = [list(range(start, end)) for start, end in zip([0] + ends, ends)]
+    split = dict(zip(SPLIT_KEYS, [list(attrs.seen_ids), list(attrs.unseen_ids), *rows[:3], rows[-1]]))
     with open(os.path.join(dir_path, "split.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(split, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -313,17 +324,12 @@ def save_dataset(dir_path: str, attrs: AttributeMatrix, data: FeatureDataset) ->
 def load_dataset(dir_path: str) -> tuple[AttributeMatrix, FeatureDataset]:
     """Read and fully validate a dataset directory; no partially valid object
     ever escapes this function."""
-    attr_rows = _read_csv_rows(os.path.join(dir_path, "attributes.csv"), "class_id,a_1")
-    ids = [r[0] for r in attr_rows]
-    if sorted(ids) != list(range(len(ids))):
-        raise DataFormatError(f"attributes.csv class ids must be 0..{len(ids) - 1}, got {ids}")
-    attr_matrix = np.zeros((len(ids), len(attr_rows[0][1])))
-    for cid, vals in attr_rows:
-        attr_matrix[cid] = vals
-
-    feat_rows = _read_csv_rows(os.path.join(dir_path, "features.csv"), "class_id,x_1")
-    features = np.array([r[1] for r in feat_rows]) if feat_rows else np.zeros((0, 0))
-    labels = np.array([r[0] for r in feat_rows], dtype=np.int64)
+    ids, attr_values = _read_labeled_csv(os.path.join(dir_path, "attributes.csv"), "class_id,a_1")
+    if sorted(ids.tolist()) != list(range(ids.size)):
+        raise DataFormatError(
+            f"attributes.csv class ids must be 0..{ids.size - 1}, got {ids.tolist()}")
+    attr_matrix = attr_values[np.argsort(ids)]
+    labels, features = _read_labeled_csv(os.path.join(dir_path, "features.csv"), "class_id,x_1")
 
     split_path = os.path.join(dir_path, "split.json")
     if not os.path.isfile(split_path):
@@ -333,20 +339,18 @@ def load_dataset(dir_path: str) -> tuple[AttributeMatrix, FeatureDataset]:
             split = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{split_path}: {exc}") from None
-    if set(split) != set(SPLIT_KEYS):
-        raise DataFormatError(
-            f"{split_path}: expected keys {sorted(SPLIT_KEYS)}, got {sorted(split)}"
-        )
-
-    n_rows = features.shape[0]
-    arrays = {}
-    for key in SPLIT_KEYS[2:]:
-        idx = np.asarray(split[key], dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+    if not isinstance(split, dict) or set(split) != set(SPLIT_KEYS):
+        got = sorted(split) if isinstance(split, dict) else f"a JSON {type(split).__name__}"
+        raise DataFormatError(f"{split_path}: expected keys {sorted(SPLIT_KEYS)}, got {got}")
+    n_rows = len(features)
+    for key in SPLIT_KEYS:  # bool is an int subclass, and JSON true is no index
+        if not isinstance(split[key], list) or not all(type(v) is int for v in split[key]):
+            raise DataFormatError(f"{split_path}: {key} must be a list of integers")
+        if key.endswith("_rows") and not all(0 <= v < n_rows for v in split[key]):
             raise DataFormatError(f"{split_path}: {key} references rows outside 0..{n_rows - 1}")
-        arrays[key] = idx
+    arrays = {key: np.asarray(split[key], dtype=np.int64) for key in SPLIT_KEYS[2:]}
 
-    unknown = (set(split["seen"]) | set(split["unseen"])) - set(range(len(ids)))
+    unknown = (set(split["seen"]) | set(split["unseen"])) - set(range(ids.size))
     if unknown:
         raise DataFormatError(f"{split_path}: classes {sorted(unknown)} absent from attributes.csv")
 
@@ -369,38 +373,17 @@ def save_matrix_csv(matrix, path: str) -> None:
     """Generic dense-matrix CSV: a `rows,cols` header line, a dimension line,
     then the row-major values."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rows,cols\n")
-        fh.write(f"{matrix.shape[0]},{matrix.shape[1]}\n")
-        for row in matrix:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, f"rows,cols\n{matrix.shape[0]},{matrix.shape[1]}", matrix)
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
-    if not os.path.isfile(path):
-        raise DataFormatError(f"missing file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), start=1) if ln]
+    lines = _read_lines(path)
     if len(lines) < 2 or lines[0][1] != "rows,cols":
         raise DataFormatError(f"{path}:1: expected 'rows,cols' header")
     try:
         n, m = (int(p) for p in lines[1][1].split(","))
     except ValueError:
         raise DataFormatError(f"{path}:{lines[1][0]}: expected two integer dimensions") from None
-    rows = lines[2:]
-    if len(rows) != n:
-        raise DataFormatError(f"{path}: expected {n} data rows, found {len(rows)}")
-    out = np.zeros((n, m))
-    for r, (i, line) in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != m:
-            raise DataFormatError(f"{path}:{i}: expected {m} columns, got {len(parts)}")
-        try:
-            out[r] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{i}: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        r, col = divmod(int(bad[0]), m)
-        raise DataFormatError(f"{path}:{rows[r][0]}: column {col + 1} is not a finite number")
-    return out
+    if len(lines) - 2 != n:
+        raise DataFormatError(f"{path}: expected {n} data rows, found {len(lines) - 2}")
+    return _parse_rows(path, lines[2:], m)

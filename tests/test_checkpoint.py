@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ def test_save_is_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     save_checkpoint(p1, g, f)
     save_checkpoint(p2, g, f)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_bad_magic(tmp_path):

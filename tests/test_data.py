@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from otzsl.data import (
     save_matrix_csv,
 )
 from otzsl.errors import DataFormatError
+from otzsl.rng import SeededRng
 from tests.conftest import TINY_SPEC
 
 
@@ -195,7 +197,7 @@ def test_synthetic_nearest_prototype_oracle_is_perfect():
 def test_export_features_header_only_for_empty(tmp_path):
     path = str(tmp_path / "f.csv")
     export_features_csv(np.zeros((0, 3)), np.zeros(0, dtype=int), path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines == ["class_id,x_1,x_2,x_3"]
 
 
@@ -205,7 +207,7 @@ def test_export_features_row_count_and_roundtrip(tmp_path):
     path = str(tmp_path / "f.csv")
     feats = SeededRng(7).gaussian(6).reshape(2, 3) * 1e-7
     export_features_csv(feats, [4, 2], path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert len(lines) == 3
     back = np.array([[float(x) for x in ln.split(",")[1:]] for ln in lines[1:]])
     np.testing.assert_array_equal(back, feats)
@@ -397,3 +399,143 @@ def test_matrix_errors_count_blank_lines(tmp_path):
     path.write_text("rows,cols\n\n2,2\n1,2\n\n3,x\n")
     with pytest.raises(DataFormatError, match=r"m\.csv:6: "):
         load_matrix_csv(str(path))
+
+
+def test_load_rejects_header_only_attributes(tmp_path):
+    saved_dataset(tmp_path)
+    path = tmp_path / "attributes.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(DataFormatError, match="attributes.csv"):
+        load_dataset(str(tmp_path))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seen_train_rows", [0, 12.5], "seen_train_rows must be a list of integers"),
+    ("seen", 3, "seen must be a list of integers"),
+    ("unseen_test_rows", None, "unseen_test_rows must be a list of integers"),
+    ("unseen", [True], "unseen must be a list of integers"),
+    (None, None, r"expected keys \['seen', 'seen_test_rows'.*got a JSON list"),
+])
+def test_load_rejects_malformed_split(tmp_path, key, value, message):
+    """Key None replaces the whole object with a list of its values."""
+    saved_dataset(tmp_path)
+    path = tmp_path / "split.json"
+    split = json.loads(path.read_text())
+    if key is None:
+        split = list(split.values())
+    else:
+        split[key] = value
+    path.write_text(json.dumps(split))
+    with pytest.raises(DataFormatError, match=rf"split\.json: {message}"):
+        load_dataset(str(tmp_path))
+
+
+# --------------------------------------------------------------- csv codec
+# The per-float writer and reader that the one CSV codec in otzsl.data
+# replaced, kept as the reference it must match byte for byte and bit for bit.
+
+
+def reference_write(path, header, values, ids=None):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for r, row in enumerate(values):
+            lead = "" if ids is None else str(int(ids[r])) + ","
+            fh.write(lead + ",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def reference_read(path, header_lines):
+    """Every cell after the header lines, parsed with float()."""
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+    return np.array([[float(c) for c in ln.split(",")] for ln in lines[header_lines:]])
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e300, -1e300, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 0.1, 1 / 3]
+
+
+def edge_matrix(rows, cols, seed):
+    """The edge floats, then finite floats drawn from random bit patterns."""
+    bits = SeededRng(seed).next_uint64(4 * rows * cols).view(np.float64)
+    values = np.concatenate([EDGE_FLOATS, bits[np.isfinite(bits)]])[: rows * cols]
+    return values.reshape(rows, cols)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_matrix_codec_matches_reference(tmp_path):
+    m = edge_matrix(40, 9, seed=11)
+    ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+    reference_write(ref, f"rows,cols\n{m.shape[0]},{m.shape[1]}", m)
+    save_matrix_csv(m, str(new))
+    assert new.read_bytes() == ref.read_bytes()
+    assert_same_bits(load_matrix_csv(str(new)), reference_read(new, 2))
+    assert_same_bits(load_matrix_csv(str(new)), m)
+
+
+def test_export_features_codec_matches_reference(tmp_path):
+    feats = edge_matrix(30, 5, seed=12)
+    labels = np.array([-1, 0, 7, 123456789] * 7 + [2, -1])
+    ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+    reference_write(ref, "class_id,x_1,x_2,x_3,x_4,x_5", feats, labels)
+    export_features_csv(feats, labels, str(new))
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def test_dataset_codec_matches_reference(tmp_path):
+    attr_values = np.array([
+        [-0.0, 5e-324, 1e300, 1.0],
+        [0.0, -1e300, 2.0**53, 0.1],
+        [-2.2250738585072009e-308, 1 / 3, -3.0, 7.0],
+        [1.0, 2.0, 3.0, -0.0],
+    ])
+    # The last column keeps every row norm away from zero.
+    feats = np.column_stack([edge_matrix(16, 3, seed=13), np.arange(1.0, 17.0)])
+    attrs_header = "class_id,a_1,a_2,a_3,a_4"
+    # The norm checks square entries near 1e300 to inf; that is not the codec's concern.
+    with np.errstate(over="ignore"):
+        attrs = AttributeMatrix(attr_values, (0, 1, 2), (3,))
+        data = FeatureDataset(
+            seen_train=(feats[:6], np.array([0, 1, 2, 0, 1, 2])),
+            seen_test=(feats[6:9], np.array([2, 1, 0])),
+            unseen_test=(feats[9:13], np.full(4, 3)),
+            unseen_unlabeled=feats[13:],
+        )
+        save_dataset(str(tmp_path), attrs, data)
+        attrs2, data2 = load_dataset(str(tmp_path))
+    reference_write(tmp_path / "ref_attrs.csv", attrs_header, attr_values, np.arange(4))
+    assert (tmp_path / "attributes.csv").read_bytes() == (tmp_path / "ref_attrs.csv").read_bytes()
+    labels = np.concatenate([data.seen_train[1], data.seen_test[1], data.unseen_test[1], [-1, -1, -1]])
+    reference_write(tmp_path / "ref_feats.csv", "class_id,x_1,x_2,x_3,x_4", feats, labels)
+    assert (tmp_path / "features.csv").read_bytes() == (tmp_path / "ref_feats.csv").read_bytes()
+
+    assert_same_bits(attrs2.attrs, reference_read(tmp_path / "attributes.csv", 1)[:, 1:])
+    assert_same_bits(attrs2.attrs, attr_values)
+    assert_same_bits(reference_read(tmp_path / "features.csv", 1)[:, 1:], feats)
+    for name in ("seen_train", "seen_test", "unseen_test"):
+        assert_same_bits(getattr(data2, name)[0], getattr(data, name)[0])
+        np.testing.assert_array_equal(getattr(data2, name)[1], getattr(data, name)[1])
+    assert_same_bits(data2.unseen_unlabeled, data.unseen_unlabeled)
+
+
+@pytest.mark.parametrize("name, line, col, cell, message", [
+    ("features.csv", 3, 2, "2#3", "'2#3'"),
+    ("features.csv", 4, 1, "1_0", "'1_0'"),
+    ("attributes.csv", 3, 4, "", "''"),
+    ("attributes.csv", 2, 0, "0.0", "class id '0.0' is not an integer"),
+    ("features.csv", 5, 0, "1.5", "class id '1.5' is not an integer"),
+    ("features.csv", 6, 3, "nan", "column 4 is not a finite number"),
+    ("features.csv", 2, 8, "-inf", "column 9 is not a finite number"),
+])
+def test_load_names_the_line_of_a_bad_cell(tmp_path, name, line, col, cell, message):
+    saved_dataset(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    parts = lines[line - 1].split(",")
+    parts[col] = cell
+    lines[line - 1] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=rf"{name}:{line}: .*{message}"):
+        load_dataset(str(tmp_path))

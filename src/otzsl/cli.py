@@ -1,12 +1,13 @@
 """Command-line interface: dataset generation, training, evaluation,
 standalone transport solves, solver comparison curves, and feature export.
 
-A JSON config file is the source of truth; flags override individual keys and
-the fully resolved config is echoed into the output directory as config.json.
-The config keys of gen-data, train and eval and their defaults are the fields
-of SyntheticSpec, TrainConfig and EvalConfig, a nested config field x spelled
-x_<field> (ipot_reg, classifier_epochs). Exit codes: 0 success, 1 runtime
-failure, 2 usage or config error.
+A JSON config file is the source of truth. Every flag other than --config and
+--out overrides the config key its argparse dest names (--batch-size sets
+batch_size), and the fully resolved config is echoed into the output directory
+as config.json. The config keys of gen-data, train and eval and their defaults
+are the fields of SyntheticSpec, TrainConfig and EvalConfig, a nested config
+field x spelled x_<field> (ipot_reg, classifier_epochs). Exit codes: 0
+success, 1 runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -80,15 +81,18 @@ def from_flat(template, cfg: dict, prefix: str = ""):
         raise ConfigError(str(exc)) from None
 
 
-def resolve_config(defaults: dict, config_path: str | None, overrides: dict) -> dict:
+def resolve_config(defaults: dict, args) -> dict:
+    """`defaults`, updated by the config file of --config, then by every parsed
+    flag that was given and whose dest is a key of `defaults`."""
     cfg = dict(defaults)
+    config_path = args.config
     if config_path is not None:
         try:
             with open(config_path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSON syntax error, or a byte that is not UTF-8
             raise ConfigError(f"{config_path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_path}: top level must be a JSON object")
@@ -96,17 +100,13 @@ def resolve_config(defaults: dict, config_path: str | None, overrides: dict) -> 
         if unknown:
             raise ConfigError(f"{config_path}: unknown keys {sorted(unknown)}")
         cfg.update(loaded)
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
+    cfg.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
     return cfg
 
 
 def echo_config(cfg: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataio.write_json(cfg, os.path.join(out_dir, "config.json"))
 
 
 def _given(**kwargs) -> dict:
@@ -122,7 +122,7 @@ def _require(cfg: dict, key: str, what: str) -> str:
 
 def cmd_gen_data(args) -> int:
     template = dataio.SyntheticSpec()
-    cfg = resolve_config(flat_fields(template), args.config, {"seed": args.seed})
+    cfg = resolve_config(flat_fields(template), args)
     spec = from_flat(template, cfg)
     attrs, dataset, _ = dataio.make_synthetic_dataset(spec)
     echo_config(cfg, args.out)
@@ -133,12 +133,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides = {
-        "data": args.data, "seed": args.seed, "mode": args.mode,
-        "epochs": args.epochs, "batch_size": args.batch_size,
-    }
     template = TrainConfig()
-    cfg = resolve_config({"data": None, **flat_fields(template)}, args.config, overrides)
+    cfg = resolve_config({"data": None, **flat_fields(template)}, args)
     data_dir = _require(cfg, "data", "dataset directory")
     attrs, dataset = dataio.load_dataset(data_dir)
     tc = from_flat(template, cfg)
@@ -156,14 +152,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    overrides = {
-        "data": args.data, "checkpoint": args.checkpoint, "mode": args.mode,
-        "seed": args.seed, "n_synth_per_class": args.n_synth_per_class,
-        "top_k": args.top_k,
-    }
     template = EvalConfig()
     cfg = resolve_config({"data": None, "checkpoint": None, "mode": "standard",
-                          **flat_fields(template)}, args.config, overrides)
+                          **flat_fields(template)}, args)
     data_dir = _require(cfg, "data", "dataset directory")
     ckpt_path = _require(cfg, "checkpoint", "checkpoint path")
     attrs, dataset = dataio.load_dataset(data_dir)
@@ -184,9 +175,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve_ot(args) -> int:
-    overrides = {"cost": args.cost, "solver": args.solver,
-                 "lambda": getattr(args, "lambda"), "iters": args.iters}
-    cfg = resolve_config(SOLVE_OT_DEFAULTS, args.config, overrides)
+    cfg = resolve_config(SOLVE_OT_DEFAULTS, args)
     cost_path = _require(cfg, "cost", "cost matrix CSV")
     cost = dataio.load_matrix_csv(cost_path)
     solver = cfg["solver"]
@@ -216,16 +205,13 @@ def cmd_solve_ot(args) -> int:
 
 
 def cmd_compare_solvers(args) -> int:
-    overrides = {"size": args.size, "instances": args.instances,
-                 "iters": args.iters, "seed": args.seed}
-    cfg = resolve_config(COMPARE_DEFAULTS, args.config, overrides)
+    cfg = resolve_config(COMPARE_DEFAULTS, args)
     if cfg["size"] < 2 or cfg["instances"] < 1 or cfg["iters"] < 1:
         raise ConfigError("size must be >= 2 and instances/iters >= 1")
     echo_config(cfg, args.out)
     rng = SeededRng(cfg["seed"])
     n = cfg["size"]
-    rows = ["solver,lambda,instance,iteration,transport_cost,feasibility_error"]
-    finals = {}
+    leads, curves, finals = [], [], {}
     for inst in range(cfg["instances"]):
         feat_rng = rng.split(inst + 1)
         real = feat_rng.gaussian(n * 16).reshape(n, 16)
@@ -240,13 +226,13 @@ def cmd_compare_solvers(args) -> int:
             ("sinkhorn", 0.5, ot.sinkhorn_solve(
                 cost, reg=0.5, iterations=cfg["iters"], record_trace=True)),
         ]
-        for name, reg, plan in runs:
-            for it, tc, feas in plan.trace:
-                rows.append(f"{name},{reg},{inst},{int(it)},{tc:.17g},{feas:.17g}")
+        for name, reg, plan in runs:  # trace columns: iteration, cost, feasibility error
+            leads += [f"{name},{reg},{inst},{int(it)}," for it in plan.trace[:, 0]]
+            curves.append(plan.trace[:, 1:])
             finals.setdefault((name, reg), []).append(plan.trace[-1, 1])
     out_path = os.path.join(args.out, "curves.csv")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    dataio.write_csv(out_path, "solver,lambda,instance,iteration,transport_cost,feasibility_error",
+                     np.vstack(curves), leads)
     for (name, reg), costs in sorted(finals.items()):
         print(f"{name} (lambda={reg}): mean final cost {float(np.mean(costs)):.6f}")
     print(f"wrote {out_path}")
@@ -254,11 +240,7 @@ def cmd_compare_solvers(args) -> int:
 
 
 def cmd_export(args) -> int:
-    overrides = {
-        "data": args.data, "checkpoint": args.checkpoint, "classes": args.classes,
-        "per_class": args.per_class, "seed": args.seed,
-    }
-    cfg = resolve_config(EXPORT_DEFAULTS, args.config, overrides)
+    cfg = resolve_config(EXPORT_DEFAULTS, args)
     data_dir = _require(cfg, "data", "dataset directory")
     ckpt_path = _require(cfg, "checkpoint", "checkpoint path")
     if cfg["classes"] not in ("seen", "unseen", "all"):
@@ -285,54 +267,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary, seed=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-data", help="write a synthetic dataset directory")
-    common(p)
-    p.set_defaults(func=cmd_gen_data)
+    command("gen-data", cmd_gen_data, "write a synthetic dataset directory")
 
-    p = sub.add_parser("train", help="train the feature generator")
-    common(p)
+    p = command("train", cmd_train, "train the feature generator")
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a trained generator")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate a trained generator")
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--checkpoint", help="checkpoint file from train")
     p.add_argument("--mode", choices=PROTOCOLS)
     p.add_argument("--n-synth-per-class", dest="n_synth_per_class", type=int)
     p.add_argument("--top-k", dest="top_k", type=int)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("solve-ot", help="solve one transport instance from a cost CSV")
-    common(p)
+    p = command("solve-ot", cmd_solve_ot, "solve one transport instance from a cost CSV",
+                seed=False)
     p.add_argument("--cost", help="cost matrix CSV path")
     p.add_argument("--solver", choices=["ipot", "sinkhorn"])
     p.add_argument("--lambda", type=float, help="solver regularization weight")
     p.add_argument("--iters", type=int, help="iteration budget")
-    p.set_defaults(func=cmd_solve_ot)
 
-    p = sub.add_parser("compare-solvers", help="record convergence curves on random instances")
-    common(p)
+    p = command("compare-solvers", cmd_compare_solvers,
+                "record convergence curves on random instances")
     p.add_argument("--size", type=int, help="instance size N (square problems)")
     p.add_argument("--instances", type=int, help="number of random instances")
     p.add_argument("--iters", type=int, help="iterations per solver")
-    p.set_defaults(func=cmd_compare_solvers)
 
-    p = sub.add_parser("export", help="export generated features for external plotting")
-    common(p)
+    p = command("export", cmd_export, "export generated features for external plotting")
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--checkpoint", help="checkpoint file from train")
     p.add_argument("--classes", choices=["seen", "unseen", "all"])
     p.add_argument("--per-class", dest="per_class", type=int)
-    p.set_defaults(func=cmd_export)
     return parser
 
 

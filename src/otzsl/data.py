@@ -2,14 +2,19 @@
 
 On disk a dataset directory holds attributes.csv (one row per class),
 features.csv (one row per sample), and split.json (seen/unseen class ids plus
-row indices for each split). These CSVs and the matrix CSVs share one codec:
-it writes each float as `%.17g`, so round-trips are bit-exact, and reads every
-cell in one `np.loadtxt(..., comments=None)` call, so a cell like `2#3` is an
-error rather than 2. All files are UTF-8 with LF endings.
+row indices for each split). This module owns both artifact formats. Every
+float CSV the package writes (the dataset CSVs, the matrix CSVs, exported
+features, trace.csv, curves.csv) goes through `write_csv`, which writes each
+float as `%.17g`, so round-trips are bit-exact; the readers parse every cell
+in one `np.loadtxt(..., comments=None)` call, so a cell like `2#3` is an error
+rather than 2. Every JSON artifact (config.json, report.json, split.json) goes
+through `write_json`. All files are UTF-8 with LF endings; a file that is not
+valid UTF-8 is a data error.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -234,22 +239,34 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[AttributeMatrix, Featur
     return attrs, dataset, hidden_map
 
 
-def _write_csv(path: str, header: str, values: np.ndarray, ids=None) -> None:
+def write_csv(path: str, header: str, values: np.ndarray, leads=itertools.repeat("")) -> None:
     """Write `header`, then each row of `values` as `%.17g` floats (a lossless
-    round-trip), led by the row's integer id when `ids` is given."""
+    round-trip), each row preceded by its text from `leads`, which ends in a
+    comma when it is not empty. Every float CSV the package writes goes here."""
     fmt = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    lead = [""] * len(values) if ids is None else [f"{i}," for i in ids.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(p + fmt % tuple(row.tolist()) for p, row in zip(lead, values))
+        fh.writelines(lead + fmt % tuple(row.tolist()) for lead, row in zip(leads, values))
+
+
+def write_json(obj, path: str) -> None:
+    """Write `obj` as JSON with 2-space indents, sorted keys and a final
+    newline; config.json, report.json and split.json all go here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
     """The non-blank lines of a text file, each with its 1-based number."""
     if not os.path.isfile(path):
         raise DataFormatError(f"missing file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return [(i, ln) for i, ln in enumerate(fh.read().splitlines(), start=1) if ln]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    return [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln]
 
 
 def _parse_rows(path: str, rows: list[tuple[int, str]], width: int) -> np.ndarray:
@@ -296,14 +313,14 @@ def export_features_csv(features, labels, path: str) -> None:
     if features.shape[0] != labels.shape[0]:
         raise ValueError(f"{features.shape[0]} rows but {labels.shape[0]} labels")
     header = "class_id," + ",".join(f"x_{j + 1}" for j in range(features.shape[1]))
-    _write_csv(path, header, features, labels)
+    write_csv(path, header, features, [f"{i}," for i in labels.tolist()])
 
 
 def save_dataset(dir_path: str, attrs: AttributeMatrix, data: FeatureDataset) -> None:
     os.makedirs(dir_path, exist_ok=True)
     header = "class_id," + ",".join(f"a_{j + 1}" for j in range(attrs.attr_dim))
-    _write_csv(os.path.join(dir_path, "attributes.csv"), header, attrs.attrs,
-               np.arange(attrs.n_classes))
+    write_csv(os.path.join(dir_path, "attributes.csv"), header, attrs.attrs,
+              [f"{i}," for i in range(attrs.n_classes)])
 
     blocks = [data.seen_train, data.seen_test, data.unseen_test]
     pool = data.unseen_unlabeled
@@ -316,9 +333,7 @@ def save_dataset(dir_path: str, attrs: AttributeMatrix, data: FeatureDataset) ->
     ends = np.cumsum([f.shape[0] for f in feats]).tolist()
     rows = [list(range(start, end)) for start, end in zip([0] + ends, ends)]
     split = dict(zip(SPLIT_KEYS, [list(attrs.seen_ids), list(attrs.unseen_ids), *rows[:3], rows[-1]]))
-    with open(os.path.join(dir_path, "split.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(split, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(split, os.path.join(dir_path, "split.json"))
 
 
 def load_dataset(dir_path: str) -> tuple[AttributeMatrix, FeatureDataset]:
@@ -337,7 +352,7 @@ def load_dataset(dir_path: str) -> tuple[AttributeMatrix, FeatureDataset]:
     with open(split_path, encoding="utf-8") as fh:
         try:
             split = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSON syntax error, or a byte that is not UTF-8
             raise DataFormatError(f"{split_path}: {exc}") from None
     if not isinstance(split, dict) or set(split) != set(SPLIT_KEYS):
         got = sorted(split) if isinstance(split, dict) else f"a JSON {type(split).__name__}"
@@ -373,7 +388,7 @@ def save_matrix_csv(matrix, path: str) -> None:
     """Generic dense-matrix CSV: a `rows,cols` header line, a dimension line,
     then the row-major values."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    _write_csv(path, f"rows,cols\n{matrix.shape[0]},{matrix.shape[1]}", matrix)
+    write_csv(path, f"rows,cols\n{matrix.shape[0]},{matrix.shape[1]}", matrix)
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
@@ -384,6 +399,8 @@ def load_matrix_csv(path: str) -> np.ndarray:
         n, m = (int(p) for p in lines[1][1].split(","))
     except ValueError:
         raise DataFormatError(f"{path}:{lines[1][0]}: expected two integer dimensions") from None
+    if n < 1 or m < 1:
+        raise DataFormatError(f"{path}:{lines[1][0]}: dimensions must be at least 1, got {n},{m}")
     if len(lines) - 2 != n:
         raise DataFormatError(f"{path}: expected {n} data rows, found {len(lines) - 2}")
     return _parse_rows(path, lines[2:], m)

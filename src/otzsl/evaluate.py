@@ -12,12 +12,11 @@ unseen per-class accuracies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AttributeMatrix, FeatureDataset
+from .data import AttributeMatrix, FeatureDataset, write_json
 from .errors import ConfigError, DataFormatError
 from .generator import GeneratorParams
 from .linalg import log_softmax_rows
@@ -196,60 +195,45 @@ def _confusion(predictions, labels) -> dict[int, dict[int, int]]:
 
 def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
              data: FeatureDataset, cfg: EvalConfig) -> EvalReport:
+    """Train a classifier on generated features and score it under one of
+    PROTOCOLS. The protocol picks only the classes, the test splits (each
+    scored on its own class ids) and whether the real seen training rows go
+    in front of the generated ones; the rest is one path for all three."""
     if mode not in PROTOCOLS:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
     if data.unseen_test[0].shape[0] == 0:
         raise DataFormatError("unseen test split is empty; nothing to evaluate")
+    if mode == "generalized":
+        if data.seen_test[0].shape[0] == 0:
+            raise DataFormatError("seen test split is empty; generalized mode needs it")
+        classes, real_seen = tuple(range(attrs.n_classes)), cfg.include_real_seen
+        tests = [(data.seen_test, attrs.seen_ids), (data.unseen_test, attrs.unseen_ids)]
+    else:
+        classes, real_seen = attrs.unseen_ids, False
+        tests = [(data.unseen_test, attrs.unseen_ids)]
 
     rng = SeededRng(cfg.seed)
-    synth_rng, clf_rng = rng.split(1), rng.split(2)
-
-    if mode in ("standard", "transductive"):
-        classes = attrs.unseen_ids
-        feats, labels = synthesize_class_features(g, attrs, classes,
-                                                  cfg.n_synth_per_class, synth_rng)
-        clf = train_softmax(feats, labels, classes, cfg.classifier, clf_rng)
-        test_feats, test_labels = data.unseen_test
-        pred = predict_ids(clf, test_feats)
-        per_class, a_u, _ = per_class_top1(pred, test_labels, classes)
-        top_k = None
-        if cfg.top_k is not None:
-            scores = classify_scores(clf, test_feats)
-            _, top_k, _ = per_class_topk(scores, clf.class_id_map, test_labels,
-                                         classes, cfg.top_k)
-        return EvalReport(
-            mode=mode, per_class=per_class, A_u=a_u, A_s=None, H=None, top_k=top_k,
-            confusion=_confusion(pred, test_labels),
-            n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,
-        )
-
-    if data.seen_test[0].shape[0] == 0:
-        raise DataFormatError("seen test split is empty; generalized mode needs it")
-    classes = tuple(range(attrs.n_classes))
-    feats, labels = synthesize_class_features(g, attrs, classes,
-                                              cfg.n_synth_per_class, synth_rng)
-    if cfg.include_real_seen:
+    feats, labels = synthesize_class_features(g, attrs, classes, cfg.n_synth_per_class,
+                                              rng.split(1))
+    if real_seen:
         feats = np.vstack([data.seen_train[0], feats])
         labels = np.concatenate([data.seen_train[1], labels])
-    clf = train_softmax(feats, labels, classes, cfg.classifier, clf_rng)
+    clf = train_softmax(feats, labels, classes, cfg.classifier, rng.split(2))
 
-    seen_feats, seen_labels = data.seen_test
-    unseen_feats, unseen_labels = data.unseen_test
-    pred_seen = predict_ids(clf, seen_feats)
-    pred_unseen = predict_ids(clf, unseen_feats)
-    per_seen, a_s, _ = per_class_top1(pred_seen, seen_labels, attrs.seen_ids)
-    per_unseen, a_u, _ = per_class_top1(pred_unseen, unseen_labels, attrs.unseen_ids)
+    # one prediction call per test split: a stacked matmul can differ in the low bits
+    preds = [predict_ids(clf, x) for (x, _), _ in tests]
+    scored = [per_class_top1(p, y, ids) for p, ((_, y), ids) in zip(preds, tests)]
+    true = np.concatenate([y for (_, y), _ in tests])
     top_k = None
     if cfg.top_k is not None:
-        scores = np.vstack([classify_scores(clf, seen_feats), classify_scores(clf, unseen_feats)])
-        all_labels = np.concatenate([seen_labels, unseen_labels])
-        _, top_k, _ = per_class_topk(scores, clf.class_id_map, all_labels, classes, cfg.top_k)
-    all_pred = np.concatenate([pred_seen, pred_unseen])
-    all_true = np.concatenate([seen_labels, unseen_labels])
+        scores = np.vstack([classify_scores(clf, x) for (x, _), _ in tests])
+        _, top_k, _ = per_class_topk(scores, clf.class_id_map, true, classes, cfg.top_k)
+    a_u = scored[-1][1]
+    a_s = scored[0][1] if len(tests) == 2 else None  # the seen split comes first
     return EvalReport(
-        mode=mode, per_class={**per_seen, **per_unseen}, A_u=a_u, A_s=a_s,
-        H=harmonic_mean(a_s, a_u), top_k=top_k,
-        confusion=_confusion(all_pred, all_true),
+        mode=mode, per_class={c: v for per, _, _ in scored for c, v in per.items()},
+        A_u=a_u, A_s=a_s, H=None if a_s is None else harmonic_mean(a_s, a_u), top_k=top_k,
+        confusion=_confusion(np.concatenate(preds), true),
         n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,
     )
 
@@ -271,6 +255,4 @@ def report_json_dict(report: EvalReport) -> dict:
 
 
 def save_report(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_json_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_json_dict(report), path)

@@ -78,20 +78,15 @@ def init_predictor(feature_dim: int, attr_dim: int, hidden_dim: int,
 
 
 def generator_forward(g: GeneratorParams, attrs, noises) -> np.ndarray:
-    """Generate features for attribute/noise pairs; accepts single vectors or
-    row-aligned batches."""
+    """Generate one feature row per row of the row-aligned attribute and noise
+    batches."""
     attrs = np.asarray(attrs, dtype=np.float64)
     noises = np.asarray(noises, dtype=np.float64)
     if attrs.shape != noises.shape:
         raise ValueError(f"attribute shape {attrs.shape} != noise shape {noises.shape}")
-    single = attrs.ndim == 1
-    if single:
-        attrs = attrs[None, :]
-        noises = noises[None, :]
-    if attrs.shape[1] != g.attr_dim:
-        raise ValueError(f"attribute dim {attrs.shape[1]} != generator's {g.attr_dim}")
-    out = mlp_forward(g.net, np.hstack([attrs, noises]))
-    return out[0] if single else out
+    if attrs.ndim != 2 or attrs.shape[1] != g.attr_dim:
+        raise ValueError(f"attributes must be rows of dim {g.attr_dim}, got shape {attrs.shape}")
+    return mlp_forward(g.net, np.hstack([attrs, noises]))
 
 
 def _nca_term(pred, targets, attr_unit, nca_scale, grad_weight):

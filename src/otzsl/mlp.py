@@ -54,9 +54,6 @@ class MlpParams:
     def blocks(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
-
 
 def init_mlp(input_dim: int, hidden_dim: int, output_dim: int, rng: SeededRng) -> MlpParams:
     """Uniform(-s, s) weights with s = sqrt(6/(fan_in+fan_out)); zero biases."""

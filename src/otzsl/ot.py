@@ -46,7 +46,7 @@ class Marginals:
             if np.any(vec <= 0.0):
                 raise ValueError(f"{name} marginal has a zero or negative mass entry")
             if abs(math.fsum(vec.tolist()) - 1.0) > 1e-12:
-                raise ValueError(f"{name} marginal sums to {vec.sum():.17g}, expected 1")
+                raise ValueError(f"{name} marginal sums to {float(vec.sum())!r}, expected 1")
             object.__setattr__(self, name, vec)
 
     @staticmethod

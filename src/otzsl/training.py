@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import param_blocks
-from .data import AttributeMatrix, FeatureDataset, UNLABELED
+from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
 from .errors import ConfigError, SolverError
 from .generator import (GeneratorParams, PredictorParams, backward,
                         generator_forward, init_generator, init_predictor)
@@ -102,11 +102,9 @@ class TrainTrace:
 
 
 def write_trace_csv(trace: TrainTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,branch,transport_cost,reg_loss,total_loss\n")
-        for i in range(len(trace)):
-            fh.write(f"{i},{trace.branch[i]},{trace.transport_cost[i]:.17g},"
-                     f"{trace.reg_loss[i]:.17g},{trace.total_loss[i]:.17g}\n")
+    write_csv(path, "iteration,branch,transport_cost,reg_loss,total_loss",
+              np.column_stack([trace.transport_cost, trace.reg_loss, trace.total_loss]),
+              [f"{i},{branch}," for i, branch in enumerate(trace.branch)])
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,11 @@ def random_cost(rng, n, m):
 
 def assert_allclose(a, b, tol=1e-12):
     np.testing.assert_allclose(a, b, rtol=0, atol=tol)
+
+
+def reference_write_json(obj, path):
+    """The JSON writer that otzsl.data.write_json replaced, kept as the
+    reference for config.json, report.json and split.json bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -1,12 +1,16 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from otzsl import cli
+from otzsl import cli, ot
 from otzsl.data import load_matrix_csv, save_matrix_csv
+from otzsl.rng import SeededRng
 from otzsl.training import TrainConfig
+
+from conftest import reference_write_json
 
 TINY_GEN = {
     "seen_classes": 3,
@@ -104,6 +108,57 @@ def test_config_keys_pinned(command, workspace, tmp_path):
     out = tmp_path / "out"
     assert run([command, *argv, "--out", str(out)]) == 0
     assert set(json.loads((out / "config.json").read_text())) == CONFIG_KEYS[command]
+
+
+def test_every_flag_names_a_config_key():
+    """A flag reaches the config through its dest, so each dest other than
+    --config and --out must be a config key of its command."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(CONFIG_KEYS)
+    for command, p in sub.choices.items():
+        dests = {a.dest for a in p._actions} - {"help", "config", "out"}
+        assert dests <= CONFIG_KEYS[command], (command, dests - CONFIG_KEYS[command])
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_flags_reach_the_config_by_name(command, workspace, tmp_path):
+    data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.5]]), str(cost))
+    argv, want = {
+        "gen-data": (["--seed", "9"], {"seed": 9}),
+        "train": (["--data", data, "--mode", "transductive", "--epochs", "1",
+                   "--batch-size", "5", "--seed", "3"],
+                  {"data": data, "mode": "transductive", "epochs": 1, "batch_size": 5,
+                   "seed": 3}),
+        "eval": (["--data", data, "--checkpoint", ckpt, "--mode", "generalized",
+                  "--n-synth-per-class", "2", "--top-k", "2", "--seed", "4"],
+                 {"data": data, "checkpoint": ckpt, "mode": "generalized",
+                  "n_synth_per_class": 2, "top_k": 2, "seed": 4}),
+        "solve-ot": (["--cost", str(cost), "--solver", "sinkhorn", "--lambda", "0.25",
+                      "--iters", "3"],
+                     {"cost": str(cost), "solver": "sinkhorn", "lambda": 0.25, "iters": 3}),
+        "compare-solvers": (["--size", "2", "--instances", "1", "--iters", "2", "--seed", "6"],
+                            {"size": 2, "instances": 1, "iters": 2, "seed": 6}),
+        "export": (["--data", data, "--checkpoint", ckpt, "--classes", "all",
+                    "--per-class", "1", "--seed", "8"],
+                   {"data": data, "checkpoint": ckpt, "classes": "all", "per_class": 1,
+                    "seed": 8}),
+    }[command]
+    out = tmp_path / "out"
+    assert run([command, *argv, "--out", str(out)]) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    assert {k: echoed[k] for k in want} == want
+    reference_write_json(echoed, tmp_path / "ref.json")
+    assert (out / "config.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_config_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": 1}\xff')
+    assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "cfg.json: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
 
 # --- gen-data ---
@@ -294,6 +349,29 @@ def test_solve_ot_rejects_nonfinite_cost_before_writing(tmp_path, capsys):
     assert not (out / "config.json").exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"rows,cols\n0,-1\n", "cost.csv:2: dimensions must be at least 1"),
+    (b"rows,cols\n0,3\n", "cost.csv:2: dimensions must be at least 1"),
+    (b"rows,cols\n1,2\n1,\xff\n", "cost.csv: 'utf-8' codec can't decode byte 0xff"),
+])
+def test_solve_ot_rejects_bad_cost_file_before_writing(tmp_path, capsys, content, message):
+    cost = tmp_path / "cost.csv"
+    cost.write_bytes(content)
+    out = tmp_path / "o"
+    assert run(["solve-ot", "--cost", str(cost), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
+def test_solve_ot_has_no_seed_flag(tmp_path):
+    """solve-ot draws no random numbers, so --seed is a usage error."""
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.5]]), str(cost))
+    with pytest.raises(SystemExit) as exc:
+        run(["solve-ot", "--cost", str(cost), "--seed", "99", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("solver", ["ipot", "sinkhorn"])
 @pytest.mark.parametrize("flag,value", [("--lambda", "-0.5"), ("--iters", "0")])
 def test_solve_ot_rejects_bad_parameters(tmp_path, capsys, solver, flag, value):
@@ -340,6 +418,40 @@ def test_compare_solvers_deterministic(tmp_path):
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
+
+
+def reference_curves_csv(size, instances, iters, seed, path):
+    """compare-solvers' solves with the per-row f-string writer that
+    data.write_csv replaced for curves.csv."""
+    rng = SeededRng(seed)
+    rows = ["solver,lambda,instance,iteration,transport_cost,feasibility_error"]
+    for inst in range(instances):
+        feat_rng = rng.split(inst + 1)
+        real = feat_rng.gaussian(size * 16).reshape(size, 16)
+        synth = feat_rng.gaussian(size * 16).reshape(size, 16)
+        cost = ot.cosine_cost_matrix(real, synth)
+        runs = [
+            ("ipot", 0.5, ot.ipot_solve(
+                cost, cfg=ot.IpotConfig(reg=0.5, max_outer_iters=iters, stop_tol=0.0),
+                record_trace=True)),
+            ("sinkhorn", 0.1, ot.sinkhorn_solve(cost, reg=0.1, iterations=iters,
+                                                record_trace=True)),
+            ("sinkhorn", 0.5, ot.sinkhorn_solve(cost, reg=0.5, iterations=iters,
+                                                record_trace=True)),
+        ]
+        for name, reg, plan in runs:
+            for it, tc, feas in plan.trace:
+                rows.append(f"{name},{reg},{inst},{int(it)},{tc:.17g},{feas:.17g}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
+def test_compare_solvers_matches_reference(tmp_path):
+    out = tmp_path / "cmp"
+    assert run(["compare-solvers", "--size", "5", "--instances", "3", "--iters", "30",
+                "--seed", "2", "--out", str(out)]) == 0
+    reference_curves_csv(5, 3, 30, 2, tmp_path / "ref.csv")
+    assert (out / "curves.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_compare_solvers_validates_size(tmp_path):

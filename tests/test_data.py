@@ -19,7 +19,7 @@ from otzsl.data import (
 )
 from otzsl.errors import DataFormatError
 from otzsl.rng import SeededRng
-from tests.conftest import TINY_SPEC
+from tests.conftest import TINY_SPEC, reference_write_json
 
 
 # ----------------------------------------------------------- attribute matrix
@@ -399,6 +399,38 @@ def test_matrix_errors_count_blank_lines(tmp_path):
     path.write_text("rows,cols\n\n2,2\n1,2\n\n3,x\n")
     with pytest.raises(DataFormatError, match=r"m\.csv:6: "):
         load_matrix_csv(str(path))
+
+
+@pytest.mark.parametrize("dims", ["0,-1", "0,3", "-1,2"])
+def test_matrix_dimensions_must_be_positive(tmp_path, dims):
+    path = tmp_path / "m.csv"
+    path.write_text(f"rows,cols\n\n{dims}\n")
+    message = rf"m\.csv:3: dimensions must be at least 1, got {dims}"
+    with pytest.raises(DataFormatError, match=message):
+        load_matrix_csv(str(path))
+
+
+def test_matrix_rejects_non_utf8(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"rows,cols\n1,2\n1,\xff\n")
+    with pytest.raises(DataFormatError, match=r"m\.csv: 'utf-8' codec can't decode byte 0xff"):
+        load_matrix_csv(str(path))
+
+
+@pytest.mark.parametrize("name", ["attributes.csv", "features.csv", "split.json"])
+def test_load_rejects_non_utf8(tmp_path, name):
+    saved_dataset(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b"\xff")
+    with pytest.raises(DataFormatError, match=rf"{name}: 'utf-8' codec can't decode byte 0xff"):
+        load_dataset(str(tmp_path))
+
+
+def test_split_json_matches_reference(tmp_path):
+    saved_dataset(tmp_path)
+    path = tmp_path / "split.json"
+    reference_write_json(json.loads(path.read_text()), tmp_path / "ref.json")
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_load_rejects_header_only_attributes(tmp_path):

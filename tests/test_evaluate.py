@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from otzsl.data import SyntheticSpec, make_synthetic_dataset
 from otzsl.errors import ConfigError, DataFormatError
-from otzsl.evaluate import (ClassifierConfig, ClassifierParams, EvalConfig,
-                            classify_scores, evaluate, harmonic_mean,
-                            per_class_top1, per_class_topk, predict_ids,
+from otzsl.evaluate import (PROTOCOLS, ClassifierConfig, ClassifierParams, EvalConfig,
+                            EvalReport, _confusion, classify_scores, evaluate,
+                            harmonic_mean, per_class_top1, per_class_topk, predict_ids,
                             report_json_dict, save_report, train_softmax)
 from otzsl.generator import GeneratorParams, init_generator
 from otzsl.mlp import MlpParams
 from otzsl.rng import SeededRng
+from otzsl.training import synthesize_class_features
 
-from conftest import TINY_SPEC
+from conftest import TINY_SPEC, reference_write_json
 
 CLEAN_SPEC = dataclasses.replace(TINY_SPEC, noise_sigma=0.0)
 
@@ -25,12 +26,13 @@ CLEAN_SPEC = dataclasses.replace(TINY_SPEC, noise_sigma=0.0)
 STRONG_CLF = ClassifierConfig(learning_rate=0.01, epochs=300)
 
 
-def oracle_generator(hidden_map):
+def oracle_generator(hidden_map, noise_gain=0.0):
     """relu(a) - relu(-a) = a, so the net emits the true class prototype
-    hidden_map @ a for any attribute and ignores its noise half."""
+    hidden_map @ a for any attribute and ignores its noise half; a nonzero
+    noise_gain g feeds g * noise into both halves and blurs the prototypes."""
     feature_dim, d = hidden_map.shape
-    eye, zero = np.eye(d), np.zeros((d, d))
-    w1 = np.vstack([np.hstack([eye, zero]), np.hstack([-eye, zero])])
+    eye, noise = np.eye(d), noise_gain * np.eye(d)
+    w1 = np.vstack([np.hstack([eye, noise]), np.hstack([-eye, noise])])
     w2 = np.hstack([hidden_map, -hidden_map])
     net = MlpParams(w1, np.zeros(2 * d), w2, np.zeros(feature_dim))
     return GeneratorParams(net=net)
@@ -335,3 +337,91 @@ def test_report_json_omits_seen_keys_in_standard(clean_dataset, tmp_path):
     save_report(gz, str(path))
     loaded = json.loads(path.read_text())
     assert loaded == json.loads(json.dumps(dz))
+    for report in (rep, gz):
+        save_report(report, str(path))
+        reference_write_json(report_json_dict(report), tmp_path / "ref.json")
+        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+# --- the one evaluation path against the two branches it replaced ---
+
+def reference_evaluate(mode, g, attrs, data, cfg):
+    """evaluate() as it was, with one branch for the unseen-only protocols and
+    one for generalized; kept as the reference the one path must equal."""
+    rng = SeededRng(cfg.seed)
+    synth_rng, clf_rng = rng.split(1), rng.split(2)
+
+    if mode in ("standard", "transductive"):
+        classes = attrs.unseen_ids
+        feats, labels = synthesize_class_features(g, attrs, classes,
+                                                  cfg.n_synth_per_class, synth_rng)
+        clf = train_softmax(feats, labels, classes, cfg.classifier, clf_rng)
+        test_feats, test_labels = data.unseen_test
+        pred = predict_ids(clf, test_feats)
+        per_class, a_u, _ = per_class_top1(pred, test_labels, classes)
+        top_k = None
+        if cfg.top_k is not None:
+            scores = classify_scores(clf, test_feats)
+            _, top_k, _ = per_class_topk(scores, clf.class_id_map, test_labels,
+                                         classes, cfg.top_k)
+        return EvalReport(
+            mode=mode, per_class=per_class, A_u=a_u, A_s=None, H=None, top_k=top_k,
+            confusion=_confusion(pred, test_labels),
+            n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,
+        )
+
+    classes = tuple(range(attrs.n_classes))
+    feats, labels = synthesize_class_features(g, attrs, classes,
+                                              cfg.n_synth_per_class, synth_rng)
+    if cfg.include_real_seen:
+        feats = np.vstack([data.seen_train[0], feats])
+        labels = np.concatenate([data.seen_train[1], labels])
+    clf = train_softmax(feats, labels, classes, cfg.classifier, clf_rng)
+
+    seen_feats, seen_labels = data.seen_test
+    unseen_feats, unseen_labels = data.unseen_test
+    pred_seen = predict_ids(clf, seen_feats)
+    pred_unseen = predict_ids(clf, unseen_feats)
+    per_seen, a_s, _ = per_class_top1(pred_seen, seen_labels, attrs.seen_ids)
+    per_unseen, a_u, _ = per_class_top1(pred_unseen, unseen_labels, attrs.unseen_ids)
+    top_k = None
+    if cfg.top_k is not None:
+        scores = np.vstack([classify_scores(clf, seen_feats), classify_scores(clf, unseen_feats)])
+        all_labels = np.concatenate([seen_labels, unseen_labels])
+        _, top_k, _ = per_class_topk(scores, clf.class_id_map, all_labels, classes, cfg.top_k)
+    all_pred = np.concatenate([pred_seen, pred_unseen])
+    all_true = np.concatenate([seen_labels, unseen_labels])
+    return EvalReport(
+        mode=mode, per_class={**per_seen, **per_unseen}, A_u=a_u, A_s=a_s,
+        H=harmonic_mean(a_s, a_u), top_k=top_k,
+        confusion=_confusion(all_pred, all_true),
+        n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,
+    )
+
+
+@pytest.fixture(scope="module")
+def noisy_dataset():
+    """Noisy enough that a blurred oracle generator scores strictly between 0
+    and 1 on most classes under every protocol, and differently for different
+    synthesis and classifier streams, so a mixed-up class, split or stream shows."""
+    return make_synthetic_dataset(dataclasses.replace(TINY_SPEC, noise_sigma=1.0))
+
+
+@pytest.mark.parametrize("include_real_seen", [True, False])
+@pytest.mark.parametrize("top_k", [None, 1, "all"])
+@pytest.mark.parametrize("mode", PROTOCOLS)
+def test_evaluate_matches_two_branch_reference(noisy_dataset, mode, top_k, include_real_seen):
+    attrs, data, hidden_map = noisy_dataset
+    g = oracle_generator(hidden_map, noise_gain=0.5)
+    if top_k == "all":
+        top_k = attrs.n_classes if mode == "generalized" else len(attrs.unseen_ids)
+    # minibatches smaller than the training set, so the classifier's stream matters
+    cfg = EvalConfig(n_synth_per_class=12, seed=3, top_k=top_k,
+                     include_real_seen=include_real_seen,
+                     classifier=ClassifierConfig(batch_size=8, epochs=20))
+    got = evaluate(mode, g, attrs, data, cfg)
+    want = reference_evaluate(mode, g, attrs, data, cfg)
+    for field in ("mode", "per_class", "A_u", "A_s", "H", "top_k", "confusion",
+                  "n_synth_per_class", "seed"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert (got.top_k is None) == (top_k is None)

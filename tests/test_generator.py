@@ -98,48 +98,41 @@ def test_generator_rejects_odd_input_dim():
 def test_generator_forward_zero_net():
     g = GeneratorParams(net=MlpParams(np.zeros((4, 6)), np.zeros(4),
                                       np.zeros((5, 4)), np.zeros(5)))
-    out = generator_forward(g, np.ones(3), np.ones(3))
-    np.testing.assert_array_equal(out, np.zeros(5))
+    out = generator_forward(g, np.ones((2, 3)), np.ones((2, 3)))
+    np.testing.assert_array_equal(out, np.zeros((2, 5)))
 
 
 def test_generator_forward_relu_kill_gives_bias():
     net = MlpParams(-np.ones((2, 4)), np.zeros(2), np.ones((3, 2)),
                     np.array([0.5, -1.0, 2.0]))
     g = GeneratorParams(net=net)
-    out = generator_forward(g, np.ones(2), np.ones(2))
-    np.testing.assert_array_equal(out, [0.5, -1.0, 2.0])
+    out = generator_forward(g, np.ones((1, 2)), np.ones((1, 2)))
+    np.testing.assert_array_equal(out, [[0.5, -1.0, 2.0]])
 
 
 def test_generator_forward_matches_scalar_loop():
     g = init_generator(2, 3, 4, SeededRng(1))
-    a = np.array([0.3, -0.7])
-    z = np.array([1.1, 0.2])
+    a = np.array([[0.3, -0.7], [-1.2, 0.4]])
+    z = np.array([[1.1, 0.2], [0.5, -0.9]])
     out = generator_forward(g, a, z)
-    x = np.concatenate([a, z])
     net = g.net
-    hidden = [max(0.0, sum(net.W1[h, j] * x[j] for j in range(4)) + net.b1[h])
-              for h in range(4)]
-    for o in range(3):
-        want = sum(net.W2[o, h] * hidden[h] for h in range(4)) + net.b2[o]
-        assert out[o] == pytest.approx(want, abs=1e-12)
-
-
-def test_generator_forward_batch_matches_single():
-    g = init_generator(3, 4, 5, SeededRng(2))
-    attrs = SeededRng(3).gaussian(6).reshape(2, 3)
-    noises = SeededRng(4).gaussian(6).reshape(2, 3)
-    batch = generator_forward(g, attrs, noises)
-    for i in range(2):
-        np.testing.assert_allclose(batch[i], generator_forward(g, attrs[i], noises[i]),
-                                   rtol=0, atol=1e-12)
+    for r in range(2):
+        x = np.concatenate([a[r], z[r]])
+        hidden = [max(0.0, sum(net.W1[h, j] * x[j] for j in range(4)) + net.b1[h])
+                  for h in range(4)]
+        for o in range(3):
+            want = sum(net.W2[o, h] * hidden[h] for h in range(4)) + net.b2[o]
+            assert out[r, o] == pytest.approx(want, abs=1e-12)
 
 
 def test_generator_forward_dim_mismatch():
     g = init_generator(3, 4, 5, SeededRng(2))
     with pytest.raises(ValueError, match="shape"):
-        generator_forward(g, np.ones(3), np.ones(2))
+        generator_forward(g, np.ones((1, 3)), np.ones((1, 2)))
     with pytest.raises(ValueError, match="dim"):
-        generator_forward(g, np.ones(2), np.ones(2))
+        generator_forward(g, np.ones((1, 2)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="rows"):
+        generator_forward(g, np.ones(3), np.ones(3))
 
 
 def test_predictor_requires_positive_scale():

@@ -106,8 +106,8 @@ def test_backward_matches_finite_differences():
         it = np.nditer(block, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            plus = net.copy()
-            minus = net.copy()
+            plus = MlpParams(*(b.copy() for b in net.blocks()))
+            minus = MlpParams(*(b.copy() for b in net.blocks()))
             getattr(plus, name)[idx] += eps
             getattr(minus, name)[idx] -= eps
             fd = (objective(plus, x) - objective(minus, x)) / (2 * eps)

@@ -387,3 +387,25 @@ def test_write_trace_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "ot"
     assert float(first[2]) == 0.125 and float(first[4]) == 1.625
+
+
+def reference_write_trace_csv(trace, path):
+    """The per-row f-string writer that data.write_csv replaced for trace.csv."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("iteration,branch,transport_cost,reg_loss,total_loss\n")
+        for i in range(len(trace)):
+            fh.write(f"{i},{trace.branch[i]},{trace.transport_cost[i]:.17g},"
+                     f"{trace.reg_loss[i]:.17g},{trace.total_loss[i]:.17g}\n")
+
+
+def test_write_trace_csv_matches_reference(tmp_path, tiny_dataset):
+    attrs, data, _ = tiny_dataset
+    trained = train(data, attrs, quick_cfg(epochs=2)).trace
+    edges = TrainTrace()
+    for i, v in enumerate([0.0, -0.0, 5e-324, 1e300, -1e300, 2.0**53, 0.1, 1 / 3, 7]):
+        edges.record(("ot", "transition")[i % 2], v, -v, 2 * v, i)
+    for k, trace in enumerate([trained, edges, TrainTrace()]):
+        new, ref = tmp_path / f"new{k}.csv", tmp_path / f"ref{k}.csv"
+        write_trace_csv(trace, str(new))
+        reference_write_trace_csv(trace, ref)
+        assert new.read_bytes() == ref.read_bytes()

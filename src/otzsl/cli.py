@@ -83,7 +83,9 @@ def from_flat(template, cfg: dict, prefix: str = ""):
 
 def resolve_config(defaults: dict, args) -> dict:
     """`defaults`, updated by the config file of --config, then by every parsed
-    flag that was given and whose dest is a key of `defaults`."""
+    flag that was given and whose dest is a key of `defaults`. A config value
+    must have its default's type (an integer may stand for a float, a boolean
+    for nothing else)."""
     cfg = dict(defaults)
     config_path = args.config
     if config_path is not None:
@@ -99,6 +101,12 @@ def resolve_config(defaults: dict, args) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ConfigError(f"{config_path}: unknown keys {sorted(unknown)}")
+        for key, value in loaded.items():
+            kind = type(defaults[key])  # a None default leaves the check to the command
+            if defaults[key] is not None and not (type(value) is kind
+                                                  or kind is float and type(value) is int):
+                raise ConfigError(f"{config_path}: key {key!r} must be of type "
+                                  f"{kind.__name__}, got {json.dumps(value)}")
         cfg.update(loaded)
     cfg.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
     return cfg

@@ -62,7 +62,8 @@ class AttributeMatrix:
             raise DataFormatError(
                 f"seen+unseen ids must cover classes 0..{n - 1}, got {sorted(seen | unseen)}"
             )
-        norms = np.linalg.norm(self.attrs, axis=1)
+        with np.errstate(over="ignore"):  # an inf norm is still not zero
+            norms = np.linalg.norm(self.attrs, axis=1)
         if np.any(norms == 0.0):
             bad = int(np.flatnonzero(norms == 0.0)[0])
             raise DataFormatError(f"class {bad} has a zero-norm attribute vector")
@@ -90,7 +91,8 @@ def _check_split(features: np.ndarray, labels: np.ndarray, what: str):
     if not np.all(np.isfinite(features)):
         raise DataFormatError(f"{what} features contain a non-finite value")
     if features.shape[0]:
-        norms = np.linalg.norm(features, axis=1)
+        with np.errstate(over="ignore"):  # an inf norm is still not zero
+            norms = np.linalg.norm(features, axis=1)
         if np.any(norms == 0.0):
             bad = int(np.flatnonzero(norms == 0.0)[0])
             raise DataFormatError(f"{what} row {bad} has zero norm")

@@ -91,7 +91,7 @@ def train_softmax(features, labels, classes, cfg: ClassifierConfig,
             grad_logits = np.exp(log_p)
             grad_logits[np.arange(idx.size), y[idx]] -= 1.0
             grad_logits /= idx.size
-            (W, b), state = adam_step([W, b], [grad_logits.T @ x, grad_logits.sum(axis=0)], state)
+            adam_step([W, b], [grad_logits.T @ x, grad_logits.sum(axis=0)], state)
     return ClassifierParams(W=W, b=b, class_id_map=classes)
 
 

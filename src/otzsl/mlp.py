@@ -1,7 +1,9 @@
 """One-hidden-layer perceptrons with hand-rolled backprop and Adam.
 
-Batches are row-major (batch, features). Weights follow the convention
-W1: (hidden, input), W2: (output, hidden), so a forward pass is
+Adam (Kingma & Ba 2014, Algorithm 1) updates the caller's parameter blocks
+and its own moment blocks in place, so a network trains in the arrays it
+already holds. Batches are row-major (batch, features). Weights follow the
+convention W1: (hidden, input), W2: (output, hidden), so a forward pass is
 relu(x W1' + b1) W2' + b2. The ReLU subgradient at exactly 0 is 0.
 """
 
@@ -107,7 +109,8 @@ def add_grads(a: MlpParams, b: MlpParams) -> MlpParams:
 
 @dataclass
 class AdamState:
-    """Moment accumulators for a fixed list of parameter blocks."""
+    """Moment accumulators for a fixed list of parameter blocks. beta1, beta2
+    and epsilon are the update's constants; checkpoints record them."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
@@ -118,40 +121,28 @@ class AdamState:
     epsilon: float = 1e-8
 
 
-def adam_init(blocks: list[np.ndarray], learning_rate: float = 0.001,
-              beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(b) for b in blocks],
-        v=[np.zeros_like(b) for b in blocks],
-        step=0,
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
+def adam_init(blocks: list[np.ndarray], learning_rate: float = 0.001) -> AdamState:
+    return AdamState(m=[np.zeros_like(b) for b in blocks],
+                     v=[np.zeros_like(b) for b in blocks], learning_rate=learning_rate)
 
 
-def adam_step(blocks: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns new blocks and new state."""
+def adam_step(blocks: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
+    """One bias-corrected Adam update, in place: each block and state.m, state.v
+    and state.step are overwritten. Every updated block is checked for
+    finiteness, so a blow-up raises ValueError naming the block's index."""
     if len(blocks) != len(grads) or len(blocks) != len(state.m):
         raise ValueError("block / gradient / state counts do not match")
-    t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
-    new_blocks, new_m, new_v = [], [], []
-    for p, g, m, v in zip(blocks, grads, state.m, state.v):
+    for p, g in zip(blocks, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_blocks.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
-        new_m.append(m)
-        new_v.append(v)
-    new_state = AdamState(
-        m=new_m, v=new_v, step=t,
-        learning_rate=state.learning_rate, beta1=state.beta1,
-        beta2=state.beta2, epsilon=state.epsilon,
-    )
-    return new_blocks, new_state
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below instead
+        for i, (p, g, m, v) in enumerate(zip(blocks, grads, state.m, state.v)):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+            ensure_finite(p, f"parameter block {i}")

@@ -26,7 +26,7 @@ from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
 from .errors import ConfigError, SolverError
 from .generator import (GeneratorParams, PredictorParams, backward,
                         generator_forward, init_generator, init_predictor)
-from .mlp import AdamState, MlpParams, adam_init, adam_step
+from .mlp import AdamState, adam_init, adam_step
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
 from .rng import SeededRng
 
@@ -168,8 +168,9 @@ def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
     return max(1, math.ceil(pool_size / batch_size))
 
 
-def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig,
-          init_params: tuple[GeneratorParams, PredictorParams] | None = None) -> TrainResult:
+# a blow-up raises from the finiteness checks of a step, not as a numpy warning
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> TrainResult:
     transductive = cfg.mode == "transductive"
     if data.seen_train[0].shape[0] == 0:
         raise ValueError("training requires labeled seen samples")
@@ -179,13 +180,10 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig,
     d = attrs.attr_dim
     feature_dim = data.feature_dim
     root = SeededRng(cfg.seed)
-    if init_params is None:
-        g = init_generator(d, feature_dim, cfg.hidden_dim, root.split(1))
-        f = init_predictor(feature_dim, d, cfg.hidden_dim, root.split(2),
-                           nca_scale=cfg.nca_scale)
-    else:
-        g, f = init_params
-    adam = adam_init(param_blocks(g, f), learning_rate=cfg.learning_rate)
+    g = init_generator(d, feature_dim, cfg.hidden_dim, root.split(1))
+    f = init_predictor(feature_dim, d, cfg.hidden_dim, root.split(2), nca_scale=cfg.nca_scale)
+    params = param_blocks(g, f)  # adam_step updates these arrays, so g and f train in place
+    adam = adam_init(params, learning_rate=cfg.learning_rate)
     batch_rng = root.split(3)
 
     pool_size = data.seen_train[0].shape[0] + (
@@ -212,28 +210,20 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig,
                 synth_classes = np.concatenate([s_classes, u_classes])
 
                 has_unlabeled = bool(np.any(real_classes == UNLABELED))
-                take_ot = ot_branch_coin(batch_rng, cfg.ot_prob) or has_unlabeled
-                if take_ot:
+                if ot_branch_coin(batch_rng, cfg.ot_prob) or has_unlabeled:
                     branch = "ot"
-                    if transductive:
-                        synth_all = np.vstack([s_feats, u_feats])
-                        cost = cosine_cost_matrix(real_feats, synth_all)
-                        plan = ipot_solve(cost, Marginals.uniform(*cost.shape), cfg.ipot).values
-                    else:
-                        cost = cosine_cost_matrix(real_feats, s_feats)
-                        solved = ipot_solve(cost, Marginals.uniform(*cost.shape), cfg.ipot).values
-                        plan = np.hstack([solved, np.zeros((b, u_feats.shape[0]))])
+                    synth = np.vstack([s_feats, u_feats]) if transductive else s_feats
+                    cost = cosine_cost_matrix(real_feats, synth)
+                    core = ipot_solve(cost, Marginals.uniform(*cost.shape), cfg.ipot).values
                 else:
                     branch = "transition"
-                    coupled = transition_plan(real_classes, s_classes).values
-                    plan = np.hstack([coupled, np.zeros((b, u_feats.shape[0]))])
+                    core = transition_plan(real_classes, s_classes).values
+                plan = np.zeros((b, synth_classes.size))  # uncoupled columns carry no mass
+                plan[:, :core.shape[1]] = core
 
                 res = backward(plan, real_feats, real_classes, synth_attrs, synth_noises,
                                synth_classes, g, f, attrs.attrs, cfg.reg_weight)
-                blocks, adam = adam_step(param_blocks(g, f),
-                                         res.g_grads.blocks() + res.f_grads.blocks(), adam)
-                g = GeneratorParams(net=MlpParams(*blocks[:4]))
-                f = PredictorParams(net=MlpParams(*blocks[4:]), nca_scale=cfg.nca_scale)
+                adam_step(params, res.g_grads.blocks() + res.f_grads.blocks(), adam)
             except (SolverError, ValueError) as exc:
                 raise SolverError(f"iteration {step} (epoch {epoch}): {exc}") from exc
             trace.record(branch, res.transport_term, res.regularizer_term,

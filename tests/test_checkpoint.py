@@ -32,15 +32,14 @@ def test_roundtrip_with_adam(tmp_path):
     g, f = make_pair(3)
     blocks = param_blocks(g, f)
     state = adam_init(blocks, learning_rate=0.01)
-    grads = [np.full_like(b, 0.25) for b in blocks]
-    _, state = adam_step(blocks, grads, state)
+    adam_step(blocks, [np.full_like(b, 0.25) for b in blocks], state)
     path = str(tmp_path / "c.bin")
     save_checkpoint(path, g, f, state)
-    _, _, state2 = load_checkpoint(path)
+    g2, f2, state2 = load_checkpoint(path)
     assert state2.step == 1
     assert state2.learning_rate == 0.01
     assert (state2.beta1, state2.beta2, state2.epsilon) == (0.9, 0.999, 1e-8)
-    for a, b in zip(state.m + state.v, state2.m + state2.v):
+    for a, b in zip(blocks + state.m + state.v, param_blocks(g2, f2) + state2.m + state2.v):
         np.testing.assert_array_equal(a, b)
 
 

@@ -154,6 +154,40 @@ def test_flags_reach_the_config_by_name(command, workspace, tmp_path):
     assert (out / "config.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("gen-data", {"seen_classes": 2.5}),
+    ("train", {"epochs": "2"}),
+    ("eval", {"include_real_seen": "no"}),
+    ("solve-ot", {"solver": 1}),
+    ("compare-solvers", {"size": "4"}),
+    ("export", {"per_class": True}),
+])
+def test_config_value_must_have_the_default_type(command, bad, workspace, tmp_path, capsys):
+    data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.5]]), str(cost))
+    argv = {"train": ["--data", data], "eval": ["--data", data, "--checkpoint", ckpt],
+            "solve-ot": ["--cost", str(cost)],
+            "export": ["--data", data, "--checkpoint", ckpt]}.get(command, [])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), *argv, "--out", str(out)]) == 2
+    (key,) = bad
+    assert f"{cfg}: key {key!r} must be of type" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_int_stands_for_float_and_bool_for_nothing_else(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY_GEN, "noise_sigma": 1}))
+    assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert json.loads((tmp_path / "a" / "config.json").read_text())["noise_sigma"] == 1
+    cfg.write_text(json.dumps({**TINY_GEN, "seed": True}))
+    assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    assert "key 'seed' must be of type int, got true" in capsys.readouterr().err
+
+
 def test_config_not_utf8(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(b'{"seed": 1}\xff')

@@ -49,6 +49,18 @@ def test_attribute_matrix_rejects_duplicates():
         AttributeMatrix(attrs, (0,), (1,))
 
 
+def test_norm_checks_take_huge_rows_without_warnings():
+    # warnings are errors in this suite: a row norm that overflows to inf is
+    # still not zero, and must not leak an overflow warning
+    attrs = AttributeMatrix([[1e300, 0.0], [0.0, 1.0]], (0,), (1,))
+    assert attrs.attrs[0, 0] == 1e300
+    rows = np.array([[1e300, -1e300, 0.0], [1.0, 2.0, 3.0]])
+    data = FeatureDataset(seen_train=(rows, np.array([0, 1])),
+                          seen_test=(rows, np.array([1, 0])),
+                          unseen_test=(rows[:1], np.array([2])), unseen_unlabeled=rows)
+    assert data.seen_train[0][0, 1] == -1e300
+
+
 def test_attribute_matrix_accessors():
     am = AttributeMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), (0,), (1,))
     assert am.n_classes == 2
@@ -526,17 +538,15 @@ def test_dataset_codec_matches_reference(tmp_path):
     # The last column keeps every row norm away from zero.
     feats = np.column_stack([edge_matrix(16, 3, seed=13), np.arange(1.0, 17.0)])
     attrs_header = "class_id,a_1,a_2,a_3,a_4"
-    # The norm checks square entries near 1e300 to inf; that is not the codec's concern.
-    with np.errstate(over="ignore"):
-        attrs = AttributeMatrix(attr_values, (0, 1, 2), (3,))
-        data = FeatureDataset(
-            seen_train=(feats[:6], np.array([0, 1, 2, 0, 1, 2])),
-            seen_test=(feats[6:9], np.array([2, 1, 0])),
-            unseen_test=(feats[9:13], np.full(4, 3)),
-            unseen_unlabeled=feats[13:],
-        )
-        save_dataset(str(tmp_path), attrs, data)
-        attrs2, data2 = load_dataset(str(tmp_path))
+    attrs = AttributeMatrix(attr_values, (0, 1, 2), (3,))
+    data = FeatureDataset(
+        seen_train=(feats[:6], np.array([0, 1, 2, 0, 1, 2])),
+        seen_test=(feats[6:9], np.array([2, 1, 0])),
+        unseen_test=(feats[9:13], np.full(4, 3)),
+        unseen_unlabeled=feats[13:],
+    )
+    save_dataset(str(tmp_path), attrs, data)
+    attrs2, data2 = load_dataset(str(tmp_path))
     reference_write(tmp_path / "ref_attrs.csv", attrs_header, attr_values, np.arange(4))
     assert (tmp_path / "attributes.csv").read_bytes() == (tmp_path / "ref_attrs.csv").read_bytes()
     labels = np.concatenate([data.seen_train[1], data.seen_test[1], data.unseen_test[1], [-1, -1, -1]])

@@ -374,6 +374,17 @@ def test_backward_plan_shape_mismatch():
                  s["noises"], s["synth_classes"], s["g"], s["f"], s["attrs"], 0.0)
 
 
+def test_backward_non_finite_plan_raises_from_the_gradient_blocks():
+    # the gradient blocks are MlpParams, whose own check is the one that fires
+    s = small_setup(3)
+    plan = s["plan"].copy()
+    plan[0, 0] = np.nan
+    with pytest.raises(ValueError, match="W1 contains a non-finite value") as info:
+        backward(plan, s["real"], s["real_classes"], s["synth_attrs"], s["noises"],
+                 s["synth_classes"], s["g"], s["f"], s["attrs"], 1.0)
+    assert type(info.value) is ValueError
+
+
 def test_objective_and_backward_agree_on_loss_terms():
     s = small_setup(6)
     a = objective(s["plan"], s["real"], s["real_classes"], s["synth_attrs"],
@@ -410,10 +421,8 @@ def test_fifty_adam_steps_decrease_loss():
         res = backward(plan, real, s["synth_classes"], s["synth_attrs"], s["noises"],
                        s["synth_classes"], g, f, s["attrs"], 0.05)
         losses.append(res.total)
-        blocks, state = adam_step(g.net.blocks() + f.net.blocks(),
-                                  res.g_grads.blocks() + res.f_grads.blocks(), state)
-        g = GeneratorParams(net=MlpParams(*blocks[:4]))
-        f = PredictorParams(net=MlpParams(*blocks[4:]), nca_scale=f.nca_scale)
+        adam_step(g.net.blocks() + f.net.blocks(),
+                  res.g_grads.blocks() + res.f_grads.blocks(), state)
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-6), diffs.max()
     assert losses[-1] < losses[0]

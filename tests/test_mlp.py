@@ -136,33 +136,68 @@ def test_grad_helpers():
     np.testing.assert_allclose(s.W1, 2 * net.W1)
 
 
+def reference_adam_step(blocks, grads, state):
+    """The functional update that adam_step replaced: new blocks and a new
+    AdamState, inputs untouched. Kept as the bit-exact reference."""
+    t = state.step + 1
+    b1, b2 = state.beta1, state.beta2
+    new_blocks, new_m, new_v = [], [], []
+    for p, g, m, v in zip(blocks, grads, state.m, state.v):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        new_blocks.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
+        new_m.append(m)
+        new_v.append(v)
+    return new_blocks, AdamState(m=new_m, v=new_v, step=t, learning_rate=state.learning_rate)
+
+
+@pytest.mark.parametrize("learning_rate", [0.0, 0.001, 0.3])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e150])
+def test_adam_in_place_matches_reference(learning_rate, scale):
+    rng = SeededRng(21)
+    blocks = [rng.gaussian(12).reshape(3, 4), rng.gaussian(5), np.zeros((2, 3))]
+    state = adam_init(blocks, learning_rate=learning_rate)
+    ref_blocks = [b.copy() for b in blocks]
+    ref_state = adam_init(ref_blocks, learning_rate=learning_rate)
+    for step in range(6):
+        grads = [scale * rng.gaussian(b.size).reshape(b.shape) for b in blocks]
+        grads[2][0] = 0.0  # a zero gradient row in every step
+        if step == 3:
+            grads[1][:] = 0.0
+        ref_blocks, ref_state = reference_adam_step(ref_blocks, grads, ref_state)
+        adam_step(blocks, grads, state)
+        assert state.step == ref_state.step == step + 1
+        for a, b in zip(blocks + state.m + state.v, ref_blocks + ref_state.m + ref_state.v):
+            assert np.array_equal(a, b)
+
+
 def test_adam_zero_gradient_is_noop():
     net = random_net(9)
+    before = [b.copy() for b in net.blocks()]
     state = adam_init(net.blocks(), learning_rate=0.1)
-    zeros = [np.zeros_like(b) for b in net.blocks()]
-    new_blocks, new_state = adam_step(net.blocks(), zeros, state)
-    for old, new in zip(net.blocks(), new_blocks):
+    adam_step(net.blocks(), [np.zeros_like(b) for b in net.blocks()], state)
+    for old, new in zip(before, net.blocks()):
         np.testing.assert_array_equal(old, new)
-    assert new_state.step == 1
+    assert state.step == 1
 
 
 def test_adam_first_step_closed_form():
     """With fresh moments the first update is lr * g / (|g| + eps)."""
     p = np.array([1.0, -2.0])
     g = np.array([0.5, -3.0])
-    state = adam_init([p], learning_rate=0.01)
-    (new_p,), new_state = adam_step([p], [g], state)
     expected = p - 0.01 * g / (np.abs(g) + 1e-8)
-    np.testing.assert_allclose(new_p, expected, atol=1e-12)
+    state = adam_init([p], learning_rate=0.01)
+    adam_step([p], [g], state)
+    np.testing.assert_allclose(p, expected, atol=1e-12)
 
 
 def test_adam_two_steps_match_scalar_reference():
     p = np.array([0.3])
-    grads = [np.array([0.2]), np.array([-0.4])]
     state = adam_init([p], learning_rate=0.05)
-    blocks = [p]
-    for g in grads:
-        blocks, state = adam_step(blocks, [g], state)
+    for g in [np.array([0.2]), np.array([-0.4])]:
+        adam_step([p], [g], state)
 
     # scalar reference straight from the update equations
     m = v = 0.0
@@ -171,7 +206,7 @@ def test_adam_two_steps_match_scalar_reference():
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         theta -= 0.05 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-    assert blocks[0][0] == pytest.approx(theta, abs=1e-15)
+    assert p[0] == pytest.approx(theta, abs=1e-15)
     assert state.step == 2
 
 
@@ -181,13 +216,24 @@ def test_adam_shape_mismatch_errors():
         adam_step([np.zeros(2)], [np.zeros(3)], state)
     with pytest.raises(ValueError, match="counts"):
         adam_step([np.zeros(2), np.zeros(2)], [np.zeros(2)], state)
+    assert state.step == 0
 
 
-def test_adam_functional_update_leaves_inputs_untouched():
+def test_adam_updates_the_given_arrays():
     p = np.array([1.0])
     g = np.array([2.0])
     state = adam_init([p])
+    m, v = state.m[0], state.v[0]
     adam_step([p], [g], state)
-    np.testing.assert_array_equal(p, [1.0])
-    assert state.step == 0
-    np.testing.assert_array_equal(state.m[0], [0.0])
+    assert state.step == 1
+    assert state.m[0] is m and state.v[0] is v
+    assert p[0] < 1.0
+    assert (m[0], v[0]) == pytest.approx((0.2, 0.004), rel=1e-15)
+
+
+def test_adam_rejects_non_finite_update():
+    p = np.array([0.0])
+    state = adam_init([p], learning_rate=1.7e308)
+    with pytest.raises(ValueError, match="parameter block 0 contains a non-finite value"):
+        adam_step([p], [np.array([2.0])], state)
+    assert p[0] == -np.inf

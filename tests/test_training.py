@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otzsl import training
 from otzsl.data import UNLABELED, AttributeMatrix, FeatureDataset
 from otzsl.errors import ConfigError, SolverError
 from otzsl.generator import (GeneratorParams, PredictorParams, generator_forward,
@@ -268,21 +269,29 @@ def test_train_trace_bookkeeping(tiny_dataset):
     assert all(np.isfinite(res.trace.total_loss))
 
 
-def test_train_frozen_generator_constant_transport_cost():
+def start_from(monkeypatch, g, f):
+    """Make train start from the given networks (it trains their arrays in place)."""
+    monkeypatch.setattr(training, "init_generator", lambda *args: g)
+    monkeypatch.setattr(training, "init_predictor", lambda *args, **kwargs: f)
+
+
+def test_train_frozen_generator_constant_transport_cost(monkeypatch):
     # W1 = 0 makes synthetic features the constant b2 row, and a single-row
     # pool makes every real batch identical, so each iteration solves the
     # same OT instance; lr = 0 keeps it that way
     attrs = AttributeMatrix(np.eye(4)[:2], seen_ids=(0,), unseen_ids=(1,))
     data = dataset_from_rows([np.arange(1.0, 7.0)], [0])
     g = constant_generator(4, 6, 0.3)
-    f = init_predictor(6, 4, 4, SeededRng(8), nca_scale=0.5)
+    W2, b2 = g.net.W2.copy(), g.net.b2.copy()
+    start_from(monkeypatch, g, init_predictor(6, 4, 4, SeededRng(8), nca_scale=0.5))
     cfg = quick_cfg(ot_prob=1.0, learning_rate=0.0, epochs=3, hidden_dim=4)
-    res = train(data, attrs, cfg, init_params=(g, f))
+    res = train(data, attrs, cfg)
     costs = res.trace.transport_cost
     assert len(costs) == 3
     assert max(costs) - min(costs) <= 1e-12
-    assert np.array_equal(res.g.net.W2, g.net.W2)
-    assert np.array_equal(res.g.net.b2, g.net.b2)
+    assert res.g is g
+    assert np.array_equal(res.g.net.W2, W2)
+    assert np.array_equal(res.g.net.b2, b2)
 
 
 def test_train_transductive_forces_ot_on_unlabeled(tiny_dataset):
@@ -315,16 +324,40 @@ def test_train_needs_labeled_samples(tiny_dataset):
         train(data, attrs, quick_cfg())
 
 
-def test_train_wraps_errors_with_iteration_context():
+def test_train_wraps_errors_with_iteration_context(monkeypatch):
     # a zero-bias all-zero generator emits zero-norm features, which the
     # cosine cost rejects; train should name the failing step
     attrs = AttributeMatrix(np.eye(4)[:2], seen_ids=(0,), unseen_ids=(1,))
     data = dataset_from_rows([np.arange(1.0, 7.0)], [0])
-    g = constant_generator(4, 6, 0.0)
-    f = init_predictor(6, 4, 4, SeededRng(8), nca_scale=0.5)
+    start_from(monkeypatch, constant_generator(4, 6, 0.0),
+               init_predictor(6, 4, 4, SeededRng(8), nca_scale=0.5))
     cfg = quick_cfg(ot_prob=1.0, hidden_dim=4)
     with pytest.raises(SolverError, match=r"iteration 0 \(epoch 0\)"):
-        train(data, attrs, cfg, init_params=(g, f))
+        train(data, attrs, cfg)
+
+
+def test_train_non_finite_plan_names_the_step(tiny_dataset, monkeypatch):
+    attrs, data, _ = tiny_dataset
+    calls = []
+
+    def poisoned(real_classes, synth_classes):
+        plan = transition_plan(real_classes, synth_classes)
+        calls.append(plan)
+        if len(calls) == 3:
+            plan.values[0, 0] = np.nan
+        return plan
+
+    monkeypatch.setattr(training, "transition_plan", poisoned)
+    with pytest.raises(SolverError, match=r"^iteration 2 \(epoch 0\): W1 contains a non-finite"):
+        train(data, attrs, quick_cfg(ot_prob=0.0))
+
+
+@pytest.mark.parametrize("ot_prob", [0.0, 1.0])
+def test_train_blow_up_raises_without_warnings(tiny_dataset, ot_prob):
+    # warnings are errors in this suite, so a leaked overflow warning fails here
+    attrs, data, _ = tiny_dataset
+    with pytest.raises(SolverError, match=r"^iteration 1 \(epoch 0\): "):
+        train(data, attrs, quick_cfg(ot_prob=ot_prob, learning_rate=1e300))
 
 
 def test_train_loss_decreases(desk_dataset):

@@ -28,10 +28,8 @@ def first_hit(curve, target):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--size", type=int, default=32)
-    ap.add_argument("--instances", type=int, default=20)
-    ap.add_argument("--iters", type=int, default=500)
-    ap.add_argument("--seed", type=int, default=0)
+    for key, default in cli.COMPARE_DEFAULTS.items():  # size, instances, iters, seed
+        ap.add_argument(f"--{key}", type=int, default=default)
     ap.add_argument("--out", default="curves_out")
     args = ap.parse_args()
 

@@ -1,23 +1,26 @@
-"""Binary checkpoints for the generator/predictor pair and optimizer state.
+"""Binary checkpoints: the trained generator/predictor pair and Adam's state.
 
 Layout (all little-endian): 8-byte magic "OTZSLCP1", uint32 version, four
 uint32 dims (attr, feature, generator hidden, predictor hidden), then the
 row-major float64 weight blocks W1, b1, W2, b2 for the generator and then the
-predictor, the class-softmax sharpness as one float64, and finally an optional
-Adam section (uint8 flag; uint64 step; learning rate, beta1, beta2, epsilon;
-first-moment blocks then second-moment blocks in the same 8-block order).
-Round-trips are bit-exact.
+predictor, the class-softmax sharpness as one float64, a uint8 flag and, when
+the flag is 1, the Adam section (uint64 step; learning rate, beta1, beta2,
+epsilon; first-moment blocks then second-moment blocks in the same 8-block
+order). save_checkpoint always writes the Adam section. Commands read only the
+generator, so load_checkpoint steps over the rest and checks it by length; it
+also accepts a flag of 0 with no Adam section after it.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from .errors import DataFormatError
 from .generator import GeneratorParams, PredictorParams
-from .mlp import AdamState, MlpParams
+from .mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, MlpParams
 
 MAGIC = b"OTZSLCP1"
 VERSION = 1
@@ -28,39 +31,24 @@ def param_blocks(g: GeneratorParams, f: PredictorParams) -> list[np.ndarray]:
     return g.net.blocks() + f.net.blocks()
 
 
-def _block_shapes(attr_dim, feature_dim, hidden_g, hidden_f):
-    return [
-        (hidden_g, 2 * attr_dim), (hidden_g,), (feature_dim, hidden_g), (feature_dim,),
-        (hidden_f, feature_dim), (hidden_f,), (attr_dim, hidden_f), (attr_dim,),
-    ]
-
-
-def save_checkpoint(path: str, g: GeneratorParams, f: PredictorParams,
-                    adam: AdamState | None = None) -> None:
+def save_checkpoint(path: str, g: GeneratorParams, f: PredictorParams, adam: AdamState) -> None:
     parts = [MAGIC, struct.pack("<5I", VERSION, g.attr_dim, g.feature_dim,
                                 g.net.hidden_dim, f.net.hidden_dim)]
-    for block in param_blocks(g, f):
-        parts.append(np.ascontiguousarray(block, dtype="<f8").tobytes())
-    parts.append(struct.pack("<d", f.nca_scale))
-    if adam is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        parts.append(struct.pack("<B", 1))
-        parts.append(struct.pack("<Q4d", adam.step, adam.learning_rate,
-                                 adam.beta1, adam.beta2, adam.epsilon))
-        for block in adam.m + adam.v:
-            parts.append(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    parts += [np.ascontiguousarray(b, dtype="<f8").tobytes() for b in param_blocks(g, f)]
+    parts.append(struct.pack("<dBQ4d", f.nca_scale, 1, adam.step, adam.learning_rate,
+                             ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON))
+    parts += [np.ascontiguousarray(b, dtype="<f8").tobytes() for b in adam.m + adam.v]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
 class _Reader:
     def __init__(self, buf: bytes, path: str):
-        self.buf = buf
+        self.buf = memoryview(buf)  # a step over a section copies nothing
         self.off = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.off + n > len(self.buf):
             raise DataFormatError(f"{self.path}: truncated checkpoint")
         out = self.buf[self.off:self.off + n]
@@ -68,12 +56,14 @@ class _Reader:
         return out
 
     def array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64).reshape(shape)
+        raw = self.take(8 * math.prod(shape))
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def load_checkpoint(path: str) -> tuple[GeneratorParams, PredictorParams, AdamState | None]:
+def load_checkpoint(path: str) -> GeneratorParams:
+    """The generator of a checkpoint file. The predictor blocks, the softmax
+    sharpness and the Adam section are stepped over, so they are checked by
+    length only; a non-finite generator weight is a DataFormatError."""
     try:
         with open(path, "rb") as fh:
             buf = fh.read()
@@ -86,22 +76,18 @@ def load_checkpoint(path: str) -> tuple[GeneratorParams, PredictorParams, AdamSt
     if version != VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
 
-    shapes = _block_shapes(attr_dim, feature_dim, hidden_g, hidden_f)
-    blocks = [r.array(s) for s in shapes]
-    (nca_scale,) = struct.unpack("<d", r.take(8))
-    g = GeneratorParams(net=MlpParams(*blocks[:4]))
-    f = PredictorParams(net=MlpParams(*blocks[4:]), nca_scale=nca_scale)
-
+    blocks = [r.array(s) for s in ((hidden_g, 2 * attr_dim), (hidden_g,),
+                                   (feature_dim, hidden_g), (feature_dim,))]
+    n_predictor = (feature_dim + 1) * hidden_f + (hidden_f + 1) * attr_dim
+    r.take(8 * n_predictor + 8)  # the predictor blocks and the softmax sharpness
     (flag,) = struct.unpack("<B", r.take(1))
-    adam = None
-    if flag == 1:
-        step, lr, b1, b2, eps = struct.unpack("<Q4d", r.take(40))
-        m = [r.array(s) for s in shapes]
-        v = [r.array(s) for s in shapes]
-        adam = AdamState(m=m, v=v, step=int(step), learning_rate=lr,
-                         beta1=b1, beta2=b2, epsilon=eps)
+    if flag == 1:  # the step and four scalars, then m and v of all eight blocks
+        r.take(40 + 16 * (sum(b.size for b in blocks) + n_predictor))
     elif flag != 0:
         raise DataFormatError(f"{path}: bad optimizer flag {flag}")
     if r.off != len(buf):
         raise DataFormatError(f"{path}: {len(buf) - r.off} trailing bytes")
-    return g, f, adam
+    try:
+        return GeneratorParams(net=MlpParams(*blocks))
+    except ValueError as exc:  # a non-finite weight
+        raise DataFormatError(f"{path}: generator {exc}") from None

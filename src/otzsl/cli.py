@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -85,13 +86,20 @@ def resolve_config(defaults: dict, args) -> dict:
     """`defaults`, updated by the config file of --config, then by every parsed
     flag that was given and whose dest is a key of `defaults`. A config value
     must have its default's type (an integer may stand for a float, a boolean
-    for nothing else)."""
+    for nothing else) and be finite: json reads NaN, Infinity and 1e999, and
+    a NaN passes every `x < 0` check."""
     cfg = dict(defaults)
     config_path = args.config
+
+    def finite(text: str) -> float:
+        if not math.isfinite(value := float(text)):
+            raise ConfigError(f"{config_path}: {text} is not a finite number")
+        return value
+
     if config_path is not None:
         try:
             with open(config_path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, parse_float=finite, parse_constant=finite)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         except ValueError as exc:  # a JSON syntax error, or a byte that is not UTF-8
@@ -126,6 +134,20 @@ def _require(cfg: dict, key: str, what: str) -> str:
     if not cfg.get(key):
         raise ConfigError(f"{what} is required (config key {key!r} or the matching flag)")
     return cfg[key]
+
+
+def _load_dataset_and_generator(cfg: dict):
+    """The dataset and the checkpoint's generator that eval and export read,
+    checked to agree in dimension; the generator, the smaller read, loads first."""
+    data_dir = _require(cfg, "data", "dataset directory")
+    ckpt_path = _require(cfg, "checkpoint", "checkpoint path")
+    g = ckpt.load_checkpoint(ckpt_path)
+    attrs, dataset = dataio.load_dataset(data_dir)
+    if (g.attr_dim, g.feature_dim) != (attrs.attr_dim, dataset.feature_dim):
+        raise DataFormatError(f"{ckpt_path} holds a generator for (attributes, features) = "
+                              f"({g.attr_dim}, {g.feature_dim}), but dataset {data_dir} has "
+                              f"({attrs.attr_dim}, {dataset.feature_dim})")
+    return attrs, dataset, g
 
 
 def cmd_gen_data(args) -> int:
@@ -163,10 +185,7 @@ def cmd_eval(args) -> int:
     template = EvalConfig()
     cfg = resolve_config({"data": None, "checkpoint": None, "mode": "standard",
                           **flat_fields(template)}, args)
-    data_dir = _require(cfg, "data", "dataset directory")
-    ckpt_path = _require(cfg, "checkpoint", "checkpoint path")
-    attrs, dataset = dataio.load_dataset(data_dir)
-    g, _, _ = ckpt.load_checkpoint(ckpt_path)
+    attrs, dataset, g = _load_dataset_and_generator(cfg)
     ec = from_flat(template, cfg)
     echo_config(cfg, args.out)
     report = evaluate(cfg["mode"], g, attrs, dataset, ec)
@@ -249,14 +268,11 @@ def cmd_compare_solvers(args) -> int:
 
 def cmd_export(args) -> int:
     cfg = resolve_config(EXPORT_DEFAULTS, args)
-    data_dir = _require(cfg, "data", "dataset directory")
-    ckpt_path = _require(cfg, "checkpoint", "checkpoint path")
     if cfg["classes"] not in ("seen", "unseen", "all"):
         raise ConfigError(f"classes must be seen, unseen, or all, got {cfg['classes']!r}")
     if cfg["per_class"] < 1:
         raise ConfigError(f"per_class must be positive, got {cfg['per_class']}")
-    attrs, _ = dataio.load_dataset(data_dir)
-    g, _, _ = ckpt.load_checkpoint(ckpt_path)
+    attrs, _, g = _load_dataset_and_generator(cfg)
     pool = {"seen": attrs.seen_ids, "unseen": attrs.unseen_ids,
             "all": tuple(range(attrs.n_classes))}[cfg["classes"]]
     echo_config(cfg, args.out)

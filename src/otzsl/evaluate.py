@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, write_json
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, SolverError
 from .generator import GeneratorParams
 from .linalg import log_softmax_rows
 from .mlp import adam_init, adam_step
@@ -59,10 +59,12 @@ class ClassifierParams:
             )
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def train_softmax(features, labels, classes, cfg: ClassifierConfig,
                   rng: SeededRng) -> ClassifierParams:
     """Minimize mean cross-entropy with Adam from a zero initialization;
-    minibatch order is reshuffled each epoch from the given stream."""
+    minibatch order is reshuffled each epoch from the given stream. A blow-up
+    is a SolverError naming its epoch and batch, never a numpy warning."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     classes = tuple(int(c) for c in classes)
@@ -82,16 +84,19 @@ def train_softmax(features, labels, classes, cfg: ClassifierConfig,
     W = np.zeros((k, dim))
     b = np.zeros(k)
     state = adam_init([W, b], learning_rate=cfg.learning_rate)
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
             x = features[idx]
             log_p = log_softmax_rows(x @ W.T + b)
             grad_logits = np.exp(log_p)
             grad_logits[np.arange(idx.size), y[idx]] -= 1.0
             grad_logits /= idx.size
-            adam_step([W, b], [grad_logits.T @ x, grad_logits.sum(axis=0)], state)
+            try:
+                adam_step([W, b], [grad_logits.T @ x, grad_logits.sum(axis=0)], state)
+            except ValueError as exc:
+                raise SolverError(f"classifier epoch {epoch} batch {batch}: {exc}") from None
     return ClassifierParams(W=W, b=b, class_id_map=classes)
 
 

@@ -108,7 +108,7 @@ def _nca_term(pred, targets, attr_unit, nca_scale, grad_weight):
     coef = grad_weight * nca_scale / b
     d_pred = coef * (d_logits @ attr_unit
                      - (d_logits * cos).sum(axis=1, keepdims=True) * pred_unit) / norms[:, None]
-    return loss, d_pred, int(floored.sum())
+    return loss, d_pred
 
 
 @dataclass
@@ -118,7 +118,6 @@ class BackwardResult:
     transport_term: float
     regularizer_term: float
     total: float
-    underflow_count: int
 
 
 def _assemble(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
@@ -152,25 +151,21 @@ def _assemble(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
     if targets.min() < 0 or targets.max() >= attr_unit.shape[0]:
         raise ValueError(f"target class ids must lie in 0..{attr_unit.shape[0] - 1}")
     reg_term = 0.0
-    underflows = 0
 
     d_real_q = None
     real_cache = None
     if labeled.any():
         q_real, real_cache = mlp_forward_cache(f.net, real_feats[labeled])
-        loss, d_real_q, c = _nca_term(q_real, real_classes[labeled], attr_unit,
-                                      f.nca_scale, reg_weight)
-        reg_term += loss
-        underflows += c
-    q_synth, synth_cache = mlp_forward_cache(f.net, xhat)
-    loss, d_synth_q, c = _nca_term(q_synth, synth_classes, attr_unit,
+        loss, d_real_q = _nca_term(q_real, real_classes[labeled], attr_unit,
                                    f.nca_scale, reg_weight)
+        reg_term += loss
+    q_synth, synth_cache = mlp_forward_cache(f.net, xhat)
+    loss, d_synth_q = _nca_term(q_synth, synth_classes, attr_unit, f.nca_scale, reg_weight)
     reg_term += loss
-    underflows += c
 
     total = transport_term + reg_weight * reg_term
     if not want_grads:
-        return BackwardResult(None, None, transport_term, reg_term, total, underflows)
+        return BackwardResult(None, None, transport_term, reg_term, total)
 
     # transport term: d cost[n, m] / d xhat[m] = -(u_n - cos[n, m] v_m)/|xhat_m|
     col_mass = (plan * cos).sum(axis=0)
@@ -182,7 +177,7 @@ def _assemble(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
         real_grads, _ = mlp_backward(f.net, real_cache, d_real_q)
         f_grads = add_grads(f_grads, real_grads)
     g_grads, _ = mlp_backward(g.net, g_cache, d_xhat)  # MlpParams rejects a non-finite block
-    return BackwardResult(g_grads, f_grads, transport_term, reg_term, total, underflows)
+    return BackwardResult(g_grads, f_grads, transport_term, reg_term, total)
 
 
 def objective(plan_values, real_feats, real_classes, synth_attrs, synth_noises,

@@ -1,10 +1,11 @@
 """One-hidden-layer perceptrons with hand-rolled backprop and Adam.
 
-Adam (Kingma & Ba 2014, Algorithm 1) updates the caller's parameter blocks
-and its own moment blocks in place, so a network trains in the arrays it
-already holds. Batches are row-major (batch, features). Weights follow the
-convention W1: (hidden, input), W2: (output, hidden), so a forward pass is
-relu(x W1' + b1) W2' + b2. The ReLU subgradient at exactly 0 is 0.
+Adam (Kingma & Ba 2014, Algorithm 1, with its beta1, beta2 and epsilon held
+fixed) updates the caller's parameter blocks and its own moment blocks in
+place, so a network trains in the arrays it already holds. Batches are
+row-major (batch, features). Weights follow the convention W1: (hidden,
+input), W2: (output, hidden), so a forward pass is relu(x W1' + b1) W2' + b2.
+The ReLU subgradient at exactly 0 is 0.
 """
 
 from __future__ import annotations
@@ -107,18 +108,17 @@ def add_grads(a: MlpParams, b: MlpParams) -> MlpParams:
     return MlpParams(a.W1 + b.W1, a.b1 + b.b1, a.W2 + b.W2, a.b2 + b.b2)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # checkpoints record them
+
+
 @dataclass
 class AdamState:
-    """Moment accumulators for a fixed list of parameter blocks. beta1, beta2
-    and epsilon are the update's constants; checkpoints record them."""
+    """Moment accumulators for a fixed list of parameter blocks."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def adam_init(blocks: list[np.ndarray], learning_rate: float = 0.001) -> AdamState:
@@ -136,7 +136,7 @@ def adam_step(blocks: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below instead
         for i, (p, g, m, v) in enumerate(zip(blocks, grads, state.m, state.v)):
@@ -144,5 +144,5 @@ def adam_step(blocks: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
             ensure_finite(p, f"parameter block {i}")

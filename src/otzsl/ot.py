@@ -1,8 +1,8 @@
 """Discrete optimal transport between real and generated feature batches.
 
 Rows index real samples, columns index generated ones. `ipot_solve` targets
-the unregularized optimum through proximal steps, each approximated by a short
-Sinkhorn run on a reweighted kernel, so its plans sharpen toward permutation
+the unregularized optimum through proximal steps, each approximated by one
+Sinkhorn sweep on a reweighted kernel, so its plans sharpen toward permutation
 solutions that fixed-entropy Sinkhorn smooths away. `transition_plan` is the
 label-derived coupling used on the supervised branch of training.
 """
@@ -62,25 +62,22 @@ class IpotConfig:
 
     `reg` is the proximal weight: it shapes the step kernel, not the objective,
     so unlike the entropic solver the final plan does not inherit its blur.
-    `inner_iters` is the number of Sinkhorn sweeps per proximal step; one sweep
-    is deliberately inexact and is the default. The outer cap is generous:
-    typical instances stop within a few hundred steps, but near-tied instances
+    Each proximal step is one Sinkhorn sweep, deliberately inexact, as in Xie
+    et al. 2018 (arXiv 1802.04307). The outer cap is generous: typical
+    instances stop within a few hundred steps, but near-tied instances
     converge linearly with rate close to 1 and need tens of thousands.
     """
 
     reg: float = 0.5
-    inner_iters: int = 1
     max_outer_iters: int = 100_000
     stop_tol: float = 1e-9
 
     def __post_init__(self):
         if not (self.reg > 0.0 and math.isfinite(self.reg)):
             raise ValueError(f"reg must be positive, got {self.reg}")
-        if self.inner_iters < 1:
-            raise ValueError("inner_iters must be at least 1")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if self.stop_tol < 0.0:
+        if not self.stop_tol >= 0.0:  # NaN included
             raise ValueError("stop_tol must be non-negative")
 
 
@@ -149,14 +146,12 @@ def _marginal_deviation(plan: np.ndarray, marg: Marginals) -> float:
     return max(row_dev, col_dev)
 
 
-def _sweeps(K: np.ndarray, a: np.ndarray, marg: Marginals, out: np.ndarray,
-            n: int = 1) -> np.ndarray:
-    """n Sinkhorn sweeps on kernel K from the row scaling a, each fitting the
-    column scaling b to the rows and then the rows to b. Writes the plan
-    diag(a) K diag(b) into `out` and returns the new row scaling."""
-    for _ in range(n):
-        b = marg.col / (K.T @ a)
-        a = marg.row / (K @ b)
+def _sweep(K: np.ndarray, a: np.ndarray, marg: Marginals, out: np.ndarray) -> np.ndarray:
+    """One Sinkhorn sweep on kernel K from the row scaling a: fit the column
+    scaling b to the rows, then the rows to b. Writes the plan diag(a) K
+    diag(b) into `out` and returns the new row scaling."""
+    b = marg.col / (K.T @ a)
+    a = marg.row / (K @ b)
     np.multiply(a[:, None], K, out=out)
     out *= b
     return a
@@ -192,7 +187,7 @@ def ipot_solve(
     """Proximal-point solve of min tr(T'C) over couplings of the marginals.
 
     Kernel G = exp(-C/reg) is fixed; every outer step reweights it by the
-    current plan (K = G * T), runs `inner_iters` Sinkhorn sweeps, and rescales.
+    current plan (K = G * T), runs one Sinkhorn sweep, and rescales.
     Stops once the max-abs change of the plan drops below `stop_tol` AND the
     marginal deviation is within FEASIBILITY_TOL; a converged plan is always
     feasible at that tolerance. The change criterion alone can fire while mass
@@ -230,7 +225,7 @@ def ipot_solve(
             k = min(block, cfg.max_outer_iters - t)
             for j in range(1, k + 1):
                 np.multiply(G, slots[j - 1], out=K)
-                a = _sweeps(K, a, marg, slots[j], cfg.inner_iters)
+                a = _sweep(K, a, marg, slots[j])
             np.subtract(plans[1:k + 1], plans[:k], out=changes[:k])
             deltas = np.abs(changes[:k], out=changes[:k]).max(axis=(1, 2)).tolist()
             for plan, delta in zip(slots[1:], deltas):
@@ -290,7 +285,7 @@ def sinkhorn_solve(
     trace = [] if record_trace else None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for t in range(1, iterations + 1):
-            a = _sweeps(K, a, marg, plan)
+            a = _sweep(K, a, marg, plan)
             if not np.all(np.isfinite(plan)):
                 raise SolverError(
                     f"sinkhorn_solve scalings became non-finite at iteration {t}; "

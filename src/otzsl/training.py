@@ -43,10 +43,11 @@ class TrainConfig:
     term, and nca_scale is that regularizer's softmax sharpness. mode is one
     of MODES; the generalized protocol evaluates a standard-mode generator.
 
-    The default ipot budget is deliberately small (200 sweeps): training only
-    needs the current proximal iterate for a gradient, not a certified-feasible
-    plan, and batch cost matrices with near-tied entries would otherwise crawl
-    for tens of thousands of sweeps every iteration.
+    The default ipot budget is deliberately small (200 proximal steps of one
+    sweep each): training only needs the current proximal iterate for a
+    gradient, not a certified-feasible plan, and batch cost matrices with
+    near-tied entries would otherwise crawl for tens of thousands of sweeps
+    every iteration.
     """
 
     ot_prob: float = 0.9
@@ -63,13 +64,13 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.ot_prob <= 1.0:
             raise ConfigError(f"ot_prob must be in [0, 1], got {self.ot_prob}")
-        if self.reg_weight < 0.0:
+        if not self.reg_weight >= 0.0:  # NaN included
             raise ConfigError(f"reg_weight must be non-negative, got {self.reg_weight}")
         if not self.nca_scale > 0.0:
             raise ConfigError(f"nca_scale must be positive, got {self.nca_scale}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:
             raise ConfigError(f"learning_rate must be non-negative, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
@@ -87,15 +88,13 @@ class TrainTrace:
     transport_cost: list[float] = field(default_factory=list)
     reg_loss: list[float] = field(default_factory=list)
     total_loss: list[float] = field(default_factory=list)
-    underflows: list[int] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
 
-    def record(self, branch: str, transport: float, reg: float, total: float, clamped: int):
+    def record(self, branch: str, transport: float, reg: float, total: float):
         self.branch.append(branch)
         self.transport_cost.append(transport)
         self.reg_loss.append(reg)
         self.total_loss.append(total)
-        self.underflows.append(clamped)
 
     def __len__(self) -> int:
         return len(self.branch)
@@ -226,8 +225,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
                 adam_step(params, res.g_grads.blocks() + res.f_grads.blocks(), adam)
             except (SolverError, ValueError) as exc:
                 raise SolverError(f"iteration {step} (epoch {epoch}): {exc}") from exc
-            trace.record(branch, res.transport_term, res.regularizer_term,
-                         res.total, res.underflow_count)
+            trace.record(branch, res.transport_term, res.regularizer_term, res.total)
         trace.epoch_seconds.append(time.perf_counter() - t0)
 
     return TrainResult(g=g, f=f, adam=adam, trace=trace)

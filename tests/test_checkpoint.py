@@ -1,4 +1,5 @@
-from pathlib import Path
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,45 +11,89 @@ from otzsl.mlp import adam_init, adam_step
 from otzsl.rng import SeededRng
 
 
-def make_pair(seed=0, d=3, D=5, hidden=4):
+def make_run(seed=0, d=3, D=5, hidden=4, steps=1):
+    """A generator/predictor pair and the Adam state of `steps` updates."""
     rng = SeededRng(seed)
     g = init_generator(d, D, hidden, rng.split(1))
     f = init_predictor(D, d, hidden + 1, rng.split(2), nca_scale=0.75)
-    return g, f
+    blocks = param_blocks(g, f)
+    adam = adam_init(blocks, learning_rate=0.01)
+    for _ in range(steps):
+        adam_step(blocks, [np.full_like(b, 0.25) for b in blocks], adam)
+    return g, f, adam
 
 
-def test_roundtrip_without_adam(tmp_path):
-    g, f = make_pair()
-    path = str(tmp_path / "c.bin")
-    save_checkpoint(path, g, f)
-    g2, f2, adam = load_checkpoint(path)
-    assert adam is None
-    assert f2.nca_scale == f.nca_scale
-    for a, b in zip(param_blocks(g, f), param_blocks(g2, f2)):
-        np.testing.assert_array_equal(a, b)
+def saved(tmp_path, seed=0):
+    path = tmp_path / "c.bin"
+    save_checkpoint(str(path), *make_run(seed))
+    return path
+
+
+def parse(raw: bytes):
+    """Every field of a checkpoint, read by the documented layout."""
+    version, d, D, hg, hf = struct.unpack_from("<5I", raw, 8)
+    off = 28
+
+    def blocks():
+        nonlocal off
+        out = []
+        for shape in [(hg, 2 * d), (hg,), (D, hg), (D,), (hf, D), (hf,), (d, hf), (d,)]:
+            count = math.prod(shape)
+            out.append(np.frombuffer(raw, "<f8", count, off).reshape(shape))
+            off += 8 * count
+        return out
+
+    weights = blocks()
+    scale, flag, step, lr, b1, b2, eps = struct.unpack_from("<dBQ4d", raw, off)
+    off += 49
+    m, v = blocks(), blocks()
+    assert off == len(raw)
+    return dict(version=version, blocks=weights, nca_scale=scale, flag=flag, step=step,
+                learning_rate=lr, constants=(b1, b2, eps), m=m, v=v)
+
+
+def flag_offset(raw: bytes) -> int:
+    _, d, D, hg, hf = struct.unpack_from("<5I", raw, 8)
+    n_weights = hg * (2 * d + 1) + D * (hg + 1) + hf * (D + 1) + d * (hf + 1)
+    return 28 + 8 * n_weights + 8
 
 
 def test_roundtrip_with_adam(tmp_path):
-    g, f = make_pair(3)
-    blocks = param_blocks(g, f)
-    state = adam_init(blocks, learning_rate=0.01)
-    adam_step(blocks, [np.full_like(b, 0.25) for b in blocks], state)
-    path = str(tmp_path / "c.bin")
-    save_checkpoint(path, g, f, state)
-    g2, f2, state2 = load_checkpoint(path)
-    assert state2.step == 1
-    assert state2.learning_rate == 0.01
-    assert (state2.beta1, state2.beta2, state2.epsilon) == (0.9, 0.999, 1e-8)
-    for a, b in zip(blocks + state.m + state.v, param_blocks(g2, f2) + state2.m + state2.v):
-        np.testing.assert_array_equal(a, b)
+    g, f, adam = make_run(3, steps=2)
+    path = tmp_path / "c.bin"
+    save_checkpoint(str(path), g, f, adam)
+    g2 = load_checkpoint(str(path))
+    for a, b in zip(g.net.blocks(), g2.net.blocks()):
+        assert np.array_equal(a, b)
+    fields = parse(path.read_bytes())
+    assert fields["version"] == 1 and fields["flag"] == 1
+    assert fields["nca_scale"] == f.nca_scale
+    assert (fields["step"], fields["learning_rate"]) == (2, 0.01)
+    assert fields["constants"] == (0.9, 0.999, 1e-8)
+    for a, b in zip(param_blocks(g, f) + adam.m + adam.v,
+                    fields["blocks"] + fields["m"] + fields["v"]):
+        assert np.array_equal(a, b)
+
+
+def test_roundtrip_without_adam(tmp_path):
+    """A flag of 0 ends the file; the generator loads as from a full file."""
+    path = saved(tmp_path)
+    raw = path.read_bytes()
+    cut = flag_offset(raw)
+    path.write_bytes(raw[:cut] + b"\x00")
+    g = load_checkpoint(str(path))
+    for a, b in zip(g.net.blocks(), parse(raw)["blocks"]):
+        assert np.array_equal(a, b)
+    path.write_bytes(raw[:cut] + b"\x00" + raw[cut + 1:])
+    with pytest.raises(DataFormatError, match="trailing"):
+        load_checkpoint(str(path))
 
 
 def test_save_is_deterministic(tmp_path):
-    g, f = make_pair(5)
-    p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
-    save_checkpoint(p1, g, f)
-    save_checkpoint(p2, g, f)
-    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_checkpoint(str(p1), *make_run(5))
+    save_checkpoint(str(p2), *make_run(5))
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_bad_magic(tmp_path):
@@ -59,9 +104,7 @@ def test_bad_magic(tmp_path):
 
 
 def test_bad_version(tmp_path):
-    g, f = make_pair()
-    path = tmp_path / "c.bin"
-    save_checkpoint(str(path), g, f)
+    path = saved(tmp_path)
     raw = bytearray(path.read_bytes())
     raw[8] = 99
     path.write_bytes(bytes(raw))
@@ -70,32 +113,40 @@ def test_bad_version(tmp_path):
 
 
 def test_truncated(tmp_path):
-    g, f = make_pair()
-    path = tmp_path / "c.bin"
-    save_checkpoint(str(path), g, f)
+    """A cut in the header, the generator, the predictor, before the flag,
+    in the Adam section, or one byte short of the end."""
+    path = saved(tmp_path)
     raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(DataFormatError, match="truncated"):
-        load_checkpoint(str(path))
+    for cut in (20, 60, flag_offset(raw) - 20, flag_offset(raw), flag_offset(raw) + 30,
+                len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DataFormatError, match="truncated"):
+            load_checkpoint(str(path))
 
 
 def test_trailing_bytes(tmp_path):
-    g, f = make_pair()
-    path = tmp_path / "c.bin"
-    save_checkpoint(str(path), g, f)
+    path = saved(tmp_path)
     path.write_bytes(path.read_bytes() + b"xx")
-    with pytest.raises(DataFormatError, match="trailing"):
+    with pytest.raises(DataFormatError, match="2 trailing bytes"):
         load_checkpoint(str(path))
 
 
 def test_bad_adam_flag(tmp_path):
-    g, f = make_pair()
-    path = tmp_path / "c.bin"
-    save_checkpoint(str(path), g, f)
+    path = saved(tmp_path)
     raw = bytearray(path.read_bytes())
-    raw[-1] = 7  # the optimizer flag is the final byte when adam is absent
+    raw[flag_offset(raw)] = 7
     path.write_bytes(bytes(raw))
-    with pytest.raises(DataFormatError, match="flag"):
+    with pytest.raises(DataFormatError, match="flag 7"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_generator_weight(tmp_path, value):
+    path = saved(tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[28 + 8 * 3:28 + 8 * 4] = struct.pack("<d", value)  # W1[0, 3]
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match=r"c\.bin: generator W1 .*non-finite.*index 3"):
         load_checkpoint(str(path))
 
 

@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -80,7 +82,7 @@ CONFIG_KEYS = {
     "gen-data": {"seen_classes", "unseen_classes", "attr_dim", "feature_dim",
                  "samples_per_class", "noise_sigma", "seed"},
     "train": {"data", "ot_prob", "reg_weight", "nca_scale", "batch_size", "learning_rate",
-              "epochs", "seed", "mode", "hidden_dim", "ipot_reg", "ipot_inner_iters",
+              "epochs", "seed", "mode", "hidden_dim", "ipot_reg",
               "ipot_max_outer_iters", "ipot_stop_tol"},
     "eval": {"data", "checkpoint", "mode", "n_synth_per_class", "seed", "top_k",
              "include_real_seen", "classifier_learning_rate", "classifier_epochs",
@@ -186,6 +188,30 @@ def test_config_int_stands_for_float_and_bool_for_nothing_else(tmp_path, capsys)
     cfg.write_text(json.dumps({**TINY_GEN, "seed": True}))
     assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
     assert "key 'seed' must be of type int, got true" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, literal", [
+    ("train", "learning_rate", "NaN"),
+    ("train", "reg_weight", "NaN"),
+    ("eval", "classifier_learning_rate", "Infinity"),
+    ("solve-ot", "stop_tol", "NaN"),
+    ("gen-data", "noise_sigma", "-Infinity"),
+    ("gen-data", "noise_sigma", "1e999"),
+])
+def test_config_rejects_nonfinite_numbers(command, key, literal, workspace, tmp_path, capsys):
+    """json reads NaN, Infinity, -Infinity and an overflowing literal; the
+    config reader rejects each before anything is written."""
+    data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), str(cost))
+    argv = {"train": ["--data", data], "eval": ["--data", data, "--checkpoint", ckpt],
+            "solve-ot": ["--cost", str(cost)]}.get(command, [])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {literal}}}')
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), *argv, "--out", str(out)]) == 2
+    assert f"{cfg}: {literal} is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_not_utf8(tmp_path, capsys):
@@ -318,6 +344,50 @@ def test_eval_requires_checkpoint(workspace, tmp_path, capsys):
     assert run(["eval", "--data", str(workspace["data"]),
                 "--out", str(tmp_path)]) == 2
     assert "checkpoint path is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+@pytest.mark.parametrize("changed, dataset_pair", [
+    ({"attr_dim": 7}, "(7, 8)"),
+    ({"feature_dim": 9}, "(6, 9)"),
+], ids=["attributes", "features"])
+def test_checkpoint_and_dataset_dimensions_must_agree(command, changed, dataset_pair,
+                                                      workspace, tmp_path, capsys):
+    """The workspace checkpoint has 6 attributes and 8-D features."""
+    gen_cfg = tmp_path / "gen.json"
+    gen_cfg.write_text(json.dumps({**TINY_GEN, **changed}))
+    data = tmp_path / "data"
+    assert run(["gen-data", "--config", str(gen_cfg), "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--data", str(data), "--checkpoint", str(workspace["ckpt"]),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.bin holds a generator for (attributes, features) = (6, 8)" in err
+    assert f"but dataset {data} has {dataset_pair}" in err
+    assert not out.exists()
+
+
+def test_eval_classifier_blow_up_is_a_solver_error(workspace, tmp_path, capsys):
+    """A classifier step that overflows raises, naming its epoch and batch,
+    and no numpy warning escapes (the test suite turns warnings into errors)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"classifier_learning_rate": 1.7e308}))
+    assert run(["eval", "--config", str(cfg), "--data", str(workspace["data"]),
+                "--checkpoint", str(workspace["ckpt"]), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: classifier epoch \d+ batch \d+: parameter block \d "
+                    r"contains a non-finite value", err), err
+
+
+def test_eval_rejects_nonfinite_generator_weight(workspace, tmp_path, capsys):
+    bad = tmp_path / "c.bin"
+    raw = bytearray(workspace["ckpt"].read_bytes())
+    raw[28:36] = struct.pack("<d", math.inf)  # the generator's W1[0, 0]
+    bad.write_bytes(bytes(raw))
+    assert run(["eval", "--data", str(workspace["data"]), "--checkpoint", str(bad),
+                "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {bad}: generator W1 contains a non-finite value" in capsys.readouterr().err
 
 
 def test_eval_top_k(workspace, tmp_path, capsys):

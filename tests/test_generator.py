@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from otzsl.data import UNLABELED
 from otzsl.generator import (
+    PROB_FLOOR,
     GeneratorParams,
     PredictorParams,
     backward,
@@ -196,7 +197,6 @@ def test_regularizer_single_class_is_zero():
     f = init_predictor(3, 2, 4, SeededRng(5))
     res = objective_at(np.ones((2, 3)), [0, 0], np.ones(3), [0, 0], f, np.array([[1.0, 1.0]]))
     assert res.regularizer_term == 0.0
-    assert res.underflow_count == 0
 
 
 def test_regularizer_half_probability_closed_form():
@@ -204,7 +204,32 @@ def test_regularizer_half_probability_closed_form():
     mid = np.array([1.0, 1.0])  # equidistant from both class attributes
     res = objective_at(mid, [0], mid, [1], identity_predictor(2), TWO_CLASS_ATTRS)
     assert res.regularizer_term == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
-    assert res.underflow_count == 0
+
+
+def test_prob_floor_clamp_adds_a_constant_and_no_gradient():
+    """At nca_scale 1000 a prediction almost opposite its class attribute has
+    log p near -1094, below log(PROB_FLOOR), so it is clamped; the batch's
+    other sample, of the class the prediction leans to, has log p exactly 0.
+    The regularizer is then exactly -log(PROB_FLOOR)/2, and every gradient
+    matches finite differences, which see the clamp as flat."""
+    generated = np.array([-1.0, 0.1])
+    g = GeneratorParams(net=MlpParams(np.zeros((1, 4)), np.zeros(1),
+                                      np.zeros((2, 1)), generated))
+    f = identity_predictor(2, nca_scale=1000.0)
+    batch = (np.full((1, 2), 0.5), np.array([[1.0, 1.0]]), [UNLABELED],
+             np.zeros((2, 2)), np.zeros((2, 2)), [0, 1], g, f, TWO_CLASS_ATTRS, 1.0)
+    res = backward(*batch)
+    assert res.regularizer_term == -np.log(PROB_FLOOR) / 2
+    eps = 1e-6
+    for block, grad in zip([g.net.b2] + f.net.blocks(), [res.g_grads.b2] + res.f_grads.blocks()):
+        for idx in np.ndindex(block.shape):
+            old = block[idx]
+            block[idx] = old + eps
+            up = objective(*batch).total
+            block[idx] = old - eps
+            down = objective(*batch).total
+            block[idx] = old
+            assert grad[idx] == pytest.approx((up - down) / (2 * eps), abs=1e-6), idx
 
 
 def test_regularizer_duplication_invariance():

@@ -140,14 +140,14 @@ def reference_adam_step(blocks, grads, state):
     """The functional update that adam_step replaced: new blocks and a new
     AdamState, inputs untouched. Kept as the bit-exact reference."""
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8
     new_blocks, new_m, new_v = [], [], []
     for p, g, m, v in zip(blocks, grads, state.m, state.v):
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        new_blocks.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
+        new_blocks.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
         new_m.append(m)
         new_v.append(v)
     return new_blocks, AdamState(m=new_m, v=new_v, step=t, learning_rate=state.learning_rate)

@@ -64,6 +64,8 @@ def test_train_config_defaults():
     ({"mode": "inductive-ish"}, "mode"),
     ({"hidden_dim": 0}, "hidden_dim"),
     ({"mode": "generalized"}, "mode"),  # a protocol chosen at evaluation only
+    ({"reg_weight": np.nan}, "reg_weight"),
+    ({"learning_rate": np.nan}, "learning_rate"),
 ])
 def test_train_config_rejects(kwargs, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -410,8 +412,8 @@ def test_synthesize_rejects_bad_args():
 
 def test_write_trace_csv_round_trip(tmp_path):
     trace = TrainTrace()
-    trace.record("ot", 0.125, 1.5, 1.625, 0)
-    trace.record("transition", 0.25, 0.5, 0.75, 2)
+    trace.record("ot", 0.125, 1.5, 1.625)
+    trace.record("transition", 0.25, 0.5, 0.75)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, str(path))
     lines = path.read_text().splitlines()
@@ -436,7 +438,7 @@ def test_write_trace_csv_matches_reference(tmp_path, tiny_dataset):
     trained = train(data, attrs, quick_cfg(epochs=2)).trace
     edges = TrainTrace()
     for i, v in enumerate([0.0, -0.0, 5e-324, 1e300, -1e300, 2.0**53, 0.1, 1 / 3, 7]):
-        edges.record(("ot", "transition")[i % 2], v, -v, 2 * v, i)
+        edges.record(("ot", "transition")[i % 2], v, -v, 2 * v)
     for k, trace in enumerate([trained, edges, TrainTrace()]):
         new, ref = tmp_path / f"new{k}.csv", tmp_path / f"ref{k}.csv"
         write_trace_csv(trace, str(new))

@@ -10,8 +10,9 @@ near the brute-force optimum, and leaves curves.csv behind for plotting.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 

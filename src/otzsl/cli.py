@@ -25,7 +25,7 @@ from . import checkpoint as ckpt
 from . import data as dataio
 from . import ot
 from .errors import ConfigError, DataFormatError, OtzslError
-from .evaluate import PROTOCOLS, EvalConfig, evaluate, save_report
+from .evaluate import PROTOCOLS, EvalConfig, evaluate, protocol_classes, save_report
 from .rng import SeededRng
 from .training import MODES, TrainConfig, synthesize_class_features, train, write_trace_csv
 
@@ -187,6 +187,7 @@ def cmd_eval(args) -> int:
                           **flat_fields(template)}, args)
     attrs, dataset, g = _load_dataset_and_generator(cfg)
     ec = from_flat(template, cfg)
+    protocol_classes(cfg["mode"], attrs, ec.top_k)  # rejects a bad mode or top_k up front
     echo_config(cfg, args.out)
     report = evaluate(cfg["mode"], g, attrs, dataset, ec)
     save_report(report, os.path.join(args.out, "report.json"))

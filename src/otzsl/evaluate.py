@@ -198,23 +198,36 @@ def _confusion(predictions, labels) -> dict[int, dict[int, int]]:
     return out
 
 
+def protocol_classes(mode: str, attrs: AttributeMatrix,
+                     top_k: int | None = None) -> tuple[int, ...]:
+    """The class ids the classifier of protocol `mode` ranks: every class
+    under generalized, the unseen ones otherwise. A mode outside PROTOCOLS,
+    or a top_k above the class count, is a ConfigError."""
+    if mode not in PROTOCOLS:
+        raise ConfigError(f"unknown evaluation mode {mode!r}")
+    classes = tuple(range(attrs.n_classes)) if mode == "generalized" else attrs.unseen_ids
+    if top_k is not None and top_k > len(classes):
+        raise ConfigError(f"top_k must be at most {len(classes)}, the class count of "
+                          f"{mode} evaluation, got {top_k}")
+    return classes
+
+
 def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
              data: FeatureDataset, cfg: EvalConfig) -> EvalReport:
     """Train a classifier on generated features and score it under one of
     PROTOCOLS. The protocol picks only the classes, the test splits (each
     scored on its own class ids) and whether the real seen training rows go
     in front of the generated ones; the rest is one path for all three."""
-    if mode not in PROTOCOLS:
-        raise ConfigError(f"unknown evaluation mode {mode!r}")
+    classes = protocol_classes(mode, attrs, cfg.top_k)
     if data.unseen_test[0].shape[0] == 0:
         raise DataFormatError("unseen test split is empty; nothing to evaluate")
     if mode == "generalized":
         if data.seen_test[0].shape[0] == 0:
             raise DataFormatError("seen test split is empty; generalized mode needs it")
-        classes, real_seen = tuple(range(attrs.n_classes)), cfg.include_real_seen
+        real_seen = cfg.include_real_seen
         tests = [(data.seen_test, attrs.seen_ids), (data.unseen_test, attrs.unseen_ids)]
     else:
-        classes, real_seen = attrs.unseen_ids, False
+        real_seen = False
         tests = [(data.unseen_test, attrs.unseen_ids)]
 
     rng = SeededRng(cfg.seed)

@@ -66,6 +66,9 @@ class IpotConfig:
     et al. 2018 (arXiv 1802.04307). The outer cap is generous: typical
     instances stop within a few hundred steps, but near-tied instances
     converge linearly with rate close to 1 and need tens of thousands.
+    Training does not use this default: `TrainConfig.ipot` caps each batch
+    solve at 25 steps, and the train config `{"ipot_max_outer_iters": 200}`
+    restores the earlier 200-step budget.
     """
 
     reg: float = 0.5

@@ -43,17 +43,22 @@ class TrainConfig:
     term, and nca_scale is that regularizer's softmax sharpness. mode is one
     of MODES; the generalized protocol evaluates a standard-mode generator.
 
-    The default ipot budget is deliberately small (200 proximal steps of one
-    sweep each): training only needs the current proximal iterate for a
-    gradient, not a certified-feasible plan, and batch cost matrices with
+    The default ipot budget is deliberately small, 25 proximal steps of one
+    sweep each. Training re-solves a fresh batch every step and only needs
+    the current inexact proximal iterate for a gradient, not a converged
+    plan (Xie et al. 2018, arXiv 1802.04307); batch cost matrices with
     near-tied entries would otherwise crawl for tens of thousands of sweeps
-    every iteration.
+    every iteration. On the default synthetic dataset, over training seeds
+    0-4, 25 steps keep the mean and the min of standard A_u, generalized H
+    and transductive A_u within 0.01 of a 200-step budget (README,
+    "Performance"). The config `{"ipot_max_outer_iters": 200}` restores the
+    earlier 200-step budget, and with it the earlier output bytes.
     """
 
     ot_prob: float = 0.9
     reg_weight: float = 1.0
     nca_scale: float = 0.5
-    ipot: IpotConfig = IpotConfig(max_outer_iters=200, stop_tol=1e-7)
+    ipot: IpotConfig = IpotConfig(max_outer_iters=25, stop_tol=1e-7)
     batch_size: int = 32
     learning_rate: float = 0.001
     epochs: int = 30

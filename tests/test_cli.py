@@ -399,6 +399,32 @@ def test_eval_top_k(workspace, tmp_path, capsys):
     assert report["top_k"] >= report["A_u"]
 
 
+@pytest.mark.parametrize("mode, n_classes", [("standard", 2), ("generalized", 5)])
+def test_eval_top_k_up_to_the_class_count(mode, n_classes, workspace, tmp_path, capsys):
+    """The workspace dataset has 3 seen and 2 unseen classes; generalized
+    evaluation ranks all 5."""
+    argv = ["eval", "--data", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+            "--mode", mode]
+    out = tmp_path / "fits"
+    assert run(argv + ["--top-k", str(n_classes), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["top_k"] == 1.0
+    out = tmp_path / "too_large"
+    assert run(argv + ["--top-k", str(n_classes + 1), "--out", str(out)]) == 2
+    assert (f"error: top_k must be at most {n_classes}, the class count of {mode} evaluation, "
+            f"got {n_classes + 1}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_unknown_mode_before_writing(workspace, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "bogus"}))
+    out = tmp_path / "o"
+    assert run(["eval", "--config", str(cfg), "--data", str(workspace["data"]),
+                "--checkpoint", str(workspace["ckpt"]), "--out", str(out)]) == 2
+    assert "unknown evaluation mode 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- solve-ot ---
 
 def test_solve_ot_single_cell(tmp_path, capsys):

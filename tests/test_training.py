@@ -50,7 +50,7 @@ def test_train_config_defaults():
     assert cfg.batch_size == 32
     assert cfg.learning_rate == 0.001
     assert cfg.epochs == 30
-    assert cfg.ipot.max_outer_iters == 200
+    assert cfg.ipot.max_outer_iters == 25
 
 
 @pytest.mark.parametrize("kwargs,msg", [
@@ -294,6 +294,24 @@ def test_train_frozen_generator_constant_transport_cost(monkeypatch):
     assert res.g is g
     assert np.array_equal(res.g.net.W2, W2)
     assert np.array_equal(res.g.net.b2, b2)
+
+
+@pytest.mark.parametrize("cfg, budget", [
+    (quick_cfg(ot_prob=1.0), 25),
+    (quick_cfg(ot_prob=1.0, ipot=IpotConfig(max_outer_iters=200, stop_tol=1e-7)), 200),
+], ids=["default", "200"])
+def test_train_passes_its_ipot_budget_to_the_solver(cfg, budget, tiny_dataset, monkeypatch):
+    attrs, data, _ = tiny_dataset
+    budgets, solve = [], training.ipot_solve
+
+    def spy(cost, marginals, ipot_cfg):
+        budgets.append(ipot_cfg.max_outer_iters)
+        return solve(cost, marginals, ipot_cfg)
+
+    monkeypatch.setattr(training, "ipot_solve", spy)
+    res = train(data, attrs, cfg)
+    assert budgets and len(budgets) == len(res.trace)
+    assert set(budgets) == {budget}
 
 
 def test_train_transductive_forces_ot_on_unlabeled(tiny_dataset):

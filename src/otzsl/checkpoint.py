@@ -1,14 +1,12 @@
-"""Binary checkpoints: the trained generator/predictor pair and Adam's state.
+"""Binary checkpoints: the trained generator, the one network a command reads.
 
-Layout (all little-endian): 8-byte magic "OTZSLCP1", uint32 version, four
-uint32 dims (attr, feature, generator hidden, predictor hidden), then the
-row-major float64 weight blocks W1, b1, W2, b2 for the generator and then the
-predictor, the class-softmax sharpness as one float64, a uint8 flag and, when
-the flag is 1, the Adam section (uint64 step; learning rate, beta1, beta2,
-epsilon; first-moment blocks then second-moment blocks in the same 8-block
-order). save_checkpoint always writes the Adam section. Commands read only the
-generator, so load_checkpoint steps over the rest and checks it by length; it
-also accepts a flag of 0 with no Adam section after it.
+Layout of version 2 (all little-endian): 8-byte magic "OTZSLCP1", uint32
+version, three uint32 dims (attr, feature, hidden), then the row-major
+float64 blocks W1, b1, W2, b2. Version 1 files, written before version 2,
+carry a fourth dim (the predictor's hidden width) and, after the generator,
+the predictor blocks, the class-softmax sharpness, a uint8 flag and, when the
+flag is 1, the Adam section; load_checkpoint steps over that tail and checks
+it by length.
 """
 
 from __future__ import annotations
@@ -19,25 +17,16 @@ import struct
 import numpy as np
 
 from .errors import DataFormatError
-from .generator import GeneratorParams, PredictorParams
-from .mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, MlpParams
+from .generator import GeneratorParams
+from .mlp import MlpParams
 
 MAGIC = b"OTZSLCP1"
-VERSION = 1
+VERSION = 2
 
 
-def param_blocks(g: GeneratorParams, f: PredictorParams) -> list[np.ndarray]:
-    """The canonical 8-block ordering used by checkpoints and the optimizer."""
-    return g.net.blocks() + f.net.blocks()
-
-
-def save_checkpoint(path: str, g: GeneratorParams, f: PredictorParams, adam: AdamState) -> None:
-    parts = [MAGIC, struct.pack("<5I", VERSION, g.attr_dim, g.feature_dim,
-                                g.net.hidden_dim, f.net.hidden_dim)]
-    parts += [np.ascontiguousarray(b, dtype="<f8").tobytes() for b in param_blocks(g, f)]
-    parts.append(struct.pack("<dBQ4d", f.nca_scale, 1, adam.step, adam.learning_rate,
-                             ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON))
-    parts += [np.ascontiguousarray(b, dtype="<f8").tobytes() for b in adam.m + adam.v]
+def save_checkpoint(path: str, g: GeneratorParams) -> None:
+    parts = [MAGIC, struct.pack("<4I", VERSION, g.attr_dim, g.feature_dim, g.net.hidden_dim)]
+    parts += [np.ascontiguousarray(b, dtype="<f8").tobytes() for b in g.net.blocks()]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -61,9 +50,8 @@ class _Reader:
 
 
 def load_checkpoint(path: str) -> GeneratorParams:
-    """The generator of a checkpoint file. The predictor blocks, the softmax
-    sharpness and the Adam section are stepped over, so they are checked by
-    length only; a non-finite generator weight is a DataFormatError."""
+    """The generator of a version 2 or version 1 checkpoint file; a non-finite
+    generator weight is a DataFormatError."""
     try:
         with open(path, "rb") as fh:
             buf = fh.read()
@@ -72,19 +60,22 @@ def load_checkpoint(path: str) -> GeneratorParams:
     r = _Reader(buf, path)
     if r.take(8) != MAGIC:
         raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
-    version, attr_dim, feature_dim, hidden_g, hidden_f = struct.unpack("<5I", r.take(20))
-    if version != VERSION:
+    (version,) = struct.unpack("<I", r.take(4))
+    if version not in (1, VERSION):
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
+    attr_dim, feature_dim, hidden = struct.unpack("<3I", r.take(12))
+    hidden_f = struct.unpack("<I", r.take(4))[0] if version == 1 else 0
 
-    blocks = [r.array(s) for s in ((hidden_g, 2 * attr_dim), (hidden_g,),
-                                   (feature_dim, hidden_g), (feature_dim,))]
-    n_predictor = (feature_dim + 1) * hidden_f + (hidden_f + 1) * attr_dim
-    r.take(8 * n_predictor + 8)  # the predictor blocks and the softmax sharpness
-    (flag,) = struct.unpack("<B", r.take(1))
-    if flag == 1:  # the step and four scalars, then m and v of all eight blocks
-        r.take(40 + 16 * (sum(b.size for b in blocks) + n_predictor))
-    elif flag != 0:
-        raise DataFormatError(f"{path}: bad optimizer flag {flag}")
+    blocks = [r.array(s) for s in ((hidden, 2 * attr_dim), (hidden,),
+                                   (feature_dim, hidden), (feature_dim,))]
+    if version == 1:  # the predictor blocks and the softmax sharpness, then the flag
+        n_predictor = (feature_dim + 1) * hidden_f + (hidden_f + 1) * attr_dim
+        r.take(8 * n_predictor + 8)
+        (flag,) = struct.unpack("<B", r.take(1))
+        if flag == 1:  # the step and four scalars, then m and v of all eight blocks
+            r.take(40 + 16 * (sum(b.size for b in blocks) + n_predictor))
+        elif flag != 0:
+            raise DataFormatError(f"{path}: bad optimizer flag {flag}")
     if r.off != len(buf):
         raise DataFormatError(f"{path}: {len(buf) - r.off} trailing bytes")
     try:

@@ -52,6 +52,10 @@ EXPORT_DEFAULTS = {
     "seed": 0,
 }
 
+# The type of each config key whose default is None; JSON null stays allowed.
+NULLABLE_KEY_TYPES = {"data": str, "checkpoint": str, "cost": str, "top_k": int,
+                      "lambda": float, "iters": int, "stop_tol": float}
+
 
 def flat_fields(config, prefix: str = "") -> dict:
     """The field values of a config dataclass as flat config keys, a nested
@@ -85,9 +89,9 @@ def from_flat(template, cfg: dict, prefix: str = ""):
 def resolve_config(defaults: dict, args) -> dict:
     """`defaults`, updated by the config file of --config, then by every parsed
     flag that was given and whose dest is a key of `defaults`. A config value
-    must have its default's type (an integer may stand for a float, a boolean
-    for nothing else) and be finite: json reads NaN, Infinity and 1e999, and
-    a NaN passes every `x < 0` check."""
+    must have its default's type, or for a None default its NULLABLE_KEY_TYPES
+    type or null (an int may stand for a float, a bool for nothing else), and be
+    finite: json reads NaN, Infinity and 1e999, and NaN passes every `x < 0` check."""
     cfg = dict(defaults)
     config_path = args.config
 
@@ -110,9 +114,9 @@ def resolve_config(defaults: dict, args) -> dict:
         if unknown:
             raise ConfigError(f"{config_path}: unknown keys {sorted(unknown)}")
         for key, value in loaded.items():
-            kind = type(defaults[key])  # a None default leaves the check to the command
-            if defaults[key] is not None and not (type(value) is kind
-                                                  or kind is float and type(value) is int):
+            kind = NULLABLE_KEY_TYPES[key] if defaults[key] is None else type(defaults[key])
+            if not (type(value) is kind or kind is float and type(value) is int
+                    or value is None and defaults[key] is None):
                 raise ConfigError(f"{config_path}: key {key!r} must be of type "
                                   f"{kind.__name__}, got {json.dumps(value)}")
         cfg.update(loaded)
@@ -136,13 +140,14 @@ def _require(cfg: dict, key: str, what: str) -> str:
     return cfg[key]
 
 
-def _load_dataset_and_generator(cfg: dict):
+def _load_dataset_and_generator(cfg: dict, rows: bool = True):
     """The dataset and the checkpoint's generator that eval and export read,
-    checked to agree in dimension; the generator, the smaller read, loads first."""
+    checked to agree in dimension; the generator, the smaller read, loads
+    first. Without rows (export) the splits are empty: see load_dataset."""
     data_dir = _require(cfg, "data", "dataset directory")
     ckpt_path = _require(cfg, "checkpoint", "checkpoint path")
     g = ckpt.load_checkpoint(ckpt_path)
-    attrs, dataset = dataio.load_dataset(data_dir)
+    attrs, dataset = dataio.load_dataset(data_dir, rows)
     if (g.attr_dim, g.feature_dim) != (attrs.attr_dim, dataset.feature_dim):
         raise DataFormatError(f"{ckpt_path} holds a generator for (attributes, features) = "
                               f"({g.attr_dim}, {g.feature_dim}), but dataset {data_dir} has "
@@ -170,8 +175,7 @@ def cmd_train(args) -> int:
     tc = from_flat(template, cfg)
     echo_config(cfg, args.out)
     result = train(dataset, attrs, tc)
-    ckpt.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.g, result.f,
-                         result.adam)
+    ckpt.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.g)
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
     tr = result.trace
     print(f"trained {len(tr)} iterations ({tc.epochs} epochs, mode {tc.mode})")
@@ -209,6 +213,8 @@ def cmd_solve_ot(args) -> int:
     solver = cfg["solver"]
     if solver not in ("ipot", "sinkhorn"):
         raise ConfigError(f"solver must be 'ipot' or 'sinkhorn', got {solver!r}")
+    if solver == "sinkhorn" and cfg["stop_tol"] is not None:
+        raise ConfigError("stop_tol applies only to the ipot solver; sinkhorn has no stop rule")
     echo_config(cfg, args.out)
     marg = ot.Marginals.uniform(*cost.shape)
     try:
@@ -273,7 +279,7 @@ def cmd_export(args) -> int:
         raise ConfigError(f"classes must be seen, unseen, or all, got {cfg['classes']!r}")
     if cfg["per_class"] < 1:
         raise ConfigError(f"per_class must be positive, got {cfg['per_class']}")
-    attrs, _, g = _load_dataset_and_generator(cfg)
+    attrs, _, g = _load_dataset_and_generator(cfg, rows=False)
     pool = {"seen": attrs.seen_ids, "unseen": attrs.unseen_ids,
             "all": tuple(range(attrs.n_classes))}[cfg["classes"]]
     echo_config(cfg, args.out)

@@ -259,13 +259,14 @@ def write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
-def _read_lines(path: str) -> list[tuple[int, str]]:
-    """The non-blank lines of a text file, each with its 1-based number."""
+def _read_lines(path: str, first_only: bool = False) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file, each with its 1-based number; with
+    first_only, just the first of them, and the rest of the file is not read."""
     if not os.path.isfile(path):
         raise DataFormatError(f"missing file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = next((ln for ln in fh if ln != "\n"), "") if first_only else fh.read()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     return [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln]
@@ -295,9 +296,11 @@ def _parse_rows(path: str, rows: list[tuple[int, str]], width: int) -> np.ndarra
     return values
 
 
-def _read_labeled_csv(path: str, header_prefix: str) -> tuple[np.ndarray, np.ndarray]:
-    """The class ids and the values of an attributes.csv or features.csv."""
-    lines = _read_lines(path)
+def _read_labeled_csv(path: str, header_prefix: str,
+                      first_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The class ids and the values of an attributes.csv or features.csv; with
+    first_only, only the header line is read, so the values have no rows."""
+    lines = _read_lines(path, first_only)
     if not lines or not lines[0][1].startswith(header_prefix):
         raise DataFormatError(f"{path}: expected header starting with '{header_prefix}'")
     values = _parse_rows(path, lines[1:], lines[0][1].count(",") + 1)
@@ -338,15 +341,17 @@ def save_dataset(dir_path: str, attrs: AttributeMatrix, data: FeatureDataset) ->
     write_json(split, os.path.join(dir_path, "split.json"))
 
 
-def load_dataset(dir_path: str) -> tuple[AttributeMatrix, FeatureDataset]:
+def load_dataset(dir_path: str, rows: bool = True) -> tuple[AttributeMatrix, FeatureDataset]:
     """Read and fully validate a dataset directory; no partially valid object
-    ever escapes this function."""
+    ever escapes this function. Without rows, features.csv is read only up to
+    its header, split.json's row lists go unchecked, and every split is empty."""
     ids, attr_values = _read_labeled_csv(os.path.join(dir_path, "attributes.csv"), "class_id,a_1")
     if sorted(ids.tolist()) != list(range(ids.size)):
         raise DataFormatError(
             f"attributes.csv class ids must be 0..{ids.size - 1}, got {ids.tolist()}")
     attr_matrix = attr_values[np.argsort(ids)]
-    labels, features = _read_labeled_csv(os.path.join(dir_path, "features.csv"), "class_id,x_1")
+    labels, features = _read_labeled_csv(os.path.join(dir_path, "features.csv"), "class_id,x_1",
+                                         first_only=not rows)
 
     split_path = os.path.join(dir_path, "split.json")
     if not os.path.isfile(split_path):
@@ -363,9 +368,9 @@ def load_dataset(dir_path: str) -> tuple[AttributeMatrix, FeatureDataset]:
     for key in SPLIT_KEYS:  # bool is an int subclass, and JSON true is no index
         if not isinstance(split[key], list) or not all(type(v) is int for v in split[key]):
             raise DataFormatError(f"{split_path}: {key} must be a list of integers")
-        if key.endswith("_rows") and not all(0 <= v < n_rows for v in split[key]):
+        if rows and key.endswith("_rows") and not all(0 <= v < n_rows for v in split[key]):
             raise DataFormatError(f"{split_path}: {key} references rows outside 0..{n_rows - 1}")
-    arrays = {key: np.asarray(split[key], dtype=np.int64) for key in SPLIT_KEYS[2:]}
+    arrays = {key: np.asarray(split[key] if rows else [], dtype=np.int64) for key in SPLIT_KEYS[2:]}
 
     unknown = (set(split["seen"]) | set(split["unseen"])) - set(range(ids.size))
     if unknown:

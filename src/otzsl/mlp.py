@@ -108,7 +108,7 @@ def add_grads(a: MlpParams, b: MlpParams) -> MlpParams:
     return MlpParams(a.W1 + b.W1, a.b1 + b.b1, a.W2 + b.W2, a.b2 + b.b2)
 
 
-ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # checkpoints record them
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass

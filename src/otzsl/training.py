@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import param_blocks
 from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
 from .errors import ConfigError, SolverError
 from .generator import (GeneratorParams, PredictorParams, backward,
                         generator_forward, init_generator, init_predictor)
-from .mlp import AdamState, adam_init, adam_step
+from .mlp import adam_init, adam_step
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
 from .rng import SeededRng
 
@@ -115,7 +114,6 @@ def write_trace_csv(trace: TrainTrace, path: str) -> None:
 class TrainResult:
     g: GeneratorParams
     f: PredictorParams
-    adam: AdamState
     trace: TrainTrace
 
 
@@ -186,7 +184,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
     root = SeededRng(cfg.seed)
     g = init_generator(d, feature_dim, cfg.hidden_dim, root.split(1))
     f = init_predictor(feature_dim, d, cfg.hidden_dim, root.split(2), nca_scale=cfg.nca_scale)
-    params = param_blocks(g, f)  # adam_step updates these arrays, so g and f train in place
+    params = g.net.blocks() + f.net.blocks()  # adam_step updates these, so g and f train in place
     adam = adam_init(params, learning_rate=cfg.learning_rate)
     batch_rng = root.split(3)
 
@@ -233,7 +231,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
             trace.record(branch, res.transport_term, res.regularizer_term, res.total)
         trace.epoch_seconds.append(time.perf_counter() - t0)
 
-    return TrainResult(g=g, f=f, adam=adam, trace=trace)
+    return TrainResult(g=g, f=f, trace=trace)
 
 
 def synthesize_class_features(g: GeneratorParams, attrs: AttributeMatrix, classes,

@@ -7,12 +7,13 @@ import struct
 import numpy as np
 import pytest
 
-from otzsl import cli, ot
+from otzsl import cli, ot, training
 from otzsl.data import load_matrix_csv, save_matrix_csv
 from otzsl.rng import SeededRng
 from otzsl.training import TrainConfig
 
 from conftest import reference_write_json
+from test_checkpoint import save_checkpoint_v1
 
 TINY_GEN = {
     "seen_classes": 3,
@@ -163,6 +164,14 @@ def test_flags_reach_the_config_by_name(command, workspace, tmp_path):
     ("solve-ot", {"solver": 1}),
     ("compare-solvers", {"size": "4"}),
     ("export", {"per_class": True}),
+    ("eval", {"top_k": "3"}),
+    ("solve-ot", {"lambda": "0.5"}),
+    ("solve-ot", {"iters": 2.5}),
+    ("solve-ot", {"stop_tol": True}),
+    ("train", {"data": 5}),
+    ("eval", {"checkpoint": 1}),
+    ("export", {"data": ["d"]}),
+    ("solve-ot", {"cost": 0}),
 ])
 def test_config_value_must_have_the_default_type(command, bad, workspace, tmp_path, capsys):
     data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
@@ -188,6 +197,14 @@ def test_config_int_stands_for_float_and_bool_for_nothing_else(tmp_path, capsys)
     cfg.write_text(json.dumps({**TINY_GEN, "seed": True}))
     assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
     assert "key 'seed' must be of type int, got true" in capsys.readouterr().err
+    # a key whose default is None takes its own type, an int for a float, or null
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), str(cost))
+    cfg.write_text(json.dumps({"lambda": 1, "iters": None, "stop_tol": None}))
+    assert run(["solve-ot", "--config", str(cfg), "--cost", str(cost),
+                "--out", str(tmp_path / "c")]) == 0
+    echoed = json.loads((tmp_path / "c" / "config.json").read_text())
+    assert (echoed["lambda"], echoed["iters"], echoed["stop_tol"]) == (1, None, None)
 
 
 @pytest.mark.parametrize("command, key, literal", [
@@ -340,6 +357,37 @@ def test_eval_deterministic(workspace, tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+def test_eval_reads_a_version_1_checkpoint_like_its_version_2_twin(workspace, tmp_path,
+                                                                    monkeypatch):
+    """The version 1 file that train wrote before version 2, rebuilt from the
+    run's own predictor and Adam state, gives the same report.json bytes."""
+    kept = {}
+
+    def keep(module, name):
+        fn = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            kept[name] = fn(*args, **kwargs)
+            return kept[name]
+        monkeypatch.setattr(module, name, spy)
+
+    keep(training, "adam_init")
+    keep(cli, "train")
+    run_dir = tmp_path / "run"
+    assert run(["train", "--config", str(workspace["train_cfg"]), "--data",
+                str(workspace["data"]), "--out", str(run_dir)]) == 0
+    assert (run_dir / "checkpoint.bin").read_bytes() == workspace["ckpt"].read_bytes()
+    v1 = tmp_path / "v1.bin"
+    save_checkpoint_v1(str(v1), kept["train"].g, kept["train"].f, kept["adam_init"])
+    reports = []
+    for ckpt in (workspace["ckpt"], v1):
+        out = tmp_path / ckpt.stem
+        assert run(["eval", "--data", str(workspace["data"]), "--checkpoint", str(ckpt),
+                    "--mode", "generalized", "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_eval_requires_checkpoint(workspace, tmp_path, capsys):
     assert run(["eval", "--data", str(workspace["data"]),
                 "--out", str(tmp_path)]) == 2
@@ -383,7 +431,7 @@ def test_eval_classifier_blow_up_is_a_solver_error(workspace, tmp_path, capsys):
 def test_eval_rejects_nonfinite_generator_weight(workspace, tmp_path, capsys):
     bad = tmp_path / "c.bin"
     raw = bytearray(workspace["ckpt"].read_bytes())
-    raw[28:36] = struct.pack("<d", math.inf)  # the generator's W1[0, 0]
+    raw[24:32] = struct.pack("<d", math.inf)  # the generator's W1[0, 0]
     bad.write_bytes(bytes(raw))
     assert run(["eval", "--data", str(workspace["data"]), "--checkpoint", str(bad),
                 "--out", str(tmp_path / "o")]) == 2
@@ -451,6 +499,18 @@ def test_solve_ot_sinkhorn_closed_form(tmp_path, capsys):
     np.testing.assert_allclose(np.diag(plan), 0.5 / (1.0 + math.exp(-10.0)),
                                rtol=0, atol=1e-12)
     assert (out / "solver_trace.csv").is_file()
+
+
+def test_solve_ot_sinkhorn_rejects_stop_tol(tmp_path, capsys):
+    """Sinkhorn has no stop rule, so a stop tolerance for it is a config error."""
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), str(cost))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": "sinkhorn", "stop_tol": 0.1}))
+    out = tmp_path / "o"
+    assert run(["solve-ot", "--config", str(cfg), "--cost", str(cost), "--out", str(out)]) == 2
+    assert "error: stop_tol applies only to the ipot solver" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_ot_ipot_finds_permutation(tmp_path, capsys):
@@ -599,6 +659,23 @@ def test_export_generated_features(workspace, tmp_path, capsys):
     assert lines[0].startswith("class_id,x_1")
     assert len(lines) == 1 + 2 * 3  # two unseen classes
     assert "wrote 6 generated features" in capsys.readouterr().out
+
+
+def test_export_reads_only_the_header_of_features_csv(workspace, tmp_path):
+    """A broken feature row stops eval, but export never reads it, and writes
+    the same bytes as from the intact dataset."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("attributes.csv", "split.json"):
+        (data / name).write_bytes((workspace["data"] / name).read_bytes())
+    lines = (workspace["data"] / "features.csv").read_text().splitlines(keepends=True)
+    (data / "features.csv").write_text(lines[0] + "0,not a row\n" + "".join(lines[2:]))
+    argv = ["--checkpoint", str(workspace["ckpt"]), "--out"]
+    assert run(["eval", "--data", str(data), *argv, str(tmp_path / "eval")]) == 2
+    for name, source in (("a", workspace["data"]), ("b", data)):
+        assert run(["export", "--data", str(source), *argv, str(tmp_path / name)]) == 0
+    assert ((tmp_path / "a" / "generated_features.csv").read_bytes()
+            == (tmp_path / "b" / "generated_features.csv").read_bytes())
 
 
 def test_export_validates_per_class(workspace, tmp_path, capsys):

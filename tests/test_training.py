@@ -261,13 +261,15 @@ def test_train_double_run_bit_identical(tiny_dataset):
     assert a.trace.branch == b.trace.branch
 
 
-def test_train_trace_bookkeeping(tiny_dataset):
+def test_train_trace_bookkeeping(tiny_dataset, monkeypatch):
     attrs, data, _ = tiny_dataset
+    steps, adam_step = [], training.adam_step
+    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(adam_step(*args)))
     res = train(data, attrs, quick_cfg(epochs=3))
     iters = iterations_per_epoch(data.seen_train[0].shape[0], 4)
     assert len(res.trace) == 3 * iters
     assert len(res.trace.epoch_seconds) == 3
-    assert res.adam.step == 3 * iters
+    assert len(steps) == 3 * iters
     assert all(np.isfinite(res.trace.total_loss))
 
 

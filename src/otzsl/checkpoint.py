@@ -1,12 +1,10 @@
 """Binary checkpoints: the trained generator, the one network a command reads.
 
-Layout of version 2 (all little-endian): 8-byte magic "OTZSLCP1", uint32
-version, three uint32 dims (attr, feature, hidden), then the row-major
-float64 blocks W1, b1, W2, b2. Version 1 files, written before version 2,
-carry a fourth dim (the predictor's hidden width) and, after the generator,
-the predictor blocks, the class-softmax sharpness, a uint8 flag and, when the
-flag is 1, the Adam section; load_checkpoint steps over that tail and checks
-it by length.
+Layout (all little-endian): 8-byte magic "OTZSLCP1", uint32 version 2, three
+uint32 dims (attr, feature, hidden), each at least 1, then the row-major
+float64 blocks W1, b1, W2, b2. Version 2 is the only layout read: a file of
+any other version, such as the version 1 files written before it, is a
+DataFormatError, and re-running train rewrites it.
 """
 
 from __future__ import annotations
@@ -22,62 +20,44 @@ from .mlp import MlpParams
 
 MAGIC = b"OTZSLCP1"
 VERSION = 2
+_HEADER = struct.Struct("<8s4I")  # magic, version, attr, feature and hidden dim
 
 
 def save_checkpoint(path: str, g: GeneratorParams) -> None:
-    parts = [MAGIC, struct.pack("<4I", VERSION, g.attr_dim, g.feature_dim, g.net.hidden_dim)]
+    parts = [_HEADER.pack(MAGIC, VERSION, g.attr_dim, g.feature_dim, g.net.hidden_dim)]
     parts += [np.ascontiguousarray(b, dtype="<f8").tobytes() for b in g.net.blocks()]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
-class _Reader:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = memoryview(buf)  # a step over a section copies nothing
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int) -> memoryview:
-        if self.off + n > len(self.buf):
-            raise DataFormatError(f"{self.path}: truncated checkpoint")
-        out = self.buf[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def array(self, shape) -> np.ndarray:
-        raw = self.take(8 * math.prod(shape))
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-
 def load_checkpoint(path: str) -> GeneratorParams:
-    """The generator of a version 2 or version 1 checkpoint file; a non-finite
-    generator weight is a DataFormatError."""
+    """The generator of a checkpoint file; a bad magic or version, a dim
+    below 1, a length other than the dims give, or a non-finite weight is a
+    DataFormatError naming the file."""
     try:
         with open(path, "rb") as fh:
             buf = fh.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read checkpoint: {exc}") from None
-    r = _Reader(buf, path)
-    if r.take(8) != MAGIC:
+    if len(buf) < _HEADER.size:
+        raise DataFormatError(f"{path}: truncated checkpoint")
+    magic, version, *dims = _HEADER.unpack_from(buf)
+    if magic != MAGIC:
         raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", r.take(4))
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    attr_dim, feature_dim, hidden = struct.unpack("<3I", r.take(12))
-    hidden_f = struct.unpack("<I", r.take(4))[0] if version == 1 else 0
-
-    blocks = [r.array(s) for s in ((hidden, 2 * attr_dim), (hidden,),
-                                   (feature_dim, hidden), (feature_dim,))]
-    if version == 1:  # the predictor blocks and the softmax sharpness, then the flag
-        n_predictor = (feature_dim + 1) * hidden_f + (hidden_f + 1) * attr_dim
-        r.take(8 * n_predictor + 8)
-        (flag,) = struct.unpack("<B", r.take(1))
-        if flag == 1:  # the step and four scalars, then m and v of all eight blocks
-            r.take(40 + 16 * (sum(b.size for b in blocks) + n_predictor))
-        elif flag != 0:
-            raise DataFormatError(f"{path}: bad optimizer flag {flag}")
-    if r.off != len(buf):
-        raise DataFormatError(f"{path}: {len(buf) - r.off} trailing bytes")
+    if min(dims) < 1:
+        raise DataFormatError(f"{path}: checkpoint dims (attributes, features, hidden) = "
+                              f"{tuple(dims)} must each be at least 1")
+    attr_dim, feature_dim, hidden = dims
+    shapes = ((hidden, 2 * attr_dim), (hidden,), (feature_dim, hidden), (feature_dim,))
+    sizes = [math.prod(s) for s in shapes]
+    extra = len(buf) - _HEADER.size - 8 * sum(sizes)
+    if extra != 0:
+        raise DataFormatError(f"{path}: truncated checkpoint" if extra < 0
+                              else f"{path}: {extra} trailing bytes")
+    flat = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).astype(np.float64)
+    blocks = [b.reshape(s) for b, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
     try:
         return GeneratorParams(net=MlpParams(*blocks))
     except ValueError as exc:  # a non-finite weight

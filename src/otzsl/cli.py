@@ -282,6 +282,8 @@ def cmd_export(args) -> int:
     attrs, _, g = _load_dataset_and_generator(cfg, rows=False)
     pool = {"seen": attrs.seen_ids, "unseen": attrs.unseen_ids,
             "all": tuple(range(attrs.n_classes))}[cfg["classes"]]
+    if not pool:
+        raise DataFormatError(f"dataset {cfg['data']} has no {cfg['classes']} classes to export")
     echo_config(cfg, args.out)
     feats, labels = synthesize_class_features(g, attrs, pool, cfg["per_class"],
                                               SeededRng(cfg["seed"]))

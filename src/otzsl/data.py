@@ -120,24 +120,13 @@ class FeatureDataset:
             splits[name] = (feats, labels)
             setattr(self, name, (feats, labels))
         pool = np.asarray(self.unseen_unlabeled, dtype=np.float64)
-        if pool.size == 0:
-            pool = pool.reshape(0, self.feature_dim_of(splits))
-        elif pool.ndim == 1:
-            pool = pool[None, :]
-        _check_split(pool, np.zeros(pool.shape[0], dtype=np.int64), "unseen_unlabeled")
+        _check_split(pool, np.zeros(pool.shape[:1], dtype=np.int64), "unseen_unlabeled")
         self.unseen_unlabeled = pool
         dims = {splits[n][0].shape[1] for n in splits if splits[n][0].size} | (
             {pool.shape[1]} if pool.size else set()
         )
         if len(dims) > 1:
             raise DataFormatError(f"splits disagree on feature dimension: {sorted(dims)}")
-
-    @staticmethod
-    def feature_dim_of(splits) -> int:
-        for feats, _ in splits.values():
-            if feats.size:
-                return feats.shape[1]
-        return 0
 
     @property
     def feature_dim(self) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, DataFormatError, SolverError
 from .generator import (GeneratorParams, PredictorParams, backward,
                         generator_forward, init_generator, init_predictor)
 from .mlp import adam_init, adam_step
@@ -175,9 +175,9 @@ def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
 def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> TrainResult:
     transductive = cfg.mode == "transductive"
     if data.seen_train[0].shape[0] == 0:
-        raise ValueError("training requires labeled seen samples")
+        raise DataFormatError("training requires labeled seen samples")
     if transductive and data.unseen_unlabeled.shape[0] == 0:
-        raise ValueError("transductive mode requires a non-empty unlabeled pool")
+        raise DataFormatError("transductive mode requires a non-empty unlabeled pool")
 
     d = attrs.attr_dim
     feature_dim = data.feature_dim

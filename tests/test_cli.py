@@ -1,19 +1,23 @@
 import argparse
 import json
 import math
+import os
 import re
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otzsl import cli, ot, training
+from otzsl import cli, ot
 from otzsl.data import load_matrix_csv, save_matrix_csv
 from otzsl.rng import SeededRng
 from otzsl.training import TrainConfig
 
 from conftest import reference_write_json
-from test_checkpoint import save_checkpoint_v1
 
 TINY_GEN = {
     "seen_classes": 3,
@@ -28,6 +32,15 @@ TINY_GEN = {
 
 def run(argv):
     return cli.main(argv)
+
+
+def edited_dataset(workspace, tmp_path, **split_changes):
+    """A copy of the workspace dataset with split.json keys replaced."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    split = json.loads((data / "split.json").read_text())
+    (data / "split.json").write_text(json.dumps({**split, **split_changes}))
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +60,19 @@ def workspace(tmp_path_factory):
     return {"root": root, "data": data_dir, "run": run_dir,
             "gen_cfg": gen_cfg, "train_cfg": train_cfg,
             "ckpt": run_dir / "checkpoint.bin"}
+
+
+def test_cli_imports_no_test_only_package(tmp_path):
+    """The runtime needs numpy alone: a fresh interpreter with only src/ on
+    its path imports the CLI without scipy, hypothesis or pytest."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONPATH"}, "PYTHONPATH": str(src)}
+    code = ("import sys, otzsl.cli; print(sorted({'scipy', 'hypothesis', 'pytest'} & "
+            "{m.partition('.')[0] for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # --- config plumbing ---
@@ -318,6 +344,20 @@ def test_train_rejects_generalized_mode(workspace, tmp_path, capsys):
     assert "mode must be one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, mode, message", [
+    ("seen_train_rows", "standard", "training requires labeled seen samples"),
+    ("unseen_unlabeled_rows", "transductive",
+     "transductive mode requires a non-empty unlabeled pool"),
+], ids=["no-seen-train-rows", "no-unlabeled-pool"])
+def test_train_rejects_an_empty_split(key, mode, message, workspace, tmp_path, capsys):
+    data = edited_dataset(workspace, tmp_path, **{key: []})
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(workspace["train_cfg"]), "--data", str(data),
+                "--mode", mode, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "checkpoint.bin").exists() and not (out / "trace.csv").exists()
+
+
 def test_train_missing_dataset_dir(tmp_path, capsys):
     assert run(["train", "--data", str(tmp_path / "nowhere"),
                 "--out", str(tmp_path / "o")]) == 2
@@ -355,37 +395,6 @@ def test_eval_deterministic(workspace, tmp_path):
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-
-
-def test_eval_reads_a_version_1_checkpoint_like_its_version_2_twin(workspace, tmp_path,
-                                                                    monkeypatch):
-    """The version 1 file that train wrote before version 2, rebuilt from the
-    run's own predictor and Adam state, gives the same report.json bytes."""
-    kept = {}
-
-    def keep(module, name):
-        fn = getattr(module, name)
-
-        def spy(*args, **kwargs):
-            kept[name] = fn(*args, **kwargs)
-            return kept[name]
-        monkeypatch.setattr(module, name, spy)
-
-    keep(training, "adam_init")
-    keep(cli, "train")
-    run_dir = tmp_path / "run"
-    assert run(["train", "--config", str(workspace["train_cfg"]), "--data",
-                str(workspace["data"]), "--out", str(run_dir)]) == 0
-    assert (run_dir / "checkpoint.bin").read_bytes() == workspace["ckpt"].read_bytes()
-    v1 = tmp_path / "v1.bin"
-    save_checkpoint_v1(str(v1), kept["train"].g, kept["train"].f, kept["adam_init"])
-    reports = []
-    for ckpt in (workspace["ckpt"], v1):
-        out = tmp_path / ckpt.stem
-        assert run(["eval", "--data", str(workspace["data"]), "--checkpoint", str(ckpt),
-                    "--mode", "generalized", "--out", str(out)]) == 0
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
 
 
 def test_eval_requires_checkpoint(workspace, tmp_path, capsys):
@@ -436,6 +445,25 @@ def test_eval_rejects_nonfinite_generator_weight(workspace, tmp_path, capsys):
     assert run(["eval", "--data", str(workspace["data"]), "--checkpoint", str(bad),
                 "--out", str(tmp_path / "o")]) == 2
     assert f"error: {bad}: generator W1 contains a non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+@pytest.mark.parametrize("offset, value, message", [
+    (8, 1, "unsupported checkpoint version 1"),
+    (20, 0, "checkpoint dims (attributes, features, hidden) = (6, 8, 0) must each be at least 1"),
+], ids=["version-1", "hidden-0"])
+def test_bad_checkpoint_header_is_a_data_error(command, offset, value, message, workspace,
+                                               tmp_path, capsys):
+    """A version 1 file, the layout train wrote before version 2, is not read."""
+    bad = tmp_path / "c.bin"
+    raw = bytearray(workspace["ckpt"].read_bytes())
+    raw[offset:offset + 4] = struct.pack("<I", value)
+    bad.write_bytes(bytes(raw))
+    out = tmp_path / "o"
+    assert run([command, "--data", str(workspace["data"]), "--checkpoint", str(bad),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
 
 
 def test_eval_top_k(workspace, tmp_path, capsys):
@@ -692,3 +720,13 @@ def test_export_bad_classes_via_config(workspace, tmp_path, capsys):
                 "--checkpoint", str(workspace["ckpt"]),
                 "--out", str(tmp_path / "o")]) == 2
     assert "classes must be" in capsys.readouterr().err
+
+
+def test_export_rejects_an_empty_class_list(workspace, tmp_path, capsys):
+    split = json.loads((workspace["data"] / "split.json").read_text())
+    data = edited_dataset(workspace, tmp_path, seen=[], unseen=split["seen"] + split["unseen"])
+    out = tmp_path / "o"
+    assert run(["export", "--data", str(data), "--checkpoint", str(workspace["ckpt"]),
+                "--classes", "seen", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: dataset {data} has no seen classes to export\n"
+    assert not out.exists()

@@ -98,6 +98,14 @@ def test_dataset_dimension_mismatch():
             unseen_test=(np.ones((1, 2)), np.array([1])),
             unseen_unlabeled=np.zeros((0, 2)),
         )
+    for pool in (np.ones(2), np.zeros(0)):  # the pool is 2-D like every split, even when empty
+        with pytest.raises(DataFormatError, match=r"^unseen_unlabeled features must be 2-D"):
+            FeatureDataset(
+                seen_train=(np.ones((2, 2)), np.array([0, 0])),
+                seen_test=(np.ones((1, 2)), np.array([0])),
+                unseen_test=(np.ones((1, 2)), np.array([1])),
+                unseen_unlabeled=pool,
+            )
 
 
 def test_dataset_empty_pool_gets_shaped():
@@ -325,7 +333,8 @@ def test_load_rejects_unlabeled_row_in_labeled_split(tmp_path):
     parts[0] = "-1"
     lines[1 + first_train_row] = ",".join(parts)
     fpath.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError, match="unlabeled"):
+    with pytest.raises(DataFormatError,
+                       match=rf"split\.json: seen_train_rows includes unlabeled row {first_train_row}$"):
         load_dataset(str(tmp_path))
 
 

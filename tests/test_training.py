@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from otzsl import training
 from otzsl.data import UNLABELED, AttributeMatrix, FeatureDataset
-from otzsl.errors import ConfigError, SolverError
+from otzsl.errors import ConfigError, DataFormatError, SolverError
 from otzsl.generator import (GeneratorParams, PredictorParams, generator_forward,
                              init_predictor)
 from otzsl.mlp import MlpParams
@@ -332,7 +332,7 @@ def test_train_transductive_forces_ot_on_unlabeled(tiny_dataset):
 def test_train_transductive_needs_pool(tiny_dataset):
     attrs, _, _ = tiny_dataset
     data = dataset_from_rows([np.arange(1.0, 9.0)], [0], feature_dim=8)
-    with pytest.raises(ValueError, match="unlabeled pool"):
+    with pytest.raises(DataFormatError, match="unlabeled pool"):
         train(data, attrs, quick_cfg(mode="transductive"))
 
 
@@ -342,7 +342,7 @@ def test_train_needs_labeled_samples(tiny_dataset):
     data = FeatureDataset(seen_train=empty, seen_test=empty,
                           unseen_test=(np.ones((1, 8)), np.zeros(1, dtype=np.int64)),
                           unseen_unlabeled=np.zeros((0, 8)))
-    with pytest.raises(ValueError, match="labeled seen samples"):
+    with pytest.raises(DataFormatError, match="labeled seen samples"):
         train(data, attrs, quick_cfg())
 
 

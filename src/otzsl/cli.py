@@ -25,9 +25,10 @@ from . import checkpoint as ckpt
 from . import data as dataio
 from . import ot
 from .errors import ConfigError, DataFormatError, OtzslError
-from .evaluate import PROTOCOLS, EvalConfig, evaluate, protocol_classes, save_report
+from .evaluate import PROTOCOLS, EvalConfig, evaluate, protocol, save_report
 from .rng import SeededRng
-from .training import MODES, TrainConfig, synthesize_class_features, train, write_trace_csv
+from .training import (MODES, TrainConfig, require_training_rows, synthesize_class_features,
+                       train, write_trace_csv)
 
 SOLVE_OT_DEFAULTS = {
     "cost": None,
@@ -173,6 +174,7 @@ def cmd_train(args) -> int:
     data_dir = _require(cfg, "data", "dataset directory")
     attrs, dataset = dataio.load_dataset(data_dir)
     tc = from_flat(template, cfg)
+    require_training_rows(dataset, tc.mode)
     echo_config(cfg, args.out)
     result = train(dataset, attrs, tc)
     ckpt.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.g)
@@ -191,7 +193,7 @@ def cmd_eval(args) -> int:
                           **flat_fields(template)}, args)
     attrs, dataset, g = _load_dataset_and_generator(cfg)
     ec = from_flat(template, cfg)
-    protocol_classes(cfg["mode"], attrs, ec.top_k)  # rejects a bad mode or top_k up front
+    protocol(cfg["mode"], attrs, dataset, ec.top_k)  # rejects bad inputs before writing
     echo_config(cfg, args.out)
     report = evaluate(cfg["mode"], g, attrs, dataset, ec)
     save_report(report, os.path.join(args.out, "report.json"))
@@ -215,7 +217,6 @@ def cmd_solve_ot(args) -> int:
         raise ConfigError(f"solver must be 'ipot' or 'sinkhorn', got {solver!r}")
     if solver == "sinkhorn" and cfg["stop_tol"] is not None:
         raise ConfigError("stop_tol applies only to the ipot solver; sinkhorn has no stop rule")
-    echo_config(cfg, args.out)
     marg = ot.Marginals.uniform(*cost.shape)
     try:
         if solver == "ipot":
@@ -227,6 +228,7 @@ def cmd_solve_ot(args) -> int:
                                      **_given(reg=cfg["lambda"], iterations=cfg["iters"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    echo_config(cfg, args.out)  # after the solve, whose parameter checks raise ValueError
     dataio.save_matrix_csv(plan.values, os.path.join(args.out, "plan.csv"))
     if plan.trace is not None:
         dataio.save_matrix_csv(plan.trace, os.path.join(args.out, "solver_trace.csv"))

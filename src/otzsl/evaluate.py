@@ -5,9 +5,9 @@ on features generated for the unseen classes and scored on the real unseen
 test split (mean per-class top-1, optionally top-k).
 
 generalized: an (S+U)-way classifier is trained on features generated for all
-classes, optionally together with the real seen training data, and scored on
-both test splits; the headline number is the harmonic mean of the seen and
-unseen per-class accuracies.
+classes and scored on both test splits; the headline number is the harmonic
+mean of the seen and unseen per-class accuracies (Xian et al. 2017, arXiv
+1707.00600).
 """
 
 from __future__ import annotations
@@ -114,23 +114,17 @@ def predict_ids(clf: ClassifierParams, features) -> np.ndarray:
 def _per_class_mean(hits: np.ndarray, labels: np.ndarray, classes):
     """Within-class means of per-sample hits, packed as per_class_top1 returns them."""
     per_class = {}
-    missing = []
     for c in classes:
         mask = labels == c
-        if not mask.any():
-            missing.append(int(c))
-            continue
-        per_class[int(c)] = float(hits[mask].mean())
+        if mask.any():
+            per_class[int(c)] = float(hits[mask].mean())
     mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return per_class, mean, tuple(missing)
+    return per_class, mean
 
 
 def per_class_top1(predictions, labels, classes):
-    """Within-class accuracies and their unweighted mean.
-
-    Returns (per-class dict, mean, classes with no test samples). Empty
-    classes are excluded from the mean rather than dividing by zero.
-    """
+    """Within-class accuracies and their unweighted mean, as (per-class dict,
+    mean); a class with no test samples gets no entry and no weight."""
     predictions = np.asarray(predictions, dtype=np.int64).reshape(-1)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if predictions.shape != labels.shape:
@@ -167,7 +161,6 @@ class EvalConfig:
     n_synth_per_class: int = 100
     seed: int = 0
     top_k: int | None = None
-    include_real_seen: bool = True
     classifier: ClassifierConfig = ClassifierConfig()
 
     def __post_init__(self):
@@ -198,44 +191,40 @@ def _confusion(predictions, labels) -> dict[int, dict[int, int]]:
     return out
 
 
-def protocol_classes(mode: str, attrs: AttributeMatrix,
-                     top_k: int | None = None) -> tuple[int, ...]:
-    """The class ids the classifier of protocol `mode` ranks: every class
-    under generalized, the unseen ones otherwise. A mode outside PROTOCOLS,
-    or a top_k above the class count, is a ConfigError."""
+def protocol(mode: str, attrs: AttributeMatrix, data: FeatureDataset,
+             top_k: int | None = None):
+    """What protocol `mode` varies: the class ids its classifier ranks, and
+    the test splits it scores, each paired with the class ids it is scored
+    on. Generalized takes every class and both splits, the seen split first;
+    the others take the unseen ones. A mode outside PROTOCOLS or a top_k
+    above the class count is a ConfigError, an empty test split a
+    DataFormatError."""
     if mode not in PROTOCOLS:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
     classes = tuple(range(attrs.n_classes)) if mode == "generalized" else attrs.unseen_ids
     if top_k is not None and top_k > len(classes):
         raise ConfigError(f"top_k must be at most {len(classes)}, the class count of "
                           f"{mode} evaluation, got {top_k}")
-    return classes
+    if data.unseen_test[0].shape[0] == 0:
+        raise DataFormatError("unseen test split is empty; nothing to evaluate")
+    tests = [(data.unseen_test, attrs.unseen_ids)]
+    if mode == "generalized":
+        if data.seen_test[0].shape[0] == 0:
+            raise DataFormatError("seen test split is empty; generalized mode needs it")
+        tests.insert(0, (data.seen_test, attrs.seen_ids))
+    return classes, tests
 
 
 def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
              data: FeatureDataset, cfg: EvalConfig) -> EvalReport:
-    """Train a classifier on generated features and score it under one of
-    PROTOCOLS. The protocol picks only the classes, the test splits (each
-    scored on its own class ids) and whether the real seen training rows go
-    in front of the generated ones; the rest is one path for all three."""
-    classes = protocol_classes(mode, attrs, cfg.top_k)
-    if data.unseen_test[0].shape[0] == 0:
-        raise DataFormatError("unseen test split is empty; nothing to evaluate")
-    if mode == "generalized":
-        if data.seen_test[0].shape[0] == 0:
-            raise DataFormatError("seen test split is empty; generalized mode needs it")
-        real_seen = cfg.include_real_seen
-        tests = [(data.seen_test, attrs.seen_ids), (data.unseen_test, attrs.unseen_ids)]
-    else:
-        real_seen = False
-        tests = [(data.unseen_test, attrs.unseen_ids)]
-
+    """Train a classifier on generated features only, n_synth_per_class for
+    each class the protocol ranks, and score it under one of PROTOCOLS. The
+    protocol picks only the classes and the test splits (each scored on its
+    own class ids); the rest is one path for all three."""
+    classes, tests = protocol(mode, attrs, data, cfg.top_k)
     rng = SeededRng(cfg.seed)
     feats, labels = synthesize_class_features(g, attrs, classes, cfg.n_synth_per_class,
                                               rng.split(1))
-    if real_seen:
-        feats = np.vstack([data.seen_train[0], feats])
-        labels = np.concatenate([data.seen_train[1], labels])
     clf = train_softmax(feats, labels, classes, cfg.classifier, rng.split(2))
 
     # one prediction call per test split: a stacked matmul can differ in the low bits
@@ -245,11 +234,11 @@ def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
     top_k = None
     if cfg.top_k is not None:
         scores = np.vstack([classify_scores(clf, x) for (x, _), _ in tests])
-        _, top_k, _ = per_class_topk(scores, clf.class_id_map, true, classes, cfg.top_k)
+        _, top_k = per_class_topk(scores, clf.class_id_map, true, classes, cfg.top_k)
     a_u = scored[-1][1]
     a_s = scored[0][1] if len(tests) == 2 else None  # the seen split comes first
     return EvalReport(
-        mode=mode, per_class={c: v for per, _, _ in scored for c, v in per.items()},
+        mode=mode, per_class={c: v for per, _ in scored for c, v in per.items()},
         A_u=a_u, A_s=a_s, H=None if a_s is None else harmonic_mean(a_s, a_u), top_k=top_k,
         confusion=_confusion(np.concatenate(preds), true),
         n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
 from .errors import ConfigError, DataFormatError, SolverError
-from .generator import (GeneratorParams, PredictorParams, backward,
+from .generator import (GeneratorParams, backward,
                         generator_forward, init_generator, init_predictor)
 from .mlp import adam_init, adam_step
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
@@ -113,7 +113,6 @@ def write_trace_csv(trace: TrainTrace, path: str) -> None:
 @dataclass
 class TrainResult:
     g: GeneratorParams
-    f: PredictorParams
     trace: TrainTrace
 
 
@@ -166,6 +165,14 @@ def ot_branch_coin(rng: SeededRng, ot_prob: float) -> bool:
     return ot_prob > 0.0 and coin <= ot_prob
 
 
+def require_training_rows(data: FeatureDataset, mode: str) -> None:
+    """Raise DataFormatError when `data` lacks a pool that training in `mode` samples."""
+    if data.seen_train[0].shape[0] == 0:
+        raise DataFormatError("training requires labeled seen samples")
+    if mode == "transductive" and data.unseen_unlabeled.shape[0] == 0:
+        raise DataFormatError("transductive mode requires a non-empty unlabeled pool")
+
+
 def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
     return max(1, math.ceil(pool_size / batch_size))
 
@@ -173,11 +180,8 @@ def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
 # a blow-up raises from the finiteness checks of a step, not as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> TrainResult:
+    require_training_rows(data, cfg.mode)
     transductive = cfg.mode == "transductive"
-    if data.seen_train[0].shape[0] == 0:
-        raise DataFormatError("training requires labeled seen samples")
-    if transductive and data.unseen_unlabeled.shape[0] == 0:
-        raise DataFormatError("transductive mode requires a non-empty unlabeled pool")
 
     d = attrs.attr_dim
     feature_dim = data.feature_dim
@@ -231,7 +235,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
             trace.record(branch, res.transport_term, res.regularizer_term, res.total)
         trace.epoch_seconds.append(time.perf_counter() - t0)
 
-    return TrainResult(g=g, f=f, trace=trace)
+    return TrainResult(g=g, trace=trace)
 
 
 def synthesize_class_features(g: GeneratorParams, attrs: AttributeMatrix, classes,

@@ -112,8 +112,7 @@ CONFIG_KEYS = {
               "epochs", "seed", "mode", "hidden_dim", "ipot_reg",
               "ipot_max_outer_iters", "ipot_stop_tol"},
     "eval": {"data", "checkpoint", "mode", "n_synth_per_class", "seed", "top_k",
-             "include_real_seen", "classifier_learning_rate", "classifier_epochs",
-             "classifier_batch_size"},
+             "classifier_learning_rate", "classifier_epochs", "classifier_batch_size"},
     "solve-ot": {"cost", "solver", "lambda", "iters", "stop_tol"},
     "compare-solvers": {"size", "instances", "iters", "seed"},
     "export": {"data", "checkpoint", "classes", "per_class", "seed"},
@@ -186,7 +185,7 @@ def test_flags_reach_the_config_by_name(command, workspace, tmp_path):
 @pytest.mark.parametrize("command, bad", [
     ("gen-data", {"seen_classes": 2.5}),
     ("train", {"epochs": "2"}),
-    ("eval", {"include_real_seen": "no"}),
+    ("eval", {"n_synth_per_class": "100"}),
     ("solve-ot", {"solver": 1}),
     ("compare-solvers", {"size": "4"}),
     ("export", {"per_class": True}),
@@ -355,7 +354,7 @@ def test_train_rejects_an_empty_split(key, mode, message, workspace, tmp_path, c
     assert run(["train", "--config", str(workspace["train_cfg"]), "--data", str(data),
                 "--mode", mode, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out / "checkpoint.bin").exists() and not (out / "trace.csv").exists()
+    assert not out.exists()
 
 
 def test_train_missing_dataset_dir(tmp_path, capsys):
@@ -491,6 +490,33 @@ def test_eval_top_k_up_to_the_class_count(mode, n_classes, workspace, tmp_path, 
     assert not out.exists()
 
 
+def test_eval_has_no_include_real_seen_key(workspace, tmp_path, capsys):
+    """The classifier learns from generated features only; the key that once
+    put the real seen rows in front of them is unknown."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"include_real_seen": False}))
+    out = tmp_path / "o"
+    assert run(["eval", "--config", str(cfg), "--data", str(workspace["data"]),
+                "--checkpoint", str(workspace["ckpt"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown keys ['include_real_seen']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, mode, message", [
+    ("unseen_test_rows", "standard", "unseen test split is empty; nothing to evaluate"),
+    ("unseen_test_rows", "generalized", "unseen test split is empty; nothing to evaluate"),
+    ("seen_test_rows", "generalized", "seen test split is empty; generalized mode needs it"),
+], ids=["no-unseen-test-rows", "no-unseen-test-rows-generalized", "no-seen-test-rows"])
+def test_eval_rejects_an_empty_test_split_before_writing(key, mode, message, workspace,
+                                                         tmp_path, capsys):
+    data = edited_dataset(workspace, tmp_path, **{key: []})
+    out = tmp_path / "o"
+    assert run(["eval", "--data", str(data), "--checkpoint", str(workspace["ckpt"]),
+                "--mode", mode, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_eval_rejects_unknown_mode_before_writing(workspace, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "bogus"}))
@@ -595,9 +621,11 @@ def test_solve_ot_has_no_seed_flag(tmp_path):
 def test_solve_ot_rejects_bad_parameters(tmp_path, capsys, solver, flag, value):
     cost = tmp_path / "cost.csv"
     save_matrix_csv(np.array([[0.5]]), str(cost))
+    out = tmp_path / "o"
     assert run(["solve-ot", "--cost", str(cost), "--solver", solver, flag, value,
-                "--out", str(tmp_path / "o")]) == 2
+                "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
 
 
 def test_solve_ot_rejects_bad_solver(tmp_path, capsys):

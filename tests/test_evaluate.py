@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -120,23 +121,21 @@ def test_predict_ids_maps_argmax_to_class_ids():
 # --- metrics ---
 
 def test_per_class_top1_hand_cases():
-    per, mean, missing = per_class_top1([0, 0, 1, 2], [0, 0, 1, 1], (0, 1))
+    per, mean = per_class_top1([0, 0, 1, 2], [0, 0, 1, 1], (0, 1))
     assert per == {0: 1.0, 1: 0.5}
     assert mean == 0.75
-    assert missing == ()
 
     preds = [0] * 99 + [0]
     labels = [0] * 99 + [1]
-    _, mean, _ = per_class_top1(preds, labels, (0, 1))
+    _, mean = per_class_top1(preds, labels, (0, 1))
     assert mean == 0.5
 
-    _, mean, _ = per_class_top1([2, 3], [2, 3], (2, 3))
+    _, mean = per_class_top1([2, 3], [2, 3], (2, 3))
     assert mean == 1.0
 
 
 def test_per_class_top1_skips_empty_classes():
-    per, mean, missing = per_class_top1([0, 1], [0, 1], (0, 1, 5))
-    assert missing == (5,)
+    per, mean = per_class_top1([0, 1], [0, 1], (0, 1, 5))
     assert mean == 1.0 and 5 not in per
 
 
@@ -157,8 +156,8 @@ def test_per_class_top1_duplication_invariant(pairs):
 
 def test_per_class_topk_hand_case():
     scores = np.array([[0.9, 0.5, 0.1]])
-    _, top1, _ = per_class_topk(scores, (0, 1, 2), [1], (1,), 1)
-    _, top2, _ = per_class_topk(scores, (0, 1, 2), [1], (1,), 2)
+    _, top1 = per_class_topk(scores, (0, 1, 2), [1], (1,), 1)
+    _, top2 = per_class_topk(scores, (0, 1, 2), [1], (1,), 2)
     assert top1 == 0.0 and top2 == 1.0
     with pytest.raises(ValueError, match="k must be"):
         per_class_topk(scores, (0, 1, 2), [1], (1,), 4)
@@ -172,9 +171,9 @@ def test_topk_dominates_top1(seed, n_classes, n):
     labels = rng.integers(n_classes, n)
     ids = tuple(range(n_classes))
     preds = np.asarray(ids)[scores.argmax(axis=1)]
-    _, top1, _ = per_class_top1(preds, labels, ids)
-    _, top1_scores, _ = per_class_topk(scores, ids, labels, ids, 1)
-    _, topk, _ = per_class_topk(scores, ids, labels, ids, n_classes)
+    _, top1 = per_class_top1(preds, labels, ids)
+    _, top1_scores = per_class_topk(scores, ids, labels, ids, 1)
+    _, topk = per_class_topk(scores, ids, labels, ids, n_classes)
     assert top1_scores == top1
     assert topk >= top1
     assert topk == 1.0
@@ -234,6 +233,14 @@ def test_evaluate_generalized_oracle(clean_dataset):
     assert set(rep.per_class) == set(attrs.seen_ids) | set(attrs.unseen_ids)
 
 
+def test_evaluate_without_real_seen(clean_dataset):
+    # the default classifier learns from generated rows only, seen classes too
+    attrs, data, hidden_map = clean_dataset
+    g = oracle_generator(hidden_map)
+    rep = evaluate("generalized", g, attrs, data, EvalConfig(n_synth_per_class=20, seed=1))
+    assert rep.A_u == 1.0 and rep.A_s == 1.0
+
+
 def test_evaluate_gzsl_h_consistent(tiny_dataset):
     # an untrained generator gives a nontrivial (A_s, A_u) pair; the headline
     # number must be their harmonic mean bit-exactly
@@ -285,14 +292,6 @@ def test_evaluate_top_k(clean_dataset):
     rep1 = evaluate("standard", g, attrs, data,
                     EvalConfig(n_synth_per_class=20, seed=1, top_k=1))
     assert rep1.top_k == rep1.A_u
-
-
-def test_evaluate_without_real_seen(clean_dataset):
-    attrs, data, hidden_map = clean_dataset
-    g = oracle_generator(hidden_map)
-    rep = evaluate("generalized", g, attrs, data,
-                   EvalConfig(n_synth_per_class=20, seed=1, include_real_seen=False))
-    assert rep.A_u == 1.0 and rep.A_s == 1.0
 
 
 def test_evaluate_rejects_bad_inputs(clean_dataset):
@@ -358,12 +357,12 @@ def reference_evaluate(mode, g, attrs, data, cfg):
         clf = train_softmax(feats, labels, classes, cfg.classifier, clf_rng)
         test_feats, test_labels = data.unseen_test
         pred = predict_ids(clf, test_feats)
-        per_class, a_u, _ = per_class_top1(pred, test_labels, classes)
+        per_class, a_u = per_class_top1(pred, test_labels, classes)
         top_k = None
         if cfg.top_k is not None:
             scores = classify_scores(clf, test_feats)
-            _, top_k, _ = per_class_topk(scores, clf.class_id_map, test_labels,
-                                         classes, cfg.top_k)
+            _, top_k = per_class_topk(scores, clf.class_id_map, test_labels,
+                                      classes, cfg.top_k)
         return EvalReport(
             mode=mode, per_class=per_class, A_u=a_u, A_s=None, H=None, top_k=top_k,
             confusion=_confusion(pred, test_labels),
@@ -373,22 +372,19 @@ def reference_evaluate(mode, g, attrs, data, cfg):
     classes = tuple(range(attrs.n_classes))
     feats, labels = synthesize_class_features(g, attrs, classes,
                                               cfg.n_synth_per_class, synth_rng)
-    if cfg.include_real_seen:
-        feats = np.vstack([data.seen_train[0], feats])
-        labels = np.concatenate([data.seen_train[1], labels])
     clf = train_softmax(feats, labels, classes, cfg.classifier, clf_rng)
 
     seen_feats, seen_labels = data.seen_test
     unseen_feats, unseen_labels = data.unseen_test
     pred_seen = predict_ids(clf, seen_feats)
     pred_unseen = predict_ids(clf, unseen_feats)
-    per_seen, a_s, _ = per_class_top1(pred_seen, seen_labels, attrs.seen_ids)
-    per_unseen, a_u, _ = per_class_top1(pred_unseen, unseen_labels, attrs.unseen_ids)
+    per_seen, a_s = per_class_top1(pred_seen, seen_labels, attrs.seen_ids)
+    per_unseen, a_u = per_class_top1(pred_unseen, unseen_labels, attrs.unseen_ids)
     top_k = None
     if cfg.top_k is not None:
         scores = np.vstack([classify_scores(clf, seen_feats), classify_scores(clf, unseen_feats)])
         all_labels = np.concatenate([seen_labels, unseen_labels])
-        _, top_k, _ = per_class_topk(scores, clf.class_id_map, all_labels, classes, cfg.top_k)
+        _, top_k = per_class_topk(scores, clf.class_id_map, all_labels, classes, cfg.top_k)
     all_pred = np.concatenate([pred_seen, pred_unseen])
     all_true = np.concatenate([seen_labels, unseen_labels])
     return EvalReport(
@@ -407,17 +403,15 @@ def noisy_dataset():
     return make_synthetic_dataset(dataclasses.replace(TINY_SPEC, noise_sigma=1.0))
 
 
-@pytest.mark.parametrize("include_real_seen", [True, False])
 @pytest.mark.parametrize("top_k", [None, 1, "all"])
 @pytest.mark.parametrize("mode", PROTOCOLS)
-def test_evaluate_matches_two_branch_reference(noisy_dataset, mode, top_k, include_real_seen):
+def test_evaluate_matches_two_branch_reference(noisy_dataset, mode, top_k):
     attrs, data, hidden_map = noisy_dataset
     g = oracle_generator(hidden_map, noise_gain=0.5)
     if top_k == "all":
         top_k = attrs.n_classes if mode == "generalized" else len(attrs.unseen_ids)
     # minibatches smaller than the training set, so the classifier's stream matters
     cfg = EvalConfig(n_synth_per_class=12, seed=3, top_k=top_k,
-                     include_real_seen=include_real_seen,
                      classifier=ClassifierConfig(batch_size=8, epochs=20))
     got = evaluate(mode, g, attrs, data, cfg)
     want = reference_evaluate(mode, g, attrs, data, cfg)
@@ -425,3 +419,26 @@ def test_evaluate_matches_two_branch_reference(noisy_dataset, mode, top_k, inclu
                   "n_synth_per_class", "seed"):
         assert getattr(got, field) == getattr(want, field), field
     assert (got.top_k is None) == (top_k is None)
+
+
+def test_generalized_classifier_learns_from_generated_rows_only(noisy_dataset, monkeypatch):
+    """The real seen training rows never reach the classifier: it sees
+    exactly n_synth_per_class generated rows per class, and swapping the
+    seen training features for other rows leaves the report as it was."""
+    attrs, data, hidden_map = noisy_dataset
+    g = oracle_generator(hidden_map, noise_gain=0.5)
+    cfg = EvalConfig(n_synth_per_class=12, seed=3,
+                     classifier=ClassifierConfig(batch_size=8, epochs=20))
+    rows = []
+
+    def spy(features, *args):
+        rows.append(np.asarray(features).shape[0])
+        return train_softmax(features, *args)
+
+    # the package's `evaluate` attribute is the function, so fetch the module itself
+    monkeypatch.setattr(importlib.import_module("otzsl.evaluate"), "train_softmax", spy)
+    feats, labels = data.seen_train
+    swapped = dataclasses.replace(data, seen_train=(-feats[::-1], labels))
+    got = evaluate("generalized", g, attrs, data, cfg)
+    assert evaluate("generalized", g, attrs, swapped, cfg) == got
+    assert rows == [attrs.n_classes * cfg.n_synth_per_class] * 2

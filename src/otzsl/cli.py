@@ -174,7 +174,7 @@ def cmd_train(args) -> int:
     data_dir = _require(cfg, "data", "dataset directory")
     attrs, dataset = dataio.load_dataset(data_dir)
     tc = from_flat(template, cfg)
-    require_training_rows(dataset, tc.mode)
+    require_training_rows(attrs, dataset, tc.mode)
     echo_config(cfg, args.out)
     result = train(dataset, attrs, tc)
     ckpt.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.g)

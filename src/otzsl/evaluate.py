@@ -178,17 +178,8 @@ class EvalReport:
     A_s: float | None
     H: float | None
     top_k: float | None
-    confusion: dict[int, dict[int, int]]
     n_synth_per_class: int
     seed: int
-
-
-def _confusion(predictions, labels) -> dict[int, dict[int, int]]:
-    out: dict[int, dict[int, int]] = {}
-    for p, t in zip(predictions.tolist(), labels.tolist()):
-        out.setdefault(int(t), {})
-        out[int(t)][int(p)] = out[int(t)].get(int(p), 0) + 1
-    return out
 
 
 def protocol(mode: str, attrs: AttributeMatrix, data: FeatureDataset,
@@ -230,9 +221,9 @@ def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
     # one prediction call per test split: a stacked matmul can differ in the low bits
     preds = [predict_ids(clf, x) for (x, _), _ in tests]
     scored = [per_class_top1(p, y, ids) for p, ((_, y), ids) in zip(preds, tests)]
-    true = np.concatenate([y for (_, y), _ in tests])
     top_k = None
     if cfg.top_k is not None:
+        true = np.concatenate([y for (_, y), _ in tests])
         scores = np.vstack([classify_scores(clf, x) for (x, _), _ in tests])
         _, top_k = per_class_topk(scores, clf.class_id_map, true, classes, cfg.top_k)
     a_u = scored[-1][1]
@@ -240,7 +231,6 @@ def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
     return EvalReport(
         mode=mode, per_class={c: v for per, _ in scored for c, v in per.items()},
         A_u=a_u, A_s=a_s, H=None if a_s is None else harmonic_mean(a_s, a_u), top_k=top_k,
-        confusion=_confusion(np.concatenate(preds), true),
         n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,
     )
 

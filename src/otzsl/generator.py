@@ -8,8 +8,11 @@ each feature is. Training minimizes
     transport_term + reg_weight * regularizer_term
 
 with the transport plan held fixed, so all gradients here treat the plan as a
-constant matrix. Gradients are fully analytic; finite differences are used
-only in the tests.
+constant matrix. One generator forward per training step serves both halves
+of the alternation: the caller solves the plan on the features of
+`generator_forward` and hands the same (features, cache) pair to `backward`,
+which differentiates the loss at that batch. Gradients are fully analytic;
+finite differences are used only in the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .data import UNLABELED
 from .linalg import log_softmax_rows, unit_rows
-from .mlp import MlpParams, add_grads, init_mlp, mlp_backward, mlp_forward, mlp_forward_cache
+from .mlp import MlpParams, add_grads, init_mlp, mlp_backward, mlp_forward_cache
 from .rng import SeededRng
 
 # Class probabilities below this floor are clamped before the log; clamped
@@ -76,16 +79,17 @@ def init_predictor(feature_dim: int, attr_dim: int, hidden_dim: int,
                            nca_scale=nca_scale)
 
 
-def generator_forward(g: GeneratorParams, attrs, noises) -> np.ndarray:
+def generator_forward(g: GeneratorParams, attrs, noises) -> tuple[np.ndarray, tuple]:
     """Generate one feature row per row of the row-aligned attribute and noise
-    batches."""
+    batches. Returns (features, cache); `backward` takes the pair, and a
+    caller that only samples reads the features."""
     attrs = np.asarray(attrs, dtype=np.float64)
     noises = np.asarray(noises, dtype=np.float64)
     if attrs.shape != noises.shape:
         raise ValueError(f"attribute shape {attrs.shape} != noise shape {noises.shape}")
     if attrs.ndim != 2 or attrs.shape[1] != g.attr_dim:
         raise ValueError(f"attributes must be rows of dim {g.attr_dim}, got shape {attrs.shape}")
-    return mlp_forward(g.net, np.hstack([attrs, noises]))
+    return mlp_forward_cache(g.net, np.hstack([attrs, noises]))
 
 
 def _nca_term(pred, targets, attr_unit, nca_scale, grad_weight):
@@ -113,32 +117,32 @@ def _nca_term(pred, targets, attr_unit, nca_scale, grad_weight):
 
 @dataclass
 class BackwardResult:
-    g_grads: MlpParams | None
-    f_grads: MlpParams | None
+    g_grads: MlpParams
+    f_grads: MlpParams
     transport_term: float
     regularizer_term: float
     total: float
 
 
-def _assemble(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
-              synth_classes, g: GeneratorParams, f: PredictorParams, class_attrs,
-              reg_weight: float, want_grads: bool) -> BackwardResult:
+def backward(plan_values, real_feats, real_classes, generated, synth_classes,
+             g: GeneratorParams, f: PredictorParams, class_attrs,
+             reg_weight: float) -> BackwardResult:
+    """Loss terms and analytic gradients of the fixed-plan objective for
+    every parameter block of the generator and predictor. `generated` is the
+    (features, cache) pair of the `generator_forward` call that made the
+    batch the plan couples to the real rows."""
     plan = np.asarray(plan_values, dtype=np.float64)
     real_feats = np.atleast_2d(np.asarray(real_feats, dtype=np.float64))
     real_classes = np.asarray(real_classes, dtype=np.int64).reshape(-1)
-    synth_attrs = np.atleast_2d(np.asarray(synth_attrs, dtype=np.float64))
-    synth_noises = np.atleast_2d(np.asarray(synth_noises, dtype=np.float64))
+    xhat, g_cache = generated
     synth_classes = np.asarray(synth_classes, dtype=np.int64).reshape(-1)
     if reg_weight < 0.0:
         raise ValueError(f"reg_weight must be non-negative, got {reg_weight}")
-    n, m = real_feats.shape[0], synth_attrs.shape[0]
+    n, m = real_feats.shape[0], xhat.shape[0]
     if plan.shape != (n, m):
         raise ValueError(f"plan shape {plan.shape} does not match batches ({n}, {m})")
     if m == 0:
         raise ValueError("generated batch is empty")
-
-    inputs = np.hstack([synth_attrs, synth_noises])
-    xhat, g_cache = mlp_forward_cache(g.net, inputs)
 
     real_unit, _ = unit_rows(real_feats, "real features")
     xhat_unit, xhat_norms = unit_rows(xhat, "generated features")
@@ -162,10 +166,7 @@ def _assemble(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
     q_synth, synth_cache = mlp_forward_cache(f.net, xhat)
     loss, d_synth_q = _nca_term(q_synth, synth_classes, attr_unit, f.nca_scale, reg_weight)
     reg_term += loss
-
     total = transport_term + reg_weight * reg_term
-    if not want_grads:
-        return BackwardResult(None, None, transport_term, reg_term, total)
 
     # transport term: d cost[n, m] / d xhat[m] = -(u_n - cos[n, m] v_m)/|xhat_m|
     col_mass = (plan * cos).sum(axis=0)
@@ -178,20 +179,3 @@ def _assemble(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
         f_grads = add_grads(f_grads, real_grads)
     g_grads, _ = mlp_backward(g.net, g_cache, d_xhat)  # MlpParams rejects a non-finite block
     return BackwardResult(g_grads, f_grads, transport_term, reg_term, total)
-
-
-def objective(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
-              synth_classes, g: GeneratorParams, f: PredictorParams, class_attrs,
-              reg_weight: float) -> BackwardResult:
-    """Loss components only (grads left as None); same code path as backward."""
-    return _assemble(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
-                     synth_classes, g, f, class_attrs, reg_weight, want_grads=False)
-
-
-def backward(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
-             synth_classes, g: GeneratorParams, f: PredictorParams, class_attrs,
-             reg_weight: float) -> BackwardResult:
-    """Analytic gradients of the fixed-plan objective for every parameter
-    block of the generator and predictor."""
-    return _assemble(plan_values, real_feats, real_classes, synth_attrs, synth_noises,
-                     synth_classes, g, f, class_attrs, reg_weight, want_grads=True)

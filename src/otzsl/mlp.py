@@ -75,12 +75,6 @@ def init_mlp(input_dim: int, hidden_dim: int, output_dim: int, rng: SeededRng) -
     )
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    hidden = np.maximum(x @ params.W1.T + params.b1, 0.0)
-    return hidden @ params.W2.T + params.b2
-
-
 def mlp_forward_cache(params: MlpParams, x: np.ndarray):
     """Forward pass keeping what backprop needs: the input and hidden layer."""
     x = np.asarray(x, dtype=np.float64)

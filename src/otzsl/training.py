@@ -1,6 +1,10 @@
-"""Iterative generator training: sample batches, couple real to generated
-features with either a solved transport plan or the label-derived coupling,
-then take an Adam step on the fixed-plan objective.
+"""Iterative generator training: sample batches, generate once, couple real
+to generated features with either a solved transport plan or the
+label-derived coupling, then take an Adam step on the fixed-plan objective.
+
+Each step runs the generator once, on the stacked seen and unseen halves of
+the synthetic batch; the plan is solved on those features and `backward`
+differentiates the same batch, so nothing is generated twice.
 
 Per iteration the batch RNG is consumed in a fixed order (real indices, seen
 replacement draws if any, seen noises, unseen class draws, unseen noises,
@@ -16,7 +20,6 @@ full generated batch, seen and unseen halves alike.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +54,7 @@ class TrainConfig:
     0-4, 25 steps keep the mean and the min of standard A_u, generalized H
     and transductive A_u within 0.01 of a 200-step budget (README,
     "Performance"). The config `{"ipot_max_outer_iters": 200}` restores the
-    earlier 200-step budget, and with it the earlier output bytes.
+    earlier 200-step budget.
     """
 
     ot_prob: float = 0.9
@@ -86,13 +89,12 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-iteration loss records plus wall-clock seconds per epoch."""
+    """Per-iteration branch and loss records."""
 
     branch: list[str] = field(default_factory=list)
     transport_cost: list[float] = field(default_factory=list)
     reg_loss: list[float] = field(default_factory=list)
     total_loss: list[float] = field(default_factory=list)
-    epoch_seconds: list[float] = field(default_factory=list)
 
     def record(self, branch: str, transport: float, reg: float, total: float):
         self.branch.append(branch)
@@ -132,14 +134,15 @@ def sample_real_batch(data: FeatureDataset, b: int, rng: SeededRng,
     return feats[idx], labels[idx]
 
 
-def sample_synth_batch(g: GeneratorParams, attrs: AttributeMatrix, class_pool,
-                       b: int, rng: SeededRng, mirror_classes=None):
-    """Generate b features. With mirror_classes the class indices are copied
-    one-for-one (sentinel entries replaced by uniform draws from class_pool),
-    which keeps class proportions matched to the mirrored batch; otherwise
-    classes are drawn uniformly from class_pool.
+def sample_synth_batch(attrs: AttributeMatrix, class_pool, b: int, rng: SeededRng,
+                       mirror_classes=None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the class ids and noises of b generator inputs. With
+    mirror_classes the class indices are copied one-for-one (sentinel entries
+    replaced by uniform draws from class_pool), which keeps class proportions
+    matched to the mirrored batch; otherwise classes are drawn uniformly from
+    class_pool. Class draws come before the noises.
 
-    Returns (features, class ids, noises)."""
+    Returns (class ids, noises)."""
     pool = np.asarray(list(class_pool), dtype=np.int64)
     if pool.size == 0:
         raise ValueError("class pool is empty")
@@ -155,8 +158,7 @@ def sample_synth_batch(g: GeneratorParams, attrs: AttributeMatrix, class_pool,
     else:
         classes = pool[rng.integers(pool.size, b)]
     noises = rng.gaussian(classes.size * attrs.attr_dim).reshape(classes.size, attrs.attr_dim)
-    feats = generator_forward(g, attrs.attrs[classes], noises)
-    return feats, classes, noises
+    return classes, noises
 
 
 def ot_branch_coin(rng: SeededRng, ot_prob: float) -> bool:
@@ -165,8 +167,11 @@ def ot_branch_coin(rng: SeededRng, ot_prob: float) -> bool:
     return ot_prob > 0.0 and coin <= ot_prob
 
 
-def require_training_rows(data: FeatureDataset, mode: str) -> None:
-    """Raise DataFormatError when `data` lacks a pool that training in `mode` samples."""
+def require_training_rows(attrs: AttributeMatrix, data: FeatureDataset, mode: str) -> None:
+    """Raise DataFormatError when `attrs` or `data` lacks a pool that training
+    in `mode` samples: every step draws unseen classes as well as seen rows."""
+    if not attrs.unseen_ids:
+        raise DataFormatError("training requires at least one unseen class")
     if data.seen_train[0].shape[0] == 0:
         raise DataFormatError("training requires labeled seen samples")
     if mode == "transductive" and data.unseen_unlabeled.shape[0] == 0:
@@ -180,7 +185,7 @@ def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
 # a blow-up raises from the finiteness checks of a step, not as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> TrainResult:
-    require_training_rows(data, cfg.mode)
+    require_training_rows(attrs, data, cfg.mode)
     transductive = cfg.mode == "transductive"
 
     d = attrs.attr_dim
@@ -200,25 +205,22 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
     b = cfg.batch_size
 
     for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
         for it in range(iters):
             step = epoch * iters + it
             try:
                 real_feats, real_classes = sample_real_batch(data, b, batch_rng, transductive)
-                s_feats, s_classes, s_noises = sample_synth_batch(
-                    g, attrs, attrs.seen_ids, b, batch_rng, mirror_classes=real_classes
+                s_classes, s_noises = sample_synth_batch(
+                    attrs, attrs.seen_ids, b, batch_rng, mirror_classes=real_classes
                 )
-                u_feats, u_classes, u_noises = sample_synth_batch(
-                    g, attrs, attrs.unseen_ids, b, batch_rng
-                )
-                synth_attrs = np.vstack([attrs.attrs[s_classes], attrs.attrs[u_classes]])
-                synth_noises = np.vstack([s_noises, u_noises])
+                u_classes, u_noises = sample_synth_batch(attrs, attrs.unseen_ids, b, batch_rng)
                 synth_classes = np.concatenate([s_classes, u_classes])
+                generated = generator_forward(g, attrs.attrs[synth_classes],
+                                              np.vstack([s_noises, u_noises]))
 
                 has_unlabeled = bool(np.any(real_classes == UNLABELED))
                 if ot_branch_coin(batch_rng, cfg.ot_prob) or has_unlabeled:
                     branch = "ot"
-                    synth = np.vstack([s_feats, u_feats]) if transductive else s_feats
+                    synth = generated[0] if transductive else generated[0][:b]
                     cost = cosine_cost_matrix(real_feats, synth)
                     core = ipot_solve(cost, Marginals.uniform(*cost.shape), cfg.ipot).values
                 else:
@@ -227,13 +229,12 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
                 plan = np.zeros((b, synth_classes.size))  # uncoupled columns carry no mass
                 plan[:, :core.shape[1]] = core
 
-                res = backward(plan, real_feats, real_classes, synth_attrs, synth_noises,
-                               synth_classes, g, f, attrs.attrs, cfg.reg_weight)
+                res = backward(plan, real_feats, real_classes, generated, synth_classes,
+                               g, f, attrs.attrs, cfg.reg_weight)
                 adam_step(params, res.g_grads.blocks() + res.f_grads.blocks(), adam)
             except (SolverError, ValueError) as exc:
                 raise SolverError(f"iteration {step} (epoch {epoch}): {exc}") from exc
             trace.record(branch, res.transport_term, res.regularizer_term, res.total)
-        trace.epoch_seconds.append(time.perf_counter() - t0)
 
     return TrainResult(g=g, trace=trace)
 
@@ -250,6 +251,6 @@ def synthesize_class_features(g: GeneratorParams, attrs: AttributeMatrix, classe
     feats = []
     for c in classes:
         noises = rng.gaussian(per_class * attrs.attr_dim).reshape(per_class, attrs.attr_dim)
-        feats.append(generator_forward(g, np.tile(attrs.attrs[c], (per_class, 1)), noises))
+        feats.append(generator_forward(g, np.tile(attrs.attrs[c], (per_class, 1)), noises)[0])
     labels = np.repeat(np.asarray(classes, dtype=np.int64), per_class)
     return np.vstack(feats), labels

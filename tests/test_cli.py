@@ -357,6 +357,18 @@ def test_train_rejects_an_empty_split(key, mode, message, workspace, tmp_path, c
     assert not out.exists()
 
 
+def test_train_rejects_a_dataset_without_unseen_classes(workspace, tmp_path, capsys):
+    # every step generates an unseen half, so no unseen class is an input error
+    split = json.loads((workspace["data"] / "split.json").read_text())
+    data = edited_dataset(workspace, tmp_path, seen=split["seen"] + split["unseen"], unseen=[],
+                          unseen_test_rows=[], unseen_unlabeled_rows=[])
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(workspace["train_cfg"]), "--data", str(data),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: training requires at least one unseen class\n"
+    assert not out.exists()
+
+
 def test_train_missing_dataset_dir(tmp_path, capsys):
     assert run(["train", "--data", str(tmp_path / "nowhere"),
                 "--out", str(tmp_path / "o")]) == 2

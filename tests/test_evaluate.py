@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from otzsl.data import SyntheticSpec, make_synthetic_dataset
 from otzsl.errors import ConfigError, DataFormatError
 from otzsl.evaluate import (PROTOCOLS, ClassifierConfig, ClassifierParams, EvalConfig,
-                            EvalReport, _confusion, classify_scores, evaluate,
+                            EvalReport, classify_scores, evaluate,
                             harmonic_mean, per_class_top1, per_class_topk, predict_ids,
                             report_json_dict, save_report, train_softmax)
 from otzsl.generator import GeneratorParams, init_generator
@@ -279,7 +279,6 @@ def test_evaluate_deterministic(tiny_dataset):
     b = evaluate("standard", g, attrs, data, cfg)
     assert a.A_u == b.A_u
     assert a.per_class == b.per_class
-    assert a.confusion == b.confusion
 
 
 def test_evaluate_top_k(clean_dataset):
@@ -307,14 +306,6 @@ def test_evaluate_rejects_bad_inputs(clean_dataset):
         data, seen_test=(np.zeros((0, data.feature_dim)), np.zeros(0, dtype=np.int64)))
     with pytest.raises(DataFormatError, match="seen test split"):
         evaluate("generalized", g, attrs, no_seen, EvalConfig())
-
-
-def test_evaluate_confusion_counts_match_split_sizes(clean_dataset):
-    attrs, data, hidden_map = clean_dataset
-    g = oracle_generator(hidden_map)
-    rep = evaluate("standard", g, attrs, data, EvalConfig(n_synth_per_class=20, seed=1))
-    total = sum(sum(row.values()) for row in rep.confusion.values())
-    assert total == data.unseen_test[0].shape[0]
 
 
 # --- report serialization ---
@@ -365,7 +356,6 @@ def reference_evaluate(mode, g, attrs, data, cfg):
                                       classes, cfg.top_k)
         return EvalReport(
             mode=mode, per_class=per_class, A_u=a_u, A_s=None, H=None, top_k=top_k,
-            confusion=_confusion(pred, test_labels),
             n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,
         )
 
@@ -385,12 +375,9 @@ def reference_evaluate(mode, g, attrs, data, cfg):
         scores = np.vstack([classify_scores(clf, seen_feats), classify_scores(clf, unseen_feats)])
         all_labels = np.concatenate([seen_labels, unseen_labels])
         _, top_k = per_class_topk(scores, clf.class_id_map, all_labels, classes, cfg.top_k)
-    all_pred = np.concatenate([pred_seen, pred_unseen])
-    all_true = np.concatenate([seen_labels, unseen_labels])
     return EvalReport(
         mode=mode, per_class={**per_seen, **per_unseen}, A_u=a_u, A_s=a_s,
         H=harmonic_mean(a_s, a_u), top_k=top_k,
-        confusion=_confusion(all_pred, all_true),
         n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,
     )
 
@@ -415,7 +402,7 @@ def test_evaluate_matches_two_branch_reference(noisy_dataset, mode, top_k):
                      classifier=ClassifierConfig(batch_size=8, epochs=20))
     got = evaluate(mode, g, attrs, data, cfg)
     want = reference_evaluate(mode, g, attrs, data, cfg)
-    for field in ("mode", "per_class", "A_u", "A_s", "H", "top_k", "confusion",
+    for field in ("mode", "per_class", "A_u", "A_s", "H", "top_k",
                   "n_synth_per_class", "seed"):
         assert getattr(got, field) == getattr(want, field), field
     assert (got.top_k is None) == (top_k is None)

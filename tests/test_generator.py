@@ -12,7 +12,6 @@ from otzsl.generator import (
     generator_forward,
     init_generator,
     init_predictor,
-    objective,
 )
 from otzsl.mlp import MlpParams, adam_step, adam_init
 from otzsl.ot import cosine_cost_matrix, transition_plan, transport_cost
@@ -44,11 +43,12 @@ def small_setup(seed, d=3, D=4, hidden=6, n=4, m=5, n_classes=3):
 
 
 def objective_of(s, reg_weight=1.0, **changes):
-    """objective() on a small_setup batch, with any of its entries replaced."""
+    """backward() on a small_setup batch, with any of its entries replaced;
+    the generated batch comes from a fresh forward of the current weights."""
     s = {**s, **changes}
-    return objective(s["plan"], s["real"], s["real_classes"], s["synth_attrs"],
-                     s["noises"], s["synth_classes"], s["g"], s["f"], s["attrs"],
-                     reg_weight)
+    return backward(s["plan"], s["real"], s["real_classes"],
+                    generator_forward(s["g"], s["synth_attrs"], s["noises"]),
+                    s["synth_classes"], s["g"], s["f"], s["attrs"], reg_weight)
 
 
 def loss_of(s, reg_weight):
@@ -64,7 +64,7 @@ def identity_predictor(k, nca_scale=0.5):
 
 def objective_at(real, real_classes, generated, synth_classes, f, class_attrs,
                  plan=None, reg_weight=1.0):
-    """objective() with every generated row equal to `generated`: the
+    """backward() with every generated row equal to `generated`: the
     generator has zero weights and `generated` as its output bias."""
     real = np.atleast_2d(np.asarray(real, dtype=np.float64))
     generated = np.asarray(generated, dtype=np.float64)
@@ -73,12 +73,13 @@ def objective_at(real, real_classes, generated, synth_classes, f, class_attrs,
                                       np.zeros((generated.size, 1)), generated))
     if plan is None:
         plan = np.full((n, m), 1.0 / (n * m))
-    return objective(plan, real, real_classes, np.zeros((m, d)), np.zeros((m, d)),
-                     synth_classes, g, f, class_attrs, reg_weight)
+    return backward(plan, real, real_classes,
+                    generator_forward(g, np.zeros((m, d)), np.zeros((m, d))),
+                    synth_classes, g, f, class_attrs, reg_weight)
 
 
 def nca_probability(pred_attr, class_attrs, target_class, nca_scale):
-    """p(target class | predicted attribute), read off objective(): under an
+    """p(target class | predicted attribute), read off backward(): under an
     identity predictor, one real and one generated copy of the prediction
     make the regularizer term -2 log p."""
     pred = np.asarray(pred_attr, dtype=np.float64)
@@ -99,7 +100,7 @@ def test_generator_rejects_odd_input_dim():
 def test_generator_forward_zero_net():
     g = GeneratorParams(net=MlpParams(np.zeros((4, 6)), np.zeros(4),
                                       np.zeros((5, 4)), np.zeros(5)))
-    out = generator_forward(g, np.ones((2, 3)), np.ones((2, 3)))
+    out, _ = generator_forward(g, np.ones((2, 3)), np.ones((2, 3)))
     np.testing.assert_array_equal(out, np.zeros((2, 5)))
 
 
@@ -107,7 +108,7 @@ def test_generator_forward_relu_kill_gives_bias():
     net = MlpParams(-np.ones((2, 4)), np.zeros(2), np.ones((3, 2)),
                     np.array([0.5, -1.0, 2.0]))
     g = GeneratorParams(net=net)
-    out = generator_forward(g, np.ones((1, 2)), np.ones((1, 2)))
+    out, _ = generator_forward(g, np.ones((1, 2)), np.ones((1, 2)))
     np.testing.assert_array_equal(out, [[0.5, -1.0, 2.0]])
 
 
@@ -115,7 +116,8 @@ def test_generator_forward_matches_scalar_loop():
     g = init_generator(2, 3, 4, SeededRng(1))
     a = np.array([[0.3, -0.7], [-1.2, 0.4]])
     z = np.array([[1.1, 0.2], [0.5, -0.9]])
-    out = generator_forward(g, a, z)
+    out, (x_in, _, _) = generator_forward(g, a, z)
+    np.testing.assert_array_equal(x_in, np.hstack([a, z]))  # [attribute; noise]
     net = g.net
     for r in range(2):
         x = np.concatenate([a[r], z[r]])
@@ -216,18 +218,22 @@ def test_prob_floor_clamp_adds_a_constant_and_no_gradient():
     g = GeneratorParams(net=MlpParams(np.zeros((1, 4)), np.zeros(1),
                                       np.zeros((2, 1)), generated))
     f = identity_predictor(2, nca_scale=1000.0)
-    batch = (np.full((1, 2), 0.5), np.array([[1.0, 1.0]]), [UNLABELED],
-             np.zeros((2, 2)), np.zeros((2, 2)), [0, 1], g, f, TWO_CLASS_ATTRS, 1.0)
-    res = backward(*batch)
+
+    def loss_terms():
+        return backward(np.full((1, 2), 0.5), np.array([[1.0, 1.0]]), [UNLABELED],
+                        generator_forward(g, np.zeros((2, 2)), np.zeros((2, 2))), [0, 1],
+                        g, f, TWO_CLASS_ATTRS, 1.0)
+
+    res = loss_terms()
     assert res.regularizer_term == -np.log(PROB_FLOOR) / 2
     eps = 1e-6
     for block, grad in zip([g.net.b2] + f.net.blocks(), [res.g_grads.b2] + res.f_grads.blocks()):
         for idx in np.ndindex(block.shape):
             old = block[idx]
             block[idx] = old + eps
-            up = objective(*batch).total
+            up = loss_terms().total
             block[idx] = old - eps
-            down = objective(*batch).total
+            down = loss_terms().total
             block[idx] = old
             assert grad[idx] == pytest.approx((up - down) / (2 * eps), abs=1e-6), idx
 
@@ -276,7 +282,7 @@ def test_regularizer_non_negative(seed):
 def test_total_loss_beta_zero_is_transport_cost():
     s = small_setup(33)
     res = objective_of(s, reg_weight=0.0)
-    feats = generator_forward(s["g"], s["synth_attrs"], s["noises"])
+    feats, _ = generator_forward(s["g"], s["synth_attrs"], s["noises"])
     assert res.total == res.transport_term
     assert res.total == pytest.approx(
         transport_cost(s["plan"], cosine_cost_matrix(s["real"], feats)), abs=1e-12)
@@ -311,9 +317,7 @@ def test_total_loss_rejects_negative_weight():
 def fd_check(seed, reg_weight, tol=2e-6):
     """Compare every analytic gradient entry against central differences."""
     s = small_setup(seed)
-    res = backward(s["plan"], s["real"], s["real_classes"], s["synth_attrs"],
-                   s["noises"], s["synth_classes"], s["g"], s["f"], s["attrs"],
-                   reg_weight)
+    res = objective_of(s, reg_weight)
     eps = 1e-5
     for owner, grads in (("g", res.g_grads), ("f", res.f_grads)):
         net = s[owner].net
@@ -342,8 +346,7 @@ def test_backward_matches_finite_differences(reg_weight):
 def test_backward_with_unlabeled_rows_matches_fd():
     s = small_setup(55)
     s["real_classes"][1] = -1
-    res = backward(s["plan"], s["real"], s["real_classes"], s["synth_attrs"],
-                   s["noises"], s["synth_classes"], s["g"], s["f"], s["attrs"], 0.5)
+    res = objective_of(s, 0.5)
     eps = 1e-5
     block = s["f"].net.W2
     idx = (0, 1)
@@ -362,14 +365,12 @@ def test_backward_zero_plan_column_drops_transport_gradient():
     s = small_setup(77)
     plan = s["plan"].copy()
     plan[:, 2] = 0.0
-    res = backward(plan, s["real"], s["real_classes"], s["synth_attrs"],
-                   s["noises"], s["synth_classes"], s["g"], s["f"], s["attrs"], 0.0)
+    res = objective_of(s, 0.0, plan=plan)
 
     # removing column 2 and its synthetic sample entirely gives the same grads
     keep = [0, 1, 3, 4]
-    res_sub = backward(plan[:, keep], s["real"], s["real_classes"],
-                       s["synth_attrs"][keep], s["noises"][keep],
-                       s["synth_classes"][keep], s["g"], s["f"], s["attrs"], 0.0)
+    res_sub = objective_of(s, 0.0, plan=plan[:, keep], synth_attrs=s["synth_attrs"][keep],
+                           noises=s["noises"][keep], synth_classes=s["synth_classes"][keep])
     for a, b in zip(res.g_grads.blocks(), res_sub.g_grads.blocks()):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -384,10 +385,9 @@ def test_backward_duplicated_sample_with_split_mass():
     dup_attrs = np.vstack([attrs_in, attrs_in[0]])
     dup_noises = np.vstack([noises, noises[0]])
     dup_classes = np.concatenate([classes, classes[[0]]])
-    base = backward(plan, s["real"], s["real_classes"], attrs_in, noises, classes,
-                    s["g"], s["f"], s["attrs"], 0.0)
-    dup = backward(dup_plan, s["real"], s["real_classes"], dup_attrs, dup_noises,
-                   dup_classes, s["g"], s["f"], s["attrs"], 0.0)
+    base = objective_of(s, 0.0)
+    dup = objective_of(s, 0.0, plan=dup_plan, synth_attrs=dup_attrs, noises=dup_noises,
+                       synth_classes=dup_classes)
     for a, b in zip(base.g_grads.blocks(), dup.g_grads.blocks()):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -395,8 +395,7 @@ def test_backward_duplicated_sample_with_split_mass():
 def test_backward_plan_shape_mismatch():
     s = small_setup(5)
     with pytest.raises(ValueError, match="plan shape"):
-        backward(s["plan"][:, :3], s["real"], s["real_classes"], s["synth_attrs"],
-                 s["noises"], s["synth_classes"], s["g"], s["f"], s["attrs"], 0.0)
+        objective_of(s, 0.0, plan=s["plan"][:, :3])
 
 
 def test_backward_non_finite_plan_raises_from_the_gradient_blocks():
@@ -405,27 +404,14 @@ def test_backward_non_finite_plan_raises_from_the_gradient_blocks():
     plan = s["plan"].copy()
     plan[0, 0] = np.nan
     with pytest.raises(ValueError, match="W1 contains a non-finite value") as info:
-        backward(plan, s["real"], s["real_classes"], s["synth_attrs"], s["noises"],
-                 s["synth_classes"], s["g"], s["f"], s["attrs"], 1.0)
+        objective_of(s, 1.0, plan=plan)
     assert type(info.value) is ValueError
-
-
-def test_objective_and_backward_agree_on_loss_terms():
-    s = small_setup(6)
-    a = objective(s["plan"], s["real"], s["real_classes"], s["synth_attrs"],
-                  s["noises"], s["synth_classes"], s["g"], s["f"], s["attrs"], 0.3)
-    b = backward(s["plan"], s["real"], s["real_classes"], s["synth_attrs"],
-                 s["noises"], s["synth_classes"], s["g"], s["f"], s["attrs"], 0.3)
-    assert a.total == b.total
-    assert a.transport_term == b.transport_term
-    assert a.regularizer_term == b.regularizer_term
-    assert a.g_grads is None and b.g_grads is not None
 
 
 def test_scale_invariance_of_cost_under_feature_scaling():
     """The transport cost only sees feature directions."""
     s = small_setup(91)
-    feats = generator_forward(s["g"], s["synth_attrs"], s["noises"])
+    feats, _ = generator_forward(s["g"], s["synth_attrs"], s["noises"])
     cost = cosine_cost_matrix(s["real"], feats)
     scaled = feats * np.array([1.0, 3.0, 0.5, 10.0, 2.0])[:, None]
     cost_scaled = cosine_cost_matrix(s["real"], scaled)
@@ -438,12 +424,13 @@ def test_fifty_adam_steps_decrease_loss():
     """Fixed batch, fixed plan: optimizing the objective descends monotonically."""
     s = small_setup(123, d=4, D=8, hidden=16, n=6, m=6, n_classes=4)
     plan = transition_plan(s["synth_classes"], s["synth_classes"]).values
-    real = generator_forward(s["g"], s["synth_attrs"], s["noises"]) + 0.01
+    real = generator_forward(s["g"], s["synth_attrs"], s["noises"])[0] + 0.01
     g, f = s["g"], s["f"]
     state = adam_init(g.net.blocks() + f.net.blocks(), learning_rate=1e-3)
     losses = []
     for _ in range(50):
-        res = backward(plan, real, s["synth_classes"], s["synth_attrs"], s["noises"],
+        res = backward(plan, real, s["synth_classes"],
+                       generator_forward(g, s["synth_attrs"], s["noises"]),
                        s["synth_classes"], g, f, s["attrs"], 0.05)
         losses.append(res.total)
         adam_step(g.net.blocks() + f.net.blocks(),

@@ -9,7 +9,6 @@ from otzsl.mlp import (
     add_grads,
     init_mlp,
     mlp_backward,
-    mlp_forward,
     mlp_forward_cache,
 )
 from otzsl.rng import SeededRng
@@ -56,20 +55,20 @@ def test_init_rejects_zero_dim():
 
 def test_forward_zero_net_outputs_bias():
     net = MlpParams(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3)), np.array([1.5, -0.5]))
-    out = mlp_forward(net, np.ones((4, 2)))
+    out, _ = mlp_forward_cache(net, np.ones((4, 2)))
     np.testing.assert_array_equal(out, np.tile([1.5, -0.5], (4, 1)))
 
 
 def test_forward_relu_kills_negative_preactivations():
     net = MlpParams(np.array([[1.0]]), np.zeros(1), np.array([[2.0]]), np.zeros(1))
-    np.testing.assert_array_equal(mlp_forward(net, np.array([[-3.0]])), [[0.0]])
-    np.testing.assert_array_equal(mlp_forward(net, np.array([[3.0]])), [[6.0]])
+    np.testing.assert_array_equal(mlp_forward_cache(net, np.array([[-3.0]]))[0], [[0.0]])
+    np.testing.assert_array_equal(mlp_forward_cache(net, np.array([[3.0]]))[0], [[6.0]])
 
 
 def test_forward_matches_scalar_loop():
     net = random_net(11)
     x = SeededRng(12).gaussian(2 * 4).reshape(2, 4)
-    out = mlp_forward(net, x)
+    out, _ = mlp_forward_cache(net, x)
     for i in range(2):
         hidden = [max(0.0, sum(net.W1[h, j] * x[i, j] for j in range(4)) + net.b1[h])
                   for h in range(6)]
@@ -82,8 +81,9 @@ def test_forward_cache_consistent_with_forward():
     net = random_net(4)
     x = SeededRng(5).gaussian(3 * 4).reshape(3, 4)
     out, (cx, pre, hidden) = mlp_forward_cache(net, x)
-    np.testing.assert_array_equal(out, mlp_forward(net, x))
+    np.testing.assert_array_equal(pre, x @ net.W1.T + net.b1)
     np.testing.assert_array_equal(hidden, np.maximum(pre, 0.0))
+    np.testing.assert_array_equal(out, hidden @ net.W2.T + net.b2)
     np.testing.assert_array_equal(cx, x)
 
 
@@ -94,7 +94,7 @@ def test_backward_matches_finite_differences():
     w = SeededRng(23).gaussian(5 * 3).reshape(5, 3)
 
     def objective(params, inputs):
-        return float(np.sum(w * mlp_forward(params, inputs)))
+        return float(np.sum(w * mlp_forward_cache(params, inputs)[0]))
 
     out, cache = mlp_forward_cache(net, x)
     grads, dx = mlp_backward(net, cache, w)

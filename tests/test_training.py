@@ -1,13 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otzsl import training
+from otzsl import generator, training
 from otzsl.data import UNLABELED, AttributeMatrix, FeatureDataset
 from otzsl.errors import ConfigError, DataFormatError, SolverError
-from otzsl.generator import (GeneratorParams, PredictorParams, generator_forward,
-                             init_predictor)
+from otzsl.generator import GeneratorParams, init_predictor
 from otzsl.mlp import MlpParams
 from otzsl.ot import IpotConfig, transition_plan
 from otzsl.rng import SeededRng
@@ -129,45 +130,46 @@ def test_sample_real_empty_pool_errors():
 
 def test_sample_synth_mirror_copies_classes():
     attrs = four_class_attrs()
-    g = constant_generator(4, 6, 0.5)
-    _, classes, _ = sample_synth_batch(g, attrs, attrs.seen_ids, 4, SeededRng(0),
-                                       mirror_classes=[1, 1, 0, 0])
+    classes, _ = sample_synth_batch(attrs, attrs.seen_ids, 4, SeededRng(0),
+                                    mirror_classes=[1, 1, 0, 0])
     assert classes.tolist() == [1, 1, 0, 0]
 
 
 def test_sample_synth_singleton_pool():
     attrs = four_class_attrs()
-    g = constant_generator(4, 6, 0.5)
-    _, classes, _ = sample_synth_batch(g, attrs, [1], 5, SeededRng(0))
+    classes, _ = sample_synth_batch(attrs, [1], 5, SeededRng(0))
     assert classes.tolist() == [1] * 5
 
 
 def test_sample_synth_deterministic():
     attrs = four_class_attrs()
-    g = constant_generator(4, 6, 0.5)
-    a = sample_synth_batch(g, attrs, attrs.unseen_ids, 6, SeededRng(11))
-    b = sample_synth_batch(g, attrs, attrs.unseen_ids, 6, SeededRng(11))
+    a = sample_synth_batch(attrs, attrs.unseen_ids, 6, SeededRng(11))
+    b = sample_synth_batch(attrs, attrs.unseen_ids, 6, SeededRng(11))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
 
-def test_sample_synth_features_match_forward():
+def test_sample_synth_draws_classes_then_noises():
+    # the order the training module's docstring promises: hole draws, then noises
     attrs = four_class_attrs()
-    rng = SeededRng(21)
-    net = MlpParams(rng.gaussian(3 * 8).reshape(3, 8), rng.gaussian(3),
-                    rng.gaussian(6 * 3).reshape(6, 3), rng.gaussian(6) + 0.1)
-    g = GeneratorParams(net=net)
-    feats, classes, noises = sample_synth_batch(g, attrs, attrs.seen_ids, 5, SeededRng(7))
-    again = generator_forward(g, attrs.attrs[classes], noises)
-    assert np.array_equal(feats, again)
+    mirror = [0, UNLABELED, 1, UNLABELED, UNLABELED]
+    classes, noises = sample_synth_batch(attrs, attrs.seen_ids, 5, SeededRng(7),
+                                         mirror_classes=mirror)
+    rng = SeededRng(7)
+    holes = np.asarray(attrs.seen_ids)[rng.integers(2, 3)]
+    assert classes.tolist() == [0, holes[0], 1, holes[1], holes[2]]
+    np.testing.assert_array_equal(noises, rng.gaussian(5 * 4).reshape(5, 4))
+    classes, noises = sample_synth_batch(attrs, attrs.unseen_ids, 3, SeededRng(8))
+    rng = SeededRng(8)
+    assert classes.tolist() == np.asarray(attrs.unseen_ids)[rng.integers(2, 3)].tolist()
+    np.testing.assert_array_equal(noises, rng.gaussian(3 * 4).reshape(3, 4))
 
 
 def test_sample_synth_fills_unlabeled_holes_from_pool():
     attrs = four_class_attrs()
-    g = constant_generator(4, 6, 0.5)
     mirror = [0, UNLABELED, 1, UNLABELED, UNLABELED]
-    _, classes, _ = sample_synth_batch(g, attrs, attrs.seen_ids, 5, SeededRng(5),
-                                       mirror_classes=mirror)
+    classes, _ = sample_synth_batch(attrs, attrs.seen_ids, 5, SeededRng(5),
+                                    mirror_classes=mirror)
     assert classes[0] == 0 and classes[2] == 1
     assert set(classes[[1, 3, 4]].tolist()) <= set(attrs.seen_ids)
 
@@ -179,9 +181,8 @@ def test_sample_synth_fills_unlabeled_holes_from_pool():
 ])
 def test_sample_synth_rejects(pool, mirror, msg):
     attrs = four_class_attrs()
-    g = constant_generator(4, 6, 0.5)
     with pytest.raises(ValueError, match=msg):
-        sample_synth_batch(g, attrs, pool, 2, SeededRng(0), mirror_classes=mirror)
+        sample_synth_batch(attrs, pool, 2, SeededRng(0), mirror_classes=mirror)
 
 
 @settings(max_examples=100, deadline=None)
@@ -191,10 +192,9 @@ def test_mirrored_batches_satisfy_transition_precondition(labels, seed):
     # mirroring copies the class multiset, so the label-derived coupling
     # never hits its proportion-mismatch error
     attrs = AttributeMatrix(np.eye(4), seen_ids=(0, 1, 2, 3), unseen_ids=())
-    g = constant_generator(4, 6, 0.5)
     real = np.asarray(labels, dtype=np.int64)
-    _, synth, _ = sample_synth_batch(g, attrs, attrs.seen_ids, len(labels),
-                                     SeededRng(seed), mirror_classes=real)
+    synth, _ = sample_synth_batch(attrs, attrs.seen_ids, len(labels),
+                                  SeededRng(seed), mirror_classes=real)
     plan = transition_plan(real, synth)
     np.testing.assert_allclose(plan.values.sum(axis=1), 1.0 / len(labels),
                                rtol=0, atol=1e-12)
@@ -267,9 +267,38 @@ def test_train_trace_bookkeeping(tiny_dataset, monkeypatch):
     res = train(data, attrs, quick_cfg(epochs=3))
     iters = iterations_per_epoch(data.seen_train[0].shape[0], 4)
     assert len(res.trace) == 3 * iters
-    assert len(res.trace.epoch_seconds) == 3
     assert len(steps) == 3 * iters
     assert all(np.isfinite(res.trace.total_loss))
+
+
+@pytest.mark.parametrize("mode", ["standard", "transductive"])
+@pytest.mark.parametrize("ot_prob", [0.0, 1.0])
+def test_train_runs_the_generator_once_per_step(tiny_dataset, monkeypatch, mode, ot_prob):
+    # every mlp forward the generator module can call is spied on, and only
+    # passes of the network train builds for the generator are counted; a
+    # one-row unlabeled pool leaves transductive batches without it now and then
+    attrs, data, _ = tiny_dataset
+    data = dataclasses.replace(data, unseen_unlabeled=data.unseen_unlabeled[:1])
+    made, rows = [], []
+    init = training.init_generator
+
+    def init_and_keep(*args):
+        made.append(init(*args))
+        return made[0]
+
+    monkeypatch.setattr(training, "init_generator", init_and_keep)
+    for name in [n for n in vars(generator) if n.startswith("mlp_forward")]:
+        def spy(params, x, forward=getattr(generator, name)):
+            if params is made[0].net:
+                rows.append(np.shape(x)[0])
+            return forward(params, x)
+        monkeypatch.setattr(generator, name, spy)
+    cfg = quick_cfg(ot_prob=ot_prob, mode=mode, epochs=2)
+    res = train(data, attrs, cfg)
+    assert rows == [2 * cfg.batch_size] * len(res.trace)
+    assert set(res.trace.branch) == (
+        {"ot"} if ot_prob == 1.0 else {"ot", "transition"} if mode == "transductive"
+        else {"transition"})  # both branches in both modes
 
 
 def start_from(monkeypatch, g, f):
@@ -343,6 +372,13 @@ def test_train_needs_labeled_samples(tiny_dataset):
                           unseen_unlabeled=np.zeros((0, 8)))
     with pytest.raises(DataFormatError, match="labeled seen samples"):
         train(data, attrs, quick_cfg())
+
+
+def test_train_needs_unseen_classes(tiny_dataset):
+    attrs, data, _ = tiny_dataset
+    everything_seen = AttributeMatrix(attrs.attrs, seen_ids=range(attrs.n_classes), unseen_ids=())
+    with pytest.raises(DataFormatError, match="at least one unseen class"):
+        train(data, everything_seen, quick_cfg())
 
 
 def test_train_wraps_errors_with_iteration_context(monkeypatch):

@@ -8,10 +8,15 @@ under both the standard and the generalized protocol, which differ only in
 the classifier that evaluation trains. The dataset seed and the evaluation
 config (its defaults, seed 0) stay fixed, so the rows differ only in the
 training seed. The last two rows are the mean and the min of each column
-over the seeds. With the defaults this takes well under a minute.
+over the seeds. With the defaults this takes well under a minute. --spec
+sets the dataset's shape, for instance to the AwA2-sized one of perfbench's
+paper workload.
 
     python3 scripts/run_zsl_benchmark.py --seeds 0 1 2 3 4
     python3 scripts/run_zsl_benchmark.py --config '{"ipot_max_outer_iters": 200}'
+    python3 scripts/run_zsl_benchmark.py --epochs 2 \
+        --spec '{"seen_classes": 40, "unseen_classes": 10, "attr_dim": 85, "feature_dim": 2048, "samples_per_class": 50}' \
+        --config '{"hidden_dim": 512, "batch_size": 128}'
 """
 
 import argparse
@@ -37,6 +42,8 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4],
                     help="training seeds, one row each")
     ap.add_argument("--data-seed", type=int, default=0, help="SyntheticSpec seed")
+    ap.add_argument("--spec", type=json.loads, default={},
+                    help="JSON object of SyntheticSpec keys other than seed, as `otzsl gen-data` reads them")
     ap.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     ap.add_argument("--config", type=json.loads, default={},
                     help="JSON object of train config keys, as `otzsl train` reads them")
@@ -51,7 +58,15 @@ def main() -> int:
     if unknown:
         ap.error(f"train config keys {sorted(unknown)} are unknown or set by the script")
 
-    attrs, data, _ = make_synthetic_dataset(SyntheticSpec(seed=args.data_seed))
+    spec_base = flat_fields(SyntheticSpec(seed=args.data_seed))
+    if not isinstance(args.spec, dict):
+        ap.error("--spec must be a JSON object")
+    unknown = set(args.spec) - set(spec_base) | set(args.spec) & {"seed"}
+    if unknown:
+        ap.error(f"dataset spec keys {sorted(unknown)} are unknown or set by the script")
+    spec = from_flat(SyntheticSpec(), {**spec_base, **args.spec})
+
+    attrs, data, _ = make_synthetic_dataset(spec)
     print(f"dataset: {len(attrs.seen_ids)} seen / {len(attrs.unseen_ids)} unseen classes, "
           f"{data.seen_train[0].shape[0]} training samples, D={data.feature_dim}")
     print(f"train config overrides {json.dumps(overrides)}, {args.epochs} epochs")

@@ -5,11 +5,15 @@ features.csv (one row per sample), and split.json (seen/unseen class ids plus
 row indices for each split). This module owns both artifact formats. Every
 float CSV the package writes (the dataset CSVs, the matrix CSVs, exported
 features, trace.csv, curves.csv) goes through `write_csv`, which writes each
-float as `%.17g`, so round-trips are bit-exact; the readers parse every cell
-in one `np.loadtxt(..., comments=None)` call, so a cell like `2#3` is an error
-rather than 2. Every JSON artifact (config.json, report.json, split.json) goes
-through `write_json`. All files are UTF-8 with LF endings; a file that is not
-valid UTF-8 is a data error.
+float as `%.17g`, so round-trips are bit-exact. One reader, `_read_csv`,
+reads every float CSV in blocks of lines of about READ_BLOCK_BYTES, parses
+each block with one `np.loadtxt(..., comments=None)` call (so a cell like
+`2#3` is an error rather than 2) and copies it into one array that grows to
+the file's row count; the text of a whole file is never held. Its lines,
+line numbers and errors are those of reading the whole file at once. Every
+JSON artifact (config.json, report.json, split.json) goes through
+`write_json`. All files are UTF-8 with LF endings; a file that is not valid
+UTF-8 is a data error.
 """
 
 from __future__ import annotations
@@ -248,40 +252,144 @@ def write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
-def _read_lines(path: str, first_only: bool = False) -> list[tuple[int, str]]:
-    """The non-blank lines of a text file, each with its 1-based number; with
-    first_only, just the first of them, and the rest of the file is not read."""
+# A CSV file is read and parsed a block of about this many bytes at a time.
+READ_BLOCK_BYTES = 1 << 20
+
+
+def _utf8_error(path: str, exc: UnicodeDecodeError, offset: int) -> DataFormatError:
+    """The error that decoding the whole file reports, for `exc` raised by a
+    line that starts `offset` bytes into it."""
+    start, end = exc.start + offset, exc.end + offset
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end == start + 1
+             else f"bytes in position {start}-{end - 1}")
+    return DataFormatError(f"{path}: '{exc.encoding}' codec can't decode {where}: {exc.reason}")
+
+
+def _line_blocks(path: str, first_only: bool = False):
+    """Yield the non-blank lines of a text file in blocks of about
+    READ_BLOCK_BYTES, each line with its 1-based number as `str.splitlines`
+    numbers the whole text, together with the share of the file read so far.
+    A byte that is not UTF-8 raises when its block is read. With first_only,
+    the one block is the first line that is not blank, and the rest of the
+    file is not read."""
     if not os.path.isfile(path):
         raise DataFormatError(f"missing file: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = next((ln for ln in fh if ln != "\n"), "") if first_only else fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    return [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln]
+    if first_only:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = next((ln for ln in fh if ln != "\n"), "")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
+        yield [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln], 1.0
+        return
+    number = offset = 0
+    # a buffer of a whole block lets readline copy each long line out in one piece
+    with open(path, "rb", buffering=max(READ_BLOCK_BYTES, 1 << 16)) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # Each raw line ends at a b"\n", which no UTF-8 sequence spans and where
+        # splitlines always breaks, so line by line gives the whole text's lines.
+        while raw := fh.readlines(READ_BLOCK_BYTES):
+            block = []
+            for line in raw:
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise _utf8_error(path, exc, offset) from None
+                offset += len(line)
+                for ln in text.splitlines():
+                    number += 1
+                    if ln:
+                        block.append((number, ln))
+            yield block, offset / size
 
 
-def _parse_rows(path: str, rows: list[tuple[int, str]], width: int) -> np.ndarray:
-    """Parse numbered CSV lines of `width` cells each into a finite float64
-    array with one numpy call; every failure names its `path:line`."""
+def _column_error(path: str, rows: list[tuple[int, str]], width: int):
+    """The error for the first of the numbered lines without `width` cells, or None."""
     for i, line in rows:
-        if line.count(",") + 1 != width:
-            raise DataFormatError(f"{path}:{i}: expected {width} columns, got {line.count(',') + 1}")
-    if not rows:  # loadtxt would warn and return shape (0, 1)
-        return np.zeros((0, width))
-    try:  # comments=None, or loadtxt reads the cell `2#3` as 2
-        values = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        for i, line in rows:  # only to name the first line that does not parse
-            try:
-                np.loadtxt([line], delimiter=",", comments=None)
-            except ValueError as exc:  # numpy counts rows from 0 within the one line it got
-                raise DataFormatError(f"{path}:{i}: {exc}".replace("at row 0, ", "at ")) from None
-        raise
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        r, col = bad[0]
-        raise DataFormatError(f"{path}:{rows[r][0]}: column {col + 1} is not a finite number")
+        got = line.count(",") + 1
+        if got != width:
+            return DataFormatError(f"{path}:{i}: expected {width} columns, got {got}")
+    return None
+
+
+def _parse_error(path: str, rows: list[tuple[int, str]]):
+    """The error for the first of the numbered lines that does not parse alone, or None."""
+    for i, line in rows:
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError as exc:  # numpy counts rows from 0 within the one line it got
+            return DataFormatError(f"{path}:{i}: {exc}".replace("at row 0, ", "at "))
+    return None
+
+
+def _read_csv(path: str, n_head: int, check_head, class_ids: bool = False,
+              first_only: bool = False) -> np.ndarray:
+    """The rows after the first n_head non-blank lines of a CSV file, as a
+    finite float64 array. Each block of lines is parsed by one numpy call and
+    copied into one array that grows to the file's row count. check_head(the
+    head lines) returns the row width and the row count it demands (None for
+    any); it raises DataFormatError for a bad head. Every failure is a
+    DataFormatError that names its `path:line`. Of several, the one raised is
+    the one a check of the whole file would meet first: a byte that is not
+    UTF-8, the head, the row count, then the first line with a wrong column
+    count, that does not parse, with a non-finite cell, or (with class_ids)
+    whose first cell is not an integer, in this order."""
+    head = []
+    errors = [None] * 5  # the first of each kind: head, columns, parse, non-finite, class id
+    width = expected = values = None
+    n_rows = stored = 0
+    for rows, share in _line_blocks(path, first_only):
+        if len(head) < n_head:
+            head, rows = head + rows[:n_head - len(head)], rows[n_head - len(head):]
+            if len(head) == n_head:
+                try:
+                    width, expected = check_head(head)
+                    values = np.empty((0, width))
+                except DataFormatError as exc:
+                    errors[0] = exc
+        n_rows += len(rows)
+        if values is None or not rows:
+            continue
+        # A kind is checked until it or a kind before it has failed. A block
+        # that parses to `width` columns has no line of another width.
+        block = failure = None
+        if not any(errors[1:3]):
+            try:  # comments=None, or loadtxt reads the cell `2#3` as 2
+                block = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                failure = exc
+        if block is None or block.shape[1] != width:
+            errors[1] = errors[1] or _column_error(path, rows, width)
+            if failure and not errors[1]:
+                errors[2] = errors[2] or _parse_error(path, rows) or failure
+            continue
+        bad = np.argwhere(~np.isfinite(block))
+        if bad.size and not errors[3]:
+            r, col = bad[0]
+            errors[3] = DataFormatError(
+                f"{path}:{rows[r][0]}: column {col + 1} is not a finite number")
+        if class_ids and not any(errors):
+            for i, line in rows:
+                cid = line[:line.index(",")]
+                if not re.fullmatch(r"\s*[+-]?[0-9]{1,15}\s*", cid):  # 15 digits stay exact as floats
+                    errors[4] = DataFormatError(f"{path}:{i}: class id {cid!r} is not an integer")
+                    break
+        if any(errors):
+            continue
+        if values.shape[0] < stored + len(block):  # the rows so far, scaled to the whole file
+            values.resize((int((stored + len(block)) / share) + len(block), width), refcheck=False)
+        values[stored:stored + len(block)] = block
+        stored += len(block)
+    if len(head) < n_head:
+        check_head(head)
+    if errors[0]:
+        raise errors[0]
+    if expected is not None and n_rows != expected:
+        raise DataFormatError(f"{path}: expected {expected} data rows, found {n_rows}")
+    for error in errors:
+        if error:
+            raise error
+    values.resize((stored, width), refcheck=False)
     return values
 
 
@@ -289,14 +397,12 @@ def _read_labeled_csv(path: str, header_prefix: str,
                       first_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The class ids and the values of an attributes.csv or features.csv; with
     first_only, only the header line is read, so the values have no rows."""
-    lines = _read_lines(path, first_only)
-    if not lines or not lines[0][1].startswith(header_prefix):
-        raise DataFormatError(f"{path}: expected header starting with '{header_prefix}'")
-    values = _parse_rows(path, lines[1:], lines[0][1].count(",") + 1)
-    for i, line in lines[1:]:
-        cid = line[:line.index(",")]
-        if not re.fullmatch(r"\s*[+-]?[0-9]{1,15}\s*", cid):  # 15 digits stay exact as floats
-            raise DataFormatError(f"{path}:{i}: class id {cid!r} is not an integer")
+    def check_header(head):
+        if not head or not head[0][1].startswith(header_prefix):
+            raise DataFormatError(f"{path}: expected header starting with '{header_prefix}'")
+        return head[0][1].count(",") + 1, None
+
+    values = _read_csv(path, 1, check_header, class_ids=True, first_only=first_only)
     return values[:, 0].astype(np.int64), values[:, 1:]
 
 
@@ -370,11 +476,17 @@ def load_dataset(dir_path: str, rows: bool = True) -> tuple[AttributeMatrix, Fea
         bad = np.flatnonzero(labels[arrays[key]] == UNLABELED)
         if bad.size:
             raise DataFormatError(f"{split_path}: {key} includes unlabeled row {arrays[key][bad[0]]}")
+    seen_train, seen_test, unseen_test = (
+        features[arrays[key]] for key in ("seen_train_rows", "seen_test_rows", "unseen_test_rows"))
+    pool_rows = arrays["unseen_unlabeled_rows"]
+    # the pool that save_dataset folds into the test rows shares their array
+    pool = unseen_test if np.array_equal(pool_rows, arrays["unseen_test_rows"]) else features[pool_rows]
+    del features  # all of the file's rows, freed before the splits are checked
     dataset = FeatureDataset(
-        seen_train=(features[arrays["seen_train_rows"]], labels[arrays["seen_train_rows"]]),
-        seen_test=(features[arrays["seen_test_rows"]], labels[arrays["seen_test_rows"]]),
-        unseen_test=(features[arrays["unseen_test_rows"]], labels[arrays["unseen_test_rows"]]),
-        unseen_unlabeled=features[arrays["unseen_unlabeled_rows"]],
+        seen_train=(seen_train, labels[arrays["seen_train_rows"]]),
+        seen_test=(seen_test, labels[arrays["seen_test_rows"]]),
+        unseen_test=(unseen_test, labels[arrays["unseen_test_rows"]]),
+        unseen_unlabeled=pool,
     )
     check_dataset(attrs, dataset)
     return attrs, dataset
@@ -388,15 +500,15 @@ def save_matrix_csv(matrix, path: str) -> None:
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
-    lines = _read_lines(path)
-    if len(lines) < 2 or lines[0][1] != "rows,cols":
-        raise DataFormatError(f"{path}:1: expected 'rows,cols' header")
-    try:
-        n, m = (int(p) for p in lines[1][1].split(","))
-    except ValueError:
-        raise DataFormatError(f"{path}:{lines[1][0]}: expected two integer dimensions") from None
-    if n < 1 or m < 1:
-        raise DataFormatError(f"{path}:{lines[1][0]}: dimensions must be at least 1, got {n},{m}")
-    if len(lines) - 2 != n:
-        raise DataFormatError(f"{path}: expected {n} data rows, found {len(lines) - 2}")
-    return _parse_rows(path, lines[2:], m)
+    def check_dims(head):
+        if len(head) < 2 or head[0][1] != "rows,cols":
+            raise DataFormatError(f"{path}:1: expected 'rows,cols' header")
+        try:
+            n, m = (int(p) for p in head[1][1].split(","))
+        except ValueError:
+            raise DataFormatError(f"{path}:{head[1][0]}: expected two integer dimensions") from None
+        if n < 1 or m < 1:
+            raise DataFormatError(f"{path}:{head[1][0]}: dimensions must be at least 1, got {n},{m}")
+        return m, n
+
+    return _read_csv(path, 2, check_dims)

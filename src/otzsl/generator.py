@@ -175,7 +175,8 @@ def backward(plan_values, real_feats, real_classes, generated, synth_classes,
     f_grads, d_xhat_reg = mlp_backward(f.net, synth_cache, d_synth_q)
     d_xhat += d_xhat_reg
     if d_real_q is not None:
-        real_grads, _ = mlp_backward(f.net, real_cache, d_real_q)
-        f_grads = add_grads(f_grads, real_grads)
-    g_grads, _ = mlp_backward(g.net, g_cache, d_xhat)  # MlpParams rejects a non-finite block
+        real_grads, _ = mlp_backward(f.net, real_cache, d_real_q, input_grad=False)
+        add_grads(f_grads, real_grads)
+    # MlpParams rejects a non-finite block
+    g_grads, _ = mlp_backward(g.net, g_cache, d_xhat, input_grad=False)
     return BackwardResult(g_grads, f_grads, transport_term, reg_term, total)

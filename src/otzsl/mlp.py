@@ -10,7 +10,7 @@ The ReLU subgradient at exactly 0 is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,8 +84,10 @@ def mlp_forward_cache(params: MlpParams, x: np.ndarray):
     return out, (x, pre, hidden)
 
 
-def mlp_backward(params: MlpParams, cache, d_out: np.ndarray) -> tuple[MlpParams, np.ndarray]:
-    """Gradients of sum(d_out * output) w.r.t. params and the input batch."""
+def mlp_backward(params: MlpParams, cache, d_out: np.ndarray,
+                 input_grad: bool = True) -> tuple[MlpParams, np.ndarray | None]:
+    """Gradients of sum(d_out * output) w.r.t. params and, with input_grad,
+    the input batch (else None, and its matmul is skipped)."""
     x, pre, hidden = cache
     d_out = np.asarray(d_out, dtype=np.float64)
     dW2 = d_out.T @ hidden
@@ -94,36 +96,54 @@ def mlp_backward(params: MlpParams, cache, d_out: np.ndarray) -> tuple[MlpParams
     d_pre = np.where(pre > 0.0, d_hidden, 0.0)
     dW1 = d_pre.T @ x
     db1 = d_pre.sum(axis=0)
-    dx = d_pre @ params.W1
+    dx = d_pre @ params.W1 if input_grad else None
     return MlpParams(dW1, db1, dW2, db2), dx
 
 
-def add_grads(a: MlpParams, b: MlpParams) -> MlpParams:
-    return MlpParams(a.W1 + b.W1, a.b1 + b.b1, a.W2 + b.W2, a.b2 + b.b2)
+def add_grads(total: MlpParams, part: MlpParams) -> None:
+    """Add part's blocks to total's in place; a sum that is not finite raises
+    ValueError, as building MlpParams from it would."""
+    for name in ("W1", "b1", "W2", "b2"):
+        block = getattr(total, name)
+        block += getattr(part, name)
+        ensure_finite(block, name)
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+ADAM_CHUNK = 1 << 14  # elements updated at a time: six such slices fit in a core's cache
 
 
 @dataclass
 class AdamState:
-    """Moment accumulators for a fixed list of parameter blocks."""
+    """Moment accumulators for a fixed list of parameter blocks, plus two
+    scratch buffers, each of at least as many elements as the smaller of
+    ADAM_CHUNK and the largest block, that an update works in."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
     learning_rate: float = 0.001
+    scratch: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)))
 
 
 def adam_init(blocks: list[np.ndarray], learning_rate: float = 0.001) -> AdamState:
+    n = min(ADAM_CHUNK, max((b.size for b in blocks), default=0))  # no larger than a block
     return AdamState(m=[np.zeros_like(b) for b in blocks],
-                     v=[np.zeros_like(b) for b in blocks], learning_rate=learning_rate)
+                     v=[np.zeros_like(b) for b in blocks], learning_rate=learning_rate,
+                     scratch=(np.empty(n), np.empty(n)))
 
 
 def adam_step(blocks: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
     """One bias-corrected Adam update, in place: each block and state.m, state.v
     and state.step are overwritten. Every updated block is checked for
-    finiteness, so a blow-up raises ValueError naming the block's index."""
+    finiteness, so a blow-up raises ValueError naming the block's index.
+
+    A block is updated ADAM_CHUNK elements at a time, through the scratch
+    buffers, so no block-sized temporary is made; each element goes through
+    the same floating-point operations as in the whole-array expressions
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr (m / c1) / (sqrt(v / c2) + eps)."""
     if len(blocks) != len(grads) or len(blocks) != len(state.m):
         raise ValueError("block / gradient / state counts do not match")
     for p, g in zip(blocks, grads):
@@ -133,10 +153,17 @@ def adam_step(blocks: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below instead
-        for i, (p, g, m, v) in enumerate(zip(blocks, grads, state.m, state.v)):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
-            ensure_finite(p, f"parameter block {i}")
+        for i, operands in enumerate(zip(blocks, grads, state.m, state.v)):
+            with np.nditer(operands, flags=["external_loop", "buffered", "zerosize_ok"],
+                           op_flags=[["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
+                           buffersize=ADAM_CHUNK) as chunks:
+                for p, g, m, v in chunks:
+                    s, t = state.scratch[0][:p.size], state.scratch[1][:p.size]
+                    m *= b1
+                    m += np.multiply(1.0 - b1, g, out=s)
+                    v *= b2
+                    v += np.multiply(np.multiply(1.0 - b2, g, out=s), g, out=s)
+                    np.multiply(state.learning_rate, np.divide(m, c1, out=s), out=s)
+                    np.add(np.sqrt(np.divide(v, c2, out=t), out=t), ADAM_EPSILON, out=t)
+                    p -= np.divide(s, t, out=s)
+            ensure_finite(blocks[i], f"parameter block {i}")

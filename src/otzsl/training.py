@@ -121,17 +121,23 @@ class TrainResult:
 def sample_real_batch(data: FeatureDataset, b: int, rng: SeededRng,
                       transductive: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """b uniform draws with replacement from the labeled seen pool, extended
-    by the unlabeled pool (class -1) in transductive mode."""
+    by the unlabeled pool (class -1) in transductive mode. A draw past the
+    seen rows indexes the unlabeled pool, so neither pool is copied whole."""
     feats, labels = data.seen_train
-    if transductive and data.unseen_unlabeled.shape[0]:
-        feats = np.vstack([feats, data.unseen_unlabeled])
-        labels = np.concatenate([
-            labels, np.full(data.unseen_unlabeled.shape[0], UNLABELED, dtype=np.int64)
-        ])
-    if feats.shape[0] == 0:
+    n_seen = feats.shape[0]
+    n_pool = data.unseen_unlabeled.shape[0] if transductive else 0
+    if n_seen + n_pool == 0:
         raise ValueError("cannot sample from an empty pool")
-    idx = rng.integers(feats.shape[0], b)
-    return feats[idx], labels[idx]
+    idx = rng.integers(n_seen + n_pool, b)
+    if n_pool == 0:
+        return feats[idx], labels[idx]
+    seen = idx < n_seen
+    batch = np.empty((b, data.unseen_unlabeled.shape[1]))
+    batch[seen] = feats[idx[seen]]
+    batch[~seen] = data.unseen_unlabeled[idx[~seen] - n_seen]
+    classes = np.full(b, UNLABELED, dtype=np.int64)
+    classes[seen] = labels[idx[seen]]
+    return batch, classes
 
 
 def sample_synth_batch(attrs: AttributeMatrix, class_pool, b: int, rng: SeededRng,
@@ -235,6 +241,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
             except (SolverError, ValueError) as exc:
                 raise SolverError(f"iteration {step} (epoch {epoch}): {exc}") from exc
             trace.record(branch, res.transport_term, res.regularizer_term, res.total)
+            del res, generated  # free this step's grads and caches before the next step's
 
     return TrainResult(g=g, trace=trace)
 
@@ -248,9 +255,10 @@ def synthesize_class_features(g: GeneratorParams, attrs: AttributeMatrix, classe
     for c in classes:
         if not 0 <= c < attrs.n_classes:
             raise ValueError(f"class {c} outside 0..{attrs.n_classes - 1}")
-    feats = []
-    for c in classes:
+    feats = np.empty((len(classes) * per_class, g.feature_dim))
+    for i, c in enumerate(classes):  # each class's rows go straight to their place
         noises = rng.gaussian(per_class * attrs.attr_dim).reshape(per_class, attrs.attr_dim)
-        feats.append(generator_forward(g, np.tile(attrs.attrs[c], (per_class, 1)), noises)[0])
+        feats[i * per_class:(i + 1) * per_class] = generator_forward(
+            g, np.tile(attrs.attrs[c], (per_class, 1)), noises)[0]
     labels = np.repeat(np.asarray(classes, dtype=np.int64), per_class)
-    return np.vstack(feats), labels
+    return feats, labels

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,3 +41,14 @@ def reference_write_json(obj, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the most memory held at once while it ran, its result
+    included, in bytes as tracemalloc counts them (numpy arrays included)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import otzsl.data as data_module
 from otzsl.data import (
     AttributeMatrix,
     FeatureDataset,
@@ -19,7 +20,7 @@ from otzsl.data import (
 )
 from otzsl.errors import DataFormatError
 from otzsl.rng import SeededRng
-from tests.conftest import TINY_SPEC, reference_write_json
+from tests.conftest import TINY_SPEC, reference_write_json, traced_peak
 
 
 # ----------------------------------------------------------- attribute matrix
@@ -590,3 +591,142 @@ def test_load_names_the_line_of_a_bad_cell(tmp_path, name, line, col, cell, mess
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match=rf"{name}:{line}: .*{message}"):
         load_dataset(str(tmp_path))
+
+
+# ------------------------------------------------------------- block reader
+# The CSV reader parses a file a block of lines at a time. Each case pins the
+# arrays or the message that reading the whole file at once gives, with
+# blocks lowered to a line or two.
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 16)
+
+
+@pytest.mark.parametrize("text", [
+    "rows,cols\r\n2,2\r\n1,2\r\n3,-4.5\r\n",
+    "rows,cols\r2,2\r1,2\r3,-4.5\r",
+    "rows,cols\r\n2,2\r1,2\n3,-4.5",
+    "\n\nrows,cols\n\n2,2\r\n\r\n1,2\n\n\n3,-4.5\n\n\r",
+    "rows,cols\n2,2\n1,2\x0c3,-4.5\n",
+    "rows,cols\n2,2\n1,2\x1c3,-4.5\n",
+    "rows,cols\n2,2\n1,2\u20283,-4.5\n",
+], ids=["crlf", "cr", "mixed-no-final-newline", "blank-lines", "form-feed", "file-separator",
+        "line-separator"])
+def test_block_reader_line_breaks(tmp_path, small_blocks, text):
+    """Lines break wherever str.splitlines breaks them, \\x0c, \\x1c and
+    \\u2028 included."""
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_same_bits(load_matrix_csv(str(path)), np.array([[1.0, 2.0], [3.0, -4.5]]))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rows,cols\r\n3,2\r\n1,2\r\n\r\n3,x\r\n5,6\r\n",
+     "m.csv:5: could not convert string 'x' to float64 at column 2."),
+    ("rows,cols\r3,2\r1,2\r\r3,4\r5,nan\r", "m.csv:6: column 2 is not a finite number"),
+    ("rows,cols\n3,2\n1,2\x0c3,4\u20285\n", "m.csv:5: expected 2 columns, got 1"),
+    ("rows,cols\n\x1c\n2,2\n1,2\n", "m.csv: expected 2 data rows, found 1"),
+    ("rows,cols\x0c2,x\n1,2\n", "m.csv:2: expected two integer dimensions"),
+], ids=["crlf", "cr", "form-feed-and-line-separator", "file-separator", "form-feed-head"])
+def test_block_reader_numbers_lines_as_splitlines(tmp_path, small_blocks, text, message):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataFormatError) as err:
+        load_matrix_csv(str(path))
+    assert str(err.value) == f"{path.parent}/{message}"
+
+
+def test_block_reader_spans_several_blocks(tmp_path, small_blocks):
+    path = tmp_path / "m.csv"
+    path.write_text("rows,cols\n6,3\n0.25,-1,3e2\n\n-0,5e-324,7\n1e308,2,-3.5\n"
+                    "4,4,4\n0.1,0.2,0.3\n-8,9,1e-300\n")
+    assert os.path.getsize(path) >= 4 * data_module.READ_BLOCK_BYTES
+    assert_same_bits(load_matrix_csv(str(path)), np.array([
+        [0.25, -1.0, 300.0], [-0.0, 5e-324, 7.0], [1e308, 2.0, -3.5],
+        [4.0, 4.0, 4.0], [0.1, 0.2, 0.3], [-8.0, 9.0, 1e-300]]))
+
+
+def test_dataset_roundtrip_in_small_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 200)
+    attrs, data = saved_dataset(tmp_path)
+    assert os.path.getsize(tmp_path / "features.csv") >= 20 * data_module.READ_BLOCK_BYTES
+    attrs2, data2 = load_dataset(str(tmp_path))
+    assert_same_bits(attrs2.attrs, attrs.attrs)
+    for name in ("seen_train", "seen_test", "unseen_test"):
+        assert_same_bits(getattr(data2, name)[0], getattr(data, name)[0])
+        np.testing.assert_array_equal(getattr(data2, name)[1], getattr(data, name)[1])
+    assert_same_bits(data2.unseen_unlabeled, data.unseen_unlabeled)
+
+
+def damage(path, edits):
+    """Set cell `col` of 1-based line `line` to `cell` for each edit; col None
+    appends the cell."""
+    lines = path.read_text().splitlines()
+    for line, col, cell in edits:
+        parts = lines[line - 1].split(",")
+        if col is None:
+            parts.append(cell)
+        else:
+            parts[col] = cell
+        lines[line - 1] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(4, 0, "1.5"), (30, 3, "nan")], "30: column 4 is not a finite number"),
+    ([(4, 3, "nan"), (30, 2, "x")], "30: could not convert string 'x' to float64 at column 3."),
+    ([(4, 2, "x"), (30, None, "0.5")], "30: expected 9 columns, got 10"),
+    ([(4, None, "0.5"), (30, None, "0.5")], "4: expected 9 columns, got 10"),
+    ([(4, 0, "1.5"), (30, 0, "2.5")], "4: class id '1.5' is not an integer"),
+    ([(4, 1, "inf"), (30, 5, "nan")], "4: column 2 is not a finite number"),
+    ([(4, 1, "x"), (30, 5, "y")], "4: could not convert string 'x' to float64 at column 2."),
+], ids=["nan-after-class-id", "parse-after-nan", "columns-after-parse", "two-column-counts",
+        "two-class-ids", "two-nans", "two-parse-errors"])
+def test_block_reader_reports_what_the_whole_file_check_meets_first(tmp_path, monkeypatch,
+                                                                    edits, message):
+    """Defects in blocks far apart: the whole file's first column count beats
+    its first parse error, which beats its first non-finite cell, which
+    beats its first bad class id, wherever each lies."""
+    monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 200)
+    saved_dataset(tmp_path)
+    path = tmp_path / "features.csv"
+    damage(path, edits)
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(str(tmp_path))
+    assert str(err.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (b"\xff", "byte 0xff in position {}: invalid start byte"),
+    (b"\xe2\x80", "bytes in position {}-{}: invalid continuation byte"),
+])
+def test_block_reader_reports_bad_utf8_after_a_parse_error(tmp_path, monkeypatch, bad, reason):
+    """The position is the byte's offset in the whole file, as decoding it
+    all at once reports it."""
+    monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 200)
+    saved_dataset(tmp_path)
+    path = tmp_path / "features.csv"
+    damage(path, [(4, 2, "x")])
+    raw = path.read_bytes()
+    at = sum(len(line) for line in raw.splitlines(keepends=True)[:29]) + 5
+    path.write_bytes(raw[:at] + bad + raw[at:])
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(str(tmp_path))
+    assert str(err.value) == f"{path}: 'utf-8' codec can't decode " + reason.format(at, at + 1)
+
+
+def test_load_dataset_peak_memory_is_about_twice_its_arrays(tmp_path, monkeypatch):
+    """The blocks are parsed into one array of the file's rows, which lives
+    until the splits are copied out of it: the peak is about twice the
+    arrays returned, where holding the text of the file took four times."""
+    monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 1 << 16)
+    attrs, data, _ = make_synthetic_dataset(SyntheticSpec(feature_dim=256, samples_per_class=40))
+    save_dataset(str(tmp_path), attrs, data)
+    assert os.path.getsize(tmp_path / "features.csv") >= 4 * data_module.READ_BLOCK_BYTES
+    (attrs2, data2), peak = traced_peak(load_dataset, str(tmp_path))
+    arrays = [attrs2.attrs, data2.unseen_unlabeled,
+              *(x for name in ("seen_train", "seen_test", "unseen_test") for x in getattr(data2, name))]
+    returned = sum({id(x): x.nbytes for x in arrays}.values())
+    assert peak <= 2.5 * returned

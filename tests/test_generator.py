@@ -392,6 +392,22 @@ def test_backward_duplicated_sample_with_split_mass():
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def test_backward_takes_an_input_gradient_only_for_the_generated_batch(monkeypatch):
+    """Of the three backprops (the predictor on the generated and on the
+    real batch, then the generator), only the first feeds a gradient on."""
+    from otzsl import generator as generator_module
+    calls = []
+    original = generator_module.mlp_backward
+
+    def spy(params, cache, d_out, input_grad=True):
+        calls.append(input_grad)
+        return original(params, cache, d_out, input_grad)
+
+    monkeypatch.setattr(generator_module, "mlp_backward", spy)
+    objective_of(small_setup(31))
+    assert calls == [True, False, False]
+
+
 def test_backward_plan_shape_mismatch():
     s = small_setup(5)
     with pytest.raises(ValueError, match="plan shape"):

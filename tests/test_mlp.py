@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from otzsl.mlp import (
+    ADAM_CHUNK,
     AdamState,
     MlpParams,
     adam_init,
@@ -12,6 +13,7 @@ from otzsl.mlp import (
     mlp_forward_cache,
 )
 from otzsl.rng import SeededRng
+from tests.conftest import traced_peak
 
 
 def random_net(seed, inp=4, hidden=6, out=3):
@@ -131,9 +133,16 @@ def test_backward_relu_gate_blocks_gradient():
 
 
 def test_grad_helpers():
-    net = random_net(8)
-    s = add_grads(net, net)
-    np.testing.assert_allclose(s.W1, 2 * net.W1)
+    net, part = random_net(8), random_net(9)
+    expected = [a + b for a, b in zip(net.blocks(), part.blocks())]
+    blocks = net.blocks()
+    assert add_grads(net, part) is None
+    for block, now, want in zip(blocks, net.blocks(), expected):
+        assert now is block  # summed in place
+        assert np.array_equal(now, want)
+    part.b2[0] = np.inf
+    with pytest.raises(ValueError, match="b2 contains a non-finite value at flat index 0"):
+        add_grads(net, part)
 
 
 def reference_adam_step(blocks, grads, state):
@@ -237,3 +246,43 @@ def test_adam_rejects_non_finite_update():
     with pytest.raises(ValueError, match="parameter block 0 contains a non-finite value"):
         adam_step([p], [np.array([2.0])], state)
     assert p[0] == -np.inf
+
+
+def test_adam_chunks_match_reference():
+    """Blocks longer than a chunk, with a partial last chunk, in C, Fortran
+    and strided layouts, update as the whole-array reference does."""
+    rng = SeededRng(22)
+    base = rng.gaussian(600 * 90).reshape(600, 90)
+    blocks = [rng.gaussian(3 * ADAM_CHUNK + 5), np.asfortranarray(base[:, :40]), base[::2, 1::3]]
+    state = adam_init(blocks, learning_rate=0.01)
+    ref_blocks = [b.copy() for b in blocks]
+    ref_state = adam_init(ref_blocks, learning_rate=0.01)
+    for _ in range(3):
+        grads = [rng.gaussian(b.size).reshape(b.shape) for b in blocks]
+        grads[1] = np.ascontiguousarray(grads[1])
+        ref_blocks, ref_state = reference_adam_step(ref_blocks, grads, ref_state)
+        adam_step(blocks, grads, state)
+        for a, b in zip(blocks + state.m + state.v, ref_blocks + ref_state.m + ref_state.v):
+            assert np.array_equal(a, b)
+    assert base[0, 1] == blocks[2][0, 0]  # the strided view was updated in place
+
+
+def test_adam_step_makes_no_block_sized_temporaries():
+    p = np.linspace(-1.0, 1.0, 2048 * 512).reshape(2048, 512)
+    g = np.cos(7.0 * p)
+    state = adam_init([p])
+    adam_step([p], [g], state)
+    _, peak = traced_peak(adam_step, [p], [g], state)
+    assert peak <= 1.5 * 2**20  # the finiteness check's mask is 1 MB; the block is 8 MB
+
+
+def test_backward_skips_the_input_gradient_on_request():
+    net = random_net(3)
+    x = SeededRng(4).gaussian(5 * net.input_dim).reshape(5, net.input_dim)
+    _, cache = mlp_forward_cache(net, x)
+    d_out = SeededRng(5).gaussian(5 * net.output_dim).reshape(5, net.output_dim)
+    full, dx = mlp_backward(net, cache, d_out)
+    grads, none = mlp_backward(net, cache, d_out, input_grad=False)
+    assert dx.shape == x.shape and none is None
+    for a, b in zip(full.blocks(), grads.blocks()):
+        assert np.array_equal(a, b)

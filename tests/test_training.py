@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otzsl import generator, training
-from otzsl.data import UNLABELED, AttributeMatrix, FeatureDataset
+from otzsl.data import (UNLABELED, AttributeMatrix, FeatureDataset, SyntheticSpec,
+                        make_synthetic_dataset)
 from otzsl.errors import ConfigError, DataFormatError, SolverError
-from otzsl.generator import GeneratorParams, init_predictor
+from otzsl.generator import GeneratorParams, init_generator, init_predictor
 from otzsl.mlp import MlpParams
 from otzsl.ot import IpotConfig, transition_plan
 from otzsl.rng import SeededRng
@@ -16,6 +17,7 @@ from otzsl.training import (TrainConfig, TrainTrace, iterations_per_epoch,
                             ot_branch_coin, sample_real_batch,
                             sample_synth_batch, synthesize_class_features,
                             train, write_trace_csv)
+from tests.conftest import traced_peak
 
 
 def four_class_attrs():
@@ -115,6 +117,36 @@ def test_sample_real_transductive_mixes_unlabeled():
     assert 0.4 < frac < 0.6
     _, labels = sample_real_batch(data, 1000, SeededRng(3), transductive=False)
     assert not np.any(labels == UNLABELED)
+
+
+def reference_sample_real_batch(data, b, rng, transductive=False):
+    """The sampler that stacked the seen and unlabeled pools on every call,
+    kept as the reference for the draws."""
+    feats, labels = data.seen_train
+    if transductive and data.unseen_unlabeled.shape[0]:
+        feats = np.vstack([feats, data.unseen_unlabeled])
+        labels = np.concatenate([
+            labels, np.full(data.unseen_unlabeled.shape[0], UNLABELED, dtype=np.int64)])
+    idx = rng.integers(feats.shape[0], b)
+    return feats[idx], labels[idx]
+
+
+@pytest.mark.parametrize("transductive", [False, True])
+def test_sample_real_matches_stacked_reference(desk_dataset, transductive):
+    _, data, _ = desk_dataset
+    for seed in range(5):
+        got = sample_real_batch(data, 64, SeededRng(seed), transductive)
+        want = reference_sample_real_batch(data, 64, SeededRng(seed), transductive)
+        assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    if transductive:
+        assert np.any(got[1] == UNLABELED) and np.any(got[1] != UNLABELED)
+
+
+def test_sample_real_transductive_copies_only_the_batch(desk_dataset):
+    _, data, _ = desk_dataset
+    (batch, _), peak = traced_peak(sample_real_batch, data, 8, SeededRng(0), True)
+    assert peak <= 2 * batch.nbytes + 4096  # not the seen and unlabeled pools stacked
 
 
 def test_sample_real_empty_pool_errors():
@@ -452,6 +484,18 @@ def test_synthesize_deterministic():
     a = synthesize_class_features(g, attrs, [0, 2], 5, SeededRng(2))
     b = synthesize_class_features(g, attrs, [0, 2], 5, SeededRng(2))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_synthesize_peak_memory_is_its_output():
+    """Each class's rows go straight into the output array: no list of
+    per-class arrays is stacked at the end."""
+    attrs, _, _ = make_synthetic_dataset(SyntheticSpec(seen_classes=16, unseen_classes=4,
+                                                       attr_dim=8, samples_per_class=4))
+    g = init_generator(8, 512, 32, SeededRng(3))
+    (feats, labels), peak = traced_peak(synthesize_class_features, g, attrs, range(20), 50,
+                                        SeededRng(4))
+    assert feats.shape == (1000, 512)
+    assert peak <= 1.2 * (feats.nbytes + labels.nbytes)
 
 
 def test_synthesize_rejects_bad_args():

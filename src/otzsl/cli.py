@@ -268,7 +268,7 @@ def cmd_compare_solvers(args) -> int:
             finals.setdefault((name, reg), []).append(plan.trace[-1, 1])
     out_path = os.path.join(args.out, "curves.csv")
     dataio.write_csv(out_path, "solver,lambda,instance,iteration,transport_cost,feasibility_error",
-                     np.vstack(curves), leads)
+                     curves, leads)
     for (name, reg), costs in sorted(finals.items()):
         print(f"{name} (lambda={reg}): mean final cost {float(np.mean(costs)):.6f}")
     print(f"wrote {out_path}")

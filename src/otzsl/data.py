@@ -9,11 +9,11 @@ float as `%.17g`, so round-trips are bit-exact. One reader, `_read_csv`,
 reads every float CSV in blocks of lines of about READ_BLOCK_BYTES, parses
 each block with one `np.loadtxt(..., comments=None)` call (so a cell like
 `2#3` is an error rather than 2) and copies it into one array that grows to
-the file's row count; the text of a whole file is never held. Its lines,
-line numbers and errors are those of reading the whole file at once. Every
-JSON artifact (config.json, report.json, split.json) goes through
-`write_json`. All files are UTF-8 with LF endings; a file that is not valid
-UTF-8 is a data error.
+the file's row count; the text of a whole file is never held. Its lines and
+line numbers are those of the whole file, and it stops at the first line
+with a defect, so no message depends on the block size. Every JSON artifact
+(config.json, report.json, split.json) goes through `write_json`. All files
+are UTF-8 with LF endings; a file that is not valid UTF-8 is a data error.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ class AttributeMatrix:
             raise DataFormatError(
                 f"seen+unseen ids must cover classes 0..{n - 1}, got {sorted(seen | unseen)}"
             )
-        with np.errstate(over="ignore"):  # an inf norm is still not zero
-            norms = np.linalg.norm(self.attrs, axis=1)
-        if np.any(norms == 0.0):
-            bad = int(np.flatnonzero(norms == 0.0)[0])
+        with np.errstate(over="ignore"):  # an inf sum is still not zero
+            squares = np.einsum("ij,ij->i", self.attrs, self.attrs)
+        if np.any(squares == 0.0):
+            bad = int(np.flatnonzero(squares == 0.0)[0])
             raise DataFormatError(f"class {bad} has a zero-norm attribute vector")
         for i in range(n):
             for j in range(i + 1, n):
@@ -95,10 +95,11 @@ def _check_split(features: np.ndarray, labels: np.ndarray, what: str):
     if not np.all(np.isfinite(features)):
         raise DataFormatError(f"{what} features contain a non-finite value")
     if features.shape[0]:
-        with np.errstate(over="ignore"):  # an inf norm is still not zero
-            norms = np.linalg.norm(features, axis=1)
-        if np.any(norms == 0.0):
-            bad = int(np.flatnonzero(norms == 0.0)[0])
+        with np.errstate(over="ignore"):  # an inf sum is still not zero
+            # a row sum of squares, with no temporary as large as the split
+            squares = np.einsum("ij,ij->i", features, features)
+        if np.any(squares == 0.0):
+            bad = int(np.flatnonzero(squares == 0.0)[0])
             raise DataFormatError(f"{what} row {bad} has zero norm")
 
 
@@ -234,14 +235,16 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[AttributeMatrix, Featur
     return attrs, dataset, hidden_map
 
 
-def write_csv(path: str, header: str, values: np.ndarray, leads=itertools.repeat("")) -> None:
-    """Write `header`, then each row of `values` as `%.17g` floats (a lossless
-    round-trip), each row preceded by its text from `leads`, which ends in a
-    comma when it is not empty. Every float CSV the package writes goes here."""
-    fmt = ",".join(["%.17g"] * values.shape[1]) + "\n"
+def write_csv(path: str, header: str, blocks, leads=itertools.repeat("")) -> None:
+    """Write `header`, then each row of the 2-D arrays in `blocks` (all of one
+    width) as `%.17g` floats (a lossless round-trip), each row preceded by its
+    text from `leads`, which ends in a comma when it is not empty. Every float
+    CSV the package writes goes here."""
+    fmt = ",".join(["%.17g"] * blocks[0].shape[1]) + "\n"
+    rows = itertools.chain.from_iterable(blocks)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(lead + fmt % tuple(row.tolist()) for lead, row in zip(leads, values))
+        fh.writelines(lead + fmt % tuple(row.tolist()) for lead, row in zip(leads, rows))
 
 
 def write_json(obj, path: str) -> None:
@@ -255,140 +258,105 @@ def write_json(obj, path: str) -> None:
 # A CSV file is read and parsed a block of about this many bytes at a time.
 READ_BLOCK_BYTES = 1 << 20
 
+# A class id is an integer of at most 15 digits, which stay exact as a float.
+_CLASS_ID = re.compile(r"\s*[+-]?[0-9]{1,15}\s*")
+
 
 def _utf8_error(path: str, exc: UnicodeDecodeError, offset: int) -> DataFormatError:
     """The error that decoding the whole file reports, for `exc` raised by a
-    line that starts `offset` bytes into it."""
+    block that starts `offset` bytes into it."""
     start, end = exc.start + offset, exc.end + offset
     where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end == start + 1
              else f"bytes in position {start}-{end - 1}")
     return DataFormatError(f"{path}: '{exc.encoding}' codec can't decode {where}: {exc.reason}")
 
 
-def _line_blocks(path: str, first_only: bool = False):
+def _line_blocks(path: str):
     """Yield the non-blank lines of a text file in blocks of about
     READ_BLOCK_BYTES, each line with its 1-based number as `str.splitlines`
     numbers the whole text, together with the share of the file read so far.
-    A byte that is not UTF-8 raises when its block is read. With first_only,
-    the one block is the first line that is not blank, and the rest of the
-    file is not read."""
+    At a byte that is not UTF-8, the lines that end before it are yielded,
+    then its error is raised."""
     if not os.path.isfile(path):
         raise DataFormatError(f"missing file: {path}")
-    if first_only:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = next((ln for ln in fh if ln != "\n"), "")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-        yield [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln], 1.0
-        return
     number = offset = 0
-    # a buffer of a whole block lets readline copy each long line out in one piece
-    with open(path, "rb", buffering=max(READ_BLOCK_BYTES, 1 << 16)) as fh:
+    with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        # Each raw line ends at a b"\n", which no UTF-8 sequence spans and where
-        # splitlines always breaks, so line by line gives the whole text's lines.
-        while raw := fh.readlines(READ_BLOCK_BYTES):
-            block = []
-            for line in raw:
-                try:
-                    text = line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise _utf8_error(path, exc, offset) from None
-                offset += len(line)
-                for ln in text.splitlines():
-                    number += 1
-                    if ln:
-                        block.append((number, ln))
+        # A block ends at a b"\n", which no UTF-8 sequence spans and where
+        # splitlines always breaks, so block by block gives the whole text's lines.
+        while raw := fh.read(READ_BLOCK_BYTES) + fh.readline():
+            try:
+                lines, error = raw.decode("utf-8").splitlines(), None
+            except UnicodeDecodeError as exc:  # the last line holds the bad byte
+                lines = (raw[:exc.start].decode("utf-8") + "|").splitlines()[:-1]
+                error = _utf8_error(path, exc, offset)
+            block = [(number + i, ln) for i, ln in enumerate(lines, start=1) if ln]
+            number, offset = number + len(lines), offset + len(raw)
             yield block, offset / size
+            if error:
+                raise error
 
 
-def _column_error(path: str, rows: list[tuple[int, str]], width: int):
-    """The error for the first of the numbered lines without `width` cells, or None."""
-    for i, line in rows:
-        got = line.count(",") + 1
-        if got != width:
-            return DataFormatError(f"{path}:{i}: expected {width} columns, got {got}")
-    return None
-
-
-def _parse_error(path: str, rows: list[tuple[int, str]]):
-    """The error for the first of the numbered lines that does not parse alone, or None."""
-    for i, line in rows:
-        try:
-            np.loadtxt([line], delimiter=",", comments=None)
-        except ValueError as exc:  # numpy counts rows from 0 within the one line it got
-            return DataFormatError(f"{path}:{i}: {exc}".replace("at row 0, ", "at "))
+def _line_error(path: str, number: int, line: str, width: int, class_ids: bool):
+    """The error for one line of a CSV body, or None. The checks run in this
+    order: `width` cells, each parses, each is finite, and (with class_ids)
+    the first cell is an integer."""
+    if (got := line.count(",") + 1) != width:
+        return DataFormatError(f"{path}:{number}: expected {width} columns, got {got}")
+    try:
+        row = np.loadtxt([line], delimiter=",", comments=None)
+    except ValueError as exc:  # numpy counts rows from 0 within the one line it got
+        return DataFormatError(f"{path}:{number}: {exc}".replace("at row 0, ", "at "))
+    bad = np.flatnonzero(~np.isfinite(row))
+    if bad.size:
+        return DataFormatError(f"{path}:{number}: column {bad[0] + 1} is not a finite number")
+    if class_ids and not _CLASS_ID.fullmatch(cid := line[:line.index(",")]):
+        return DataFormatError(f"{path}:{number}: class id {cid!r} is not an integer")
     return None
 
 
 def _read_csv(path: str, n_head: int, check_head, class_ids: bool = False,
               first_only: bool = False) -> np.ndarray:
     """The rows after the first n_head non-blank lines of a CSV file, as a
-    finite float64 array. Each block of lines is parsed by one numpy call and
-    copied into one array that grows to the file's row count. check_head(the
-    head lines) returns the row width and the row count it demands (None for
-    any); it raises DataFormatError for a bad head. Every failure is a
-    DataFormatError that names its `path:line`. Of several, the one raised is
-    the one a check of the whole file would meet first: a byte that is not
-    UTF-8, the head, the row count, then the first line with a wrong column
-    count, that does not parse, with a non-finite cell, or (with class_ids)
-    whose first cell is not an integer, in this order."""
-    head = []
-    errors = [None] * 5  # the first of each kind: head, columns, parse, non-finite, class id
+    finite float64 array; with first_only, the file is read only up to those
+    lines and the array has no rows. Each block of lines is parsed by one
+    numpy call and copied into one array that grows to the file's row count.
+    check_head(the head lines) returns the row width and the row count it
+    demands (None for any); it raises DataFormatError for a bad head. Every
+    failure is a DataFormatError naming its `path:line`, raised for the first
+    line of the file with a defect: a byte that is not UTF-8, a bad head, or
+    what `_line_error` finds. A wrong row count is found at the end."""
+    head, stored = [], 0
     width = expected = values = None
-    n_rows = stored = 0
-    for rows, share in _line_blocks(path, first_only):
+    for rows, share in _line_blocks(path):
         if len(head) < n_head:
             head, rows = head + rows[:n_head - len(head)], rows[n_head - len(head):]
-            if len(head) == n_head:
-                try:
-                    width, expected = check_head(head)
-                    values = np.empty((0, width))
-                except DataFormatError as exc:
-                    errors[0] = exc
-        n_rows += len(rows)
-        if values is None or not rows:
+            if len(head) < n_head:
+                continue
+            width, expected = check_head(head)
+            values = np.empty((0, width))
+            if first_only:
+                return values
+        if not rows:
             continue
-        # A kind is checked until it or a kind before it has failed. A block
-        # that parses to `width` columns has no line of another width.
-        block = failure = None
-        if not any(errors[1:3]):
-            try:  # comments=None, or loadtxt reads the cell `2#3` as 2
-                block = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                failure = exc
-        if block is None or block.shape[1] != width:
-            errors[1] = errors[1] or _column_error(path, rows, width)
-            if failure and not errors[1]:
-                errors[2] = errors[2] or _parse_error(path, rows) or failure
-            continue
-        bad = np.argwhere(~np.isfinite(block))
-        if bad.size and not errors[3]:
-            r, col = bad[0]
-            errors[3] = DataFormatError(
-                f"{path}:{rows[r][0]}: column {col + 1} is not a finite number")
-        if class_ids and not any(errors):
+        try:  # comments=None, or loadtxt reads the cell `2#3` as 2
+            block = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            block = None
+        # Each way a block fails is a defect of one of its lines, which the walk finds.
+        if (block is None or block.shape[1] != width or not np.isfinite(block).all() or class_ids
+                and not all(_CLASS_ID.fullmatch(ln[:ln.index(",")]) for _, ln in rows)):
             for i, line in rows:
-                cid = line[:line.index(",")]
-                if not re.fullmatch(r"\s*[+-]?[0-9]{1,15}\s*", cid):  # 15 digits stay exact as floats
-                    errors[4] = DataFormatError(f"{path}:{i}: class id {cid!r} is not an integer")
-                    break
-        if any(errors):
-            continue
+                if error := _line_error(path, i, line, width, class_ids):
+                    raise error
         if values.shape[0] < stored + len(block):  # the rows so far, scaled to the whole file
             values.resize((int((stored + len(block)) / share) + len(block), width), refcheck=False)
         values[stored:stored + len(block)] = block
         stored += len(block)
     if len(head) < n_head:
         check_head(head)
-    if errors[0]:
-        raise errors[0]
-    if expected is not None and n_rows != expected:
-        raise DataFormatError(f"{path}: expected {expected} data rows, found {n_rows}")
-    for error in errors:
-        if error:
-            raise error
+    if expected is not None and stored != expected:
+        raise DataFormatError(f"{path}: expected {expected} data rows, found {stored}")
     values.resize((stored, width), refcheck=False)
     return values
 
@@ -413,22 +381,23 @@ def export_features_csv(features, labels, path: str) -> None:
     if features.shape[0] != labels.shape[0]:
         raise ValueError(f"{features.shape[0]} rows but {labels.shape[0]} labels")
     header = "class_id," + ",".join(f"x_{j + 1}" for j in range(features.shape[1]))
-    write_csv(path, header, features, [f"{i}," for i in labels.tolist()])
+    write_csv(path, header, [features], [f"{i}," for i in labels.tolist()])
 
 
 def save_dataset(dir_path: str, attrs: AttributeMatrix, data: FeatureDataset) -> None:
     os.makedirs(dir_path, exist_ok=True)
     header = "class_id," + ",".join(f"a_{j + 1}" for j in range(attrs.attr_dim))
-    write_csv(os.path.join(dir_path, "attributes.csv"), header, attrs.attrs,
+    write_csv(os.path.join(dir_path, "attributes.csv"), header, [attrs.attrs],
               [f"{i}," for i in range(attrs.n_classes)])
 
     blocks = [data.seen_train, data.seen_test, data.unseen_test]
     pool = data.unseen_unlabeled
     if not np.array_equal(pool, data.unseen_test[0]):  # else the test rows double as the pool
         blocks.append((pool, np.full(len(pool), UNLABELED)))
-    feats, labels = zip(*blocks)
-    export_features_csv(np.vstack(feats), np.concatenate(labels),
-                        os.path.join(dir_path, "features.csv"))
+    feats, labels = zip(*blocks)  # written split by split, never stacked
+    header = "class_id," + ",".join(f"x_{j + 1}" for j in range(data.feature_dim))
+    write_csv(os.path.join(dir_path, "features.csv"), header, feats,
+              [f"{i}," for i in np.concatenate(labels).tolist()])
 
     ends = np.cumsum([f.shape[0] for f in feats]).tolist()
     rows = [list(range(start, end)) for start, end in zip([0] + ends, ends)]
@@ -496,7 +465,7 @@ def save_matrix_csv(matrix, path: str) -> None:
     """Generic dense-matrix CSV: a `rows,cols` header line, a dimension line,
     then the row-major values."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    write_csv(path, f"rows,cols\n{matrix.shape[0]},{matrix.shape[1]}", matrix)
+    write_csv(path, f"rows,cols\n{matrix.shape[0]},{matrix.shape[1]}", [matrix])
 
 
 def load_matrix_csv(path: str) -> np.ndarray:

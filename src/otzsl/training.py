@@ -108,7 +108,7 @@ class TrainTrace:
 
 def write_trace_csv(trace: TrainTrace, path: str) -> None:
     write_csv(path, "iteration,branch,transport_cost,reg_loss,total_loss",
-              np.column_stack([trace.transport_cost, trace.reg_loss, trace.total_loss]),
+              [np.column_stack([trace.transport_cost, trace.reg_loss, trace.total_loss])],
               [f"{i},{branch}," for i, branch in enumerate(trace.branch)])
 
 

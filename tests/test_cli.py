@@ -746,6 +746,22 @@ def test_export_reads_only_the_header_of_features_csv(workspace, tmp_path):
             == (tmp_path / "b" / "generated_features.csv").read_bytes())
 
 
+def test_export_reports_a_bad_header_byte_at_its_offset_in_the_file(workspace, tmp_path, capsys):
+    """A byte that is not UTF-8 past the first 8 KB of a 2048-column header is
+    named by its offset in features.csv, as eval names it."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / "features.csv"
+    header = ("class_id," + ",".join(f"x_{j + 1}" for j in range(2048))).encode()
+    raw, at = path.read_bytes(), 13237
+    path.write_bytes(header[:at] + b"\xff" + header[at:] + raw[raw.index(b"\n"):])
+    message = f"error: {path}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
+    for command in ("export", "eval"):
+        assert run([command, "--data", str(data), "--checkpoint", str(workspace["ckpt"]),
+                    "--out", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err == message
+
+
 def test_export_validates_per_class(workspace, tmp_path, capsys):
     assert run(["export", "--data", str(workspace["data"]),
                 "--checkpoint", str(workspace["ckpt"]),

@@ -1,9 +1,15 @@
 import json
+import math
 import os
+import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import otzsl.data as data_module
 from otzsl.data import (
@@ -675,9 +681,9 @@ def damage(path, edits):
 
 
 @pytest.mark.parametrize("edits, message", [
-    ([(4, 0, "1.5"), (30, 3, "nan")], "30: column 4 is not a finite number"),
-    ([(4, 3, "nan"), (30, 2, "x")], "30: could not convert string 'x' to float64 at column 3."),
-    ([(4, 2, "x"), (30, None, "0.5")], "30: expected 9 columns, got 10"),
+    ([(4, 0, "1.5"), (30, 3, "nan")], "4: class id '1.5' is not an integer"),
+    ([(4, 3, "nan"), (30, 2, "x")], "4: column 4 is not a finite number"),
+    ([(4, 2, "x"), (30, None, "0.5")], "4: could not convert string 'x' to float64 at column 3."),
     ([(4, None, "0.5"), (30, None, "0.5")], "4: expected 9 columns, got 10"),
     ([(4, 0, "1.5"), (30, 0, "2.5")], "4: class id '1.5' is not an integer"),
     ([(4, 1, "inf"), (30, 5, "nan")], "4: column 2 is not a finite number"),
@@ -686,13 +692,34 @@ def damage(path, edits):
         "two-class-ids", "two-nans", "two-parse-errors"])
 def test_block_reader_reports_what_the_whole_file_check_meets_first(tmp_path, monkeypatch,
                                                                     edits, message):
-    """Defects in blocks far apart: the whole file's first column count beats
-    its first parse error, which beats its first non-finite cell, which
-    beats its first bad class id, wherever each lies."""
+    """Defects in blocks far apart: a check of the whole file, line by line,
+    meets the first bad line first, whatever the kind of each defect."""
     monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 200)
     saved_dataset(tmp_path)
     path = tmp_path / "features.csv"
     damage(path, edits)
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(str(tmp_path))
+    assert str(err.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(4, 0, "1.5"), (5, None, "0.5")], "4: class id '1.5' is not an integer"),
+    ([(4, 3, "nan"), (5, 2, "x")], "4: column 4 is not a finite number"),
+    ([(5, 3, "nan"), (4, 0, "x")], "4: could not convert string 'x' to float64 at column 1."),
+    ([(4, 0, "1.5"), (4, 3, "inf")], "4: column 4 is not a finite number"),
+    ([(4, 3, "nan"), (4, 2, "x")], "4: could not convert string 'x' to float64 at column 3."),
+    ([(4, 2, "x"), (4, None, "0.5")], "4: expected 9 columns, got 10"),
+], ids=["class-id-then-columns", "nan-then-parse", "parse-then-nan", "nan-and-class-id-on-a-line",
+        "parse-and-nan-on-a-line", "columns-and-parse-on-a-line"])
+def test_block_reader_reports_the_first_bad_line_of_a_block(tmp_path, edits, message):
+    """Defects in one block: the first bad line is reported, and within a
+    line a wrong column count beats a cell that does not parse, which beats
+    a non-finite cell, which beats a bad class id."""
+    saved_dataset(tmp_path)
+    path = tmp_path / "features.csv"
+    damage(path, edits)
+    assert os.path.getsize(path) < data_module.READ_BLOCK_BYTES
     with pytest.raises(DataFormatError) as err:
         load_dataset(str(tmp_path))
     assert str(err.value) == f"{path}:{message}"
@@ -703,18 +730,148 @@ def test_block_reader_reports_what_the_whole_file_check_meets_first(tmp_path, mo
     (b"\xe2\x80", "bytes in position {}-{}: invalid continuation byte"),
 ])
 def test_block_reader_reports_bad_utf8_after_a_parse_error(tmp_path, monkeypatch, bad, reason):
-    """The position is the byte's offset in the whole file, as decoding it
-    all at once reports it."""
+    """A parse error at line 4 comes before a byte that is not UTF-8 at line
+    30, in a later block. Alone, the byte is reported at its offset in the
+    whole file, as decoding it all at once reports it."""
     monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 200)
     saved_dataset(tmp_path)
     path = tmp_path / "features.csv"
+    intact = path.read_bytes()
     damage(path, [(4, 2, "x")])
-    raw = path.read_bytes()
-    at = sum(len(line) for line in raw.splitlines(keepends=True)[:29]) + 5
-    path.write_bytes(raw[:at] + bad + raw[at:])
-    with pytest.raises(DataFormatError) as err:
-        load_dataset(str(tmp_path))
-    assert str(err.value) == f"{path}: 'utf-8' codec can't decode " + reason.format(at, at + 1)
+    for raw, message in ((path.read_bytes(), ":4: could not convert string 'x' to float64 at column 3."),
+                         (intact, ": 'utf-8' codec can't decode " + reason)):
+        at = sum(len(line) for line in raw.splitlines(keepends=True)[:29]) + 5
+        assert at > 4 * data_module.READ_BLOCK_BYTES
+        path.write_bytes(raw[:at] + bad + raw[at:])
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(str(tmp_path))
+        assert str(err.value) == f"{path}" + message.format(at, at + 1)
+
+
+def test_header_read_reports_a_bad_byte_at_its_offset_in_the_file(tmp_path):
+    """Read up to its header only (as export reads features.csv) or whole, a
+    file with a byte that is not UTF-8 past the first 8 KB of a 2048-column
+    header gives the same message, with the byte's offset in the file."""
+    saved_dataset(tmp_path)
+    path = tmp_path / "features.csv"
+    header = ("class_id," + ",".join(f"x_{j + 1}" for j in range(2048))).encode()
+    raw, at = path.read_bytes(), 13237
+    path.write_bytes(header[:at] + b"\xff" + header[at:] + raw[raw.index(b"\n"):])
+    messages = []
+    for rows in (True, False):
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(str(tmp_path), rows=rows)
+        messages.append(str(err.value))
+    message = f"{path}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    assert messages == [message, message]
+
+
+CLASS_ID = re.compile(r"\s*[+-]?[0-9]{1,15}\s*")
+
+
+def reference_read_labeled(path, prefix):
+    """The first-bad-line rule, read plainly: the whole file decoded at once,
+    then checked one line at a time. The rows (class id first), or the
+    message of the first defect."""
+    raw = Path(path).read_bytes()
+    try:
+        text, utf8 = raw.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, utf8 = raw[:exc.start].decode("utf-8"), f"{path}: {exc}"
+    lines = text.splitlines(keepends=True)
+    if utf8 and lines and lines[-1].splitlines()[0] == lines[-1]:
+        lines.pop()  # the start of the line that holds the bad byte
+    width, rows = None, []
+    for number, line in enumerate(lines, start=1):
+        line = line.splitlines()[0]
+        if not line:
+            continue
+        if width is None:
+            if not line.startswith(prefix):
+                return f"{path}: expected header starting with '{prefix}'"
+            width = len(line.split(","))
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            return f"{path}:{number}: expected {width} columns, got {len(cells)}"
+        try:
+            row = np.loadtxt([line], delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            return f"{path}:{number}: {exc}".replace("at row 0, ", "at ")
+        for col, value in enumerate(row.tolist()):
+            if not math.isfinite(value):
+                return f"{path}:{number}: column {col + 1} is not a finite number"
+        if not CLASS_ID.fullmatch(cells[0]):
+            return f"{path}:{number}: class id {cells[0]!r} is not an integer"
+        rows.append(row)
+    if utf8:
+        return utf8
+    if width is None:
+        return f"{path}: expected header starting with '{prefix}'"
+    return np.array(rows).reshape(-1, width)
+
+
+CELLS = ["x", "nan", "-inf", "1e999", "1.5", "2#3", "", " 7 ", "+3", "1_0", "0x10", "9" * 16]
+BREAKS = ["\n", "\n\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028", "\n \n"]
+# (kind, line, cell index or byte offset, text)
+DAMAGE = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 11), st.integers(0, 8), st.sampled_from(CELLS)),
+    st.tuples(st.just("extra"), st.integers(0, 11), st.just(None), st.just("0.5")),
+    st.tuples(st.just("drop"), st.integers(0, 11), st.just(None), st.just(None)),
+    st.tuples(st.just("break"), st.integers(0, 11), st.just(None), st.sampled_from(BREAKS)),
+    st.tuples(st.just("byte"), st.integers(0, 11), st.integers(0, 200),
+              st.sampled_from(["\xff", "\xe2\x80", "\xc3"])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(name="features.csv",  # a bad line that ends in \r, then a bad byte before the \n
+         damages=[("cell", 3, 2, "x"), ("break", 3, None, "\r"), ("byte", 4, 5, "\xff")])
+@given(name=st.sampled_from(["attributes.csv", "features.csv"]),
+       damages=st.lists(DAMAGE, min_size=1, max_size=3))
+def test_block_reader_matches_a_plain_line_by_line_reading(name, damages):
+    """Damaged dataset files read in blocks of 1 byte to 1 MB give the plain
+    reading's rows or message, so no message depends on the block size."""
+    prefix = {"attributes.csv": "class_id,a_1", "features.csv": "class_id,x_1"}[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        attrs, data, _ = make_synthetic_dataset(TINY_SPEC)
+        save_dataset(tmp, attrs, data)
+        path = os.path.join(tmp, name)
+        lines = Path(path).read_text().splitlines()[:12]
+        ends, bad_bytes = ["\n"] * len(lines), {}
+        for kind, line, col, value in damages:
+            line %= len(lines)
+            cells = lines[line].split(",")
+            if kind == "cell":
+                cells[col % len(cells)] = value
+            elif kind == "extra":
+                cells.append(value)
+            elif kind == "drop" and len(cells) > 1:
+                cells.pop()
+            elif kind == "break":
+                ends[line] = value
+            elif kind == "byte":
+                bad_bytes[line] = (col, value.encode("latin-1"))
+            lines[line] = ",".join(cells)
+        raw = b""
+        for line, (text, end) in enumerate(zip(lines, ends)):
+            text = text.encode("utf-8")
+            if line in bad_bytes:
+                at, bad = bad_bytes[line]
+                text = text[:at % (len(text) + 1)] + bad + text[at % (len(text) + 1):]
+            raw += text + end.encode("utf-8")
+        Path(path).write_bytes(raw)
+        expected = reference_read_labeled(path, prefix)
+        for size in (1, 50, 300, 1 << 20):
+            with mock.patch.object(data_module, "READ_BLOCK_BYTES", size):
+                try:
+                    ids, values = data_module._read_labeled_csv(path, prefix)
+                except DataFormatError as exc:
+                    assert str(exc) == expected, size
+                    continue
+            assert not isinstance(expected, str), (size, expected)
+            np.testing.assert_array_equal(ids, expected[:, 0].astype(np.int64))
+            assert_same_bits(values, expected[:, 1:])
 
 
 def test_load_dataset_peak_memory_is_about_twice_its_arrays(tmp_path, monkeypatch):
@@ -730,3 +887,20 @@ def test_load_dataset_peak_memory_is_about_twice_its_arrays(tmp_path, monkeypatc
               *(x for name in ("seen_train", "seen_test", "unseen_test") for x in getattr(data2, name))]
     returned = sum({id(x): x.nbytes for x in arrays}.values())
     assert peak <= 2.5 * returned
+
+
+def test_check_split_makes_no_temporary_of_the_split_size():
+    """The zero-norm check sums each row's squares in place: only the
+    boolean finiteness mask, an eighth of the split, is left."""
+    features = SeededRng(3).gaussian(2000 * 2048).reshape(2000, 2048)
+    _, peak = traced_peak(data_module._check_split, features, np.zeros(2000, dtype=np.int64), "s")
+    assert peak <= 0.2 * features.nbytes
+
+
+def test_save_dataset_writes_the_splits_without_stacking_them(tmp_path):
+    """features.csv is written split by split: the peak holds no copy of the
+    splits' rows."""
+    attrs, data, _ = make_synthetic_dataset(SyntheticSpec(feature_dim=256, samples_per_class=40))
+    _, peak = traced_peak(save_dataset, str(tmp_path), attrs, data)
+    written = sum(getattr(data, name)[0].nbytes for name in ("seen_train", "seen_test", "unseen_test"))
+    assert peak <= 0.25 * written

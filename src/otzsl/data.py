@@ -198,38 +198,33 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[AttributeMatrix, Featur
     ) / np.sqrt(spec.attr_dim)
     prototypes = attr_rows @ hidden_map.T
 
-    feats, labels = [], []
+    # Each class's rows are drawn straight into its split: a seen class's
+    # rows in the order of its split permutation, the first 70% to train.
+    n, d = spec.samples_per_class, spec.feature_dim
+    cut = int(0.7 * n)
+    train = np.empty((spec.seen_classes, cut, d))
+    test = np.empty((spec.seen_classes, n - cut, d))
+    unseen = np.empty((spec.unseen_classes, n, d))
     for c in range(n_classes):
-        noise = noise_rng.gaussian(spec.samples_per_class * spec.feature_dim).reshape(
-            spec.samples_per_class, spec.feature_dim
-        )
-        feats.append(prototypes[c] + spec.noise_sigma * noise)
-        labels.append(np.full(spec.samples_per_class, c, dtype=np.int64))
-    feats = np.vstack(feats)
-    labels = np.concatenate(labels)
+        feats = noise_rng.gaussian(n * d).reshape(n, d)
+        feats *= spec.noise_sigma
+        feats += prototypes[c]
+        if c < spec.seen_classes:
+            order = split_rng.permutation(n)
+            train[c], test[c] = feats[order[:cut]], feats[order[cut:]]
+        else:
+            unseen[c - spec.seen_classes] = feats
+
+    train, test, unseen = (x.reshape(-1, d) for x in (train, test, unseen))
 
     seen_ids = tuple(range(spec.seen_classes))
     unseen_ids = tuple(range(spec.seen_classes, n_classes))
-    train_idx, test_idx, unseen_idx = [], [], []
-    for c in range(n_classes):
-        idx = np.flatnonzero(labels == c)
-        if c in seen_ids:
-            order = idx[split_rng.permutation(idx.size)]
-            cut = int(0.7 * idx.size)
-            train_idx.extend(order[:cut].tolist())
-            test_idx.extend(order[cut:].tolist())
-        else:
-            unseen_idx.extend(idx.tolist())
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-    test_idx = np.asarray(test_idx, dtype=np.int64)
-    unseen_idx = np.asarray(unseen_idx, dtype=np.int64)
-
     attrs = AttributeMatrix(attr_rows, seen_ids, unseen_ids)
     dataset = FeatureDataset(
-        seen_train=(feats[train_idx], labels[train_idx]),
-        seen_test=(feats[test_idx], labels[test_idx]),
-        unseen_test=(feats[unseen_idx], labels[unseen_idx]),
-        unseen_unlabeled=feats[unseen_idx],
+        seen_train=(train, np.repeat(seen_ids, cut)),
+        seen_test=(test, np.repeat(seen_ids, n - cut)),
+        unseen_test=(unseen, np.repeat(unseen_ids, n)),
+        unseen_unlabeled=unseen,  # the test rows double as the pool
     )
     check_dataset(attrs, dataset)
     return attrs, dataset, hidden_map

@@ -149,6 +149,19 @@ def _marginal_deviation(plan: np.ndarray, marg: Marginals) -> float:
     return max(row_dev, col_dev)
 
 
+def _trace_rows(plans: np.ndarray, cost: np.ndarray, marg: Marginals,
+                scratch: np.ndarray | None = None) -> list[tuple[float, float]]:
+    """(transport cost, max marginal deviation) of each plan in a stack, as
+    trace rows record them. Each reduction adds in the order that
+    np.sum(plan * cost) and _marginal_deviation use on one plan, so the
+    values are theirs bit for bit. `scratch`, if given, has the stack's
+    shape and is overwritten."""
+    costs = np.multiply(plans, cost, out=scratch).reshape(len(plans), -1).sum(axis=1)
+    row_dev = np.abs(plans.sum(axis=2) - marg.row).max(axis=1)
+    col_dev = np.abs(plans.sum(axis=1) - marg.col).max(axis=1)
+    return list(zip(costs.tolist(), np.maximum(row_dev, col_dev).tolist()))
+
+
 def _sweep(K: np.ndarray, a: np.ndarray, marg: Marginals, out: np.ndarray) -> np.ndarray:
     """One Sinkhorn sweep on kernel K from the row scaling a: fit the column
     scaling b to the rows, then the rows to b. Writes the plan diag(a) K
@@ -200,6 +213,15 @@ def ipot_solve(
     returned values are rounded onto the marginal polytope, so every result
     is a valid coupling; trace rows record the raw iterates.
 
+    Right after each sweep, every plan entry below the smallest normal
+    float64 (`np.finfo(np.float64).tiny`, about 2.2e-308) is set to zero.
+    Off-support entries decay geometrically, and once subnormal they would
+    slow every later sweep several-fold. Each plan row sums to its marginal,
+    so a subnormal addend lies below half an ulp of every sum it enters:
+    the scalings, the stop rule and the trace are those of the unflushed
+    iteration, and only entries that were subnormal differ, now exactly 0.
+    NaN is not below tiny, so a collapsed sweep still raises.
+
     The plans of a block of up to _BLOCK_SWEEPS sweeps go into consecutive
     slots of one buffer, after the plan the block started from, and the
     stop and finiteness rules are applied once per block: one subtract, abs
@@ -221,6 +243,7 @@ def ipot_solve(
     np.outer(marg.row, marg.col, out=slots[0])
     a = marg.row.copy()
     trace = [] if record_trace else None
+    tiny = np.finfo(np.float64).tiny
     t = 0
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -229,9 +252,12 @@ def ipot_solve(
             for j in range(1, k + 1):
                 np.multiply(G, slots[j - 1], out=K)
                 a = _sweep(K, a, marg, slots[j])
+                np.putmask(slots[j], slots[j] < tiny, 0.0)
             np.subtract(plans[1:k + 1], plans[:k], out=changes[:k])
             deltas = np.abs(changes[:k], out=changes[:k]).max(axis=(1, 2)).tolist()
-            for plan, delta in zip(slots[1:], deltas):
+            if trace is not None:
+                rows = _trace_rows(plans[1:k + 1], cost, marg, changes[:k])
+            for i, (plan, delta) in enumerate(zip(slots[1:], deltas)):
                 t += 1
                 if not math.isfinite(delta):
                     raise SolverError(
@@ -239,7 +265,7 @@ def ipot_solve(
                         "the kernel row/column mass collapsed"
                     )
                 if trace is not None:
-                    trace.append((t, float(np.sum(plan * cost)), _marginal_deviation(plan, marg)))
+                    trace.append((t, *rows[i]))
                 if delta < cfg.stop_tol and _marginal_deviation(plan, marg) <= FEASIBILITY_TOL:
                     return _result(plan, marg, True, t, trace)
             slots[0][...] = slots[k]
@@ -295,7 +321,7 @@ def sinkhorn_solve(
                     "increase the regularization weight"
                 )
             if trace is not None:
-                trace.append((t, float(np.sum(plan * cost)), _marginal_deviation(plan, marg)))
+                trace.append((t, *_trace_rows(plan[None], cost, marg)[0]))
 
     return _result(plan, marg, check_marginals(plan, marg).passed, iterations, trace)
 

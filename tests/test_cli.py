@@ -75,6 +75,32 @@ def test_cli_imports_no_test_only_package(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_python_m_otzsl_exit_path(tmp_path):
+    """`python -m otzsl` returns main's exit code and flushes its output."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONPATH"}, "PYTHONPATH": str(src)}
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), str(cost))
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "otzsl", *argv, "--cost", str(cost)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+    proc = python_m("solve-ot", "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("solver ipot: cost ") and lines[1].startswith("feasibility: ")
+    np.testing.assert_allclose(load_matrix_csv(str(tmp_path / "o" / "plan.csv")),
+                               [[0.5, 0.0], [0.0, 0.5]], atol=1e-9)
+
+    proc = python_m("solve-ot", "--config", str(bad), "--out", str(tmp_path / "p"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+
+
 # --- config plumbing ---
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

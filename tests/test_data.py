@@ -897,6 +897,43 @@ def test_check_split_makes_no_temporary_of_the_split_size():
     assert peak <= 0.2 * features.nbytes
 
 
+def reference_synthetic_splits(spec):
+    """The generator's feature splits built the plain way: every class's
+    rows stacked, then each split indexed out of the stack."""
+    attrs, _, hidden = make_synthetic_dataset(spec)
+    rng = SeededRng(spec.seed)
+    noise_rng, split_rng = rng.split(3), rng.split(4)
+    n, d = spec.samples_per_class, spec.feature_dim
+    prototypes = attrs.attrs @ hidden.T
+    feats = np.vstack([prototypes[c] + spec.noise_sigma * noise_rng.gaussian(n * d).reshape(n, d)
+                       for c in range(attrs.n_classes)])
+    train, test = [], []
+    for c in attrs.seen_ids:
+        order = c * n + split_rng.permutation(n)
+        train.extend(order[:int(0.7 * n)])
+        test.extend(order[int(0.7 * n):])
+    return feats[train], feats[test], feats[len(attrs.seen_ids) * n:]
+
+
+@pytest.mark.parametrize("spec", [TINY_SPEC, SyntheticSpec(samples_per_class=7, noise_sigma=0.0)])
+def test_synthetic_splits_match_reference(spec):
+    _, data, _ = make_synthetic_dataset(spec)
+    got = (data.seen_train[0], data.seen_test[0], data.unseen_test[0])
+    for a, b in zip(got, reference_synthetic_splits(spec)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_synthetic_rows_are_drawn_straight_into_their_splits():
+    """No stacked array of all rows and no second copy of the unseen rows:
+    the unlabeled pool is the unseen test array, and the peak stays near
+    the size of the splits."""
+    spec = SyntheticSpec(seen_classes=40, unseen_classes=10, feature_dim=256, samples_per_class=40)
+    (_, data, _), peak = traced_peak(make_synthetic_dataset, spec)
+    assert data.unseen_unlabeled is data.unseen_test[0]
+    held = sum(getattr(data, name)[0].nbytes for name in ("seen_train", "seen_test", "unseen_test"))
+    assert peak <= 1.5 * held
+
+
 def test_save_dataset_writes_the_splits_without_stacking_them(tmp_path):
     """features.csv is written split by split: the peak holds no copy of the
     splits' rows."""

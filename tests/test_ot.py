@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from otzsl.errors import SolverError
 from otzsl.ot import (
+    _BLOCK_BYTES,
     _BLOCK_SWEEPS,
     FEASIBILITY_TOL,
     IpotConfig,
@@ -197,11 +198,12 @@ def test_ipot_permutation_equivariance():
     assert transport_cost(permuted, C[perm]) == pytest.approx(transport_cost(base, C), abs=1e-9)
 
 
-def ipot_reference(cost, cfg):
+def ipot_reference(cost, cfg, marg=None, flush=True):
     """Plain IPOT loop that tests the stop rule and finiteness after every
-    sweep; ipot_solve, which tests them once per block, must match it bit
-    for bit."""
-    marg = Marginals.uniform(*cost.shape)
+    sweep and builds each trace row from its own plan; ipot_solve, which
+    tests them once per block, must match it bit for bit. With flush=False
+    subnormal plan entries are kept."""
+    marg = marg or Marginals.uniform(*cost.shape)
     G = np.exp(-cost / cfg.reg)
     a = marg.row.copy()
     plan = np.outer(marg.row, marg.col)
@@ -213,6 +215,8 @@ def ipot_reference(cost, cfg):
             b = marg.col / (K.T @ a)
             a = marg.row / (K @ b)
             new_plan = (a[:, None] * K) * b[None, :]
+            if flush:
+                new_plan[new_plan < np.finfo(np.float64).tiny] = 0.0
             if not np.all(np.isfinite(new_plan)):
                 raise SolverError(
                     f"ipot_solve hit non-finite scalings at outer iteration {t}; "
@@ -229,9 +233,9 @@ def ipot_reference(cost, cfg):
     return _round_to_polytope(plan, marg), converged, t, np.asarray(trace)
 
 
-def assert_matches_reference(cost, cfg, record_trace):
-    values, converged, iterations, trace = ipot_reference(cost, cfg)
-    out = ipot_solve(cost, cfg=cfg, record_trace=record_trace)
+def assert_matches_reference(cost, cfg, record_trace, marg=None):
+    values, converged, iterations, trace = ipot_reference(cost, cfg, marg)
+    out = ipot_solve(cost, marg, cfg, record_trace)
     assert np.array_equal(out.values, values)
     assert out.converged == converged
     assert out.iterations_used == iterations
@@ -261,6 +265,45 @@ def test_ipot_stop_inside_a_block_matches_reference(shape, record_trace):
     cfg = IpotConfig(max_outer_iters=5000)
     out = assert_matches_reference(cost, cfg, record_trace)
     assert out.converged and out.iterations_used % _BLOCK_SWEEPS != 0
+
+
+def test_ipot_trace_of_short_blocks_matches_reference():
+    """At 200 x 200 a block holds fewer than _BLOCK_SWEEPS sweeps and a plan
+    more than 8192 entries, numpy's reduction buffer: the batched trace
+    rows still equal those of one plan at a time."""
+    cost = random_cost(SeededRng(4), 200, 200)
+    assert (_BLOCK_BYTES // cost.nbytes - 1) // 2 < _BLOCK_SWEEPS
+    out = assert_matches_reference(cost, IpotConfig(max_outer_iters=20), True)
+    assert out.iterations_used == 20
+
+
+@pytest.mark.parametrize("budget", [40, 5000])
+def test_ipot_nonuniform_marginals_match_reference(budget):
+    rng = SeededRng(6)
+    row, col = rng.uniform(9) + 0.1, rng.uniform(13) + 0.1
+    marg = Marginals(row / row.sum(), col / col.sum())
+    out = assert_matches_reference(random_cost(rng, 9, 13), IpotConfig(max_outer_iters=budget),
+                                   True, marg)
+    assert out.converged == (budget == 5000)
+
+
+def test_ipot_flushes_subnormal_plan_entries():
+    """A 2000-sweep solve drives off-support entries below the smallest
+    normal float: they come back as 0, and the sweeps, flags and trace are
+    those of the unflushed iteration."""
+    rng = SeededRng(3)
+    cost = cosine_cost_matrix(rng.gaussian(48 * 16).reshape(48, 16),
+                              rng.gaussian(48 * 16).reshape(48, 16))
+    cfg = IpotConfig(max_outer_iters=2000)
+    values, converged, iterations, trace = ipot_reference(cost, cfg, flush=False)
+    out = ipot_solve(cost, cfg=cfg, record_trace=True)
+    tiny = np.finfo(np.float64).tiny
+    assert np.any((values > 0.0) & (values < tiny))
+    assert (out.converged, out.iterations_used) == (converged, iterations)
+    assert np.array_equal(out.trace, trace)
+    moved = out.values != values
+    assert np.all(values[moved] < tiny) and np.all(out.values[moved] == 0.0)
+    assert not np.any((out.values > 0.0) & (out.values < tiny))
 
 
 def test_ipot_blow_up_matches_reference_without_warnings():
@@ -325,6 +368,26 @@ def test_sinkhorn_parameter_validation():
         sinkhorn_solve(np.zeros((2, 2)), reg=-0.1)
     with pytest.raises(ValueError):
         sinkhorn_solve(np.zeros((2, 2)), iterations=0)
+
+
+@pytest.mark.parametrize("shape", [(6, 11), (100, 100)])
+def test_sinkhorn_trace_matches_reference(shape):
+    """Each trace row equals np.sum(plan * cost) and the max marginal
+    deviation of that iteration's plan, bit for bit."""
+    cost = random_cost(SeededRng(8), *shape)
+    marg = Marginals.uniform(*shape)
+    K = np.exp(-cost / 0.1)
+    a = marg.row.copy()
+    expected = []
+    for t in range(1, 31):
+        b = marg.col / (K.T @ a)
+        a = marg.row / (K @ b)
+        plan = (a[:, None] * K) * b
+        dev = max(np.max(np.abs(plan.sum(axis=1) - marg.row)),
+                  np.max(np.abs(plan.sum(axis=0) - marg.col)))
+        expected.append((t, np.sum(plan * cost), dev))
+    out = sinkhorn_solve(cost, marg, reg=0.1, iterations=30, record_trace=True)
+    assert np.array_equal(out.trace, np.asarray(expected))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 6))

@@ -25,10 +25,10 @@ from . import checkpoint as ckpt
 from . import data as dataio
 from . import ot
 from .errors import ConfigError, DataFormatError, OtzslError
-from .evaluate import PROTOCOLS, EvalConfig, evaluate, protocol, save_report
+from .evaluate import PROTOCOL_SPLITS, PROTOCOLS, EvalConfig, evaluate, protocol, save_report
 from .rng import SeededRng
-from .training import (MODES, TrainConfig, require_training_rows, synthesize_class_features,
-                       train, write_trace_csv)
+from .training import (MODE_SPLITS, MODES, TrainConfig, require_training_rows,
+                       synthesize_class_features, train, write_trace_csv)
 
 SOLVE_OT_DEFAULTS = {
     "cost": None,
@@ -141,14 +141,14 @@ def _require(cfg: dict, key: str, what: str) -> str:
     return cfg[key]
 
 
-def _load_dataset_and_generator(cfg: dict, rows: bool = True):
-    """The dataset and the checkpoint's generator that eval and export read,
-    checked to agree in dimension; the generator, the smaller read, loads
-    first. Without rows (export) the splits are empty: see load_dataset."""
+def _load_dataset_and_generator(cfg: dict, splits):
+    """The dataset, holding only the named splits (see load_dataset), and the
+    checkpoint's generator that eval and export read, checked to agree in
+    dimension; the generator, the smaller read, loads first."""
     data_dir = _require(cfg, "data", "dataset directory")
     ckpt_path = _require(cfg, "checkpoint", "checkpoint path")
     g = ckpt.load_checkpoint(ckpt_path)
-    attrs, dataset = dataio.load_dataset(data_dir, rows)
+    attrs, dataset = dataio.load_dataset(data_dir, splits)
     if (g.attr_dim, g.feature_dim) != (attrs.attr_dim, dataset.feature_dim):
         raise DataFormatError(f"{ckpt_path} holds a generator for (attributes, features) = "
                               f"({g.attr_dim}, {g.feature_dim}), but dataset {data_dir} has "
@@ -172,7 +172,8 @@ def cmd_train(args) -> int:
     template = TrainConfig()
     cfg = resolve_config({"data": None, **flat_fields(template)}, args)
     data_dir = _require(cfg, "data", "dataset directory")
-    attrs, dataset = dataio.load_dataset(data_dir)
+    # an unknown mode reads every split, and from_flat rejects it where it always did
+    attrs, dataset = dataio.load_dataset(data_dir, MODE_SPLITS.get(cfg["mode"], dataio.SPLITS))
     tc = from_flat(template, cfg)
     require_training_rows(attrs, dataset, tc.mode)
     echo_config(cfg, args.out)
@@ -191,7 +192,9 @@ def cmd_eval(args) -> int:
     template = EvalConfig()
     cfg = resolve_config({"data": None, "checkpoint": None, "mode": "standard",
                           **flat_fields(template)}, args)
-    attrs, dataset, g = _load_dataset_and_generator(cfg)
+    # an unknown mode reads every split, and protocol() rejects it where it always did
+    attrs, dataset, g = _load_dataset_and_generator(
+        cfg, PROTOCOL_SPLITS.get(cfg["mode"], dataio.SPLITS))
     ec = from_flat(template, cfg)
     protocol(cfg["mode"], attrs, dataset, ec.top_k)  # rejects bad inputs before writing
     echo_config(cfg, args.out)
@@ -281,7 +284,7 @@ def cmd_export(args) -> int:
         raise ConfigError(f"classes must be seen, unseen, or all, got {cfg['classes']!r}")
     if cfg["per_class"] < 1:
         raise ConfigError(f"per_class must be positive, got {cfg['per_class']}")
-    attrs, _, g = _load_dataset_and_generator(cfg, rows=False)
+    attrs, _, g = _load_dataset_and_generator(cfg, ())  # attributes and the feature width only
     pool = {"seen": attrs.seen_ids, "unseen": attrs.unseen_ids,
             "all": tuple(range(attrs.n_classes))}[cfg["classes"]]
     if not pool:

@@ -31,14 +31,11 @@ from .rng import SeededRng
 
 UNLABELED = -1
 
-SPLIT_KEYS = (
-    "seen",
-    "unseen",
-    "seen_train_rows",
-    "seen_test_rows",
-    "unseen_test_rows",
-    "unseen_unlabeled_rows",
-)
+# The splits of a FeatureDataset, the three labeled ones first; split.json
+# lists the rows of split s under the key s_rows.
+SPLITS = ("seen_train", "seen_test", "unseen_test", "unseen_unlabeled")
+LABELED_SPLITS = SPLITS[:3]
+SPLIT_KEYS = ("seen", "unseen", *(f"{name}_rows" for name in SPLITS))
 
 
 @dataclass
@@ -94,13 +91,23 @@ def _check_split(features: np.ndarray, labels: np.ndarray, what: str):
         )
     if not np.all(np.isfinite(features)):
         raise DataFormatError(f"{what} features contain a non-finite value")
-    if features.shape[0]:
-        with np.errstate(over="ignore"):  # an inf sum is still not zero
-            # a row sum of squares, with no temporary as large as the split
-            squares = np.einsum("ij,ij->i", features, features)
-        if np.any(squares == 0.0):
-            bad = int(np.flatnonzero(squares == 0.0)[0])
-            raise DataFormatError(f"{what} row {bad} has zero norm")
+    _check_rows(what, _zero_norm_rows(features), labels)
+
+
+def _zero_norm_rows(features: np.ndarray) -> np.ndarray:
+    """Which rows of a finite 2-D array have norm zero; a row sum of squares,
+    with no temporary as large as the array."""
+    with np.errstate(over="ignore"):  # an inf sum is still not zero
+        return np.einsum("ij,ij->i", features, features) == 0.0
+
+
+def _check_rows(what: str, zero_norm: np.ndarray, labels: np.ndarray | None) -> None:
+    """The checks of a split's finite rows, in order: no row has norm zero,
+    and (given the labels) no class id is negative."""
+    if zero_norm.any():
+        raise DataFormatError(f"{what} row {int(np.flatnonzero(zero_norm)[0])} has zero norm")
+    if labels is not None and labels.size and labels.min() < 0:
+        raise DataFormatError(f"{what} has a negative class id")
 
 
 @dataclass
@@ -115,13 +122,11 @@ class FeatureDataset:
 
     def __post_init__(self):
         splits = {}
-        for name in ("seen_train", "seen_test", "unseen_test"):
+        for name in LABELED_SPLITS:
             feats, labels = getattr(self, name)
             feats = np.asarray(feats, dtype=np.float64)
             labels = np.asarray(labels, dtype=np.int64).reshape(-1)
             _check_split(feats, labels, name)
-            if feats.shape[0] and labels.min() < 0:
-                raise DataFormatError(f"{name} has a negative class id")
             splits[name] = (feats, labels)
             setattr(self, name, (feats, labels))
         pool = np.asarray(self.unseen_unlabeled, dtype=np.float64)
@@ -140,10 +145,14 @@ class FeatureDataset:
 
 def check_dataset(attrs: AttributeMatrix, data: FeatureDataset) -> None:
     """Cross-validate labels against the class partition."""
-    seen, unseen = set(attrs.seen_ids), set(attrs.unseen_ids)
-    for name, allowed in (("seen_train", seen), ("seen_test", seen), ("unseen_test", unseen)):
-        labels = getattr(data, name)[1]
-        extra = set(labels.tolist()) - allowed
+    _check_classes(attrs, {name: getattr(data, name)[1] for name in LABELED_SPLITS})
+
+
+def _check_classes(attrs: AttributeMatrix, labels: dict) -> None:
+    """Each labeled split's class ids, by split name, lie in its side of the partition."""
+    for name, ids in labels.items():
+        allowed = attrs.unseen_ids if name == "unseen_test" else attrs.seen_ids
+        extra = set(ids.tolist()) - set(allowed)
         if extra:
             raise DataFormatError(f"{name} labels {sorted(extra)} fall outside the expected classes")
 
@@ -400,17 +409,25 @@ def save_dataset(dir_path: str, attrs: AttributeMatrix, data: FeatureDataset) ->
     write_json(split, os.path.join(dir_path, "split.json"))
 
 
-def load_dataset(dir_path: str, rows: bool = True) -> tuple[AttributeMatrix, FeatureDataset]:
+def load_dataset(dir_path: str, splits=SPLITS) -> tuple[AttributeMatrix, FeatureDataset]:
     """Read and fully validate a dataset directory; no partially valid object
-    ever escapes this function. Without rows, features.csv is read only up to
-    its header, split.json's row lists go unchecked, and every split is empty."""
+    ever escapes this function. `splits` names the splits (of SPLITS) that
+    the caller reads. Every row of features.csv is still parsed and every
+    split checked, in the same order whatever the selection, so a defect in
+    a split left out raises the error that loading them all raises. A split
+    left out is never copied out of the file's rows and comes back empty,
+    (0, D). With no split named, features.csv is read only up to its
+    header, split.json's row lists are checked only for their type, and
+    every split is empty."""
+    if extra := set(splits) - set(SPLITS):
+        raise ValueError(f"unknown splits {sorted(extra)}")
     ids, attr_values = _read_labeled_csv(os.path.join(dir_path, "attributes.csv"), "class_id,a_1")
     if sorted(ids.tolist()) != list(range(ids.size)):
         raise DataFormatError(
             f"attributes.csv class ids must be 0..{ids.size - 1}, got {ids.tolist()}")
     attr_matrix = attr_values[np.argsort(ids)]
     labels, features = _read_labeled_csv(os.path.join(dir_path, "features.csv"), "class_id,x_1",
-                                         first_only=not rows)
+                                         first_only=not splits)
 
     split_path = os.path.join(dir_path, "split.json")
     if not os.path.isfile(split_path):
@@ -427,33 +444,44 @@ def load_dataset(dir_path: str, rows: bool = True) -> tuple[AttributeMatrix, Fea
     for key in SPLIT_KEYS:  # bool is an int subclass, and JSON true is no index
         if not isinstance(split[key], list) or not all(type(v) is int for v in split[key]):
             raise DataFormatError(f"{split_path}: {key} must be a list of integers")
-        if rows and key.endswith("_rows") and not all(0 <= v < n_rows for v in split[key]):
+        if splits and key.endswith("_rows") and not all(0 <= v < n_rows for v in split[key]):
             raise DataFormatError(f"{split_path}: {key} references rows outside 0..{n_rows - 1}")
-    arrays = {key: np.asarray(split[key] if rows else [], dtype=np.int64) for key in SPLIT_KEYS[2:]}
+    rows = {name: np.asarray(split[f"{name}_rows"] if splits else [], dtype=np.int64)
+            for name in SPLITS}
 
     unknown = (set(split["seen"]) | set(split["unseen"])) - set(range(ids.size))
     if unknown:
         raise DataFormatError(f"{split_path}: classes {sorted(unknown)} absent from attributes.csv")
 
     attrs = AttributeMatrix(attr_matrix, tuple(split["seen"]), tuple(split["unseen"]))
-    for key in ("seen_train_rows", "seen_test_rows", "unseen_test_rows"):
-        bad = np.flatnonzero(labels[arrays[key]] == UNLABELED)
+    for name in LABELED_SPLITS:
+        bad = np.flatnonzero(labels[rows[name]] == UNLABELED)
         if bad.size:
-            raise DataFormatError(f"{split_path}: {key} includes unlabeled row {arrays[key][bad[0]]}")
-    seen_train, seen_test, unseen_test = (
-        features[arrays[key]] for key in ("seen_train_rows", "seen_test_rows", "unseen_test_rows"))
-    pool_rows = arrays["unseen_unlabeled_rows"]
+            raise DataFormatError(
+                f"{split_path}: {name}_rows includes unlabeled row {rows[name][bad[0]]}")
+    for a, b in itertools.combinations(LABELED_SPLITS, 2):  # a row is in one labeled split at most
+        # sets, not np.intersect1d, whose first call imports numpy.ma (about 15 ms)
+        if shared := set(rows[a].tolist()) & set(rows[b].tolist()):
+            raise DataFormatError(f"{split_path}: {a}_rows and {b}_rows share row {min(shared)}")
+    # FeatureDataset's checks that finite rows can fail, in its order, on every split
+    zero_norm = _zero_norm_rows(features)
+    for name in SPLITS:
+        _check_rows(name, zero_norm[rows[name]],
+                    labels[rows[name]] if name in LABELED_SPLITS else None)
+    _check_classes(attrs, {name: labels[rows[name]] for name in LABELED_SPLITS})
+
+    rows = {name: r if name in splits else r[:0] for name, r in rows.items()}  # left out: no rows
+    seen_train, seen_test, unseen_test = (features[rows[name]] for name in LABELED_SPLITS)
     # the pool that save_dataset folds into the test rows shares their array
-    pool = unseen_test if np.array_equal(pool_rows, arrays["unseen_test_rows"]) else features[pool_rows]
-    del features  # all of the file's rows, freed before the splits are checked
-    dataset = FeatureDataset(
-        seen_train=(seen_train, labels[arrays["seen_train_rows"]]),
-        seen_test=(seen_test, labels[arrays["seen_test_rows"]]),
-        unseen_test=(unseen_test, labels[arrays["unseen_test_rows"]]),
+    pool = (unseen_test if np.array_equal(rows["unseen_unlabeled"], rows["unseen_test"])
+            else features[rows["unseen_unlabeled"]])
+    del features  # all of the file's rows, freed before the kept splits are built
+    return attrs, FeatureDataset(
+        seen_train=(seen_train, labels[rows["seen_train"]]),
+        seen_test=(seen_test, labels[rows["seen_test"]]),
+        unseen_test=(unseen_test, labels[rows["unseen_test"]]),
         unseen_unlabeled=pool,
     )
-    check_dataset(attrs, dataset)
-    return attrs, dataset
 
 
 def save_matrix_csv(matrix, path: str) -> None:

@@ -25,6 +25,10 @@ from .rng import SeededRng
 from .training import synthesize_class_features
 
 PROTOCOLS = ("standard", "generalized", "transductive")
+# The test splits that each protocol scores, the seen split first; the CLI
+# loads only these.
+PROTOCOL_SPLITS = {"standard": ("unseen_test",), "generalized": ("seen_test", "unseen_test"),
+                   "transductive": ("unseen_test",)}
 
 
 @dataclass(frozen=True)
@@ -198,12 +202,10 @@ def protocol(mode: str, attrs: AttributeMatrix, data: FeatureDataset,
                           f"{mode} evaluation, got {top_k}")
     if data.unseen_test[0].shape[0] == 0:
         raise DataFormatError("unseen test split is empty; nothing to evaluate")
-    tests = [(data.unseen_test, attrs.unseen_ids)]
-    if mode == "generalized":
-        if data.seen_test[0].shape[0] == 0:
-            raise DataFormatError("seen test split is empty; generalized mode needs it")
-        tests.insert(0, (data.seen_test, attrs.seen_ids))
-    return classes, tests
+    if mode == "generalized" and data.seen_test[0].shape[0] == 0:
+        raise DataFormatError("seen test split is empty; generalized mode needs it")
+    ids = {"seen_test": attrs.seen_ids, "unseen_test": attrs.unseen_ids}
+    return classes, [(getattr(data, name), ids[name]) for name in PROTOCOL_SPLITS[mode]]
 
 
 def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,

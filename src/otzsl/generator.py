@@ -148,6 +148,16 @@ def backward(plan_values, real_feats, real_classes, generated, synth_classes,
     xhat_unit, xhat_norms = unit_rows(xhat, "generated features")
     cos = real_unit @ xhat_unit.T
     transport_term = float(np.sum(plan * (1.0 - cos)))
+    # transport term: d cost[n, m] / d xhat[m] = -(u_n - cos[n, m] v_m)/|xhat_m|,
+    # built in place by that expression's operations in its order; xhat_unit,
+    # read here for the last time, takes the product
+    col_mass = (plan * cos).sum(axis=0)
+    d_xhat = plan.T @ real_unit
+    del real_unit
+    d_xhat -= np.multiply(col_mass[:, None], xhat_unit, out=xhat_unit)
+    del xhat_unit
+    np.negative(d_xhat, out=d_xhat)
+    d_xhat /= xhat_norms[:, None]
 
     attr_unit, _ = unit_rows(np.asarray(class_attrs, dtype=np.float64), "class attributes")
     labeled = real_classes != UNLABELED
@@ -156,7 +166,7 @@ def backward(plan_values, real_feats, real_classes, generated, synth_classes,
         raise ValueError(f"target class ids must lie in 0..{attr_unit.shape[0] - 1}")
     reg_term = 0.0
 
-    d_real_q = None
+    # each array below is dropped at its last use, so the next pass's can reuse its memory
     real_cache = None
     if labeled.any():
         q_real, real_cache = mlp_forward_cache(f.net, real_feats[labeled])
@@ -168,15 +178,15 @@ def backward(plan_values, real_feats, real_classes, generated, synth_classes,
     reg_term += loss
     total = transport_term + reg_weight * reg_term
 
-    # transport term: d cost[n, m] / d xhat[m] = -(u_n - cos[n, m] v_m)/|xhat_m|
-    col_mass = (plan * cos).sum(axis=0)
-    d_xhat = -(plan.T @ real_unit - col_mass[:, None] * xhat_unit) / xhat_norms[:, None]
-
     f_grads, d_xhat_reg = mlp_backward(f.net, synth_cache, d_synth_q)
+    del synth_cache
     d_xhat += d_xhat_reg
-    if d_real_q is not None:
+    del d_xhat_reg
+    if real_cache is not None:
         real_grads, _ = mlp_backward(f.net, real_cache, d_real_q, input_grad=False)
+        del real_cache
         add_grads(f_grads, real_grads)
+        del real_grads
     # MlpParams rejects a non-finite block
     g_grads, _ = mlp_backward(g.net, g_cache, d_xhat, input_grad=False)
     return BackwardResult(g_grads, f_grads, transport_term, reg_term, total)

@@ -22,9 +22,10 @@ from .linalg import as_float_matrix, unit_rows
 # IPOT's stop rule, Sinkhorn's converged flag and check_marginals' default.
 FEASIBILITY_TOL = 1e-6
 
-# ipot_solve checks its stop rule once per block of up to _BLOCK_SWEEPS
-# sweeps; the block's plans and their changes together take at most about
-# _BLOCK_BYTES, so a large problem checks after every sweep or every few.
+# ipot_solve and sinkhorn_solve check finiteness (and IPOT its stop rule)
+# once per block of up to _BLOCK_SWEEPS sweeps; the block's plans and as many
+# again of scratch take at most about _BLOCK_BYTES, so a large problem checks
+# after every sweep or every few.
 _BLOCK_SWEEPS = 16
 _BLOCK_BYTES = 4 << 20
 
@@ -293,6 +294,12 @@ def sinkhorn_solve(
     """Entropic-regularized solve: fixed kernel K = exp(-C/reg), alternating
     row/column scalings for a fixed iteration count.
 
+    As in ipot_solve, a block of sweeps writes its plans into consecutive
+    slots of one buffer, and finiteness is checked and trace rows are built
+    once per block; each plan depends only on the scalings, so the first
+    non-finite plan of a block raises at its own iteration, as a check
+    after every sweep would.
+
     The converged flag reports whether the raw final iterate is feasible
     within FEASIBILITY_TOL; the returned values are then rounded onto the
     marginal polytope like ipot_solve's."""
@@ -310,19 +317,27 @@ def sinkhorn_solve(
         )
 
     a = marg.row.copy()
-    plan = np.empty_like(K)
+    block = max(1, min(_BLOCK_SWEEPS, iterations, _BLOCK_BYTES // K.nbytes // 2))
+    plans = np.empty((block,) + K.shape)
     trace = [] if record_trace else None
+    t = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for t in range(1, iterations + 1):
-            a = _sweep(K, a, marg, plan)
-            if not np.all(np.isfinite(plan)):
+        while t < iterations:
+            k = min(block, iterations - t)
+            for j in range(k):
+                a = _sweep(K, a, marg, plans[j])
+            finite = np.isfinite(plans[:k]).all(axis=(1, 2))
+            if not finite.all():
                 raise SolverError(
-                    f"sinkhorn_solve scalings became non-finite at iteration {t}; "
-                    "increase the regularization weight"
+                    f"sinkhorn_solve scalings became non-finite at iteration "
+                    f"{t + int(np.argmin(finite)) + 1}; increase the regularization weight"
                 )
             if trace is not None:
-                trace.append((t, *_trace_rows(plan[None], cost, marg)[0]))
+                rows = _trace_rows(plans[:k], cost, marg)
+                trace += [(t + j, *row) for j, row in enumerate(rows, start=1)]
+            t += k
 
+    plan = plans[k - 1]
     return _result(plan, marg, check_marginals(plan, marg).passed, iterations, trace)
 
 

@@ -33,6 +33,8 @@ from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transitio
 from .rng import SeededRng
 
 MODES = ("standard", "transductive")
+# The dataset splits that training in each mode reads; the CLI loads only these.
+MODE_SPLITS = {"standard": ("seen_train",), "transductive": ("seen_train", "unseen_unlabeled")}
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,8 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
     iters = iterations_per_epoch(pool_size, cfg.batch_size)
     trace = TrainTrace()
     b = cfg.batch_size
+    # every OT step couples b real rows to b generated ones, or to 2b in transductive mode
+    marg = Marginals.uniform(b, 2 * b if transductive else b)
 
     for epoch in range(cfg.epochs):
         for it in range(iters):
@@ -228,7 +232,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
                     branch = "ot"
                     synth = generated[0] if transductive else generated[0][:b]
                     cost = cosine_cost_matrix(real_feats, synth)
-                    core = ipot_solve(cost, Marginals.uniform(*cost.shape), cfg.ipot).values
+                    core = ipot_solve(cost, marg, cfg.ipot).values
                 else:
                     branch = "transition"
                     core = transition_plan(real_classes, s_classes).values

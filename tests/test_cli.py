@@ -565,6 +565,41 @@ def test_eval_rejects_unknown_mode_before_writing(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_unknown_mode_still_reads_every_split(workspace, tmp_path, capsys):
+    """A mode from the config file that no protocol knows gets the one-line
+    error and exit 2 it always got, after a dataset defect in a split that
+    no protocol reads, as before: such a mode loads every split."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "bogus"}))
+    argv = ["eval", "--config", str(cfg), "--checkpoint", str(workspace["ckpt"]), "--out"]
+    assert run([*argv, str(tmp_path / "o"), "--data", str(workspace["data"])]) == 2
+    assert capsys.readouterr().err == "error: unknown evaluation mode 'bogus'\n"
+    data = edited_dataset(workspace, tmp_path)
+    lines = (data / "features.csv").read_text().splitlines()
+    row = json.loads((data / "split.json").read_text())["seen_train_rows"][0]
+    lines[1 + row] = "0," + ",".join(["0"] * TINY_GEN["feature_dim"])
+    (data / "features.csv").write_text("\n".join(lines) + "\n")
+    assert run([*argv, str(tmp_path / "p"), "--data", str(data)]) == 2
+    assert capsys.readouterr().err == "error: seen_train row 0 has zero norm\n"
+    assert not (tmp_path / "o").exists() and not (tmp_path / "p").exists()
+
+
+def test_train_and_eval_reject_a_test_row_that_is_a_training_row(workspace, tmp_path, capsys):
+    """seen_test_rows that repeat seen_train_rows would let generalized eval
+    score rows the generator trained on: exit 2 before config.json."""
+    split = json.loads((workspace["data"] / "split.json").read_text())
+    data = edited_dataset(workspace, tmp_path,
+                          seen_test_rows=split["seen_test_rows"] + split["seen_train_rows"][:50])
+    message = (f"error: {data / 'split.json'}: seen_train_rows and seen_test_rows share row "
+               f"{min(split['seen_train_rows'])}\n")
+    for command, extra in (("train", []),
+                           ("eval", ["--checkpoint", str(workspace["ckpt"]), "--mode", "generalized"])):
+        out = tmp_path / command
+        assert run([command, "--data", str(data), *extra, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
 # --- solve-ot ---
 
 def test_solve_ot_single_cell(tmp_path, capsys):

@@ -371,6 +371,107 @@ def test_separate_pool_rows_roundtrip(tmp_path):
     assert lines[-1].startswith("-1,")
 
 
+# ------------------------------------------------------------- kept splits
+
+
+def split_arrays(data, name):
+    """The arrays of one split: features and labels, or the pool's features."""
+    value = getattr(data, name)
+    return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("splits", [
+    ("seen_train",), ("seen_train", "unseen_unlabeled"), ("seen_test", "unseen_test"),
+    ("unseen_test", "unseen_unlabeled"), ("unseen_unlabeled",),
+], ids="+".join)
+def test_load_dataset_keeps_only_the_named_splits(tmp_path, splits):
+    """A named split has the bits of the full load; any other is empty, with
+    the feature width, (0, D), and no labels."""
+    saved_dataset(tmp_path)
+    _, full = load_dataset(str(tmp_path))
+    _, data = load_dataset(str(tmp_path), splits)
+    for name in data_module.SPLITS:
+        for got, want in zip(split_arrays(data, name), split_arrays(full, name)):
+            if name in splits:
+                assert got.size and got.dtype == want.dtype
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            else:
+                assert got.shape == ((0, full.feature_dim) if want.ndim == 2 else (0,))
+    # the pool that save_dataset folds into the unseen test rows shares their array
+    if "unseen_unlabeled" in splits:
+        assert (data.unseen_unlabeled is data.unseen_test[0]) == ("unseen_test" in splits)
+
+
+def test_load_dataset_rejects_an_unknown_split_name(tmp_path):
+    saved_dataset(tmp_path)
+    with pytest.raises(ValueError, match=r"unknown splits \['seen'\]"):
+        load_dataset(str(tmp_path), ("seen_train", "seen"))
+
+
+def edit_rows(tmp_path, key, edits):
+    """Set the class id (col 0) or every feature (col None) of the rows at
+    the given positions of split.json's `key` list; the file rows edited."""
+    rows = json.loads((tmp_path / "split.json").read_text())[key]
+    path = tmp_path / "features.csv"
+    lines = path.read_text().splitlines()
+    for position, col, cell in edits:
+        parts = lines[1 + rows[position]].split(",")
+        if col is None:
+            parts[1:] = [cell] * (len(parts) - 1)
+        else:
+            parts[col] = cell
+        lines[1 + rows[position]] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    return [rows[position] for position, _, _ in edits]
+
+
+@pytest.mark.parametrize("edits, splits, message", [
+    ([("seen_test_rows", 1, None, "0")], ("seen_train",), "seen_test row 1 has zero norm"),
+    ([("unseen_test_rows", 2, 0, "-1")], ("seen_train",),
+     "split.json: unseen_test_rows includes unlabeled row {0}"),
+    ([("seen_test_rows", 0, 0, "-2")], ("seen_train", "unseen_unlabeled"),
+     "seen_test has a negative class id"),
+    ([("seen_test_rows", 0, 0, "4")], ("unseen_test",),
+     "seen_test labels [4] fall outside the expected classes"),
+    ([("seen_train_rows", 3, None, "0"), ("seen_test_rows", 0, None, "0")], ("seen_test",),
+     "seen_train row 3 has zero norm"),
+    ([("unseen_test_rows", 0, None, "0"), ("seen_test_rows", 2, None, "0")], ("unseen_test",),
+     "seen_test row 2 has zero norm"),
+], ids=["zero-norm-seen-test", "unlabeled-in-unseen-test", "negative-id-seen-test",
+        "unseen-class-in-seen-test", "unread-split-first", "unread-split-first-of-two"])
+def test_subset_load_raises_the_full_loads_error(tmp_path, edits, splits, message):
+    """Every split is checked, read or not, in one order: a defect in a split
+    left out raises what the full load raises, and of two defects the one
+    the full load meets first."""
+    saved_dataset(tmp_path)
+    rows = [row for key, *edit in edits for row in edit_rows(tmp_path, key, [tuple(edit)])]
+    errors = []
+    for selection in (data_module.SPLITS, splits):
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(str(tmp_path), selection)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert errors[0].endswith(message.format(*rows))
+
+
+@pytest.mark.parametrize("a, b", [("seen_train", "seen_test"), ("seen_train", "unseen_test"),
+                                  ("seen_test", "unseen_test")])
+def test_load_rejects_labeled_splits_that_share_a_row(tmp_path, a, b):
+    """A row in two labeled splits, such as a training row that is also
+    scored as a test row, is a data error naming both keys and the first
+    shared row, whichever splits are read."""
+    saved_dataset(tmp_path)
+    path = tmp_path / "split.json"
+    split = json.loads(path.read_text())
+    shared = split[f"{a}_rows"][-2:]
+    split[f"{b}_rows"] = shared[::-1] + split[f"{b}_rows"]
+    path.write_text(json.dumps(split))
+    message = f"split.json: {a}_rows and {b}_rows share row {min(shared)}"
+    for splits in (data_module.SPLITS, (b,)):
+        with pytest.raises(DataFormatError, match=re.escape(message) + "$"):
+            load_dataset(str(tmp_path), splits)
+
+
 # ---------------------------------------------------------------- matrix csv
 
 
@@ -758,9 +859,9 @@ def test_header_read_reports_a_bad_byte_at_its_offset_in_the_file(tmp_path):
     raw, at = path.read_bytes(), 13237
     path.write_bytes(header[:at] + b"\xff" + header[at:] + raw[raw.index(b"\n"):])
     messages = []
-    for rows in (True, False):
+    for splits in (data_module.SPLITS, ()):
         with pytest.raises(DataFormatError) as err:
-            load_dataset(str(tmp_path), rows=rows)
+            load_dataset(str(tmp_path), splits)
         messages.append(str(err.value))
     message = f"{path}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
     assert messages == [message, message]

@@ -390,6 +390,64 @@ def test_sinkhorn_trace_matches_reference(shape):
     assert np.array_equal(out.trace, np.asarray(expected))
 
 
+def sinkhorn_reference(cost, marg, reg, iterations):
+    """Plain Sinkhorn loop that tests finiteness after every sweep and builds
+    each trace row from its own plan; sinkhorn_solve, which does both once
+    per block of sweeps, must match it bit for bit."""
+    K = np.exp(-cost / reg)
+    a = marg.row.copy()
+    trace = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in range(1, iterations + 1):
+            b = marg.col / (K.T @ a)
+            a = marg.row / (K @ b)
+            plan = (a[:, None] * K) * b
+            if not np.all(np.isfinite(plan)):
+                raise SolverError(f"sinkhorn_solve scalings became non-finite at iteration {t}; "
+                                  "increase the regularization weight")
+            dev = max(np.max(np.abs(plan.sum(axis=1) - marg.row)),
+                      np.max(np.abs(plan.sum(axis=0) - marg.col)))
+            trace.append((t, np.sum(plan * cost), dev))
+    return (_round_to_polytope(plan, marg), check_marginals(plan, marg).passed,
+            np.asarray(trace))
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("shape, reg", [((7, 7), 0.1), ((6, 11), 0.02), ((200, 200), 0.1)])
+@pytest.mark.parametrize("iterations", [1, 15, 16, 17, 33, 200])
+def test_sinkhorn_blocks_match_reference(iterations, shape, reg, record_trace):
+    """Any budget, whole blocks or not, and blocks cut short by a large plan
+    (200 x 200): the plan, flag and trace of checking after every sweep."""
+    cost = random_cost(SeededRng(2), *shape)
+    marg = Marginals.uniform(*shape)
+    values, converged, trace = sinkhorn_reference(cost, marg, reg, iterations)
+    out = sinkhorn_solve(cost, marg, reg=reg, iterations=iterations, record_trace=record_trace)
+    assert np.array_equal(out.values, values)
+    assert (out.converged, out.iterations_used) == (converged, iterations)
+    if record_trace:
+        assert np.array_equal(out.trace, trace)
+    else:
+        assert out.trace is None
+
+
+@pytest.mark.parametrize("seed, shape", [(23, (5, 3)), (34, (4, 6))])
+def test_sinkhorn_blow_up_raises_at_the_reference_iteration(seed, shape):
+    """Scalings that overflow at sweep 45, inside the third block of 16:
+    the error names sweep 45, not the end of its block, and no
+    RuntimeWarning escapes."""
+    cost = 2.0 * SeededRng(seed).uniform(shape[0] * shape[1]).reshape(shape)
+    marg = Marginals.uniform(*shape)
+    with pytest.raises(SolverError) as expected:
+        sinkhorn_reference(cost, marg, 0.0015, 400)
+    assert "at iteration 45;" in str(expected.value) and 45 % _BLOCK_SWEEPS
+    for record_trace in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError) as got:
+                sinkhorn_solve(cost, marg, reg=0.0015, iterations=400, record_trace=record_trace)
+        assert str(got.value) == str(expected.value)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 6))
 @settings(max_examples=60, deadline=None)
 def test_sinkhorn_plans_are_feasible(seed, n, m):

@@ -59,6 +59,6 @@ def load_checkpoint(path: str) -> GeneratorParams:
     flat = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).astype(np.float64)
     blocks = [b.reshape(s) for b, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
     try:
-        return GeneratorParams(net=MlpParams(*blocks))
+        return GeneratorParams(net=MlpParams(*blocks, flat=flat))
     except ValueError as exc:  # a non-finite weight
         raise DataFormatError(f"{path}: generator {exc}") from None

@@ -68,10 +68,11 @@ class AttributeMatrix:
         if np.any(squares == 0.0):
             bad = int(np.flatnonzero(squares == 0.0)[0])
             raise DataFormatError(f"class {bad} has a zero-norm attribute vector")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.array_equal(self.attrs[i], self.attrs[j]):
-                    raise DataFormatError(f"classes {i} and {j} have identical attributes")
+        first = {}  # finite rows + 0.0 (-0.0 as 0.0) match in bytes exactly as in np.array_equal
+        pairs = [(first.setdefault((r + 0.0).tobytes(), j), j) for j, r in enumerate(self.attrs)]
+        dup = min(((i, j) for i, j in pairs if i != j), default=None)  # met first by all-pairs
+        if dup:
+            raise DataFormatError(f"classes {dup[0]} and {dup[1]} have identical attributes")
 
     @property
     def attr_dim(self) -> int:
@@ -190,16 +191,17 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[AttributeMatrix, Featur
     attr_rng, map_rng, noise_rng, split_rng = (rng.split(i) for i in (1, 2, 3, 4))
     n_classes = spec.seen_classes + spec.unseen_classes
 
-    rows = []
+    rows, keys = [], set()
     for _ in range(n_classes):
         for attempt in range(101):
             cand = (attr_rng.uniform(spec.attr_dim) < 0.5).astype(np.float64)
-            fresh = cand.sum() > 0 and not any(np.array_equal(cand, r) for r in rows)
+            fresh = cand.sum() > 0 and cand.tobytes() not in keys  # entries are 0.0 or 1.0
             if fresh:
                 break
         if not fresh:
             raise DataFormatError("could not draw distinct attribute vectors after 100 redraws")
         rows.append(cand)
+        keys.add(cand.tobytes())
     attr_rows = np.stack(rows)
 
     hidden_map = map_rng.gaussian(spec.feature_dim * spec.attr_dim).reshape(

@@ -85,8 +85,8 @@ def train_softmax(features, labels, classes, cfg: ClassifierConfig,
     y = np.array([local[int(c)] for c in labels], dtype=np.int64)
 
     k = len(classes)
-    W = np.zeros((k, dim))
-    b = np.zeros(k)
+    params, grad = np.zeros(k * dim + k), np.empty(k * dim + k)  # one vector each: one Adam pass
+    (W, b), (dW, db) = ((v[:k * dim].reshape(k, dim), v[k * dim:]) for v in (params, grad))
     state = adam_init([W, b], learning_rate=cfg.learning_rate)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -97,8 +97,10 @@ def train_softmax(features, labels, classes, cfg: ClassifierConfig,
             grad_logits = np.exp(log_p)
             grad_logits[np.arange(idx.size), y[idx]] -= 1.0
             grad_logits /= idx.size
+            np.matmul(grad_logits.T, x, out=dW)
+            grad_logits.sum(axis=0, out=db)
             try:
-                adam_step([W, b], [grad_logits.T @ x, grad_logits.sum(axis=0)], state)
+                adam_step([params], [grad], state)
             except ValueError as exc:
                 raise SolverError(f"classifier epoch {epoch} batch {batch}: {exc}") from None
     return ClassifierParams(W=W, b=b, class_id_map=classes)

@@ -126,11 +126,12 @@ class BackwardResult:
 
 def backward(plan_values, real_feats, real_classes, generated, synth_classes,
              g: GeneratorParams, f: PredictorParams, class_attrs,
-             reg_weight: float) -> BackwardResult:
+             reg_weight: float, attr_unit=None) -> BackwardResult:
     """Loss terms and analytic gradients of the fixed-plan objective for
     every parameter block of the generator and predictor. `generated` is the
     (features, cache) pair of the `generator_forward` call that made the
-    batch the plan couples to the real rows."""
+    batch the plan couples to the real rows. attr_unit, if given, is
+    unit_rows(class_attrs)[0], computed once by a caller that trains."""
     plan = np.asarray(plan_values, dtype=np.float64)
     real_feats = np.atleast_2d(np.asarray(real_feats, dtype=np.float64))
     real_classes = np.asarray(real_classes, dtype=np.int64).reshape(-1)
@@ -159,7 +160,8 @@ def backward(plan_values, real_feats, real_classes, generated, synth_classes,
     np.negative(d_xhat, out=d_xhat)
     d_xhat /= xhat_norms[:, None]
 
-    attr_unit, _ = unit_rows(np.asarray(class_attrs, dtype=np.float64), "class attributes")
+    if attr_unit is None:
+        attr_unit, _ = unit_rows(np.asarray(class_attrs, dtype=np.float64), "class attributes")
     labeled = real_classes != UNLABELED
     targets = np.concatenate([real_classes[labeled], synth_classes])
     if targets.min() < 0 or targets.max() >= attr_unit.shape[0]:

@@ -20,17 +20,20 @@ def as_float_matrix(values, what: str = "matrix") -> np.ndarray:
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         bad = int(np.flatnonzero(~np.isfinite(np.ravel(arr)))[0])
         raise ValueError(f"{what} contains a non-finite value at flat index {bad}")
 
 
 def unit_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize; returns (unit rows, row norms). Zero-norm rows are errors."""
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise ValueError(f"{what} row {bad} has zero norm; cosine distance is undefined")
+    """(unit rows, row norms), the norms np.linalg.norm's; a zero or overflowing row raises."""
+    with np.errstate(over="ignore"):  # an overflowing row raises below
+        norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    bad = (norms == 0.0) | (norms == np.inf)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"{what} row {i} " + ("has zero norm; cosine distance is undefined"
+                         if norms[i] == 0.0 else "is too large: its sum of squares overflows"))
     return m / norms[:, None], norms
 
 

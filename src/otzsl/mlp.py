@@ -6,10 +6,17 @@ place, so a network trains in the arrays it already holds. Batches are
 row-major (batch, features). Weights follow the convention W1: (hidden,
 input), W2: (output, hidden), so a forward pass is relu(x W1' + b1) W2' + b2.
 The ReLU subgradient at exactly 0 is 0.
+
+Layout: the blocks W1, b1, W2, b2 are row-major views of one vector, `flat`;
+`init_mlp` draws weights into it and `mlp_backward` writes gradients into a new
+one. Adam's moments are one vector each, so an update and its finiteness check
+run once per vector (one per network); blocks are checked only to name one.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,29 +25,37 @@ from .linalg import ensure_finite
 from .rng import SeededRng
 
 
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive row-major views of a vector, one of each shape."""
+    ends = itertools.accumulate(math.prod(s) for s in shapes)
+    return [flat[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
+
+
 @dataclass
 class MlpParams:
-    """Parameter (or gradient) blocks of a one-hidden-layer network."""
+    """Parameter (or gradient) blocks of a network, as views of `flat` (or of a new copy)."""
 
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.W1 = np.asarray(self.W1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.W2 = np.asarray(self.W2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        hidden, inp = self.W1.shape
-        out, hidden2 = self.W2.shape
-        if hidden2 != hidden or self.b1.shape != (hidden,) or self.b2.shape != (out,):
+        blocks = [np.asarray(b, dtype=np.float64) for b in (self.W1, self.b1, self.W2, self.b2)]
+        (hidden, inp), (out, hidden2) = blocks[0].shape, blocks[2].shape
+        if hidden2 != hidden or blocks[1].shape != (hidden,) or blocks[3].shape != (out,):
             raise ValueError(
-                f"inconsistent shapes: W1 {self.W1.shape}, b1 {self.b1.shape}, "
-                f"W2 {self.W2.shape}, b2 {self.b2.shape}"
+                f"inconsistent shapes: W1 {blocks[0].shape}, b1 {blocks[1].shape}, "
+                f"W2 {blocks[2].shape}, b2 {blocks[3].shape}"
             )
-        for name in ("W1", "b1", "W2", "b2"):
-            ensure_finite(getattr(self, name), name)
+        if self.flat is None:
+            self.flat = np.concatenate([b.ravel() for b in blocks])
+            blocks = _views(self.flat, [b.shape for b in blocks])
+        self.W1, self.b1, self.W2, self.b2 = blocks
+        if not np.isfinite(self.flat).all():  # one check; the blocks only name the first bad one
+            for name in ("W1", "b1", "W2", "b2"):
+                ensure_finite(getattr(self, name), name)
 
     @property
     def input_dim(self) -> int:
@@ -62,17 +77,13 @@ def init_mlp(input_dim: int, hidden_dim: int, output_dim: int, rng: SeededRng) -
     """Uniform(-s, s) weights with s = sqrt(6/(fan_in+fan_out)); zero biases."""
     if min(input_dim, hidden_dim, output_dim) < 1:
         raise ValueError("all layer dimensions must be at least 1")
-
-    def layer(fan_out, fan_in):
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        return (2.0 * rng.uniform(fan_out * fan_in) - 1.0).reshape(fan_out, fan_in) * s
-
-    return MlpParams(
-        W1=layer(hidden_dim, input_dim),
-        b1=np.zeros(hidden_dim),
-        W2=layer(output_dim, hidden_dim),
-        b2=np.zeros(output_dim),
-    )
+    shapes = [(hidden_dim, input_dim), (hidden_dim,), (output_dim, hidden_dim), (output_dim,)]
+    flat = np.zeros(sum(math.prod(s) for s in shapes))
+    blocks = _views(flat, shapes)
+    for W in blocks[0::2]:  # drawn straight into the block; sum(W.shape) = fan_in + fan_out
+        np.multiply((2.0 * rng.uniform(W.size) - 1.0).reshape(W.shape),
+                    np.sqrt(6.0 / sum(W.shape)), out=W)
+    return MlpParams(*blocks, flat=flat)
 
 
 def mlp_forward_cache(params: MlpParams, x: np.ndarray):
@@ -86,27 +97,26 @@ def mlp_forward_cache(params: MlpParams, x: np.ndarray):
 
 def mlp_backward(params: MlpParams, cache, d_out: np.ndarray,
                  input_grad: bool = True) -> tuple[MlpParams, np.ndarray | None]:
-    """Gradients of sum(d_out * output) w.r.t. params and, with input_grad,
-    the input batch (else None, and its matmul is skipped)."""
+    """Gradients of sum(d_out * output) w.r.t. params, in one new vector, and
+    with input_grad the input batch (else None, and its matmul is skipped)."""
     x, pre, hidden = cache
     d_out = np.asarray(d_out, dtype=np.float64)
-    dW2 = d_out.T @ hidden
-    db2 = d_out.sum(axis=0)
+    flat = np.empty(params.flat.size)
+    dW1, db1, dW2, db2 = _views(flat, [b.shape for b in params.blocks()])
+    np.matmul(d_out.T, hidden, out=dW2)
+    d_out.sum(axis=0, out=db2)
     d_hidden = d_out @ params.W2
     d_pre = np.where(pre > 0.0, d_hidden, 0.0)
-    dW1 = d_pre.T @ x
-    db1 = d_pre.sum(axis=0)
+    np.matmul(d_pre.T, x, out=dW1)
+    d_pre.sum(axis=0, out=db1)
     dx = d_pre @ params.W1 if input_grad else None
-    return MlpParams(dW1, db1, dW2, db2), dx
+    return MlpParams(dW1, db1, dW2, db2, flat=flat), dx
 
 
 def add_grads(total: MlpParams, part: MlpParams) -> None:
-    """Add part's blocks to total's in place; a sum that is not finite raises
-    ValueError, as building MlpParams from it would."""
-    for name in ("W1", "b1", "W2", "b2"):
-        block = getattr(total, name)
-        block += getattr(part, name)
-        ensure_finite(block, name)
+    """Add part's vector to total's in place; MlpParams rejects a sum that is not finite."""
+    total.flat += part.flat
+    MlpParams(*total.blocks(), flat=total.flat)
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
@@ -115,46 +125,50 @@ ADAM_CHUNK = 1 << 14  # elements updated at a time: six such slices fit in a cor
 
 @dataclass
 class AdamState:
-    """Moment accumulators for a fixed list of parameter blocks, plus two
-    scratch buffers, each of at least as many elements as the smaller of
-    ADAM_CHUNK and the largest block, that an update works in."""
+    """Moments of a fixed list of parameter blocks (m[i], v[i] view block i's slice
+    of the vectors `moments`) and two scratch buffers an update works in."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
     learning_rate: float = 0.001
-    scratch: tuple[np.ndarray, np.ndarray] = field(
-        default_factory=lambda: (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)))
+    scratch: tuple[np.ndarray, np.ndarray] = ()
+    moments: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def adam_init(blocks: list[np.ndarray], learning_rate: float = 0.001) -> AdamState:
-    n = min(ADAM_CHUNK, max((b.size for b in blocks), default=0))  # no larger than a block
-    return AdamState(m=[np.zeros_like(b) for b in blocks],
-                     v=[np.zeros_like(b) for b in blocks], learning_rate=learning_rate,
-                     scratch=(np.empty(n), np.empty(n)))
+    moments = tuple(np.zeros(sum(b.size for b in blocks)) for _ in "mv")
+    m, v = (_views(x, [b.shape for b in blocks]) for x in moments)
+    n = min(ADAM_CHUNK, moments[0].size)
+    return AdamState(m, v, learning_rate=learning_rate, scratch=(np.empty(n), np.empty(n)),
+                     moments=moments)
 
 
-def adam_step(blocks: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam update, in place: each block and state.m, state.v
-    and state.step are overwritten. Every updated block is checked for
-    finiteness, so a blow-up raises ValueError naming the block's index.
+def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
+    """One bias-corrected Adam update, in place: the parameters, state.m,
+    state.v and state.step are overwritten. `params` is adam_init's blocks, or
+    arrays that each lay out a run of them in order (say one per network).
 
-    A block is updated ADAM_CHUNK elements at a time, through the scratch
+    Each array is updated ADAM_CHUNK elements at a time, through the scratch
     buffers, so no block-sized temporary is made; each element goes through
     the same floating-point operations as in the whole-array expressions
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-    p -= lr (m / c1) / (sqrt(v / c2) + eps)."""
-    if len(blocks) != len(grads) or len(blocks) != len(state.m):
+    p -= lr (m / c1) / (sqrt(v / c2) + eps). Each array is then checked once
+    for finiteness; a blow-up raises ValueError naming the first bad block."""
+    if len(params) != len(grads) or sum(p.size for p in params) != state.moments[0].size:
         raise ValueError("block / gradient / state counts do not match")
-    for p, g in zip(blocks, grads):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    start = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below instead
-        for i, operands in enumerate(zip(blocks, grads, state.m, state.v)):
-            with np.nditer(operands, flags=["external_loop", "buffered", "zerosize_ok"],
+        for param, grad in zip(params, grads):
+            m, v = (x[start:start + param.size].reshape(param.shape) for x in state.moments)
+            start += param.size
+            with np.nditer((param, grad, m, v), flags=["external_loop", "buffered", "zerosize_ok"],
                            op_flags=[["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
                            buffersize=ADAM_CHUNK) as chunks:
                 for p, g, m, v in chunks:
@@ -166,4 +180,7 @@ def adam_step(blocks: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
                     np.multiply(state.learning_rate, np.divide(m, c1, out=s), out=s)
                     np.add(np.sqrt(np.divide(v, c2, out=t), out=t), ADAM_EPSILON, out=t)
                     p -= np.divide(s, t, out=s)
-            ensure_finite(blocks[i], f"parameter block {i}")
+    if not all(np.isfinite(p).all() for p in params):
+        blocks = _views(np.concatenate([p.ravel() for p in params]), [m.shape for m in state.m])
+        for i, block in enumerate(blocks):
+            ensure_finite(block, f"parameter block {i}")

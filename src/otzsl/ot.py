@@ -25,8 +25,9 @@ FEASIBILITY_TOL = 1e-6
 # ipot_solve and sinkhorn_solve check finiteness (and IPOT its stop rule)
 # once per block of up to _BLOCK_SWEEPS sweeps; the block's plans and as many
 # again of scratch take at most about _BLOCK_BYTES, so a large problem checks
-# after every sweep or every few.
-_BLOCK_SWEEPS = 16
+# after every sweep or every few. A 32x64 batch's buffers (144 and 128 KiB) are
+# reused across solves; at 16 sweeps each solve faulted them in anew.
+_BLOCK_SWEEPS = 8
 _BLOCK_BYTES = 4 << 20
 
 

@@ -24,6 +24,7 @@ _MIX2 = 0x94D049BB133111EB
 
 # 2^-53; a 53-bit mantissa scaled by this covers [0, 1) on an even grid.
 _U53 = 1.0 / (1 << 53)
+_CACHE_DRAWS = 8192  # a draw of at most this many outputs slices a block computed ahead
 
 
 class SeededRng:
@@ -32,16 +33,25 @@ class SeededRng:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._counter = 0  # uint64 outputs consumed so far
+        self._cache, self._cache_start = np.empty(0, np.uint64), 0  # outputs after _cache_start
 
     def split(self, worker_index: int) -> "SeededRng":
         """Independent stream for a worker: seeded with ``seed XOR index``."""
         return SeededRng(self.seed ^ int(worker_index))
 
     def next_uint64(self, n: int) -> np.ndarray:
+        """The next n outputs; a small draw is a read-only view of a block computed ahead."""
         if n < 1:
             raise ValueError(f"need at least one draw, got n={n}")
-        start = self._counter + 1
-        self._counter += n
+        start, self._counter = self._counter, self._counter + n
+        if n > _CACHE_DRAWS:
+            return self._outputs(start + 1, n)
+        if self._counter - self._cache_start > self._cache.size:
+            self._cache = self._outputs(start + 1, min(_CACHE_DRAWS, max(n, 2 * self._cache.size)))
+            self._cache_start, self._cache.flags.writeable = start, False
+        return self._cache[start - self._cache_start:self._counter - self._cache_start]
+
+    def _outputs(self, start: int, n: int) -> np.ndarray:
         idx = np.arange(start, start + n, dtype=np.uint64)
         z = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -59,9 +69,9 @@ class SeededRng:
         """
         if n < 1:
             raise ValueError(f"need at least one draw, got n={n}")
-        bits = self.next_uint64(2 * n)
-        u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
-        u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * _U53
+        grid = (self.next_uint64(2 * n) >> np.uint64(11)).astype(np.float64)  # 53-bit integers
+        u1 = (grid[0::2] + 1.0) * _U53
+        u2 = grid[1::2] * _U53
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
     def integers(self, upper: int, n: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
 from .errors import ConfigError, DataFormatError, SolverError
 from .generator import (GeneratorParams, backward,
                         generator_forward, init_generator, init_predictor)
+from .linalg import unit_rows
 from .mlp import adam_init, adam_step
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
 from .rng import SeededRng
@@ -151,17 +152,17 @@ def sample_synth_batch(attrs: AttributeMatrix, class_pool, b: int, rng: SeededRn
     class_pool. Class draws come before the noises.
 
     Returns (class ids, noises)."""
-    pool = np.asarray(list(class_pool), dtype=np.int64)
+    pool = np.asarray(class_pool, dtype=np.int64)  # no copy of the int64 arrays train passes
     if pool.size == 0:
         raise ValueError("class pool is empty")
-    if np.any(pool < 0) or np.any(pool >= attrs.n_classes):
+    if pool.min() < 0 or pool.max() >= attrs.n_classes:
         raise ValueError(f"class pool {pool.tolist()} outside 0..{attrs.n_classes - 1}")
     if mirror_classes is not None:
         classes = np.asarray(mirror_classes, dtype=np.int64).copy()
         hole = classes == UNLABELED
         if hole.any():
             classes[hole] = pool[rng.integers(pool.size, int(hole.sum()))]
-        if np.any(classes < 0) or np.any(classes >= attrs.n_classes):
+        if (classes < 0).any() or (classes >= attrs.n_classes).any():
             raise ValueError("mirror_classes contains an unknown class id")
     else:
         classes = pool[rng.integers(pool.size, b)]
@@ -201,9 +202,11 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
     root = SeededRng(cfg.seed)
     g = init_generator(d, feature_dim, cfg.hidden_dim, root.split(1))
     f = init_predictor(feature_dim, d, cfg.hidden_dim, root.split(2), nca_scale=cfg.nca_scale)
-    params = g.net.blocks() + f.net.blocks()  # adam_step updates these, so g and f train in place
-    adam = adam_init(params, learning_rate=cfg.learning_rate)
+    params = [g.net.flat, f.net.flat]  # Adam runs over each network's vector, in place
+    adam = adam_init(g.net.blocks() + f.net.blocks(), learning_rate=cfg.learning_rate)
     batch_rng = root.split(3)
+    seen_pool, unseen_pool = (np.asarray(c) for c in (attrs.seen_ids, attrs.unseen_ids))
+    attr_unit, _ = unit_rows(attrs.attrs, "class attributes")  # once, not in every step
 
     pool_size = data.seen_train[0].shape[0] + (
         data.unseen_unlabeled.shape[0] if transductive else 0
@@ -220,14 +223,14 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
             try:
                 real_feats, real_classes = sample_real_batch(data, b, batch_rng, transductive)
                 s_classes, s_noises = sample_synth_batch(
-                    attrs, attrs.seen_ids, b, batch_rng, mirror_classes=real_classes
+                    attrs, seen_pool, b, batch_rng, mirror_classes=real_classes
                 )
-                u_classes, u_noises = sample_synth_batch(attrs, attrs.unseen_ids, b, batch_rng)
+                u_classes, u_noises = sample_synth_batch(attrs, unseen_pool, b, batch_rng)
                 synth_classes = np.concatenate([s_classes, u_classes])
                 generated = generator_forward(g, attrs.attrs[synth_classes],
                                               np.vstack([s_noises, u_noises]))
 
-                has_unlabeled = bool(np.any(real_classes == UNLABELED))
+                has_unlabeled = bool((real_classes == UNLABELED).any())
                 if ot_branch_coin(batch_rng, cfg.ot_prob) or has_unlabeled:
                     branch = "ot"
                     synth = generated[0] if transductive else generated[0][:b]
@@ -240,8 +243,8 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
                 plan[:, :core.shape[1]] = core
 
                 res = backward(plan, real_feats, real_classes, generated, synth_classes,
-                               g, f, attrs.attrs, cfg.reg_weight)
-                adam_step(params, res.g_grads.blocks() + res.f_grads.blocks(), adam)
+                               g, f, attrs.attrs, cfg.reg_weight, attr_unit)
+                adam_step(params, [res.g_grads.flat, res.f_grads.flat], adam)
             except (SolverError, ValueError) as exc:
                 raise SolverError(f"iteration {step} (epoch {epoch}): {exc}") from exc
             trace.record(branch, res.transport_term, res.regularizer_term, res.total)

@@ -52,3 +52,16 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def count_finiteness_checks(monkeypatch) -> list[int]:
+    """Patch np.isfinite, the one finiteness test the package uses, to record
+    the size of every array it checks; returns the list of sizes."""
+    sizes, isfinite = [], np.isfinite
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    return sizes

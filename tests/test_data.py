@@ -56,6 +56,35 @@ def test_attribute_matrix_rejects_duplicates():
         AttributeMatrix(attrs, (0,), (1,))
 
 
+def test_attribute_matrix_names_the_pair_a_scan_of_all_pairs_meets_first():
+    # rows 1 and 2 are equal, and so are rows 0 and 4; comparing every pair
+    # (i, j) in order meets (0, 4) before (1, 2)
+    a, b, c = [1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [3.0, 1.0, 1.0]
+    attrs = np.array([a, b, b, c, a])
+    with pytest.raises(DataFormatError, match=r"^classes 0 and 4 have identical attributes$"):
+        AttributeMatrix(attrs, (0, 1, 2), (3, 4))
+
+
+def test_class_distinctness_is_not_checked_pair_by_pair(monkeypatch):
+    # at SUN's 717 classes and 102 attributes, comparing every pair of rows
+    # took 0.66 s in AttributeMatrix and 1.4 s in make_synthetic_dataset
+    def compared(*args):
+        raise AssertionError("rows compared pair by pair")
+
+    monkeypatch.setattr(np, "array_equal", compared)
+    spec = SyntheticSpec(seen_classes=645, unseen_classes=72, attr_dim=102, feature_dim=2,
+                         samples_per_class=4, seed=1)
+    attrs, _, _ = make_synthetic_dataset(spec)
+    assert attrs.n_classes == 717
+
+
+def test_attribute_rows_differing_in_the_sign_of_a_zero_are_identical():
+    # np.array_equal(-0.0, 0.0) holds, so such rows are duplicates
+    attrs = np.array([[1.0, 0.0], [2.0, 1.0], [1.0, -0.0]])
+    with pytest.raises(DataFormatError, match=r"^classes 0 and 2 have identical attributes$"):
+        AttributeMatrix(attrs, (0, 1), (2,))
+
+
 def test_norm_checks_take_huge_rows_without_warnings():
     # warnings are errors in this suite: a row norm that overflows to inf is
     # still not zero, and must not leak an overflow warning

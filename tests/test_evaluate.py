@@ -18,7 +18,7 @@ from otzsl.mlp import MlpParams
 from otzsl.rng import SeededRng
 from otzsl.training import synthesize_class_features
 
-from conftest import TINY_SPEC, reference_write_json
+from conftest import TINY_SPEC, count_finiteness_checks, reference_write_json
 
 CLEAN_SPEC = dataclasses.replace(TINY_SPEC, noise_sigma=0.0)
 
@@ -429,3 +429,13 @@ def test_generalized_classifier_learns_from_generated_rows_only(noisy_dataset, m
     got = evaluate("generalized", g, attrs, data, cfg)
     assert evaluate("generalized", g, attrs, swapped, cfg) == got
     assert rows == [attrs.n_classes * cfg.n_synth_per_class] * 2
+
+
+def test_train_softmax_checks_one_vector_a_batch(monkeypatch):
+    """W and b are one vector, so each minibatch update makes one finiteness
+    check of the whole classifier, not one per block."""
+    rng = SeededRng(6)
+    feats, labels = rng.gaussian(40 * 5).reshape(40, 5), np.repeat([3, 7], 20)
+    checked = count_finiteness_checks(monkeypatch)
+    train_softmax(feats, labels, (3, 7), ClassifierConfig(epochs=3, batch_size=16), rng)
+    assert checked == [2 * 5 + 2] * (3 * 3)  # 3 epochs of 3 batches

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from otzsl.linalg import log_softmax_rows, unit_rows
 from otzsl.ot import cosine_cost_matrix
+from otzsl.rng import SeededRng
 
 finite_rows = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
@@ -65,6 +66,23 @@ def test_unit_rows_zero_row_names_index():
     x = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="row 1"):
         unit_rows(x, "features")
+
+
+def test_unit_rows_norms_keep_np_linalg_norm_bits():
+    x = SeededRng(3).gaussian(40 * 7).reshape(40, 7) * 1e3
+    unit, norms = unit_rows(x)
+    expected = np.linalg.norm(x, axis=1)
+    assert np.array_equal(norms, expected)
+    assert np.array_equal(unit, x / expected[:, None])
+
+
+def test_overflowing_row_raises_without_a_warning():
+    # warnings are errors in this suite: np.linalg.norm squared 1e200 into an
+    # overflow warning (and an infinite norm, so all-zero unit rows)
+    with pytest.raises(ValueError, match="real features row 1 is too large"):
+        cosine_cost_matrix(np.array([[1.0, 0.0, 0.0], [1e200, 1e200, 1e200]]), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="generated features row 0 is too large"):
+        cosine_cost_matrix(np.ones((2, 3)), np.full((2, 3), 1e200))
 
 
 def test_softmax_uniform_on_equal_logits():

@@ -13,7 +13,7 @@ from otzsl.mlp import (
     mlp_forward_cache,
 )
 from otzsl.rng import SeededRng
-from tests.conftest import traced_peak
+from tests.conftest import count_finiteness_checks, traced_peak
 
 
 def random_net(seed, inp=4, hidden=6, out=3):
@@ -265,6 +265,60 @@ def test_adam_chunks_match_reference():
         for a, b in zip(blocks + state.m + state.v, ref_blocks + ref_state.m + ref_state.v):
             assert np.array_equal(a, b)
     assert base[0, 1] == blocks[2][0, 0]  # the strided view was updated in place
+
+
+def vector_blocks(flat, shapes):
+    """Consecutive row-major views of flat, one of each shape."""
+    ends = np.cumsum([int(np.prod(s)) for s in shapes])
+    return [part.reshape(s) for part, s in zip(np.split(flat, ends[:-1]), shapes)]
+
+
+# a zero-size block, one longer than ADAM_CHUNK, and block boundaries inside
+# the vector's chunks of ADAM_CHUNK elements (at 15, 16 406 and 16 410)
+VECTOR_SHAPES = [(3, 5), (0,), (ADAM_CHUNK + 7,), (4,), (2, 3)]
+
+
+@pytest.mark.parametrize("cuts", [[], [15], [16406]], ids=["one-vector", "two", "two-late"])
+def test_adam_over_vectors_matches_reference_block_by_block(cuts):
+    """Blocks laid out in one vector, updated as one array or as consecutive
+    runs of blocks, match the reference update of each block, bit for bit."""
+    rng = SeededRng(24)
+    flat = rng.gaussian(sum(int(np.prod(s)) for s in VECTOR_SHAPES))
+    blocks = vector_blocks(flat, VECTOR_SHAPES)
+    state = adam_init(blocks, learning_rate=0.01)
+    ref_blocks = [b.copy() for b in blocks]
+    ref_state = adam_init(ref_blocks, learning_rate=0.01)
+    for _ in range(3):
+        grad = rng.gaussian(flat.size)
+        ref_blocks, ref_state = reference_adam_step(
+            ref_blocks, vector_blocks(grad, VECTOR_SHAPES), ref_state)
+        adam_step(np.split(flat, cuts), np.split(grad, cuts), state)
+        for a, b in zip(blocks + state.m + state.v, ref_blocks + ref_state.m + ref_state.v):
+            assert np.array_equal(a, b)
+
+
+def test_adam_over_a_vector_names_the_first_non_finite_block():
+    flat = np.zeros(sum(int(np.prod(s)) for s in VECTOR_SHAPES))
+    state = adam_init(vector_blocks(flat, VECTOR_SHAPES), learning_rate=1.7e308)
+    grad = np.zeros_like(flat)
+    grads = vector_blocks(grad, VECTOR_SHAPES)
+    grads[3][1] = 2.0  # lr * m_hat overflows here and in block 4 alike
+    grads[4][0, 2] = 2.0
+    with pytest.raises(ValueError, match=r"^parameter block 3 contains a non-finite value "
+                                         r"at flat index 1$"):
+        adam_step([flat], [grad], state)
+
+
+def test_adam_checks_each_array_once(monkeypatch):
+    """The finiteness check runs once per array given, however many blocks
+    the state has."""
+    flat = np.zeros(sum(int(np.prod(s)) for s in VECTOR_SHAPES))
+    state = adam_init(vector_blocks(flat, VECTOR_SHAPES))
+    checked = count_finiteness_checks(monkeypatch)
+    adam_step([flat], [np.ones_like(flat)], state)
+    assert checked == [flat.size]
+    adam_step(np.split(flat, [15]), np.split(np.ones_like(flat), [15]), state)
+    assert checked == [flat.size, 15, flat.size - 15]
 
 
 def test_adam_step_makes_no_block_sized_temporaries():

@@ -17,7 +17,7 @@ from otzsl.training import (TrainConfig, TrainTrace, iterations_per_epoch,
                             ot_branch_coin, sample_real_batch,
                             sample_synth_batch, synthesize_class_features,
                             train, write_trace_csv)
-from tests.conftest import traced_peak
+from tests.conftest import count_finiteness_checks, traced_peak
 
 
 def four_class_attrs():
@@ -439,6 +439,22 @@ def test_train_non_finite_plan_names_the_step(tiny_dataset, monkeypatch):
     monkeypatch.setattr(training, "transition_plan", poisoned)
     with pytest.raises(SolverError, match=r"^iteration 2 \(epoch 0\): W1 contains a non-finite"):
         train(data, attrs, quick_cfg(ot_prob=0.0))
+
+
+@pytest.mark.parametrize("ot_prob, per_step", [(0.0, 6), (1.0, 9)], ids=["transition", "ot"])
+def test_train_step_checks_vectors_not_blocks(tiny_dataset, monkeypatch, ot_prob, per_step):
+    """A training step checks finiteness once per vector: the gradients of
+    the generator, the predictor's two batches and their sum (4), the Adam
+    update of each network (2), and on the OT branch the cost's two inputs
+    and the cost (3). Checking the eight parameter blocks one by one took
+    24 checks a step, and the count grew with the blocks."""
+    attrs, data, _ = tiny_dataset
+    checked = count_finiteness_checks(monkeypatch)
+    train(data, attrs, quick_cfg(ot_prob=ot_prob, epochs=1))
+    one_epoch = len(checked)
+    train(data, attrs, quick_cfg(ot_prob=ot_prob, epochs=2))
+    steps = iterations_per_epoch(data.seen_train[0].shape[0], 4)
+    assert len(checked) - 2 * one_epoch == per_step * steps  # the setup checks cancel out
 
 
 @pytest.mark.parametrize("ot_prob", [0.0, 1.0])

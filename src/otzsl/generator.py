@@ -126,12 +126,11 @@ class BackwardResult:
 
 def backward(plan_values, real_feats, real_classes, generated, synth_classes,
              g: GeneratorParams, f: PredictorParams, class_attrs,
-             reg_weight: float, attr_unit=None) -> BackwardResult:
+             reg_weight: float) -> BackwardResult:
     """Loss terms and analytic gradients of the fixed-plan objective for
     every parameter block of the generator and predictor. `generated` is the
     (features, cache) pair of the `generator_forward` call that made the
-    batch the plan couples to the real rows. attr_unit, if given, is
-    unit_rows(class_attrs)[0], computed once by a caller that trains."""
+    batch the plan couples to the real rows."""
     plan = np.asarray(plan_values, dtype=np.float64)
     real_feats = np.atleast_2d(np.asarray(real_feats, dtype=np.float64))
     real_classes = np.asarray(real_classes, dtype=np.int64).reshape(-1)
@@ -160,20 +159,20 @@ def backward(plan_values, real_feats, real_classes, generated, synth_classes,
     np.negative(d_xhat, out=d_xhat)
     d_xhat /= xhat_norms[:, None]
 
-    if attr_unit is None:
-        attr_unit, _ = unit_rows(np.asarray(class_attrs, dtype=np.float64), "class attributes")
+    attr_unit, _ = unit_rows(np.asarray(class_attrs, dtype=np.float64), "class attributes")
     labeled = real_classes != UNLABELED
-    targets = np.concatenate([real_classes[labeled], synth_classes])
+    if not labeled.all():  # only a batch with unlabeled rows copies out its labeled ones
+        real_feats, real_classes = real_feats[labeled], real_classes[labeled]
+    targets = np.concatenate([real_classes, synth_classes])
     if targets.min() < 0 or targets.max() >= attr_unit.shape[0]:
         raise ValueError(f"target class ids must lie in 0..{attr_unit.shape[0] - 1}")
     reg_term = 0.0
 
     # each array below is dropped at its last use, so the next pass's can reuse its memory
     real_cache = None
-    if labeled.any():
-        q_real, real_cache = mlp_forward_cache(f.net, real_feats[labeled])
-        loss, d_real_q = _nca_term(q_real, real_classes[labeled], attr_unit,
-                                   f.nca_scale, reg_weight)
+    if real_classes.size:
+        q_real, real_cache = mlp_forward_cache(f.net, real_feats)
+        loss, d_real_q = _nca_term(q_real, real_classes, attr_unit, f.nca_scale, reg_weight)
         reg_term += loss
     q_synth, synth_cache = mlp_forward_cache(f.net, xhat)
     loss, d_synth_q = _nca_term(q_synth, synth_classes, attr_unit, f.nca_scale, reg_weight)

@@ -155,8 +155,10 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p -= lr (m / c1) / (sqrt(v / c2) + eps). Each array is then checked once
     for finiteness; a blow-up raises ValueError naming the first bad block."""
-    if len(params) != len(grads) or sum(p.size for p in params) != state.moments[0].size:
-        raise ValueError("block / gradient / state counts do not match")
+    ends = list(itertools.accumulate((p.size for p in params), initial=0))
+    if (len(params) != len(grads) or ends[-1] != state.moments[0].size
+            or not set(ends) <= set(itertools.accumulate((m.size for m in state.m), initial=0))):
+        raise ValueError("block / gradient / state counts or block boundaries do not match")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")

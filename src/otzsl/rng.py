@@ -40,7 +40,7 @@ class SeededRng:
         return SeededRng(self.seed ^ int(worker_index))
 
     def next_uint64(self, n: int) -> np.ndarray:
-        """The next n outputs; a small draw is a read-only view of a block computed ahead."""
+        """The next n outputs, read-only; a small draw is a view of a block computed ahead."""
         if n < 1:
             raise ValueError(f"need at least one draw, got n={n}")
         start, self._counter = self._counter, self._counter + n
@@ -48,7 +48,7 @@ class SeededRng:
             return self._outputs(start + 1, n)
         if self._counter - self._cache_start > self._cache.size:
             self._cache = self._outputs(start + 1, min(_CACHE_DRAWS, max(n, 2 * self._cache.size)))
-            self._cache_start, self._cache.flags.writeable = start, False
+            self._cache_start = start
         return self._cache[start - self._cache_start:self._counter - self._cache_start]
 
     def _outputs(self, start: int, n: int) -> np.ndarray:
@@ -56,7 +56,9 @@ class SeededRng:
         z = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(31)
+        z.flags.writeable = False  # cached or not, a draw is never written to
+        return z
 
     def uniform(self, n: int) -> np.ndarray:
         """n i.i.d. draws from [0, 1), on the 53-bit grid."""

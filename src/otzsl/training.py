@@ -28,7 +28,6 @@ from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
 from .errors import ConfigError, DataFormatError, SolverError
 from .generator import (GeneratorParams, backward,
                         generator_forward, init_generator, init_predictor)
-from .linalg import unit_rows
 from .mlp import adam_init, adam_step
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
 from .rng import SeededRng
@@ -152,7 +151,7 @@ def sample_synth_batch(attrs: AttributeMatrix, class_pool, b: int, rng: SeededRn
     class_pool. Class draws come before the noises.
 
     Returns (class ids, noises)."""
-    pool = np.asarray(class_pool, dtype=np.int64)  # no copy of the int64 arrays train passes
+    pool = np.asarray(list(class_pool), dtype=np.int64)
     if pool.size == 0:
         raise ValueError("class pool is empty")
     if pool.min() < 0 or pool.max() >= attrs.n_classes:
@@ -205,8 +204,6 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
     params = [g.net.flat, f.net.flat]  # Adam runs over each network's vector, in place
     adam = adam_init(g.net.blocks() + f.net.blocks(), learning_rate=cfg.learning_rate)
     batch_rng = root.split(3)
-    seen_pool, unseen_pool = (np.asarray(c) for c in (attrs.seen_ids, attrs.unseen_ids))
-    attr_unit, _ = unit_rows(attrs.attrs, "class attributes")  # once, not in every step
 
     pool_size = data.seen_train[0].shape[0] + (
         data.unseen_unlabeled.shape[0] if transductive else 0
@@ -223,9 +220,9 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
             try:
                 real_feats, real_classes = sample_real_batch(data, b, batch_rng, transductive)
                 s_classes, s_noises = sample_synth_batch(
-                    attrs, seen_pool, b, batch_rng, mirror_classes=real_classes
+                    attrs, attrs.seen_ids, b, batch_rng, mirror_classes=real_classes
                 )
-                u_classes, u_noises = sample_synth_batch(attrs, unseen_pool, b, batch_rng)
+                u_classes, u_noises = sample_synth_batch(attrs, attrs.unseen_ids, b, batch_rng)
                 synth_classes = np.concatenate([s_classes, u_classes])
                 generated = generator_forward(g, attrs.attrs[synth_classes],
                                               np.vstack([s_noises, u_noises]))
@@ -243,7 +240,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
                 plan[:, :core.shape[1]] = core
 
                 res = backward(plan, real_feats, real_classes, generated, synth_classes,
-                               g, f, attrs.attrs, cfg.reg_weight, attr_unit)
+                               g, f, attrs.attrs, cfg.reg_weight)
                 adam_step(params, [res.g_grads.flat, res.f_grads.flat], adam)
             except (SolverError, ValueError) as exc:
                 raise SolverError(f"iteration {step} (epoch {epoch}): {exc}") from exc

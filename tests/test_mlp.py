@@ -321,6 +321,23 @@ def test_adam_checks_each_array_once(monkeypatch):
     assert checked == [flat.size, 15, flat.size - 15]
 
 
+def test_adam_rejects_arrays_that_do_not_lay_out_the_blocks_in_order():
+    """The arrays given must end on the state's block boundaries, in order:
+    a vector split inside a block, or two networks' vectors swapped, would
+    pair parameters with another block's moments."""
+    flat = np.zeros(sum(int(np.prod(s)) for s in VECTOR_SHAPES))
+    state = adam_init(vector_blocks(flat, VECTOR_SHAPES))
+    with pytest.raises(ValueError, match="block boundaries"):
+        adam_step(np.split(flat, [10]), np.split(np.ones_like(flat), [10]), state)
+    g_net, f_net = np.zeros(6), np.zeros(4)
+    state = adam_init([g_net.reshape(2, 3), f_net])
+    with pytest.raises(ValueError, match="block boundaries"):
+        adam_step([f_net, g_net], [np.ones(4), np.ones(6)], state)
+    assert state.step == 0
+    adam_step([g_net, f_net], [np.ones(6), np.ones(4)], state)
+    assert state.step == 1
+
+
 def test_adam_step_makes_no_block_sized_temporaries():
     p = np.linspace(-1.0, 1.0, 2048 * 512).reshape(2048, 512)
     g = np.cos(7.0 * p)

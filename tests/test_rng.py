@@ -31,6 +31,18 @@ def test_stream_position_is_count_based():
     np.testing.assert_array_equal(first, second)
 
 
+@pytest.mark.parametrize("n", [1, 8192, 8193, 20000], ids=["one", "cached", "past", "large"])
+def test_raw_draws_are_read_only_at_every_size(n):
+    """A small draw views a block computed ahead, so writing to it would
+    change later draws; a large one is made read-only too, so no caller
+    works at one size and fails at the other."""
+    rng = SeededRng(4)
+    bits = rng.next_uint64(n)
+    with pytest.raises(ValueError, match="read-only"):
+        bits[0] = 0
+    assert np.array_equal(bits, SeededRng(4).next_uint64(n + 1)[:n])
+
+
 def test_gaussian_moments():
     x = SeededRng(0).gaussian(100_000)
     assert abs(x.mean()) < 0.02

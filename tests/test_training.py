@@ -425,6 +425,17 @@ def test_train_wraps_errors_with_iteration_context(monkeypatch):
         train(data, attrs, cfg)
 
 
+def test_train_names_the_step_of_an_attribute_row_that_overflows(tiny_dataset):
+    """The attribute matrix takes a row whose sum of squares overflows; the
+    first step that normalizes it raises SolverError, as any failing step does."""
+    _, data, _ = tiny_dataset
+    rows = np.eye(5, 6)
+    rows[4, 0] = 1e300  # an unseen class: its generated features and its unit row overflow
+    attrs = AttributeMatrix(rows, seen_ids=(0, 1, 2), unseen_ids=(3, 4))
+    with pytest.raises(SolverError, match=r"^iteration 0 \(epoch 0\): .* too large"):
+        train(data, attrs, quick_cfg(ot_prob=0.0))
+
+
 def test_train_non_finite_plan_names_the_step(tiny_dataset, monkeypatch):
     attrs, data, _ = tiny_dataset
     calls = []

@@ -12,9 +12,8 @@ from .data import AttributeMatrix, FeatureDataset, SyntheticSpec, load_dataset, 
 from .errors import ConfigError, DataFormatError, OtzslError, SolverError
 from .evaluate import EvalConfig, EvalReport, evaluate, harmonic_mean
 from .generator import GeneratorParams, PredictorParams, generator_forward
-from .ot import (IpotConfig, Marginals, TransportPlan, cosine_cost_matrix,
-                 exact_assignment_oracle, ipot_solve, sinkhorn_solve,
-                 transition_plan, transport_cost)
+from .ot import (IpotConfig, Marginals, TransportPlan, cosine_cost_matrix, ipot_solve,
+                 sinkhorn_solve, transition_plan, transport_cost)
 from .rng import SeededRng
 from .training import TrainConfig, TrainResult, train
 
@@ -23,9 +22,9 @@ __all__ = [
     "FeatureDataset", "GeneratorParams", "IpotConfig", "Marginals", "OtzslError",
     "PredictorParams", "SeededRng", "SolverError", "SyntheticSpec", "TrainConfig",
     "TrainResult", "TransportPlan", "cosine_cost_matrix", "evaluate",
-    "exact_assignment_oracle", "generator_forward", "harmonic_mean", "ipot_solve",
-    "load_dataset", "make_synthetic_dataset", "sinkhorn_solve", "train",
-    "transition_plan", "transport_cost",
+    "generator_forward", "harmonic_mean", "ipot_solve", "load_dataset",
+    "make_synthetic_dataset", "sinkhorn_solve", "train", "transition_plan",
+    "transport_cost",
 ]
 
 __version__ = "0.1.0"

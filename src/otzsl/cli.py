@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -52,6 +53,10 @@ EXPORT_DEFAULTS = {
     "per_class": 100,
     "seed": 0,
 }
+
+# SeededRng keeps a seed modulo 2^64, so a seed outside this range would name
+# another seed's stream under its own number.
+MAX_SEED = 2**64 - 1
 
 # The type of each config key whose default is None; JSON null stays allowed.
 NULLABLE_KEY_TYPES = {"data": str, "checkpoint": str, "cost": str, "top_k": int,
@@ -92,7 +97,8 @@ def resolve_config(defaults: dict, args) -> dict:
     flag that was given and whose dest is a key of `defaults`. A config value
     must have its default's type, or for a None default its NULLABLE_KEY_TYPES
     type or null (an int may stand for a float, a bool for nothing else), and be
-    finite: json reads NaN, Infinity and 1e999, and NaN passes every `x < 0` check."""
+    finite: json reads NaN, Infinity and 1e999, and NaN passes every `x < 0` check.
+    A seed, from the file or --seed, must lie in 0..MAX_SEED."""
     cfg = dict(defaults)
     config_path = args.config
 
@@ -122,12 +128,20 @@ def resolve_config(defaults: dict, args) -> dict:
                                   f"{kind.__name__}, got {json.dumps(value)}")
         cfg.update(loaded)
     cfg.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
+    if not 0 <= cfg.get("seed", 0) <= MAX_SEED:
+        raise ConfigError(f"config key 'seed' must be in 0..{MAX_SEED}, got {cfg['seed']}")
     return cfg
 
 
 def echo_config(cfg: dict, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    dataio.write_json(cfg, os.path.join(out_dir, "config.json"))
+    """Create out_dir and write config.json there, every command's first write;
+    an out_dir that cannot be created or written is a usage error."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        dataio.write_json(cfg, os.path.join(out_dir, "config.json"))
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {out_dir}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _given(**kwargs) -> dict:
@@ -366,5 +380,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The program's entry point (the installed `otzsl` command, `python -m
+    otzsl`): exit with main's code. Interpreter teardown skips frozen objects
+    in its final collection, a walk over every object numpy and argparse made;
+    every output file is already closed, and the process exit returns the
+    memory. main itself keeps a normal GC for in-process callers."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

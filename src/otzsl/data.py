@@ -38,7 +38,7 @@ LABELED_SPLITS = SPLITS[:3]
 SPLIT_KEYS = ("seen", "unseen", *(f"{name}_rows" for name in SPLITS))
 
 
-@dataclass
+@dataclass(eq=False)
 class AttributeMatrix:
     """Per-class attribute vectors (row c describes class c) with the
     seen/unseen partition."""
@@ -111,7 +111,7 @@ def _check_rows(what: str, zero_norm: np.ndarray, labels: np.ndarray | None) -> 
         raise DataFormatError(f"{what} has a negative class id")
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureDataset:
     """Labeled splits plus the optional unlabeled pool used by transductive
     training. Each labeled split is a (features, class ids) pair."""

@@ -44,7 +44,7 @@ class ClassifierConfig:
             raise ConfigError("epochs and batch_size must be at least 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassifierParams:
     """Linear softmax classifier; row c of W scores class class_id_map[c]."""
 

@@ -33,7 +33,7 @@ PROB_FLOOR = 1e-300
 _LOG_FLOOR = math.log(PROB_FLOOR)
 
 
-@dataclass
+@dataclass(eq=False)
 class GeneratorParams:
     """Feature generator g: [attribute; noise] -> feature. Noise dimension
     equals attribute dimension, so the network input is twice the latter."""
@@ -55,7 +55,7 @@ class GeneratorParams:
         return self.net.output_dim
 
 
-@dataclass
+@dataclass(eq=False)
 class PredictorParams:
     """Attribute predictor f: feature -> attribute, plus the softmax sharpness
     of the class-likelihood term."""
@@ -115,7 +115,7 @@ def _nca_term(pred, targets, attr_unit, nca_scale, grad_weight):
     return loss, d_pred
 
 
-@dataclass
+@dataclass(eq=False)
 class BackwardResult:
     g_grads: MlpParams
     f_grads: MlpParams

@@ -31,7 +31,7 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return [flat[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpParams:
     """Parameter (or gradient) blocks of a network, as views of `flat` (or of a new copy)."""
 
@@ -39,7 +39,7 @@ class MlpParams:
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    flat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         blocks = [np.asarray(b, dtype=np.float64) for b in (self.W1, self.b1, self.W2, self.b2)]
@@ -123,7 +123,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 ADAM_CHUNK = 1 << 14  # elements updated at a time: six such slices fit in a core's cache
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """Moments of a fixed list of parameter blocks (m[i], v[i] view block i's slice
     of the vectors `moments`) and two scratch buffers an update works in."""

@@ -9,7 +9,6 @@ label-derived coupling used on the supervised branch of training.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ _BLOCK_SWEEPS = 8
 _BLOCK_BYTES = 4 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Marginals:
     """Probability masses of the row (real) and column (generated) samples."""
 
@@ -86,7 +85,7 @@ class IpotConfig:
             raise ValueError("stop_tol must be non-negative")
 
 
-@dataclass
+@dataclass(eq=False)
 class TransportPlan:
     """A coupling with convergence diagnostics.
 
@@ -349,34 +348,6 @@ def transport_cost(plan, cost) -> float:
     if values.shape != cost.shape:
         raise ValueError(f"plan shape {values.shape} does not match cost shape {cost.shape}")
     return float(np.sum(values * cost))
-
-
-def exact_assignment_oracle(cost) -> tuple[TransportPlan, float]:
-    """Brute-force optimum for square, uniform-marginal problems.
-
-    Valid because such problems attain their optimum at a permutation matrix
-    scaled by 1/N. Enumerates all N! permutations, so N is capped at 8. Ties
-    keep the first permutation in lexicographic order.
-    """
-    cost = as_float_matrix(cost, "cost matrix")
-    n, m = cost.shape
-    if n != m:
-        raise ValueError(f"oracle needs a square cost matrix, got {cost.shape}")
-    if n > 8:
-        raise ValueError(f"oracle enumerates permutations; N = {n} exceeds the cap of 8")
-
-    best_perm = None
-    best_cost = math.inf
-    rows = np.arange(n)
-    for perm in itertools.permutations(range(n)):
-        c = float(cost[rows, perm].sum()) / n
-        if c < best_cost:
-            best_cost = c
-            best_perm = perm
-
-    values = np.zeros((n, n))
-    values[rows, best_perm] = 1.0 / n
-    return TransportPlan(values=values, converged=True, iterations_used=0), best_cost
 
 
 def transition_plan(real_classes, synth_classes) -> TransportPlan:

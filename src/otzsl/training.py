@@ -114,7 +114,7 @@ def write_trace_csv(trace: TrainTrace, path: str) -> None:
               [f"{i},{branch}," for i, branch in enumerate(trace.branch)])
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainResult:
     g: GeneratorParams
     trace: TrainTrace

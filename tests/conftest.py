@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from otzsl.data import SyntheticSpec, make_synthetic_dataset
 
@@ -29,6 +30,12 @@ def random_cost(rng, n, m):
     x = rng.gaussian(n * 5).reshape(n, 5)
     y = rng.gaussian(m * 5).reshape(m, 5)
     return cosine_cost_matrix(x, y)
+
+
+def scipy_oracle_cost(cost):
+    """Independent reference: optimal assignment scaled to uniform marginals."""
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum()) / cost.shape[0]
 
 
 def assert_allclose(a, b, tol=1e-12):

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from otzsl import cli
 from otzsl import ot
@@ -19,7 +18,7 @@ from otzsl.generator import backward, generator_forward, init_generator, init_pr
 from otzsl.rng import SeededRng
 from otzsl.training import TrainConfig, train
 
-from conftest import random_cost
+from conftest import random_cost, scipy_oracle_cost
 
 TINY_GEN = {
     "seen_classes": 3,
@@ -35,12 +34,6 @@ TINY_GEN = {
 def verdict(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num}: {detail}"
-
-
-def scipy_oracle_cost(cost):
-    """Independent reference: optimal assignment scaled to uniform marginals."""
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum()) / cost.shape[0]
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +60,7 @@ def trained_runs(desk_dataset):
 
 def test_criterion_1_ipot_matches_assignment_oracle():
     # >= 50 random square instances, N in 2..6, uniform marginals; IPOT cost
-    # within 1e-4 relative of the brute-force assignment optimum; < 10 s
+    # within 1e-4 relative of the exact assignment optimum; < 10 s
     rng = SeededRng(101)
     t0 = time.perf_counter()
     worst = 0.0

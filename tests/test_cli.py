@@ -1,8 +1,11 @@
 import argparse
+import errno
+import gc
 import json
 import math
 import os
 import re
+import runpy
 import shutil
 import struct
 import subprocess
@@ -99,6 +102,26 @@ def test_python_m_otzsl_exit_path(tmp_path):
     proc = python_m("solve-ot", "--config", str(bad), "--out", str(tmp_path / "p"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
+
+
+def test_installed_command_runs_the_python_m_entry_point(monkeypatch):
+    """pyproject.toml's `otzsl` script names the function `python -m otzsl`
+    runs, so both freeze the GC before teardown and exit with main's code."""
+    pyproject = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\notzsl = "otzsl\.cli:(\w+)"$', pyproject, re.M)
+    assert target is not None
+    entry = getattr(cli, target[1])
+    assert entry is cli.run
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+    runpy.run_module("otzsl", run_name="__main__")
+    assert calls == ["run"]
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exit_info:
+        entry()
+    assert exit_info.value.code == 3
+    assert calls == ["run", "main", "freeze"]
 
 
 # --- config plumbing ---
@@ -287,6 +310,60 @@ def test_config_not_utf8(tmp_path, capsys):
     cfg.write_bytes(b'{"seed": 1}\xff')
     assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "cfg.json: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+def seeded_argv(command, workspace):
+    """The arguments of a small run of each command that takes a seed."""
+    data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
+    return {"gen-data": [],
+            "train": ["--data", data, "--epochs", "1"],
+            "eval": ["--data", data, "--checkpoint", ckpt, "--n-synth-per-class", "2"],
+            "compare-solvers": ["--size", "2", "--instances", "1", "--iters", "2"],
+            "export": ["--data", data, "--checkpoint", ckpt, "--per-class", "1"]}[command]
+
+
+SEEDED_COMMANDS = ["gen-data", "train", "eval", "compare-solvers", "export"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("given_by", ["flag", "config"])
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_seed_outside_64_bits_is_rejected_before_writing(command, given_by, seed, workspace,
+                                                         tmp_path, capsys):
+    """SeededRng keeps a seed modulo 2^64: -1 would run seed 2^64 - 1's stream
+    and 2^64 seed 0's, each under its own number in config.json."""
+    if given_by == "flag":
+        extra = ["--seed", str(seed)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run([command, *seeded_argv(command, workspace), *extra, "--out", str(out)]) == 2
+    assert f"config key 'seed' must be in 0..{2**64 - 1}, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_largest_seed_is_accepted(command, workspace, tmp_path):
+    out = tmp_path / "out"
+    argv = [command, *seeded_argv(command, workspace), "--seed", str(2**64 - 1)]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["seed"] == 2**64 - 1
+
+
+def test_an_out_that_cannot_be_made_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    assert run(["gen-data", "--out", str(blocker)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: cannot write output directory {blocker}: {os.strerror(errno.EEXIST)}\n")
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.5]]), str(cost))
+    assert run(["solve-ot", "--cost", str(cost), "--out", str(blocker / "x")]) == 2
+    assert (capsys.readouterr().err == f"error: cannot write output directory {blocker / 'x'}: "
+            f"{os.strerror(errno.ENOTDIR)}\n")
+    assert blocker.read_text() == "keep"
 
 
 # --- gen-data ---

@@ -15,14 +15,13 @@ from otzsl.ot import (
     _round_to_polytope,
     check_marginals,
     cosine_cost_matrix,
-    exact_assignment_oracle,
     ipot_solve,
     sinkhorn_solve,
     transition_plan,
     transport_cost,
 )
 from otzsl.rng import SeededRng
-from tests.conftest import random_cost
+from tests.conftest import random_cost, scipy_oracle_cost
 
 # ---------------------------------------------------------------- cost matrix
 
@@ -125,7 +124,7 @@ def test_ipot_matches_oracle_on_random_instances():
     for trial in range(12):
         n = 2 + trial % 5
         C = random_cost(rng, n, n)
-        _, best = exact_assignment_oracle(C)
+        best = scipy_oracle_cost(C)
         got = transport_cost(ipot_solve(C), C)
         assert got == pytest.approx(best, rel=1e-4, abs=1e-9), f"trial {trial}"
 
@@ -485,50 +484,6 @@ def test_transport_cost_matches_scalar_loop():
 def test_transport_cost_shape_mismatch():
     with pytest.raises(ValueError, match="does not match"):
         transport_cost(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-# --------------------------------------------------------------------- oracle
-
-
-def test_oracle_prefers_zero_diagonal():
-    plan, cost = exact_assignment_oracle(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(plan.values, np.eye(2) / 2)
-    assert cost == 0.0
-
-
-def test_oracle_prefers_antidiagonal():
-    plan, cost = exact_assignment_oracle(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    np.testing.assert_allclose(plan.values, np.array([[0.0, 0.5], [0.5, 0.0]]))
-    assert cost == 0.0
-
-
-def test_oracle_known_value():
-    _, cost = exact_assignment_oracle(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert cost == pytest.approx(2.5)  # (1 + 4)/2 vs (2 + 3)/2, tie -> identity
-
-
-def test_oracle_validates_shape():
-    with pytest.raises(ValueError, match="square"):
-        exact_assignment_oracle(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="cap"):
-        exact_assignment_oracle(np.zeros((9, 9)))
-
-
-def test_oracle_cost_is_plan_cost():
-    rng = SeededRng(12)
-    C = random_cost(rng, 5, 5)
-    plan, cost = exact_assignment_oracle(C)
-    assert transport_cost(plan, C) == pytest.approx(cost, abs=1e-15)
-    assert check_marginals(plan, Marginals.uniform(5, 5), tol=1e-15).passed
-
-
-def test_oracle_row_permutation_keeps_cost():
-    rng = SeededRng(13)
-    C = random_cost(rng, 6, 6)
-    perm = SeededRng(14).permutation(6)
-    _, base = exact_assignment_oracle(C)
-    _, permuted = exact_assignment_oracle(C[perm])
-    assert permuted == pytest.approx(base, abs=1e-12)
 
 
 # ------------------------------------------------------------ transition plan

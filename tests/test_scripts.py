@@ -43,10 +43,3 @@ def test_zsl_benchmark_takes_a_dataset_spec(tmp_path):
     proc = run_script("run_zsl_benchmark.py", ["--seeds", "0", "--spec", "[3]"], tmp_path)
     assert proc.returncode == 2 and "--spec must be a JSON object" in proc.stderr
 
-
-def test_compare_ot_solvers_runs_outside_the_repo(tmp_path):
-    proc = run_script("compare_ot_solvers.py",
-                      ["--size", "4", "--instances", "2", "--iters", "20", "--out", "curves"],
-                      tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "curves" / "curves.csv").exists()

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -9,9 +10,11 @@ from otzsl import generator, training
 from otzsl.data import (UNLABELED, AttributeMatrix, FeatureDataset, SyntheticSpec,
                         make_synthetic_dataset)
 from otzsl.errors import ConfigError, DataFormatError, SolverError
-from otzsl.generator import GeneratorParams, init_generator, init_predictor
-from otzsl.mlp import MlpParams
-from otzsl.ot import IpotConfig, transition_plan
+from otzsl.evaluate import ClassifierParams
+from otzsl.generator import (GeneratorParams, backward, generator_forward, init_generator,
+                             init_predictor)
+from otzsl.mlp import MlpParams, adam_init
+from otzsl.ot import IpotConfig, Marginals, transition_plan
 from otzsl.rng import SeededRng
 from otzsl.training import (TrainConfig, TrainTrace, iterations_per_epoch,
                             ot_branch_coin, sample_real_batch,
@@ -570,3 +573,24 @@ def test_write_trace_csv_matches_reference(tmp_path, tiny_dataset):
         write_trace_csv(trace, str(new))
         reference_write_trace_csv(trace, ref)
         assert new.read_bytes() == ref.read_bytes()
+
+
+def test_dataclasses_that_hold_arrays_compare_and_hash_by_identity(tiny_dataset):
+    """`==` between arrays has no truth value, so these classes compare, and
+    hash, by identity; a deep copy is another object."""
+    attrs, data, _ = tiny_dataset
+    result = train(data, attrs, TrainConfig(epochs=1, batch_size=8, hidden_dim=4))
+    g = result.g
+    f = init_predictor(g.feature_dim, g.attr_dim, 4, SeededRng(1))
+    feats, labels = data.seen_train[0][:2], data.seen_train[1][:2]
+    plan = transition_plan(labels, labels)
+    generated = generator_forward(g, attrs.attrs[labels],
+                                  SeededRng(2).gaussian(2 * g.attr_dim).reshape(2, -1))
+    grads = backward(plan.values, feats, labels, generated, labels, g, f, attrs.attrs, 1.0)
+    objects = [attrs, data, Marginals.uniform(3, 3), plan, g.net, adam_init([g.net.flat]), g, f,
+               grads, ClassifierParams(np.zeros((2, 3)), np.zeros(2), (0, 1)), result]
+    assert len({type(obj) for obj in objects}) == 11
+    for obj in objects:
+        twin = copy.deepcopy(obj)
+        assert obj == obj and obj != twin
+        assert len({obj, twin, obj}) == 2

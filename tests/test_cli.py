@@ -322,7 +322,7 @@ def seeded_argv(command, workspace):
             "export": ["--data", data, "--checkpoint", ckpt, "--per-class", "1"]}[command]
 
 
-SEEDED_COMMANDS = ["gen-data", "train", "eval", "compare-solvers", "export"]
+SEEDED_COMMANDS = sorted(c for c, keys in CONFIG_KEYS.items() if "seed" in keys)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -27,7 +27,7 @@ from . import data as dataio
 from . import ot
 from .errors import ConfigError, DataFormatError, OtzslError
 from .evaluate import PROTOCOL_SPLITS, PROTOCOLS, EvalConfig, evaluate, protocol, save_report
-from .rng import SeededRng
+from .rng import MAX_SEED, SeededRng
 from .training import (MODE_SPLITS, MODES, TrainConfig, require_training_rows,
                        synthesize_class_features, train, write_trace_csv)
 
@@ -53,10 +53,6 @@ EXPORT_DEFAULTS = {
     "per_class": 100,
     "seed": 0,
 }
-
-# SeededRng keeps a seed modulo 2^64, so a seed outside this range would name
-# another seed's stream under its own number.
-MAX_SEED = 2**64 - 1
 
 # The type of each config key whose default is None; JSON null stays allowed.
 NULLABLE_KEY_TYPES = {"data": str, "checkpoint": str, "cost": str, "top_k": int,
@@ -264,6 +260,8 @@ def cmd_compare_solvers(args) -> int:
     echo_config(cfg, args.out)
     rng = SeededRng(cfg["seed"])
     n = cfg["size"]
+    # IPOT at its default λ, Sinkhorn at its own default and at IPOT's
+    ipot = ot.IpotConfig(max_outer_iters=cfg["iters"], stop_tol=0.0)
     leads, curves, finals = [], [], {}
     for inst in range(cfg["instances"]):
         feat_rng = rng.split(inst + 1)
@@ -271,13 +269,11 @@ def cmd_compare_solvers(args) -> int:
         synth = feat_rng.gaussian(n * 16).reshape(n, 16)
         cost = ot.cosine_cost_matrix(real, synth)
         runs = [
-            ("ipot", 0.5, ot.ipot_solve(
-                cost, cfg=ot.IpotConfig(reg=0.5, max_outer_iters=cfg["iters"], stop_tol=0.0),
-                record_trace=True)),
-            ("sinkhorn", 0.1, ot.sinkhorn_solve(
-                cost, reg=0.1, iterations=cfg["iters"], record_trace=True)),
-            ("sinkhorn", 0.5, ot.sinkhorn_solve(
-                cost, reg=0.5, iterations=cfg["iters"], record_trace=True)),
+            ("ipot", ipot.reg, ot.ipot_solve(cost, cfg=ipot, record_trace=True)),
+            ("sinkhorn", ot.SINKHORN_REG, ot.sinkhorn_solve(
+                cost, reg=ot.SINKHORN_REG, iterations=cfg["iters"], record_trace=True)),
+            ("sinkhorn", ipot.reg, ot.sinkhorn_solve(
+                cost, reg=ipot.reg, iterations=cfg["iters"], record_trace=True)),
         ]
         for name, reg, plan in runs:  # trace columns: iteration, cost, feasibility error
             leads += [f"{name},{reg},{inst},{int(it)}," for it in plan.trace[:, 0]]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .rng import SeededRng
+from .rng import MAX_SEED, SeededRng
 
 UNLABELED = -1
 
@@ -182,6 +182,8 @@ class SyntheticSpec:
             raise ValueError("dimensions must be positive")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be non-negative")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must be in 0..{MAX_SEED}, got {self.seed}")
 
 
 def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[AttributeMatrix, FeatureDataset, np.ndarray]:

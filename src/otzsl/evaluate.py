@@ -21,7 +21,7 @@ from .errors import ConfigError, DataFormatError, SolverError
 from .generator import GeneratorParams
 from .linalg import log_softmax_rows
 from .mlp import adam_init, adam_step
-from .rng import SeededRng
+from .rng import MAX_SEED, SeededRng
 from .training import synthesize_class_features
 
 PROTOCOLS = ("standard", "generalized", "transductive")
@@ -172,6 +172,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.n_synth_per_class < 1:
             raise ConfigError(f"n_synth_per_class must be positive, got {self.n_synth_per_class}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be in 0..{MAX_SEED}, got {self.seed}")
         if self.top_k is not None and self.top_k < 1:
             raise ConfigError(f"top_k must be positive, got {self.top_k}")
 

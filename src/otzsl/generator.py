@@ -55,28 +55,9 @@ class GeneratorParams:
         return self.net.output_dim
 
 
-@dataclass(eq=False)
-class PredictorParams:
-    """Attribute predictor f: feature -> attribute, plus the softmax sharpness
-    of the class-likelihood term."""
-
-    net: MlpParams
-    nca_scale: float = 0.5
-
-    def __post_init__(self):
-        if not (self.nca_scale > 0.0 and math.isfinite(self.nca_scale)):
-            raise ValueError(f"nca_scale must be positive, got {self.nca_scale}")
-
-
 def init_generator(attr_dim: int, feature_dim: int, hidden_dim: int,
                    rng: SeededRng) -> GeneratorParams:
     return GeneratorParams(net=init_mlp(2 * attr_dim, hidden_dim, feature_dim, rng))
-
-
-def init_predictor(feature_dim: int, attr_dim: int, hidden_dim: int,
-                   rng: SeededRng, nca_scale: float = 0.5) -> PredictorParams:
-    return PredictorParams(net=init_mlp(feature_dim, hidden_dim, attr_dim, rng),
-                           nca_scale=nca_scale)
 
 
 def generator_forward(g: GeneratorParams, attrs, noises) -> tuple[np.ndarray, tuple]:
@@ -125,12 +106,13 @@ class BackwardResult:
 
 
 def backward(plan_values, real_feats, real_classes, generated, synth_classes,
-             g: GeneratorParams, f: PredictorParams, class_attrs,
-             reg_weight: float) -> BackwardResult:
+             g: GeneratorParams, f: MlpParams, class_attrs,
+             reg_weight: float, nca_scale: float) -> BackwardResult:
     """Loss terms and analytic gradients of the fixed-plan objective for
-    every parameter block of the generator and predictor. `generated` is the
-    (features, cache) pair of the `generator_forward` call that made the
-    batch the plan couples to the real rows."""
+    every parameter block of the generator and the attribute predictor f.
+    `generated` is the (features, cache) pair of the `generator_forward` call
+    that made the batch the plan couples to the real rows; nca_scale is the
+    class-likelihood softmax's sharpness."""
     plan = np.asarray(plan_values, dtype=np.float64)
     real_feats = np.atleast_2d(np.asarray(real_feats, dtype=np.float64))
     real_classes = np.asarray(real_classes, dtype=np.int64).reshape(-1)
@@ -138,6 +120,8 @@ def backward(plan_values, real_feats, real_classes, generated, synth_classes,
     synth_classes = np.asarray(synth_classes, dtype=np.int64).reshape(-1)
     if reg_weight < 0.0:
         raise ValueError(f"reg_weight must be non-negative, got {reg_weight}")
+    if not (nca_scale > 0.0 and math.isfinite(nca_scale)):
+        raise ValueError(f"nca_scale must be positive and finite, got {nca_scale}")
     n, m = real_feats.shape[0], xhat.shape[0]
     if plan.shape != (n, m):
         raise ValueError(f"plan shape {plan.shape} does not match batches ({n}, {m})")
@@ -171,20 +155,20 @@ def backward(plan_values, real_feats, real_classes, generated, synth_classes,
     # each array below is dropped at its last use, so the next pass's can reuse its memory
     real_cache = None
     if real_classes.size:
-        q_real, real_cache = mlp_forward_cache(f.net, real_feats)
-        loss, d_real_q = _nca_term(q_real, real_classes, attr_unit, f.nca_scale, reg_weight)
+        q_real, real_cache = mlp_forward_cache(f, real_feats)
+        loss, d_real_q = _nca_term(q_real, real_classes, attr_unit, nca_scale, reg_weight)
         reg_term += loss
-    q_synth, synth_cache = mlp_forward_cache(f.net, xhat)
-    loss, d_synth_q = _nca_term(q_synth, synth_classes, attr_unit, f.nca_scale, reg_weight)
+    q_synth, synth_cache = mlp_forward_cache(f, xhat)
+    loss, d_synth_q = _nca_term(q_synth, synth_classes, attr_unit, nca_scale, reg_weight)
     reg_term += loss
     total = transport_term + reg_weight * reg_term
 
-    f_grads, d_xhat_reg = mlp_backward(f.net, synth_cache, d_synth_q)
+    f_grads, d_xhat_reg = mlp_backward(f, synth_cache, d_synth_q)
     del synth_cache
     d_xhat += d_xhat_reg
     del d_xhat_reg
     if real_cache is not None:
-        real_grads, _ = mlp_backward(f.net, real_cache, d_real_q, input_grad=False)
+        real_grads, _ = mlp_backward(f, real_cache, d_real_q, input_grad=False)
         del real_cache
         add_grads(f_grads, real_grads)
         del real_grads

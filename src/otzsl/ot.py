@@ -29,6 +29,9 @@ FEASIBILITY_TOL = 1e-6
 _BLOCK_SWEEPS = 8
 _BLOCK_BYTES = 4 << 20
 
+# sinkhorn_solve's default entropic weight; compare-solvers also runs it
+SINKHORN_REG = 0.1
+
 
 @dataclass(frozen=True, eq=False)
 class Marginals:
@@ -287,7 +290,7 @@ def _result(plan: np.ndarray, marg: Marginals, converged: bool, iterations: int,
 def sinkhorn_solve(
     cost,
     marg: Marginals | None = None,
-    reg: float = 0.1,
+    reg: float = SINKHORN_REG,
     iterations: int = 200,
     record_trace: bool = False,
 ) -> TransportPlan:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+MAX_SEED = (1 << 64) - 1  # seeds are the 64-bit words 0..MAX_SEED, each its own stream
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -31,12 +31,16 @@ class SeededRng:
     """SplitMix64 stream with vectorized uniform / normal / integer draws."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        seed = int(seed)
+        if not 0 <= seed <= MAX_SEED:
+            raise ValueError(f"seed must be in 0..{MAX_SEED}, got {seed}")
+        self.seed = seed
         self._counter = 0  # uint64 outputs consumed so far
         self._cache, self._cache_start = np.empty(0, np.uint64), 0  # outputs after _cache_start
 
     def split(self, worker_index: int) -> "SeededRng":
-        """Independent stream for a worker: seeded with ``seed XOR index``."""
+        """Independent stream for a worker: seeded with ``seed XOR index``,
+        which must lie in 0..MAX_SEED as every seed does."""
         return SeededRng(self.seed ^ int(worker_index))
 
     def next_uint64(self, n: int) -> np.ndarray:

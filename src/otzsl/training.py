@@ -26,11 +26,10 @@ import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
 from .errors import ConfigError, DataFormatError, SolverError
-from .generator import (GeneratorParams, backward,
-                        generator_forward, init_generator, init_predictor)
-from .mlp import adam_init, adam_step
+from .generator import GeneratorParams, backward, generator_forward, init_generator
+from .mlp import adam_init, adam_step, init_mlp
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
-from .rng import SeededRng
+from .rng import MAX_SEED, SeededRng
 
 MODES = ("standard", "transductive")
 # The dataset splits that training in each mode reads; the CLI loads only these.
@@ -75,14 +74,16 @@ class TrainConfig:
             raise ConfigError(f"ot_prob must be in [0, 1], got {self.ot_prob}")
         if not self.reg_weight >= 0.0:  # NaN included
             raise ConfigError(f"reg_weight must be non-negative, got {self.reg_weight}")
-        if not self.nca_scale > 0.0:
-            raise ConfigError(f"nca_scale must be positive, got {self.nca_scale}")
+        if not (self.nca_scale > 0.0 and math.isfinite(self.nca_scale)):
+            raise ConfigError(f"nca_scale must be positive and finite, got {self.nca_scale}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
         if not self.learning_rate >= 0.0:
             raise ConfigError(f"learning_rate must be non-negative, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be in 0..{MAX_SEED}, got {self.seed}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.hidden_dim < 1:
@@ -200,9 +201,9 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
     feature_dim = data.feature_dim
     root = SeededRng(cfg.seed)
     g = init_generator(d, feature_dim, cfg.hidden_dim, root.split(1))
-    f = init_predictor(feature_dim, d, cfg.hidden_dim, root.split(2), nca_scale=cfg.nca_scale)
-    params = [g.net.flat, f.net.flat]  # Adam runs over each network's vector, in place
-    adam = adam_init(g.net.blocks() + f.net.blocks(), learning_rate=cfg.learning_rate)
+    f = init_mlp(feature_dim, cfg.hidden_dim, d, root.split(2))  # the attribute predictor
+    params = [g.net.flat, f.flat]  # Adam runs over each network's vector, in place
+    adam = adam_init(g.net.blocks() + f.blocks(), learning_rate=cfg.learning_rate)
     batch_rng = root.split(3)
 
     pool_size = data.seen_train[0].shape[0] + (
@@ -240,7 +241,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
                 plan[:, :core.shape[1]] = core
 
                 res = backward(plan, real_feats, real_classes, generated, synth_classes,
-                               g, f, attrs.attrs, cfg.reg_weight)
+                               g, f, attrs.attrs, cfg.reg_weight, cfg.nca_scale)
                 adam_step(params, [res.g_grads.flat, res.f_grads.flat], adam)
             except (SolverError, ValueError) as exc:
                 raise SolverError(f"iteration {step} (epoch {epoch}): {exc}") from exc

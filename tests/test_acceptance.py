@@ -14,7 +14,8 @@ from otzsl import cli
 from otzsl import ot
 from otzsl.errors import SolverError
 from otzsl.evaluate import EvalConfig, evaluate, harmonic_mean, per_class_top1
-from otzsl.generator import backward, generator_forward, init_generator, init_predictor
+from otzsl.generator import backward, generator_forward, init_generator
+from otzsl.mlp import init_mlp
 from otzsl.rng import SeededRng
 from otzsl.training import TrainConfig, train
 
@@ -198,10 +199,9 @@ def test_criterion_4_gradients_match_finite_differences():
         class_attrs = rng.gaussian(n_classes * d).reshape(n_classes, d)
 
         g = init_generator(d, feat, hidden, rng.split(rep * 7 + 1))
-        f = init_predictor(feat, d, hidden, rng.split(rep * 7 + 2),
-                           nca_scale=0.5)
+        f = init_mlp(feat, hidden, d, rng.split(rep * 7 + 2))
         g.net.b2 += 0.05  # keep tiny nets off the zero-output ray
-        f.net.b2 += 0.05
+        f.b2 += 0.05
         real = rng.gaussian(n * feat).reshape(n, feat)
         real_classes = rng.integers(n_classes, n)
         synth_classes = rng.integers(n_classes, m)
@@ -214,11 +214,11 @@ def test_criterion_4_gradients_match_finite_differences():
             def loss_terms():  # a fresh generator forward at the current weights
                 return backward(plan, real, real_classes,
                                 generator_forward(g, synth_attrs, noises), synth_classes,
-                                g, f, class_attrs, beta)
+                                g, f, class_attrs, beta, nca_scale=0.5)
 
             res = loss_terms()
             grads = res.g_grads.blocks() + res.f_grads.blocks()
-            blocks = g.net.blocks() + f.net.blocks()
+            blocks = g.net.blocks() + f.blocks()
             eps = 1e-5
             for block, grad in zip(blocks, grads):
                 flat = block.reshape(-1)

@@ -186,6 +186,9 @@ def test_spec_validation():
         SyntheticSpec(samples_per_class=3)
     with pytest.raises(ValueError):
         SyntheticSpec(noise_sigma=-0.1)
+    for seed in (-1, 2**64):  # a seed names its own stream, never another one modulo 2^64
+        with pytest.raises(ValueError, match="seed"):
+            SyntheticSpec(seed=seed)
 
 
 def test_synthetic_shapes_and_split_sizes():

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import json
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import otzsl.evaluate as evaluate_module
 from otzsl.data import SyntheticSpec, make_synthetic_dataset
 from otzsl.errors import ConfigError, DataFormatError
 from otzsl.evaluate import (PROTOCOLS, ClassifierConfig, ClassifierParams, EvalConfig,
@@ -213,6 +213,9 @@ def test_eval_config_rejects():
         EvalConfig(n_synth_per_class=0)
     with pytest.raises(ConfigError, match="top_k"):
         EvalConfig(top_k=0)
+    for seed in (-1, 2**64):  # a seed names its own stream, never another one modulo 2^64
+        with pytest.raises(ConfigError, match="seed"):
+            EvalConfig(seed=seed)
 
 
 def test_evaluate_oracle_generator_is_perfect(clean_dataset):
@@ -422,8 +425,7 @@ def test_generalized_classifier_learns_from_generated_rows_only(noisy_dataset, m
         rows.append(np.asarray(features).shape[0])
         return train_softmax(features, *args)
 
-    # the package's `evaluate` attribute is the function, so fetch the module itself
-    monkeypatch.setattr(importlib.import_module("otzsl.evaluate"), "train_softmax", spy)
+    monkeypatch.setattr(evaluate_module, "train_softmax", spy)
     feats, labels = data.seen_train
     swapped = dataclasses.replace(data, seen_train=(-feats[::-1], labels))
     got = evaluate("generalized", g, attrs, data, cfg)

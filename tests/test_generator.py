@@ -7,13 +7,11 @@ from otzsl.data import UNLABELED
 from otzsl.generator import (
     PROB_FLOOR,
     GeneratorParams,
-    PredictorParams,
     backward,
     generator_forward,
     init_generator,
-    init_predictor,
 )
-from otzsl.mlp import MlpParams, adam_step, adam_init
+from otzsl.mlp import MlpParams, adam_step, adam_init, init_mlp
 from otzsl.ot import cosine_cost_matrix, transition_plan, transport_cost
 from otzsl.rng import SeededRng
 
@@ -24,11 +22,11 @@ def small_setup(seed, d=3, D=4, hidden=6, n=4, m=5, n_classes=3):
     """Random batch + nets small enough for finite differences."""
     rng = SeededRng(seed)
     g = init_generator(d, D, hidden, rng.split(1))
-    f = init_predictor(D, d, hidden, rng.split(2), nca_scale=0.7)
+    f = init_mlp(D, hidden, d, rng.split(2))
     # nudge output biases so tiny nets cannot emit exact-zero rows
     # (cosine distance is undefined there and rightly refuses)
     g.net.b2 += 0.05
-    f.net.b2 += 0.05
+    f.b2 += 0.05
     real = rng.split(3).gaussian(n * D).reshape(n, D)
     attrs = rng.split(4).gaussian(n_classes * d).reshape(n_classes, d)
     synth_classes = rng.split(5).integers(n_classes, m)
@@ -39,7 +37,7 @@ def small_setup(seed, d=3, D=4, hidden=6, n=4, m=5, n_classes=3):
     plan /= plan.sum()
     return dict(plan=plan, real=real, real_classes=real_classes,
                 synth_attrs=synth_attrs, noises=noises, synth_classes=synth_classes,
-                g=g, f=f, attrs=attrs)
+                g=g, f=f, attrs=attrs, nca_scale=0.7)
 
 
 def objective_of(s, reg_weight=1.0, **changes):
@@ -48,22 +46,21 @@ def objective_of(s, reg_weight=1.0, **changes):
     s = {**s, **changes}
     return backward(s["plan"], s["real"], s["real_classes"],
                     generator_forward(s["g"], s["synth_attrs"], s["noises"]),
-                    s["synth_classes"], s["g"], s["f"], s["attrs"], reg_weight)
+                    s["synth_classes"], s["g"], s["f"], s["attrs"], reg_weight, s["nca_scale"])
 
 
 def loss_of(s, reg_weight):
     return objective_of(s, reg_weight).total
 
 
-def identity_predictor(k, nca_scale=0.5):
+def identity_predictor(k):
     """f(x) = x on k-dim features, as relu(x) - relu(-x)."""
-    net = MlpParams(np.vstack([np.eye(k), -np.eye(k)]), np.zeros(2 * k),
-                    np.hstack([np.eye(k), -np.eye(k)]), np.zeros(k))
-    return PredictorParams(net=net, nca_scale=nca_scale)
+    return MlpParams(np.vstack([np.eye(k), -np.eye(k)]), np.zeros(2 * k),
+                     np.hstack([np.eye(k), -np.eye(k)]), np.zeros(k))
 
 
 def objective_at(real, real_classes, generated, synth_classes, f, class_attrs,
-                 plan=None, reg_weight=1.0):
+                 plan=None, reg_weight=1.0, nca_scale=0.5):
     """backward() with every generated row equal to `generated`: the
     generator has zero weights and `generated` as its output bias."""
     real = np.atleast_2d(np.asarray(real, dtype=np.float64))
@@ -75,7 +72,7 @@ def objective_at(real, real_classes, generated, synth_classes, f, class_attrs,
         plan = np.full((n, m), 1.0 / (n * m))
     return backward(plan, real, real_classes,
                     generator_forward(g, np.zeros((m, d)), np.zeros((m, d))),
-                    synth_classes, g, f, class_attrs, reg_weight)
+                    synth_classes, g, f, class_attrs, reg_weight, nca_scale)
 
 
 def nca_probability(pred_attr, class_attrs, target_class, nca_scale):
@@ -84,7 +81,7 @@ def nca_probability(pred_attr, class_attrs, target_class, nca_scale):
     make the regularizer term -2 log p."""
     pred = np.asarray(pred_attr, dtype=np.float64)
     res = objective_at(pred, [target_class], pred, [target_class],
-                       identity_predictor(pred.size, nca_scale), class_attrs)
+                       identity_predictor(pred.size), class_attrs, nca_scale=nca_scale)
     return float(np.exp(-res.regularizer_term / 2.0))
 
 
@@ -139,8 +136,10 @@ def test_generator_forward_dim_mismatch():
 
 
 def test_predictor_requires_positive_scale():
-    with pytest.raises(ValueError, match="nca_scale"):
-        init_predictor(4, 3, 5, SeededRng(0), nca_scale=0.0)
+    """backward rejects a softmax sharpness that is not positive and finite."""
+    for nca_scale in (0.0, -0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="nca_scale"):
+            objective_of(small_setup(0), nca_scale=nca_scale)
 
 
 # ------------------------------------------------------------------- nca term
@@ -174,7 +173,7 @@ def test_nca_zero_norm_prediction_errors():
     """Non-zero real and generated features, but a predictor whose output is
     the zero vector: the class-likelihood term must refuse it."""
     f = identity_predictor(2)
-    f.net.W2[:] = 0.0
+    f.W2[:] = 0.0
     feat = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="predicted attributes row 0 has zero norm"):
         objective_at(feat, [0], feat, [0], f, TWO_CLASS_ATTRS)
@@ -196,7 +195,7 @@ def test_nca_probabilities_sum_to_one(seed, n_classes, scale):
 
 
 def test_regularizer_single_class_is_zero():
-    f = init_predictor(3, 2, 4, SeededRng(5))
+    f = init_mlp(3, 4, 2, SeededRng(5))
     res = objective_at(np.ones((2, 3)), [0, 0], np.ones(3), [0, 0], f, np.array([[1.0, 1.0]]))
     assert res.regularizer_term == 0.0
 
@@ -217,17 +216,17 @@ def test_prob_floor_clamp_adds_a_constant_and_no_gradient():
     generated = np.array([-1.0, 0.1])
     g = GeneratorParams(net=MlpParams(np.zeros((1, 4)), np.zeros(1),
                                       np.zeros((2, 1)), generated))
-    f = identity_predictor(2, nca_scale=1000.0)
+    f = identity_predictor(2)
 
     def loss_terms():
         return backward(np.full((1, 2), 0.5), np.array([[1.0, 1.0]]), [UNLABELED],
                         generator_forward(g, np.zeros((2, 2)), np.zeros((2, 2))), [0, 1],
-                        g, f, TWO_CLASS_ATTRS, 1.0)
+                        g, f, TWO_CLASS_ATTRS, 1.0, 1000.0)
 
     res = loss_terms()
     assert res.regularizer_term == -np.log(PROB_FLOOR) / 2
     eps = 1e-6
-    for block, grad in zip([g.net.b2] + f.net.blocks(), [res.g_grads.b2] + res.f_grads.blocks()):
+    for block, grad in zip([g.net.b2] + f.blocks(), [res.g_grads.b2] + res.f_grads.blocks()):
         for idx in np.ndindex(block.shape):
             old = block[idx]
             block[idx] = old + eps
@@ -264,7 +263,7 @@ def test_regularizer_skips_unlabeled_rows():
 
 
 def test_regularizer_empty_synth_batch_errors():
-    f = init_predictor(3, 2, 4, SeededRng(5))
+    f = init_mlp(3, 4, 2, SeededRng(5))
     with pytest.raises(ValueError, match="empty"):
         objective_at(np.ones((1, 3)), [0], np.ones(3), [], f, TWO_CLASS_ATTRS,
                      plan=np.zeros((1, 0)))
@@ -300,7 +299,7 @@ def test_total_loss_hand_value():
 
 def test_total_loss_zero_everything():
     """A zero plan and a single class: no transport and no class term."""
-    f = init_predictor(3, 2, 4, SeededRng(5))
+    f = init_mlp(3, 4, 2, SeededRng(5))
     res = objective_at(np.ones((2, 3)), [0, 0], np.ones(3), [0, 0], f,
                        np.array([[1.0, 1.0]]), plan=np.zeros((2, 2)), reg_weight=0.05)
     assert res.total == 0.0
@@ -319,8 +318,7 @@ def fd_check(seed, reg_weight, tol=2e-6):
     s = small_setup(seed)
     res = objective_of(s, reg_weight)
     eps = 1e-5
-    for owner, grads in (("g", res.g_grads), ("f", res.f_grads)):
-        net = s[owner].net
+    for owner, net, grads in (("g", s["g"].net, res.g_grads), ("f", s["f"], res.f_grads)):
         for name in ("W1", "b1", "W2", "b2"):
             analytic = getattr(grads, name)
             block = getattr(net, name)
@@ -348,7 +346,7 @@ def test_backward_with_unlabeled_rows_matches_fd():
     s["real_classes"][1] = -1
     res = objective_of(s, 0.5)
     eps = 1e-5
-    block = s["f"].net.W2
+    block = s["f"].W2
     idx = (0, 1)
     orig = block[idx]
     block[idx] = orig + eps
@@ -438,7 +436,7 @@ def test_backward_transport_gradient_is_the_whole_array_expression():
     d_xhat = -(s["plan"].T @ u - col_mass[:, None] * v) / norms[:, None]
     expected, _ = mlp_backward(s["g"].net, g_cache, d_xhat, input_grad=False)
     got = backward(s["plan"], s["real"], s["real_classes"], generated, s["synth_classes"],
-                   s["g"], s["f"], s["attrs"], 0.0).g_grads
+                   s["g"], s["f"], s["attrs"], 0.0, s["nca_scale"]).g_grads
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
@@ -454,7 +452,7 @@ def test_backward_peak_memory_is_under_twice_its_gradients(labeled):
     dim, hidden, attr_dim, b, n_classes = 512, 256, 32, 64, 10
     rng = SeededRng(0)
     g = init_generator(attr_dim, dim, hidden, rng.split(1))
-    f = init_predictor(dim, attr_dim, hidden, rng.split(2))
+    f = init_mlp(dim, hidden, attr_dim, rng.split(2))
     attrs = (rng.split(3).uniform(n_classes * attr_dim).reshape(n_classes, attr_dim) < 0.5) + 0.0
     attrs[:, 0] = 1.0
     real = rng.split(4).gaussian(b * dim).reshape(b, dim)
@@ -465,7 +463,7 @@ def test_backward_peak_memory_is_under_twice_its_gradients(labeled):
     plan = np.zeros((b, 2 * b))
     plan[:, :b] = np.eye(b) / b
     res, peak = traced_peak(backward, plan, real, real_classes, generated, synth_classes,
-                            g, f, attrs, 1.0)
+                            g, f, attrs, 1.0, 0.5)
     grads = sum(x.nbytes for x in res.g_grads.blocks() + res.f_grads.blocks())
     assert grads > 2_000_000
     assert peak <= 2.0 * grads
@@ -489,14 +487,14 @@ def test_fifty_adam_steps_decrease_loss():
     plan = transition_plan(s["synth_classes"], s["synth_classes"]).values
     real = generator_forward(s["g"], s["synth_attrs"], s["noises"])[0] + 0.01
     g, f = s["g"], s["f"]
-    state = adam_init(g.net.blocks() + f.net.blocks(), learning_rate=1e-3)
+    state = adam_init(g.net.blocks() + f.blocks(), learning_rate=1e-3)
     losses = []
     for _ in range(50):
         res = backward(plan, real, s["synth_classes"],
                        generator_forward(g, s["synth_attrs"], s["noises"]),
-                       s["synth_classes"], g, f, s["attrs"], 0.05)
+                       s["synth_classes"], g, f, s["attrs"], 0.05, s["nca_scale"])
         losses.append(res.total)
-        adam_step(g.net.blocks() + f.net.blocks(),
+        adam_step(g.net.blocks() + f.blocks(),
                   res.g_grads.blocks() + res.f_grads.blocks(), state)
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-6), diffs.max()

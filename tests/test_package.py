@@ -1,0 +1,67 @@
+"""The package's import contract: what `import otzsl` loads and binds, and
+the names and argument positions that perfbench's traced run wraps."""
+
+import inspect
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import otzsl
+import otzsl.evaluate as evaluate_module
+from otzsl import checkpoint, data, evaluate
+
+SRC = Path(otzsl.__file__).resolve().parents[1]
+SITES = SRC.parent / "perfbench" / "sites.py"
+
+
+def fresh_python(code: str) -> str:
+    """stdout of `code` in a fresh interpreter with only src/ on its path."""
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONPATH"}, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_the_library_modules_and_not_the_cli():
+    """`import otzsl` (what perfbench's setup probe times) loads the library
+    modules, and leaves `cli` and `checkpoint` to the commands that use them."""
+    out = fresh_python("import sys, otzsl; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'otzsl'))")
+    assert out == str(["otzsl"] + [f"otzsl.{m}" for m in (
+        "data", "errors", "evaluate", "generator", "linalg", "mlp", "ot", "rng", "training")]) + "\n"
+
+
+def test_package_names_are_its_modules():
+    """`otzsl.evaluate` is the module, however it is imported; the function
+    of the same name is one of its attributes."""
+    assert isinstance(evaluate, types.ModuleType)
+    assert evaluate is evaluate_module is otzsl.evaluate is sys.modules["otzsl.evaluate"]
+    assert callable(evaluate.evaluate) and inspect.isclass(evaluate.EvalConfig)
+    assert not hasattr(otzsl, "__all__")
+
+
+def test_every_perfbench_trace_site_is_callable_after_importing_the_cli():
+    """perfbench wraps each site of perfbench/sites.py after `import
+    otzsl.cli` and only notes a site it cannot find, so a renamed or moved
+    function would silently leave the traced run without its span."""
+    out = fresh_python(
+        "import runpy, sys, otzsl.cli\n"
+        f"sites = runpy.run_path({str(SITES)!r})['SITES']\n"
+        "print([f'{m}.{a}' for m, a, _, _ in sites"
+        " if not callable(getattr(sys.modules.get(m), a, None))])\n")
+    assert out == "[]\n"
+
+
+def test_perfbench_counters_read_the_arguments_they_name():
+    """perfbench's counters read these arguments by position."""
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(evaluate.train_softmax)[1] == "labels"
+    assert params(evaluate.train_softmax)[3] == "cfg"
+    assert params(data.save_dataset)[0] == "dir_path"
+    assert params(data.load_dataset)[0] == "dir_path"
+    assert params(checkpoint.save_checkpoint)[0] == "path"

@@ -23,6 +23,19 @@ def test_distinct_seeds_differ():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_rejected(seed):
+    """A seed names its own stream: -1 and 2^64 are not 2^64 - 1 and 0."""
+    with pytest.raises(ValueError, match=f"seed must be in 0..{2**64 - 1}, got {seed}"):
+        SeededRng(seed)
+
+
+def test_split_index_outside_64_bits_is_rejected():
+    for index in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be in"):
+            SeededRng(5).split(index)
+
+
 def test_stream_position_is_count_based():
     """Two draws of 32 equal one draw of 64 elementwise."""
     r1 = SeededRng(3)

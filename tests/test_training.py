@@ -11,9 +11,8 @@ from otzsl.data import (UNLABELED, AttributeMatrix, FeatureDataset, SyntheticSpe
                         make_synthetic_dataset)
 from otzsl.errors import ConfigError, DataFormatError, SolverError
 from otzsl.evaluate import ClassifierParams
-from otzsl.generator import (GeneratorParams, backward, generator_forward, init_generator,
-                             init_predictor)
-from otzsl.mlp import MlpParams, adam_init
+from otzsl.generator import GeneratorParams, backward, generator_forward, init_generator
+from otzsl.mlp import MlpParams, adam_init, init_mlp
 from otzsl.ot import IpotConfig, Marginals, transition_plan
 from otzsl.rng import SeededRng
 from otzsl.training import (TrainConfig, TrainTrace, iterations_per_epoch,
@@ -72,6 +71,9 @@ def test_train_config_defaults():
     ({"mode": "generalized"}, "mode"),  # a protocol chosen at evaluation only
     ({"reg_weight": np.nan}, "reg_weight"),
     ({"learning_rate": np.nan}, "learning_rate"),
+    ({"nca_scale": np.inf}, "nca_scale"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 2**64}, "seed"),
 ])
 def test_train_config_rejects(kwargs, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -339,7 +341,7 @@ def test_train_runs_the_generator_once_per_step(tiny_dataset, monkeypatch, mode,
 def start_from(monkeypatch, g, f):
     """Make train start from the given networks (it trains their arrays in place)."""
     monkeypatch.setattr(training, "init_generator", lambda *args: g)
-    monkeypatch.setattr(training, "init_predictor", lambda *args, **kwargs: f)
+    monkeypatch.setattr(training, "init_mlp", lambda *args: f)
 
 
 def test_train_frozen_generator_constant_transport_cost(monkeypatch):
@@ -350,7 +352,7 @@ def test_train_frozen_generator_constant_transport_cost(monkeypatch):
     data = dataset_from_rows([np.arange(1.0, 7.0)], [0])
     g = constant_generator(4, 6, 0.3)
     W2, b2 = g.net.W2.copy(), g.net.b2.copy()
-    start_from(monkeypatch, g, init_predictor(6, 4, 4, SeededRng(8), nca_scale=0.5))
+    start_from(monkeypatch, g, init_mlp(6, 4, 4, SeededRng(8)))
     cfg = quick_cfg(ot_prob=1.0, learning_rate=0.0, epochs=3, hidden_dim=4)
     res = train(data, attrs, cfg)
     costs = res.trace.transport_cost
@@ -422,7 +424,7 @@ def test_train_wraps_errors_with_iteration_context(monkeypatch):
     attrs = AttributeMatrix(np.eye(4)[:2], seen_ids=(0,), unseen_ids=(1,))
     data = dataset_from_rows([np.arange(1.0, 7.0)], [0])
     start_from(monkeypatch, constant_generator(4, 6, 0.0),
-               init_predictor(6, 4, 4, SeededRng(8), nca_scale=0.5))
+               init_mlp(6, 4, 4, SeededRng(8)))
     cfg = quick_cfg(ot_prob=1.0, hidden_dim=4)
     with pytest.raises(SolverError, match=r"iteration 0 \(epoch 0\)"):
         train(data, attrs, cfg)
@@ -581,15 +583,15 @@ def test_dataclasses_that_hold_arrays_compare_and_hash_by_identity(tiny_dataset)
     attrs, data, _ = tiny_dataset
     result = train(data, attrs, TrainConfig(epochs=1, batch_size=8, hidden_dim=4))
     g = result.g
-    f = init_predictor(g.feature_dim, g.attr_dim, 4, SeededRng(1))
+    f = init_mlp(g.feature_dim, 4, g.attr_dim, SeededRng(1))
     feats, labels = data.seen_train[0][:2], data.seen_train[1][:2]
     plan = transition_plan(labels, labels)
     generated = generator_forward(g, attrs.attrs[labels],
                                   SeededRng(2).gaussian(2 * g.attr_dim).reshape(2, -1))
-    grads = backward(plan.values, feats, labels, generated, labels, g, f, attrs.attrs, 1.0)
-    objects = [attrs, data, Marginals.uniform(3, 3), plan, g.net, adam_init([g.net.flat]), g, f,
+    grads = backward(plan.values, feats, labels, generated, labels, g, f, attrs.attrs, 1.0, 0.5)
+    objects = [attrs, data, Marginals.uniform(3, 3), plan, g.net, adam_init([g.net.flat]), g,
                grads, ClassifierParams(np.zeros((2, 3)), np.zeros(2), (0, 1)), result]
-    assert len({type(obj) for obj in objects}) == 11
+    assert len({type(obj) for obj in objects}) == 10
     for obj in objects:
         twin = copy.deepcopy(obj)
         assert obj == obj and obj != twin

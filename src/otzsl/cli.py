@@ -27,7 +27,7 @@ from . import data as dataio
 from . import ot
 from .errors import ConfigError, DataFormatError, OtzslError
 from .evaluate import PROTOCOL_SPLITS, PROTOCOLS, EvalConfig, evaluate, protocol, save_report
-from .rng import MAX_SEED, SeededRng
+from .rng import SeededRng, check_seed
 from .training import (MODE_SPLITS, MODES, TrainConfig, require_training_rows,
                        synthesize_class_features, train, write_trace_csv)
 
@@ -74,18 +74,15 @@ def flat_fields(config, prefix: str = "") -> dict:
 
 def from_flat(template, cfg: dict, prefix: str = ""):
     """A config dataclass of template's type with every field read from the
-    flat keys that flat_fields gives for it; library validation errors
-    become ConfigError."""
+    flat keys that flat_fields gives for it; it rejects a bad value with
+    ConfigError."""
     kwargs = {}
     for field in dataclasses.fields(template):
         value = getattr(template, field.name)
         key = prefix + field.name
         kwargs[field.name] = (from_flat(value, cfg, key + "_") if dataclasses.is_dataclass(value)
                               else cfg[key])
-    try:
-        return type(template)(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return type(template)(**kwargs)
 
 
 def resolve_config(defaults: dict, args) -> dict:
@@ -124,8 +121,7 @@ def resolve_config(defaults: dict, args) -> dict:
                                   f"{kind.__name__}, got {json.dumps(value)}")
         cfg.update(loaded)
     cfg.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
-    if not 0 <= cfg.get("seed", 0) <= MAX_SEED:
-        raise ConfigError(f"config key 'seed' must be in 0..{MAX_SEED}, got {cfg['seed']}")
+    check_seed(cfg.get("seed", 0), "config key 'seed'")
     return cfg
 
 

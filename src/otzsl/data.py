@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
-from .rng import MAX_SEED, SeededRng
+from .errors import ConfigError, DataFormatError
+from .rng import SeededRng, check_seed
 
 UNLABELED = -1
 
@@ -173,19 +173,19 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.seen_classes < 2:
-            raise ValueError("need at least 2 seen classes")
+            raise ConfigError("need at least 2 seen classes")
         if self.unseen_classes < 1:
-            raise ValueError("need at least 1 unseen class")
+            raise ConfigError("need at least 1 unseen class")
         if self.samples_per_class < 4:
-            raise ValueError("need at least 4 samples per class")
+            raise ConfigError("need at least 4 samples per class")
         if min(self.attr_dim, self.feature_dim) < 1:
-            raise ValueError("dimensions must be positive")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must be in 0..{MAX_SEED}, got {self.seed}")
+            raise ConfigError("dimensions must be positive")
+        if not 0.0 <= self.noise_sigma < np.inf:  # NaN included
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        check_seed(self.seed)
 
 
+@np.errstate(over="ignore")  # a sample that overflows is a DataFormatError, not a warning
 def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[AttributeMatrix, FeatureDataset, np.ndarray]:
     """Build the benchmark; also returns the hidden map (feature_dim, attr_dim)
     whose columns define class prototypes, for oracle-style tests."""

@@ -1,7 +1,8 @@
 """Exception types that map onto the command-line exit codes.
 
 ConfigError and DataFormatError indicate bad input (exit code 2); SolverError
-indicates a numerical failure at runtime (exit code 1).
+indicates a numerical failure at runtime (exit code 1). Every config
+dataclass rejects a bad value with ConfigError, which is also a ValueError.
 """
 
 
@@ -9,7 +10,7 @@ class OtzslError(Exception):
     """Base class for package-specific failures."""
 
 
-class ConfigError(OtzslError):
+class ConfigError(OtzslError, ValueError):
     """Invalid or inconsistent configuration."""
 
 

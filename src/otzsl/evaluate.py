@@ -21,7 +21,7 @@ from .errors import ConfigError, DataFormatError, SolverError
 from .generator import GeneratorParams
 from .linalg import log_softmax_rows
 from .mlp import adam_init, adam_step
-from .rng import MAX_SEED, SeededRng
+from .rng import SeededRng, check_seed
 from .training import synthesize_class_features
 
 PROTOCOLS = ("standard", "generalized", "transductive")
@@ -87,7 +87,7 @@ def train_softmax(features, labels, classes, cfg: ClassifierConfig,
     k = len(classes)
     params, grad = np.zeros(k * dim + k), np.empty(k * dim + k)  # one vector each: one Adam pass
     (W, b), (dW, db) = ((v[:k * dim].reshape(k, dim), v[k * dim:]) for v in (params, grad))
-    state = adam_init([W, b], learning_rate=cfg.learning_rate)
+    state = adam_init([params], cfg.learning_rate)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
@@ -172,8 +172,7 @@ class EvalConfig:
     def __post_init__(self):
         if self.n_synth_per_class < 1:
             raise ConfigError(f"n_synth_per_class must be positive, got {self.n_synth_per_class}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ConfigError(f"seed must be in 0..{MAX_SEED}, got {self.seed}")
+        check_seed(self.seed)
         if self.top_k is not None and self.top_k < 1:
             raise ConfigError(f"top_k must be positive, got {self.top_k}")
 

@@ -1,16 +1,15 @@
 """One-hidden-layer perceptrons with hand-rolled backprop and Adam.
 
-Adam (Kingma & Ba 2014, Algorithm 1, with its beta1, beta2 and epsilon held
-fixed) updates the caller's parameter blocks and its own moment blocks in
-place, so a network trains in the arrays it already holds. Batches are
-row-major (batch, features). Weights follow the convention W1: (hidden,
-input), W2: (output, hidden), so a forward pass is relu(x W1' + b1) W2' + b2.
-The ReLU subgradient at exactly 0 is 0.
+A network is its parameter vector: `MlpParams(flat, input_dim, hidden_dim,
+output_dim)` makes W1: (hidden, input), b1, W2: (output, hidden) and b2 the
+consecutive row-major views of `flat`, so on row-major (batch, features)
+batches a forward pass is relu(x W1' + b1) W2' + b2; the ReLU subgradient at
+exactly 0 is 0. `init_mlp` draws weights into a new vector, `mlp_backward`
+writes gradients into another, and a checkpoint stores the vector as it is.
 
-Layout: the blocks W1, b1, W2, b2 are row-major views of one vector, `flat`;
-`init_mlp` draws weights into it and `mlp_backward` writes gradients into a new
-one. Adam's moments are one vector each, so an update and its finiteness check
-run once per vector (one per network); blocks are checked only to name one.
+Adam (Kingma & Ba 2014, Algorithm 1, with its beta1, beta2 and epsilon held
+fixed) updates the arrays it is given in place, one moment pair per array, so
+a network trains in the vector it holds, with one finiteness check per array.
 """
 
 from __future__ import annotations
@@ -31,43 +30,31 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return [flat[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
 
 
+def mlp_size(input_dim: int, hidden_dim: int, output_dim: int) -> int:
+    """The length of a network's parameter vector."""
+    return hidden_dim * (input_dim + 1) + output_dim * (hidden_dim + 1)
+
+
 @dataclass(eq=False)
 class MlpParams:
-    """Parameter (or gradient) blocks of a network, as views of `flat` (or of a new copy)."""
+    """A network's (or its gradient's) vector `flat`, of mlp_size(dims) float64
+    values, and the views W1, b1, W2, b2 of it; a non-finite value is rejected."""
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    flat: np.ndarray | None = field(default=None, repr=False)
+    flat: np.ndarray = field(repr=False)
+    input_dim: int
+    hidden_dim: int
+    output_dim: int
 
     def __post_init__(self):
-        blocks = [np.asarray(b, dtype=np.float64) for b in (self.W1, self.b1, self.W2, self.b2)]
-        (hidden, inp), (out, hidden2) = blocks[0].shape, blocks[2].shape
-        if hidden2 != hidden or blocks[1].shape != (hidden,) or blocks[3].shape != (out,):
-            raise ValueError(
-                f"inconsistent shapes: W1 {blocks[0].shape}, b1 {blocks[1].shape}, "
-                f"W2 {blocks[2].shape}, b2 {blocks[3].shape}"
-            )
-        if self.flat is None:
-            self.flat = np.concatenate([b.ravel() for b in blocks])
-            blocks = _views(self.flat, [b.shape for b in blocks])
-        self.W1, self.b1, self.W2, self.b2 = blocks
+        i, h, o = self.input_dim, self.hidden_dim, self.output_dim
+        if min(i, h, o) < 1 or self.flat.shape != (mlp_size(i, h, o),):
+            raise ValueError(f"a ({i}, {h}, {o}) network needs dims of at least 1 and "
+                             f"{mlp_size(i, h, o)} parameters, got an array of shape "
+                             f"{self.flat.shape}")
+        self.W1, self.b1, self.W2, self.b2 = _views(self.flat, [(h, i), (h,), (o, h), (o,)])
         if not np.isfinite(self.flat).all():  # one check; the blocks only name the first bad one
             for name in ("W1", "b1", "W2", "b2"):
                 ensure_finite(getattr(self, name), name)
-
-    @property
-    def input_dim(self) -> int:
-        return self.W1.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W1.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.W2.shape[0]
 
     def blocks(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2]
@@ -75,15 +62,12 @@ class MlpParams:
 
 def init_mlp(input_dim: int, hidden_dim: int, output_dim: int, rng: SeededRng) -> MlpParams:
     """Uniform(-s, s) weights with s = sqrt(6/(fan_in+fan_out)); zero biases."""
-    if min(input_dim, hidden_dim, output_dim) < 1:
-        raise ValueError("all layer dimensions must be at least 1")
-    shapes = [(hidden_dim, input_dim), (hidden_dim,), (output_dim, hidden_dim), (output_dim,)]
-    flat = np.zeros(sum(math.prod(s) for s in shapes))
-    blocks = _views(flat, shapes)
-    for W in blocks[0::2]:  # drawn straight into the block; sum(W.shape) = fan_in + fan_out
+    net = MlpParams(np.zeros(mlp_size(input_dim, hidden_dim, output_dim)),
+                    input_dim, hidden_dim, output_dim)
+    for W in (net.W1, net.W2):  # drawn straight into the vector; sum(W.shape) = fan_in + fan_out
         np.multiply((2.0 * rng.uniform(W.size) - 1.0).reshape(W.shape),
                     np.sqrt(6.0 / sum(W.shape)), out=W)
-    return MlpParams(*blocks, flat=flat)
+    return net
 
 
 def mlp_forward_cache(params: MlpParams, x: np.ndarray):
@@ -110,13 +94,13 @@ def mlp_backward(params: MlpParams, cache, d_out: np.ndarray,
     np.matmul(d_pre.T, x, out=dW1)
     d_pre.sum(axis=0, out=db1)
     dx = d_pre @ params.W1 if input_grad else None
-    return MlpParams(dW1, db1, dW2, db2, flat=flat), dx
+    return MlpParams(flat, params.input_dim, params.hidden_dim, params.output_dim), dx
 
 
 def add_grads(total: MlpParams, part: MlpParams) -> None:
     """Add part's vector to total's in place; MlpParams rejects a sum that is not finite."""
     total.flat += part.flat
-    MlpParams(*total.blocks(), flat=total.flat)
+    MlpParams(total.flat, total.input_dim, total.hidden_dim, total.output_dim)
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
@@ -125,52 +109,42 @@ ADAM_CHUNK = 1 << 14  # elements updated at a time: six such slices fit in a cor
 
 @dataclass(eq=False)
 class AdamState:
-    """Moments of a fixed list of parameter blocks (m[i], v[i] view block i's slice
-    of the vectors `moments`) and two scratch buffers an update works in."""
+    """Moments of a fixed list of parameter arrays (m[i] and v[i] have array
+    i's shape) and two scratch buffers an update works in."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
+    learning_rate: float
     step: int = 0
-    learning_rate: float = 0.001
     scratch: tuple[np.ndarray, np.ndarray] = ()
-    moments: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def adam_init(blocks: list[np.ndarray], learning_rate: float = 0.001) -> AdamState:
-    moments = tuple(np.zeros(sum(b.size for b in blocks)) for _ in "mv")
-    m, v = (_views(x, [b.shape for b in blocks]) for x in moments)
-    n = min(ADAM_CHUNK, moments[0].size)
-    return AdamState(m, v, learning_rate=learning_rate, scratch=(np.empty(n), np.empty(n)),
-                     moments=moments)
+def adam_init(params: list[np.ndarray], learning_rate: float) -> AdamState:
+    m, v = ([np.zeros(p.shape) for p in params] for _ in "mv")
+    n = min(ADAM_CHUNK, max(p.size for p in params))
+    return AdamState(m, v, learning_rate, scratch=(np.empty(n), np.empty(n)))
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
     """One bias-corrected Adam update, in place: the parameters, state.m,
-    state.v and state.step are overwritten. `params` is adam_init's blocks, or
-    arrays that each lay out a run of them in order (say one per network).
+    state.v and state.step are overwritten. `params` are adam_init's arrays,
+    in order.
 
     Each array is updated ADAM_CHUNK elements at a time, through the scratch
-    buffers, so no block-sized temporary is made; each element goes through
+    buffers, so no array-sized temporary is made; each element goes through
     the same floating-point operations as in the whole-array expressions
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p -= lr (m / c1) / (sqrt(v / c2) + eps). Each array is then checked once
-    for finiteness; a blow-up raises ValueError naming the first bad block."""
-    ends = list(itertools.accumulate((p.size for p in params), initial=0))
-    if (len(params) != len(grads) or ends[-1] != state.moments[0].size
-            or not set(ends) <= set(itertools.accumulate((m.size for m in state.m), initial=0))):
-        raise ValueError("block / gradient / state counts or block boundaries do not match")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
+    for finiteness; a blow-up raises ValueError naming the first bad array."""
+    if not len(params) == len(grads) == len(state.m) or any(
+            not p.shape == g.shape == m.shape for p, g, m in zip(params, grads, state.m)):
+        raise ValueError("parameter, gradient and state counts or shapes do not match")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
-    start = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below instead
-        for param, grad in zip(params, grads):
-            m, v = (x[start:start + param.size].reshape(param.shape) for x in state.moments)
-            start += param.size
-            with np.nditer((param, grad, m, v), flags=["external_loop", "buffered", "zerosize_ok"],
+        for arrays in zip(params, grads, state.m, state.v):
+            with np.nditer(arrays, flags=["external_loop", "buffered", "zerosize_ok"],
                            op_flags=[["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
                            buffersize=ADAM_CHUNK) as chunks:
                 for p, g, m, v in chunks:
@@ -182,7 +156,5 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
                     np.multiply(state.learning_rate, np.divide(m, c1, out=s), out=s)
                     np.add(np.sqrt(np.divide(v, c2, out=t), out=t), ADAM_EPSILON, out=t)
                     p -= np.divide(s, t, out=s)
-    if not all(np.isfinite(p).all() for p in params):
-        blocks = _views(np.concatenate([p.ravel() for p in params]), [m.shape for m in state.m])
-        for i, block in enumerate(blocks):
-            ensure_finite(block, f"parameter block {i}")
+    for i, p in enumerate(params):
+        ensure_finite(p, f"parameter array {i}")

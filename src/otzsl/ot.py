@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .linalg import as_float_matrix, unit_rows
 
 # Largest marginal deviation a plan may show and still count as feasible:
@@ -81,11 +81,11 @@ class IpotConfig:
 
     def __post_init__(self):
         if not (self.reg > 0.0 and math.isfinite(self.reg)):
-            raise ValueError(f"reg must be positive, got {self.reg}")
+            raise ConfigError(f"reg must be positive, got {self.reg}")
         if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
+            raise ConfigError("max_outer_iters must be at least 1")
         if not self.stop_tol >= 0.0:  # NaN included
-            raise ValueError("stop_tol must be non-negative")
+            raise ConfigError("stop_tol must be non-negative")
 
 
 @dataclass(eq=False)
@@ -147,17 +147,11 @@ def _problem(cost, marg: Marginals | None) -> tuple[np.ndarray, Marginals]:
     return cost, marg
 
 
-def _marginal_deviation(plan: np.ndarray, marg: Marginals) -> float:
-    row_dev = float(np.max(np.abs(plan.sum(axis=1) - marg.row)))
-    col_dev = float(np.max(np.abs(plan.sum(axis=0) - marg.col)))
-    return max(row_dev, col_dev)
-
-
 def _trace_rows(plans: np.ndarray, cost: np.ndarray, marg: Marginals,
                 scratch: np.ndarray | None = None) -> list[tuple[float, float]]:
     """(transport cost, max marginal deviation) of each plan in a stack, as
     trace rows record them. Each reduction adds in the order that
-    np.sum(plan * cost) and _marginal_deviation use on one plan, so the
+    np.sum(plan * cost) and check_marginals use on one plan, so the
     values are theirs bit for bit. `scratch`, if given, has the stack's
     shape and is overwritten."""
     costs = np.multiply(plans, cost, out=scratch).reshape(len(plans), -1).sum(axis=1)
@@ -270,7 +264,7 @@ def ipot_solve(
                     )
                 if trace is not None:
                     trace.append((t, *rows[i]))
-                if delta < cfg.stop_tol and _marginal_deviation(plan, marg) <= FEASIBILITY_TOL:
+                if delta < cfg.stop_tol and check_marginals(plan, marg).passed:
                     return _result(plan, marg, True, t, trace)
             slots[0][...] = slots[k]
 

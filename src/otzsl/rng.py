@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 MAX_SEED = (1 << 64) - 1  # seeds are the 64-bit words 0..MAX_SEED, each its own stream
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -27,21 +29,28 @@ _U53 = 1.0 / (1 << 53)
 _CACHE_DRAWS = 8192  # a draw of at most this many outputs slices a block computed ahead
 
 
+def check_seed(seed, what: str = "seed") -> int:
+    """`seed` as an int: it must be an integer (a numpy one too, not a bool or
+    a float) in 0..MAX_SEED, or ConfigError names `what`."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {seed!r}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"{what} must be in 0..{MAX_SEED}, got {seed}")
+    return int(seed)
+
+
 class SeededRng:
     """SplitMix64 stream with vectorized uniform / normal / integer draws."""
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed <= MAX_SEED:
-            raise ValueError(f"seed must be in 0..{MAX_SEED}, got {seed}")
-        self.seed = seed
+        self.seed = check_seed(seed)
         self._counter = 0  # uint64 outputs consumed so far
         self._cache, self._cache_start = np.empty(0, np.uint64), 0  # outputs after _cache_start
 
     def split(self, worker_index: int) -> "SeededRng":
         """Independent stream for a worker: seeded with ``seed XOR index``,
         which must lie in 0..MAX_SEED as every seed does."""
-        return SeededRng(self.seed ^ int(worker_index))
+        return SeededRng(self.seed ^ check_seed(worker_index))
 
     def next_uint64(self, n: int) -> np.ndarray:
         """The next n outputs, read-only; a small draw is a view of a block computed ahead."""

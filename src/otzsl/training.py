@@ -29,7 +29,7 @@ from .errors import ConfigError, DataFormatError, SolverError
 from .generator import GeneratorParams, backward, generator_forward, init_generator
 from .mlp import adam_init, adam_step, init_mlp
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
-from .rng import MAX_SEED, SeededRng
+from .rng import SeededRng, check_seed
 
 MODES = ("standard", "transductive")
 # The dataset splits that training in each mode reads; the CLI loads only these.
@@ -82,8 +82,7 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be non-negative, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ConfigError(f"seed must be in 0..{MAX_SEED}, got {self.seed}")
+        check_seed(self.seed)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.hidden_dim < 1:
@@ -203,7 +202,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
     g = init_generator(d, feature_dim, cfg.hidden_dim, root.split(1))
     f = init_mlp(feature_dim, cfg.hidden_dim, d, root.split(2))  # the attribute predictor
     params = [g.net.flat, f.flat]  # Adam runs over each network's vector, in place
-    adam = adam_init(g.net.blocks() + f.blocks(), learning_rate=cfg.learning_rate)
+    adam = adam_init(params, cfg.learning_rate)
     batch_rng = root.split(3)
 
     pool_size = data.seen_train[0].shape[0] + (
@@ -251,9 +250,11 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
     return TrainResult(g=g, trace=trace)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up raises below instead
 def synthesize_class_features(g: GeneratorParams, attrs: AttributeMatrix, classes,
                               per_class: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
-    """per_class generated features for each listed class, labels attached."""
+    """per_class generated features for each listed class, labels attached;
+    a class whose features are not finite is a SolverError."""
     classes = [int(c) for c in classes]
     if per_class < 1:
         raise ValueError(f"per_class must be at least 1, got {per_class}")
@@ -263,7 +264,9 @@ def synthesize_class_features(g: GeneratorParams, attrs: AttributeMatrix, classe
     feats = np.empty((len(classes) * per_class, g.feature_dim))
     for i, c in enumerate(classes):  # each class's rows go straight to their place
         noises = rng.gaussian(per_class * attrs.attr_dim).reshape(per_class, attrs.attr_dim)
-        feats[i * per_class:(i + 1) * per_class] = generator_forward(
-            g, np.tile(attrs.attrs[c], (per_class, 1)), noises)[0]
+        rows = feats[i * per_class:(i + 1) * per_class]
+        rows[...] = generator_forward(g, np.tile(attrs.attrs[c], (per_class, 1)), noises)[0]
+        if not np.isfinite(rows).all():
+            raise SolverError(f"the generator's features for class {c} are not finite")
     labels = np.repeat(np.asarray(classes, dtype=np.int64), per_class)
     return feats, labels

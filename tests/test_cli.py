@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from otzsl import cli, ot
-from otzsl.data import load_matrix_csv, save_matrix_csv
+from otzsl.data import SyntheticSpec, load_matrix_csv, save_matrix_csv
+from otzsl.errors import ConfigError
+from otzsl.evaluate import ClassifierConfig, EvalConfig
 from otzsl.rng import SeededRng
 from otzsl.training import TrainConfig
 
@@ -390,6 +392,32 @@ def test_gen_data_invalid_spec(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_data_huge_noise_is_a_data_error_without_a_warning(tmp_path, capsys):
+    """Samples that overflow are rejected as data, and no numpy warning
+    escapes (the test suite turns warnings into errors)."""
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"noise_sigma": 1e308}))
+    out = tmp_path / "o"
+    assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seen_train features contain a non-finite value\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SyntheticSpec(noise_sigma=-0.1), lambda: SyntheticSpec(noise_sigma=math.nan),
+    lambda: SyntheticSpec(noise_sigma=math.inf), lambda: ot.IpotConfig(reg=0.0),
+    lambda: TrainConfig(batch_size=1), lambda: ClassifierConfig(epochs=0),
+    lambda: EvalConfig(top_k=0),
+], ids=["dataset", "dataset-nan-noise", "dataset-inf-noise", "ipot", "train", "classifier",
+        "eval"])
+def test_every_config_dataclass_rejects_a_bad_value_with_config_error(make):
+    """from_flat passes these errors on as they are, so each must be a
+    ConfigError, and a library caller can still catch ValueError."""
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert isinstance(info.value, ValueError)
+
+
 # --- train ---
 
 def test_train_requires_data(tmp_path, capsys):
@@ -547,7 +575,7 @@ def test_eval_classifier_blow_up_is_a_solver_error(workspace, tmp_path, capsys):
     assert run(["eval", "--config", str(cfg), "--data", str(workspace["data"]),
                 "--checkpoint", str(workspace["ckpt"]), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert re.match(r"error: classifier epoch \d+ batch \d+: parameter block \d "
+    assert re.match(r"error: classifier epoch \d+ batch \d+: parameter array \d "
                     r"contains a non-finite value", err), err
 
 
@@ -865,6 +893,29 @@ def test_export_generated_features(workspace, tmp_path, capsys):
     assert lines[0].startswith("class_id,x_1")
     assert len(lines) == 1 + 2 * 3  # two unseen classes
     assert "wrote 6 generated features" in capsys.readouterr().out
+
+
+def overflowing_checkpoint(workspace, tmp_path):
+    """The workspace generator with every weight times 1e300: still finite,
+    so it loads, but its features overflow."""
+    raw = workspace["ckpt"].read_bytes()
+    weights = np.frombuffer(raw, "<f8", offset=24) * 1e300
+    path = tmp_path / "huge.bin"
+    path.write_bytes(raw[:24] + weights.astype("<f8").tobytes())
+    return path
+
+
+@pytest.mark.parametrize("command", ["export", "eval"])
+def test_generated_features_that_overflow_are_a_solver_error(command, workspace, tmp_path,
+                                                            capsys):
+    """No inf row is written and no numpy warning escapes; the error names
+    the first class generated."""
+    out = tmp_path / "o"
+    assert run([command, "--data", str(workspace["data"]), "--checkpoint",
+                str(overflowing_checkpoint(workspace, tmp_path)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: the generator's features for class 3 are "
+                                       "not finite\n")
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
 
 
 def test_export_reads_only_the_header_of_features_csv(workspace, tmp_path):

@@ -14,7 +14,7 @@ from otzsl.evaluate import (PROTOCOLS, ClassifierConfig, ClassifierParams, EvalC
                             harmonic_mean, per_class_top1, per_class_topk, predict_ids,
                             report_json_dict, save_report, train_softmax)
 from otzsl.generator import GeneratorParams, init_generator
-from otzsl.mlp import MlpParams
+from otzsl.mlp import MlpParams, mlp_size
 from otzsl.rng import SeededRng
 from otzsl.training import synthesize_class_features
 
@@ -35,7 +35,8 @@ def oracle_generator(hidden_map, noise_gain=0.0):
     eye, noise = np.eye(d), noise_gain * np.eye(d)
     w1 = np.vstack([np.hstack([eye, noise]), np.hstack([-eye, noise])])
     w2 = np.hstack([hidden_map, -hidden_map])
-    net = MlpParams(w1, np.zeros(2 * d), w2, np.zeros(feature_dim))
+    net = MlpParams(np.zeros(mlp_size(2 * d, 2 * d, feature_dim)), 2 * d, 2 * d, feature_dim)
+    net.W1[:], net.W2[:] = w1, w2
     return GeneratorParams(net=net)
 
 

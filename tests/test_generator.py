@@ -11,7 +11,7 @@ from otzsl.generator import (
     generator_forward,
     init_generator,
 )
-from otzsl.mlp import MlpParams, adam_step, adam_init, init_mlp
+from otzsl.mlp import MlpParams, adam_step, adam_init, init_mlp, mlp_size
 from otzsl.ot import cosine_cost_matrix, transition_plan, transport_cost
 from otzsl.rng import SeededRng
 
@@ -53,10 +53,16 @@ def loss_of(s, reg_weight):
     return objective_of(s, reg_weight).total
 
 
+def zero_net(inp, hidden, out):
+    return MlpParams(np.zeros(mlp_size(inp, hidden, out)), inp, hidden, out)
+
+
 def identity_predictor(k):
     """f(x) = x on k-dim features, as relu(x) - relu(-x)."""
-    return MlpParams(np.vstack([np.eye(k), -np.eye(k)]), np.zeros(2 * k),
-                     np.hstack([np.eye(k), -np.eye(k)]), np.zeros(k))
+    net = zero_net(k, 2 * k, k)
+    net.W1[:] = np.vstack([np.eye(k), -np.eye(k)])
+    net.W2[:] = np.hstack([np.eye(k), -np.eye(k)])
+    return net
 
 
 def objective_at(real, real_classes, generated, synth_classes, f, class_attrs,
@@ -66,8 +72,8 @@ def objective_at(real, real_classes, generated, synth_classes, f, class_attrs,
     real = np.atleast_2d(np.asarray(real, dtype=np.float64))
     generated = np.asarray(generated, dtype=np.float64)
     n, m, d = real.shape[0], len(synth_classes), np.asarray(class_attrs).shape[1]
-    g = GeneratorParams(net=MlpParams(np.zeros((1, 2 * d)), np.zeros(1),
-                                      np.zeros((generated.size, 1)), generated))
+    g = GeneratorParams(net=zero_net(2 * d, 1, generated.size))
+    g.net.b2[:] = generated
     if plan is None:
         plan = np.full((n, m), 1.0 / (n * m))
     return backward(plan, real, real_classes,
@@ -90,21 +96,18 @@ def nca_probability(pred_attr, class_attrs, target_class, nca_scale):
 
 def test_generator_rejects_odd_input_dim():
     with pytest.raises(ValueError, match="odd"):
-        GeneratorParams(net=MlpParams(np.zeros((4, 3)), np.zeros(4),
-                                      np.zeros((2, 4)), np.zeros(2)))
+        GeneratorParams(net=zero_net(3, 4, 2))
 
 
 def test_generator_forward_zero_net():
-    g = GeneratorParams(net=MlpParams(np.zeros((4, 6)), np.zeros(4),
-                                      np.zeros((5, 4)), np.zeros(5)))
+    g = GeneratorParams(net=zero_net(6, 4, 5))
     out, _ = generator_forward(g, np.ones((2, 3)), np.ones((2, 3)))
     np.testing.assert_array_equal(out, np.zeros((2, 5)))
 
 
 def test_generator_forward_relu_kill_gives_bias():
-    net = MlpParams(-np.ones((2, 4)), np.zeros(2), np.ones((3, 2)),
-                    np.array([0.5, -1.0, 2.0]))
-    g = GeneratorParams(net=net)
+    g = GeneratorParams(net=zero_net(4, 2, 3))
+    g.net.W1[:], g.net.W2[:], g.net.b2[:] = -1.0, 1.0, [0.5, -1.0, 2.0]
     out, _ = generator_forward(g, np.ones((1, 2)), np.ones((1, 2)))
     np.testing.assert_array_equal(out, [[0.5, -1.0, 2.0]])
 
@@ -214,8 +217,8 @@ def test_prob_floor_clamp_adds_a_constant_and_no_gradient():
     The regularizer is then exactly -log(PROB_FLOOR)/2, and every gradient
     matches finite differences, which see the clamp as flat."""
     generated = np.array([-1.0, 0.1])
-    g = GeneratorParams(net=MlpParams(np.zeros((1, 4)), np.zeros(1),
-                                      np.zeros((2, 1)), generated))
+    g = GeneratorParams(net=zero_net(4, 1, 2))
+    g.net.b2[:] = generated
     f = identity_predictor(2)
 
     def loss_terms():
@@ -487,15 +490,14 @@ def test_fifty_adam_steps_decrease_loss():
     plan = transition_plan(s["synth_classes"], s["synth_classes"]).values
     real = generator_forward(s["g"], s["synth_attrs"], s["noises"])[0] + 0.01
     g, f = s["g"], s["f"]
-    state = adam_init(g.net.blocks() + f.blocks(), learning_rate=1e-3)
+    state = adam_init([g.net.flat, f.flat], learning_rate=1e-3)
     losses = []
     for _ in range(50):
         res = backward(plan, real, s["synth_classes"],
                        generator_forward(g, s["synth_attrs"], s["noises"]),
                        s["synth_classes"], g, f, s["attrs"], 0.05, s["nca_scale"])
         losses.append(res.total)
-        adam_step(g.net.blocks() + f.blocks(),
-                  res.g_grads.blocks() + res.f_grads.blocks(), state)
+        adam_step([g.net.flat, f.flat], [res.g_grads.flat, res.f_grads.flat], state)
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-6), diffs.max()
     assert losses[-1] < losses[0]

@@ -11,6 +11,7 @@ from otzsl.mlp import (
     init_mlp,
     mlp_backward,
     mlp_forward_cache,
+    mlp_size,
 )
 from otzsl.rng import SeededRng
 from tests.conftest import count_finiteness_checks, traced_peak
@@ -21,17 +22,27 @@ def random_net(seed, inp=4, hidden=6, out=3):
 
 
 def test_params_validate_shapes():
-    with pytest.raises(ValueError, match="inconsistent"):
-        MlpParams(np.zeros((3, 2)), np.zeros(3), np.zeros((4, 5)), np.zeros(4))
-    with pytest.raises(ValueError, match="inconsistent"):
-        MlpParams(np.zeros((3, 2)), np.zeros(2), np.zeros((4, 3)), np.zeros(4))
+    """The vector holds exactly the blocks its dims give, each dim at least 1."""
+    assert mlp_size(2, 3, 4) == 3 * 2 + 3 + 4 * 3 + 4
+    with pytest.raises(ValueError, match=r"a \(2, 3, 4\) network needs dims of at least 1 and "
+                                         r"25 parameters, got an array of shape \(24,\)"):
+        MlpParams(np.zeros(24), 2, 3, 4)
+    with pytest.raises(ValueError, match="shape"):
+        MlpParams(np.zeros((5, 5)), 2, 3, 4)
+    with pytest.raises(ValueError, match="at least 1"):
+        MlpParams(np.zeros(mlp_size(2, 0, 4)), 2, 0, 4)
+    net = MlpParams(np.arange(25.0), 2, 3, 4)
+    assert [b.shape for b in net.blocks()] == [(3, 2), (3,), (4, 3), (4,)]
+    assert net.W1[1, 0] == 2.0 and net.b1[0] == 6.0 and net.W2[0, 0] == 9.0 and net.b2[3] == 24.0
+    net.W2[0, 0] = -1.0  # the blocks are views of the vector
+    assert net.flat[9] == -1.0
 
 
 def test_params_reject_nonfinite():
-    W1 = np.zeros((2, 2))
-    W1[0, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        MlpParams(W1, np.zeros(2), np.zeros((1, 2)), np.zeros(1))
+    flat = np.zeros(mlp_size(2, 2, 1))
+    flat[mlp_size(2, 2, 1) - 2] = np.nan  # W2[0, 1]
+    with pytest.raises(ValueError, match="W2 contains a non-finite value at flat index 1"):
+        MlpParams(flat, 2, 2, 1)
 
 
 def test_init_bounds_and_zero_biases():
@@ -56,13 +67,15 @@ def test_init_rejects_zero_dim():
 
 
 def test_forward_zero_net_outputs_bias():
-    net = MlpParams(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3)), np.array([1.5, -0.5]))
+    net = MlpParams(np.zeros(mlp_size(2, 3, 2)), 2, 3, 2)
+    net.b2[:] = [1.5, -0.5]
     out, _ = mlp_forward_cache(net, np.ones((4, 2)))
     np.testing.assert_array_equal(out, np.tile([1.5, -0.5], (4, 1)))
 
 
 def test_forward_relu_kills_negative_preactivations():
-    net = MlpParams(np.array([[1.0]]), np.zeros(1), np.array([[2.0]]), np.zeros(1))
+    net = MlpParams(np.zeros(mlp_size(1, 1, 1)), 1, 1, 1)
+    net.W1[0, 0], net.W2[0, 0] = 1.0, 2.0
     np.testing.assert_array_equal(mlp_forward_cache(net, np.array([[-3.0]]))[0], [[0.0]])
     np.testing.assert_array_equal(mlp_forward_cache(net, np.array([[3.0]]))[0], [[6.0]])
 
@@ -108,8 +121,8 @@ def test_backward_matches_finite_differences():
         it = np.nditer(block, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            plus = MlpParams(*(b.copy() for b in net.blocks()))
-            minus = MlpParams(*(b.copy() for b in net.blocks()))
+            plus = MlpParams(net.flat.copy(), 4, 6, 3)
+            minus = MlpParams(net.flat.copy(), 4, 6, 3)
             getattr(plus, name)[idx] += eps
             getattr(minus, name)[idx] -= eps
             fd = (objective(plus, x) - objective(minus, x)) / (2 * eps)
@@ -125,7 +138,9 @@ def test_backward_matches_finite_differences():
 
 def test_backward_relu_gate_blocks_gradient():
     """A unit whose pre-activation is negative contributes no W1 gradient."""
-    net = MlpParams(np.array([[1.0], [-1.0]]), np.zeros(2), np.ones((1, 2)), np.zeros(1))
+    net = MlpParams(np.zeros(mlp_size(1, 2, 1)), 1, 2, 1)
+    net.W1[:, 0] = [1.0, -1.0]
+    net.W2[:] = 1.0
     out, cache = mlp_forward_cache(net, np.array([[2.0]]))
     grads, _ = mlp_backward(net, cache, np.ones((1, 1)))
     assert grads.W1[0, 0] == 2.0  # active unit
@@ -220,9 +235,11 @@ def test_adam_two_steps_match_scalar_reference():
 
 
 def test_adam_shape_mismatch_errors():
-    state = adam_init([np.zeros(2)])
+    state = adam_init([np.zeros(2)], 0.001)
     with pytest.raises(ValueError, match="shape"):
         adam_step([np.zeros(2)], [np.zeros(3)], state)
+    with pytest.raises(ValueError, match="shape"):
+        adam_step([np.zeros(3)], [np.zeros(3)], state)
     with pytest.raises(ValueError, match="counts"):
         adam_step([np.zeros(2), np.zeros(2)], [np.zeros(2)], state)
     assert state.step == 0
@@ -231,7 +248,7 @@ def test_adam_shape_mismatch_errors():
 def test_adam_updates_the_given_arrays():
     p = np.array([1.0])
     g = np.array([2.0])
-    state = adam_init([p])
+    state = adam_init([p], 0.001)
     m, v = state.m[0], state.v[0]
     adam_step([p], [g], state)
     assert state.step == 1
@@ -243,7 +260,7 @@ def test_adam_updates_the_given_arrays():
 def test_adam_rejects_non_finite_update():
     p = np.array([0.0])
     state = adam_init([p], learning_rate=1.7e308)
-    with pytest.raises(ValueError, match="parameter block 0 contains a non-finite value"):
+    with pytest.raises(ValueError, match="parameter array 0 contains a non-finite value"):
         adam_step([p], [np.array([2.0])], state)
     assert p[0] == -np.inf
 
@@ -285,7 +302,7 @@ def test_adam_over_vectors_matches_reference_block_by_block(cuts):
     rng = SeededRng(24)
     flat = rng.gaussian(sum(int(np.prod(s)) for s in VECTOR_SHAPES))
     blocks = vector_blocks(flat, VECTOR_SHAPES)
-    state = adam_init(blocks, learning_rate=0.01)
+    state = adam_init(np.split(flat, cuts), learning_rate=0.01)
     ref_blocks = [b.copy() for b in blocks]
     ref_state = adam_init(ref_blocks, learning_rate=0.01)
     for _ in range(3):
@@ -293,45 +310,50 @@ def test_adam_over_vectors_matches_reference_block_by_block(cuts):
         ref_blocks, ref_state = reference_adam_step(
             ref_blocks, vector_blocks(grad, VECTOR_SHAPES), ref_state)
         adam_step(np.split(flat, cuts), np.split(grad, cuts), state)
-        for a, b in zip(blocks + state.m + state.v, ref_blocks + ref_state.m + ref_state.v):
+        moments = [vector_blocks(np.concatenate(x), VECTOR_SHAPES) for x in (state.m, state.v)]
+        for a, b in zip(blocks + moments[0] + moments[1],
+                        ref_blocks + ref_state.m + ref_state.v):
             assert np.array_equal(a, b)
 
 
-def test_adam_over_a_vector_names_the_first_non_finite_block():
+def test_adam_names_the_first_non_finite_array():
     flat = np.zeros(sum(int(np.prod(s)) for s in VECTOR_SHAPES))
-    state = adam_init(vector_blocks(flat, VECTOR_SHAPES), learning_rate=1.7e308)
+    arrays = np.split(flat, [15, 16406])
+    state = adam_init(arrays, learning_rate=1.7e308)
     grad = np.zeros_like(flat)
-    grads = vector_blocks(grad, VECTOR_SHAPES)
-    grads[3][1] = 2.0  # lr * m_hat overflows here and in block 4 alike
-    grads[4][0, 2] = 2.0
-    with pytest.raises(ValueError, match=r"^parameter block 3 contains a non-finite value "
-                                         r"at flat index 1$"):
-        adam_step([flat], [grad], state)
+    grad[15 + 100] = 2.0  # lr * m_hat overflows here and in array 2 alike
+    grad[16406 + 1] = 2.0
+    with pytest.raises(ValueError, match=r"^parameter array 1 contains a non-finite value "
+                                         r"at flat index 100$"):
+        adam_step(arrays, np.split(grad, [15, 16406]), state)
 
 
 def test_adam_checks_each_array_once(monkeypatch):
     """The finiteness check runs once per array given, however many blocks
-    the state has."""
+    each array lays out."""
     flat = np.zeros(sum(int(np.prod(s)) for s in VECTOR_SHAPES))
-    state = adam_init(vector_blocks(flat, VECTOR_SHAPES))
+    state = adam_init([flat], 0.001)
     checked = count_finiteness_checks(monkeypatch)
     adam_step([flat], [np.ones_like(flat)], state)
     assert checked == [flat.size]
+    state = adam_init(np.split(flat, [15]), 0.001)
     adam_step(np.split(flat, [15]), np.split(np.ones_like(flat), [15]), state)
     assert checked == [flat.size, 15, flat.size - 15]
 
 
 def test_adam_rejects_arrays_that_do_not_lay_out_the_blocks_in_order():
-    """The arrays given must end on the state's block boundaries, in order:
-    a vector split inside a block, or two networks' vectors swapped, would
-    pair parameters with another block's moments."""
+    """The arrays given must be adam_init's, in order: a vector split another
+    way, or two networks' vectors swapped, would pair parameters with another
+    array's moments."""
     flat = np.zeros(sum(int(np.prod(s)) for s in VECTOR_SHAPES))
-    state = adam_init(vector_blocks(flat, VECTOR_SHAPES))
-    with pytest.raises(ValueError, match="block boundaries"):
+    state = adam_init(np.split(flat, [15]), 0.001)
+    with pytest.raises(ValueError, match="shape"):
         adam_step(np.split(flat, [10]), np.split(np.ones_like(flat), [10]), state)
+    with pytest.raises(ValueError, match="counts"):
+        adam_step([flat], [np.ones_like(flat)], state)
     g_net, f_net = np.zeros(6), np.zeros(4)
-    state = adam_init([g_net.reshape(2, 3), f_net])
-    with pytest.raises(ValueError, match="block boundaries"):
+    state = adam_init([g_net, f_net], 0.001)
+    with pytest.raises(ValueError, match="shape"):
         adam_step([f_net, g_net], [np.ones(4), np.ones(6)], state)
     assert state.step == 0
     adam_step([g_net, f_net], [np.ones(6), np.ones(4)], state)
@@ -341,7 +363,7 @@ def test_adam_rejects_arrays_that_do_not_lay_out_the_blocks_in_order():
 def test_adam_step_makes_no_block_sized_temporaries():
     p = np.linspace(-1.0, 1.0, 2048 * 512).reshape(2048, 512)
     g = np.cos(7.0 * p)
-    state = adam_init([p])
+    state = adam_init([p], 0.001)
     adam_step([p], [g], state)
     _, peak = traced_peak(adam_step, [p], [g], state)
     assert peak <= 1.5 * 2**20  # the finiteness check's mask is 1 MB; the block is 8 MB

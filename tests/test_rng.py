@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otzsl.rng import SeededRng
+from otzsl.data import SyntheticSpec
+from otzsl.errors import ConfigError
+from otzsl.evaluate import EvalConfig
+from otzsl.rng import SeededRng, check_seed
+from otzsl.training import TrainConfig
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -28,6 +32,29 @@ def test_seed_outside_64_bits_is_rejected(seed):
     """A seed names its own stream: -1 and 2^64 are not 2^64 - 1 and 0."""
     with pytest.raises(ValueError, match=f"seed must be in 0..{2**64 - 1}, got {seed}"):
         SeededRng(seed)
+
+
+@pytest.mark.parametrize("make, seed", [
+    (SeededRng, 2.9), (SeededRng, True), (SeededRng, 3.0),
+    (lambda s: TrainConfig(seed=s), 1.5), (lambda s: EvalConfig(seed=s), 1.5),
+    (lambda s: SyntheticSpec(seed=s), True), (lambda s: SeededRng(5).split(s), 2.9),
+], ids=["rng-float", "rng-bool", "rng-whole-float", "train", "eval", "dataset-bool",
+        "split-float"])
+def test_a_seed_that_is_not_an_integer_is_rejected(make, seed):
+    """2.9 or True would otherwise draw seed 2's or seed 1's stream."""
+    with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed!r}") as info:
+        make(seed)
+    assert isinstance(info.value, ValueError)
+
+
+def test_a_numpy_integer_seed_draws_its_own_stream():
+    rng = SeededRng(np.int64(3))
+    assert type(rng.seed) is int and rng.seed == 3
+    np.testing.assert_array_equal(rng.gaussian(16), SeededRng(3).gaussian(16))
+    assert check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
+    with pytest.raises(ConfigError, match="config key 'seed' must be in 0..18446744073709551615, "
+                                          "got -1"):
+        check_seed(np.int64(-1), "config key 'seed'")
 
 
 def test_split_index_outside_64_bits_is_rejected():

@@ -12,7 +12,7 @@ from otzsl.data import (UNLABELED, AttributeMatrix, FeatureDataset, SyntheticSpe
 from otzsl.errors import ConfigError, DataFormatError, SolverError
 from otzsl.evaluate import ClassifierParams
 from otzsl.generator import GeneratorParams, backward, generator_forward, init_generator
-from otzsl.mlp import MlpParams, adam_init, init_mlp
+from otzsl.mlp import MlpParams, adam_init, init_mlp, mlp_size
 from otzsl.ot import IpotConfig, Marginals, transition_plan
 from otzsl.rng import SeededRng
 from otzsl.training import (TrainConfig, TrainTrace, iterations_per_epoch,
@@ -39,10 +39,8 @@ def dataset_from_rows(rows, labels, feature_dim=6, pool=None):
 
 def constant_generator(attr_dim, feature_dim, value):
     """All-zero weights, so every output row equals the b2 bias."""
-    hidden = 2
-    net = MlpParams(np.zeros((hidden, 2 * attr_dim)), np.zeros(hidden),
-                    np.zeros((feature_dim, hidden)),
-                    np.full(feature_dim, float(value)))
+    net = MlpParams(np.zeros(mlp_size(2 * attr_dim, 2, feature_dim)), 2 * attr_dim, 2, feature_dim)
+    net.b2[:] = value
     return GeneratorParams(net=net)
 
 
@@ -510,8 +508,8 @@ def test_synthesize_zero_weight_generator_constant():
 def test_synthesize_deterministic():
     attrs = four_class_attrs()
     rng = SeededRng(13)
-    net = MlpParams(rng.gaussian(3 * 8).reshape(3, 8), rng.gaussian(3),
-                    rng.gaussian(6 * 3).reshape(6, 3), rng.gaussian(6) + 0.1)
+    net = MlpParams(rng.gaussian(mlp_size(8, 3, 6)), 8, 3, 6)
+    net.b2 += 0.1
     g = GeneratorParams(net=net)
     a = synthesize_class_features(g, attrs, [0, 2], 5, SeededRng(2))
     b = synthesize_class_features(g, attrs, [0, 2], 5, SeededRng(2))
@@ -589,7 +587,7 @@ def test_dataclasses_that_hold_arrays_compare_and_hash_by_identity(tiny_dataset)
     generated = generator_forward(g, attrs.attrs[labels],
                                   SeededRng(2).gaussian(2 * g.attr_dim).reshape(2, -1))
     grads = backward(plan.values, feats, labels, generated, labels, g, f, attrs.attrs, 1.0, 0.5)
-    objects = [attrs, data, Marginals.uniform(3, 3), plan, g.net, adam_init([g.net.flat]), g,
+    objects = [attrs, data, Marginals.uniform(3, 3), plan, g.net, adam_init([g.net.flat], 0.001), g,
                grads, ClassifierParams(np.zeros((2, 3)), np.zeros(2), (0, 1)), result]
     assert len({type(obj) for obj in objects}) == 10
     for obj in objects:

@@ -227,17 +227,14 @@ def cmd_solve_ot(args) -> int:
     if solver == "sinkhorn" and cfg["stop_tol"] is not None:
         raise ConfigError("stop_tol applies only to the ipot solver; sinkhorn has no stop rule")
     marg = ot.Marginals.uniform(*cost.shape)
-    try:
-        if solver == "ipot":
-            ipot_cfg = ot.IpotConfig(**_given(reg=cfg["lambda"], max_outer_iters=cfg["iters"],
-                                              stop_tol=cfg["stop_tol"]))
-            plan = ot.ipot_solve(cost, marg, ipot_cfg, record_trace=True)
-        else:
-            plan = ot.sinkhorn_solve(cost, marg, record_trace=True,
-                                     **_given(reg=cfg["lambda"], iterations=cfg["iters"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    echo_config(cfg, args.out)  # after the solve, whose parameter checks raise ValueError
+    if solver == "ipot":
+        ipot_cfg = ot.IpotConfig(**_given(reg=cfg["lambda"], max_outer_iters=cfg["iters"],
+                                          stop_tol=cfg["stop_tol"]))
+        plan = ot.ipot_solve(cost, marg, ipot_cfg, record_trace=True)
+    else:
+        plan = ot.sinkhorn_solve(cost, marg, record_trace=True,
+                                 **_given(reg=cfg["lambda"], iterations=cfg["iters"]))
+    echo_config(cfg, args.out)  # after the solve, whose parameter checks raise ConfigError
     dataio.save_matrix_csv(plan.values, os.path.join(args.out, "plan.csv"))
     if plan.trace is not None:
         dataio.save_matrix_csv(plan.trace, os.path.join(args.out, "solver_trace.csv"))

@@ -6,18 +6,17 @@ row indices for each split). This module owns both artifact formats. Every
 float CSV the package writes (the dataset CSVs, the matrix CSVs, exported
 features, trace.csv, curves.csv) goes through `write_csv`, which writes each
 float as `%.17g`, so round-trips are bit-exact. One reader, `_read_csv`,
-reads every float CSV in blocks of lines of about READ_BLOCK_BYTES, parses
-each block with one `np.loadtxt(..., comments=None)` call (so a cell like
-`2#3` is an error rather than 2) and copies it into one array that grows to
-the file's row count; the text of a whole file is never held. Its lines and
-line numbers are those of the whole file, and it stops at the first line
-with a defect, so no message depends on the block size. Every JSON artifact
-(config.json, report.json, split.json) goes through `write_json`. All files
-are UTF-8 with LF endings; a file that is not valid UTF-8 is a data error.
+parses the body of every float CSV with one streaming `np.loadtxt(...,
+comments=None)` call (so a cell like `2#3` is an error rather than 2), and
+walks the lines, which break at LF, CRLF and CR, only when that fails, to
+name the first line with a defect. Every JSON artifact (config.json,
+report.json, split.json) goes through `write_json`. All files are UTF-8
+with LF endings; a file that is not valid UTF-8 is a data error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -263,46 +262,39 @@ def write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
-# A CSV file is read and parsed a block of about this many bytes at a time.
-READ_BLOCK_BYTES = 1 << 20
-
 # A class id is an integer of at most 15 digits, which stay exact as a float.
 _CLASS_ID = re.compile(r"\s*[+-]?[0-9]{1,15}\s*")
 
 
-def _utf8_error(path: str, exc: UnicodeDecodeError, offset: int) -> DataFormatError:
-    """The error that decoding the whole file reports, for `exc` raised by a
-    block that starts `offset` bytes into it."""
-    start, end = exc.start + offset, exc.end + offset
-    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end == start + 1
-             else f"bytes in position {start}-{end - 1}")
-    return DataFormatError(f"{path}: '{exc.encoding}' codec can't decode {where}: {exc.reason}")
+def _class_id(cell: str) -> float:
+    """The value of a class id cell; one that is not an integer is a ValueError."""
+    if not _CLASS_ID.fullmatch(cell):
+        raise ValueError(f"class id {cell!r} is not an integer")
+    return float(cell.strip())  # float() keeps some whitespace that \s matches
 
 
-def _line_blocks(path: str):
-    """Yield the non-blank lines of a text file in blocks of about
-    READ_BLOCK_BYTES, each line with its 1-based number as `str.splitlines`
-    numbers the whole text, together with the share of the file read so far.
-    At a byte that is not UTF-8, the lines that end before it are yielded,
-    then its error is raised."""
+def _lines(path: str):
+    """Yield each non-blank line of a text file with its 1-based number.
+    Lines break at LF, CRLF and CR, as numpy and universal newlines read a
+    file. A byte that is not UTF-8 raises, at its offset in the file, once
+    the lines before its own are yielded."""
     if not os.path.isfile(path):
         raise DataFormatError(f"missing file: {path}")
     number = offset = 0
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        # A block ends at a b"\n", which no UTF-8 sequence spans and where
-        # splitlines always breaks, so block by block gives the whole text's lines.
-        while raw := fh.read(READ_BLOCK_BYTES) + fh.readline():
-            try:
-                lines, error = raw.decode("utf-8").splitlines(), None
-            except UnicodeDecodeError as exc:  # the last line holds the bad byte
-                lines = (raw[:exc.start].decode("utf-8") + "|").splitlines()[:-1]
-                error = _utf8_error(path, exc, offset)
-            block = [(number + i, ln) for i, ln in enumerate(lines, start=1) if ln]
-            number, offset = number + len(lines), offset + len(raw)
-            yield block, offset / size
-            if error:
-                raise error
+        for chunk in fh:  # a chunk ends at b"\n", so no CRLF is split
+            for raw in chunk.splitlines(keepends=True):
+                try:  # with its line end, so a bad byte reads as in the whole text
+                    line = raw.decode("utf-8").rstrip("\r\n")
+                except UnicodeDecodeError as exc:
+                    start, end = exc.start + offset, exc.end + offset
+                    where = (f"byte 0x{raw[exc.start]:02x} in position {start}"
+                             if end == start + 1 else f"bytes in position {start}-{end - 1}")
+                    raise DataFormatError(f"{path}: '{exc.encoding}' codec can't decode "
+                                          f"{where}: {exc.reason}") from None
+                number, offset = number + 1, offset + len(raw)
+                if line:
+                    yield number, line
 
 
 def _line_error(path: str, number: int, line: str, width: int, class_ids: bool):
@@ -326,46 +318,32 @@ def _line_error(path: str, number: int, line: str, width: int, class_ids: bool):
 def _read_csv(path: str, n_head: int, check_head, class_ids: bool = False,
               first_only: bool = False) -> np.ndarray:
     """The rows after the first n_head non-blank lines of a CSV file, as a
-    finite float64 array; with first_only, the file is read only up to those
-    lines and the array has no rows. Each block of lines is parsed by one
-    numpy call and copied into one array that grows to the file's row count.
-    check_head(the head lines) returns the row width and the row count it
-    demands (None for any); it raises DataFormatError for a bad head. Every
-    failure is a DataFormatError naming its `path:line`, raised for the first
-    line of the file with a defect: a byte that is not UTF-8, a bad head, or
-    what `_line_error` finds. A wrong row count is found at the end."""
-    head, stored = [], 0
-    width = expected = values = None
-    for rows, share in _line_blocks(path):
-        if len(head) < n_head:
-            head, rows = head + rows[:n_head - len(head)], rows[n_head - len(head):]
-            if len(head) < n_head:
-                continue
-            width, expected = check_head(head)
-            values = np.empty((0, width))
-            if first_only:
-                return values
-        if not rows:
-            continue
-        try:  # comments=None, or loadtxt reads the cell `2#3` as 2
-            block = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            block = None
-        # Each way a block fails is a defect of one of its lines, which the walk finds.
-        if (block is None or block.shape[1] != width or not np.isfinite(block).all() or class_ids
-                and not all(_CLASS_ID.fullmatch(ln[:ln.index(",")]) for _, ln in rows)):
-            for i, line in rows:
-                if error := _line_error(path, i, line, width, class_ids):
-                    raise error
-        if values.shape[0] < stored + len(block):  # the rows so far, scaled to the whole file
-            values.resize((int((stored + len(block)) / share) + len(block), width), refcheck=False)
-        values[stored:stored + len(block)] = block
-        stored += len(block)
-    if len(head) < n_head:
-        check_head(head)
-    if expected is not None and stored != expected:
-        raise DataFormatError(f"{path}: expected {expected} data rows, found {stored}")
-    values.resize((stored, width), refcheck=False)
+    finite float64 array (no rows with first_only, which reads only those
+    lines). check_head(the head lines) returns the row width and the row
+    count it demands (None for any), and raises DataFormatError for a bad
+    or short head. If the one `np.loadtxt` call over the body fails, a line
+    walk raises the error of the file's first bad line, naming its
+    `path:line`. A wrong row count is found at the end."""
+    with contextlib.closing(_lines(path)) as lines:
+        head = list(itertools.islice(lines, n_head))
+        width, expected = check_head(head)
+        if first_only or (first := next(lines, None)) is None:
+            values = np.empty((0, width))  # loadtxt would warn on a body with no rows
+        else:
+            try:  # comments=None, or loadtxt reads the cell `2#3` as 2
+                with open(path, encoding="utf-8") as fh:  # by name, numpy also opens URLs
+                    values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                        skiprows=head[-1][0],
+                                        converters={0: _class_id} if class_ids else None)
+                if values.shape[1] != width or not np.isfinite(values).all():
+                    raise ValueError("a row of another width, or a non-finite cell")
+            except ValueError:  # a UnicodeDecodeError too; each is a defect the walk finds
+                for number, line in itertools.chain([first], lines):
+                    if error := _line_error(path, number, line, width, class_ids):
+                        raise error
+                raise AssertionError(f"{path}: numpy rejected the body, but no line has a defect")
+    if expected is not None and len(values) != expected:
+        raise DataFormatError(f"{path}: expected {expected} data rows, found {len(values)}")
     return values
 
 

@@ -160,6 +160,18 @@ def _trace_rows(plans: np.ndarray, cost: np.ndarray, marg: Marginals,
     return list(zip(costs.tolist(), np.maximum(row_dev, col_dev).tolist()))
 
 
+def _kernel(cost: np.ndarray, reg: float) -> np.ndarray:
+    """exp(-C/reg), the kernel both solvers scale; an entry of C/reg that
+    overflows gives 0 (or inf) with no warning. A kernel with an all-zero
+    row or column raises SolverError."""
+    with np.errstate(over="ignore"):
+        K = np.exp(-cost / reg)
+    if not (K.any(axis=1).all() and K.any(axis=0).all()):
+        raise SolverError(f"kernel exp(-C/reg) at reg {reg} underflowed to an all-zero row or "
+                          "column; increase the regularization weight")
+    return K
+
+
 def _sweep(K: np.ndarray, a: np.ndarray, marg: Marginals, out: np.ndarray) -> np.ndarray:
     """One Sinkhorn sweep on kernel K from the row scaling a: fit the column
     scaling b to the rows, then the rows to b. Writes the plan diag(a) K
@@ -232,7 +244,7 @@ def ipot_solve(
     the error are those of checking after every sweep.
     """
     cost, marg = _problem(cost, marg)
-    G = np.exp(-cost / cfg.reg)
+    G = _kernel(cost, cfg.reg)
     K = np.empty_like(G)
     block = max(1, min(_BLOCK_SWEEPS, (_BLOCK_BYTES // G.nbytes - 1) // 2))
     plans = np.empty((block + 1,) + G.shape)
@@ -302,17 +314,11 @@ def sinkhorn_solve(
     marginal polytope like ipot_solve's."""
     cost, marg = _problem(cost, marg)
     if not (reg > 0.0 and math.isfinite(reg)):
-        raise ValueError(f"reg must be positive, got {reg}")
+        raise ConfigError(f"reg must be positive, got {reg}")
     if iterations < 1:
-        raise ValueError("iterations must be at least 1")
+        raise ConfigError("iterations must be at least 1")
 
-    K = np.exp(-cost / reg)
-    if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
-        raise SolverError(
-            "sinkhorn_solve kernel underflowed to an all-zero row or column; "
-            "increase the regularization weight"
-        )
-
+    K = _kernel(cost, reg)
     a = marg.row.copy()
     block = max(1, min(_BLOCK_SWEEPS, iterations, _BLOCK_BYTES // K.nbytes // 2))
     plans = np.empty((block,) + K.shape)

@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -795,14 +796,40 @@ def test_solve_ot_has_no_seed_flag(tmp_path):
 
 
 @pytest.mark.parametrize("solver", ["ipot", "sinkhorn"])
-@pytest.mark.parametrize("flag,value", [("--lambda", "-0.5"), ("--iters", "0")])
+@pytest.mark.parametrize("flag,value", [("--lambda", "-0.5"), ("--iters", "0"),
+                                        ("--lambda", "0"), ("--lambda", "-1")])
 def test_solve_ot_rejects_bad_parameters(tmp_path, capsys, solver, flag, value):
     cost = tmp_path / "cost.csv"
     save_matrix_csv(np.array([[0.5]]), str(cost))
     out = tmp_path / "o"
     assert run(["solve-ot", "--cost", str(cost), "--solver", solver, flag, value,
                 "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    message = (f"reg must be positive, got {float(value)}" if flag == "--lambda" else
+               f"{'max_outer_iters' if solver == 'ipot' else 'iterations'} must be at least 1")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("solver, reg", [("ipot", 0.5), ("sinkhorn", 0.1)])
+@pytest.mark.parametrize("cost, lam", [
+    ([[0.5, 1.0], [1.0, 0.5]], 1e-310),
+    ([[1e308, 1e3], [0.5, 0.2]], None),
+], ids=["subnormal-lambda", "huge-cost-cell"])
+def test_solve_ot_kernel_underflow_is_a_solver_error_without_warnings(tmp_path, capsys, solver,
+                                                                      reg, cost, lam):
+    """C/lambda overflows in some entries and every entry of a kernel row
+    underflows: exit 1 with the kernel's message, and no RuntimeWarning."""
+    path = tmp_path / "cost.csv"
+    save_matrix_csv(np.array(cost), str(path))
+    out = tmp_path / "o"
+    flags = ["--lambda", str(lam)] if lam else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["solve-ot", "--cost", str(path), "--solver", solver, *flags,
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: kernel exp(-C/reg) at reg {lam or reg} underflowed to an all-zero row or "
+        "column; increase the regularization weight\n")
     assert not (out / "config.json").exists()
 
 

@@ -4,7 +4,6 @@ import os
 import re
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -732,15 +731,10 @@ def test_load_names_the_line_of_a_bad_cell(tmp_path, name, line, col, cell, mess
         load_dataset(str(tmp_path))
 
 
-# ------------------------------------------------------------- block reader
-# The CSV reader parses a file a block of lines at a time. Each case pins the
-# arrays or the message that reading the whole file at once gives, with
-# blocks lowered to a line or two.
-
-
-@pytest.fixture
-def small_blocks(monkeypatch):
-    monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 16)
+# ---------------------------------------------------------------- csv reader
+# The CSV reader parses a file's body with one np.loadtxt call and walks its
+# lines only to name the first defect. Each case pins the arrays or the
+# message that a plain reading of the whole file gives.
 
 
 @pytest.mark.parametrize("text", [
@@ -748,14 +742,14 @@ def small_blocks(monkeypatch):
     "rows,cols\r2,2\r1,2\r3,-4.5\r",
     "rows,cols\r\n2,2\r1,2\n3,-4.5",
     "\n\nrows,cols\n\n2,2\r\n\r\n1,2\n\n\n3,-4.5\n\n\r",
-    "rows,cols\n2,2\n1,2\x0c3,-4.5\n",
-    "rows,cols\n2,2\n1,2\x1c3,-4.5\n",
-    "rows,cols\n2,2\n1,2\u20283,-4.5\n",
+    "rows,cols\n2,2\n1,\x0c2\n3,-4.5\n",
+    "rows,cols\n2,2\n1,\x1c2\n3,-4.5\n",
+    "rows,cols\n2,2\n1,\u20282\n3,-4.5\n",
 ], ids=["crlf", "cr", "mixed-no-final-newline", "blank-lines", "form-feed", "file-separator",
         "line-separator"])
-def test_block_reader_line_breaks(tmp_path, small_blocks, text):
-    """Lines break wherever str.splitlines breaks them, \\x0c, \\x1c and
-    \\u2028 included."""
+def test_block_reader_line_breaks(tmp_path, text):
+    """Lines break at LF, CRLF and CR only: \\x0c, \\x1c and \\u2028 are
+    cell content, here whitespace before a number."""
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode("utf-8"))
     assert_same_bits(load_matrix_csv(str(path)), np.array([[1.0, 2.0], [3.0, -4.5]]))
@@ -765,38 +759,18 @@ def test_block_reader_line_breaks(tmp_path, small_blocks, text):
     ("rows,cols\r\n3,2\r\n1,2\r\n\r\n3,x\r\n5,6\r\n",
      "m.csv:5: could not convert string 'x' to float64 at column 2."),
     ("rows,cols\r3,2\r1,2\r\r3,4\r5,nan\r", "m.csv:6: column 2 is not a finite number"),
-    ("rows,cols\n3,2\n1,2\x0c3,4\u20285\n", "m.csv:5: expected 2 columns, got 1"),
-    ("rows,cols\n\x1c\n2,2\n1,2\n", "m.csv: expected 2 data rows, found 1"),
-    ("rows,cols\x0c2,x\n1,2\n", "m.csv:2: expected two integer dimensions"),
+    ("rows,cols\n3,2\n1,2\x0c3,4\u20285\n", "m.csv:3: expected 2 columns, got 3"),
+    ("rows,cols\n\x1c\n2,2\n1,2\n", "m.csv:2: expected two integer dimensions"),
+    ("rows,cols\x0c2,x\n1,2\n", "m.csv:1: expected 'rows,cols' header"),
 ], ids=["crlf", "cr", "form-feed-and-line-separator", "file-separator", "form-feed-head"])
-def test_block_reader_numbers_lines_as_splitlines(tmp_path, small_blocks, text, message):
+def test_block_reader_numbers_lines_as_splitlines(tmp_path, text, message):
+    """Lines are numbered as bytes.splitlines numbers them, at LF, CRLF and
+    CR; a line that holds \\x0c, \\x1c or \\u2028 is one line."""
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode("utf-8"))
     with pytest.raises(DataFormatError) as err:
         load_matrix_csv(str(path))
     assert str(err.value) == f"{path.parent}/{message}"
-
-
-def test_block_reader_spans_several_blocks(tmp_path, small_blocks):
-    path = tmp_path / "m.csv"
-    path.write_text("rows,cols\n6,3\n0.25,-1,3e2\n\n-0,5e-324,7\n1e308,2,-3.5\n"
-                    "4,4,4\n0.1,0.2,0.3\n-8,9,1e-300\n")
-    assert os.path.getsize(path) >= 4 * data_module.READ_BLOCK_BYTES
-    assert_same_bits(load_matrix_csv(str(path)), np.array([
-        [0.25, -1.0, 300.0], [-0.0, 5e-324, 7.0], [1e308, 2.0, -3.5],
-        [4.0, 4.0, 4.0], [0.1, 0.2, 0.3], [-8.0, 9.0, 1e-300]]))
-
-
-def test_dataset_roundtrip_in_small_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 200)
-    attrs, data = saved_dataset(tmp_path)
-    assert os.path.getsize(tmp_path / "features.csv") >= 20 * data_module.READ_BLOCK_BYTES
-    attrs2, data2 = load_dataset(str(tmp_path))
-    assert_same_bits(attrs2.attrs, attrs.attrs)
-    for name in ("seen_train", "seen_test", "unseen_test"):
-        assert_same_bits(getattr(data2, name)[0], getattr(data, name)[0])
-        np.testing.assert_array_equal(getattr(data2, name)[1], getattr(data, name)[1])
-    assert_same_bits(data2.unseen_unlabeled, data.unseen_unlabeled)
 
 
 def damage(path, edits):
@@ -823,11 +797,9 @@ def damage(path, edits):
     ([(4, 1, "x"), (30, 5, "y")], "4: could not convert string 'x' to float64 at column 2."),
 ], ids=["nan-after-class-id", "parse-after-nan", "columns-after-parse", "two-column-counts",
         "two-class-ids", "two-nans", "two-parse-errors"])
-def test_block_reader_reports_what_the_whole_file_check_meets_first(tmp_path, monkeypatch,
-                                                                    edits, message):
-    """Defects in blocks far apart: a check of the whole file, line by line,
-    meets the first bad line first, whatever the kind of each defect."""
-    monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 200)
+def test_block_reader_reports_what_the_whole_file_check_meets_first(tmp_path, edits, message):
+    """Defects far apart: a check of the whole file, line by line, meets the
+    first bad line first, whatever the kind of each defect."""
     saved_dataset(tmp_path)
     path = tmp_path / "features.csv"
     damage(path, edits)
@@ -846,27 +818,39 @@ def test_block_reader_reports_what_the_whole_file_check_meets_first(tmp_path, mo
 ], ids=["class-id-then-columns", "nan-then-parse", "parse-then-nan", "nan-and-class-id-on-a-line",
         "parse-and-nan-on-a-line", "columns-and-parse-on-a-line"])
 def test_block_reader_reports_the_first_bad_line_of_a_block(tmp_path, edits, message):
-    """Defects in one block: the first bad line is reported, and within a
+    """Defects on nearby lines: the first bad line is reported, and within a
     line a wrong column count beats a cell that does not parse, which beats
     a non-finite cell, which beats a bad class id."""
     saved_dataset(tmp_path)
     path = tmp_path / "features.csv"
     damage(path, edits)
-    assert os.path.getsize(path) < data_module.READ_BLOCK_BYTES
     with pytest.raises(DataFormatError) as err:
         load_dataset(str(tmp_path))
     assert str(err.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("cell", ["1.0", "1e0", "+1.", " 2.0 "])
+def test_a_class_id_that_numpy_reads_as_a_float_goes_to_the_walk(tmp_path, cell):
+    """numpy parses each cell as a whole float; the class-id converter
+    rejects it, so the parse fails and the walk names the line."""
+    with pytest.raises(ValueError, match="is not an integer"):
+        data_module._class_id(cell)
+    saved_dataset(tmp_path)
+    path = tmp_path / "features.csv"
+    damage(path, [(5, 0, cell)])
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(str(tmp_path))
+    assert str(err.value) == f"{path}:5: class id {cell!r} is not an integer"
 
 
 @pytest.mark.parametrize("bad, reason", [
     (b"\xff", "byte 0xff in position {}: invalid start byte"),
     (b"\xe2\x80", "bytes in position {}-{}: invalid continuation byte"),
 ])
-def test_block_reader_reports_bad_utf8_after_a_parse_error(tmp_path, monkeypatch, bad, reason):
+def test_block_reader_reports_bad_utf8_after_a_parse_error(tmp_path, bad, reason):
     """A parse error at line 4 comes before a byte that is not UTF-8 at line
-    30, in a later block. Alone, the byte is reported at its offset in the
-    whole file, as decoding it all at once reports it."""
-    monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 200)
+    30. Alone, the byte is reported at its offset in the whole file, as
+    decoding it all at once reports it."""
     saved_dataset(tmp_path)
     path = tmp_path / "features.csv"
     intact = path.read_bytes()
@@ -874,7 +858,6 @@ def test_block_reader_reports_bad_utf8_after_a_parse_error(tmp_path, monkeypatch
     for raw, message in ((path.read_bytes(), ":4: could not convert string 'x' to float64 at column 3."),
                          (intact, ": 'utf-8' codec can't decode " + reason)):
         at = sum(len(line) for line in raw.splitlines(keepends=True)[:29]) + 5
-        assert at > 4 * data_module.READ_BLOCK_BYTES
         path.write_bytes(raw[:at] + bad + raw[at:])
         with pytest.raises(DataFormatError) as err:
             load_dataset(str(tmp_path))
@@ -904,19 +887,18 @@ CLASS_ID = re.compile(r"\s*[+-]?[0-9]{1,15}\s*")
 
 def reference_read_labeled(path, prefix):
     """The first-bad-line rule, read plainly: the whole file decoded at once,
-    then checked one line at a time. The rows (class id first), or the
-    message of the first defect."""
+    split at LF, CRLF and CR, then checked one line at a time. The rows
+    (class id first), or the message of the first defect."""
     raw = Path(path).read_bytes()
     try:
         text, utf8 = raw.decode("utf-8"), None
     except UnicodeDecodeError as exc:
         text, utf8 = raw[:exc.start].decode("utf-8"), f"{path}: {exc}"
-    lines = text.splitlines(keepends=True)
-    if utf8 and lines and lines[-1].splitlines()[0] == lines[-1]:
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if utf8:
         lines.pop()  # the start of the line that holds the bad byte
     width, rows = None, []
     for number, line in enumerate(lines, start=1):
-        line = line.splitlines()[0]
         if not line:
             continue
         if width is None:
@@ -944,7 +926,8 @@ def reference_read_labeled(path, prefix):
     return np.array(rows).reshape(-1, width)
 
 
-CELLS = ["x", "nan", "-inf", "1e999", "1.5", "2#3", "", " 7 ", "+3", "1_0", "0x10", "9" * 16]
+CELLS = ["x", "nan", "-inf", "1e999", "1.5", "2#3", "", " 7 ", "+3", "1_0", "0x10", "9" * 16,
+         "1.0", "\x1c3", "\x00", " "]
 BREAKS = ["\n", "\n\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028", "\n \n"]
 # (kind, line, cell index or byte offset, text)
 DAMAGE = st.one_of(
@@ -963,8 +946,9 @@ DAMAGE = st.one_of(
 @given(name=st.sampled_from(["attributes.csv", "features.csv"]),
        damages=st.lists(DAMAGE, min_size=1, max_size=3))
 def test_block_reader_matches_a_plain_line_by_line_reading(name, damages):
-    """Damaged dataset files read in blocks of 1 byte to 1 MB give the plain
-    reading's rows or message, so no message depends on the block size."""
+    """A damaged dataset file gives the plain reading's rows or message: one
+    numpy parse of the body and a line walk on failure agree with checking
+    each line in turn."""
     prefix = {"attributes.csv": "class_id,a_1", "features.csv": "class_id,x_1"}[name]
     with tempfile.TemporaryDirectory() as tmp:
         attrs, data, _ = make_synthetic_dataset(TINY_SPEC)
@@ -995,26 +979,22 @@ def test_block_reader_matches_a_plain_line_by_line_reading(name, damages):
             raw += text + end.encode("utf-8")
         Path(path).write_bytes(raw)
         expected = reference_read_labeled(path, prefix)
-        for size in (1, 50, 300, 1 << 20):
-            with mock.patch.object(data_module, "READ_BLOCK_BYTES", size):
-                try:
-                    ids, values = data_module._read_labeled_csv(path, prefix)
-                except DataFormatError as exc:
-                    assert str(exc) == expected, size
-                    continue
-            assert not isinstance(expected, str), (size, expected)
-            np.testing.assert_array_equal(ids, expected[:, 0].astype(np.int64))
-            assert_same_bits(values, expected[:, 1:])
+        try:
+            ids, values = data_module._read_labeled_csv(path, prefix)
+        except DataFormatError as exc:
+            assert str(exc) == expected
+            return
+        assert not isinstance(expected, str), expected
+        np.testing.assert_array_equal(ids, expected[:, 0].astype(np.int64))
+        assert_same_bits(values, expected[:, 1:])
 
 
-def test_load_dataset_peak_memory_is_about_twice_its_arrays(tmp_path, monkeypatch):
-    """The blocks are parsed into one array of the file's rows, which lives
+def test_load_dataset_peak_memory_is_about_twice_its_arrays(tmp_path):
+    """The body is parsed into one array of the file's rows, which lives
     until the splits are copied out of it: the peak is about twice the
     arrays returned, where holding the text of the file took four times."""
-    monkeypatch.setattr(data_module, "READ_BLOCK_BYTES", 1 << 16)
     attrs, data, _ = make_synthetic_dataset(SyntheticSpec(feature_dim=256, samples_per_class=40))
     save_dataset(str(tmp_path), attrs, data)
-    assert os.path.getsize(tmp_path / "features.csv") >= 4 * data_module.READ_BLOCK_BYTES
     (attrs2, data2), peak = traced_peak(load_dataset, str(tmp_path))
     arrays = [attrs2.attrs, data2.unseen_unlabeled,
               *(x for name in ("seen_train", "seen_test", "unseen_test") for x in getattr(data2, name))]

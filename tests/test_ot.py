@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otzsl.errors import SolverError
+from otzsl.errors import ConfigError, SolverError
 from otzsl.ot import (
     _BLOCK_BYTES,
     _BLOCK_SWEEPS,
@@ -363,10 +363,12 @@ def test_sinkhorn_overflow_raises_without_warnings():
 
 
 def test_sinkhorn_parameter_validation():
-    with pytest.raises(ValueError):
-        sinkhorn_solve(np.zeros((2, 2)), reg=-0.1)
-    with pytest.raises(ValueError):
-        sinkhorn_solve(np.zeros((2, 2)), iterations=0)
+    """A bad reg or iteration count is a ConfigError, as IpotConfig's are."""
+    for kwargs, message in (({"reg": 0}, "reg must be positive, got 0"),
+                            ({"reg": -0.1}, "reg must be positive, got -0.1"),
+                            ({"iterations": 0}, "iterations must be at least 1")):
+        with pytest.raises(ConfigError, match=message):
+            sinkhorn_solve(np.zeros((2, 2)), **kwargs)
 
 
 @pytest.mark.parametrize("shape", [(6, 11), (100, 100)])

@@ -29,8 +29,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from otzsl.cli import flat_fields, from_flat
+from otzsl.cli import flat_fields, from_flat, read_value
 from otzsl.data import SyntheticSpec, make_synthetic_dataset
+from otzsl.errors import ConfigError
 from otzsl.evaluate import EvalConfig, evaluate
 from otzsl.training import TrainConfig, train
 
@@ -49,27 +50,26 @@ def main() -> int:
                     help="JSON object of train config keys, as `otzsl train` reads them")
     args = ap.parse_args()
 
-    template = TrainConfig(epochs=args.epochs)
-    base = flat_fields(template)
-    overrides = args.config
-    if not isinstance(overrides, dict):
-        ap.error("--config must be a JSON object")
-    unknown = set(overrides) - set(base) | set(overrides) & {"seed", "mode", "epochs"}
-    if unknown:
-        ap.error(f"train config keys {sorted(unknown)} are unknown or set by the script")
-
-    spec_base = flat_fields(SyntheticSpec(seed=args.data_seed))
-    if not isinstance(args.spec, dict):
-        ap.error("--spec must be a JSON object")
-    unknown = set(args.spec) - set(spec_base) | set(args.spec) & {"seed"}
-    if unknown:
-        ap.error(f"dataset spec keys {sorted(unknown)} are unknown or set by the script")
-    spec = from_flat(SyntheticSpec(), {**spec_base, **args.spec})
+    def from_json(template, given, set_here, flag, what):
+        """template with the keys of `given`, flag's JSON object, read as otzsl reads them."""
+        keys = flat_fields(template)
+        if not isinstance(given, dict):
+            ap.error(f"{flag} must be a JSON object")
+        if unknown := set(given) - set(keys) | set(given) & set_here:
+            ap.error(f"{what} keys {sorted(unknown)} are unknown or set by the script")
+        return from_flat(template, {**keys, **{k: read_value(k, v, keys[k]) for k, v in given.items()}})
+    try:
+        template = from_json(TrainConfig(epochs=args.epochs), args.config,
+                             {"seed", "mode", "epochs"}, "--config", "train config")
+        spec = from_json(SyntheticSpec(seed=args.data_seed), args.spec, {"seed"}, "--spec",
+                         "dataset spec")
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     attrs, data, _ = make_synthetic_dataset(spec)
     print(f"dataset: {len(attrs.seen_ids)} seen / {len(attrs.unseen_ids)} unseen classes, "
           f"{data.seen_train[0].shape[0]} training samples, D={data.feature_dim}")
-    print(f"train config overrides {json.dumps(overrides)}, {args.epochs} epochs")
+    print(f"train config overrides {json.dumps(args.config)}, {args.epochs} epochs")
 
     print(f"{'seed':<6}" + "".join(f"{c:>11}" for c in COLUMNS) + f"{'train_s':>9}")
     rows = []
@@ -77,7 +77,7 @@ def main() -> int:
         row, train_s = [], 0.0
         for mode, protocols in (("standard", ("standard", "generalized")),
                                 ("transductive", ("transductive",))):
-            cfg = from_flat(template, {**base, **overrides, "seed": seed, "mode": mode})
+            cfg = from_flat(template, {**flat_fields(template), "seed": seed, "mode": mode})
             t0 = time.perf_counter()
             g = train(data, attrs, cfg).g
             train_s += time.perf_counter() - t0

@@ -4,19 +4,21 @@ standalone transport solves, solver comparison curves, and feature export.
 A JSON config file is the source of truth. Every flag other than --config and
 --out overrides the config key its argparse dest names (--batch-size sets
 batch_size), and the fully resolved config is echoed into the output directory
-as config.json. The config keys of gen-data, train and eval and their defaults
-are the fields of SyntheticSpec, TrainConfig and EvalConfig, a nested config
-field x spelled x_<field> (ipot_reg, classifier_epochs). Exit codes: 0
-success, 1 runtime failure, 2 usage or config error.
+as config.json. Each command declares its keys once, in its key table (see
+key_rule), and a value from the file or from a flag is read by one rule (see
+read_value). The keys of gen-data, train and eval and their defaults are the
+fields of SyntheticSpec, TrainConfig and EvalConfig, a nested config field x
+spelled x_<field> (ipot_reg, classifier_epochs). Exit codes: 0 success, 1
+runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import json
-import math
 import os
 import sys
 
@@ -30,33 +32,6 @@ from .evaluate import PROTOCOL_SPLITS, PROTOCOLS, EvalConfig, evaluate, protocol
 from .rng import SeededRng, check_seed
 from .training import (MODE_SPLITS, MODES, TrainConfig, require_training_rows,
                        synthesize_class_features, train, write_trace_csv)
-
-SOLVE_OT_DEFAULTS = {
-    "cost": None,
-    "solver": "ipot",
-    "lambda": None,
-    "iters": None,
-    "stop_tol": None,
-}
-
-COMPARE_DEFAULTS = {
-    "size": 32,
-    "instances": 20,
-    "iters": 500,
-    "seed": 0,
-}
-
-EXPORT_DEFAULTS = {
-    "data": None,
-    "checkpoint": None,
-    "classes": "unseen",
-    "per_class": 100,
-    "seed": 0,
-}
-
-# The type of each config key whose default is None; JSON null stays allowed.
-NULLABLE_KEY_TYPES = {"data": str, "checkpoint": str, "cost": str, "top_k": int,
-                      "lambda": float, "iters": int, "stop_tol": float}
 
 
 def flat_fields(config, prefix: str = "") -> dict:
@@ -85,42 +60,73 @@ def from_flat(template, cfg: dict, prefix: str = ""):
     return type(template)(**kwargs)
 
 
-def resolve_config(defaults: dict, args) -> dict:
-    """`defaults`, updated by the config file of --config, then by every parsed
-    flag that was given and whose dest is a key of `defaults`. A config value
-    must have its default's type, or for a None default its NULLABLE_KEY_TYPES
-    type or null (an int may stand for a float, a bool for nothing else), and be
-    finite: json reads NaN, Infinity and 1e999, and NaN passes every `x < 0` check.
-    A seed, from the file or --seed, must lie in 0..MAX_SEED."""
-    cfg = dict(defaults)
-    config_path = args.config
+# Each command's key table declares each of its config keys once (see key_rule).
+GEN_DATA_KEYS = flat_fields(dataio.SyntheticSpec())
+TRAIN_KEYS = {"data": str, **flat_fields(TrainConfig()), "mode": MODES}
+EVAL_KEYS = {"data": str, "checkpoint": str, "mode": PROTOCOLS, **flat_fields(EvalConfig()),
+             "top_k": int}
+SOLVE_OT_KEYS = {"cost": str, "solver": ("ipot", "sinkhorn"), "lambda": float, "iters": int,
+                 "stop_tol": float}
+COMPARE_KEYS = {"size": 32, "instances": 20, "iters": 500, "seed": 0}
+EXPORT_KEYS = {"data": str, "checkpoint": str, "classes": ("unseen", "seen", "all"),
+               "per_class": 100, "seed": 0}
 
-    def finite(text: str) -> float:
-        if not math.isfinite(value := float(text)):
-            raise ConfigError(f"{config_path}: {text} is not a finite number")
-        return value
 
-    if config_path is not None:
+def key_rule(entry) -> tuple:
+    """The (default, type, choices) of a key table entry: a tuple of the key's
+    choices, the default first; a type, for a key whose default is null; or
+    else the default itself."""
+    if isinstance(entry, tuple):
+        return entry[0], str, entry
+    if isinstance(entry, type):
+        return None, entry, ()
+    return entry, type(entry), ()
+
+
+def read_value(key: str, value, entry, text: bool = False):
+    """`value` for config key `key`, read by the rule of its key table entry:
+    a config file value must have the key's type (an int may stand for a
+    float, a bool for nothing else, and null for a key whose default is
+    null), a flag's text (text=True) is read by that type, and either must
+    be finite (json reads NaN, Infinity, 1e999 and an int past the float
+    range) and one of the key's choices, or ConfigError names the key."""
+    default, kind, choices = key_rule(entry)
+    shown = value if text else json.dumps(value)
+    if text and kind is not str:
+        with contextlib.suppress(ValueError):
+            value = kind(value)
+    if not (type(value) is kind or kind is float and type(value) is int
+            or value is None and default is None):
+        raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, got {shown}")
+    if kind is float and value is not None and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config key {key!r} must be a finite number, got {shown}")
+    if choices and value not in choices:
+        raise ConfigError(f"config key {key!r} must be one of {choices}, got {value!r}")
+    return value
+
+
+def resolve_config(keys: dict, args) -> dict:
+    """The config of a command with key table `keys`: each key's default,
+    replaced by its value in the config file of --config, then by its flag
+    if given, each value read by read_value; a seed must lie in 0..MAX_SEED.
+    Every command resolves its config before it reads any input."""
+    cfg = {key: key_rule(entry)[0] for key, entry in keys.items()}
+    if args.config is not None:
         try:
-            with open(config_path, encoding="utf-8") as fh:
-                loaded = json.load(fh, parse_float=finite, parse_constant=finite)
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         except ValueError as exc:  # a JSON syntax error, or a byte that is not UTF-8
-            raise ConfigError(f"{config_path}: {exc}") from None
+            raise ConfigError(f"{args.config}: {exc}") from None
         if not isinstance(loaded, dict):
-            raise ConfigError(f"{config_path}: top level must be a JSON object")
-        unknown = set(loaded) - set(defaults)
+            raise ConfigError(f"{args.config}: top level must be a JSON object")
+        unknown = set(loaded) - set(keys)
         if unknown:
-            raise ConfigError(f"{config_path}: unknown keys {sorted(unknown)}")
-        for key, value in loaded.items():
-            kind = NULLABLE_KEY_TYPES[key] if defaults[key] is None else type(defaults[key])
-            if not (type(value) is kind or kind is float and type(value) is int
-                    or value is None and defaults[key] is None):
-                raise ConfigError(f"{config_path}: key {key!r} must be of type "
-                                  f"{kind.__name__}, got {json.dumps(value)}")
-        cfg.update(loaded)
-    cfg.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
+            raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
+        cfg.update((key, read_value(key, value, keys[key])) for key, value in loaded.items())
+    cfg.update((key, read_value(key, text, keys[key], text=True))
+               for key, text in vars(args).items() if key in keys and text is not None)
     check_seed(cfg.get("seed", 0), "config key 'seed'")
     return cfg
 
@@ -163,9 +169,8 @@ def _load_dataset_and_generator(cfg: dict, splits):
 
 
 def cmd_gen_data(args) -> int:
-    template = dataio.SyntheticSpec()
-    cfg = resolve_config(flat_fields(template), args)
-    spec = from_flat(template, cfg)
+    cfg = resolve_config(GEN_DATA_KEYS, args)
+    spec = from_flat(dataio.SyntheticSpec(), cfg)
     attrs, dataset, _ = dataio.make_synthetic_dataset(spec)
     echo_config(cfg, args.out)
     dataio.save_dataset(args.out, attrs, dataset)
@@ -175,12 +180,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    template = TrainConfig()
-    cfg = resolve_config({"data": None, **flat_fields(template)}, args)
+    cfg = resolve_config(TRAIN_KEYS, args)
     data_dir = _require(cfg, "data", "dataset directory")
-    # an unknown mode reads every split, and from_flat rejects it where it always did
-    attrs, dataset = dataio.load_dataset(data_dir, MODE_SPLITS.get(cfg["mode"], dataio.SPLITS))
-    tc = from_flat(template, cfg)
+    tc = from_flat(TrainConfig(), cfg)
+    attrs, dataset = dataio.load_dataset(data_dir, MODE_SPLITS[tc.mode])
     require_training_rows(attrs, dataset, tc.mode)
     echo_config(cfg, args.out)
     result = train(dataset, attrs, tc)
@@ -195,13 +198,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    template = EvalConfig()
-    cfg = resolve_config({"data": None, "checkpoint": None, "mode": "standard",
-                          **flat_fields(template)}, args)
-    # an unknown mode reads every split, and protocol() rejects it where it always did
-    attrs, dataset, g = _load_dataset_and_generator(
-        cfg, PROTOCOL_SPLITS.get(cfg["mode"], dataio.SPLITS))
-    ec = from_flat(template, cfg)
+    cfg = resolve_config(EVAL_KEYS, args)
+    ec = from_flat(EvalConfig(), cfg)
+    attrs, dataset, g = _load_dataset_and_generator(cfg, PROTOCOL_SPLITS[cfg["mode"]])
     protocol(cfg["mode"], attrs, dataset, ec.top_k)  # rejects bad inputs before writing
     echo_config(cfg, args.out)
     report = evaluate(cfg["mode"], g, attrs, dataset, ec)
@@ -218,14 +217,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve_ot(args) -> int:
-    cfg = resolve_config(SOLVE_OT_DEFAULTS, args)
+    cfg = resolve_config(SOLVE_OT_KEYS, args)
     cost_path = _require(cfg, "cost", "cost matrix CSV")
-    cost = dataio.load_matrix_csv(cost_path)
     solver = cfg["solver"]
-    if solver not in ("ipot", "sinkhorn"):
-        raise ConfigError(f"solver must be 'ipot' or 'sinkhorn', got {solver!r}")
     if solver == "sinkhorn" and cfg["stop_tol"] is not None:
         raise ConfigError("stop_tol applies only to the ipot solver; sinkhorn has no stop rule")
+    cost = dataio.load_matrix_csv(cost_path)
     marg = ot.Marginals.uniform(*cost.shape)
     if solver == "ipot":
         ipot_cfg = ot.IpotConfig(**_given(reg=cfg["lambda"], max_outer_iters=cfg["iters"],
@@ -247,7 +244,7 @@ def cmd_solve_ot(args) -> int:
 
 
 def cmd_compare_solvers(args) -> int:
-    cfg = resolve_config(COMPARE_DEFAULTS, args)
+    cfg = resolve_config(COMPARE_KEYS, args)
     if cfg["size"] < 2 or cfg["instances"] < 1 or cfg["iters"] < 1:
         raise ConfigError("size must be >= 2 and instances/iters >= 1")
     echo_config(cfg, args.out)
@@ -282,9 +279,7 @@ def cmd_compare_solvers(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cfg = resolve_config(EXPORT_DEFAULTS, args)
-    if cfg["classes"] not in ("seen", "unseen", "all"):
-        raise ConfigError(f"classes must be seen, unseen, or all, got {cfg['classes']!r}")
+    cfg = resolve_config(EXPORT_KEYS, args)
     if cfg["per_class"] < 1:
         raise ConfigError(f"per_class must be positive, got {cfg['per_class']}")
     attrs, _, g = _load_dataset_and_generator(cfg, ())  # attributes and the feature width only
@@ -307,49 +302,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero-shot recognition via primal optimal transport",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary, seed=True):
+    # name, function (looked up here, so a wrapper set on this module's
+    # attribute is the one called), summary, key table, flags and their help
+    for name, func, summary, keys, flags in [
+        ("gen-data", cmd_gen_data, "write a synthetic dataset directory", GEN_DATA_KEYS, {}),
+        ("train", cmd_train, "train the feature generator", TRAIN_KEYS,
+         {"--data": "dataset directory", "--mode": None, "--epochs": None, "--batch-size": None}),
+        ("eval", cmd_eval, "evaluate a trained generator", EVAL_KEYS,
+         {"--data": "dataset directory", "--checkpoint": "checkpoint file from train",
+          "--mode": None, "--n-synth-per-class": None, "--top-k": None}),
+        ("solve-ot", cmd_solve_ot, "solve one transport instance from a cost CSV", SOLVE_OT_KEYS,
+         {"--cost": "cost matrix CSV path", "--solver": None,
+          "--lambda": "solver regularization weight", "--iters": "iteration budget"}),
+        ("compare-solvers", cmd_compare_solvers, "record convergence curves on random instances",
+         COMPARE_KEYS, {"--size": "instance size N (square problems)",
+                        "--instances": "number of random instances",
+                        "--iters": "iterations per solver"}),
+        ("export", cmd_export, "export generated features for external plotting", EXPORT_KEYS,
+         {"--data": "dataset directory", "--checkpoint": "checkpoint file from train",
+          "--classes": None, "--per-class": None}),
+    ]:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
-        if seed:
-            p.add_argument("--seed", type=int, help="override the config seed")
+        if "seed" in keys:
+            p.add_argument("--seed", help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
+        for flag, help_text in flags.items():  # resolve_config reads the text by its key's rule
+            action = p.add_argument(flag, help=help_text)
+            if choices := key_rule(keys[action.dest])[2]:
+                action.metavar = "{" + ",".join(choices) + "}"
         p.set_defaults(func=func)
-        return p
-
-    command("gen-data", cmd_gen_data, "write a synthetic dataset directory")
-
-    p = command("train", cmd_train, "train the feature generator")
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-
-    p = command("eval", cmd_eval, "evaluate a trained generator")
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--checkpoint", help="checkpoint file from train")
-    p.add_argument("--mode", choices=PROTOCOLS)
-    p.add_argument("--n-synth-per-class", dest="n_synth_per_class", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-
-    p = command("solve-ot", cmd_solve_ot, "solve one transport instance from a cost CSV",
-                seed=False)
-    p.add_argument("--cost", help="cost matrix CSV path")
-    p.add_argument("--solver", choices=["ipot", "sinkhorn"])
-    p.add_argument("--lambda", type=float, help="solver regularization weight")
-    p.add_argument("--iters", type=int, help="iteration budget")
-
-    p = command("compare-solvers", cmd_compare_solvers,
-                "record convergence curves on random instances")
-    p.add_argument("--size", type=int, help="instance size N (square problems)")
-    p.add_argument("--instances", type=int, help="number of random instances")
-    p.add_argument("--iters", type=int, help="iterations per solver")
-
-    p = command("export", cmd_export, "export generated features for external plotting")
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--checkpoint", help="checkpoint file from train")
-    p.add_argument("--classes", choices=["seen", "unseen", "all"])
-    p.add_argument("--per-class", dest="per_class", type=int)
     return parser
 
 

@@ -143,20 +143,6 @@ class FeatureDataset:
         return self.seen_train[0].shape[1]
 
 
-def check_dataset(attrs: AttributeMatrix, data: FeatureDataset) -> None:
-    """Cross-validate labels against the class partition."""
-    _check_classes(attrs, {name: getattr(data, name)[1] for name in LABELED_SPLITS})
-
-
-def _check_classes(attrs: AttributeMatrix, labels: dict) -> None:
-    """Each labeled split's class ids, by split name, lie in its side of the partition."""
-    for name, ids in labels.items():
-        allowed = attrs.unseen_ids if name == "unseen_test" else attrs.seen_ids
-        extra = set(ids.tolist()) - set(allowed)
-        if extra:
-            raise DataFormatError(f"{name} labels {sorted(extra)} fall outside the expected classes")
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Desk-scale benchmark: binary class attributes, a hidden linear map to
@@ -238,7 +224,6 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[AttributeMatrix, Featur
         unseen_test=(unseen, np.repeat(unseen_ids, n)),
         unseen_unlabeled=unseen,  # the test rows double as the pool
     )
-    check_dataset(attrs, dataset)
     return attrs, dataset, hidden_map
 
 
@@ -281,20 +266,22 @@ def _lines(path: str):
     if not os.path.isfile(path):
         raise DataFormatError(f"missing file: {path}")
     number = offset = 0
-    with open(path, "rb") as fh:
-        for chunk in fh:  # a chunk ends at b"\n", so no CRLF is split
-            for raw in chunk.splitlines(keepends=True):
-                try:  # with its line end, so a bad byte reads as in the whole text
-                    line = raw.decode("utf-8").rstrip("\r\n")
-                except UnicodeDecodeError as exc:
-                    start, end = exc.start + offset, exc.end + offset
-                    where = (f"byte 0x{raw[exc.start]:02x} in position {start}"
-                             if end == start + 1 else f"bytes in position {start}-{end - 1}")
-                    raise DataFormatError(f"{path}: '{exc.encoding}' codec can't decode "
-                                          f"{where}: {exc.reason}") from None
-                number, offset = number + 1, offset + len(raw)
-                if line:
-                    yield number, line
+    # latin-1 reads each byte as one character, and newline="" ends a line at
+    # LF, CRLF or CR, so each line is bytes.splitlines' line, read one at a time
+    with open(path, encoding="latin-1", newline="") as fh:
+        for text in fh:
+            raw = text.encode("latin-1")
+            try:  # with its line end, so a bad byte reads as in the whole text
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                start, end = exc.start + offset, exc.end + offset
+                where = (f"byte 0x{raw[exc.start]:02x} in position {start}"
+                         if end == start + 1 else f"bytes in position {start}-{end - 1}")
+                raise DataFormatError(f"{path}: '{exc.encoding}' codec can't decode "
+                                      f"{where}: {exc.reason}") from None
+            number, offset = number + 1, offset + len(raw)
+            if line:
+                yield number, line
 
 
 def _line_error(path: str, number: int, line: str, width: int, class_ids: bool):
@@ -450,7 +437,10 @@ def load_dataset(dir_path: str, splits=SPLITS) -> tuple[AttributeMatrix, Feature
     for name in SPLITS:
         _check_rows(name, zero_norm[rows[name]],
                     labels[rows[name]] if name in LABELED_SPLITS else None)
-    _check_classes(attrs, {name: labels[rows[name]] for name in LABELED_SPLITS})
+    for name in LABELED_SPLITS:  # each labeled split's class ids lie in its side of the partition
+        allowed = attrs.unseen_ids if name == "unseen_test" else attrs.seen_ids
+        if extra := set(labels[rows[name]].tolist()) - set(allowed):
+            raise DataFormatError(f"{name} labels {sorted(extra)} fall outside the expected classes")
 
     rows = {name: r if name in splits else r[:0] for name, r in rows.items()}  # left out: no rows
     seen_train, seen_test, unseen_test = (features[rows[name]] for name in LABELED_SPLITS)

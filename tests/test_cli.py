@@ -234,6 +234,87 @@ def test_flags_reach_the_config_by_name(command, workspace, tmp_path):
     assert (out / "config.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
+# A bad and a good text for each flag; in a config file the key holds the JSON
+# value of the text, or the text itself as a string where it is not JSON. The
+# bad ones span the key rule (type, finiteness, choices), the dataclass
+# checks, a command's own checks and the required inputs; "" stands for the
+# workspace path a required key names.
+FLAG_TEXTS = {
+    "seed": ("2.5", "7"), "data": ("", None), "checkpoint": ("", None), "cost": ("", None),
+    "mode": ("bogus", "transductive"), "epochs": ("true", "1"), "batch_size": ("1", "5"),
+    "n_synth_per_class": ("0", "3"), "top_k": ("2.5", "2"), "solver": ("simplex", "sinkhorn"),
+    "lambda": ("NaN", "0.25"), "iters": ("2.5", "2"), "size": ("1", "3"),
+    "instances": ("Infinity", "2"), "classes": ("everything", "all"), "per_class": ("0", "2"),
+}
+
+
+def command_flags():
+    """Each (command, flag, dest) of the parser but --config and --out."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, a.option_strings[0], a.dest) for command, p in sub.choices.items()
+            for a in p._actions if a.dest not in ("help", "config", "out")]
+
+
+@pytest.mark.parametrize("command, flag, key", command_flags())
+def test_a_flag_and_its_config_key_are_read_alike(command, flag, key, workspace, tmp_path,
+                                                  capsys):
+    """A bad value gives the same one-line error and exit 2 and writes
+    nothing, and a good one the same config.json, whether it comes as the
+    flag or as the key in --config."""
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), str(cost))
+    paths = {"data": str(workspace["data"]), "checkpoint": str(workspace["ckpt"]),
+             "cost": str(cost)}
+    base = {"gen-data": {k: v for k, v in TINY_GEN.items() if k != "seed"},
+            "train": {"data": paths["data"], "epochs": 1},
+            "eval": {"data": paths["data"], "checkpoint": paths["checkpoint"],
+                     "n_synth_per_class": 2},
+            "solve-ot": {"cost": paths["cost"]},
+            "compare-solvers": {"size": 2, "instances": 1, "iters": 2},
+            "export": {"data": paths["data"], "checkpoint": paths["checkpoint"],
+                       "per_class": 1}}[command]
+    for kind, text in zip(("bad", "good"), FLAG_TEXTS[key]):
+        text = paths[key] if text is None else text
+        try:
+            value = json.loads(text)
+        except ValueError:
+            value = text
+        results = []
+        for given_by in ("flag", "config"):
+            cfg, out = tmp_path / f"{kind}-{given_by}.json", tmp_path / f"{kind}-{given_by}"
+            if given_by == "flag":
+                cfg.write_text(json.dumps({k: v for k, v in base.items() if k != key}))
+                extra = [flag, text]
+            else:
+                cfg.write_text(json.dumps({**base, key: value}))
+                extra = []
+            code = run([command, "--config", str(cfg), *extra, "--out", str(out)])
+            err = capsys.readouterr().err
+            if kind == "bad":
+                assert code == 2 and not out.exists(), (given_by, err)
+                results.append(err)
+            else:
+                assert code == 0, (given_by, err)
+                results.append((out / "config.json").read_bytes())
+        assert results[0] == results[1], (kind, results)
+        if kind == "bad":
+            assert results[0].startswith("error: ") and results[0].count("\n") == 1
+
+
+def test_main_calls_the_command_functions_of_the_module(monkeypatch, tmp_path):
+    """The parser looks each command function up when it is built, so a
+    wrapper set on the module attribute, as perfbench sets its timers, is
+    the function main calls."""
+    calls = []
+    monkeypatch.setattr(cli, "cmd_gen_data", lambda args: calls.append(args.command) or 0)
+    monkeypatch.setattr(cli, "cmd_solve_ot", lambda args: calls.append(args.command) or 5)
+    assert run(["gen-data", "--out", str(tmp_path / "a")]) == 0
+    assert run(["solve-ot", "--out", str(tmp_path / "b")]) == 5
+    assert calls == ["gen-data", "solve-ot"]
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("command, bad", [
     ("gen-data", {"seen_classes": 2.5}),
     ("train", {"epochs": "2"}),
@@ -261,8 +342,10 @@ def test_config_value_must_have_the_default_type(command, bad, workspace, tmp_pa
     cfg.write_text(json.dumps(bad))
     out = tmp_path / "out"
     assert run([command, "--config", str(cfg), *argv, "--out", str(out)]) == 2
-    (key,) = bad
-    assert f"{cfg}: key {key!r} must be of type" in capsys.readouterr().err
+    ((key, value),) = bad.items()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r} must be of type "), err
+    assert err.endswith(f", got {json.dumps(value)}\n"), err
     assert not out.exists()
 
 
@@ -294,7 +377,8 @@ def test_config_int_stands_for_float_and_bool_for_nothing_else(tmp_path, capsys)
 ])
 def test_config_rejects_nonfinite_numbers(command, key, literal, workspace, tmp_path, capsys):
     """json reads NaN, Infinity, -Infinity and an overflowing literal; the
-    config reader rejects each before anything is written."""
+    config reader rejects each, naming the key once, before anything is
+    written."""
     data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
     cost = tmp_path / "cost.csv"
     save_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), str(cost))
@@ -304,7 +388,25 @@ def test_config_rejects_nonfinite_numbers(command, key, literal, workspace, tmp_
     cfg.write_text(f'{{"{key}": {literal}}}')
     out = tmp_path / "out"
     assert run([command, "--config", str(cfg), *argv, "--out", str(out)]) == 2
-    assert f"{cfg}: {literal} is not a finite number" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: config key {key!r} must be a finite number, "
+                                       f"got {json.dumps(float(literal))}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given_by", ["flag", "config"])
+def test_an_int_past_the_float_range_is_not_a_finite_number(given_by, tmp_path, capsys):
+    """A float key takes an int, but not one that no float can hold."""
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), str(cost))
+    cfg = tmp_path / "cfg.json"
+    huge = 10**400
+    cfg.write_text(json.dumps({"lambda": huge} if given_by == "config" else {}))
+    flags = ["--lambda", str(huge)] if given_by == "flag" else []
+    out = tmp_path / "o"
+    assert run(["solve-ot", "--config", str(cfg), "--cost", str(cost), *flags,
+                "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: config key 'lambda' must be a finite number, got {huge}\n")
     assert not out.exists()
 
 
@@ -464,15 +566,14 @@ def test_train_defaults_are_the_library_defaults(workspace, tmp_path):
 
 def test_train_rejects_generalized_mode(workspace, tmp_path, capsys):
     """generalized is an evaluation protocol; training has no such mode."""
-    with pytest.raises(SystemExit) as exc:
-        run(["train", "--data", str(workspace["data"]), "--mode", "generalized",
-             "--out", str(tmp_path / "flag")])
-    assert exc.value.code == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "generalized"}))
-    assert run(["train", "--config", str(cfg), "--data", str(workspace["data"]),
-                "--out", str(tmp_path / "config")]) == 2
-    assert "mode must be one of" in capsys.readouterr().err
+    for name, given in (("flag", ["--mode", "generalized"]), ("config", ["--config", str(cfg)])):
+        assert run(["train", *given, "--data", str(workspace["data"]),
+                    "--out", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err == ("error: config key 'mode' must be one of "
+                                           "('standard', 'transductive'), got 'generalized'\n")
+        assert not (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize("key, mode, message", [
@@ -662,32 +763,21 @@ def test_eval_rejects_an_empty_test_split_before_writing(key, mode, message, wor
 
 
 def test_eval_rejects_unknown_mode_before_writing(workspace, tmp_path, capsys):
+    """A mode that no protocol knows is rejected before any split is read:
+    a dataset defect in a split stays unreported."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "bogus"}))
-    out = tmp_path / "o"
-    assert run(["eval", "--config", str(cfg), "--data", str(workspace["data"]),
-                "--checkpoint", str(workspace["ckpt"]), "--out", str(out)]) == 2
-    assert "unknown evaluation mode 'bogus'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_eval_unknown_mode_still_reads_every_split(workspace, tmp_path, capsys):
-    """A mode from the config file that no protocol knows gets the one-line
-    error and exit 2 it always got, after a dataset defect in a split that
-    no protocol reads, as before: such a mode loads every split."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mode": "bogus"}))
-    argv = ["eval", "--config", str(cfg), "--checkpoint", str(workspace["ckpt"]), "--out"]
-    assert run([*argv, str(tmp_path / "o"), "--data", str(workspace["data"])]) == 2
-    assert capsys.readouterr().err == "error: unknown evaluation mode 'bogus'\n"
     data = edited_dataset(workspace, tmp_path)
     lines = (data / "features.csv").read_text().splitlines()
     row = json.loads((data / "split.json").read_text())["seen_train_rows"][0]
     lines[1 + row] = "0," + ",".join(["0"] * TINY_GEN["feature_dim"])
     (data / "features.csv").write_text("\n".join(lines) + "\n")
-    assert run([*argv, str(tmp_path / "p"), "--data", str(data)]) == 2
-    assert capsys.readouterr().err == "error: seen_train row 0 has zero norm\n"
-    assert not (tmp_path / "o").exists() and not (tmp_path / "p").exists()
+    out = tmp_path / "o"
+    assert run(["eval", "--config", str(cfg), "--data", str(data),
+                "--checkpoint", str(workspace["ckpt"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: config key 'mode' must be one of "
+                                       "('standard', 'generalized', 'transductive'), got 'bogus'\n")
+    assert not out.exists()
 
 
 def test_train_and_eval_reject_a_test_row_that_is_a_training_row(workspace, tmp_path, capsys):
@@ -834,13 +924,14 @@ def test_solve_ot_kernel_underflow_is_a_solver_error_without_warnings(tmp_path, 
 
 
 def test_solve_ot_rejects_bad_solver(tmp_path, capsys):
+    """An unknown solver is rejected before the cost file is read."""
     cfg = tmp_path / "cfg.json"
-    cost = tmp_path / "cost.csv"
-    save_matrix_csv(np.array([[0.5]]), str(cost))
     cfg.write_text(json.dumps({"solver": "simplex"}))
-    assert run(["solve-ot", "--config", str(cfg), "--cost", str(cost),
+    assert run(["solve-ot", "--config", str(cfg), "--cost", str(tmp_path / "missing.csv"),
                 "--out", str(tmp_path / "o")]) == 2
-    assert "solver must be" in capsys.readouterr().err
+    assert (capsys.readouterr().err
+            == "error: config key 'solver' must be one of ('ipot', 'sinkhorn'), got 'simplex'\n")
+    assert not (tmp_path / "o").exists()
 
 
 # --- compare-solvers ---
@@ -991,7 +1082,9 @@ def test_export_bad_classes_via_config(workspace, tmp_path, capsys):
     assert run(["export", "--config", str(cfg), "--data", str(workspace["data"]),
                 "--checkpoint", str(workspace["ckpt"]),
                 "--out", str(tmp_path / "o")]) == 2
-    assert "classes must be" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: config key 'classes' must be one of "
+                                       "('unseen', 'seen', 'all'), got 'everything'\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_export_rejects_an_empty_class_list(workspace, tmp_path, capsys):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -43,3 +45,19 @@ def test_zsl_benchmark_takes_a_dataset_spec(tmp_path):
     proc = run_script("run_zsl_benchmark.py", ["--seeds", "0", "--spec", "[3]"], tmp_path)
     assert proc.returncode == 2 and "--spec must be a JSON object" in proc.stderr
 
+
+
+@pytest.mark.parametrize("flag, given, message", [
+    ("--config", '{"batch_size": "5"}', "config key 'batch_size' must be of type int, got \"5\""),
+    ("--spec", '{"seen_classes": 2.5}', "config key 'seen_classes' must be of type int, got 2.5"),
+    ("--config", '{"ipot_reg": NaN}', "config key 'ipot_reg' must be a finite number, got NaN"),
+    ("--config", '{"batch_size": 1}', "batch_size must be at least 2, got 1"),
+], ids=["string-for-int", "float-for-int", "nan", "dataclass-check"])
+def test_zsl_benchmark_reads_its_keys_as_otzsl_reads_a_config_file(tmp_path, flag, given,
+                                                                   message):
+    """A value of the wrong type, a non-finite number or one its config
+    dataclass rejects is a usage error naming the key, not a traceback."""
+    proc = run_script("run_zsl_benchmark.py", ["--seeds", "0", flag, given], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(f"run_zsl_benchmark.py: error: {message}\n"), proc.stderr
+    assert proc.stdout == ""

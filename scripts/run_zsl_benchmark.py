@@ -33,9 +33,18 @@ from otzsl.cli import flat_fields, from_flat, read_value
 from otzsl.data import SyntheticSpec, make_synthetic_dataset
 from otzsl.errors import ConfigError
 from otzsl.evaluate import EvalConfig, evaluate
+from otzsl.rng import check_seed
 from otzsl.training import TrainConfig, train
 
 COLUMNS = ("std_A_u", "gzsl_A_u", "gzsl_A_s", "gzsl_H", "trans_A_u")
+
+
+def json_value(text: str):
+    """A flag's JSON text, decoded; bad JSON or too deep a nesting is a usage error."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
 
 
 def main() -> int:
@@ -43,10 +52,10 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4],
                     help="training seeds, one row each")
     ap.add_argument("--data-seed", type=int, default=0, help="SyntheticSpec seed")
-    ap.add_argument("--spec", type=json.loads, default={},
+    ap.add_argument("--spec", type=json_value, default={},
                     help="JSON object of SyntheticSpec keys other than seed, as `otzsl gen-data` reads them")
     ap.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    ap.add_argument("--config", type=json.loads, default={},
+    ap.add_argument("--config", type=json_value, default={},
                     help="JSON object of train config keys, as `otzsl train` reads them")
     args = ap.parse_args()
 
@@ -59,6 +68,8 @@ def main() -> int:
             ap.error(f"{what} keys {sorted(unknown)} are unknown or set by the script")
         return from_flat(template, {**keys, **{k: read_value(k, v, keys[k]) for k, v in given.items()}})
     try:
+        for seed in args.seeds:  # every seed is checked before any work
+            check_seed(seed, "--seeds value")
         template = from_json(TrainConfig(epochs=args.epochs), args.config,
                              {"seed", "mode", "epochs"}, "--config", "train config")
         spec = from_json(SyntheticSpec(seed=args.data_seed), args.spec, {"seed"}, "--spec",
@@ -79,11 +90,11 @@ def main() -> int:
                                 ("transductive", ("transductive",))):
             cfg = from_flat(template, {**flat_fields(template), "seed": seed, "mode": mode})
             t0 = time.perf_counter()
-            g = train(data, attrs, cfg).g
+            g, _ = train(data, attrs, cfg)
             train_s += time.perf_counter() - t0
             for protocol in protocols:
                 rep = evaluate(protocol, g, attrs, data, EvalConfig())
-                row += [rep.A_u] if rep.H is None else [rep.A_u, rep.A_s, rep.H]
+                row += [rep[k] for k in ("A_u", "A_s", "H") if k in rep]
         rows.append(row)
         print(f"{seed:<6}" + "".join(f"{v:>11.3f}" for v in row) + f"{train_s:>9.1f}")
     table = np.array(rows)

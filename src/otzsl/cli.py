@@ -117,7 +117,7 @@ def resolve_config(keys: dict, args) -> dict:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except ValueError as exc:  # a JSON syntax error, or a byte that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep a nesting
             raise ConfigError(f"{args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: top level must be a JSON object")
@@ -186,10 +186,9 @@ def cmd_train(args) -> int:
     attrs, dataset = dataio.load_dataset(data_dir, MODE_SPLITS[tc.mode])
     require_training_rows(attrs, dataset, tc.mode)
     echo_config(cfg, args.out)
-    result = train(dataset, attrs, tc)
-    ckpt.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.g)
-    write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
-    tr = result.trace
+    g, tr = train(dataset, attrs, tc)
+    ckpt.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), g)
+    write_trace_csv(tr, os.path.join(args.out, "trace.csv"))
     print(f"trained {len(tr)} iterations ({tc.epochs} epochs, mode {tc.mode})")
     print(f"final transport_cost {tr.transport_cost[-1]:.6g} "
           f"reg_loss {tr.reg_loss[-1]:.6g} total_loss {tr.total_loss[-1]:.6g}")
@@ -205,13 +204,11 @@ def cmd_eval(args) -> int:
     echo_config(cfg, args.out)
     report = evaluate(cfg["mode"], g, attrs, dataset, ec)
     save_report(report, os.path.join(args.out, "report.json"))
-    if report.A_s is not None:
-        print(f"A_s  {report.A_s:.4f}")
-    print(f"A_u  {report.A_u:.4f}")
-    if report.H is not None:
-        print(f"H    {report.H:.4f}")
-    if report.top_k is not None:
-        print(f"top{cfg['top_k']} {report.top_k:.4f}")
+    for key in ("A_s", "A_u", "H"):  # A_s and H only in generalized mode
+        if key in report:
+            print(f"{key:<4} {report[key]:.4f}")
+    if report["top_k"] is not None:
+        print(f"top{cfg['top_k']} {report['top_k']:.4f}")
     print(f"wrote {os.path.join(args.out, 'report.json')}")
     return 0
 

@@ -404,7 +404,7 @@ def load_dataset(dir_path: str, splits=SPLITS) -> tuple[AttributeMatrix, Feature
     with open(split_path, encoding="utf-8") as fh:
         try:
             split = json.load(fh)
-        except ValueError as exc:  # a JSON syntax error, or a byte that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep a nesting
             raise DataFormatError(f"{split_path}: {exc}") from None
     if not isinstance(split, dict) or set(split) != set(SPLIT_KEYS):
         got = sorted(split) if isinstance(split, dict) else f"a JSON {type(split).__name__}"

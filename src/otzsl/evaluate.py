@@ -177,18 +177,6 @@ class EvalConfig:
             raise ConfigError(f"top_k must be positive, got {self.top_k}")
 
 
-@dataclass
-class EvalReport:
-    mode: str
-    per_class: dict[int, float]
-    A_u: float
-    A_s: float | None
-    H: float | None
-    top_k: float | None
-    n_synth_per_class: int
-    seed: int
-
-
 def protocol(mode: str, attrs: AttributeMatrix, data: FeatureDataset,
              top_k: int | None = None):
     """What protocol `mode` varies: the class ids its classifier ranks, and
@@ -212,11 +200,13 @@ def protocol(mode: str, attrs: AttributeMatrix, data: FeatureDataset,
 
 
 def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
-             data: FeatureDataset, cfg: EvalConfig) -> EvalReport:
+             data: FeatureDataset, cfg: EvalConfig) -> dict:
     """Train a classifier on generated features only, n_synth_per_class for
     each class the protocol ranks, and score it under one of PROTOCOLS. The
     protocol picks only the classes and the test splits (each scored on its
-    own class ids); the rest is one path for all three."""
+    own class ids); the rest is one path for all three. Returns what
+    report.json holds: mode, per_class (keyed by class id string), A_u,
+    top_k, n_synth_per_class, seed and, in generalized mode only, A_s and H."""
     classes, tests = protocol(mode, attrs, data, cfg.top_k)
     rng = SeededRng(cfg.seed)
     feats, labels = synthesize_class_features(g, attrs, classes, cfg.n_synth_per_class,
@@ -231,30 +221,14 @@ def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
         true = np.concatenate([y for (_, y), _ in tests])
         scores = np.vstack([classify_scores(clf, x) for (x, _), _ in tests])
         _, top_k = per_class_topk(scores, clf.class_id_map, true, classes, cfg.top_k)
-    a_u = scored[-1][1]
-    a_s = scored[0][1] if len(tests) == 2 else None  # the seen split comes first
-    return EvalReport(
-        mode=mode, per_class={c: v for per, _ in scored for c, v in per.items()},
-        A_u=a_u, A_s=a_s, H=None if a_s is None else harmonic_mean(a_s, a_u), top_k=top_k,
-        n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,
-    )
+    report = {"mode": mode, "per_class": {str(c): v for per, _ in scored for c, v in per.items()},
+              "A_u": scored[-1][1], "top_k": top_k, "n_synth_per_class": cfg.n_synth_per_class,
+              "seed": cfg.seed}
+    if len(tests) == 2:  # the seen split comes first
+        report["A_s"] = scored[0][1]
+        report["H"] = harmonic_mean(report["A_s"], report["A_u"])
+    return report
 
 
-def report_json_dict(report: EvalReport) -> dict:
-    """JSON form of a report; seen-side keys appear only when measured."""
-    out = {
-        "mode": report.mode,
-        "per_class": {str(c): v for c, v in sorted(report.per_class.items())},
-        "A_u": report.A_u,
-        "top_k": report.top_k,
-        "n_synth_per_class": report.n_synth_per_class,
-        "seed": report.seed,
-    }
-    if report.A_s is not None:
-        out["A_s"] = report.A_s
-        out["H"] = report.H
-    return out
-
-
-def save_report(report: EvalReport, path: str) -> None:
-    write_json(report_json_dict(report), path)
+def save_report(report: dict, path: str) -> None:
+    write_json(report, path)

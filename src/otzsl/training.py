@@ -114,12 +114,6 @@ def write_trace_csv(trace: TrainTrace, path: str) -> None:
               [f"{i},{branch}," for i, branch in enumerate(trace.branch)])
 
 
-@dataclass(eq=False)
-class TrainResult:
-    g: GeneratorParams
-    trace: TrainTrace
-
-
 def sample_real_batch(data: FeatureDataset, b: int, rng: SeededRng,
                       transductive: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """b uniform draws with replacement from the labeled seen pool, extended
@@ -192,7 +186,9 @@ def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
 
 # a blow-up raises from the finiteness checks of a step, not as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> TrainResult:
+def train(data: FeatureDataset, attrs: AttributeMatrix,
+          cfg: TrainConfig) -> tuple[GeneratorParams, TrainTrace]:
+    """The trained generator and the per-iteration trace of its losses."""
     require_training_rows(attrs, data, cfg.mode)
     transductive = cfg.mode == "transductive"
 
@@ -247,7 +243,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix, cfg: TrainConfig) -> Tra
             trace.record(branch, res.transport_term, res.regularizer_term, res.total)
             del res, generated  # free this step's grads and caches before the next step's
 
-    return TrainResult(g=g, trace=trace)
+    return g, trace
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up raises below instead

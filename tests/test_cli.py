@@ -417,6 +417,18 @@ def test_config_not_utf8(tmp_path, capsys):
     assert "cfg.json: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
 
+DEEP_JSON = "[" * 100_000  # nested deeper than the JSON decoder recurses
+TOO_DEEP = "maximum recursion depth exceeded"
+
+
+def test_config_nested_too_deep_is_a_config_error(tmp_path, capsys):
+    cfg, out = tmp_path / "deep.json", tmp_path / "o"
+    cfg.write_text(DEEP_JSON)
+    assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {TOO_DEEP}")
+    assert not out.exists()
+
+
 def seeded_argv(command, workspace):
     """The arguments of a small run of each command that takes a seed."""
     data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
@@ -599,6 +611,16 @@ def test_train_rejects_a_dataset_without_unseen_classes(workspace, tmp_path, cap
     assert run(["train", "--config", str(workspace["train_cfg"]), "--data", str(data),
                 "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: training requires at least one unseen class\n"
+    assert not out.exists()
+
+
+def test_split_json_nested_too_deep_is_a_data_error(workspace, tmp_path, capsys):
+    """Named before train echoes its config, so nothing is written."""
+    data, out = tmp_path / "data", tmp_path / "o"
+    shutil.copytree(workspace["data"], data)
+    (data / "split.json").write_text(DEEP_JSON)
+    assert run(["train", "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {data / 'split.json'}: {TOO_DEEP}")
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,8 @@ import otzsl.evaluate as evaluate_module
 from otzsl.data import SyntheticSpec, make_synthetic_dataset
 from otzsl.errors import ConfigError, DataFormatError
 from otzsl.evaluate import (PROTOCOLS, ClassifierConfig, ClassifierParams, EvalConfig,
-                            EvalReport, classify_scores, evaluate,
-                            harmonic_mean, per_class_top1, per_class_topk, predict_ids,
-                            report_json_dict, save_report, train_softmax)
+                            classify_scores, evaluate, harmonic_mean, per_class_top1,
+                            per_class_topk, predict_ids, save_report, train_softmax)
 from otzsl.generator import GeneratorParams, init_generator
 from otzsl.mlp import MlpParams, mlp_size
 from otzsl.rng import SeededRng
@@ -21,6 +22,7 @@ from otzsl.training import synthesize_class_features
 from conftest import TINY_SPEC, count_finiteness_checks, reference_write_json
 
 CLEAN_SPEC = dataclasses.replace(TINY_SPEC, noise_sigma=0.0)
+PERFBENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 # the tiny set fits in one minibatch, so the default 50 Adam steps underfit;
 # give the separable-oracle tests enough steps to actually converge
@@ -223,9 +225,9 @@ def test_evaluate_oracle_generator_is_perfect(clean_dataset):
     attrs, data, hidden_map = clean_dataset
     g = oracle_generator(hidden_map)
     rep = evaluate("standard", g, attrs, data, EvalConfig(n_synth_per_class=20, seed=1))
-    assert rep.A_u == 1.0
-    assert rep.A_s is None and rep.H is None
-    assert set(rep.per_class) == set(attrs.unseen_ids)
+    assert rep["A_u"] == 1.0
+    assert "A_s" not in rep and "H" not in rep
+    assert set(rep["per_class"]) == {str(c) for c in attrs.unseen_ids}
 
 
 def test_evaluate_generalized_oracle(clean_dataset):
@@ -233,8 +235,8 @@ def test_evaluate_generalized_oracle(clean_dataset):
     g = oracle_generator(hidden_map)
     rep = evaluate("generalized", g, attrs, data,
                    EvalConfig(n_synth_per_class=20, seed=1, classifier=STRONG_CLF))
-    assert rep.A_s == 1.0 and rep.A_u == 1.0 and rep.H == 1.0
-    assert set(rep.per_class) == set(attrs.seen_ids) | set(attrs.unseen_ids)
+    assert rep["A_s"] == 1.0 and rep["A_u"] == 1.0 and rep["H"] == 1.0
+    assert set(rep["per_class"]) == {str(c) for c in attrs.seen_ids + attrs.unseen_ids}
 
 
 def test_evaluate_without_real_seen(clean_dataset):
@@ -242,7 +244,7 @@ def test_evaluate_without_real_seen(clean_dataset):
     attrs, data, hidden_map = clean_dataset
     g = oracle_generator(hidden_map)
     rep = evaluate("generalized", g, attrs, data, EvalConfig(n_synth_per_class=20, seed=1))
-    assert rep.A_u == 1.0 and rep.A_s == 1.0
+    assert rep["A_u"] == 1.0 and rep["A_s"] == 1.0
 
 
 def test_evaluate_gzsl_h_consistent(tiny_dataset):
@@ -251,7 +253,7 @@ def test_evaluate_gzsl_h_consistent(tiny_dataset):
     attrs, data, _ = tiny_dataset
     g = init_generator(attrs.attr_dim, data.feature_dim, 8, SeededRng(4))
     rep = evaluate("generalized", g, attrs, data, EvalConfig(n_synth_per_class=10, seed=2))
-    assert rep.H == harmonic_mean(rep.A_s, rep.A_u)
+    assert rep["H"] == harmonic_mean(rep["A_s"], rep["A_u"])
 
 
 def test_evaluate_random_generator_near_chance(tiny_dataset):
@@ -261,7 +263,7 @@ def test_evaluate_random_generator_near_chance(tiny_dataset):
     for seed in (10, 11, 12):
         g = init_generator(attrs.attr_dim, data.feature_dim, 8, SeededRng(seed))
         rep = evaluate("standard", g, attrs, data, EvalConfig(n_synth_per_class=20, seed=seed))
-        accs.append(rep.A_u)
+        accs.append(rep["A_u"])
     assert abs(np.mean(accs) - chance) <= 0.15
 
 
@@ -271,8 +273,8 @@ def test_evaluate_transductive_matches_standard_protocol(clean_dataset):
     cfg = EvalConfig(n_synth_per_class=20, seed=3)
     rep_s = evaluate("standard", g, attrs, data, cfg)
     rep_t = evaluate("transductive", g, attrs, data, cfg)
-    assert rep_t.A_u == rep_s.A_u
-    assert rep_t.mode == "transductive"
+    assert rep_t["A_u"] == rep_s["A_u"]
+    assert rep_t["mode"] == "transductive"
 
 
 def test_evaluate_deterministic(tiny_dataset):
@@ -281,8 +283,7 @@ def test_evaluate_deterministic(tiny_dataset):
     cfg = EvalConfig(n_synth_per_class=15, seed=6)
     a = evaluate("standard", g, attrs, data, cfg)
     b = evaluate("standard", g, attrs, data, cfg)
-    assert a.A_u == b.A_u
-    assert a.per_class == b.per_class
+    assert a == b
 
 
 def test_evaluate_top_k(clean_dataset):
@@ -291,10 +292,10 @@ def test_evaluate_top_k(clean_dataset):
     u = len(attrs.unseen_ids)
     rep = evaluate("standard", g, attrs, data,
                    EvalConfig(n_synth_per_class=20, seed=1, top_k=u))
-    assert rep.top_k == 1.0
+    assert rep["top_k"] == 1.0
     rep1 = evaluate("standard", g, attrs, data,
                     EvalConfig(n_synth_per_class=20, seed=1, top_k=1))
-    assert rep1.top_k == rep1.A_u
+    assert rep1["top_k"] == rep1["A_u"]
 
 
 def test_evaluate_rejects_bad_inputs(clean_dataset):
@@ -318,23 +319,43 @@ def test_report_json_omits_seen_keys_in_standard(clean_dataset, tmp_path):
     attrs, data, hidden_map = clean_dataset
     g = oracle_generator(hidden_map)
     rep = evaluate("standard", g, attrs, data, EvalConfig(n_synth_per_class=20, seed=1))
-    d = report_json_dict(rep)
-    assert "A_s" not in d and "H" not in d
-    assert d["mode"] == "standard" and d["A_u"] == 1.0
+    assert "A_s" not in rep and "H" not in rep
+    assert rep["mode"] == "standard" and rep["A_u"] == 1.0
 
     gz = evaluate("generalized", g, attrs, data,
                   EvalConfig(n_synth_per_class=20, seed=1, classifier=STRONG_CLF))
-    dz = report_json_dict(gz)
-    assert dz["A_s"] == 1.0 and dz["H"] == 1.0
+    assert gz["A_s"] == 1.0 and gz["H"] == 1.0
 
     path = tmp_path / "report.json"
-    save_report(gz, str(path))
-    loaded = json.loads(path.read_text())
-    assert loaded == json.loads(json.dumps(dz))
     for report in (rep, gz):
         save_report(report, str(path))
-        reference_write_json(report_json_dict(report), tmp_path / "ref.json")
+        reference_write_json(report, tmp_path / "ref.json")
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def perfbench_report_keys() -> set:
+    """REPORT_KEYS of perfbench/run.py, the keys its run check expects in
+    every report.json, read from the source without running it."""
+    tree = ast.parse(PERFBENCH_RUN.read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["REPORT_KEYS"])
+
+
+@pytest.mark.parametrize("top_k", [None, 2])
+@pytest.mark.parametrize("mode", PROTOCOLS)
+def test_evaluate_returns_what_report_json_holds(noisy_dataset, tmp_path, mode, top_k):
+    """The report has one shape: what evaluate returns is what save_report
+    writes and json reads back, with the keys perfbench checks in every
+    report.json and, in generalized mode only, A_s and H."""
+    attrs, data, hidden_map = noisy_dataset
+    g = oracle_generator(hidden_map, noise_gain=0.5)
+    report = evaluate(mode, g, attrs, data, EvalConfig(n_synth_per_class=12, seed=3, top_k=top_k))
+    save_report(report, str(tmp_path / "report.json"))
+    assert report == json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    seen_side = {"A_s", "H"} if mode == "generalized" else set()
+    assert set(report) == perfbench_report_keys() | seen_side
+    assert (report["top_k"] is None) == (top_k is None)
 
 
 # --- the one evaluation path against the two branches it replaced ---
@@ -358,10 +379,9 @@ def reference_evaluate(mode, g, attrs, data, cfg):
             scores = classify_scores(clf, test_feats)
             _, top_k = per_class_topk(scores, clf.class_id_map, test_labels,
                                       classes, cfg.top_k)
-        return EvalReport(
-            mode=mode, per_class=per_class, A_u=a_u, A_s=None, H=None, top_k=top_k,
-            n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,
-        )
+        return {"mode": mode, "per_class": {str(c): v for c, v in per_class.items()},
+                "A_u": a_u, "top_k": top_k, "n_synth_per_class": cfg.n_synth_per_class,
+                "seed": cfg.seed}
 
     classes = tuple(range(attrs.n_classes))
     feats, labels = synthesize_class_features(g, attrs, classes,
@@ -379,11 +399,9 @@ def reference_evaluate(mode, g, attrs, data, cfg):
         scores = np.vstack([classify_scores(clf, seen_feats), classify_scores(clf, unseen_feats)])
         all_labels = np.concatenate([seen_labels, unseen_labels])
         _, top_k = per_class_topk(scores, clf.class_id_map, all_labels, classes, cfg.top_k)
-    return EvalReport(
-        mode=mode, per_class={**per_seen, **per_unseen}, A_u=a_u, A_s=a_s,
-        H=harmonic_mean(a_s, a_u), top_k=top_k,
-        n_synth_per_class=cfg.n_synth_per_class, seed=cfg.seed,
-    )
+    return {"mode": mode, "per_class": {str(c): v for c, v in {**per_seen, **per_unseen}.items()},
+            "A_u": a_u, "A_s": a_s, "H": harmonic_mean(a_s, a_u), "top_k": top_k,
+            "n_synth_per_class": cfg.n_synth_per_class, "seed": cfg.seed}
 
 
 @pytest.fixture(scope="module")
@@ -406,10 +424,8 @@ def test_evaluate_matches_two_branch_reference(noisy_dataset, mode, top_k):
                      classifier=ClassifierConfig(batch_size=8, epochs=20))
     got = evaluate(mode, g, attrs, data, cfg)
     want = reference_evaluate(mode, g, attrs, data, cfg)
-    for field in ("mode", "per_class", "A_u", "A_s", "H", "top_k",
-                  "n_synth_per_class", "seed"):
-        assert getattr(got, field) == getattr(want, field), field
-    assert (got.top_k is None) == (top_k is None)
+    assert got == want
+    assert (got["top_k"] is None) == (top_k is None)
 
 
 def test_generalized_classifier_learns_from_generated_rows_only(noisy_dataset, monkeypatch):

@@ -61,3 +61,18 @@ def test_zsl_benchmark_reads_its_keys_as_otzsl_reads_a_config_file(tmp_path, fla
     assert proc.returncode == 2
     assert proc.stderr.endswith(f"run_zsl_benchmark.py: error: {message}\n"), proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seeds", "0", "-1"], "--seeds value must be in 0..18446744073709551615, got -1"),
+    (["--spec", "[" * 100_000], "argument --spec: invalid JSON: maximum recursion depth exceeded"),
+    (["--config", "[" * 100_000], "argument --config: invalid JSON: maximum recursion depth"),
+    (["--config", '{"epochs": '], "argument --config: invalid JSON: Expecting value: line 1"),
+], ids=["negative-seed", "deep-spec", "deep-config", "bad-json"])
+def test_zsl_benchmark_rejects_a_bad_argument_before_any_work(tmp_path, args, message):
+    """A bad seed, or flag JSON that cannot be decoded, is a usage error
+    before the dataset is made, not a traceback after some rows."""
+    proc = run_script("run_zsl_benchmark.py", ["--epochs", "1", *args], tmp_path)
+    assert proc.returncode == 2
+    assert f"run_zsl_benchmark.py: error: {message}" in proc.stderr, proc.stderr[-500:]
+    assert proc.stdout == ""

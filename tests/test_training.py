@@ -273,37 +273,36 @@ def quick_cfg(**kwargs):
 
 def test_train_p_one_never_takes_transition(tiny_dataset):
     attrs, data, _ = tiny_dataset
-    res = train(data, attrs, quick_cfg(ot_prob=1.0))
-    assert res.trace.branch.count("transition") == 0
-    assert len(res.trace) == iterations_per_epoch(data.seen_train[0].shape[0], 4)
+    _, trace = train(data, attrs, quick_cfg(ot_prob=1.0))
+    assert trace.branch.count("transition") == 0
+    assert len(trace) == iterations_per_epoch(data.seen_train[0].shape[0], 4)
 
 
 def test_train_p_zero_all_transition(tiny_dataset):
     attrs, data, _ = tiny_dataset
-    res = train(data, attrs, quick_cfg(ot_prob=0.0))
-    assert set(res.trace.branch) == {"transition"}
+    _, trace = train(data, attrs, quick_cfg(ot_prob=0.0))
+    assert set(trace.branch) == {"transition"}
 
 
 def test_train_double_run_bit_identical(tiny_dataset):
     attrs, data, _ = tiny_dataset
     cfg = quick_cfg(epochs=2, ot_prob=0.9)
-    a = train(data, attrs, cfg)
-    b = train(data, attrs, cfg)
-    for x, y in zip(a.g.net.blocks(), b.g.net.blocks()):
+    (g_a, trace_a), (g_b, trace_b) = train(data, attrs, cfg), train(data, attrs, cfg)
+    for x, y in zip(g_a.net.blocks(), g_b.net.blocks()):
         assert np.array_equal(x, y)
-    assert a.trace.total_loss == b.trace.total_loss
-    assert a.trace.branch == b.trace.branch
+    assert trace_a.total_loss == trace_b.total_loss
+    assert trace_a.branch == trace_b.branch
 
 
 def test_train_trace_bookkeeping(tiny_dataset, monkeypatch):
     attrs, data, _ = tiny_dataset
     steps, adam_step = [], training.adam_step
     monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(adam_step(*args)))
-    res = train(data, attrs, quick_cfg(epochs=3))
+    _, trace = train(data, attrs, quick_cfg(epochs=3))
     iters = iterations_per_epoch(data.seen_train[0].shape[0], 4)
-    assert len(res.trace) == 3 * iters
+    assert len(trace) == 3 * iters
     assert len(steps) == 3 * iters
-    assert all(np.isfinite(res.trace.total_loss))
+    assert all(np.isfinite(trace.total_loss))
 
 
 @pytest.mark.parametrize("mode", ["standard", "transductive"])
@@ -329,9 +328,9 @@ def test_train_runs_the_generator_once_per_step(tiny_dataset, monkeypatch, mode,
             return forward(params, x)
         monkeypatch.setattr(generator, name, spy)
     cfg = quick_cfg(ot_prob=ot_prob, mode=mode, epochs=2)
-    res = train(data, attrs, cfg)
-    assert rows == [2 * cfg.batch_size] * len(res.trace)
-    assert set(res.trace.branch) == (
+    _, trace = train(data, attrs, cfg)
+    assert rows == [2 * cfg.batch_size] * len(trace)
+    assert set(trace.branch) == (
         {"ot"} if ot_prob == 1.0 else {"ot", "transition"} if mode == "transductive"
         else {"transition"})  # both branches in both modes
 
@@ -352,13 +351,13 @@ def test_train_frozen_generator_constant_transport_cost(monkeypatch):
     W2, b2 = g.net.W2.copy(), g.net.b2.copy()
     start_from(monkeypatch, g, init_mlp(6, 4, 4, SeededRng(8)))
     cfg = quick_cfg(ot_prob=1.0, learning_rate=0.0, epochs=3, hidden_dim=4)
-    res = train(data, attrs, cfg)
-    costs = res.trace.transport_cost
+    trained, trace = train(data, attrs, cfg)
+    costs = trace.transport_cost
     assert len(costs) == 3
     assert max(costs) - min(costs) <= 1e-12
-    assert res.g is g
-    assert np.array_equal(res.g.net.W2, W2)
-    assert np.array_equal(res.g.net.b2, b2)
+    assert trained is g
+    assert np.array_equal(g.net.W2, W2)
+    assert np.array_equal(g.net.b2, b2)
 
 
 @pytest.mark.parametrize("cfg, budget", [
@@ -374,8 +373,8 @@ def test_train_passes_its_ipot_budget_to_the_solver(cfg, budget, tiny_dataset, m
         return solve(cost, marginals, ipot_cfg)
 
     monkeypatch.setattr(training, "ipot_solve", spy)
-    res = train(data, attrs, cfg)
-    assert budgets and len(budgets) == len(res.trace)
+    _, trace = train(data, attrs, cfg)
+    assert budgets and len(budgets) == len(trace)
     assert set(budgets) == {budget}
 
 
@@ -388,8 +387,8 @@ def test_train_transductive_forces_ot_on_unlabeled(tiny_dataset):
     pool = rng.gaussian(63 * 8).reshape(63, 8)
     data = dataset_from_rows([row[0]], [0], feature_dim=8, pool=pool)
     cfg = quick_cfg(ot_prob=0.0, mode="transductive", batch_size=8)
-    res = train(data, attrs, cfg)
-    assert set(res.trace.branch) == {"ot"}
+    _, trace = train(data, attrs, cfg)
+    assert set(trace.branch) == {"ot"}
 
 
 def test_train_transductive_needs_pool(tiny_dataset):
@@ -482,9 +481,9 @@ def test_train_blow_up_raises_without_warnings(tiny_dataset, ot_prob):
 def test_train_loss_decreases(desk_dataset):
     attrs, data, _ = desk_dataset
     cfg = TrainConfig(reg_weight=0.05, batch_size=32, hidden_dim=32, epochs=10, seed=0)
-    res = train(data, attrs, cfg)
+    _, trace = train(data, attrs, cfg)
     iters = iterations_per_epoch(data.seen_train[0].shape[0], 32)
-    per_epoch = np.asarray(res.trace.total_loss).reshape(10, iters).mean(axis=1)
+    per_epoch = np.asarray(trace.total_loss).reshape(10, iters).mean(axis=1)
     assert per_epoch[-1] <= 0.8 * per_epoch[0]
 
 
@@ -564,7 +563,7 @@ def reference_write_trace_csv(trace, path):
 
 def test_write_trace_csv_matches_reference(tmp_path, tiny_dataset):
     attrs, data, _ = tiny_dataset
-    trained = train(data, attrs, quick_cfg(epochs=2)).trace
+    _, trained = train(data, attrs, quick_cfg(epochs=2))
     edges = TrainTrace()
     for i, v in enumerate([0.0, -0.0, 5e-324, 1e300, -1e300, 2.0**53, 0.1, 1 / 3, 7]):
         edges.record(("ot", "transition")[i % 2], v, -v, 2 * v)
@@ -579,8 +578,7 @@ def test_dataclasses_that_hold_arrays_compare_and_hash_by_identity(tiny_dataset)
     """`==` between arrays has no truth value, so these classes compare, and
     hash, by identity; a deep copy is another object."""
     attrs, data, _ = tiny_dataset
-    result = train(data, attrs, TrainConfig(epochs=1, batch_size=8, hidden_dim=4))
-    g = result.g
+    g, _ = train(data, attrs, TrainConfig(epochs=1, batch_size=8, hidden_dim=4))
     f = init_mlp(g.feature_dim, 4, g.attr_dim, SeededRng(1))
     feats, labels = data.seen_train[0][:2], data.seen_train[1][:2]
     plan = transition_plan(labels, labels)
@@ -588,8 +586,8 @@ def test_dataclasses_that_hold_arrays_compare_and_hash_by_identity(tiny_dataset)
                                   SeededRng(2).gaussian(2 * g.attr_dim).reshape(2, -1))
     grads = backward(plan.values, feats, labels, generated, labels, g, f, attrs.attrs, 1.0, 0.5)
     objects = [attrs, data, Marginals.uniform(3, 3), plan, g.net, adam_init([g.net.flat], 0.001), g,
-               grads, ClassifierParams(np.zeros((2, 3)), np.zeros(2), (0, 1)), result]
-    assert len({type(obj) for obj in objects}) == 10
+               grads, ClassifierParams(np.zeros((2, 3)), np.zeros(2), (0, 1))]
+    assert len({type(obj) for obj in objects}) == 9
     for obj in objects:
         twin = copy.deepcopy(obj)
         assert obj == obj and obj != twin

@@ -230,8 +230,7 @@ def cmd_solve_ot(args) -> int:
                                  **_given(reg=cfg["lambda"], iterations=cfg["iters"]))
     echo_config(cfg, args.out)  # after the solve, whose parameter checks raise ConfigError
     dataio.save_matrix_csv(plan.values, os.path.join(args.out, "plan.csv"))
-    if plan.trace is not None:
-        dataio.save_matrix_csv(plan.trace, os.path.join(args.out, "solver_trace.csv"))
+    dataio.save_matrix_csv(plan.trace, os.path.join(args.out, "solver_trace.csv"))
     report = ot.check_marginals(plan, marg)
     print(f"solver {solver}: cost {ot.transport_cost(plan, cost):.10g} "
           f"iterations {plan.iterations_used} converged {plan.converged}")

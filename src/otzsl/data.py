@@ -58,6 +58,9 @@ class AttributeMatrix:
         seen, unseen = set(self.seen_ids), set(self.unseen_ids)
         if seen & unseen:
             raise DataFormatError(f"classes {sorted(seen & unseen)} are both seen and unseen")
+        if len(listed := self.seen_ids + self.unseen_ids) > len(seen | unseen):
+            twice = sorted({c for c in listed if listed.count(c) > 1})
+            raise DataFormatError(f"classes {twice} are listed more than once")
         if seen | unseen != set(range(n)):
             raise DataFormatError(
                 f"seen+unseen ids must cover classes 0..{n - 1}, got {sorted(seen | unseen)}"

@@ -38,8 +38,8 @@ class ClassifierConfig:
     batch_size: int = 128
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:  # NaN included
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be at least 1")
 

@@ -60,6 +60,11 @@ class Marginals:
         return Marginals(np.full(n_rows, 1.0 / n_rows), np.full(n_cols, 1.0 / n_cols))
 
 
+def _check_reg(reg: float) -> None:
+    if not (reg > 0.0 and math.isfinite(reg)):
+        raise ConfigError(f"reg must be positive, got {reg}")
+
+
 @dataclass(frozen=True)
 class IpotConfig:
     """Proximal-step solver settings.
@@ -80,8 +85,7 @@ class IpotConfig:
     stop_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.reg > 0.0 and math.isfinite(self.reg)):
-            raise ConfigError(f"reg must be positive, got {self.reg}")
+        _check_reg(self.reg)
         if self.max_outer_iters < 1:
             raise ConfigError("max_outer_iters must be at least 1")
         if not self.stop_tol >= 0.0:  # NaN included
@@ -135,25 +139,12 @@ def cosine_cost_matrix(real_features, synth_features) -> np.ndarray:
     return np.clip(1.0 - ru @ su.T, 0.0, 2.0)
 
 
-def _problem(cost, marg: Marginals | None) -> tuple[np.ndarray, Marginals]:
-    """The validated cost matrix and its marginals, uniform when none are given."""
-    cost = as_float_matrix(cost, "cost matrix")
-    if marg is None:
-        marg = Marginals.uniform(*cost.shape)
-    if (marg.row.size, marg.col.size) != cost.shape:
-        raise ValueError(
-            f"marginal lengths ({marg.row.size}, {marg.col.size}) do not match cost shape {cost.shape}"
-        )
-    return cost, marg
-
-
 def _trace_rows(plans: np.ndarray, cost: np.ndarray, marg: Marginals,
-                scratch: np.ndarray | None = None) -> list[tuple[float, float]]:
+                scratch: np.ndarray) -> list[tuple[float, float]]:
     """(transport cost, max marginal deviation) of each plan in a stack, as
     trace rows record them. Each reduction adds in the order that
-    np.sum(plan * cost) and check_marginals use on one plan, so the
-    values are theirs bit for bit. `scratch`, if given, has the stack's
-    shape and is overwritten."""
+    np.sum(plan * cost) and check_marginals use on one plan, so the values
+    are theirs bit for bit. `scratch`, of the stack's shape, is overwritten."""
     costs = np.multiply(plans, cost, out=scratch).reshape(len(plans), -1).sum(axis=1)
     row_dev = np.abs(plans.sum(axis=2) - marg.row).max(axis=1)
     col_dev = np.abs(plans.sum(axis=1) - marg.col).max(axis=1)
@@ -231,66 +222,8 @@ def ipot_solve(
     the scalings, the stop rule and the trace are those of the unflushed
     iteration, and only entries that were subnormal differ, now exactly 0.
     NaN is not below tiny, so a collapsed sweep still raises.
-
-    The plans of a block of up to _BLOCK_SWEEPS sweeps go into consecutive
-    slots of one buffer, after the plan the block started from, and the
-    stop and finiteness rules are applied once per block: one subtract, abs
-    and max give every sweep's change, walked in sweep order. Plans are
-    nonnegative, and the plan a sweep started from is finite whenever the
-    walk reaches it, so a non-finite change is exactly a non-finite new
-    plan; the first such sweep raises, and the first sweep that meets the
-    stop rule returns its own plan. Sweeps run past either point within the
-    block are discarded, so the result, `iterations_used`, the trace and
-    the error are those of checking after every sweep.
     """
-    cost, marg = _problem(cost, marg)
-    G = _kernel(cost, cfg.reg)
-    K = np.empty_like(G)
-    block = max(1, min(_BLOCK_SWEEPS, (_BLOCK_BYTES // G.nbytes - 1) // 2))
-    plans = np.empty((block + 1,) + G.shape)
-    changes = np.empty((block,) + G.shape)
-    slots = list(plans)
-    np.outer(marg.row, marg.col, out=slots[0])
-    a = marg.row.copy()
-    trace = [] if record_trace else None
-    tiny = np.finfo(np.float64).tiny
-    t = 0
-
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while t < cfg.max_outer_iters:
-            k = min(block, cfg.max_outer_iters - t)
-            for j in range(1, k + 1):
-                np.multiply(G, slots[j - 1], out=K)
-                a = _sweep(K, a, marg, slots[j])
-                np.putmask(slots[j], slots[j] < tiny, 0.0)
-            np.subtract(plans[1:k + 1], plans[:k], out=changes[:k])
-            deltas = np.abs(changes[:k], out=changes[:k]).max(axis=(1, 2)).tolist()
-            if trace is not None:
-                rows = _trace_rows(plans[1:k + 1], cost, marg, changes[:k])
-            for i, (plan, delta) in enumerate(zip(slots[1:], deltas)):
-                t += 1
-                if not math.isfinite(delta):
-                    raise SolverError(
-                        f"ipot_solve hit non-finite scalings at outer iteration {t}; "
-                        "the kernel row/column mass collapsed"
-                    )
-                if trace is not None:
-                    trace.append((t, *rows[i]))
-                if delta < cfg.stop_tol and check_marginals(plan, marg).passed:
-                    return _result(plan, marg, True, t, trace)
-            slots[0][...] = slots[k]
-
-    return _result(slots[0], marg, False, t, trace)
-
-
-def _result(plan: np.ndarray, marg: Marginals, converged: bool, iterations: int,
-            trace: list | None) -> TransportPlan:
-    return TransportPlan(
-        values=_round_to_polytope(plan, marg),
-        converged=converged,
-        iterations_used=iterations,
-        trace=np.asarray(trace) if trace is not None else None,
-    )
+    return _run_sweeps(cost, marg, cfg.reg, cfg.max_outer_iters, record_trace, cfg.stop_tol)
 
 
 def sinkhorn_solve(
@@ -303,45 +236,96 @@ def sinkhorn_solve(
     """Entropic-regularized solve: fixed kernel K = exp(-C/reg), alternating
     row/column scalings for a fixed iteration count.
 
-    As in ipot_solve, a block of sweeps writes its plans into consecutive
-    slots of one buffer, and finiteness is checked and trace rows are built
-    once per block; each plan depends only on the scalings, so the first
-    non-finite plan of a block raises at its own iteration, as a check
-    after every sweep would.
-
     The converged flag reports whether the raw final iterate is feasible
     within FEASIBILITY_TOL; the returned values are then rounded onto the
     marginal polytope like ipot_solve's."""
-    cost, marg = _problem(cost, marg)
-    if not (reg > 0.0 and math.isfinite(reg)):
-        raise ConfigError(f"reg must be positive, got {reg}")
+    _check_reg(reg)
     if iterations < 1:
         raise ConfigError("iterations must be at least 1")
+    return _run_sweeps(cost, marg, reg, iterations, record_trace)
 
-    K = _kernel(cost, reg)
+
+def _run_sweeps(cost, marg: Marginals | None, reg: float, budget: int, record_trace: bool,
+                stop_tol: float | None = None) -> TransportPlan:
+    """Up to `budget` Sinkhorn sweeps on G = exp(-C/reg) from the product
+    coupling, under marginals that are uniform when none are given: the
+    validation and loop of both solvers. With a `stop_tol` (ipot_solve) each
+    sweep scales G reweighted by the previous plan and flushes the new
+    plan's subnormal entries, and the first plan that meets the stop rule
+    returns as converged. Without one (sinkhorn_solve) each sweep scales G
+    itself, every sweep runs, and converged says whether the raw final
+    iterate is feasible.
+
+    The plans of a block of up to _BLOCK_SWEEPS sweeps go into consecutive
+    slots of one buffer, after the plan the block started from, and the
+    stop and finiteness rules are applied once per block: one subtract, abs
+    and max give every sweep's change, walked in sweep order. Plans are
+    nonnegative, and the plan a sweep started from is finite whenever the
+    walk reaches it, so a non-finite change is exactly a non-finite new
+    plan; the first such sweep raises, and the first sweep that meets the
+    stop rule returns its own plan. Sweeps run past either point within the
+    block are discarded, so the result, `iterations_used`, the trace and
+    the error are those of checking after every sweep.
+    """
+    cost = as_float_matrix(cost, "cost matrix")
+    if marg is None:
+        marg = Marginals.uniform(*cost.shape)
+    if (marg.row.size, marg.col.size) != cost.shape:
+        raise ValueError(
+            f"marginal lengths ({marg.row.size}, {marg.col.size}) do not match cost shape {cost.shape}"
+        )
+    proximal = stop_tol is not None
+    G = _kernel(cost, reg)
+    K = np.empty_like(G) if proximal else None
+    block = max(1, min(_BLOCK_SWEEPS, (_BLOCK_BYTES // G.nbytes - 1) // 2))
+    plans = np.empty((block + 1,) + G.shape)
+    changes = np.empty((block,) + G.shape)
+    slots = list(plans)
+    np.outer(marg.row, marg.col, out=slots[0])
     a = marg.row.copy()
-    block = max(1, min(_BLOCK_SWEEPS, iterations, _BLOCK_BYTES // K.nbytes // 2))
-    plans = np.empty((block,) + K.shape)
     trace = [] if record_trace else None
+    tiny = np.finfo(np.float64).tiny
     t = 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while t < iterations:
-            k = min(block, iterations - t)
-            for j in range(k):
-                a = _sweep(K, a, marg, plans[j])
-            finite = np.isfinite(plans[:k]).all(axis=(1, 2))
-            if not finite.all():
-                raise SolverError(
-                    f"sinkhorn_solve scalings became non-finite at iteration "
-                    f"{t + int(np.argmin(finite)) + 1}; increase the regularization weight"
-                )
-            if trace is not None:
-                rows = _trace_rows(plans[:k], cost, marg)
-                trace += [(t + j, *row) for j, row in enumerate(rows, start=1)]
-            t += k
 
-    plan = plans[k - 1]
-    return _result(plan, marg, check_marginals(plan, marg).passed, iterations, trace)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while t < budget:
+            k = min(block, budget - t)
+            for j in range(1, k + 1):
+                if proximal:
+                    a = _sweep(np.multiply(G, slots[j - 1], out=K), a, marg, slots[j])
+                    np.putmask(slots[j], slots[j] < tiny, 0.0)
+                else:
+                    a = _sweep(G, a, marg, slots[j])
+            np.subtract(plans[1:k + 1], plans[:k], out=changes[:k])
+            deltas = np.abs(changes[:k], out=changes[:k]).max(axis=(1, 2)).tolist()
+            if trace is not None:
+                rows = _trace_rows(plans[1:k + 1], cost, marg, changes[:k])
+            for i, (plan, delta) in enumerate(zip(slots[1:], deltas)):
+                t += 1
+                if not math.isfinite(delta):
+                    raise SolverError(
+                        f"ipot_solve hit non-finite scalings at outer iteration {t}; "
+                        "the kernel row/column mass collapsed" if proximal else
+                        f"sinkhorn_solve scalings became non-finite at iteration {t}; "
+                        "increase the regularization weight")
+                if trace is not None:
+                    trace.append((t, *rows[i]))
+                if proximal and delta < stop_tol and check_marginals(plan, marg).passed:
+                    return _result(plan, marg, True, t, trace)
+            slots[0][...] = slots[k]
+
+    converged = not proximal and check_marginals(slots[0], marg).passed
+    return _result(slots[0], marg, converged, t, trace)
+
+
+def _result(plan: np.ndarray, marg: Marginals, converged: bool, iterations: int,
+            trace: list | None) -> TransportPlan:
+    return TransportPlan(
+        values=_round_to_polytope(plan, marg),
+        converged=converged,
+        iterations_used=iterations,
+        trace=np.asarray(trace) if trace is not None else None,
+    )
 
 
 def transport_cost(plan, cost) -> float:

@@ -72,14 +72,14 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.ot_prob <= 1.0:
             raise ConfigError(f"ot_prob must be in [0, 1], got {self.ot_prob}")
-        if not self.reg_weight >= 0.0:  # NaN included
-            raise ConfigError(f"reg_weight must be non-negative, got {self.reg_weight}")
+        if not 0.0 <= self.reg_weight < math.inf:  # NaN included
+            raise ConfigError(f"reg_weight must be finite and >= 0, got {self.reg_weight}")
         if not (self.nca_scale > 0.0 and math.isfinite(self.nca_scale)):
             raise ConfigError(f"nca_scale must be positive and finite, got {self.nca_scale}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
-        if not self.learning_rate >= 0.0:
-            raise ConfigError(f"learning_rate must be non-negative, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < math.inf:  # NaN included
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         check_seed(self.seed)

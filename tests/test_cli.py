@@ -614,6 +614,19 @@ def test_train_rejects_a_dataset_without_unseen_classes(workspace, tmp_path, cap
     assert not out.exists()
 
 
+def test_a_class_listed_twice_in_split_json_is_a_data_error(workspace, tmp_path, capsys):
+    """train, eval and export all stop before writing anything."""
+    split = json.loads((workspace["data"] / "split.json").read_text())
+    data = edited_dataset(workspace, tmp_path, unseen=split["unseen"] + split["unseen"][:1])
+    ckpt = ["--checkpoint", str(workspace["ckpt"])]
+    for command, extra in (("train", []), ("eval", ckpt), ("export", ckpt)):
+        out = tmp_path / command
+        assert run([command, "--data", str(data), *extra, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: classes [{split['unseen'][0]}] "
+                                           "are listed more than once\n")
+        assert not out.exists()
+
+
 def test_split_json_nested_too_deep_is_a_data_error(workspace, tmp_path, capsys):
     """Named before train echoes its config, so nothing is written."""
     data, out = tmp_path / "data", tmp_path / "o"

@@ -42,6 +42,12 @@ def test_attribute_matrix_partition_must_be_disjoint():
         AttributeMatrix(attrs, (0, 1), (1,))
 
 
+@pytest.mark.parametrize("seen, unseen", [((0, 0, 1), (2,)), ((0,), (1, 2, 1))])
+def test_attribute_matrix_rejects_a_class_listed_twice(seen, unseen):
+    with pytest.raises(DataFormatError, match=r"classes \[\d\] are listed more than once"):
+        AttributeMatrix(np.eye(3), seen, unseen)
+
+
 def test_attribute_matrix_rejects_zero_row():
     attrs = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DataFormatError, match="zero-norm"):

@@ -59,8 +59,9 @@ def separable_clusters(n_per=20, gap=5.0, seed=0):
 
 
 def test_classifier_config_rejects():
-    with pytest.raises(ConfigError, match="learning_rate"):
-        ClassifierConfig(learning_rate=0.0)
+    for learning_rate in (0.0, np.inf):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            ClassifierConfig(learning_rate=learning_rate)
     with pytest.raises(ConfigError, match="at least 1"):
         ClassifierConfig(epochs=0)
     with pytest.raises(ConfigError, match="at least 1"):

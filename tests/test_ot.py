@@ -257,12 +257,16 @@ def test_ipot_budget_capped_matches_reference(budget, shape, record_trace):
     assert not out.converged and out.iterations_used == budget
 
 
+# The last four are the solver benchmark's cost shapes at its 2000-sweep budget,
+# each with a seed whose stop rule fires inside a block.
 @pytest.mark.parametrize("record_trace", [False, True])
-@pytest.mark.parametrize("shape", [(7, 7), (6, 11)], ids=["shape0-1", "shape1-1"])
-def test_ipot_stop_inside_a_block_matches_reference(shape, record_trace):
-    cost = random_cost(SeededRng(1), *shape)
-    cfg = IpotConfig(max_outer_iters=5000)
-    out = assert_matches_reference(cost, cfg, record_trace)
+@pytest.mark.parametrize("seed, shape, budget", [
+    (1, (7, 7), 5000), (1, (6, 11), 5000), (1, (16, 16), 2000), (7, (32, 32), 2000),
+    (5, (24, 40), 2000), (7, (48, 48), 2000),
+], ids=["shape0-1", "shape1-1", "16x16-2000", "32x32-2000", "24x40-2000", "48x48-2000"])
+def test_ipot_stop_inside_a_block_matches_reference(seed, shape, budget, record_trace):
+    cost = random_cost(SeededRng(seed), *shape)
+    out = assert_matches_reference(cost, IpotConfig(max_outer_iters=budget), record_trace)
     assert out.converged and out.iterations_used % _BLOCK_SWEEPS != 0
 
 
@@ -414,11 +418,15 @@ def sinkhorn_reference(cost, marg, reg, iterations):
 
 
 @pytest.mark.parametrize("record_trace", [False, True])
-@pytest.mark.parametrize("shape, reg", [((7, 7), 0.1), ((6, 11), 0.02), ((200, 200), 0.1)])
+@pytest.mark.parametrize("shape, reg", [((7, 7), 0.1), ((6, 11), 0.02), ((200, 200), 0.1),
+                                        ((16, 16), 0.1), ((32, 32), 0.1), ((24, 40), 0.1),
+                                        ((48, 48), 0.1)])
 @pytest.mark.parametrize("iterations", [1, 15, 16, 17, 33, 200])
 def test_sinkhorn_blocks_match_reference(iterations, shape, reg, record_trace):
     """Any budget, whole blocks or not, and blocks cut short by a large plan
-    (200 x 200): the plan, flag and trace of checking after every sweep."""
+    (200 x 200): the plan, flag and trace of checking after every sweep. The
+    last four shapes are the solver benchmark's, whose runs use 200 sweeps at
+    reg 0.1, the defaults."""
     cost = random_cost(SeededRng(2), *shape)
     marg = Marginals.uniform(*shape)
     values, converged, trace = sinkhorn_reference(cost, marg, reg, iterations)
@@ -433,9 +441,9 @@ def test_sinkhorn_blocks_match_reference(iterations, shape, reg, record_trace):
 
 @pytest.mark.parametrize("seed, shape", [(23, (5, 3)), (34, (4, 6))])
 def test_sinkhorn_blow_up_raises_at_the_reference_iteration(seed, shape):
-    """Scalings that overflow at sweep 45, inside the third block of 16:
-    the error names sweep 45, not the end of its block, and no
-    RuntimeWarning escapes."""
+    """Scalings that overflow at sweep 45, inside the sixth block of
+    _BLOCK_SWEEPS = 8: the error names sweep 45, not the end of its block,
+    and no RuntimeWarning escapes."""
     cost = 2.0 * SeededRng(seed).uniform(shape[0] * shape[1]).reshape(shape)
     marg = Marginals.uniform(*shape)
     with pytest.raises(SolverError) as expected:

@@ -72,6 +72,8 @@ def test_train_config_defaults():
     ({"nca_scale": np.inf}, "nca_scale"),
     ({"seed": -1}, "seed"),
     ({"seed": 2**64}, "seed"),
+    ({"reg_weight": np.inf}, "reg_weight"),
+    ({"learning_rate": np.inf}, "learning_rate"),
 ])
 def test_train_config_rejects(kwargs, msg):
     with pytest.raises(ConfigError, match=msg):

@@ -27,7 +27,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import data as dataio
 from . import ot
-from .errors import ConfigError, DataFormatError, OtzslError
+from .errors import ConfigError, DataFormatError, OtzslError, check_value
 from .evaluate import PROTOCOL_SPLITS, PROTOCOLS, EvalConfig, evaluate, protocol, save_report
 from .rng import SeededRng, check_seed
 from .training import (MODE_SPLITS, MODES, TrainConfig, require_training_rows,
@@ -85,24 +85,19 @@ def key_rule(entry) -> tuple:
 
 def read_value(key: str, value, entry, text: bool = False):
     """`value` for config key `key`, read by the rule of its key table entry:
-    a config file value must have the key's type (an int may stand for a
-    float, a bool for nothing else, and null for a key whose default is
-    null), a flag's text (text=True) is read by that type, and either must
-    be finite (json reads NaN, Infinity, 1e999 and an int past the float
-    range) and one of the key's choices, or ConfigError names the key."""
+    a flag's text (text=True) is read by the key's type, and then a value
+    from either is null for a key whose default is null, or else it must
+    pass check_value with the key's type and choices (json reads NaN,
+    Infinity, 1e999 and an int past the float range, none of them finite),
+    or ConfigError names the key."""
     default, kind, choices = key_rule(entry)
     shown = value if text else json.dumps(value)
     if text and kind is not str:
         with contextlib.suppress(ValueError):
             value = kind(value)
-    if not (type(value) is kind or kind is float and type(value) is int
-            or value is None and default is None):
-        raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, got {shown}")
-    if kind is float and value is not None and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"config key {key!r} must be a finite number, got {shown}")
-    if choices and value not in choices:
-        raise ConfigError(f"config key {key!r} must be one of {choices}, got {value!r}")
-    return value
+    if value is None and default is None:
+        return value
+    return check_value(f"config key {key!r}", value, kind, choices, shown)
 
 
 def resolve_config(keys: dict, args) -> dict:

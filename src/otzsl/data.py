@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_fields
 from .rng import SeededRng, check_seed
 
 UNLABELED = -1
@@ -160,6 +160,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.seen_classes < 2:
             raise ConfigError("need at least 2 seen classes")
         if self.unseen_classes < 1:
@@ -168,7 +169,7 @@ class SyntheticSpec:
             raise ConfigError("need at least 4 samples per class")
         if min(self.attr_dim, self.feature_dim) < 1:
             raise ConfigError("dimensions must be positive")
-        if not 0.0 <= self.noise_sigma < np.inf:  # NaN included
+        if self.noise_sigma < 0.0:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         check_seed(self.seed)
 

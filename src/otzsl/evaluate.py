@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, write_json
-from .errors import ConfigError, DataFormatError, SolverError
+from .errors import ConfigError, DataFormatError, SolverError, check_fields
 from .generator import GeneratorParams
 from .linalg import log_softmax_rows
 from .mlp import adam_init, adam_step
@@ -38,7 +38,8 @@ class ClassifierConfig:
     batch_size: int = 128
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:  # NaN included
+        check_fields(self)
+        if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be at least 1")
@@ -170,6 +171,7 @@ class EvalConfig:
     classifier: ClassifierConfig = ClassifierConfig()
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_synth_per_class < 1:
             raise ConfigError(f"n_synth_per_class must be positive, got {self.n_synth_per_class}")
         check_seed(self.seed)

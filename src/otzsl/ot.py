@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, check_fields, check_value
 from .linalg import as_float_matrix, unit_rows
 
 # Largest marginal deviation a plan may show and still count as feasible:
@@ -61,7 +61,7 @@ class Marginals:
 
 
 def _check_reg(reg: float) -> None:
-    if not (reg > 0.0 and math.isfinite(reg)):
+    if reg <= 0.0:
         raise ConfigError(f"reg must be positive, got {reg}")
 
 
@@ -85,10 +85,11 @@ class IpotConfig:
     stop_tol: float = 1e-9
 
     def __post_init__(self):
+        check_fields(self)
         _check_reg(self.reg)
         if self.max_outer_iters < 1:
             raise ConfigError("max_outer_iters must be at least 1")
-        if not self.stop_tol >= 0.0:  # NaN included
+        if self.stop_tol < 0.0:
             raise ConfigError("stop_tol must be non-negative")
 
 
@@ -239,8 +240,8 @@ def sinkhorn_solve(
     The converged flag reports whether the raw final iterate is feasible
     within FEASIBILITY_TOL; the returned values are then rounded onto the
     marginal polytope like ipot_solve's."""
-    _check_reg(reg)
-    if iterations < 1:
+    _check_reg(check_value("reg", reg, float))
+    if check_value("iterations", iterations, int) < 1:
         raise ConfigError("iterations must be at least 1")
     return _run_sweeps(cost, marg, reg, iterations, record_trace)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_value
 
 MAX_SEED = (1 << 64) - 1  # seeds are the 64-bit words 0..MAX_SEED, each its own stream
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -30,11 +30,9 @@ _CACHE_DRAWS = 8192  # a draw of at most this many outputs slices a block comput
 
 
 def check_seed(seed, what: str = "seed") -> int:
-    """`seed` as an int: it must be an integer (a numpy one too, not a bool or
-    a float) in 0..MAX_SEED, or ConfigError names `what`."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {seed!r}")
-    if not 0 <= seed <= MAX_SEED:
+    """`seed` as an int: it must be an int by check_value (a numpy integer
+    too, not a bool or a float) in 0..MAX_SEED, or ConfigError names `what`."""
+    if not 0 <= check_value(what, seed, int) <= MAX_SEED:
         raise ConfigError(f"{what} must be in 0..{MAX_SEED}, got {seed}")
     return int(seed)
 
@@ -54,7 +52,7 @@ class SeededRng:
 
     def next_uint64(self, n: int) -> np.ndarray:
         """The next n outputs, read-only; a small draw is a view of a block computed ahead."""
-        if n < 1:
+        if check_value("n", n, int) < 1:
             raise ValueError(f"need at least one draw, got n={n}")
         start, self._counter = self._counter, self._counter + n
         if n > _CACHE_DRAWS:
@@ -82,7 +80,7 @@ class SeededRng:
 
         The log argument is shifted onto (0, 1] so it never sees zero.
         """
-        if n < 1:
+        if check_value("n", n, int) < 1:
             raise ValueError(f"need at least one draw, got n={n}")
         grid = (self.next_uint64(2 * n) >> np.uint64(11)).astype(np.float64)  # 53-bit integers
         u1 = (grid[0::2] + 1.0) * _U53
@@ -91,7 +89,7 @@ class SeededRng:
 
     def integers(self, upper: int, n: int) -> np.ndarray:
         """n uniform draws from {0, ..., upper-1}."""
-        if upper < 1:
+        if check_value("upper", upper, int) < 1:
             raise ValueError(f"upper bound must be positive, got {upper}")
         vals = np.floor(self.uniform(n) * upper).astype(np.int64)
         return np.minimum(vals, upper - 1)

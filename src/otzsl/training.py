@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
-from .errors import ConfigError, DataFormatError, SolverError
+from .errors import ConfigError, DataFormatError, SolverError, check_fields
 from .generator import GeneratorParams, backward, generator_forward, init_generator
 from .mlp import adam_init, adam_step, init_mlp
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
@@ -70,15 +70,16 @@ class TrainConfig:
     hidden_dim: int = 128
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.ot_prob <= 1.0:
             raise ConfigError(f"ot_prob must be in [0, 1], got {self.ot_prob}")
-        if not 0.0 <= self.reg_weight < math.inf:  # NaN included
+        if self.reg_weight < 0.0:
             raise ConfigError(f"reg_weight must be finite and >= 0, got {self.reg_weight}")
-        if not (self.nca_scale > 0.0 and math.isfinite(self.nca_scale)):
+        if self.nca_scale <= 0.0:
             raise ConfigError(f"nca_scale must be positive and finite, got {self.nca_scale}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
-        if not 0.0 <= self.learning_rate < math.inf:  # NaN included
+        if self.learning_rate < 0.0:
             raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")

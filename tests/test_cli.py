@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import errno
+import functools
 import gc
 import json
 import math
@@ -531,6 +533,58 @@ def test_every_config_dataclass_rejects_a_bad_value_with_config_error(make):
     with pytest.raises(ConfigError) as info:
         make()
     assert isinstance(info.value, ValueError)
+
+
+CONFIG_CLASSES = (SyntheticSpec, ot.IpotConfig, TrainConfig, ClassifierConfig, EvalConfig)
+
+
+def wrong_type_rows():
+    """A row for each field of each config dataclass (read from its fields, so
+    a field added later has rows too) and each value of a wrong type for it:
+    True, nan, inf, a string and, for an int field, a fraction; and rows for
+    the solver parameters that are not config fields."""
+    for cls in CONFIG_CLASSES:
+        for field in dataclasses.fields(cls):
+            bad = {"true": True, "nan": math.nan, "inf": math.inf, "string": "x"}
+            if field.type.startswith("int"):  # "int" or "int | None"
+                bad["fraction"] = 2.5
+            for label, value in bad.items():
+                yield pytest.param(functools.partial(cls, **{field.name: value}),
+                                   id=f"{cls.__name__}.{field.name}-{label}")
+    cost = np.ones((3, 3))
+    yield pytest.param(lambda: ot.sinkhorn_solve(cost, iterations=2.5), id="sinkhorn-iterations")
+    yield pytest.param(lambda: ot.sinkhorn_solve(cost, reg=True), id="sinkhorn-reg-true")
+    yield pytest.param(lambda: ot.ipot_solve(cost, cfg=ot.IpotConfig(max_outer_iters=2.5)),
+                       id="ipot-budget")
+
+
+@pytest.mark.parametrize("make", wrong_type_rows())
+def test_a_library_value_of_the_wrong_type_is_a_config_error(make, monkeypatch):
+    """The library checks a value's type by the rule that the CLI reads a
+    config key by: an int is never a bool or a fraction, a float is finite,
+    a string is no number and a number no string or nested config. A bad
+    solver budget raises before any sweep runs, not from range()."""
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+    monkeypatch.setattr(ot, "_sweep", no_sweep)
+    with pytest.raises(ConfigError):
+        make()
+
+
+NUMPY_SCALARS = {"int": np.int32, "int | None": np.int64, "float": np.float32, "str": np.str_}
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES)
+def test_a_config_field_takes_a_numpy_scalar(cls):
+    """Each field but a nested config takes a numpy scalar of a valid value:
+    its default, or 1 for a default of None."""
+    for field in dataclasses.fields(cls):
+        if field.type in NUMPY_SCALARS:
+            default = getattr(cls(), field.name)
+            value = NUMPY_SCALARS[field.type](1 if default is None else default)
+            assert getattr(cls(**{field.name: value}), field.name) == value
+    assert {f.type for f in dataclasses.fields(cls)} - set(NUMPY_SCALARS) <= {
+        "IpotConfig", "ClassifierConfig"}
 
 
 # --- train ---

@@ -42,9 +42,30 @@ def test_seed_outside_64_bits_is_rejected(seed):
         "split-float"])
 def test_a_seed_that_is_not_an_integer_is_rejected(make, seed):
     """2.9 or True would otherwise draw seed 2's or seed 1's stream."""
-    with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed!r}") as info:
+    with pytest.raises(ConfigError, match=f"seed must be of type int, got {seed!r}") as info:
         make(seed)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda r: r.next_uint64(2.5), lambda r: r.uniform(True), lambda r: r.gaussian(2.5),
+    lambda r: r.integers(2.5, 3), lambda r: r.integers(4, True), lambda r: r.permutation(3.0),
+], ids=["next_uint64-fraction", "uniform-bool", "gaussian-fraction", "integers-upper-fraction",
+        "integers-bool", "permutation-whole-float"])
+def test_a_draw_count_that_is_not_an_int_is_rejected(draw):
+    """integers(2.5, 3) would draw the floats [1.5, 1.0, 0.0], and uniform(True)
+    one value; each is a ConfigError before the stream moves."""
+    rng = SeededRng(0)
+    with pytest.raises(ConfigError, match="must be of type int"):
+        draw(rng)
+    assert rng._counter == 0
+
+
+def test_numpy_integer_counts_draw_the_stream_of_ints():
+    a, b = SeededRng(4), SeededRng(4)
+    np.testing.assert_array_equal(a.integers(np.int64(7), np.int32(5)), b.integers(7, 5))
+    np.testing.assert_array_equal(a.gaussian(np.uint8(3)), b.gaussian(3))
+    np.testing.assert_array_equal(a.permutation(np.int64(6)), b.permutation(6))
 
 
 def test_a_numpy_integer_seed_draws_its_own_stream():

@@ -20,6 +20,7 @@ paper workload.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -66,7 +67,7 @@ def main() -> int:
             ap.error(f"{flag} must be a JSON object")
         if unknown := set(given) - set(keys) | set(given) & set_here:
             ap.error(f"{what} keys {sorted(unknown)} are unknown or set by the script")
-        return from_flat(template, {**keys, **{k: read_value(k, v, keys[k]) for k, v in given.items()}})
+        return from_flat(template, {k: read_value(k, v, keys[k]) for k, v in given.items()})
     try:
         for seed in args.seeds:  # every seed is checked before any work
             check_seed(seed, "--seeds value")
@@ -88,7 +89,7 @@ def main() -> int:
         row, train_s = [], 0.0
         for mode, protocols in (("standard", ("standard", "generalized")),
                                 ("transductive", ("transductive",))):
-            cfg = from_flat(template, {**flat_fields(template), "seed": seed, "mode": mode})
+            cfg = dataclasses.replace(template, seed=seed, mode=mode)
             t0 = time.perf_counter()
             g, _ = train(data, attrs, cfg)
             train_s += time.perf_counter() - t0

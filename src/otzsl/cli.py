@@ -6,10 +6,10 @@ A JSON config file is the source of truth. Every flag other than --config and
 batch_size), and the fully resolved config is echoed into the output directory
 as config.json. Each command declares its keys once, in its key table (see
 key_rule), and a value from the file or from a flag is read by one rule (see
-read_value). The keys of gen-data, train and eval and their defaults are the
-fields of SyntheticSpec, TrainConfig and EvalConfig, a nested config field x
-spelled x_<field> (ipot_reg, classifier_epochs). Exit codes: 0 success, 1
-runtime failure, 2 usage or config error.
+read_value). The keys of gen-data, train and eval, their defaults and their
+rules are the fields of SyntheticSpec, TrainConfig and EvalConfig, a nested
+config field x spelled x_<field> (ipot_reg, classifier_epochs). Exit codes: 0
+success, 1 runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -27,84 +27,91 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import data as dataio
 from . import ot
-from .errors import ConfigError, DataFormatError, OtzslError, check_value
+from .errors import ConfigError, DataFormatError, OtzslError, check_value, field_kind, knob
 from .evaluate import PROTOCOL_SPLITS, PROTOCOLS, EvalConfig, evaluate, protocol, save_report
-from .rng import SeededRng, check_seed
-from .training import (MODE_SPLITS, MODES, TrainConfig, require_training_rows,
+from .rng import SEED_BOUNDS, SeededRng
+from .training import (MODE_SPLITS, TrainConfig, require_training_rows,
                        synthesize_class_features, train, write_trace_csv)
 
 
 def flat_fields(config, prefix: str = "") -> dict:
-    """The field values of a config dataclass as flat config keys, a nested
-    config field x spelled x_<field>."""
+    """The fields of a config dataclass as key table entries of flat config
+    keys, a nested config field x spelled x_<field>: each a knob of the
+    field's value (its type, for a value of None) and the field's rule."""
     out = {}
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
         if dataclasses.is_dataclass(value):
             out.update(flat_fields(value, f"{prefix}{field.name}_"))
         else:
-            out[prefix + field.name] = value
+            out[prefix + field.name] = knob(field_kind(config, field) if value is None else value,
+                                            **field.metadata)
     return out
 
 
 def from_flat(template, cfg: dict, prefix: str = ""):
-    """A config dataclass of template's type with every field read from the
-    flat keys that flat_fields gives for it; it rejects a bad value with
-    ConfigError."""
+    """A config dataclass of template's type with each field read from its
+    flat key (see flat_fields) in cfg, or else kept from template; it
+    rejects a bad value with ConfigError."""
     kwargs = {}
     for field in dataclasses.fields(template):
         value = getattr(template, field.name)
         key = prefix + field.name
         kwargs[field.name] = (from_flat(value, cfg, key + "_") if dataclasses.is_dataclass(value)
-                              else cfg[key])
+                              else cfg.get(key, value))
     return type(template)(**kwargs)
 
 
 # Each command's key table declares each of its config keys once (see key_rule).
 GEN_DATA_KEYS = flat_fields(dataio.SyntheticSpec())
-TRAIN_KEYS = {"data": str, **flat_fields(TrainConfig()), "mode": MODES}
-EVAL_KEYS = {"data": str, "checkpoint": str, "mode": PROTOCOLS, **flat_fields(EvalConfig()),
-             "top_k": int}
-SOLVE_OT_KEYS = {"cost": str, "solver": ("ipot", "sinkhorn"), "lambda": float, "iters": int,
-                 "stop_tol": float}
-COMPARE_KEYS = {"size": 32, "instances": 20, "iters": 500, "seed": 0}
-EXPORT_KEYS = {"data": str, "checkpoint": str, "classes": ("unseen", "seen", "all"),
-               "per_class": 100, "seed": 0}
+TRAIN_KEYS = {"data": str, **flat_fields(TrainConfig())}
+EVAL_KEYS = {"data": str, "checkpoint": str, "mode": knob("standard", choices=PROTOCOLS),
+             **flat_fields(EvalConfig())}
+SOLVE_OT_KEYS = {"cost": str, "solver": knob("ipot", choices=("ipot", "sinkhorn")),
+                 "lambda": knob(float, above=0), "iters": knob(int, at_least=1),
+                 "stop_tol": knob(float, at_least=0)}
+COMPARE_KEYS = {"size": knob(32, at_least=2), "instances": knob(20, at_least=1),
+                "iters": knob(500, at_least=1), "seed": knob(0, **SEED_BOUNDS)}
+EXPORT_KEYS = {"data": str, "checkpoint": str,
+               "classes": knob("unseen", choices=("unseen", "seen", "all")),
+               "per_class": knob(100, at_least=1), "seed": knob(0, **SEED_BOUNDS)}
 
 
 def key_rule(entry) -> tuple:
-    """The (default, type, choices) of a key table entry: a tuple of the key's
-    choices, the default first; a type, for a key whose default is null; or
-    else the default itself."""
-    if isinstance(entry, tuple):
-        return entry[0], str, entry
+    """The (default, type, rule) of a key table entry, the rule the choices
+    or bounds of check_value: a knob (errors.knob) of either of the following
+    and its rule; a type, for a key whose default is null; or else the
+    default itself."""
+    rule = {}
+    if isinstance(entry, dataclasses.Field):
+        entry, rule = entry.default, dict(entry.metadata)
     if isinstance(entry, type):
-        return None, entry, ()
-    return entry, type(entry), ()
+        return None, entry, rule
+    return entry, type(entry), rule
 
 
 def read_value(key: str, value, entry, text: bool = False):
     """`value` for config key `key`, read by the rule of its key table entry:
     a flag's text (text=True) is read by the key's type, and then a value
     from either is null for a key whose default is null, or else it must
-    pass check_value with the key's type and choices (json reads NaN,
-    Infinity, 1e999 and an int past the float range, none of them finite),
-    or ConfigError names the key."""
-    default, kind, choices = key_rule(entry)
+    pass check_value with the key's type, choices and bounds (json reads
+    NaN, Infinity, 1e999 and an int past the float range, none of them
+    finite), or ConfigError names the key."""
+    default, kind, rule = key_rule(entry)
     shown = value if text else json.dumps(value)
     if text and kind is not str:
         with contextlib.suppress(ValueError):
             value = kind(value)
     if value is None and default is None:
         return value
-    return check_value(f"config key {key!r}", value, kind, choices, shown)
+    return check_value(f"config key {key!r}", value, kind, shown=shown, **rule)
 
 
 def resolve_config(keys: dict, args) -> dict:
     """The config of a command with key table `keys`: each key's default,
     replaced by its value in the config file of --config, then by its flag
-    if given, each value read by read_value; a seed must lie in 0..MAX_SEED.
-    Every command resolves its config before it reads any input."""
+    if given, each value read by read_value. Every command resolves its
+    config before it reads any input."""
     cfg = {key: key_rule(entry)[0] for key, entry in keys.items()}
     if args.config is not None:
         try:
@@ -122,7 +129,6 @@ def resolve_config(keys: dict, args) -> dict:
         cfg.update((key, read_value(key, value, keys[key])) for key, value in loaded.items())
     cfg.update((key, read_value(key, text, keys[key], text=True))
                for key, text in vars(args).items() if key in keys and text is not None)
-    check_seed(cfg.get("seed", 0), "config key 'seed'")
     return cfg
 
 
@@ -223,7 +229,7 @@ def cmd_solve_ot(args) -> int:
     else:
         plan = ot.sinkhorn_solve(cost, marg, record_trace=True,
                                  **_given(reg=cfg["lambda"], iterations=cfg["iters"]))
-    echo_config(cfg, args.out)  # after the solve, whose parameter checks raise ConfigError
+    echo_config(cfg, args.out)  # after the solve, so a kernel that underflows writes nothing
     dataio.save_matrix_csv(plan.values, os.path.join(args.out, "plan.csv"))
     dataio.save_matrix_csv(plan.trace, os.path.join(args.out, "solver_trace.csv"))
     report = ot.check_marginals(plan, marg)
@@ -236,8 +242,6 @@ def cmd_solve_ot(args) -> int:
 
 def cmd_compare_solvers(args) -> int:
     cfg = resolve_config(COMPARE_KEYS, args)
-    if cfg["size"] < 2 or cfg["instances"] < 1 or cfg["iters"] < 1:
-        raise ConfigError("size must be >= 2 and instances/iters >= 1")
     echo_config(cfg, args.out)
     rng = SeededRng(cfg["seed"])
     n = cfg["size"]
@@ -271,8 +275,6 @@ def cmd_compare_solvers(args) -> int:
 
 def cmd_export(args) -> int:
     cfg = resolve_config(EXPORT_KEYS, args)
-    if cfg["per_class"] < 1:
-        raise ConfigError(f"per_class must be positive, got {cfg['per_class']}")
     attrs, _, g = _load_dataset_and_generator(cfg, ())  # attributes and the feature width only
     pool = {"seen": attrs.seen_ids, "unseen": attrs.unseen_ids,
             "all": tuple(range(attrs.n_classes))}[cfg["classes"]]
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         for flag, help_text in flags.items():  # resolve_config reads the text by its key's rule
             action = p.add_argument(flag, help=help_text)
-            if choices := key_rule(keys[action.dest])[2]:
+            if choices := key_rule(keys[action.dest])[2].get("choices"):
                 action.metavar = "{" + ",".join(choices) + "}"
         p.set_defaults(func=func)
     return parser

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, check_fields
-from .rng import SeededRng, check_seed
+from .errors import DataFormatError, check_fields, knob
+from .rng import SEED_BOUNDS, SeededRng
 
 UNLABELED = -1
 
@@ -151,27 +151,15 @@ class SyntheticSpec:
     """Desk-scale benchmark: binary class attributes, a hidden linear map to
     prototypes, isotropic gaussian samples around each prototype."""
 
-    seen_classes: int = 8
-    unseen_classes: int = 4
-    attr_dim: int = 16
-    feature_dim: int = 32
-    samples_per_class: int = 60
-    noise_sigma: float = 0.3
-    seed: int = 0
+    seen_classes: int = knob(8, at_least=2)
+    unseen_classes: int = knob(4, at_least=1)
+    attr_dim: int = knob(16, at_least=1)
+    feature_dim: int = knob(32, at_least=1)
+    samples_per_class: int = knob(60, at_least=4)
+    noise_sigma: float = knob(0.3, at_least=0)
+    seed: int = knob(0, **SEED_BOUNDS)
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.seen_classes < 2:
-            raise ConfigError("need at least 2 seen classes")
-        if self.unseen_classes < 1:
-            raise ConfigError("need at least 1 unseen class")
-        if self.samples_per_class < 4:
-            raise ConfigError("need at least 4 samples per class")
-        if min(self.attr_dim, self.feature_dim) < 1:
-            raise ConfigError("dimensions must be positive")
-        if self.noise_sigma < 0.0:
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        check_seed(self.seed)
+    __post_init__ = check_fields
 
 
 @np.errstate(over="ignore")  # a sample that overflows is a DataFormatError, not a warning

@@ -1,9 +1,10 @@
 """Exception types that map onto the command-line exit codes, and the one
-type rule of config values.
+rule of config values: a type, and choices or bounds.
 
 ConfigError and DataFormatError indicate bad input (exit code 2); SolverError
-indicates a numerical failure at runtime (exit code 1). A config value of the
-wrong type (see check_value) or out of range is a ConfigError, also a ValueError.
+indicates a numerical failure at runtime (exit code 1). A config value that
+breaks its rule (see check_value; a config field declares it with knob) is a
+ConfigError, also a ValueError.
 """
 
 import dataclasses
@@ -30,36 +31,63 @@ class SolverError(OtzslError):
     """Optimal-transport solve failed (non-finite values, broken marginals)."""
 
 
-# Each numeric kind's types, numpy scalars among them; check_value turns a bool away.
-_NUMBERS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+# An int stands for a float; check_value turns a bool away. A numpy scalar is
+# checked as its Python number, so a longdouble, which has none, is no float.
+_NUMBERS = {float: (int, float)}
 
 
-def check_value(what: str, value, kind: type, choices: tuple = (), shown=None):
-    """`value`, or ConfigError naming `what` and showing `shown` (else the
-    value's repr): an int is an int or a numpy integer, never a bool; a float
-    is an int or a float, numpy ones too, and finite; a value of another kind,
-    a nested config among them, is an instance of it; given choices, it is
-    one of them."""
-    shown = repr(value) if shown is None else shown
+def knob(default, **rule):
+    """A config dataclass field: its default and its rule beside the type,
+    the choices or bounds of check_value (choices=, at_least=, above=,
+    at_most=), which check_fields applies."""
+    return dataclasses.field(default=default, metadata=rule)
+
+
+def bound_text(at_least=None, above=None, at_most=None) -> str:
+    """Bounds as check_value states them: "at least 0 and at most 1"."""
+    return " and ".join(f"{words} {bound}" for words, bound in (
+        ("at least", at_least), ("greater than", above), ("at most", at_most)) if bound is not None)
+
+
+def check_value(what: str, value, kind: type, choices: tuple = (), shown=None, *,
+                at_least=None, above=None, at_most=None):
+    """`value`, a numpy scalar as its Python number, or ConfigError naming
+    `what` and showing `shown` (else the value's repr): an int is an int or
+    a numpy integer, never a bool; a float is an int or a float, numpy ones
+    too, and finite; a value of another kind, a nested config among them, is
+    an instance of it; given choices, it is one of them; given bounds, it is
+    at least `at_least`, greater than `above` and at most `at_most`."""
+    value = value.item() if isinstance(value, np.generic) else value
     if isinstance(value, bool) or not isinstance(value, _NUMBERS.get(kind, kind)):
-        raise ConfigError(f"{what} must be of type {kind.__name__}, got {shown}")
+        rule = f"of type {kind.__name__}"
     # math.isfinite cannot take an int past the float range, which is no finite float
-    if kind is float and not (abs(value) <= sys.float_info.max if isinstance(value, int)
-                              else math.isfinite(value)):
-        raise ConfigError(f"{what} must be a finite number, got {shown}")
-    if choices and value not in choices:
+    elif kind is float and not (abs(value) <= sys.float_info.max if isinstance(value, int)
+                                else math.isfinite(value)):
+        rule = "a finite number"
+    elif choices and value not in choices:
         raise ConfigError(f"{what} must be one of {choices}, got {value!r}")
-    return value
+    elif ((at_least is not None and value < at_least) or (above is not None and value <= above)
+          or (at_most is not None and value > at_most)):
+        rule = bound_text(at_least, above, at_most)
+    else:
+        return value
+    raise ConfigError(f"{what} must be {rule}, got {repr(value) if shown is None else shown}")
+
+
+def field_kind(config, field) -> type:
+    """The type check_fields checks a field of config dataclass `config` by:
+    that of its default, or for a None default the first type of its annotation."""
+    return (type(field.default) if field.default is not None
+            else typing.get_args(typing.get_type_hints(type(config))[field.name])[0])
 
 
 def check_fields(config) -> None:
-    """check_value on each field of config dataclass `config`, its kind the
-    type of its default; a None default allows None, or else the first type
-    of the field's annotation. A __post_init__ calls this, then checks ranges."""
+    """check_value on each field of config dataclass `config` by its type
+    (field_kind; a None default also allows None) and its knob's rule; the
+    field keeps what check_value returns. Each config dataclass's
+    __post_init__ is this function."""
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
-        if field.default is not None:
-            check_value(field.name, value, type(field.default))
-        elif value is not None:
-            hint = typing.get_type_hints(type(config))[field.name]
-            check_value(field.name, value, typing.get_args(hint)[0])
+        if value is not None or field.default is not None:
+            object.__setattr__(config, field.name, check_value(
+                field.name, value, field_kind(config, field), **field.metadata))

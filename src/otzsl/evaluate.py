@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, write_json
-from .errors import ConfigError, DataFormatError, SolverError, check_fields
+from .errors import ConfigError, DataFormatError, SolverError, check_fields, check_value, knob
 from .generator import GeneratorParams
 from .linalg import log_softmax_rows
 from .mlp import adam_init, adam_step
-from .rng import SeededRng, check_seed
+from .rng import SEED_BOUNDS, SeededRng
 from .training import synthesize_class_features
 
 PROTOCOLS = ("standard", "generalized", "transductive")
@@ -33,16 +33,11 @@ PROTOCOL_SPLITS = {"standard": ("unseen_test",), "generalized": ("seen_test", "u
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    learning_rate: float = 0.001
-    epochs: int = 50
-    batch_size: int = 128
+    learning_rate: float = knob(0.001, above=0)
+    epochs: int = knob(50, at_least=1)
+    batch_size: int = knob(128, at_least=1)
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be at least 1")
+    __post_init__ = check_fields
 
 
 @dataclass(eq=False)
@@ -165,18 +160,12 @@ def harmonic_mean(a_s: float, a_u: float) -> float:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    n_synth_per_class: int = 100
-    seed: int = 0
-    top_k: int | None = None
+    n_synth_per_class: int = knob(100, at_least=1)
+    seed: int = knob(0, **SEED_BOUNDS)
+    top_k: int | None = knob(None, at_least=1)
     classifier: ClassifierConfig = ClassifierConfig()
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.n_synth_per_class < 1:
-            raise ConfigError(f"n_synth_per_class must be positive, got {self.n_synth_per_class}")
-        check_seed(self.seed)
-        if self.top_k is not None and self.top_k < 1:
-            raise ConfigError(f"top_k must be positive, got {self.top_k}")
+    __post_init__ = check_fields
 
 
 def protocol(mode: str, attrs: AttributeMatrix, data: FeatureDataset,
@@ -187,8 +176,7 @@ def protocol(mode: str, attrs: AttributeMatrix, data: FeatureDataset,
     the others take the unseen ones. A mode outside PROTOCOLS or a top_k
     above the class count is a ConfigError, an empty test split a
     DataFormatError."""
-    if mode not in PROTOCOLS:
-        raise ConfigError(f"unknown evaluation mode {mode!r}")
+    check_value("mode", mode, str, PROTOCOLS)
     classes = tuple(range(attrs.n_classes)) if mode == "generalized" else attrs.unseen_ids
     if top_k is not None and top_k > len(classes):
         raise ConfigError(f"top_k must be at most {len(classes)}, the class count of "

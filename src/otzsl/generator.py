@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import UNLABELED
+from .errors import check_value
 from .linalg import log_softmax_rows, unit_rows
 from .mlp import MlpParams, add_grads, init_mlp, mlp_backward, mlp_forward_cache
 from .rng import SeededRng
@@ -118,10 +119,8 @@ def backward(plan_values, real_feats, real_classes, generated, synth_classes,
     real_classes = np.asarray(real_classes, dtype=np.int64).reshape(-1)
     xhat, g_cache = generated
     synth_classes = np.asarray(synth_classes, dtype=np.int64).reshape(-1)
-    if reg_weight < 0.0:
-        raise ValueError(f"reg_weight must be non-negative, got {reg_weight}")
-    if not (nca_scale > 0.0 and math.isfinite(nca_scale)):
-        raise ValueError(f"nca_scale must be positive and finite, got {nca_scale}")
+    reg_weight = check_value("reg_weight", reg_weight, float, at_least=0)
+    nca_scale = check_value("nca_scale", nca_scale, float, above=0)
     n, m = real_feats.shape[0], xhat.shape[0]
     if plan.shape != (n, m):
         raise ValueError(f"plan shape {plan.shape} does not match batches ({n}, {m})")

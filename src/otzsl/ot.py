@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SolverError, check_fields, check_value
+from .errors import SolverError, check_fields, check_value, knob
 from .linalg import as_float_matrix, unit_rows
 
 # Largest marginal deviation a plan may show and still count as feasible:
@@ -60,11 +60,6 @@ class Marginals:
         return Marginals(np.full(n_rows, 1.0 / n_rows), np.full(n_cols, 1.0 / n_cols))
 
 
-def _check_reg(reg: float) -> None:
-    if reg <= 0.0:
-        raise ConfigError(f"reg must be positive, got {reg}")
-
-
 @dataclass(frozen=True)
 class IpotConfig:
     """Proximal-step solver settings.
@@ -80,17 +75,11 @@ class IpotConfig:
     restores the earlier 200-step budget.
     """
 
-    reg: float = 0.5
-    max_outer_iters: int = 100_000
-    stop_tol: float = 1e-9
+    reg: float = knob(0.5, above=0)
+    max_outer_iters: int = knob(100_000, at_least=1)
+    stop_tol: float = knob(1e-9, at_least=0)
 
-    def __post_init__(self):
-        check_fields(self)
-        _check_reg(self.reg)
-        if self.max_outer_iters < 1:
-            raise ConfigError("max_outer_iters must be at least 1")
-        if self.stop_tol < 0.0:
-            raise ConfigError("stop_tol must be non-negative")
+    __post_init__ = check_fields
 
 
 @dataclass(eq=False)
@@ -240,9 +229,8 @@ def sinkhorn_solve(
     The converged flag reports whether the raw final iterate is feasible
     within FEASIBILITY_TOL; the returned values are then rounded onto the
     marginal polytope like ipot_solve's."""
-    _check_reg(check_value("reg", reg, float))
-    if check_value("iterations", iterations, int) < 1:
-        raise ConfigError("iterations must be at least 1")
+    reg = check_value("reg", reg, float, above=0)
+    iterations = check_value("iterations", iterations, int, at_least=1)
     return _run_sweeps(cost, marg, reg, iterations, record_trace)
 
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, check_value
+from .errors import check_value
 
 MAX_SEED = (1 << 64) - 1  # seeds are the 64-bit words 0..MAX_SEED, each its own stream
+SEED_BOUNDS = {"at_least": 0, "at_most": MAX_SEED}  # the rule of every seed (see check_value)
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -32,9 +33,7 @@ _CACHE_DRAWS = 8192  # a draw of at most this many outputs slices a block comput
 def check_seed(seed, what: str = "seed") -> int:
     """`seed` as an int: it must be an int by check_value (a numpy integer
     too, not a bool or a float) in 0..MAX_SEED, or ConfigError names `what`."""
-    if not 0 <= check_value(what, seed, int) <= MAX_SEED:
-        raise ConfigError(f"{what} must be in 0..{MAX_SEED}, got {seed}")
-    return int(seed)
+    return check_value(what, seed, int, **SEED_BOUNDS)
 
 
 class SeededRng:
@@ -52,8 +51,7 @@ class SeededRng:
 
     def next_uint64(self, n: int) -> np.ndarray:
         """The next n outputs, read-only; a small draw is a view of a block computed ahead."""
-        if check_value("n", n, int) < 1:
-            raise ValueError(f"need at least one draw, got n={n}")
+        n = check_value("n", n, int, at_least=1)
         start, self._counter = self._counter, self._counter + n
         if n > _CACHE_DRAWS:
             return self._outputs(start + 1, n)
@@ -80,8 +78,7 @@ class SeededRng:
 
         The log argument is shifted onto (0, 1] so it never sees zero.
         """
-        if check_value("n", n, int) < 1:
-            raise ValueError(f"need at least one draw, got n={n}")
+        n = check_value("n", n, int, at_least=1)
         grid = (self.next_uint64(2 * n) >> np.uint64(11)).astype(np.float64)  # 53-bit integers
         u1 = (grid[0::2] + 1.0) * _U53
         u2 = grid[1::2] * _U53
@@ -89,8 +86,7 @@ class SeededRng:
 
     def integers(self, upper: int, n: int) -> np.ndarray:
         """n uniform draws from {0, ..., upper-1}."""
-        if check_value("upper", upper, int) < 1:
-            raise ValueError(f"upper bound must be positive, got {upper}")
+        upper = check_value("upper", upper, int, at_least=1)
         vals = np.floor(self.uniform(n) * upper).astype(np.int64)
         return np.minimum(vals, upper - 1)
 

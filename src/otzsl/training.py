@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
-from .errors import ConfigError, DataFormatError, SolverError, check_fields
+from .errors import DataFormatError, SolverError, check_fields, check_value, knob
 from .generator import GeneratorParams, backward, generator_forward, init_generator
 from .mlp import adam_init, adam_step, init_mlp
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
-from .rng import SeededRng, check_seed
+from .rng import SEED_BOUNDS, SeededRng
 
 MODES = ("standard", "transductive")
 # The dataset splits that training in each mode reads; the CLI loads only these.
@@ -58,36 +58,18 @@ class TrainConfig:
     earlier 200-step budget.
     """
 
-    ot_prob: float = 0.9
-    reg_weight: float = 1.0
-    nca_scale: float = 0.5
+    ot_prob: float = knob(0.9, at_least=0, at_most=1)
+    reg_weight: float = knob(1.0, at_least=0)
+    nca_scale: float = knob(0.5, above=0)
     ipot: IpotConfig = IpotConfig(max_outer_iters=25, stop_tol=1e-7)
-    batch_size: int = 32
-    learning_rate: float = 0.001
-    epochs: int = 30
-    seed: int = 0
-    mode: str = "standard"
-    hidden_dim: int = 128
+    batch_size: int = knob(32, at_least=2)
+    learning_rate: float = knob(0.001, at_least=0)
+    epochs: int = knob(30, at_least=1)
+    seed: int = knob(0, **SEED_BOUNDS)
+    mode: str = knob("standard", choices=MODES)
+    hidden_dim: int = knob(128, at_least=1)
 
-    def __post_init__(self):
-        check_fields(self)
-        if not 0.0 <= self.ot_prob <= 1.0:
-            raise ConfigError(f"ot_prob must be in [0, 1], got {self.ot_prob}")
-        if self.reg_weight < 0.0:
-            raise ConfigError(f"reg_weight must be finite and >= 0, got {self.reg_weight}")
-        if self.nca_scale <= 0.0:
-            raise ConfigError(f"nca_scale must be positive and finite, got {self.nca_scale}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
-        if self.learning_rate < 0.0:
-            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        check_seed(self.seed)
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be positive, got {self.hidden_dim}")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -253,8 +235,7 @@ def synthesize_class_features(g: GeneratorParams, attrs: AttributeMatrix, classe
     """per_class generated features for each listed class, labels attached;
     a class whose features are not finite is a SolverError."""
     classes = [int(c) for c in classes]
-    if per_class < 1:
-        raise ValueError(f"per_class must be at least 1, got {per_class}")
+    per_class = check_value("per_class", per_class, int, at_least=1)
     for c in classes:
         if not 0 <= c < attrs.n_classes:
             raise ValueError(f"class {c} outside 0..{attrs.n_classes - 1}")

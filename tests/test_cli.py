@@ -20,9 +20,9 @@ import pytest
 
 from otzsl import cli, ot
 from otzsl.data import SyntheticSpec, load_matrix_csv, save_matrix_csv
-from otzsl.errors import ConfigError
+from otzsl.errors import ConfigError, bound_text
 from otzsl.evaluate import ClassifierConfig, EvalConfig
-from otzsl.rng import SeededRng
+from otzsl.rng import MAX_SEED, SeededRng
 from otzsl.training import TrainConfig
 
 from conftest import reference_write_json
@@ -201,6 +201,29 @@ def test_every_flag_names_a_config_key():
     for command, p in sub.choices.items():
         dests = {a.dest for a in p._actions} - {"help", "config", "out"}
         assert dests <= CONFIG_KEYS[command], (command, dests - CONFIG_KEYS[command])
+
+
+def test_readme_table_lists_each_rule_of_the_key_tables():
+    """README's "key | choices or bound" table is built from the key tables:
+    a row for each key with choices or bounds, the commands that share a key
+    and its rule listed together, in the order the tables declare them."""
+    tables = {"gen-data": cli.GEN_DATA_KEYS, "train": cli.TRAIN_KEYS, "eval": cli.EVAL_KEYS,
+              "solve-ot": cli.SOLVE_OT_KEYS, "compare-solvers": cli.COMPARE_KEYS,
+              "export": cli.EXPORT_KEYS}
+    rows = {}
+    for command, keys in tables.items():
+        for key, entry in keys.items():
+            rule = cli.key_rule(entry)[2]
+            text = (", ".join(f"`{c}`" for c in rule["choices"]) if "choices" in rule
+                    else bound_text(**rule))
+            if text:
+                rows.setdefault((key, text), []).append(command)
+    want = ["| key | choices or bound |", "|---|---|"] + [
+        f"| {' '.join(f'`{c}`' for c in commands)} `{key}` | {text} |"
+        for (key, text), commands in rows.items()]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = readme.index(want[0])
+    assert readme[start:start + len(want) + 1] == [*want, ""]
 
 
 @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
@@ -459,7 +482,8 @@ def test_seed_outside_64_bits_is_rejected_before_writing(command, given_by, seed
         extra = ["--config", str(cfg)]
     out = tmp_path / "out"
     assert run([command, *seeded_argv(command, workspace), *extra, "--out", str(out)]) == 2
-    assert f"config key 'seed' must be in 0..{2**64 - 1}, got {seed}" in capsys.readouterr().err
+    assert (f"config key 'seed' must be at least 0 and at most {2**64 - 1}, got {seed}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -469,6 +493,28 @@ def test_largest_seed_is_accepted(command, workspace, tmp_path):
     argv = [command, *seeded_argv(command, workspace), "--seed", str(2**64 - 1)]
     assert run([*argv, "--out", str(out)]) == 0
     assert json.loads((out / "config.json").read_text())["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("command, given, message", [
+    ("train", {"ipot_reg": 0}, "config key 'ipot_reg' must be greater than 0, got 0"),
+    ("eval", {"classifier_epochs": 0}, "config key 'classifier_epochs' must be at least 1, got 0"),
+    ("gen-data", {"seen_classes": 1}, "config key 'seen_classes' must be at least 2, got 1"),
+    ("compare-solvers", ["--size", "1"], "config key 'size' must be at least 2, got 1"),
+    ("export", ["--per-class", "0"], "config key 'per_class' must be at least 1, got 0"),
+], ids=["train-nested", "eval-nested", "gen-data", "compare-solvers", "export"])
+def test_a_bound_error_names_the_key_the_user_set(command, given, message, workspace, tmp_path,
+                                                  capsys):
+    """A value past its key's bound, from the config file or a flag, exits 2
+    naming the key as the user spelled it, nested ones too, before writing."""
+    extra = given
+    if isinstance(given, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(given))
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run([command, *seeded_argv(command, workspace), *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_an_out_that_cannot_be_made_is_a_usage_error(tmp_path, capsys):
@@ -541,8 +587,9 @@ CONFIG_CLASSES = (SyntheticSpec, ot.IpotConfig, TrainConfig, ClassifierConfig, E
 def wrong_type_rows():
     """A row for each field of each config dataclass (read from its fields, so
     a field added later has rows too) and each value of a wrong type for it:
-    True, nan, inf, a string and, for an int field, a fraction; and rows for
-    the solver parameters that are not config fields."""
+    True, nan, inf, a string and, for an int field, a fraction; rows for
+    the solver parameters that are not config fields; and a longdouble, a
+    numpy scalar with no Python number to keep."""
     for cls in CONFIG_CLASSES:
         for field in dataclasses.fields(cls):
             bad = {"true": True, "nan": math.nan, "inf": math.inf, "string": "x"}
@@ -556,6 +603,7 @@ def wrong_type_rows():
     yield pytest.param(lambda: ot.sinkhorn_solve(cost, reg=True), id="sinkhorn-reg-true")
     yield pytest.param(lambda: ot.ipot_solve(cost, cfg=ot.IpotConfig(max_outer_iters=2.5)),
                        id="ipot-budget")
+    yield pytest.param(lambda: TrainConfig(reg_weight=np.longdouble(1.5)), id="longdouble")
 
 
 @pytest.mark.parametrize("make", wrong_type_rows())
@@ -576,15 +624,76 @@ NUMPY_SCALARS = {"int": np.int32, "int | None": np.int64, "float": np.float32, "
 
 @pytest.mark.parametrize("cls", CONFIG_CLASSES)
 def test_a_config_field_takes_a_numpy_scalar(cls):
-    """Each field but a nested config takes a numpy scalar of a valid value:
-    its default, or 1 for a default of None."""
+    """Each field but a nested config takes a numpy scalar of a valid value,
+    its default or 1 for a default of None, and keeps its Python number."""
     for field in dataclasses.fields(cls):
         if field.type in NUMPY_SCALARS:
             default = getattr(cls(), field.name)
             value = NUMPY_SCALARS[field.type](1 if default is None else default)
-            assert getattr(cls(**{field.name: value}), field.name) == value
+            got = getattr(cls(**{field.name: value}), field.name)
+            assert got == value and type(got) is type(value.item())
     assert {f.type for f in dataclasses.fields(cls)} - set(NUMPY_SCALARS) <= {
         "IpotConfig", "ClassifierConfig"}
+
+
+TINY = 5e-324  # the smallest positive float
+SEEDS = ([0, MAX_SEED], [-1, MAX_SEED + 1])
+# Each field of each config dataclass but a nested config: the values at its
+# bound, which construct, and the nearest values past it, which do not. A
+# float field also rejects NaN and both infinities (added below).
+BOUND_TABLE = {
+    (SyntheticSpec, "seen_classes"): ([2], [1]),
+    (SyntheticSpec, "unseen_classes"): ([1], [0]),
+    (SyntheticSpec, "attr_dim"): ([1], [0]),
+    (SyntheticSpec, "feature_dim"): ([1], [0]),
+    (SyntheticSpec, "samples_per_class"): ([4], [3]),
+    (SyntheticSpec, "noise_sigma"): ([0.0], [-TINY]),
+    (SyntheticSpec, "seed"): SEEDS,
+    (ot.IpotConfig, "reg"): ([TINY], [0.0]),
+    (ot.IpotConfig, "max_outer_iters"): ([1], [0]),
+    (ot.IpotConfig, "stop_tol"): ([0.0], [-TINY]),
+    (TrainConfig, "ot_prob"): ([0.0, 1.0], [-TINY, math.nextafter(1.0, 2.0)]),
+    (TrainConfig, "reg_weight"): ([0.0], [-TINY]),
+    (TrainConfig, "nca_scale"): ([TINY], [0.0]),
+    (TrainConfig, "batch_size"): ([2], [1]),
+    (TrainConfig, "learning_rate"): ([0.0], [-TINY]),
+    (TrainConfig, "epochs"): ([1], [0]),
+    (TrainConfig, "seed"): SEEDS,
+    (TrainConfig, "mode"): (["standard", "transductive"], ["generalized"]),
+    (TrainConfig, "hidden_dim"): ([1], [0]),
+    (ClassifierConfig, "learning_rate"): ([TINY], [0.0]),
+    (ClassifierConfig, "epochs"): ([1], [0]),
+    (ClassifierConfig, "batch_size"): ([1], [0]),
+    (EvalConfig, "n_synth_per_class"): ([1], [0]),
+    (EvalConfig, "seed"): SEEDS,
+    (EvalConfig, "top_k"): ([None, 1], [0]),
+}
+
+
+def bound_rows(accepted: bool):
+    """BOUND_TABLE's accepted values, or its rejected ones, as test params."""
+    for (cls, name), (good, bad) in BOUND_TABLE.items():
+        if not accepted and isinstance(good[0], float):
+            bad = [*bad, math.nan, math.inf, -math.inf]
+        for value in good if accepted else bad:
+            yield pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+
+
+def test_bound_table_has_a_row_for_every_config_field():
+    assert set(BOUND_TABLE) == {(cls, f.name) for cls in CONFIG_CLASSES
+                                for f in dataclasses.fields(cls)
+                                if f.type not in ("IpotConfig", "ClassifierConfig")}
+
+
+@pytest.mark.parametrize("cls, name, value", bound_rows(accepted=True))
+def test_a_value_at_its_bound_constructs(cls, name, value):
+    assert getattr(cls(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("cls, name, value", bound_rows(accepted=False))
+def test_a_value_past_its_bound_is_a_config_error(cls, name, value):
+    with pytest.raises(ConfigError):
+        cls(**{name: value})
 
 
 # --- train ---
@@ -983,8 +1092,8 @@ def test_solve_ot_rejects_bad_parameters(tmp_path, capsys, solver, flag, value):
     out = tmp_path / "o"
     assert run(["solve-ot", "--cost", str(cost), "--solver", solver, flag, value,
                 "--out", str(out)]) == 2
-    message = (f"reg must be positive, got {float(value)}" if flag == "--lambda" else
-               f"{'max_outer_iters' if solver == 'ipot' else 'iterations'} must be at least 1")
+    message = (f"config key 'lambda' must be greater than 0, got {value}" if flag == "--lambda"
+               else f"config key 'iters' must be at least 1, got {value}")
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "config.json").exists()
 

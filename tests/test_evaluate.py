@@ -302,7 +302,7 @@ def test_evaluate_top_k(clean_dataset):
 def test_evaluate_rejects_bad_inputs(clean_dataset):
     attrs, data, hidden_map = clean_dataset
     g = oracle_generator(hidden_map)
-    with pytest.raises(ConfigError, match="unknown evaluation mode"):
+    with pytest.raises(ConfigError, match=r"mode must be one of \(.*\), got 'zero-shot'"):
         evaluate("zero-shot", g, attrs, data, EvalConfig())
     empty = dataclasses.replace(
         data, unseen_test=(np.zeros((0, data.feature_dim)), np.zeros(0, dtype=np.int64)))
@@ -332,6 +332,19 @@ def test_report_json_omits_seen_keys_in_standard(clean_dataset, tmp_path):
         save_report(report, str(path))
         reference_write_json(report, tmp_path / "ref.json")
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_a_config_of_numpy_scalars_writes_the_report_of_python_numbers(tiny_dataset, tmp_path):
+    """A config keeps a numpy scalar as its Python number, an int given for a
+    float key as an int (so json writes 1, not 1.0), and the report it
+    gives is the report of those Python numbers, byte for byte."""
+    assert type(ClassifierConfig(learning_rate=np.int64(1)).learning_rate) is int
+    attrs, data, _ = tiny_dataset
+    g = init_generator(attrs.attr_dim, data.feature_dim, 8, SeededRng(5))
+    for name, cfg in (("numpy", EvalConfig(seed=np.int64(1), n_synth_per_class=np.int32(5))),
+                      ("python", EvalConfig(seed=1, n_synth_per_class=5))):
+        save_report(evaluate("standard", g, attrs, data, cfg), str(tmp_path / name))
+    assert (tmp_path / "numpy").read_bytes() == (tmp_path / "python").read_bytes()
 
 
 def perfbench_report_keys() -> set:

@@ -368,9 +368,9 @@ def test_sinkhorn_overflow_raises_without_warnings():
 
 def test_sinkhorn_parameter_validation():
     """A bad reg or iteration count is a ConfigError, as IpotConfig's are."""
-    for kwargs, message in (({"reg": 0}, "reg must be positive, got 0"),
-                            ({"reg": -0.1}, "reg must be positive, got -0.1"),
-                            ({"iterations": 0}, "iterations must be at least 1")):
+    for kwargs, message in (({"reg": 0}, "reg must be greater than 0, got 0"),
+                            ({"reg": -0.1}, "reg must be greater than 0, got -0.1"),
+                            ({"iterations": 0}, "iterations must be at least 1, got 0")):
         with pytest.raises(ConfigError, match=message):
             sinkhorn_solve(np.zeros((2, 2)), **kwargs)
 

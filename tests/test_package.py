@@ -10,7 +10,7 @@ from pathlib import Path
 
 import otzsl
 import otzsl.evaluate as evaluate_module
-from otzsl import checkpoint, data, evaluate
+from otzsl import checkpoint, data, errors, evaluate, ot, training
 
 SRC = Path(otzsl.__file__).resolve().parents[1]
 SITES = SRC.parent / "perfbench" / "sites.py"
@@ -65,3 +65,11 @@ def test_perfbench_counters_read_the_arguments_they_name():
     assert params(data.save_dataset)[0] == "dir_path"
     assert params(data.load_dataset)[0] == "dir_path"
     assert params(checkpoint.save_checkpoint)[0] == "path"
+
+
+def test_each_config_dataclass_checks_its_fields_by_their_declarations_alone():
+    """A config field declares its type, choices and bounds beside its
+    default, so no config class runs a check of its own after check_fields."""
+    for cls in (data.SyntheticSpec, ot.IpotConfig, training.TrainConfig,
+                evaluate.ClassifierConfig, evaluate.EvalConfig):
+        assert cls.__post_init__ is errors.check_fields, cls.__name__

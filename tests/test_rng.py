@@ -30,7 +30,8 @@ def test_distinct_seeds_differ():
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_is_rejected(seed):
     """A seed names its own stream: -1 and 2^64 are not 2^64 - 1 and 0."""
-    with pytest.raises(ValueError, match=f"seed must be in 0..{2**64 - 1}, got {seed}"):
+    with pytest.raises(ValueError, match=f"seed must be at least 0 and at most {2**64 - 1}, "
+                                         f"got {seed}"):
         SeededRng(seed)
 
 
@@ -73,14 +74,14 @@ def test_a_numpy_integer_seed_draws_its_own_stream():
     assert type(rng.seed) is int and rng.seed == 3
     np.testing.assert_array_equal(rng.gaussian(16), SeededRng(3).gaussian(16))
     assert check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
-    with pytest.raises(ConfigError, match="config key 'seed' must be in 0..18446744073709551615, "
-                                          "got -1"):
+    with pytest.raises(ConfigError, match="config key 'seed' must be at least 0 and at most "
+                                          "18446744073709551615, got -1"):
         check_seed(np.int64(-1), "config key 'seed'")
 
 
 def test_split_index_outside_64_bits_is_rejected():
     for index in (-1, 2**64):
-        with pytest.raises(ValueError, match="seed must be in"):
+        with pytest.raises(ValueError, match="seed must be at least 0 and at most"):
             SeededRng(5).split(index)
 
 

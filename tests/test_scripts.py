@@ -51,8 +51,9 @@ def test_zsl_benchmark_takes_a_dataset_spec(tmp_path):
     ("--config", '{"batch_size": "5"}', "config key 'batch_size' must be of type int, got \"5\""),
     ("--spec", '{"seen_classes": 2.5}', "config key 'seen_classes' must be of type int, got 2.5"),
     ("--config", '{"ipot_reg": NaN}', "config key 'ipot_reg' must be a finite number, got NaN"),
-    ("--config", '{"batch_size": 1}', "batch_size must be at least 2, got 1"),
-], ids=["string-for-int", "float-for-int", "nan", "dataclass-check"])
+    ("--config", '{"batch_size": 1}', "config key 'batch_size' must be at least 2, got 1"),
+    ("--config", '{"ipot_reg": 0}', "config key 'ipot_reg' must be greater than 0, got 0"),
+], ids=["string-for-int", "float-for-int", "nan", "dataclass-check", "nested-bound"])
 def test_zsl_benchmark_reads_its_keys_as_otzsl_reads_a_config_file(tmp_path, flag, given,
                                                                    message):
     """A value of the wrong type, a non-finite number or one its config
@@ -64,7 +65,8 @@ def test_zsl_benchmark_reads_its_keys_as_otzsl_reads_a_config_file(tmp_path, fla
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--seeds", "0", "-1"], "--seeds value must be in 0..18446744073709551615, got -1"),
+    (["--seeds", "0", "-1"],
+     "--seeds value must be at least 0 and at most 18446744073709551615, got -1"),
     (["--spec", "[" * 100_000], "argument --spec: invalid JSON: maximum recursion depth exceeded"),
     (["--config", "[" * 100_000], "argument --config: invalid JSON: maximum recursion depth"),
     (["--config", '{"epochs": '], "argument --config: invalid JSON: Expecting value: line 1"),

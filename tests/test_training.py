@@ -534,6 +534,9 @@ def test_synthesize_rejects_bad_args():
     g = constant_generator(4, 6, 0.5)
     with pytest.raises(ValueError, match="per_class"):
         synthesize_class_features(g, attrs, [0], 0, SeededRng(0))
+    for per_class in (2.5, True):
+        with pytest.raises(ConfigError, match="per_class must be of type int"):
+            synthesize_class_features(g, attrs, [0], per_class, SeededRng(0))
     with pytest.raises(ValueError, match="outside"):
         synthesize_class_features(g, attrs, [99], 1, SeededRng(0))
 

@@ -191,8 +191,7 @@ def cmd_train(args) -> int:
     ckpt.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), g)
     write_trace_csv(tr, os.path.join(args.out, "trace.csv"))
     print(f"trained {len(tr)} iterations ({tc.epochs} epochs, mode {tc.mode})")
-    print(f"final transport_cost {tr.transport_cost[-1]:.6g} "
-          f"reg_loss {tr.reg_loss[-1]:.6g} total_loss {tr.total_loss[-1]:.6g}")
+    print("final", *(f"{k} {v:.6g}" for k, v in zip(tr[-1]._fields[1:], tr[-1][1:])))
     print(f"wrote {os.path.join(args.out, 'checkpoint.bin')} and trace.csv")
     return 0
 

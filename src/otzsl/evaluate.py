@@ -102,9 +102,16 @@ def train_softmax(features, labels, classes, cfg: ClassifierConfig,
     return ClassifierParams(W=W, b=b, class_id_map=classes)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite score raises below instead
 def classify_scores(clf: ClassifierParams, features) -> np.ndarray:
+    """One row of class scores per feature row; a row with a score that is
+    not finite is a SolverError naming the first such row."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return features @ clf.W.T + clf.b
+    scores = features @ clf.W.T + clf.b
+    if not np.isfinite(scores).all():
+        row = int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
+        raise SolverError(f"the classifier's scores of row {row} are not finite")
+    return scores
 
 
 def predict_ids(clf: ClassifierParams, features) -> np.ndarray:
@@ -204,7 +211,12 @@ def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
     clf = train_softmax(feats, labels, classes, cfg.classifier, rng.split(2))
 
     # one prediction call per test split: a stacked matmul can differ in the low bits
-    preds = [predict_ids(clf, x) for (x, _), _ in tests]
+    preds = []
+    for name, ((x, _), _) in zip(PROTOCOL_SPLITS[mode], tests):
+        try:
+            preds.append(predict_ids(clf, x))
+        except SolverError as exc:
+            raise SolverError(f"{name}: {exc}") from None
     scored = [per_class_top1(p, y, ids) for p, ((_, y), ids) in zip(preds, tests)]
     top_k = None
     if cfg.top_k is not None:

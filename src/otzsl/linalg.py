@@ -37,7 +37,10 @@ def unit_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarr
     return m / norms[:, None], norms
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a caller's finiteness check raises instead
 def log_softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax; stable for arbitrarily large magnitudes."""
+    """Row-wise log-softmax; stable for arbitrarily large magnitudes. With no
+    warning, a row holding +inf or NaN, or only -inf, gives NaN, and an entry
+    further below its row's largest than the float range reaches gives -inf."""
     shifted = m - m.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

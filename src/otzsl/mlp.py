@@ -70,8 +70,10 @@ def init_mlp(input_dim: int, hidden_dim: int, output_dim: int, rng: SeededRng) -
     return net
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a caller's finiteness check raises instead
 def mlp_forward_cache(params: MlpParams, x: np.ndarray):
-    """Forward pass keeping what backprop needs: the input and hidden layer."""
+    """Forward pass keeping what backprop needs: the input and hidden layer.
+    An output past the float range is inf or NaN, with no warning."""
     x = np.asarray(x, dtype=np.float64)
     pre = x @ params.W1.T + params.b1
     hidden = np.maximum(pre, 0.0)
@@ -79,6 +81,7 @@ def mlp_forward_cache(params: MlpParams, x: np.ndarray):
     return out, (x, pre, hidden)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # MlpParams rejects a non-finite gradient
 def mlp_backward(params: MlpParams, cache, d_out: np.ndarray,
                  input_grad: bool = True) -> tuple[MlpParams, np.ndarray | None]:
     """Gradients of sum(d_out * output) w.r.t. params, in one new vector, and
@@ -97,6 +100,7 @@ def mlp_backward(params: MlpParams, cache, d_out: np.ndarray,
     return MlpParams(flat, params.input_dim, params.hidden_dim, params.output_dim), dx
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def add_grads(total: MlpParams, part: MlpParams) -> None:
     """Add part's vector to total's in place; MlpParams rejects a sum that is not finite."""
     total.flat += part.flat

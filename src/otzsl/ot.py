@@ -49,8 +49,11 @@ class Marginals:
                 raise ValueError(f"{name} marginal has a non-finite entry")
             if np.any(vec <= 0.0):
                 raise ValueError(f"{name} marginal has a zero or negative mass entry")
-            if abs(math.fsum(vec.tolist()) - 1.0) > 1e-12:
-                raise ValueError(f"{name} marginal sums to {float(vec.sum())!r}, expected 1")
+            with np.errstate(over="ignore"):  # masses past the float range sum to inf
+                total = float(vec.sum())
+            # fsum, exact, runs only on masses near 1, which cannot overflow it
+            if abs(total - 1.0) > 1e-9 or abs(math.fsum(vec.tolist()) - 1.0) > 1e-12:
+                raise ValueError(f"{name} marginal sums to {total!r}, expected 1")
             object.__setattr__(self, name, vec)
 
     @staticmethod
@@ -326,8 +329,8 @@ def transport_cost(plan, cost) -> float:
     return float(np.sum(values * cost))
 
 
-def transition_plan(real_classes, synth_classes) -> TransportPlan:
-    """Label-derived coupling: mass 1/(N * count_synth(c)) on same-class pairs.
+def transition_plan(real_classes, synth_classes) -> np.ndarray:
+    """Label-derived coupling array: mass 1/(N * count_synth(c)) on same-class pairs.
 
     Spreads each real sample's mass uniformly over the generated samples of its
     class. Row sums are 1/N and column sums 1/M exactly, provided each class
@@ -354,10 +357,10 @@ def transition_plan(real_classes, synth_classes) -> TransportPlan:
 
     synth_count_of = dict(zip(synth_ids.tolist(), synth_counts.tolist()))
     col_weight = np.array([1.0 / (n * synth_count_of[c]) for c in synth.tolist()])
-    values = (real[:, None] == synth[None, :]) * col_weight[None, :]
-    return TransportPlan(values=values, converged=True, iterations_used=0)
+    return (real[:, None] == synth[None, :]) * col_weight[None, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # sums past the float range fail the report
 def check_marginals(plan, marg: Marginals, tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
     """Measure how far a plan sits from the coupling polytope of `marg`."""
     values = _plan_values(plan)

@@ -1,6 +1,9 @@
 """Iterative generator training: sample batches, generate once, couple real
 to generated features with either a solved transport plan or the
-label-derived coupling, then take an Adam step on the fixed-plan objective.
+label-derived coupling array, then take an Adam step on the fixed-plan
+objective. `train` returns the generator and its trace, one `TraceRow` (the
+branch and the loss terms) per step, which `write_trace_csv` writes as
+trace.csv: the iteration, then a column per TraceRow field.
 
 Each step runs the generator once, on the stacked seen and unseen halves of
 the synthetic batch; the plan is solved on those features and `backward`
@@ -20,7 +23,8 @@ full generated batch, seen and unseen halves alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,29 +76,20 @@ class TrainConfig:
     __post_init__ = check_fields
 
 
-@dataclass
-class TrainTrace:
-    """Per-iteration branch and loss records."""
+class TraceRow(NamedTuple):
+    """One training step: its branch ("ot" or "transition") and loss terms.
+    trace.csv's columns are the step's iteration and these fields."""
 
-    branch: list[str] = field(default_factory=list)
-    transport_cost: list[float] = field(default_factory=list)
-    reg_loss: list[float] = field(default_factory=list)
-    total_loss: list[float] = field(default_factory=list)
-
-    def record(self, branch: str, transport: float, reg: float, total: float):
-        self.branch.append(branch)
-        self.transport_cost.append(transport)
-        self.reg_loss.append(reg)
-        self.total_loss.append(total)
-
-    def __len__(self) -> int:
-        return len(self.branch)
+    branch: str
+    transport_cost: float
+    reg_loss: float
+    total_loss: float
 
 
-def write_trace_csv(trace: TrainTrace, path: str) -> None:
-    write_csv(path, "iteration,branch,transport_cost,reg_loss,total_loss",
-              [np.column_stack([trace.transport_cost, trace.reg_loss, trace.total_loss])],
-              [f"{i},{branch}," for i, branch in enumerate(trace.branch)])
+def write_trace_csv(trace: list[TraceRow], path: str) -> None:
+    losses = np.array([row[1:] for row in trace]).reshape(len(trace), len(TraceRow._fields) - 1)
+    write_csv(path, "iteration," + ",".join(TraceRow._fields), [losses],
+              [f"{i},{row.branch}," for i, row in enumerate(trace)])
 
 
 def sample_real_batch(data: FeatureDataset, b: int, rng: SeededRng,
@@ -170,8 +165,8 @@ def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
 # a blow-up raises from the finiteness checks of a step, not as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def train(data: FeatureDataset, attrs: AttributeMatrix,
-          cfg: TrainConfig) -> tuple[GeneratorParams, TrainTrace]:
-    """The trained generator and the per-iteration trace of its losses."""
+          cfg: TrainConfig) -> tuple[GeneratorParams, list[TraceRow]]:
+    """The trained generator and its trace, one TraceRow per step."""
     require_training_rows(attrs, data, cfg.mode)
     transductive = cfg.mode == "transductive"
 
@@ -188,7 +183,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix,
         data.unseen_unlabeled.shape[0] if transductive else 0
     )
     iters = iterations_per_epoch(pool_size, cfg.batch_size)
-    trace = TrainTrace()
+    trace = []
     b = cfg.batch_size
     # every OT step couples b real rows to b generated ones, or to 2b in transductive mode
     marg = Marginals.uniform(b, 2 * b if transductive else b)
@@ -214,7 +209,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix,
                     core = ipot_solve(cost, marg, cfg.ipot).values
                 else:
                     branch = "transition"
-                    core = transition_plan(real_classes, s_classes).values
+                    core = transition_plan(real_classes, s_classes)
                 plan = np.zeros((b, synth_classes.size))  # uncoupled columns carry no mass
                 plan[:, :core.shape[1]] = core
 
@@ -223,7 +218,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix,
                 adam_step(params, [res.g_grads.flat, res.f_grads.flat], adam)
             except (SolverError, ValueError) as exc:
                 raise SolverError(f"iteration {step} (epoch {epoch}): {exc}") from exc
-            trace.record(branch, res.transport_term, res.regularizer_term, res.total)
+            trace.append(TraceRow(branch, res.transport_term, res.regularizer_term, res.total))
             del res, generated  # free this step's grads and caches before the next step's
 
     return g, trace

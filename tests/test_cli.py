@@ -879,6 +879,36 @@ def test_eval_classifier_blow_up_is_a_solver_error(workspace, tmp_path, capsys):
                     r"contains a non-finite value", err), err
 
 
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    """The default dataset and a one-epoch training run on it."""
+    root = tmp_path_factory.mktemp("desk")
+    assert run(["gen-data", "--out", str(root / "data")]) == 0
+    assert run(["train", "--data", str(root / "data"), "--epochs", "1",
+                "--out", str(root / "run")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("mode", ["standard", "generalized"])
+def test_eval_non_finite_test_scores_are_a_solver_error(mode, desk_run, tmp_path, capsys):
+    """A finite test row near the float64 maximum overflows the classifier's
+    scores: exit 1 naming the split and its row, only config.json written,
+    and no numpy warning (the test suite turns warnings into errors)."""
+    data = tmp_path / "data"
+    shutil.copytree(desk_run / "data", data)
+    lines = (data / "features.csv").read_text().splitlines()
+    row = json.loads((data / "split.json").read_text())["unseen_test_rows"][3]
+    label, *values = lines[1 + row].split(",")
+    lines[1 + row] = ",".join([label] + ["1.5e308"] * len(values))
+    (data / "features.csv").write_text("\n".join(lines) + "\n")
+    out, ckpt = tmp_path / "o", desk_run / "run" / "checkpoint.bin"
+    assert run(["eval", "--data", str(data), "--checkpoint", str(ckpt), "--mode", mode,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: unseen_test: the classifier's scores of row 3 are not finite\n")
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
+
 def test_eval_rejects_nonfinite_generator_weight(workspace, tmp_path, capsys):
     bad = tmp_path / "c.bin"
     raw = bytearray(workspace["ckpt"].read_bytes())

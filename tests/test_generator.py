@@ -487,7 +487,7 @@ def test_scale_invariance_of_cost_under_feature_scaling():
 def test_fifty_adam_steps_decrease_loss():
     """Fixed batch, fixed plan: optimizing the objective descends monotonically."""
     s = small_setup(123, d=4, D=8, hidden=16, n=6, m=6, n_classes=4)
-    plan = transition_plan(s["synth_classes"], s["synth_classes"]).values
+    plan = transition_plan(s["synth_classes"], s["synth_classes"])
     real = generator_forward(s["g"], s["synth_attrs"], s["noises"])[0] + 0.01
     g, f = s["g"], s["f"]
     state = adam_init([g.net.flat, f.flat], learning_rate=1e-3)

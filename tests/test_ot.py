@@ -501,7 +501,7 @@ def test_transport_cost_shape_mismatch():
 
 def test_transition_single_pair():
     out = transition_plan([4], [4])
-    np.testing.assert_array_equal(out.values, [[1.0]])
+    np.testing.assert_array_equal(out, [[1.0]])
 
 
 def test_transition_two_classes_balanced():
@@ -516,14 +516,14 @@ def test_transition_two_classes_balanced():
             [0.0, 0.0, 0.125, 0.125],
         ]
     )
-    np.testing.assert_allclose(out.values, expected)
-    np.testing.assert_allclose(out.values.sum(axis=1), 0.25)
-    np.testing.assert_allclose(out.values.sum(axis=0), 0.25)
+    np.testing.assert_allclose(out, expected)
+    np.testing.assert_allclose(out.sum(axis=1), 0.25)
+    np.testing.assert_allclose(out.sum(axis=0), 0.25)
 
 
 def test_transition_order_follows_labels():
     out = transition_plan([0, 1], [1, 0])
-    np.testing.assert_allclose(out.values, [[0.0, 0.5], [0.5, 0.0]])
+    np.testing.assert_allclose(out, [[0.0, 0.5], [0.5, 0.0]])
 
 
 def test_transition_rejects_proportion_mismatch():

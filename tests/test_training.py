@@ -13,9 +13,9 @@ from otzsl.errors import ConfigError, DataFormatError, SolverError
 from otzsl.evaluate import ClassifierParams
 from otzsl.generator import GeneratorParams, backward, generator_forward, init_generator
 from otzsl.mlp import MlpParams, adam_init, init_mlp, mlp_size
-from otzsl.ot import IpotConfig, Marginals, transition_plan
+from otzsl.ot import IpotConfig, Marginals, TransportPlan, transition_plan
 from otzsl.rng import SeededRng
-from otzsl.training import (TrainConfig, TrainTrace, iterations_per_epoch,
+from otzsl.training import (TraceRow, TrainConfig, iterations_per_epoch,
                             ot_branch_coin, sample_real_batch,
                             sample_synth_batch, synthesize_class_features,
                             train, write_trace_csv)
@@ -233,7 +233,7 @@ def test_mirrored_batches_satisfy_transition_precondition(labels, seed):
     synth, _ = sample_synth_batch(attrs, attrs.seen_ids, len(labels),
                                   SeededRng(seed), mirror_classes=real)
     plan = transition_plan(real, synth)
-    np.testing.assert_allclose(plan.values.sum(axis=1), 1.0 / len(labels),
+    np.testing.assert_allclose(plan.sum(axis=1), 1.0 / len(labels),
                                rtol=0, atol=1e-12)
 
 
@@ -276,14 +276,14 @@ def quick_cfg(**kwargs):
 def test_train_p_one_never_takes_transition(tiny_dataset):
     attrs, data, _ = tiny_dataset
     _, trace = train(data, attrs, quick_cfg(ot_prob=1.0))
-    assert trace.branch.count("transition") == 0
+    assert [row.branch for row in trace].count("transition") == 0
     assert len(trace) == iterations_per_epoch(data.seen_train[0].shape[0], 4)
 
 
 def test_train_p_zero_all_transition(tiny_dataset):
     attrs, data, _ = tiny_dataset
     _, trace = train(data, attrs, quick_cfg(ot_prob=0.0))
-    assert set(trace.branch) == {"transition"}
+    assert {row.branch for row in trace} == {"transition"}
 
 
 def test_train_double_run_bit_identical(tiny_dataset):
@@ -292,8 +292,8 @@ def test_train_double_run_bit_identical(tiny_dataset):
     (g_a, trace_a), (g_b, trace_b) = train(data, attrs, cfg), train(data, attrs, cfg)
     for x, y in zip(g_a.net.blocks(), g_b.net.blocks()):
         assert np.array_equal(x, y)
-    assert trace_a.total_loss == trace_b.total_loss
-    assert trace_a.branch == trace_b.branch
+    assert [row.total_loss for row in trace_a] == [row.total_loss for row in trace_b]
+    assert [row.branch for row in trace_a] == [row.branch for row in trace_b]
 
 
 def test_train_trace_bookkeeping(tiny_dataset, monkeypatch):
@@ -304,7 +304,7 @@ def test_train_trace_bookkeeping(tiny_dataset, monkeypatch):
     iters = iterations_per_epoch(data.seen_train[0].shape[0], 4)
     assert len(trace) == 3 * iters
     assert len(steps) == 3 * iters
-    assert all(np.isfinite(trace.total_loss))
+    assert all(np.isfinite([row.total_loss for row in trace]))
 
 
 @pytest.mark.parametrize("mode", ["standard", "transductive"])
@@ -332,7 +332,7 @@ def test_train_runs_the_generator_once_per_step(tiny_dataset, monkeypatch, mode,
     cfg = quick_cfg(ot_prob=ot_prob, mode=mode, epochs=2)
     _, trace = train(data, attrs, cfg)
     assert rows == [2 * cfg.batch_size] * len(trace)
-    assert set(trace.branch) == (
+    assert {row.branch for row in trace} == (
         {"ot"} if ot_prob == 1.0 else {"ot", "transition"} if mode == "transductive"
         else {"transition"})  # both branches in both modes
 
@@ -354,7 +354,7 @@ def test_train_frozen_generator_constant_transport_cost(monkeypatch):
     start_from(monkeypatch, g, init_mlp(6, 4, 4, SeededRng(8)))
     cfg = quick_cfg(ot_prob=1.0, learning_rate=0.0, epochs=3, hidden_dim=4)
     trained, trace = train(data, attrs, cfg)
-    costs = trace.transport_cost
+    costs = [row.transport_cost for row in trace]
     assert len(costs) == 3
     assert max(costs) - min(costs) <= 1e-12
     assert trained is g
@@ -390,7 +390,7 @@ def test_train_transductive_forces_ot_on_unlabeled(tiny_dataset):
     data = dataset_from_rows([row[0]], [0], feature_dim=8, pool=pool)
     cfg = quick_cfg(ot_prob=0.0, mode="transductive", batch_size=8)
     _, trace = train(data, attrs, cfg)
-    assert set(trace.branch) == {"ot"}
+    assert {row.branch for row in trace} == {"ot"}
 
 
 def test_train_transductive_needs_pool(tiny_dataset):
@@ -448,7 +448,7 @@ def test_train_non_finite_plan_names_the_step(tiny_dataset, monkeypatch):
         plan = transition_plan(real_classes, synth_classes)
         calls.append(plan)
         if len(calls) == 3:
-            plan.values[0, 0] = np.nan
+            plan[0, 0] = np.nan
         return plan
 
     monkeypatch.setattr(training, "transition_plan", poisoned)
@@ -485,7 +485,7 @@ def test_train_loss_decreases(desk_dataset):
     cfg = TrainConfig(reg_weight=0.05, batch_size=32, hidden_dim=32, epochs=10, seed=0)
     _, trace = train(data, attrs, cfg)
     iters = iterations_per_epoch(data.seen_train[0].shape[0], 32)
-    per_epoch = np.asarray(trace.total_loss).reshape(10, iters).mean(axis=1)
+    per_epoch = np.asarray([row.total_loss for row in trace]).reshape(10, iters).mean(axis=1)
     assert per_epoch[-1] <= 0.8 * per_epoch[0]
 
 
@@ -544,9 +544,7 @@ def test_synthesize_rejects_bad_args():
 # --- trace export ---
 
 def test_write_trace_csv_round_trip(tmp_path):
-    trace = TrainTrace()
-    trace.record("ot", 0.125, 1.5, 1.625)
-    trace.record("transition", 0.25, 0.5, 0.75)
+    trace = [TraceRow("ot", 0.125, 1.5, 1.625), TraceRow("transition", 0.25, 0.5, 0.75)]
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, str(path))
     lines = path.read_text().splitlines()
@@ -557,22 +555,31 @@ def test_write_trace_csv_round_trip(tmp_path):
     assert float(first[2]) == 0.125 and float(first[4]) == 1.625
 
 
+def test_write_trace_csv_header_is_the_row_fields(tmp_path):
+    """trace.csv's columns are declared once, as TraceRow's fields; perfbench
+    reads the branch from the second column."""
+    path = tmp_path / "trace.csv"
+    write_trace_csv([], str(path))
+    header = path.read_text().splitlines()[0]
+    assert header == "iteration," + ",".join(TraceRow._fields)
+    assert header.startswith("iteration,branch,")
+
+
 def reference_write_trace_csv(trace, path):
     """The per-row f-string writer that data.write_csv replaced for trace.csv."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,branch,transport_cost,reg_loss,total_loss\n")
         for i in range(len(trace)):
-            fh.write(f"{i},{trace.branch[i]},{trace.transport_cost[i]:.17g},"
-                     f"{trace.reg_loss[i]:.17g},{trace.total_loss[i]:.17g}\n")
+            fh.write(f"{i},{trace[i].branch},{trace[i].transport_cost:.17g},"
+                     f"{trace[i].reg_loss:.17g},{trace[i].total_loss:.17g}\n")
 
 
 def test_write_trace_csv_matches_reference(tmp_path, tiny_dataset):
     attrs, data, _ = tiny_dataset
     _, trained = train(data, attrs, quick_cfg(epochs=2))
-    edges = TrainTrace()
-    for i, v in enumerate([0.0, -0.0, 5e-324, 1e300, -1e300, 2.0**53, 0.1, 1 / 3, 7]):
-        edges.record(("ot", "transition")[i % 2], v, -v, 2 * v)
-    for k, trace in enumerate([trained, edges, TrainTrace()]):
+    edges = [TraceRow(("ot", "transition")[i % 2], v, -v, 2 * v)
+             for i, v in enumerate([0.0, -0.0, 5e-324, 1e300, -1e300, 2.0**53, 0.1, 1 / 3, 7])]
+    for k, trace in enumerate([trained, edges, []]):
         new, ref = tmp_path / f"new{k}.csv", tmp_path / f"ref{k}.csv"
         write_trace_csv(trace, str(new))
         reference_write_trace_csv(trace, ref)
@@ -586,7 +593,7 @@ def test_dataclasses_that_hold_arrays_compare_and_hash_by_identity(tiny_dataset)
     g, _ = train(data, attrs, TrainConfig(epochs=1, batch_size=8, hidden_dim=4))
     f = init_mlp(g.feature_dim, 4, g.attr_dim, SeededRng(1))
     feats, labels = data.seen_train[0][:2], data.seen_train[1][:2]
-    plan = transition_plan(labels, labels)
+    plan = TransportPlan(transition_plan(labels, labels), converged=True, iterations_used=0)
     generated = generator_forward(g, attrs.attrs[labels],
                                   SeededRng(2).gaussian(2 * g.attr_dim).reshape(2, -1))
     grads = backward(plan.values, feats, labels, generated, labels, g, f, attrs.attrs, 1.0, 0.5)

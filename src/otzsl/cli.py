@@ -8,8 +8,9 @@ as config.json. Each command declares its keys once, in its key table (see
 key_rule), and a value from the file or from a flag is read by one rule (see
 read_value). The keys of gen-data, train and eval, their defaults and their
 rules are the fields of SyntheticSpec, TrainConfig and EvalConfig, a nested
-config field x spelled x_<field> (ipot_reg, classifier_epochs). Exit codes: 0
-success, 1 runtime failure, 2 usage or config error.
+config field x spelled x_<field> (ipot_reg, classifier_epochs). `main`
+resolves a command's config and calls it as cmd(cfg, out directory). Exit
+codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ def read_value(key: str, value, entry, text: bool = False):
 def resolve_config(keys: dict, args) -> dict:
     """The config of a command with key table `keys`: each key's default,
     replaced by its value in the config file of --config, then by its flag
-    if given, each value read by read_value. Every command resolves its
-    config before it reads any input."""
+    if given, each value read by read_value. main resolves a command's
+    config before the command reads any input."""
     cfg = {key: key_rule(entry)[0] for key, entry in keys.items()}
     if args.config is not None:
         try:
@@ -169,52 +170,48 @@ def _load_dataset_and_generator(cfg: dict, splits):
     return attrs, dataset, g
 
 
-def cmd_gen_data(args) -> int:
-    cfg = resolve_config(GEN_DATA_KEYS, args)
+def cmd_gen_data(cfg: dict, out: str) -> int:
     spec = from_flat(dataio.SyntheticSpec(), cfg)
     attrs, dataset, _ = dataio.make_synthetic_dataset(spec)
-    echo_config(cfg, args.out)
-    dataio.save_dataset(args.out, attrs, dataset)
+    echo_config(cfg, out)
+    dataio.save_dataset(out, attrs, dataset)
     n = sum(s[0].shape[0] for s in (dataset.seen_train, dataset.seen_test, dataset.unseen_test))
-    print(f"wrote dataset to {args.out}: {attrs.n_classes} classes, {n} samples")
+    print(f"wrote dataset to {out}: {attrs.n_classes} classes, {n} samples")
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(TRAIN_KEYS, args)
+def cmd_train(cfg: dict, out: str) -> int:
     data_dir = _require(cfg, "data", "dataset directory")
     tc = from_flat(TrainConfig(), cfg)
     attrs, dataset = dataio.load_dataset(data_dir, MODE_SPLITS[tc.mode])
     require_training_rows(attrs, dataset, tc.mode)
-    echo_config(cfg, args.out)
+    echo_config(cfg, out)
     g, tr = train(dataset, attrs, tc)
-    ckpt.save_checkpoint(os.path.join(args.out, "checkpoint.bin"), g)
-    write_trace_csv(tr, os.path.join(args.out, "trace.csv"))
+    ckpt.save_checkpoint(os.path.join(out, "checkpoint.bin"), g)
+    write_trace_csv(tr, os.path.join(out, "trace.csv"))
     print(f"trained {len(tr)} iterations ({tc.epochs} epochs, mode {tc.mode})")
     print("final", *(f"{k} {v:.6g}" for k, v in zip(tr[-1]._fields[1:], tr[-1][1:])))
-    print(f"wrote {os.path.join(args.out, 'checkpoint.bin')} and trace.csv")
+    print(f"wrote {os.path.join(out, 'checkpoint.bin')} and trace.csv")
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = resolve_config(EVAL_KEYS, args)
+def cmd_eval(cfg: dict, out: str) -> int:
     ec = from_flat(EvalConfig(), cfg)
     attrs, dataset, g = _load_dataset_and_generator(cfg, PROTOCOL_SPLITS[cfg["mode"]])
     protocol(cfg["mode"], attrs, dataset, ec.top_k)  # rejects bad inputs before writing
-    echo_config(cfg, args.out)
+    echo_config(cfg, out)
     report = evaluate(cfg["mode"], g, attrs, dataset, ec)
-    save_report(report, os.path.join(args.out, "report.json"))
+    save_report(report, os.path.join(out, "report.json"))
     for key in ("A_s", "A_u", "H"):  # A_s and H only in generalized mode
         if key in report:
             print(f"{key:<4} {report[key]:.4f}")
     if report["top_k"] is not None:
         print(f"top{cfg['top_k']} {report['top_k']:.4f}")
-    print(f"wrote {os.path.join(args.out, 'report.json')}")
+    print(f"wrote {os.path.join(out, 'report.json')}")
     return 0
 
 
-def cmd_solve_ot(args) -> int:
-    cfg = resolve_config(SOLVE_OT_KEYS, args)
+def cmd_solve_ot(cfg: dict, out: str) -> int:
     cost_path = _require(cfg, "cost", "cost matrix CSV")
     solver = cfg["solver"]
     if solver == "sinkhorn" and cfg["stop_tol"] is not None:
@@ -228,9 +225,9 @@ def cmd_solve_ot(args) -> int:
     else:
         plan = ot.sinkhorn_solve(cost, marg, record_trace=True,
                                  **_given(reg=cfg["lambda"], iterations=cfg["iters"]))
-    echo_config(cfg, args.out)  # after the solve, so a kernel that underflows writes nothing
-    dataio.save_matrix_csv(plan.values, os.path.join(args.out, "plan.csv"))
-    dataio.save_matrix_csv(plan.trace, os.path.join(args.out, "solver_trace.csv"))
+    echo_config(cfg, out)  # after the solve, so a kernel that underflows writes nothing
+    dataio.save_matrix_csv(plan.values, os.path.join(out, "plan.csv"))
+    dataio.save_matrix_csv(plan.trace, os.path.join(out, "solver_trace.csv"))
     report = ot.check_marginals(plan, marg)
     print(f"solver {solver}: cost {ot.transport_cost(plan, cost):.10g} "
           f"iterations {plan.iterations_used} converged {plan.converged}")
@@ -239,9 +236,8 @@ def cmd_solve_ot(args) -> int:
     return 0
 
 
-def cmd_compare_solvers(args) -> int:
-    cfg = resolve_config(COMPARE_KEYS, args)
-    echo_config(cfg, args.out)
+def cmd_compare_solvers(cfg: dict, out: str) -> int:
+    echo_config(cfg, out)
     rng = SeededRng(cfg["seed"])
     n = cfg["size"]
     # IPOT at its default λ, Sinkhorn at its own default and at IPOT's
@@ -263,7 +259,7 @@ def cmd_compare_solvers(args) -> int:
             leads += [f"{name},{reg},{inst},{int(it)}," for it in plan.trace[:, 0]]
             curves.append(plan.trace[:, 1:])
             finals.setdefault((name, reg), []).append(plan.trace[-1, 1])
-    out_path = os.path.join(args.out, "curves.csv")
+    out_path = os.path.join(out, "curves.csv")
     dataio.write_csv(out_path, "solver,lambda,instance,iteration,transport_cost,feasibility_error",
                      curves, leads)
     for (name, reg), costs in sorted(finals.items()):
@@ -272,17 +268,16 @@ def cmd_compare_solvers(args) -> int:
     return 0
 
 
-def cmd_export(args) -> int:
-    cfg = resolve_config(EXPORT_KEYS, args)
+def cmd_export(cfg: dict, out: str) -> int:
     attrs, _, g = _load_dataset_and_generator(cfg, ())  # attributes and the feature width only
     pool = {"seen": attrs.seen_ids, "unseen": attrs.unseen_ids,
             "all": tuple(range(attrs.n_classes))}[cfg["classes"]]
     if not pool:
         raise DataFormatError(f"dataset {cfg['data']} has no {cfg['classes']} classes to export")
-    echo_config(cfg, args.out)
+    echo_config(cfg, out)
     feats, labels = synthesize_class_features(g, attrs, pool, cfg["per_class"],
                                               SeededRng(cfg["seed"]))
-    out_path = os.path.join(args.out, "generated_features.csv")
+    out_path = os.path.join(out, "generated_features.csv")
     dataio.export_features_csv(feats, labels, out_path)
     print(f"wrote {feats.shape[0]} generated features to {out_path}")
     return 0
@@ -323,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
             action = p.add_argument(flag, help=help_text)
             if choices := key_rule(keys[action.dest])[2].get("choices"):
                 action.metavar = "{" + ",".join(choices) + "}"
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, keys=keys)
     return parser
 
 
@@ -331,7 +326,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(resolve_config(args.keys, args), args.out)
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,13 @@ LABELED_SPLITS = SPLITS[:3]
 SPLIT_KEYS = ("seen", "unseen", *(f"{name}_rows" for name in SPLITS))
 
 
+def _zero_norm_rows(features: np.ndarray) -> np.ndarray:
+    """Which rows of a finite 2-D array have norm zero; a row sum of squares,
+    with no temporary as large as the array."""
+    with np.errstate(over="ignore"):  # an inf sum is still not zero
+        return np.einsum("ij,ij->i", features, features) == 0.0
+
+
 @dataclass(eq=False)
 class AttributeMatrix:
     """Per-class attribute vectors (row c describes class c) with the
@@ -65,11 +72,9 @@ class AttributeMatrix:
             raise DataFormatError(
                 f"seen+unseen ids must cover classes 0..{n - 1}, got {sorted(seen | unseen)}"
             )
-        with np.errstate(over="ignore"):  # an inf sum is still not zero
-            squares = np.einsum("ij,ij->i", self.attrs, self.attrs)
-        if np.any(squares == 0.0):
-            bad = int(np.flatnonzero(squares == 0.0)[0])
-            raise DataFormatError(f"class {bad} has a zero-norm attribute vector")
+        if (zero_norm := _zero_norm_rows(self.attrs)).any():
+            raise DataFormatError(
+                f"class {int(np.flatnonzero(zero_norm)[0])} has a zero-norm attribute vector")
         first = {}  # finite rows + 0.0 (-0.0 as 0.0) match in bytes exactly as in np.array_equal
         pairs = [(first.setdefault((r + 0.0).tobytes(), j), j) for j, r in enumerate(self.attrs)]
         dup = min(((i, j) for i, j in pairs if i != j), default=None)  # met first by all-pairs
@@ -85,25 +90,6 @@ class AttributeMatrix:
         return self.attrs.shape[0]
 
 
-def _check_split(features: np.ndarray, labels: np.ndarray, what: str):
-    if features.ndim != 2:
-        raise DataFormatError(f"{what} features must be 2-D, got shape {features.shape}")
-    if labels.shape != (features.shape[0],):
-        raise DataFormatError(
-            f"{what} has {features.shape[0]} rows but {labels.shape[0]} labels"
-        )
-    if not np.all(np.isfinite(features)):
-        raise DataFormatError(f"{what} features contain a non-finite value")
-    _check_rows(what, _zero_norm_rows(features), labels)
-
-
-def _zero_norm_rows(features: np.ndarray) -> np.ndarray:
-    """Which rows of a finite 2-D array have norm zero; a row sum of squares,
-    with no temporary as large as the array."""
-    with np.errstate(over="ignore"):  # an inf sum is still not zero
-        return np.einsum("ij,ij->i", features, features) == 0.0
-
-
 def _check_rows(what: str, zero_norm: np.ndarray, labels: np.ndarray | None) -> None:
     """The checks of a split's finite rows, in order: no row has norm zero,
     and (given the labels) no class id is negative."""
@@ -116,7 +102,8 @@ def _check_rows(what: str, zero_norm: np.ndarray, labels: np.ndarray | None) -> 
 @dataclass(eq=False)
 class FeatureDataset:
     """Labeled splits plus the optional unlabeled pool used by transductive
-    training. Each labeled split is a (features, class ids) pair."""
+    training. Each labeled split is a (features, class ids) pair; the pool is
+    a split without labels. Splits are checked in SPLITS order."""
 
     seen_train: tuple[np.ndarray, np.ndarray]
     seen_test: tuple[np.ndarray, np.ndarray]
@@ -124,20 +111,23 @@ class FeatureDataset:
     unseen_unlabeled: np.ndarray
 
     def __post_init__(self):
-        splits = {}
-        for name in LABELED_SPLITS:
-            feats, labels = getattr(self, name)
+        dims = set()
+        for name in SPLITS:
+            split = getattr(self, name)
+            feats, labels = split if name in LABELED_SPLITS else (split, None)
             feats = np.asarray(feats, dtype=np.float64)
-            labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-            _check_split(feats, labels, name)
-            splits[name] = (feats, labels)
-            setattr(self, name, (feats, labels))
-        pool = np.asarray(self.unseen_unlabeled, dtype=np.float64)
-        _check_split(pool, np.zeros(pool.shape[:1], dtype=np.int64), "unseen_unlabeled")
-        self.unseen_unlabeled = pool
-        dims = {splits[n][0].shape[1] for n in splits if splits[n][0].size} | (
-            {pool.shape[1]} if pool.size else set()
-        )
+            if labels is not None:
+                labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+            if feats.ndim != 2:
+                raise DataFormatError(f"{name} features must be 2-D, got shape {feats.shape}")
+            if labels is not None and labels.shape != feats.shape[:1]:
+                raise DataFormatError(
+                    f"{name} has {feats.shape[0]} rows but {labels.shape[0]} labels")
+            if not np.all(np.isfinite(feats)):
+                raise DataFormatError(f"{name} features contain a non-finite value")
+            _check_rows(name, _zero_norm_rows(feats), labels)
+            setattr(self, name, feats if labels is None else (feats, labels))
+            dims |= {feats.shape[1]} if feats.size else set()
         if len(dims) > 1:
             raise DataFormatError(f"splits disagree on feature dimension: {sorted(dims)}")
 
@@ -435,17 +425,12 @@ def load_dataset(dir_path: str, splits=SPLITS) -> tuple[AttributeMatrix, Feature
             raise DataFormatError(f"{name} labels {sorted(extra)} fall outside the expected classes")
 
     rows = {name: r if name in splits else r[:0] for name, r in rows.items()}  # left out: no rows
-    seen_train, seen_test, unseen_test = (features[rows[name]] for name in LABELED_SPLITS)
+    kept = {name: (features[rows[name]], labels[rows[name]]) for name in LABELED_SPLITS}
     # the pool that save_dataset folds into the test rows shares their array
-    pool = (unseen_test if np.array_equal(rows["unseen_unlabeled"], rows["unseen_test"])
+    pool = (kept["unseen_test"][0] if np.array_equal(rows["unseen_unlabeled"], rows["unseen_test"])
             else features[rows["unseen_unlabeled"]])
-    del features  # all of the file's rows, freed before the kept splits are built
-    return attrs, FeatureDataset(
-        seen_train=(seen_train, labels[rows["seen_train"]]),
-        seen_test=(seen_test, labels[rows["seen_test"]]),
-        unseen_test=(unseen_test, labels[rows["unseen_test"]]),
-        unseen_unlabeled=pool,
-    )
+    del features  # all of the file's rows, freed before the kept splits are checked
+    return attrs, FeatureDataset(**kept, unseen_unlabeled=pool)
 
 
 def save_matrix_csv(matrix, path: str) -> None:

@@ -106,6 +106,7 @@ class BackwardResult:
     total: float
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # MlpParams rejects a blow-up
 def backward(plan_values, real_feats, real_classes, generated, synth_classes,
              g: GeneratorParams, f: MlpParams, class_attrs,
              reg_weight: float, nca_scale: float) -> BackwardResult:

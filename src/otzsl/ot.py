@@ -58,8 +58,8 @@ class Marginals:
 
     @staticmethod
     def uniform(n_rows: int, n_cols: int) -> "Marginals":
-        if n_rows < 1 or n_cols < 1:
-            raise ValueError("marginals need at least one point on each side")
+        n_rows = check_value("n_rows", n_rows, int, at_least=1)
+        n_cols = check_value("n_cols", n_cols, int, at_least=1)
         return Marginals(np.full(n_rows, 1.0 / n_rows), np.full(n_cols, 1.0 / n_cols))
 
 
@@ -320,6 +320,7 @@ def _result(plan: np.ndarray, marg: Marginals, converged: bool, iterations: int,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum past the float range is inf or nan
 def transport_cost(plan, cost) -> float:
     """tr(T'C), the objective value of a coupling."""
     values = _plan_values(plan)

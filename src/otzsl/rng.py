@@ -85,8 +85,10 @@ class SeededRng:
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
     def integers(self, upper: int, n: int) -> np.ndarray:
-        """n uniform draws from {0, ..., upper-1}."""
-        upper = check_value("upper", upper, int, at_least=1)
+        """n uniform draws from {0, ..., upper-1}, for an upper of at most
+        2^53: each is floor(u * upper) of a uniform u on the 53-bit grid,
+        which above 2^53 would leave some ids out."""
+        upper = check_value("upper", upper, int, at_least=1, at_most=1 << 53)
         vals = np.floor(self.uniform(n) * upper).astype(np.int64)
         return np.minimum(vals, upper - 1)
 

@@ -114,29 +114,23 @@ def sample_real_batch(data: FeatureDataset, b: int, rng: SeededRng,
     return batch, classes
 
 
-def sample_synth_batch(attrs: AttributeMatrix, class_pool, b: int, rng: SeededRng,
-                       mirror_classes=None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the class ids and noises of b generator inputs. With
-    mirror_classes the class indices are copied one-for-one (sentinel entries
-    replaced by uniform draws from class_pool), which keeps class proportions
-    matched to the mirrored batch; otherwise classes are drawn uniformly from
-    class_pool. Class draws come before the noises.
-
-    Returns (class ids, noises)."""
+def sample_synth_batch(attrs: AttributeMatrix, class_pool, classes,
+                       rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
+    """(class ids, noises) of one generator input per entry of `classes`:
+    each UNLABELED entry is drawn uniformly from class_pool, in one draw
+    before the noises, and every other entry is kept, so a batch that mirrors
+    a real one keeps its class proportions; an all-UNLABELED row draws all."""
     pool = np.asarray(list(class_pool), dtype=np.int64)
     if pool.size == 0:
         raise ValueError("class pool is empty")
     if pool.min() < 0 or pool.max() >= attrs.n_classes:
         raise ValueError(f"class pool {pool.tolist()} outside 0..{attrs.n_classes - 1}")
-    if mirror_classes is not None:
-        classes = np.asarray(mirror_classes, dtype=np.int64).copy()
-        hole = classes == UNLABELED
-        if hole.any():
-            classes[hole] = pool[rng.integers(pool.size, int(hole.sum()))]
-        if (classes < 0).any() or (classes >= attrs.n_classes).any():
-            raise ValueError("mirror_classes contains an unknown class id")
-    else:
-        classes = pool[rng.integers(pool.size, b)]
+    classes = np.array(classes, dtype=np.int64)  # a copy, whose UNLABELED entries are filled
+    hole = np.flatnonzero(classes == UNLABELED)
+    if hole.size:
+        classes[hole] = pool[rng.integers(pool.size, hole.size)]
+    if (classes < 0).any() or (classes >= attrs.n_classes).any():
+        raise ValueError("classes contains an unknown class id")
     noises = rng.gaussian(classes.size * attrs.attr_dim).reshape(classes.size, attrs.attr_dim)
     return classes, noises
 
@@ -187,16 +181,17 @@ def train(data: FeatureDataset, attrs: AttributeMatrix,
     b = cfg.batch_size
     # every OT step couples b real rows to b generated ones, or to 2b in transductive mode
     marg = Marginals.uniform(b, 2 * b if transductive else b)
+    unseen_draw = np.full(b, UNLABELED)  # every unseen class id is drawn
 
     for epoch in range(cfg.epochs):
         for it in range(iters):
             step = epoch * iters + it
             try:
                 real_feats, real_classes = sample_real_batch(data, b, batch_rng, transductive)
-                s_classes, s_noises = sample_synth_batch(
-                    attrs, attrs.seen_ids, b, batch_rng, mirror_classes=real_classes
-                )
-                u_classes, u_noises = sample_synth_batch(attrs, attrs.unseen_ids, b, batch_rng)
+                s_classes, s_noises = sample_synth_batch(attrs, attrs.seen_ids, real_classes,
+                                                         batch_rng)
+                u_classes, u_noises = sample_synth_batch(attrs, attrs.unseen_ids, unseen_draw,
+                                                         batch_rng)
                 synth_classes = np.concatenate([s_classes, u_classes])
                 generated = generator_forward(g, attrs.attrs[synth_classes],
                                               np.vstack([s_noises, u_noises]))

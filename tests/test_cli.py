@@ -332,11 +332,17 @@ def test_main_calls_the_command_functions_of_the_module(monkeypatch, tmp_path):
     wrapper set on the module attribute, as perfbench sets its timers, is
     the function main calls."""
     calls = []
-    monkeypatch.setattr(cli, "cmd_gen_data", lambda args: calls.append(args.command) or 0)
-    monkeypatch.setattr(cli, "cmd_solve_ot", lambda args: calls.append(args.command) or 5)
+    for attr, name, code in [("cmd_gen_data", "gen-data", 0), ("cmd_solve_ot", "solve-ot", 5)]:
+        monkeypatch.setattr(cli, attr, lambda cfg, out, name=name, code=code:
+                            calls.append((name, cfg, out)) or code)
     assert run(["gen-data", "--out", str(tmp_path / "a")]) == 0
-    assert run(["solve-ot", "--out", str(tmp_path / "b")]) == 5
-    assert calls == ["gen-data", "solve-ot"]
+    assert run(["solve-ot", "--out", str(tmp_path / "b"), "--iters", "7"]) == 5
+    assert [name for name, _, _ in calls] == ["gen-data", "solve-ot"]
+    # each command gets the config main resolved by its own key table, and --out
+    defaults = {key: cli.key_rule(entry)[0] for key, entry in cli.GEN_DATA_KEYS.items()}
+    assert calls[0][1:] == (defaults, str(tmp_path / "a"))
+    assert calls[1][1]["iters"] == 7 and set(calls[1][1]) == set(cli.SOLVE_OT_KEYS)
+    assert calls[1][2] == str(tmp_path / "b")
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 

@@ -164,6 +164,22 @@ def test_dataset_rejects_negative_label():
         )
 
 
+def test_dataset_checks_its_splits_in_splits_order():
+    """Each split is checked whole, in SPLITS order: a zero-norm seen_test
+    row is found before a non-finite pool, and the pool is checked as a
+    split without labels."""
+    ones = np.ones((2, 2))
+    for seen_test, error in [(np.array([[1.0, 2.0], [0.0, 0.0]]), "seen_test row 1 has zero norm"),
+                             (ones, "unseen_unlabeled features contain a non-finite value")]:
+        with pytest.raises(DataFormatError, match=f"^{error}$"):
+            FeatureDataset(
+                seen_train=(ones, np.array([0, 0])),
+                seen_test=(seen_test, np.array([0, 0])),
+                unseen_test=(ones, np.array([1, 1])),
+                unseen_unlabeled=np.array([[np.nan, 1.0]]),
+            )
+
+
 # ----------------------------------------------------------------- synthetic
 
 
@@ -1009,10 +1025,13 @@ def test_a_file_whose_lines_end_in_cr_is_read_a_line_at_a_time(tmp_path):
 
 
 def test_check_split_makes_no_temporary_of_the_split_size():
-    """The zero-norm check sums each row's squares in place: only the
-    boolean finiteness mask, an eighth of the split, is left."""
+    """FeatureDataset's zero-norm check sums each row's squares in place:
+    only the boolean finiteness mask, an eighth of the split, is left."""
     features = SeededRng(3).gaussian(2000 * 2048).reshape(2000, 2048)
-    _, peak = traced_peak(data_module._check_split, features, np.zeros(2000, dtype=np.int64), "s")
+    labels, empty = np.zeros(2000, dtype=np.int64), np.zeros((0, 2048))
+    no_rows = (empty, np.zeros(0, dtype=np.int64))
+    data, peak = traced_peak(FeatureDataset, (features, labels), no_rows, no_rows, empty)
+    assert data.seen_train[0] is features
     assert peak <= 0.2 * features.nbytes
 
 

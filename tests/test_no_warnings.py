@@ -6,10 +6,11 @@ are errors in this suite, so a leaked one fails here."""
 import numpy as np
 import pytest
 
-from otzsl.generator import GeneratorParams, generator_forward
+from otzsl.generator import GeneratorParams, backward, generator_forward, init_generator
 from otzsl.linalg import log_softmax_rows
-from otzsl.mlp import MlpParams, add_grads, mlp_backward, mlp_forward_cache, mlp_size
-from otzsl.ot import Marginals, check_marginals
+from otzsl.mlp import MlpParams, add_grads, init_mlp, mlp_backward, mlp_forward_cache, mlp_size
+from otzsl.ot import Marginals, check_marginals, transport_cost
+from otzsl.rng import SeededRng
 
 HUGE = 1e308
 
@@ -30,6 +31,16 @@ def huge_generator_features():
     return features
 
 
+def backward_of_huge_reg_weight():
+    """backward of a 2x2 batch whose class-likelihood gradient overflows."""
+    rng = SeededRng(0)
+    g, f = init_generator(2, 2, 3, rng.split(1)), init_mlp(2, 3, 2, rng.split(2))
+    attrs = np.array([[1.0, 0.0], [0.0, 1.0]])
+    generated = generator_forward(g, attrs, np.array([[1.0, 2.0], [3.0, 1.0]]))
+    return backward(np.full((2, 2), 0.25), np.array([[2.0, 1.0], [1.0, 2.0]]), [0, 1], generated,
+                    [0, 1], g, f, attrs, reg_weight=HUGE, nca_scale=0.5)
+
+
 # (call, error): the ValueError a call raises, or None for a call that
 # returns quietly, which then returns whether its result shows the trouble
 CASES = {
@@ -48,6 +59,9 @@ CASES = {
                   "W1 contains a non-finite value"),
     "Marginals": (lambda: Marginals([HUGE, HUGE], [0.5, 0.5]),
                   "row marginal sums to inf, expected 1"),
+    "transport_cost": (lambda: transport_cost(np.full((2, 2), HUGE), np.full((2, 2), 2.0)) == np.inf,
+                       None),
+    "backward": (backward_of_huge_reg_weight, "contains a non-finite value"),
 }
 
 

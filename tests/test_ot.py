@@ -90,6 +90,21 @@ def test_marginals_uniform():
     np.testing.assert_allclose(marg.col, 0.5)
 
 
+@pytest.mark.parametrize("n_rows, n_cols, error", [
+    (2.5, 2, "n_rows must be of type int, got 2.5"),
+    (True, 2, "n_rows must be of type int, got True"),
+    (2, np.float64(3.0), "n_cols must be of type int, got 3.0"),
+    (0, 2, "n_rows must be at least 1, got 0"),
+])
+def test_marginals_uniform_counts_are_ints(n_rows, n_cols, error):
+    """A count that is no positive int is a ConfigError, also a ValueError,
+    not numpy's TypeError; a numpy integer is an int."""
+    with pytest.raises(ConfigError, match=f"^{error}$") as info:
+        Marginals.uniform(n_rows, n_cols)
+    assert isinstance(info.value, ValueError)
+    assert Marginals.uniform(np.int64(2), 4).row.tolist() == [0.5, 0.5]
+
+
 @pytest.mark.parametrize(
     "row, col",
     [

@@ -62,6 +62,24 @@ def test_a_draw_count_that_is_not_an_int_is_rejected(draw):
     assert rng._counter == 0
 
 
+@pytest.mark.parametrize("upper", [2**64, 2**63 + 2**12, 2**53 + 1])
+def test_integers_upper_past_the_53_bit_grid_is_rejected(upper):
+    """floor(u * upper) of a u on the 53-bit grid reaches only 2^53 values,
+    so an upper past 2^53 would leave ids out (and past 2^63 fail the int64
+    cast): a ConfigError before the stream moves."""
+    rng = SeededRng(0)
+    with pytest.raises(ConfigError, match=f"^upper must be at least 1 and at most {2**53}, "):
+        rng.integers(upper, 3)
+    assert rng._counter == 0
+
+
+def test_integers_upper_of_2_53_draws_the_grid():
+    rng, ref = SeededRng(9), SeededRng(9)
+    got = rng.integers(2**53, 4)
+    assert got.dtype == np.int64
+    assert got.tolist() == (ref.next_uint64(4) >> np.uint64(11)).astype(np.int64).tolist()
+
+
 def test_numpy_integer_counts_draw_the_stream_of_ints():
     a, b = SeededRng(4), SeededRng(4)
     np.testing.assert_array_equal(a.integers(np.int64(7), np.int32(5)), b.integers(7, 5))

@@ -165,23 +165,27 @@ def test_sample_real_empty_pool_errors():
 
 # --- synthetic-batch sampler ---
 
+def draws(n):
+    """A class row that draws every one of its n ids from the pool."""
+    return np.full(n, UNLABELED)
+
+
 def test_sample_synth_mirror_copies_classes():
     attrs = four_class_attrs()
-    classes, _ = sample_synth_batch(attrs, attrs.seen_ids, 4, SeededRng(0),
-                                    mirror_classes=[1, 1, 0, 0])
+    classes, _ = sample_synth_batch(attrs, attrs.seen_ids, [1, 1, 0, 0], SeededRng(0))
     assert classes.tolist() == [1, 1, 0, 0]
 
 
 def test_sample_synth_singleton_pool():
     attrs = four_class_attrs()
-    classes, _ = sample_synth_batch(attrs, [1], 5, SeededRng(0))
+    classes, _ = sample_synth_batch(attrs, [1], draws(5), SeededRng(0))
     assert classes.tolist() == [1] * 5
 
 
 def test_sample_synth_deterministic():
     attrs = four_class_attrs()
-    a = sample_synth_batch(attrs, attrs.unseen_ids, 6, SeededRng(11))
-    b = sample_synth_batch(attrs, attrs.unseen_ids, 6, SeededRng(11))
+    a = sample_synth_batch(attrs, attrs.unseen_ids, draws(6), SeededRng(11))
+    b = sample_synth_batch(attrs, attrs.unseen_ids, draws(6), SeededRng(11))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -190,13 +194,12 @@ def test_sample_synth_draws_classes_then_noises():
     # the order the training module's docstring promises: hole draws, then noises
     attrs = four_class_attrs()
     mirror = [0, UNLABELED, 1, UNLABELED, UNLABELED]
-    classes, noises = sample_synth_batch(attrs, attrs.seen_ids, 5, SeededRng(7),
-                                         mirror_classes=mirror)
+    classes, noises = sample_synth_batch(attrs, attrs.seen_ids, mirror, SeededRng(7))
     rng = SeededRng(7)
     holes = np.asarray(attrs.seen_ids)[rng.integers(2, 3)]
     assert classes.tolist() == [0, holes[0], 1, holes[1], holes[2]]
     np.testing.assert_array_equal(noises, rng.gaussian(5 * 4).reshape(5, 4))
-    classes, noises = sample_synth_batch(attrs, attrs.unseen_ids, 3, SeededRng(8))
+    classes, noises = sample_synth_batch(attrs, attrs.unseen_ids, draws(3), SeededRng(8))
     rng = SeededRng(8)
     assert classes.tolist() == np.asarray(attrs.unseen_ids)[rng.integers(2, 3)].tolist()
     np.testing.assert_array_equal(noises, rng.gaussian(3 * 4).reshape(3, 4))
@@ -205,21 +208,20 @@ def test_sample_synth_draws_classes_then_noises():
 def test_sample_synth_fills_unlabeled_holes_from_pool():
     attrs = four_class_attrs()
     mirror = [0, UNLABELED, 1, UNLABELED, UNLABELED]
-    classes, _ = sample_synth_batch(attrs, attrs.seen_ids, 5, SeededRng(5),
-                                    mirror_classes=mirror)
+    classes, _ = sample_synth_batch(attrs, attrs.seen_ids, mirror, SeededRng(5))
     assert classes[0] == 0 and classes[2] == 1
     assert set(classes[[1, 3, 4]].tolist()) <= set(attrs.seen_ids)
 
 
-@pytest.mark.parametrize("pool,mirror,msg", [
-    ((), None, "class pool is empty"),
-    ((9,), None, "outside"),
+@pytest.mark.parametrize("pool,classes,msg", [
+    ((), draws(2), "class pool is empty"),
+    ((9,), draws(2), "outside"),
     ((0, 1), (7, 0), "unknown class id"),
 ])
-def test_sample_synth_rejects(pool, mirror, msg):
+def test_sample_synth_rejects(pool, classes, msg):
     attrs = four_class_attrs()
     with pytest.raises(ValueError, match=msg):
-        sample_synth_batch(attrs, pool, 2, SeededRng(0), mirror_classes=mirror)
+        sample_synth_batch(attrs, pool, classes, SeededRng(0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -230,8 +232,7 @@ def test_mirrored_batches_satisfy_transition_precondition(labels, seed):
     # never hits its proportion-mismatch error
     attrs = AttributeMatrix(np.eye(4), seen_ids=(0, 1, 2, 3), unseen_ids=())
     real = np.asarray(labels, dtype=np.int64)
-    synth, _ = sample_synth_batch(attrs, attrs.seen_ids, len(labels),
-                                  SeededRng(seed), mirror_classes=real)
+    synth, _ = sample_synth_batch(attrs, attrs.seen_ids, real, SeededRng(seed))
     plan = transition_plan(real, synth)
     np.testing.assert_allclose(plan.sum(axis=1), 1.0 / len(labels),
                                rtol=0, atol=1e-12)

@@ -28,7 +28,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import data as dataio
 from . import ot
-from .errors import ConfigError, DataFormatError, OtzslError, check_value, field_kind, knob
+from .errors import ConfigError, DataFormatError, OtzslError, check_value, knob
 from .evaluate import PROTOCOL_SPLITS, PROTOCOLS, EvalConfig, evaluate, protocol, save_report
 from .rng import SEED_BOUNDS, SeededRng
 from .training import (MODE_SPLITS, TrainConfig, require_training_rows,
@@ -38,15 +38,14 @@ from .training import (MODE_SPLITS, TrainConfig, require_training_rows,
 def flat_fields(config, prefix: str = "") -> dict:
     """The fields of a config dataclass as key table entries of flat config
     keys, a nested config field x spelled x_<field>: each a knob of the
-    field's value (its type, for a value of None) and the field's rule."""
+    field's value and the field's rule."""
     out = {}
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
         if dataclasses.is_dataclass(value):
             out.update(flat_fields(value, f"{prefix}{field.name}_"))
         else:
-            out[prefix + field.name] = knob(field_kind(config, field) if value is None else value,
-                                            **field.metadata)
+            out[prefix + field.name] = knob(value, **field.metadata)
     return out
 
 
@@ -198,15 +197,13 @@ def cmd_train(cfg: dict, out: str) -> int:
 def cmd_eval(cfg: dict, out: str) -> int:
     ec = from_flat(EvalConfig(), cfg)
     attrs, dataset, g = _load_dataset_and_generator(cfg, PROTOCOL_SPLITS[cfg["mode"]])
-    protocol(cfg["mode"], attrs, dataset, ec.top_k)  # rejects bad inputs before writing
+    protocol(cfg["mode"], attrs, dataset)  # rejects bad inputs before writing
     echo_config(cfg, out)
     report = evaluate(cfg["mode"], g, attrs, dataset, ec)
     save_report(report, os.path.join(out, "report.json"))
     for key in ("A_s", "A_u", "H"):  # A_s and H only in generalized mode
         if key in report:
             print(f"{key:<4} {report[key]:.4f}")
-    if report["top_k"] is not None:
-        print(f"top{cfg['top_k']} {report['top_k']:.4f}")
     print(f"wrote {os.path.join(out, 'report.json')}")
     return 0
 
@@ -297,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
          {"--data": "dataset directory", "--mode": None, "--epochs": None, "--batch-size": None}),
         ("eval", cmd_eval, "evaluate a trained generator", EVAL_KEYS,
          {"--data": "dataset directory", "--checkpoint": "checkpoint file from train",
-          "--mode": None, "--n-synth-per-class": None, "--top-k": None}),
+          "--mode": None, "--n-synth-per-class": None}),
         ("solve-ot", cmd_solve_ot, "solve one transport instance from a cost CSV", SOLVE_OT_KEYS,
          {"--cost": "cost matrix CSV path", "--solver": None,
           "--lambda": "solver regularization weight", "--iters": "iteration budget"}),

@@ -10,7 +10,6 @@ ConfigError, also a ValueError.
 import dataclasses
 import math
 import sys
-import typing
 
 import numpy as np
 
@@ -74,20 +73,10 @@ def check_value(what: str, value, kind: type, choices: tuple = (), shown=None, *
     raise ConfigError(f"{what} must be {rule}, got {repr(value) if shown is None else shown}")
 
 
-def field_kind(config, field) -> type:
-    """The type check_fields checks a field of config dataclass `config` by:
-    that of its default, or for a None default the first type of its annotation."""
-    return (type(field.default) if field.default is not None
-            else typing.get_args(typing.get_type_hints(type(config))[field.name])[0])
-
-
 def check_fields(config) -> None:
-    """check_value on each field of config dataclass `config` by its type
-    (field_kind; a None default also allows None) and its knob's rule; the
-    field keeps what check_value returns. Each config dataclass's
-    __post_init__ is this function."""
+    """check_value on each field of config dataclass `config` by the type of
+    its default and its knob's rule; the field keeps what check_value
+    returns. Each config dataclass's __post_init__ is this function."""
     for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        if value is not None or field.default is not None:
-            object.__setattr__(config, field.name, check_value(
-                field.name, value, field_kind(config, field), **field.metadata))
+        object.__setattr__(config, field.name, check_value(
+            field.name, getattr(config, field.name), type(field.default), **field.metadata))

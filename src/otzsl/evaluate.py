@@ -2,12 +2,16 @@
 
 standard / transductive: a U-way linear softmax classifier is trained purely
 on features generated for the unseen classes and scored on the real unseen
-test split (mean per-class top-1, optionally top-k).
+test split by mean per-class top-1 accuracy.
 
 generalized: an (S+U)-way classifier is trained on features generated for all
 classes and scored on both test splits; the headline number is the harmonic
 mean of the seen and unseen per-class accuracies (Xian et al. 2017, arXiv
 1707.00600).
+
+Every protocol scores top-1 only, as the paper does; report.json still holds
+a "top_k" key, always null, so that its key set stays what readers of earlier
+reports expect.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, write_json
-from .errors import ConfigError, DataFormatError, SolverError, check_fields, check_value, knob
+from .errors import DataFormatError, SolverError, check_fields, check_value, knob
 from .generator import GeneratorParams
 from .linalg import log_softmax_rows
 from .mlp import adam_init, adam_step
@@ -72,7 +76,9 @@ def train_softmax(features, labels, classes, cfg: ClassifierConfig,
     if labels.shape[0] != n:
         raise ValueError(f"{n} rows but {labels.shape[0]} labels")
     local = {c: i for i, c in enumerate(classes)}
-    for c in classes:
+    for i, c in enumerate(classes):
+        if c in classes[:i]:
+            raise ValueError(f"class {c} is listed twice in the class list")
         if not np.any(labels == c):
             raise ValueError(f"class {c} has no training samples")
     unknown = set(labels.tolist()) - set(classes)
@@ -120,17 +126,6 @@ def predict_ids(clf: ClassifierParams, features) -> np.ndarray:
     return ids[scores.argmax(axis=1)]
 
 
-def _per_class_mean(hits: np.ndarray, labels: np.ndarray, classes):
-    """Within-class means of per-sample hits, packed as per_class_top1 returns them."""
-    per_class = {}
-    for c in classes:
-        mask = labels == c
-        if mask.any():
-            per_class[int(c)] = float(hits[mask].mean())
-    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return per_class, mean
-
-
 def per_class_top1(predictions, labels, classes):
     """Within-class accuracies and their unweighted mean, as (per-class dict,
     mean); a class with no test samples gets no entry and no weight."""
@@ -138,19 +133,13 @@ def per_class_top1(predictions, labels, classes):
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if predictions.shape != labels.shape:
         raise ValueError(f"{predictions.shape[0]} predictions vs {labels.shape[0]} labels")
-    return _per_class_mean(predictions == labels, labels, classes)
-
-
-def per_class_topk(scores, class_id_map, labels, classes, k: int):
-    """Like per_class_top1 but a sample counts as correct when its label is
-    among its k highest-scoring classes."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    ids = np.asarray(class_id_map, dtype=np.int64)
-    if not 1 <= k <= ids.size:
-        raise ValueError(f"k must be in 1..{ids.size}, got {k}")
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return _per_class_mean((ids[order] == labels[:, None]).any(axis=1), labels, classes)
+    hits, per_class = predictions == labels, {}
+    for c in classes:
+        mask = labels == c
+        if mask.any():
+            per_class[int(c)] = float(hits[mask].mean())
+    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
+    return per_class, mean
 
 
 def harmonic_mean(a_s: float, a_u: float) -> float:
@@ -169,25 +158,19 @@ def harmonic_mean(a_s: float, a_u: float) -> float:
 class EvalConfig:
     n_synth_per_class: int = knob(100, at_least=1)
     seed: int = knob(0, **SEED_BOUNDS)
-    top_k: int | None = knob(None, at_least=1)
     classifier: ClassifierConfig = ClassifierConfig()
 
     __post_init__ = check_fields
 
 
-def protocol(mode: str, attrs: AttributeMatrix, data: FeatureDataset,
-             top_k: int | None = None):
+def protocol(mode: str, attrs: AttributeMatrix, data: FeatureDataset):
     """What protocol `mode` varies: the class ids its classifier ranks, and
     the test splits it scores, each paired with the class ids it is scored
     on. Generalized takes every class and both splits, the seen split first;
-    the others take the unseen ones. A mode outside PROTOCOLS or a top_k
-    above the class count is a ConfigError, an empty test split a
-    DataFormatError."""
+    the others take the unseen ones. A mode outside PROTOCOLS is a
+    ConfigError, an empty test split a DataFormatError."""
     check_value("mode", mode, str, PROTOCOLS)
     classes = tuple(range(attrs.n_classes)) if mode == "generalized" else attrs.unseen_ids
-    if top_k is not None and top_k > len(classes):
-        raise ConfigError(f"top_k must be at most {len(classes)}, the class count of "
-                          f"{mode} evaluation, got {top_k}")
     if data.unseen_test[0].shape[0] == 0:
         raise DataFormatError("unseen test split is empty; nothing to evaluate")
     if mode == "generalized" and data.seen_test[0].shape[0] == 0:
@@ -203,8 +186,9 @@ def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
     protocol picks only the classes and the test splits (each scored on its
     own class ids); the rest is one path for all three. Returns what
     report.json holds: mode, per_class (keyed by class id string), A_u,
-    top_k, n_synth_per_class, seed and, in generalized mode only, A_s and H."""
-    classes, tests = protocol(mode, attrs, data, cfg.top_k)
+    top_k (always None), n_synth_per_class, seed and, in generalized mode
+    only, A_s and H."""
+    classes, tests = protocol(mode, attrs, data)
     rng = SeededRng(cfg.seed)
     feats, labels = synthesize_class_features(g, attrs, classes, cfg.n_synth_per_class,
                                               rng.split(1))
@@ -218,13 +202,8 @@ def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
         except SolverError as exc:
             raise SolverError(f"{name}: {exc}") from None
     scored = [per_class_top1(p, y, ids) for p, ((_, y), ids) in zip(preds, tests)]
-    top_k = None
-    if cfg.top_k is not None:
-        true = np.concatenate([y for (_, y), _ in tests])
-        scores = np.vstack([classify_scores(clf, x) for (x, _), _ in tests])
-        _, top_k = per_class_topk(scores, clf.class_id_map, true, classes, cfg.top_k)
     report = {"mode": mode, "per_class": {str(c): v for per, _ in scored for c, v in per.items()},
-              "A_u": scored[-1][1], "top_k": top_k, "n_synth_per_class": cfg.n_synth_per_class,
+              "A_u": scored[-1][1], "top_k": None, "n_synth_per_class": cfg.n_synth_per_class,
               "seed": cfg.seed}
     if len(tests) == 2:  # the seen split comes first
         report["A_s"] = scored[0][1]

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_value
 from .linalg import ensure_finite
 from .rng import SeededRng
 
@@ -31,7 +32,11 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 def mlp_size(input_dim: int, hidden_dim: int, output_dim: int) -> int:
-    """The length of a network's parameter vector."""
+    """The length of a network's parameter vector; a dim that is not an int
+    of at least 1 is a ConfigError naming it."""
+    for name, dim in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
+                      ("output_dim", output_dim)):
+        check_value(name, dim, int, at_least=1)
     return hidden_dim * (input_dim + 1) + output_dim * (hidden_dim + 1)
 
 
@@ -47,10 +52,9 @@ class MlpParams:
 
     def __post_init__(self):
         i, h, o = self.input_dim, self.hidden_dim, self.output_dim
-        if min(i, h, o) < 1 or self.flat.shape != (mlp_size(i, h, o),):
-            raise ValueError(f"a ({i}, {h}, {o}) network needs dims of at least 1 and "
-                             f"{mlp_size(i, h, o)} parameters, got an array of shape "
-                             f"{self.flat.shape}")
+        if self.flat.shape != (mlp_size(i, h, o),):
+            raise ValueError(f"a ({i}, {h}, {o}) network needs {mlp_size(i, h, o)} parameters, "
+                             f"got an array of shape {self.flat.shape}")
         self.W1, self.b1, self.W2, self.b2 = _views(self.flat, [(h, i), (h,), (o, h), (o,)])
         if not np.isfinite(self.flat).all():  # one check; the blocks only name the first bad one
             for name in ("W1", "b1", "W2", "b2"):
@@ -124,6 +128,7 @@ class AdamState:
 
 
 def adam_init(params: list[np.ndarray], learning_rate: float) -> AdamState:
+    learning_rate = check_value("learning_rate", learning_rate, float, at_least=0)
     m, v = ([np.zeros(p.shape) for p in params] for _ in "mv")
     n = min(ADAM_CHUNK, max(p.size for p in params))
     return AdamState(m, v, learning_rate, scratch=(np.empty(n), np.empty(n)))

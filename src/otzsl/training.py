@@ -153,7 +153,10 @@ def require_training_rows(attrs: AttributeMatrix, data: FeatureDataset, mode: st
 
 
 def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
-    return max(1, math.ceil(pool_size / batch_size))
+    """Steps per epoch, at least 1; a pool size below 0 or a batch size below
+    1 (or either not an int) is a ConfigError."""
+    pool_size = check_value("pool_size", pool_size, int, at_least=0)
+    return max(1, math.ceil(pool_size / check_value("batch_size", batch_size, int, at_least=1)))
 
 
 # a blow-up raises from the finiteness checks of a step, not as a numpy warning

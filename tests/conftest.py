@@ -1,11 +1,15 @@
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from otzsl.data import SyntheticSpec, make_synthetic_dataset
+
+PERFBENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 TINY_SPEC = SyntheticSpec(seen_classes=3, unseen_classes=2, attr_dim=6,
                           feature_dim=8, samples_per_class=8,
@@ -48,6 +52,15 @@ def reference_write_json(obj, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def perfbench_report_keys() -> set:
+    """REPORT_KEYS of perfbench/run.py, the keys its run check expects in
+    every report.json, read from the source without running it."""
+    tree = ast.parse(PERFBENCH_RUN.read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["REPORT_KEYS"])
 
 
 def traced_peak(fn, *args):

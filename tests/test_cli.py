@@ -165,7 +165,7 @@ CONFIG_KEYS = {
     "train": {"data", "ot_prob", "reg_weight", "nca_scale", "batch_size", "learning_rate",
               "epochs", "seed", "mode", "hidden_dim", "ipot_reg",
               "ipot_max_outer_iters", "ipot_stop_tol"},
-    "eval": {"data", "checkpoint", "mode", "n_synth_per_class", "seed", "top_k",
+    "eval": {"data", "checkpoint", "mode", "n_synth_per_class", "seed",
              "classifier_learning_rate", "classifier_epochs", "classifier_batch_size"},
     "solve-ot": {"cost", "solver", "lambda", "iters", "stop_tol"},
     "compare-solvers": {"size", "instances", "iters", "seed"},
@@ -238,9 +238,9 @@ def test_flags_reach_the_config_by_name(command, workspace, tmp_path):
                   {"data": data, "mode": "transductive", "epochs": 1, "batch_size": 5,
                    "seed": 3}),
         "eval": (["--data", data, "--checkpoint", ckpt, "--mode", "generalized",
-                  "--n-synth-per-class", "2", "--top-k", "2", "--seed", "4"],
+                  "--n-synth-per-class", "2", "--seed", "4"],
                  {"data": data, "checkpoint": ckpt, "mode": "generalized",
-                  "n_synth_per_class": 2, "top_k": 2, "seed": 4}),
+                  "n_synth_per_class": 2, "seed": 4}),
         "solve-ot": (["--cost", str(cost), "--solver", "sinkhorn", "--lambda", "0.25",
                       "--iters", "3"],
                      {"cost": str(cost), "solver": "sinkhorn", "lambda": 0.25, "iters": 3}),
@@ -267,7 +267,7 @@ def test_flags_reach_the_config_by_name(command, workspace, tmp_path):
 FLAG_TEXTS = {
     "seed": ("2.5", "7"), "data": ("", None), "checkpoint": ("", None), "cost": ("", None),
     "mode": ("bogus", "transductive"), "epochs": ("true", "1"), "batch_size": ("1", "5"),
-    "n_synth_per_class": ("0", "3"), "top_k": ("2.5", "2"), "solver": ("simplex", "sinkhorn"),
+    "n_synth_per_class": ("0", "3"), "solver": ("simplex", "sinkhorn"),
     "lambda": ("NaN", "0.25"), "iters": ("2.5", "2"), "size": ("1", "3"),
     "instances": ("Infinity", "2"), "classes": ("everything", "all"), "per_class": ("0", "2"),
 }
@@ -346,14 +346,13 @@ def test_main_calls_the_command_functions_of_the_module(monkeypatch, tmp_path):
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
-@pytest.mark.parametrize("command, bad", [
+WRONG_TYPE_VALUES = [
     ("gen-data", {"seen_classes": 2.5}),
     ("train", {"epochs": "2"}),
     ("eval", {"n_synth_per_class": "100"}),
     ("solve-ot", {"solver": 1}),
     ("compare-solvers", {"size": "4"}),
     ("export", {"per_class": True}),
-    ("eval", {"top_k": "3"}),
     ("solve-ot", {"lambda": "0.5"}),
     ("solve-ot", {"iters": 2.5}),
     ("solve-ot", {"stop_tol": True}),
@@ -361,7 +360,13 @@ def test_main_calls_the_command_functions_of_the_module(monkeypatch, tmp_path):
     ("eval", {"checkpoint": 1}),
     ("export", {"data": ["d"]}),
     ("solve-ot", {"cost": 0}),
-])
+]
+
+
+# ids name the command and the key, so a row that goes renames no other case
+@pytest.mark.parametrize("command, bad", WRONG_TYPE_VALUES,
+                         ids=[f"{command}-{key}" for command, bad in WRONG_TYPE_VALUES
+                              for key in bad])
 def test_config_value_must_have_the_default_type(command, bad, workspace, tmp_path, capsys):
     data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
     cost = tmp_path / "cost.csv"
@@ -576,7 +581,7 @@ def test_gen_data_huge_noise_is_a_data_error_without_a_warning(tmp_path, capsys)
     lambda: SyntheticSpec(noise_sigma=-0.1), lambda: SyntheticSpec(noise_sigma=math.nan),
     lambda: SyntheticSpec(noise_sigma=math.inf), lambda: ot.IpotConfig(reg=0.0),
     lambda: TrainConfig(batch_size=1), lambda: ClassifierConfig(epochs=0),
-    lambda: EvalConfig(top_k=0),
+    lambda: EvalConfig(n_synth_per_class=0),
 ], ids=["dataset", "dataset-nan-noise", "dataset-inf-noise", "ipot", "train", "classifier",
         "eval"])
 def test_every_config_dataclass_rejects_a_bad_value_with_config_error(make):
@@ -672,7 +677,6 @@ BOUND_TABLE = {
     (ClassifierConfig, "batch_size"): ([1], [0]),
     (EvalConfig, "n_synth_per_class"): ([1], [0]),
     (EvalConfig, "seed"): SEEDS,
-    (EvalConfig, "top_k"): ([None, 1], [0]),
 }
 
 
@@ -944,31 +948,6 @@ def test_bad_checkpoint_header_is_a_data_error(command, offset, value, message, 
     assert not out.exists()
 
 
-def test_eval_top_k(workspace, tmp_path, capsys):
-    out = tmp_path / "eval"
-    assert run(["eval", "--data", str(workspace["data"]),
-                "--checkpoint", str(workspace["ckpt"]),
-                "--top-k", "2", "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["top_k"] >= report["A_u"]
-
-
-@pytest.mark.parametrize("mode, n_classes", [("standard", 2), ("generalized", 5)])
-def test_eval_top_k_up_to_the_class_count(mode, n_classes, workspace, tmp_path, capsys):
-    """The workspace dataset has 3 seen and 2 unseen classes; generalized
-    evaluation ranks all 5."""
-    argv = ["eval", "--data", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
-            "--mode", mode]
-    out = tmp_path / "fits"
-    assert run(argv + ["--top-k", str(n_classes), "--out", str(out)]) == 0
-    assert json.loads((out / "report.json").read_text())["top_k"] == 1.0
-    out = tmp_path / "too_large"
-    assert run(argv + ["--top-k", str(n_classes + 1), "--out", str(out)]) == 2
-    assert (f"error: top_k must be at most {n_classes}, the class count of {mode} evaluation, "
-            f"got {n_classes + 1}") in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_eval_has_no_include_real_seen_key(workspace, tmp_path, capsys):
     """The classifier learns from generated features only; the key that once
     put the real seen rows in front of them is unknown."""
@@ -978,6 +957,29 @@ def test_eval_has_no_include_real_seen_key(workspace, tmp_path, capsys):
     assert run(["eval", "--config", str(cfg), "--data", str(workspace["data"]),
                 "--checkpoint", str(workspace["ckpt"]), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}: unknown keys ['include_real_seen']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [None, 3])
+def test_an_old_eval_config_with_top_k_is_an_unknown_key(value, workspace, tmp_path, capsys):
+    """Evaluation scores top-1 only; an eval config written while top_k was a
+    key, null or not, is rejected before anything is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "standard", "top_k": value}))
+    out = tmp_path / "o"
+    assert run(["eval", "--config", str(cfg), "--data", str(workspace["data"]),
+                "--checkpoint", str(workspace["ckpt"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown keys ['top_k']\n"
+    assert not out.exists()
+
+
+def test_eval_has_no_top_k_flag(workspace, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--data", str(workspace["data"]), "--checkpoint", str(workspace["ckpt"]),
+             "--top-k", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --top-k 2" in capsys.readouterr().err
     assert not out.exists()
 
 

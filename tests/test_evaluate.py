@@ -1,7 +1,5 @@
-import ast
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +11,16 @@ from otzsl.data import SyntheticSpec, make_synthetic_dataset
 from otzsl.errors import ConfigError, DataFormatError
 from otzsl.evaluate import (PROTOCOLS, ClassifierConfig, ClassifierParams, EvalConfig,
                             classify_scores, evaluate, harmonic_mean, per_class_top1,
-                            per_class_topk, predict_ids, save_report, train_softmax)
+                            predict_ids, save_report, train_softmax)
 from otzsl.generator import GeneratorParams, init_generator
 from otzsl.mlp import MlpParams, mlp_size
 from otzsl.rng import SeededRng
 from otzsl.training import synthesize_class_features
 
-from conftest import TINY_SPEC, count_finiteness_checks, reference_write_json
+from conftest import (TINY_SPEC, count_finiteness_checks, perfbench_report_keys,
+                      reference_write_json)
 
 CLEAN_SPEC = dataclasses.replace(TINY_SPEC, noise_sigma=0.0)
-PERFBENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 # the tiny set fits in one minibatch, so the default 50 Adam steps underfit;
 # give the separable-oracle tests enough steps to actually converge
@@ -115,6 +113,19 @@ def test_softmax_rejects_bad_labels():
         train_softmax(feats, labels[:-1], (0, 1), ClassifierConfig(), SeededRng(0))
 
 
+@pytest.mark.parametrize("classes, twice", [((0, 0, 1), 0), ((0, 1, 1), 1), ((1, 0, 1), 1)])
+def test_softmax_rejects_a_class_listed_twice_before_any_step(monkeypatch, classes, twice):
+    """A class listed twice is rejected, by its id, before the first Adam
+    step, not after every epoch has run, when ClassifierParams would reject it."""
+    def no_step(*args):
+        raise AssertionError("an Adam step ran")
+
+    monkeypatch.setattr(evaluate_module, "adam_step", no_step)
+    feats, labels = separable_clusters(n_per=3)
+    with pytest.raises(ValueError, match=f"^class {twice} is listed twice in the class list$"):
+        train_softmax(feats, labels, classes, ClassifierConfig(epochs=3), SeededRng(0))
+
+
 def test_predict_ids_maps_argmax_to_class_ids():
     clf = ClassifierParams(W=np.eye(2), b=np.zeros(2), class_id_map=(3, 7))
     assert predict_ids(clf, [[2.0, 1.0], [0.0, 5.0]]).tolist() == [3, 7]
@@ -158,31 +169,6 @@ def test_per_class_top1_duplication_invariant(pairs):
     assert base == doubled
 
 
-def test_per_class_topk_hand_case():
-    scores = np.array([[0.9, 0.5, 0.1]])
-    _, top1 = per_class_topk(scores, (0, 1, 2), [1], (1,), 1)
-    _, top2 = per_class_topk(scores, (0, 1, 2), [1], (1,), 2)
-    assert top1 == 0.0 and top2 == 1.0
-    with pytest.raises(ValueError, match="k must be"):
-        per_class_topk(scores, (0, 1, 2), [1], (1,), 4)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 20))
-def test_topk_dominates_top1(seed, n_classes, n):
-    rng = SeededRng(seed)
-    scores = rng.gaussian(n * n_classes).reshape(n, n_classes)
-    labels = rng.integers(n_classes, n)
-    ids = tuple(range(n_classes))
-    preds = np.asarray(ids)[scores.argmax(axis=1)]
-    _, top1 = per_class_top1(preds, labels, ids)
-    _, top1_scores = per_class_topk(scores, ids, labels, ids, 1)
-    _, topk = per_class_topk(scores, ids, labels, ids, n_classes)
-    assert top1_scores == top1
-    assert topk >= top1
-    assert topk == 1.0
-
-
 def test_harmonic_mean_identities():
     assert harmonic_mean(0.6, 0.3) == 0.4
     assert harmonic_mean(0.3, 0.6) == 0.4
@@ -215,8 +201,6 @@ def test_harmonic_le_arithmetic(a, b):
 def test_eval_config_rejects():
     with pytest.raises(ConfigError, match="n_synth_per_class"):
         EvalConfig(n_synth_per_class=0)
-    with pytest.raises(ConfigError, match="top_k"):
-        EvalConfig(top_k=0)
     for seed in (-1, 2**64):  # a seed names its own stream, never another one modulo 2^64
         with pytest.raises(ConfigError, match="seed"):
             EvalConfig(seed=seed)
@@ -287,18 +271,6 @@ def test_evaluate_deterministic(tiny_dataset):
     assert a == b
 
 
-def test_evaluate_top_k(clean_dataset):
-    attrs, data, hidden_map = clean_dataset
-    g = oracle_generator(hidden_map)
-    u = len(attrs.unseen_ids)
-    rep = evaluate("standard", g, attrs, data,
-                   EvalConfig(n_synth_per_class=20, seed=1, top_k=u))
-    assert rep["top_k"] == 1.0
-    rep1 = evaluate("standard", g, attrs, data,
-                    EvalConfig(n_synth_per_class=20, seed=1, top_k=1))
-    assert rep1["top_k"] == rep1["A_u"]
-
-
 def test_evaluate_rejects_bad_inputs(clean_dataset):
     attrs, data, hidden_map = clean_dataset
     g = oracle_generator(hidden_map)
@@ -347,29 +319,19 @@ def test_a_config_of_numpy_scalars_writes_the_report_of_python_numbers(tiny_data
     assert (tmp_path / "numpy").read_bytes() == (tmp_path / "python").read_bytes()
 
 
-def perfbench_report_keys() -> set:
-    """REPORT_KEYS of perfbench/run.py, the keys its run check expects in
-    every report.json, read from the source without running it."""
-    tree = ast.parse(PERFBENCH_RUN.read_text(encoding="utf-8"))
-    return next(ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["REPORT_KEYS"])
-
-
-@pytest.mark.parametrize("top_k", [None, 2])
 @pytest.mark.parametrize("mode", PROTOCOLS)
-def test_evaluate_returns_what_report_json_holds(noisy_dataset, tmp_path, mode, top_k):
+def test_evaluate_returns_what_report_json_holds(noisy_dataset, tmp_path, mode):
     """The report has one shape: what evaluate returns is what save_report
     writes and json reads back, with the keys perfbench checks in every
     report.json and, in generalized mode only, A_s and H."""
     attrs, data, hidden_map = noisy_dataset
     g = oracle_generator(hidden_map, noise_gain=0.5)
-    report = evaluate(mode, g, attrs, data, EvalConfig(n_synth_per_class=12, seed=3, top_k=top_k))
+    report = evaluate(mode, g, attrs, data, EvalConfig(n_synth_per_class=12, seed=3))
     save_report(report, str(tmp_path / "report.json"))
     assert report == json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     seen_side = {"A_s", "H"} if mode == "generalized" else set()
     assert set(report) == perfbench_report_keys() | seen_side
-    assert (report["top_k"] is None) == (top_k is None)
+    assert report["top_k"] is None
 
 
 # --- the one evaluation path against the two branches it replaced ---
@@ -388,13 +350,8 @@ def reference_evaluate(mode, g, attrs, data, cfg):
         test_feats, test_labels = data.unseen_test
         pred = predict_ids(clf, test_feats)
         per_class, a_u = per_class_top1(pred, test_labels, classes)
-        top_k = None
-        if cfg.top_k is not None:
-            scores = classify_scores(clf, test_feats)
-            _, top_k = per_class_topk(scores, clf.class_id_map, test_labels,
-                                      classes, cfg.top_k)
         return {"mode": mode, "per_class": {str(c): v for c, v in per_class.items()},
-                "A_u": a_u, "top_k": top_k, "n_synth_per_class": cfg.n_synth_per_class,
+                "A_u": a_u, "top_k": None, "n_synth_per_class": cfg.n_synth_per_class,
                 "seed": cfg.seed}
 
     classes = tuple(range(attrs.n_classes))
@@ -408,13 +365,8 @@ def reference_evaluate(mode, g, attrs, data, cfg):
     pred_unseen = predict_ids(clf, unseen_feats)
     per_seen, a_s = per_class_top1(pred_seen, seen_labels, attrs.seen_ids)
     per_unseen, a_u = per_class_top1(pred_unseen, unseen_labels, attrs.unseen_ids)
-    top_k = None
-    if cfg.top_k is not None:
-        scores = np.vstack([classify_scores(clf, seen_feats), classify_scores(clf, unseen_feats)])
-        all_labels = np.concatenate([seen_labels, unseen_labels])
-        _, top_k = per_class_topk(scores, clf.class_id_map, all_labels, classes, cfg.top_k)
     return {"mode": mode, "per_class": {str(c): v for c, v in {**per_seen, **per_unseen}.items()},
-            "A_u": a_u, "A_s": a_s, "H": harmonic_mean(a_s, a_u), "top_k": top_k,
+            "A_u": a_u, "A_s": a_s, "H": harmonic_mean(a_s, a_u), "top_k": None,
             "n_synth_per_class": cfg.n_synth_per_class, "seed": cfg.seed}
 
 
@@ -426,20 +378,17 @@ def noisy_dataset():
     return make_synthetic_dataset(dataclasses.replace(TINY_SPEC, noise_sigma=1.0))
 
 
-@pytest.mark.parametrize("top_k", [None, 1, "all"])
 @pytest.mark.parametrize("mode", PROTOCOLS)
-def test_evaluate_matches_two_branch_reference(noisy_dataset, mode, top_k):
+def test_evaluate_matches_two_branch_reference(noisy_dataset, mode):
     attrs, data, hidden_map = noisy_dataset
     g = oracle_generator(hidden_map, noise_gain=0.5)
-    if top_k == "all":
-        top_k = attrs.n_classes if mode == "generalized" else len(attrs.unseen_ids)
     # minibatches smaller than the training set, so the classifier's stream matters
-    cfg = EvalConfig(n_synth_per_class=12, seed=3, top_k=top_k,
+    cfg = EvalConfig(n_synth_per_class=12, seed=3,
                      classifier=ClassifierConfig(batch_size=8, epochs=20))
     got = evaluate(mode, g, attrs, data, cfg)
     want = reference_evaluate(mode, g, attrs, data, cfg)
     assert got == want
-    assert (got["top_k"] is None) == (top_k is None)
+    assert got["top_k"] is None
 
 
 def test_generalized_classifier_learns_from_generated_rows_only(noisy_dataset, monkeypatch):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from otzsl.errors import ConfigError
+from otzsl.generator import init_generator
 from otzsl.mlp import (
     ADAM_CHUNK,
     AdamState,
@@ -24,8 +26,8 @@ def random_net(seed, inp=4, hidden=6, out=3):
 def test_params_validate_shapes():
     """The vector holds exactly the blocks its dims give, each dim at least 1."""
     assert mlp_size(2, 3, 4) == 3 * 2 + 3 + 4 * 3 + 4
-    with pytest.raises(ValueError, match=r"a \(2, 3, 4\) network needs dims of at least 1 and "
-                                         r"25 parameters, got an array of shape \(24,\)"):
+    with pytest.raises(ValueError, match=r"a \(2, 3, 4\) network needs 25 parameters, "
+                                         r"got an array of shape \(24,\)"):
         MlpParams(np.zeros(24), 2, 3, 4)
     with pytest.raises(ValueError, match="shape"):
         MlpParams(np.zeros((5, 5)), 2, 3, 4)
@@ -232,6 +234,38 @@ def test_adam_two_steps_match_scalar_reference():
         theta -= 0.05 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
     assert p[0] == pytest.approx(theta, abs=1e-15)
     assert state.step == 2
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: init_mlp(2.5, 3, 2, SeededRng(0)), "input_dim must be of type int, got 2.5"),
+    (lambda: init_generator(2, 2, True, SeededRng(0)), "hidden_dim must be of type int, got True"),
+    (lambda: mlp_size(2.5, 3, 2), "input_dim must be of type int, got 2.5"),
+    (lambda: MlpParams(np.zeros(3), 2.5, 1, 1), "input_dim must be of type int, got 2.5"),
+    (lambda: MlpParams(np.zeros(3), 1, 1, 0), "output_dim must be at least 1, got 0"),
+], ids=["init_mlp", "init_generator", "mlp_size", "MlpParams", "MlpParams-zero"])
+def test_a_network_dim_that_is_no_count_is_a_config_error(make, message):
+    """Each dim is an int of at least 1, checked before any array is sized."""
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        make()
+
+
+def test_network_dims_may_be_numpy_integers():
+    """A dim read off an array's shape or a numpy scalar is a count like an int."""
+    dims = (np.int64(2), np.int32(3), np.int16(2))
+    assert mlp_size(*dims) == mlp_size(2, 3, 2)
+    np.testing.assert_array_equal(init_mlp(*dims, SeededRng(0)).flat,
+                                  init_mlp(2, 3, 2, SeededRng(0)).flat)
+    np.testing.assert_array_equal(init_generator(*dims, SeededRng(0)).net.flat,
+                                  init_generator(2, 3, 2, SeededRng(0)).net.flat)
+
+
+@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -0.001, True, "0.1"])
+def test_adam_init_rejects_a_learning_rate_that_is_no_rate(learning_rate):
+    """A learning rate is a finite number of at least 0, or ConfigError, before
+    the first step rather than as a non-finite parameter after it."""
+    with pytest.raises(ConfigError, match="learning_rate"):
+        adam_init([np.zeros(2)], learning_rate)
+    assert adam_init([np.zeros(2)], 0).learning_rate == 0
 
 
 def test_adam_shape_mismatch_errors():

@@ -39,8 +39,7 @@ COMMANDS = [
     ("eval_standard", ["eval", "--config", "eval.json", "--data", "data",
                        "--checkpoint", "train/checkpoint.bin", "--mode", "standard"]),
     ("eval_generalized", ["eval", "--config", "eval.json", "--data", "data",
-                          "--checkpoint", "train/checkpoint.bin", "--mode", "generalized",
-                          "--top-k", "3"]),
+                          "--checkpoint", "train/checkpoint.bin", "--mode", "generalized"]),
     ("eval_trans", ["eval", "--config", "eval.json", "--data", "data",
                     "--checkpoint", "train_trans/checkpoint.bin", "--mode", "transductive",
                     "--seed", "2"]),
@@ -68,13 +67,13 @@ DIGESTS = {
     "train_trans/config.json": "f94049c16501514366fc8a32ca558761173409243a5e7739aedc1b13df9e335f",
     "train_trans/trace.csv": "b15f0b9146398f98d67dc5e244967ef952d54369435cfefddfc5632078a70dd9",
     "eval_standard stdout": "875eb00c6f7ff9b07c5db62b5b8480d4cd488347622e54afeeacc42a4b78cd2d",
-    "eval_standard/config.json": "02814ade693febc392639798d3f0a13f60b6fc5694214566d3ec774f74be5b9d",
+    "eval_standard/config.json": "47c2ec09f1d27903a9c2ac4c21a67a25e1541af2713dd06285cb6cb8ce16fc05",
     "eval_standard/report.json": "f9f50a5c2cd7ce1f4a431a648c3df263e34d7237562526ca253e5db32afc346b",
-    "eval_generalized stdout": "5cf3711775268ab4dbae8be51d10cc1273a393ce79d1fe778be31f031f66d015",
-    "eval_generalized/config.json": "793923353e07ffdbbe4585054ef2b9b545a7c73f61a099bb0daa5f089a48a65a",
-    "eval_generalized/report.json": "1fd0c4f6db4c9e070b05e16e569d1a69e7441d9ae71f8dcb8a332597770c5a71",
+    "eval_generalized stdout": "112cba3b2c96e61cb7255b02d96d4754f12cc9c195325c50875bb5da5045495d",
+    "eval_generalized/config.json": "3c788775553dc914cb1838d03e1455f5e22a5c2fd1de3d05c5340dce0254bf37",
+    "eval_generalized/report.json": "86b08dedf815480b19c2c9ddb026d075a7a6d8ddcf6261588766f7e69f31594b",
     "eval_trans stdout": "f43d4aa2d8f77f783818855960aa1f471ffffaead0315a7a93376b5ceb9ab854",
-    "eval_trans/config.json": "8c0a71396d1784a7e948c670d2e1bcf5db6e90c819dd25aa01471b2f144e44d8",
+    "eval_trans/config.json": "5da4d1b827c47b25b3b685cf68b15d8a97e258751d5046852ee225bb4f04e8d5",
     "eval_trans/report.json": "009b00b7db3a6a70bfaa8e151ee957932c9d1078ddf43e928317bbc37c8cb7a0",
     "export stdout": "12540220ea1a2d869090cd1839fc0bc275678e09a55382705d8d962bf6eb7799",
     "export/config.json": "ae36d06d798832fb99a486295a198bfb4cb076e59c0cc8da1476d3a455fdbb40",

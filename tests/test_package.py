@@ -1,16 +1,24 @@
 """The package's import contract: what `import otzsl` loads and binds, and
 the names and argument positions that perfbench's traced run wraps."""
 
+import dataclasses
 import inspect
+import json
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import otzsl
 import otzsl.evaluate as evaluate_module
-from otzsl import checkpoint, data, errors, evaluate, ot, training
+from otzsl import checkpoint, cli, data, errors, evaluate, ot, training
+from otzsl.generator import init_generator
+from otzsl.rng import SeededRng
+
+from conftest import perfbench_report_keys
 
 SRC = Path(otzsl.__file__).resolve().parents[1]
 SITES = SRC.parent / "perfbench" / "sites.py"
@@ -73,3 +81,31 @@ def test_each_config_dataclass_checks_its_fields_by_their_declarations_alone():
     for cls in (data.SyntheticSpec, ot.IpotConfig, training.TrainConfig,
                 evaluate.ClassifierConfig, evaluate.EvalConfig):
         assert cls.__post_init__ is errors.check_fields, cls.__name__
+
+
+@pytest.mark.parametrize("mode", evaluate.PROTOCOLS)
+def test_eval_writes_the_report_keys_perfbench_checks(mode, tiny_dataset, tmp_path, capsys):
+    """perfbench's run check fails an eval whose report.json has other keys
+    than REPORT_KEYS (read from perfbench/run.py without importing it), and
+    A_s and H in generalized mode; so a key that appears or vanishes fails
+    here first, not in every eval of the benchmark."""
+    attrs, dataset, _ = tiny_dataset
+    data.save_dataset(str(tmp_path / "data"), attrs, dataset)
+    g = init_generator(attrs.attr_dim, dataset.feature_dim, 4, SeededRng(0))
+    checkpoint.save_checkpoint(str(tmp_path / "g.bin"), g)
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--data", str(tmp_path / "data"), "--checkpoint",
+                     str(tmp_path / "g.bin"), "--mode", mode, "--n-synth-per-class", "2",
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    seen_side = {"A_s", "H"} if mode == "generalized" else set()
+    assert set(report) == perfbench_report_keys() | seen_side
+    assert report["mode"] == mode and report["top_k"] is None
+
+
+def test_evaluation_takes_no_top_k():
+    """Every protocol scores top-1 only: protocol takes the mode and the data
+    alone, and EvalConfig has no top_k field to carry a k."""
+    assert list(inspect.signature(evaluate.protocol).parameters) == ["mode", "attrs", "data"]
+    assert "top_k" not in {f.name for f in dataclasses.fields(evaluate.EvalConfig)}
+    assert not hasattr(evaluate, "per_class_topk")

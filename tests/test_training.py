@@ -266,6 +266,18 @@ def test_iterations_per_epoch():
     assert iterations_per_epoch(0, 4) == 1
 
 
+@pytest.mark.parametrize("pool_size, batch_size, message", [
+    (10, 0, "batch_size must be at least 1, got 0"),
+    (10, 2.5, "batch_size must be of type int, got 2.5"),
+    (10, True, "batch_size must be of type int, got True"),
+    (-1, 4, "pool_size must be at least 0, got -1"),
+    (2.5, 4, "pool_size must be of type int, got 2.5"),
+], ids=["batch_size=0", "batch_size=2.5", "batch_size=True", "pool_size=-1", "pool_size=2.5"])
+def test_iterations_per_epoch_rejects_counts_out_of_range(pool_size, batch_size, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        iterations_per_epoch(pool_size, batch_size)
+
+
 # --- training loop ---
 
 def quick_cfg(**kwargs):

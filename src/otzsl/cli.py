@@ -3,14 +3,14 @@ standalone transport solves, solver comparison curves, and feature export.
 
 A JSON config file is the source of truth. Every flag other than --config and
 --out overrides the config key its argparse dest names (--batch-size sets
-batch_size), and the fully resolved config is echoed into the output directory
-as config.json. Each command declares its keys once, in its key table (see
+batch_size). Each command declares its keys once, in its key table (see
 key_rule), and a value from the file or from a flag is read by one rule (see
 read_value). The keys of gen-data, train and eval, their defaults and their
 rules are the fields of SyntheticSpec, TrainConfig and EvalConfig, a nested
 config field x spelled x_<field> (ipot_reg, classifier_epochs). `main`
-resolves a command's config and calls it as cmd(cfg, out directory). Exit
-codes: 0 success, 1 runtime failure, 2 usage or config error.
+resolves a command's config and calls it as cmd(cfg, out, stage); only a
+command that succeeds has its stage, and config.json last, moved into --out
+(see staged). Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ import dataclasses
 import gc
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -29,10 +31,9 @@ from . import checkpoint as ckpt
 from . import data as dataio
 from . import ot
 from .errors import ConfigError, DataFormatError, OtzslError, check_value, knob
-from .evaluate import PROTOCOL_SPLITS, PROTOCOLS, EvalConfig, evaluate, protocol, save_report
+from .evaluate import PROTOCOL_SPLITS, PROTOCOLS, EvalConfig, evaluate, save_report
 from .rng import SEED_BOUNDS, SeededRng
-from .training import (MODE_SPLITS, TrainConfig, require_training_rows,
-                       synthesize_class_features, train, write_trace_csv)
+from .training import MODE_SPLITS, TrainConfig, synthesize_class_features, train, write_trace_csv
 
 
 def flat_fields(config, prefix: str = "") -> dict:
@@ -132,15 +133,29 @@ def resolve_config(keys: dict, args) -> dict:
     return cfg
 
 
-def echo_config(cfg: dict, out_dir: str) -> None:
-    """Create out_dir and write config.json there, every command's first write;
-    an out_dir that cannot be created or written is a usage error."""
+@contextlib.contextmanager
+def staged(out: str, cfg: dict):
+    """A new stage directory in `out`, which is made with any missing parents
+    (one that cannot be made is a usage error). When the body returns, cfg
+    joins the stage as config.json and every file moves into `out` by
+    os.replace, config.json last; on an error or KeyboardInterrupt none does,
+    and the directories made here go too. The stage goes either way."""
+    made, path = None, os.path.abspath(out)
+    while not os.path.lexists(path):  # the outermost directory makedirs creates
+        made, path = path, os.path.dirname(path)
     try:
-        os.makedirs(out_dir, exist_ok=True)
-        dataio.write_json(cfg, os.path.join(out_dir, "config.json"))
+        os.makedirs(out, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=".stage-", dir=out)
     except OSError as exc:
-        raise ConfigError(f"cannot write output directory {out_dir}: "
-                          f"{exc.strerror or exc}") from None
+        raise ConfigError(f"cannot write output directory {out}: {exc.strerror or exc}") from None
+    try:
+        yield stage
+        dataio.write_json(cfg, os.path.join(stage, "config.json"))
+        for name in sorted(os.listdir(stage), key=lambda name: (name == "config.json", name)):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+        made = None
+    finally:
+        shutil.rmtree(made or stage, ignore_errors=True)
 
 
 def _given(**kwargs) -> dict:
@@ -169,46 +184,38 @@ def _load_dataset_and_generator(cfg: dict, splits):
     return attrs, dataset, g
 
 
-def cmd_gen_data(cfg: dict, out: str) -> int:
+def cmd_gen_data(cfg: dict, out: str, stage: str) -> None:
     spec = from_flat(dataio.SyntheticSpec(), cfg)
     attrs, dataset, _ = dataio.make_synthetic_dataset(spec)
-    echo_config(cfg, out)
-    dataio.save_dataset(out, attrs, dataset)
+    dataio.save_dataset(stage, attrs, dataset)
     n = sum(s[0].shape[0] for s in (dataset.seen_train, dataset.seen_test, dataset.unseen_test))
     print(f"wrote dataset to {out}: {attrs.n_classes} classes, {n} samples")
-    return 0
 
 
-def cmd_train(cfg: dict, out: str) -> int:
+def cmd_train(cfg: dict, out: str, stage: str) -> None:
     data_dir = _require(cfg, "data", "dataset directory")
     tc = from_flat(TrainConfig(), cfg)
     attrs, dataset = dataio.load_dataset(data_dir, MODE_SPLITS[tc.mode])
-    require_training_rows(attrs, dataset, tc.mode)
-    echo_config(cfg, out)
     g, tr = train(dataset, attrs, tc)
-    ckpt.save_checkpoint(os.path.join(out, "checkpoint.bin"), g)
-    write_trace_csv(tr, os.path.join(out, "trace.csv"))
+    ckpt.save_checkpoint(os.path.join(stage, "checkpoint.bin"), g)
+    write_trace_csv(tr, os.path.join(stage, "trace.csv"))
     print(f"trained {len(tr)} iterations ({tc.epochs} epochs, mode {tc.mode})")
     print("final", *(f"{k} {v:.6g}" for k, v in zip(tr[-1]._fields[1:], tr[-1][1:])))
     print(f"wrote {os.path.join(out, 'checkpoint.bin')} and trace.csv")
-    return 0
 
 
-def cmd_eval(cfg: dict, out: str) -> int:
+def cmd_eval(cfg: dict, out: str, stage: str) -> None:
     ec = from_flat(EvalConfig(), cfg)
     attrs, dataset, g = _load_dataset_and_generator(cfg, PROTOCOL_SPLITS[cfg["mode"]])
-    protocol(cfg["mode"], attrs, dataset)  # rejects bad inputs before writing
-    echo_config(cfg, out)
     report = evaluate(cfg["mode"], g, attrs, dataset, ec)
-    save_report(report, os.path.join(out, "report.json"))
+    save_report(report, os.path.join(stage, "report.json"))
     for key in ("A_s", "A_u", "H"):  # A_s and H only in generalized mode
         if key in report:
             print(f"{key:<4} {report[key]:.4f}")
     print(f"wrote {os.path.join(out, 'report.json')}")
-    return 0
 
 
-def cmd_solve_ot(cfg: dict, out: str) -> int:
+def cmd_solve_ot(cfg: dict, out: str, stage: str) -> None:
     cost_path = _require(cfg, "cost", "cost matrix CSV")
     solver = cfg["solver"]
     if solver == "sinkhorn" and cfg["stop_tol"] is not None:
@@ -222,19 +229,16 @@ def cmd_solve_ot(cfg: dict, out: str) -> int:
     else:
         plan = ot.sinkhorn_solve(cost, marg, record_trace=True,
                                  **_given(reg=cfg["lambda"], iterations=cfg["iters"]))
-    echo_config(cfg, out)  # after the solve, so a kernel that underflows writes nothing
-    dataio.save_matrix_csv(plan.values, os.path.join(out, "plan.csv"))
-    dataio.save_matrix_csv(plan.trace, os.path.join(out, "solver_trace.csv"))
+    dataio.save_matrix_csv(plan.values, os.path.join(stage, "plan.csv"))
+    dataio.save_matrix_csv(plan.trace, os.path.join(stage, "solver_trace.csv"))
     report = ot.check_marginals(plan, marg)
     print(f"solver {solver}: cost {ot.transport_cost(plan, cost):.10g} "
           f"iterations {plan.iterations_used} converged {plan.converged}")
     print(f"feasibility: max row dev {report.max_row_dev:.3e}, "
           f"max col dev {report.max_col_dev:.3e}, min entry {report.min_entry:.3e}")
-    return 0
 
 
-def cmd_compare_solvers(cfg: dict, out: str) -> int:
-    echo_config(cfg, out)
+def cmd_compare_solvers(cfg: dict, out: str, stage: str) -> None:
     rng = SeededRng(cfg["seed"])
     n = cfg["size"]
     # IPOT at its default λ, Sinkhorn at its own default and at IPOT's
@@ -256,28 +260,25 @@ def cmd_compare_solvers(cfg: dict, out: str) -> int:
             leads += [f"{name},{reg},{inst},{int(it)}," for it in plan.trace[:, 0]]
             curves.append(plan.trace[:, 1:])
             finals.setdefault((name, reg), []).append(plan.trace[-1, 1])
-    out_path = os.path.join(out, "curves.csv")
-    dataio.write_csv(out_path, "solver,lambda,instance,iteration,transport_cost,feasibility_error",
+    dataio.write_csv(os.path.join(stage, "curves.csv"),
+                     "solver,lambda,instance,iteration,transport_cost,feasibility_error",
                      curves, leads)
     for (name, reg), costs in sorted(finals.items()):
         print(f"{name} (lambda={reg}): mean final cost {float(np.mean(costs)):.6f}")
-    print(f"wrote {out_path}")
-    return 0
+    print(f"wrote {os.path.join(out, 'curves.csv')}")
 
 
-def cmd_export(cfg: dict, out: str) -> int:
+def cmd_export(cfg: dict, out: str, stage: str) -> None:
     attrs, _, g = _load_dataset_and_generator(cfg, ())  # attributes and the feature width only
     pool = {"seen": attrs.seen_ids, "unseen": attrs.unseen_ids,
             "all": tuple(range(attrs.n_classes))}[cfg["classes"]]
     if not pool:
         raise DataFormatError(f"dataset {cfg['data']} has no {cfg['classes']} classes to export")
-    echo_config(cfg, out)
     feats, labels = synthesize_class_features(g, attrs, pool, cfg["per_class"],
                                               SeededRng(cfg["seed"]))
-    out_path = os.path.join(out, "generated_features.csv")
-    dataio.export_features_csv(feats, labels, out_path)
-    print(f"wrote {feats.shape[0]} generated features to {out_path}")
-    return 0
+    dataio.export_features_csv(feats, labels, os.path.join(stage, "generated_features.csv"))
+    print(f"wrote {feats.shape[0]} generated features to "
+          f"{os.path.join(out, 'generated_features.csv')}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +324,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(resolve_config(args.keys, args), args.out)
+        cfg = resolve_config(args.keys, args)
+        with staged(args.out, cfg) as stage:
+            args.func(cfg, args.out, stage)
+        return 0
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

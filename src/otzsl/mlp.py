@@ -14,8 +14,7 @@ a network trains in the vector it holds, with one finiteness check per array.
 
 from __future__ import annotations
 
-import itertools
-import math
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,12 +22,6 @@ import numpy as np
 from .errors import check_value
 from .linalg import ensure_finite
 from .rng import SeededRng
-
-
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive row-major views of a vector, one of each shape."""
-    ends = itertools.accumulate(math.prod(s) for s in shapes)
-    return [flat[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
 
 
 def mlp_size(input_dim: int, hidden_dim: int, output_dim: int) -> int:
@@ -55,10 +48,20 @@ class MlpParams:
         if self.flat.shape != (mlp_size(i, h, o),):
             raise ValueError(f"a ({i}, {h}, {o}) network needs {mlp_size(i, h, o)} parameters, "
                              f"got an array of shape {self.flat.shape}")
-        self.W1, self.b1, self.W2, self.b2 = _views(self.flat, [(h, i), (h,), (o, h), (o,)])
+        self._view(self.flat)._finite()
+
+    def _view(self, flat: np.ndarray) -> MlpParams:
+        """Self on the vector `flat`, W1, b1, W2, b2 its consecutive row-major views."""
+        i, h, o = self.input_dim, self.hidden_dim, self.output_dim
+        self.flat, self.W1, self.b1 = flat, flat[:h * i].reshape(h, i), flat[h * i:h * (i + 1)]
+        self.W2, self.b2 = flat[h * (i + 1):-o].reshape(o, h), flat[-o:]
+        return self
+
+    def _finite(self) -> MlpParams:
         if not np.isfinite(self.flat).all():  # one check; the blocks only name the first bad one
-            for name in ("W1", "b1", "W2", "b2"):
-                ensure_finite(getattr(self, name), name)
+            for name, block in zip(("W1", "b1", "W2", "b2"), self.blocks()):
+                ensure_finite(block, name)
+        return self
 
     def blocks(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2]
@@ -81,8 +84,7 @@ def mlp_forward_cache(params: MlpParams, x: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     pre = x @ params.W1.T + params.b1
     hidden = np.maximum(pre, 0.0)
-    out = hidden @ params.W2.T + params.b2
-    return out, (x, pre, hidden)
+    return hidden @ params.W2.T + params.b2, (x, pre, hidden)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # MlpParams rejects a non-finite gradient
@@ -92,23 +94,20 @@ def mlp_backward(params: MlpParams, cache, d_out: np.ndarray,
     with input_grad the input batch (else None, and its matmul is skipped)."""
     x, pre, hidden = cache
     d_out = np.asarray(d_out, dtype=np.float64)
-    flat = np.empty(params.flat.size)
-    dW1, db1, dW2, db2 = _views(flat, [b.shape for b in params.blocks()])
-    np.matmul(d_out.T, hidden, out=dW2)
-    d_out.sum(axis=0, out=db2)
-    d_hidden = d_out @ params.W2
-    d_pre = np.where(pre > 0.0, d_hidden, 0.0)
-    np.matmul(d_pre.T, x, out=dW1)
-    d_pre.sum(axis=0, out=db1)
-    dx = d_pre @ params.W1 if input_grad else None
-    return MlpParams(flat, params.input_dim, params.hidden_dim, params.output_dim), dx
+    grad = copy.copy(params)._view(np.empty(params.flat.size))  # dims checked with params
+    np.matmul(d_out.T, hidden, out=grad.W2)
+    d_out.sum(axis=0, out=grad.b2)
+    d_pre = np.where(pre > 0.0, d_out @ params.W2, 0.0)
+    np.matmul(d_pre.T, x, out=grad.W1)
+    d_pre.sum(axis=0, out=grad.b1)
+    return grad._finite(), d_pre @ params.W1 if input_grad else None
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def add_grads(total: MlpParams, part: MlpParams) -> None:
     """Add part's vector to total's in place; MlpParams rejects a sum that is not finite."""
     total.flat += part.flat
-    MlpParams(total.flat, total.input_dim, total.hidden_dim, total.output_dim)
+    total._finite()
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8

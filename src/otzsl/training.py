@@ -141,17 +141,6 @@ def ot_branch_coin(rng: SeededRng, ot_prob: float) -> bool:
     return ot_prob > 0.0 and coin <= ot_prob
 
 
-def require_training_rows(attrs: AttributeMatrix, data: FeatureDataset, mode: str) -> None:
-    """Raise DataFormatError when `attrs` or `data` lacks a pool that training
-    in `mode` samples: every step draws unseen classes as well as seen rows."""
-    if not attrs.unseen_ids:
-        raise DataFormatError("training requires at least one unseen class")
-    if data.seen_train[0].shape[0] == 0:
-        raise DataFormatError("training requires labeled seen samples")
-    if mode == "transductive" and data.unseen_unlabeled.shape[0] == 0:
-        raise DataFormatError("transductive mode requires a non-empty unlabeled pool")
-
-
 def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
     """Steps per epoch, at least 1; a pool size below 0 or a batch size below
     1 (or either not an int) is a ConfigError."""
@@ -163,9 +152,16 @@ def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def train(data: FeatureDataset, attrs: AttributeMatrix,
           cfg: TrainConfig) -> tuple[GeneratorParams, list[TraceRow]]:
-    """The trained generator and its trace, one TraceRow per step."""
-    require_training_rows(attrs, data, cfg.mode)
+    """The trained generator and its trace, one TraceRow per step. A dataset
+    that lacks a pool training in cfg.mode samples is a DataFormatError: every
+    step draws unseen classes as well as seen rows."""
     transductive = cfg.mode == "transductive"
+    if not attrs.unseen_ids:
+        raise DataFormatError("training requires at least one unseen class")
+    if data.seen_train[0].shape[0] == 0:
+        raise DataFormatError("training requires labeled seen samples")
+    if transductive and data.unseen_unlabeled.shape[0] == 0:
+        raise DataFormatError("transductive mode requires a non-empty unlabeled pool")
 
     d = attrs.attr_dim
     feature_dim = data.feature_dim

@@ -173,22 +173,26 @@ CONFIG_KEYS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
-def test_config_keys_pinned(command, workspace, tmp_path):
-    """The echoed config holds every key the command accepts, and only those."""
+def short_run(command, workspace, tmp_path) -> list:
+    """The arguments, but --out, of a short successful run of `command`."""
     data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
     cost = tmp_path / "cost.csv"
     save_matrix_csv(np.array([[0.5]]), str(cost))
-    argv = {
+    return [command, *{
         "gen-data": [],
         "train": ["--data", data, "--epochs", "1"],
         "eval": ["--data", data, "--checkpoint", ckpt, "--n-synth-per-class", "2"],
         "solve-ot": ["--cost", str(cost)],
         "compare-solvers": ["--size", "2", "--instances", "1", "--iters", "2"],
         "export": ["--data", data, "--checkpoint", ckpt, "--per-class", "1"],
-    }[command]
+    }[command]]
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_keys_pinned(command, workspace, tmp_path):
+    """The echoed config holds every key the command accepts, and only those."""
     out = tmp_path / "out"
-    assert run([command, *argv, "--out", str(out)]) == 0
+    assert run([*short_run(command, workspace, tmp_path), "--out", str(out)]) == 0
     assert set(json.loads((out / "config.json").read_text())) == CONFIG_KEYS[command]
 
 
@@ -332,18 +336,21 @@ def test_main_calls_the_command_functions_of_the_module(monkeypatch, tmp_path):
     wrapper set on the module attribute, as perfbench sets its timers, is
     the function main calls."""
     calls = []
-    for attr, name, code in [("cmd_gen_data", "gen-data", 0), ("cmd_solve_ot", "solve-ot", 5)]:
-        monkeypatch.setattr(cli, attr, lambda cfg, out, name=name, code=code:
-                            calls.append((name, cfg, out)) or code)
+    for attr, name in [("cmd_gen_data", "gen-data"), ("cmd_solve_ot", "solve-ot")]:
+        monkeypatch.setattr(cli, attr, lambda cfg, out, stage, name=name:
+                            calls.append((name, cfg, out, stage)))
     assert run(["gen-data", "--out", str(tmp_path / "a")]) == 0
-    assert run(["solve-ot", "--out", str(tmp_path / "b"), "--iters", "7"]) == 5
-    assert [name for name, _, _ in calls] == ["gen-data", "solve-ot"]
-    # each command gets the config main resolved by its own key table, and --out
+    assert run(["solve-ot", "--out", str(tmp_path / "b"), "--iters", "7"]) == 0
+    assert [call[0] for call in calls] == ["gen-data", "solve-ot"]
+    # each command gets the config main resolved by its own key table, --out,
+    # and a stage directory inside --out that is gone once main returns
     defaults = {key: cli.key_rule(entry)[0] for key, entry in cli.GEN_DATA_KEYS.items()}
-    assert calls[0][1:] == (defaults, str(tmp_path / "a"))
+    assert calls[0][1:3] == (defaults, str(tmp_path / "a"))
     assert calls[1][1]["iters"] == 7 and set(calls[1][1]) == set(cli.SOLVE_OT_KEYS)
     assert calls[1][2] == str(tmp_path / "b")
-    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    for _, _, out, stage in calls:
+        assert os.path.dirname(stage) == out and not os.path.exists(stage)
+        assert os.listdir(out) == ["config.json"]
 
 
 WRONG_TYPE_VALUES = [
@@ -540,6 +547,96 @@ def test_an_out_that_cannot_be_made_is_a_usage_error(tmp_path, capsys):
     assert (capsys.readouterr().err == f"error: cannot write output directory {blocker / 'x'}: "
             f"{os.strerror(errno.ENOTDIR)}\n")
     assert blocker.read_text() == "keep"
+
+
+# The files a successful run of each command writes into --out (README).
+OUTPUT_FILES = {
+    "gen-data": {"attributes.csv", "features.csv", "split.json"},
+    "train": {"checkpoint.bin", "trace.csv"},
+    "eval": {"report.json"},
+    "solve-ot": {"plan.csv", "solver_trace.csv"},
+    "compare-solvers": {"curves.csv"},
+    "export": {"generated_features.csv"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_FILES))
+def test_a_run_leaves_its_files_and_no_stage(command, workspace, tmp_path):
+    out = tmp_path / "out"
+    assert run([*short_run(command, workspace, tmp_path), "--out", str(out)]) == 0
+    assert set(os.listdir(out)) == OUTPUT_FILES[command] | {"config.json"}
+
+
+def refuse(*_, **__):
+    raise AssertionError("the command did work before its output directory was made")
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_FILES))
+def test_an_out_through_a_file_is_a_usage_error_before_any_work(command, workspace, tmp_path,
+                                                                monkeypatch, capsys):
+    argv = short_run(command, workspace, tmp_path)
+    for module, name in [(cli.dataio, "make_synthetic_dataset"), (cli.dataio, "load_dataset"),
+                         (cli.dataio, "load_matrix_csv"), (cli.ckpt, "load_checkpoint"),
+                         (cli.ot, "ipot_solve"), (cli, "train")]:
+        monkeypatch.setattr(module, name, refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    assert run([*argv, "--out", str(blocker / "x")]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write output directory {blocker / 'x'}: "
+                                       f"{os.strerror(errno.ENOTDIR)}\n")
+    assert blocker.read_text() == "keep"
+
+
+def snapshot(path) -> dict:
+    """Every file under `path` with its bytes, and every directory with
+    None, keyed by relative path (hidden ones, such as a stage, included)."""
+    return {p.relative_to(path).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in Path(path).rglob("*")}
+
+
+def test_a_failed_rerun_leaves_the_old_run_as_it_was(workspace, tmp_path, capsys):
+    """A rerun of train into the directory of an earlier run that blows up
+    (exit 1) keeps that run's config.json, checkpoint.bin and trace.csv."""
+    out = tmp_path / "run"
+    shutil.copytree(workspace["run"], out)
+    before = snapshot(out)
+    assert set(before) == {"config.json", "checkpoint.bin", "trace.csv"}
+    blow_up = tmp_path / "lr.json"
+    blow_up.write_text(json.dumps({"learning_rate": 1e300}))
+    assert run(["train", "--config", str(blow_up), "--data", str(workspace["data"]),
+                "--out", str(out)]) == 1
+    assert "iteration 1" in capsys.readouterr().err
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+@pytest.mark.parametrize("writer", ["write_trace_csv", "write_json"])
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh-out", "existing-out"])
+def test_a_writer_that_raises_leaves_out_as_it_was(error, writer, fresh, workspace, tmp_path,
+                                                   monkeypatch):
+    """train writes checkpoint.bin, then trace.csv, then main writes
+    config.json; a writer that raises at either of the last two leaves no
+    file, no stage, and no --out that was not there before."""
+    out = tmp_path / "runs" / "run"
+    if not fresh:
+        out.mkdir(parents=True)
+        (out / "trace.csv").write_text("an older trace\n")
+        (out / "notes.txt").write_text("kept\n")
+    before = snapshot(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise error(f"{writer} failed")
+
+    module = cli if writer == "write_trace_csv" else cli.dataio
+    monkeypatch.setattr(module, writer, broken)
+    argv = ["train", "--data", str(workspace["data"]), "--epochs", "1", "--out", str(out)]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            run(argv)
+    else:
+        assert run(argv) == 1
+    assert snapshot(tmp_path) == before
+    assert out.exists() is not fresh and (tmp_path / "runs").exists() is not fresh
 
 
 # --- gen-data ---
@@ -902,8 +999,8 @@ def desk_run(tmp_path_factory):
 @pytest.mark.parametrize("mode", ["standard", "generalized"])
 def test_eval_non_finite_test_scores_are_a_solver_error(mode, desk_run, tmp_path, capsys):
     """A finite test row near the float64 maximum overflows the classifier's
-    scores: exit 1 naming the split and its row, only config.json written,
-    and no numpy warning (the test suite turns warnings into errors)."""
+    scores: exit 1 naming the split and its row, nothing written, and no
+    numpy warning (the test suite turns warnings into errors)."""
     data = tmp_path / "data"
     shutil.copytree(desk_run / "data", data)
     lines = (data / "features.csv").read_text().splitlines()
@@ -916,7 +1013,7 @@ def test_eval_non_finite_test_scores_are_a_solver_error(mode, desk_run, tmp_path
                 "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: unseen_test: the classifier's scores of row 3 are not finite\n")
-    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+    assert not out.exists()
 
 
 def test_eval_rejects_nonfinite_generator_weight(workspace, tmp_path, capsys):
@@ -1269,7 +1366,7 @@ def test_generated_features_that_overflow_are_a_solver_error(command, workspace,
                 str(overflowing_checkpoint(workspace, tmp_path)), "--out", str(out)]) == 1
     assert capsys.readouterr().err == ("error: the generator's features for class 3 are "
                                        "not finite\n")
-    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+    assert not out.exists()
 
 
 def test_export_reads_only_the_header_of_features_csv(workspace, tmp_path):

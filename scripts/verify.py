@@ -1,0 +1,63 @@
+"""Run every check of the repository and exit non-zero if any suite fails.
+
+    python3 scripts/verify.py
+
+The suites, in order, from the repository root:
+
+1. the tier-1 suite: `python -m pytest -q --continue-on-collection-errors`
+   with src/ on PYTHONPATH;
+2. the acceptance gate, one verdict per criterion:
+   `python -m pytest tests/test_acceptance.py -s`;
+3. perfbench's smoke tests, `python -m pytest perfbench`, in a temporary
+   copy of BENCHMARK.json, perfbench/ and src/. The smoke tests compare
+   output bytes with the digest store `.perfbench/` in the checkout they run
+   in, so a store left there by a run of other output bytes would fail them;
+   the copy starts without one.
+
+Each suite runs even when an earlier one failed, and a summary line per
+suite ends the output.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def pytest(cwd, *args) -> int:
+    """The exit code of `python -m pytest *args` run in `cwd` with its src/
+    first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cwd) / "src"),
+                                                      env.get("PYTHONPATH")]))
+    print(f"$ python -m pytest {' '.join(args)}  (in {cwd})", flush=True)
+    return subprocess.run([sys.executable, "-m", "pytest", *args], cwd=cwd, env=env).returncode
+
+
+def perfbench_smoke() -> int:
+    """perfbench's smoke tests in a fresh copy of what the benchmark reads."""
+    ignore = shutil.ignore_patterns("__pycache__", ".perfbench", ".pytest_cache")
+    with tempfile.TemporaryDirectory(prefix="otzsl-verify-") as tmp:
+        shutil.copy(ROOT / "BENCHMARK.json", tmp)
+        for name in ("perfbench", "src"):
+            shutil.copytree(ROOT / name, Path(tmp) / name, ignore=ignore)
+        return pytest(tmp, "-q", "-p", "no:cacheprovider", "perfbench")
+
+
+def main() -> int:
+    results = [
+        ("tier-1", pytest(ROOT, "-q", "--continue-on-collection-errors")),
+        ("acceptance", pytest(ROOT, "tests/test_acceptance.py", "-s")),
+        ("perfbench smoke", perfbench_smoke()),
+    ]
+    for name, code in results:
+        print(f"{name}: {'PASS' if code == 0 else f'FAIL (pytest exit {code})'}")
+    return 0 if all(code == 0 for _, code in results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,14 +3,14 @@ standalone transport solves, solver comparison curves, and feature export.
 
 A JSON config file is the source of truth. Every flag other than --config and
 --out overrides the config key its argparse dest names (--batch-size sets
-batch_size). Each command declares its keys once, in its key table (see
-key_rule), and a value from the file or from a flag is read by one rule (see
+batch_size). Each command declares its keys once, as knobs in its key table
+(see key_rule), and a value from the file or a flag is read by one rule (see
 read_value). The keys of gen-data, train and eval, their defaults and their
 rules are the fields of SyntheticSpec, TrainConfig and EvalConfig, a nested
-config field x spelled x_<field> (ipot_reg, classifier_epochs). `main`
-resolves a command's config and calls it as cmd(cfg, out, stage); only a
-command that succeeds has its stage, and config.json last, moved into --out
-(see staged). Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+config field x spelled x_<field> (ipot_reg, classifier_epochs). `main` calls a
+command with its resolved config as cmd(cfg, out, stage); only a command that
+succeeds has its stage moved into --out (see staged). Exit codes: 0 success, 1
+runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -63,32 +63,30 @@ def from_flat(template, cfg: dict, prefix: str = ""):
     return type(template)(**kwargs)
 
 
-# Each command's key table declares each of its config keys once (see key_rule).
+# Each command's key table declares each of its config keys once, a knob (see key_rule).
 GEN_DATA_KEYS = flat_fields(dataio.SyntheticSpec())
-TRAIN_KEYS = {"data": str, **flat_fields(TrainConfig())}
-EVAL_KEYS = {"data": str, "checkpoint": str, "mode": knob("standard", choices=PROTOCOLS),
-             **flat_fields(EvalConfig())}
-SOLVE_OT_KEYS = {"cost": str, "solver": knob("ipot", choices=("ipot", "sinkhorn")),
+INPUTS = {"data": knob(str, required="dataset directory"),
+          "checkpoint": knob(str, required="checkpoint path")}
+TRAIN_KEYS = {"data": INPUTS["data"], **flat_fields(TrainConfig())}
+EVAL_KEYS = {**INPUTS, "mode": knob("standard", choices=PROTOCOLS), **flat_fields(EvalConfig())}
+SOLVE_OT_KEYS = {"cost": knob(str, required="cost matrix CSV"),
+                 "solver": knob("ipot", choices=("ipot", "sinkhorn")),
                  "lambda": knob(float, above=0), "iters": knob(int, at_least=1),
                  "stop_tol": knob(float, at_least=0)}
 COMPARE_KEYS = {"size": knob(32, at_least=2), "instances": knob(20, at_least=1),
                 "iters": knob(500, at_least=1), "seed": knob(0, **SEED_BOUNDS)}
-EXPORT_KEYS = {"data": str, "checkpoint": str,
-               "classes": knob("unseen", choices=("unseen", "seen", "all")),
+EXPORT_KEYS = {**INPUTS, "classes": knob("unseen", choices=("unseen", "seen", "all")),
                "per_class": knob(100, at_least=1), "seed": knob(0, **SEED_BOUNDS)}
 
 
 def key_rule(entry) -> tuple:
-    """The (default, type, rule) of a key table entry, the rule the choices
-    or bounds of check_value: a knob (errors.knob) of either of the following
-    and its rule; a type, for a key whose default is null; or else the
-    default itself."""
-    rule = {}
-    if isinstance(entry, dataclasses.Field):
-        entry, rule = entry.default, dict(entry.metadata)
-    if isinstance(entry, type):
-        return None, entry, rule
-    return entry, type(entry), rule
+    """The (default, type, rule) of key table entry `entry`, a knob
+    (errors.knob): a default that is a type is a null default of that type,
+    and the rule is the knob's choices or bounds (required= is resolve_config's)."""
+    rule = {name: value for name, value in entry.metadata.items() if name != "required"}
+    if isinstance(entry.default, type):
+        return None, entry.default, rule
+    return entry.default, type(entry.default), rule
 
 
 def read_value(key: str, value, entry, text: bool = False):
@@ -111,8 +109,9 @@ def read_value(key: str, value, entry, text: bool = False):
 def resolve_config(keys: dict, args) -> dict:
     """The config of a command with key table `keys`: each key's default,
     replaced by its value in the config file of --config, then by its flag
-    if given, each value read by read_value. main resolves a command's
-    config before the command reads any input."""
+    if given, each value read by read_value; a required key (errors.knob)
+    then null or empty is a ConfigError. main resolves a command's config
+    before it stages the command."""
     cfg = {key: key_rule(entry)[0] for key, entry in keys.items()}
     if args.config is not None:
         try:
@@ -130,6 +129,9 @@ def resolve_config(keys: dict, args) -> dict:
         cfg.update((key, read_value(key, value, keys[key])) for key, value in loaded.items())
     cfg.update((key, read_value(key, text, keys[key], text=True))
                for key, text in vars(args).items() if key in keys and text is not None)
+    for key, entry in keys.items():
+        if not cfg[key] and (what := entry.metadata.get("required")):
+            raise ConfigError(f"{what} is required (config key {key!r} or the matching flag)")
     return cfg
 
 
@@ -138,8 +140,9 @@ def staged(out: str, cfg: dict):
     """A new stage directory in `out`, which is made with any missing parents
     (one that cannot be made is a usage error). When the body returns, cfg
     joins the stage as config.json and every file moves into `out` by
-    os.replace, config.json last; on an error or KeyboardInterrupt none does,
-    and the directories made here go too. The stage goes either way."""
+    os.replace, config.json last; on an error, KeyboardInterrupt or a
+    directory in `out` with a file's name (a usage error) none does, and the
+    directories made here go too. The stage goes either way."""
     made, path = None, os.path.abspath(out)
     while not os.path.lexists(path):  # the outermost directory makedirs creates
         made, path = path, os.path.dirname(path)
@@ -151,7 +154,11 @@ def staged(out: str, cfg: dict):
     try:
         yield stage
         dataio.write_json(cfg, os.path.join(stage, "config.json"))
-        for name in sorted(os.listdir(stage), key=lambda name: (name == "config.json", name)):
+        names = sorted(os.listdir(stage), key=lambda name: (name == "config.json", name))
+        for target in (os.path.join(out, name) for name in names):  # os.replace fails on a
+            if os.path.isdir(target) and not os.path.islink(target):  # directory, not a link
+                raise ConfigError(f"cannot write output directory {out}: {target} is a directory")
+        for name in names:
             os.replace(os.path.join(stage, name), os.path.join(out, name))
         made = None
     finally:
@@ -163,18 +170,11 @@ def _given(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _require(cfg: dict, key: str, what: str) -> str:
-    if not cfg.get(key):
-        raise ConfigError(f"{what} is required (config key {key!r} or the matching flag)")
-    return cfg[key]
-
-
 def _load_dataset_and_generator(cfg: dict, splits):
     """The dataset, holding only the named splits (see load_dataset), and the
     checkpoint's generator that eval and export read, checked to agree in
     dimension; the generator, the smaller read, loads first."""
-    data_dir = _require(cfg, "data", "dataset directory")
-    ckpt_path = _require(cfg, "checkpoint", "checkpoint path")
+    data_dir, ckpt_path = cfg["data"], cfg["checkpoint"]
     g = ckpt.load_checkpoint(ckpt_path)
     attrs, dataset = dataio.load_dataset(data_dir, splits)
     if (g.attr_dim, g.feature_dim) != (attrs.attr_dim, dataset.feature_dim):
@@ -193,9 +193,8 @@ def cmd_gen_data(cfg: dict, out: str, stage: str) -> None:
 
 
 def cmd_train(cfg: dict, out: str, stage: str) -> None:
-    data_dir = _require(cfg, "data", "dataset directory")
     tc = from_flat(TrainConfig(), cfg)
-    attrs, dataset = dataio.load_dataset(data_dir, MODE_SPLITS[tc.mode])
+    attrs, dataset = dataio.load_dataset(cfg["data"], MODE_SPLITS[tc.mode])
     g, tr = train(dataset, attrs, tc)
     ckpt.save_checkpoint(os.path.join(stage, "checkpoint.bin"), g)
     write_trace_csv(tr, os.path.join(stage, "trace.csv"))
@@ -216,11 +215,10 @@ def cmd_eval(cfg: dict, out: str, stage: str) -> None:
 
 
 def cmd_solve_ot(cfg: dict, out: str, stage: str) -> None:
-    cost_path = _require(cfg, "cost", "cost matrix CSV")
     solver = cfg["solver"]
     if solver == "sinkhorn" and cfg["stop_tol"] is not None:
         raise ConfigError("stop_tol applies only to the ipot solver; sinkhorn has no stop rule")
-    cost = dataio.load_matrix_csv(cost_path)
+    cost = dataio.load_matrix_csv(cfg["cost"])
     marg = ot.Marginals.uniform(*cost.shape)
     if solver == "ipot":
         ipot_cfg = ot.IpotConfig(**_given(reg=cfg["lambda"], max_outer_iters=cfg["iters"],

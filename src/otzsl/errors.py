@@ -36,9 +36,10 @@ _NUMBERS = {float: (int, float)}
 
 
 def knob(default, **rule):
-    """A config dataclass field: its default and its rule beside the type,
-    the choices or bounds of check_value (choices=, at_least=, above=,
-    at_most=), which check_fields applies."""
+    """A config dataclass field or CLI key table entry: its default (a type
+    for a null default) and its rule beside the type, the choices or bounds
+    of check_value (choices=, at_least=, above=, at_most=), which
+    check_fields applies; a CLI key's required= names the input it needs."""
     return dataclasses.field(default=default, metadata=rule)
 
 

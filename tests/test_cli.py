@@ -340,7 +340,8 @@ def test_main_calls_the_command_functions_of_the_module(monkeypatch, tmp_path):
         monkeypatch.setattr(cli, attr, lambda cfg, out, stage, name=name:
                             calls.append((name, cfg, out, stage)))
     assert run(["gen-data", "--out", str(tmp_path / "a")]) == 0
-    assert run(["solve-ot", "--out", str(tmp_path / "b"), "--iters", "7"]) == 0
+    # a required key is checked before the command: the patched one reads no --cost
+    assert run(["solve-ot", "--cost", "c.csv", "--out", str(tmp_path / "b"), "--iters", "7"]) == 0
     assert [call[0] for call in calls] == ["gen-data", "solve-ot"]
     # each command gets the config main resolved by its own key table, --out,
     # and a stage directory inside --out that is gone once main returns
@@ -638,6 +639,74 @@ def test_a_writer_that_raises_leaves_out_as_it_was(error, writer, fresh, workspa
     else:
         assert run(argv) == 1
     assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("clash", ["solver_trace.csv", "config.json"])
+def test_a_directory_in_the_way_of_an_output_moves_no_file(clash, tmp_path, capsys):
+    """os.replace cannot put a file over a directory: a directory in --out
+    named like any output file is a usage error before the first file
+    moves, so --out keeps no plan.csv without its config.json."""
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), str(cost))
+    out = tmp_path / "out"
+    (out / clash).mkdir(parents=True)
+    (out / clash / "kept.txt").write_text("kept\n")
+    before = snapshot(out)
+    assert run(["solve-ot", "--cost", str(cost), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write output directory {out}: "
+                                       f"{out / clash} is a directory\n")
+    assert snapshot(out) == before
+
+
+def test_a_link_to_a_directory_is_replaced_like_a_file(tmp_path):
+    """A symlink named like an output is replaced, the directory it points
+    to untouched, as os.replace replaces the link itself."""
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.5]]), str(cost))
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    out.mkdir()
+    (out / "plan.csv").symlink_to(elsewhere, target_is_directory=True)
+    assert run(["solve-ot", "--cost", str(cost), "--out", str(out)]) == 0
+    assert (out / "plan.csv").is_file() and not (out / "plan.csv").is_symlink()
+    assert list(elsewhere.iterdir()) == []
+
+
+# The required inputs of each command, and what the error calls them.
+REQUIRED_KEYS = [("train", "data", "dataset directory"),
+                 ("eval", "data", "dataset directory"), ("eval", "checkpoint", "checkpoint path"),
+                 ("export", "data", "dataset directory"),
+                 ("export", "checkpoint", "checkpoint path"),
+                 ("solve-ot", "cost", "cost matrix CSV")]
+
+
+@pytest.mark.parametrize("given", ["missing", "null", "empty"])
+@pytest.mark.parametrize("command, key, what", REQUIRED_KEYS,
+                         ids=[f"{command}-{key}" for command, key, _ in REQUIRED_KEYS])
+def test_a_missing_required_key_is_a_usage_error_before_staging(command, key, what, given,
+                                                                  workspace, tmp_path,
+                                                                  monkeypatch, capsys):
+    """A required key that is missing, null in --config or an empty flag is
+    the one-line exit-2 error of resolve_config, before main stages the
+    command (and so before --out exists or any input is read)."""
+    def refuse_to_stage(*_):
+        raise AssertionError("main staged a command that lacks a required key")
+
+    monkeypatch.setattr(cli, "staged", refuse_to_stage)
+    argv = short_run(command, workspace, tmp_path)
+    at = argv.index(f"--{key}")
+    del argv[at:at + 2]
+    if given == "null":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        argv += ["--config", str(cfg)]
+    elif given == "empty":
+        argv += [f"--{key}", ""]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {what} is required (config key {key!r} or the matching flag)\n")
+    assert not out.exists()
 
 
 # --- gen-data ---

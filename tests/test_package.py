@@ -1,6 +1,7 @@
 """The package's import contract: what `import otzsl` loads and binds, and
 the names and argument positions that perfbench's traced run wraps."""
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -22,6 +23,7 @@ from conftest import perfbench_report_keys
 
 SRC = Path(otzsl.__file__).resolve().parents[1]
 SITES = SRC.parent / "perfbench" / "sites.py"
+SCRIPTS = SRC.parent / "scripts"
 
 
 def fresh_python(code: str) -> str:
@@ -109,3 +111,32 @@ def test_evaluation_takes_no_top_k():
     assert list(inspect.signature(evaluate.protocol).parameters) == ["mode", "attrs", "data"]
     assert "top_k" not in {f.name for f in dataclasses.fields(evaluate.EvalConfig)}
     assert not hasattr(evaluate, "per_class_topk")
+
+
+def names_used(node) -> set:
+    """Every name `node` reads or imports: an ast.Name, the attribute of an
+    ast.Attribute, or an import alias."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name.rsplit(".", 1)[-1])
+    return used
+
+
+def test_every_library_function_and_class_is_used_outside_its_definition():
+    """No library function exists only for its own tests: each top-level
+    function and class of src/otzsl/ is named somewhere in src/otzsl/ or
+    scripts/ outside its own definition (a recursive call does not count)."""
+    defined, used = [], set()
+    for path in sorted([*(SRC / "otzsl").glob("*.py"), *SCRIPTS.glob("*.py")]):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and path.parent.name == "otzsl":
+                defined.append(f"{path.stem}.{node.name}")
+            used |= names_used(node) - ({node.name} if is_def else set())
+    assert len(defined) > 100
+    assert [name for name in defined if name.split(".")[1] not in used] == []

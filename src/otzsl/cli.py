@@ -9,8 +9,9 @@ read_value). The keys of gen-data, train and eval, their defaults and their
 rules are the fields of SyntheticSpec, TrainConfig and EvalConfig, a nested
 config field x spelled x_<field> (ipot_reg, classifier_epochs). `main` calls a
 command with its resolved config as cmd(cfg, out, stage); only a command that
-succeeds has its stage moved into --out (see staged). Exit codes: 0 success, 1
-runtime failure, 2 usage or config error.
+succeeds has its stage moved into --out (see staged), and the result lines it
+returns are printed once they are. Exit codes: 0 success, 1 runtime failure, 2
+usage or config error.
 """
 
 from __future__ import annotations
@@ -184,37 +185,36 @@ def _load_dataset_and_generator(cfg: dict, splits):
     return attrs, dataset, g
 
 
-def cmd_gen_data(cfg: dict, out: str, stage: str) -> None:
+def cmd_gen_data(cfg: dict, out: str, stage: str) -> list[str]:
     spec = from_flat(dataio.SyntheticSpec(), cfg)
     attrs, dataset, _ = dataio.make_synthetic_dataset(spec)
     dataio.save_dataset(stage, attrs, dataset)
     n = sum(s[0].shape[0] for s in (dataset.seen_train, dataset.seen_test, dataset.unseen_test))
-    print(f"wrote dataset to {out}: {attrs.n_classes} classes, {n} samples")
+    return [f"wrote dataset to {out}: {attrs.n_classes} classes, {n} samples"]
 
 
-def cmd_train(cfg: dict, out: str, stage: str) -> None:
+def cmd_train(cfg: dict, out: str, stage: str) -> list[str]:
     tc = from_flat(TrainConfig(), cfg)
     attrs, dataset = dataio.load_dataset(cfg["data"], MODE_SPLITS[tc.mode])
     g, tr = train(dataset, attrs, tc)
     ckpt.save_checkpoint(os.path.join(stage, "checkpoint.bin"), g)
     write_trace_csv(tr, os.path.join(stage, "trace.csv"))
-    print(f"trained {len(tr)} iterations ({tc.epochs} epochs, mode {tc.mode})")
-    print("final", *(f"{k} {v:.6g}" for k, v in zip(tr[-1]._fields[1:], tr[-1][1:])))
-    print(f"wrote {os.path.join(out, 'checkpoint.bin')} and trace.csv")
+    final = " ".join(f"{k} {v:.6g}" for k, v in zip(tr[-1]._fields[1:], tr[-1][1:]))
+    return [f"trained {len(tr)} iterations ({tc.epochs} epochs, mode {tc.mode})", f"final {final}",
+            f"wrote {os.path.join(out, 'checkpoint.bin')} and trace.csv"]
 
 
-def cmd_eval(cfg: dict, out: str, stage: str) -> None:
+def cmd_eval(cfg: dict, out: str, stage: str) -> list[str]:
     ec = from_flat(EvalConfig(), cfg)
     attrs, dataset, g = _load_dataset_and_generator(cfg, PROTOCOL_SPLITS[cfg["mode"]])
     report = evaluate(cfg["mode"], g, attrs, dataset, ec)
     save_report(report, os.path.join(stage, "report.json"))
-    for key in ("A_s", "A_u", "H"):  # A_s and H only in generalized mode
-        if key in report:
-            print(f"{key:<4} {report[key]:.4f}")
-    print(f"wrote {os.path.join(out, 'report.json')}")
+    # A_s and H only in generalized mode
+    return [*(f"{key:<4} {report[key]:.4f}" for key in ("A_s", "A_u", "H") if key in report),
+            f"wrote {os.path.join(out, 'report.json')}"]
 
 
-def cmd_solve_ot(cfg: dict, out: str, stage: str) -> None:
+def cmd_solve_ot(cfg: dict, out: str, stage: str) -> list[str]:
     solver = cfg["solver"]
     if solver == "sinkhorn" and cfg["stop_tol"] is not None:
         raise ConfigError("stop_tol applies only to the ipot solver; sinkhorn has no stop rule")
@@ -229,14 +229,14 @@ def cmd_solve_ot(cfg: dict, out: str, stage: str) -> None:
                                  **_given(reg=cfg["lambda"], iterations=cfg["iters"]))
     dataio.save_matrix_csv(plan.values, os.path.join(stage, "plan.csv"))
     dataio.save_matrix_csv(plan.trace, os.path.join(stage, "solver_trace.csv"))
-    report = ot.check_marginals(plan, marg)
-    print(f"solver {solver}: cost {ot.transport_cost(plan, cost):.10g} "
-          f"iterations {plan.iterations_used} converged {plan.converged}")
-    print(f"feasibility: max row dev {report.max_row_dev:.3e}, "
-          f"max col dev {report.max_col_dev:.3e}, min entry {report.min_entry:.3e}")
+    report = ot.check_marginals(plan.values, marg)
+    return [f"solver {solver}: cost {ot.transport_cost(plan.values, cost):.10g} "
+            f"iterations {plan.iterations_used} converged {plan.converged}",
+            f"feasibility: max row dev {report.max_row_dev:.3e}, "
+            f"max col dev {report.max_col_dev:.3e}, min entry {report.min_entry:.3e}"]
 
 
-def cmd_compare_solvers(cfg: dict, out: str, stage: str) -> None:
+def cmd_compare_solvers(cfg: dict, out: str, stage: str) -> list[str]:
     rng = SeededRng(cfg["seed"])
     n = cfg["size"]
     # IPOT at its default λ, Sinkhorn at its own default and at IPOT's
@@ -261,12 +261,12 @@ def cmd_compare_solvers(cfg: dict, out: str, stage: str) -> None:
     dataio.write_csv(os.path.join(stage, "curves.csv"),
                      "solver,lambda,instance,iteration,transport_cost,feasibility_error",
                      curves, leads)
-    for (name, reg), costs in sorted(finals.items()):
-        print(f"{name} (lambda={reg}): mean final cost {float(np.mean(costs)):.6f}")
-    print(f"wrote {os.path.join(out, 'curves.csv')}")
+    return [*(f"{name} (lambda={reg}): mean final cost {float(np.mean(costs)):.6f}"
+              for (name, reg), costs in sorted(finals.items())),
+            f"wrote {os.path.join(out, 'curves.csv')}"]
 
 
-def cmd_export(cfg: dict, out: str, stage: str) -> None:
+def cmd_export(cfg: dict, out: str, stage: str) -> list[str]:
     attrs, _, g = _load_dataset_and_generator(cfg, ())  # attributes and the feature width only
     pool = {"seen": attrs.seen_ids, "unseen": attrs.unseen_ids,
             "all": tuple(range(attrs.n_classes))}[cfg["classes"]]
@@ -275,8 +275,8 @@ def cmd_export(cfg: dict, out: str, stage: str) -> None:
     feats, labels = synthesize_class_features(g, attrs, pool, cfg["per_class"],
                                               SeededRng(cfg["seed"]))
     dataio.export_features_csv(feats, labels, os.path.join(stage, "generated_features.csv"))
-    print(f"wrote {feats.shape[0]} generated features to "
-          f"{os.path.join(out, 'generated_features.csv')}")
+    return [f"wrote {feats.shape[0]} generated features to "
+            f"{os.path.join(out, 'generated_features.csv')}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +324,8 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args.keys, args)
         with staged(args.out, cfg) as stage:
-            args.func(cfg, args.out, stage)
+            lines = args.func(cfg, args.out, stage)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
         return 0
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -361,14 +361,16 @@ def save_dataset(dir_path: str, attrs: AttributeMatrix, data: FeatureDataset) ->
 
 
 def load_dataset(dir_path: str, splits=SPLITS) -> tuple[AttributeMatrix, FeatureDataset]:
-    """Read and fully validate a dataset directory; no partially valid object
-    ever escapes this function. `splits` names the splits (of SPLITS) that
-    the caller reads. Every row of features.csv is still parsed and every
-    split checked, in the same order whatever the selection, so a defect in
-    a split left out raises the error that loading them all raises. A split
-    left out is never copied out of the file's rows and comes back empty,
-    (0, D). With no split named, features.csv is read only up to its
-    header, split.json's row lists are checked only for their type, and
+    """Read and validate a dataset directory. `splits` names the splits (of
+    SPLITS) that the caller reads. With any split named, the whole directory
+    is validated and no partially valid object escapes: every row of
+    features.csv is parsed and every split checked, in the same order
+    whatever the selection, so a defect in a split left out raises the error
+    that loading them all raises. A split left out is never copied out of
+    the file's rows and comes back empty, (0, D). With no split named (as
+    export reads), only attributes.csv, split.json's keys, the types of its
+    values and its class ids, and features.csv's header are read; a defect
+    in features.csv's rows or in split.json's row indices goes unseen, and
     every split is empty."""
     if extra := set(splits) - set(SPLITS):
         raise ValueError(f"unknown splits {sorted(extra)}")

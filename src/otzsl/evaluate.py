@@ -109,21 +109,14 @@ def train_softmax(features, labels, classes, cfg: ClassifierConfig,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite score raises below instead
-def classify_scores(clf: ClassifierParams, features) -> np.ndarray:
-    """One row of class scores per feature row; a row with a score that is
-    not finite is a SolverError naming the first such row."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    scores = features @ clf.W.T + clf.b
+def predict_ids(clf: ClassifierParams, features) -> np.ndarray:
+    """The class id of the top score of each feature row; a row with a score
+    that is not finite is a SolverError naming the first such row."""
+    scores = np.atleast_2d(np.asarray(features, dtype=np.float64)) @ clf.W.T + clf.b
     if not np.isfinite(scores).all():
         row = int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
         raise SolverError(f"the classifier's scores of row {row} are not finite")
-    return scores
-
-
-def predict_ids(clf: ClassifierParams, features) -> np.ndarray:
-    scores = classify_scores(clf, features)
-    ids = np.asarray(clf.class_id_map, dtype=np.int64)
-    return ids[scores.argmax(axis=1)]
+    return np.asarray(clf.class_id_map, dtype=np.int64)[scores.argmax(axis=1)]
 
 
 def per_class_top1(predictions, labels, classes):

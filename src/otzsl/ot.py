@@ -115,10 +115,6 @@ class FeasibilityReport:
         )
 
 
-def _plan_values(plan) -> np.ndarray:
-    return plan.values if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=np.float64)
-
-
 def cosine_cost_matrix(real_features, synth_features) -> np.ndarray:
     """Pairwise cosine distances, C[n, m] = 1 - cos(x_n, xhat_m), all in [0, 2]."""
     real = as_float_matrix(real_features, "real features")
@@ -322,8 +318,9 @@ def _result(plan: np.ndarray, marg: Marginals, converged: bool, iterations: int,
 
 @np.errstate(over="ignore", invalid="ignore")  # a sum past the float range is inf or nan
 def transport_cost(plan, cost) -> float:
-    """tr(T'C), the objective value of a coupling."""
-    values = _plan_values(plan)
+    """tr(T'C), the objective value of the coupling array `plan` (a
+    TransportPlan's `.values`)."""
+    values = np.asarray(plan, dtype=np.float64)
     cost = np.asarray(cost, dtype=np.float64)
     if values.shape != cost.shape:
         raise ValueError(f"plan shape {values.shape} does not match cost shape {cost.shape}")
@@ -331,40 +328,28 @@ def transport_cost(plan, cost) -> float:
 
 
 def transition_plan(real_classes, synth_classes) -> np.ndarray:
-    """Label-derived coupling array: mass 1/(N * count_synth(c)) on same-class pairs.
+    """Label-derived coupling array: mass 1/(N * count(c)) on same-class pairs.
 
-    Spreads each real sample's mass uniformly over the generated samples of its
-    class. Row sums are 1/N and column sums 1/M exactly, provided each class
-    holds the same proportion of both batches; anything else is rejected
-    because the result would leave the coupling polytope.
+    The generated class ids must be a permutation of the N real ones (the
+    supervised branch of training mirrors the real batch), or ValueError.
+    Each real sample's mass spreads uniformly over the generated samples of
+    its class, so every row and every column sums to 1/N exactly.
     """
     real = np.asarray(real_classes, dtype=np.int64).reshape(-1)
     synth = np.asarray(synth_classes, dtype=np.int64).reshape(-1)
-    n, m = real.size, synth.size
-    if n == 0 or m == 0:
-        raise ValueError("both batches must be non-empty")
-
-    real_ids, real_counts = np.unique(real, return_counts=True)
-    synth_ids, synth_counts = np.unique(synth, return_counts=True)
-    if real_ids.tolist() != synth_ids.tolist():
-        raise ValueError(
-            f"class sets differ between batches: {real_ids.tolist()} vs {synth_ids.tolist()}"
-        )
-    if np.any(real_counts * m != synth_counts * n):
-        raise ValueError(
-            "class proportions differ between real and generated batches; "
-            "the transition plan would violate the marginals"
-        )
-
-    synth_count_of = dict(zip(synth_ids.tolist(), synth_counts.tolist()))
-    col_weight = np.array([1.0 / (n * synth_count_of[c]) for c in synth.tolist()])
+    if real.size == 0 or sorted(real.tolist()) != sorted(synth.tolist()):
+        raise ValueError("the generated class ids must be a non-empty permutation of the real "
+                         f"ones: {real.tolist()} vs {synth.tolist()}")
+    _, inverse, counts = np.unique(synth, return_inverse=True, return_counts=True)
+    col_weight = 1.0 / (real.size * counts[inverse])
     return (real[:, None] == synth[None, :]) * col_weight[None, :]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # sums past the float range fail the report
 def check_marginals(plan, marg: Marginals, tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
-    """Measure how far a plan sits from the coupling polytope of `marg`."""
-    values = _plan_values(plan)
+    """Measure how far the coupling array `plan` (a TransportPlan's
+    `.values`) sits from the coupling polytope of `marg`."""
+    values = np.asarray(plan, dtype=np.float64)
     if values.shape != (marg.row.size, marg.col.size):
         raise ValueError(
             f"plan shape {values.shape} does not match marginal lengths "

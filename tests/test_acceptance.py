@@ -70,7 +70,7 @@ def test_criterion_1_ipot_matches_assignment_oracle():
         n = 2 + int(rng.integers(5, 1)[0])
         cost = random_cost(rng, n, n)
         plan = ot.ipot_solve(cost)
-        got = ot.transport_cost(plan, cost)
+        got = ot.transport_cost(plan.values, cost)
         want = scipy_oracle_cost(cost)
         rel = abs(got - want) / max(abs(want), 1e-12)
         worst = max(worst, rel)
@@ -103,7 +103,7 @@ def test_criterion_2_feasibility_over_randomized_cases():
         # near-tied instances may exhaust the sweep budget before the
         # stationarity test clears; the plan must still be feasible
         capped += not plan.converged
-        rep = ot.check_marginals(plan, marg, tol=1e-6)
+        rep = ot.check_marginals(plan.values, marg, tol=1e-6)
         worst_solver = max(worst_solver, rep.max_row_dev, rep.max_col_dev)
         assert rep.passed
         checked += 1
@@ -113,7 +113,7 @@ def test_criterion_2_feasibility_over_randomized_cases():
         m = 2 + int(rng.integers(7, 1)[0])
         marg = random_marginals(n, m)
         plan = ot.sinkhorn_solve(random_cost(rng, n, m), marg, reg=0.5, iterations=400)
-        rep = ot.check_marginals(plan, marg, tol=1e-6)
+        rep = ot.check_marginals(plan.values, marg, tol=1e-6)
         worst_solver = max(worst_solver, rep.max_row_dev, rep.max_col_dev)
         assert rep.passed
         checked += 1

@@ -338,7 +338,7 @@ def test_main_calls_the_command_functions_of_the_module(monkeypatch, tmp_path):
     calls = []
     for attr, name in [("cmd_gen_data", "gen-data"), ("cmd_solve_ot", "solve-ot")]:
         monkeypatch.setattr(cli, attr, lambda cfg, out, stage, name=name:
-                            calls.append((name, cfg, out, stage)))
+                            calls.append((name, cfg, out, stage)) or [])
     assert run(["gen-data", "--out", str(tmp_path / "a")]) == 0
     # a required key is checked before the command: the patched one reads no --cost
     assert run(["solve-ot", "--cost", "c.csv", "--out", str(tmp_path / "b"), "--iters", "7"]) == 0
@@ -656,6 +656,17 @@ def test_a_directory_in_the_way_of_an_output_moves_no_file(clash, tmp_path, caps
     assert capsys.readouterr().err == (f"error: cannot write output directory {out}: "
                                        f"{out / clash} is a directory\n")
     assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_FILES))
+def test_a_run_that_fails_to_publish_prints_no_result(command, workspace, tmp_path, capsys):
+    """A command's result lines, `wrote ...` among them, are printed only
+    once its files are in --out, so a publish that fails prints none."""
+    out = tmp_path / "out"
+    (out / "config.json").mkdir(parents=True)
+    assert run([*short_run(command, workspace, tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write output directory {out}: "
+                                       f"{out / 'config.json'} is a directory\n")
 
 
 def test_a_link_to_a_directory_is_replaced_like_a_file(tmp_path):

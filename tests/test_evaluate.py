@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import otzsl.evaluate as evaluate_module
 from otzsl.data import SyntheticSpec, make_synthetic_dataset
-from otzsl.errors import ConfigError, DataFormatError
+from otzsl.errors import ConfigError, DataFormatError, SolverError
 from otzsl.evaluate import (PROTOCOLS, ClassifierConfig, ClassifierParams, EvalConfig,
-                            classify_scores, evaluate, harmonic_mean, per_class_top1,
+                            evaluate, harmonic_mean, per_class_top1,
                             predict_ids, save_report, train_softmax)
 from otzsl.generator import GeneratorParams, init_generator
 from otzsl.mlp import MlpParams, mlp_size
@@ -129,8 +129,13 @@ def test_softmax_rejects_a_class_listed_twice_before_any_step(monkeypatch, class
 def test_predict_ids_maps_argmax_to_class_ids():
     clf = ClassifierParams(W=np.eye(2), b=np.zeros(2), class_id_map=(3, 7))
     assert predict_ids(clf, [[2.0, 1.0], [0.0, 5.0]]).tolist() == [3, 7]
-    scores = classify_scores(clf, [[2.0, 1.0]])
-    assert scores.tolist() == [[2.0, 1.0]]
+    assert predict_ids(clf, [2.0, 1.0]).tolist() == [3]  # one feature row
+
+
+def test_predict_ids_names_the_first_row_with_a_non_finite_score():
+    clf = ClassifierParams(W=np.eye(2), b=np.zeros(2), class_id_map=(3, 7))
+    with pytest.raises(SolverError, match=r"^the classifier's scores of row 1 are not finite$"):
+        predict_ids(clf, [[2.0, 1.0], [np.inf, 0.0], [np.nan, 0.0]])
 
 
 # --- metrics ---

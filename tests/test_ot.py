@@ -125,13 +125,13 @@ def test_marginals_rejects_invalid(row, col):
 def test_ipot_single_point():
     out = ipot_solve(np.array([[0.37]]))
     np.testing.assert_allclose(out.values, [[1.0]], atol=1e-9)
-    assert transport_cost(out, [[0.37]]) == pytest.approx(0.37, abs=1e-9)
+    assert transport_cost(out.values, [[0.37]]) == pytest.approx(0.37, abs=1e-9)
 
 
 def test_ipot_zero_cost_stays_feasible():
     out = ipot_solve(np.zeros((2, 2)))
-    assert check_marginals(out, Marginals.uniform(2, 2), tol=1e-9).passed
-    assert transport_cost(out, np.zeros((2, 2))) == pytest.approx(0.0)
+    assert check_marginals(out.values, Marginals.uniform(2, 2), tol=1e-9).passed
+    assert transport_cost(out.values, np.zeros((2, 2))) == pytest.approx(0.0)
 
 
 def test_ipot_matches_oracle_on_random_instances():
@@ -140,7 +140,7 @@ def test_ipot_matches_oracle_on_random_instances():
         n = 2 + trial % 5
         C = random_cost(rng, n, n)
         best = scipy_oracle_cost(C)
-        got = transport_cost(ipot_solve(C), C)
+        got = transport_cost(ipot_solve(C).values, C)
         assert got == pytest.approx(best, rel=1e-4, abs=1e-9), f"trial {trial}"
 
 
@@ -158,7 +158,7 @@ def test_ipot_respects_nonuniform_marginals():
     C = random_cost(rng, 3, 4)
     marg = Marginals(np.array([0.5, 0.25, 0.25]), np.array([0.1, 0.2, 0.3, 0.4]))
     out = ipot_solve(C, marg)
-    assert check_marginals(out, marg, tol=1e-6).passed
+    assert check_marginals(out.values, marg, tol=1e-6).passed
 
 
 def test_ipot_marginal_length_mismatch():
@@ -198,7 +198,7 @@ def test_ipot_plans_are_feasible(seed, n, m):
     C = random_cost(SeededRng(seed), n, m)
     marg = Marginals.uniform(n, m)
     out = ipot_solve(C, marg, IpotConfig(max_outer_iters=400))
-    assert check_marginals(out, marg, tol=1e-6).passed
+    assert check_marginals(out.values, marg, tol=1e-6).passed
 
 
 def test_ipot_permutation_equivariance():
@@ -209,7 +209,8 @@ def test_ipot_permutation_equivariance():
     base = ipot_solve(C)
     permuted = ipot_solve(C[perm])
     np.testing.assert_allclose(permuted.values, base.values[perm], atol=1e-9)
-    assert transport_cost(permuted, C[perm]) == pytest.approx(transport_cost(base, C), abs=1e-9)
+    assert transport_cost(permuted.values, C[perm]) == pytest.approx(
+        transport_cost(base.values, C), abs=1e-9)
 
 
 def ipot_reference(cost, cfg, marg=None, flush=True):
@@ -349,8 +350,8 @@ def test_sinkhorn_closed_form_two_point():
     diag = 0.5 / (1.0 + np.exp(-10.0))
     off = 0.5 - diag
     np.testing.assert_allclose(out.values, [[diag, off], [off, diag]], atol=1e-12)
-    assert transport_cost(out, C) == pytest.approx(2 * off, abs=1e-12)
-    assert transport_cost(out, C) == pytest.approx(4.5398e-5, rel=1e-3)
+    assert transport_cost(out.values, C) == pytest.approx(2 * off, abs=1e-12)
+    assert transport_cost(out.values, C) == pytest.approx(4.5398e-5, rel=1e-3)
 
 
 def test_sinkhorn_constant_cost_gives_product_coupling():
@@ -478,15 +479,15 @@ def test_sinkhorn_plans_are_feasible(seed, n, m):
     C = random_cost(SeededRng(seed), n, m)
     marg = Marginals.uniform(n, m)
     out = sinkhorn_solve(C, marg, reg=0.5, iterations=300)
-    assert check_marginals(out, marg, tol=1e-6).passed
+    assert check_marginals(out.values, marg, tol=1e-6).passed
 
 
 def test_ipot_cost_never_above_sinkhorn_same_reg():
     rng = SeededRng(31)
     for _ in range(10):
         C = random_cost(rng, 6, 6)
-        ipot_c = transport_cost(ipot_solve(C), C)
-        sink_c = transport_cost(sinkhorn_solve(C, reg=0.5, iterations=2000), C)
+        ipot_c = transport_cost(ipot_solve(C).values, C)
+        sink_c = transport_cost(sinkhorn_solve(C, reg=0.5, iterations=2000).values, C)
         assert ipot_c <= sink_c + 1e-6
 
 
@@ -541,14 +542,16 @@ def test_transition_order_follows_labels():
     np.testing.assert_allclose(out, [[0.0, 0.5], [0.5, 0.0]])
 
 
-def test_transition_rejects_proportion_mismatch():
-    with pytest.raises(ValueError, match="proportions"):
-        transition_plan([0, 0, 1], [0, 1, 1])
-
-
-def test_transition_rejects_class_set_mismatch():
-    with pytest.raises(ValueError, match="class sets"):
-        transition_plan([0, 1], [0, 2])
+@pytest.mark.parametrize("real, synth", [
+    ([0, 1], [0, 0, 1, 1]),  # same class proportions, another batch size
+    ([0, 0, 1, 1], [0, 1]),
+    ([0, 0, 1], [0, 1, 1]),  # same size and class set, other counts
+    ([0, 1], [0, 2]),  # other class sets
+    ([0, 1], [0]),
+])
+def test_transition_rejects_a_batch_that_is_not_a_permutation(real, synth):
+    with pytest.raises(ValueError, match="must be a non-empty permutation of the real ones"):
+        transition_plan(real, synth)
 
 
 def test_transition_rejects_empty():
@@ -556,22 +559,42 @@ def test_transition_rejects_empty():
         transition_plan([], [])
 
 
-@given(
-    st.lists(st.integers(0, 4), min_size=1, max_size=12),
-    st.integers(1, 3),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=200, deadline=None)
-def test_transition_feasible_whenever_proportions_match(labels, copies, seed):
-    """Mirrored batches (each class replicated `copies` times, shuffled) are
-    always inside the coupling polytope to 1e-12."""
+def reference_transition_plan(real_classes, synth_classes) -> np.ndarray:
+    """The coupling by the formula transition_plan used when it also took a
+    generated batch of another size with the same class proportions: mass
+    1/(N * count_synth(c)) on same-class pairs, each column's weight looked
+    up in a dict of the generated class counts."""
+    real = np.asarray(real_classes, dtype=np.int64).reshape(-1)
+    synth = np.asarray(synth_classes, dtype=np.int64).reshape(-1)
+    synth_ids, synth_counts = np.unique(synth, return_counts=True)
+    synth_count_of = dict(zip(synth_ids.tolist(), synth_counts.tolist()))
+    col_weight = np.array([1.0 / (real.size * synth_count_of[c]) for c in synth.tolist()])
+    return (real[:, None] == synth[None, :]) * col_weight[None, :]
+
+
+@given(st.lists(st.integers(-3, 10), min_size=1, max_size=60), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_transition_on_permuted_batches_matches_the_reference_and_is_feasible(labels, seed):
+    """On a generated batch that permutes the real one, the plan is the
+    reference formula's bit for bit, and inside the coupling polytope to 1e-12."""
     real = np.asarray(labels, dtype=np.int64)
-    synth = np.repeat(real, copies)
-    synth = synth[SeededRng(seed).permutation(synth.size)]
+    synth = real[SeededRng(seed).permutation(real.size)]
     out = transition_plan(real, synth)
-    marg = Marginals.uniform(real.size, synth.size)
-    report = check_marginals(out, marg, tol=1e-12)
+    want = reference_transition_plan(real, synth)
+    assert (out.dtype, out.shape, out.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    report = check_marginals(out, Marginals.uniform(real.size, real.size), tol=1e-12)
     assert report.passed, report
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=12),
+       st.lists(st.integers(0, 4), min_size=0, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_transition_rejects_every_other_class_multiset(real, synth):
+    """Unequal sizes, or equal sizes with other class counts, raise."""
+    if sorted(real) == sorted(synth):
+        synth = synth + [0]  # one extra generated sample makes any permutation a mismatch
+    with pytest.raises(ValueError, match="permutation"):
+        transition_plan(real, synth)
 
 
 # ------------------------------------------------------------ check_marginals

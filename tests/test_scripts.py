@@ -78,3 +78,21 @@ def test_zsl_benchmark_rejects_a_bad_argument_before_any_work(tmp_path, args, me
     assert proc.returncode == 2
     assert f"run_zsl_benchmark.py: error: {message}" in proc.stderr, proc.stderr[-500:]
     assert proc.stdout == ""
+
+
+def test_verify_ends_its_summary_with_the_package_line_count(monkeypatch, capsys):
+    """After one line per suite, the last line counts src/otzsl/'s lines as
+    `wc -l` does; it gates nothing, so failing suites still print it."""
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import verify
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    monkeypatch.setattr(verify, "pytest", lambda cwd, *args: 1)
+    monkeypatch.setattr(verify, "perfbench_smoke", lambda: 0)
+    assert verify.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    package = SCRIPTS.parent / "src" / "otzsl"
+    count = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in package.glob("*.py"))
+    assert lines[-4:] == ["tier-1: FAIL (pytest exit 1)", "acceptance: FAIL (pytest exit 1)",
+                          "perfbench smoke: PASS", f"src/otzsl: {count} lines"]

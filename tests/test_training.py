@@ -229,7 +229,7 @@ def test_sample_synth_rejects(pool, classes, msg):
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_mirrored_batches_satisfy_transition_precondition(labels, seed):
     # mirroring copies the class multiset, so the label-derived coupling
-    # never hits its proportion-mismatch error
+    # never hits its not-a-permutation error
     attrs = AttributeMatrix(np.eye(4), seen_ids=(0, 1, 2, 3), unseen_ids=())
     real = np.asarray(labels, dtype=np.int64)
     synth, _ = sample_synth_batch(attrs, attrs.seen_ids, real, SeededRng(seed))

@@ -14,9 +14,10 @@ The suites, in order, from the repository root:
    in, so a store left there by a run of other output bytes would fail them;
    the copy starts without one.
 
-Each suite runs even when an earlier one failed. A summary line per suite
-follows, and then the line count of src/otzsl/ (as `wc -l` counts it), the
-figure the ROADMAP's design aim tracks; the count gates nothing.
+Each suite runs even when an earlier one failed. Then come the line count of
+each module of src/otzsl/, a summary line per suite, and the line count of
+src/otzsl/ (each as `wc -l` counts it), the figure the ROADMAP's design aim
+tracks; the counts gate nothing.
 """
 
 import os
@@ -49,9 +50,10 @@ def perfbench_smoke() -> int:
         return pytest(tmp, "-q", "-p", "no:cacheprovider", "perfbench")
 
 
-def src_lines() -> int:
-    """The number of lines in src/otzsl/*.py."""
-    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "otzsl").glob("*.py"))
+def src_lines() -> dict:
+    """The number of lines of each src/otzsl/*.py, by file name."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((ROOT / "src" / "otzsl").glob("*.py"))}
 
 
 def main() -> int:
@@ -60,9 +62,12 @@ def main() -> int:
         ("acceptance", pytest(ROOT, "tests/test_acceptance.py", "-s")),
         ("perfbench smoke", perfbench_smoke()),
     ]
+    counts = src_lines()
+    for name, count in counts.items():
+        print(f"src/otzsl/{name}: {count} lines")
     for name, code in results:
         print(f"{name}: {'PASS' if code == 0 else f'FAIL (pytest exit {code})'}")
-    print(f"src/otzsl: {src_lines()} lines")
+    print(f"src/otzsl: {sum(counts.values())} lines")
     return 0 if all(code == 0 for _, code in results) else 1
 
 

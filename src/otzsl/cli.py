@@ -33,8 +33,9 @@ from . import data as dataio
 from . import ot
 from .errors import ConfigError, DataFormatError, OtzslError, check_value, knob
 from .evaluate import PROTOCOL_SPLITS, PROTOCOLS, EvalConfig, evaluate, save_report
+from .generator import synthesize_class_features
 from .rng import SEED_BOUNDS, SeededRng
-from .training import MODE_SPLITS, TrainConfig, synthesize_class_features, train, write_trace_csv
+from .training import MODE_SPLITS, TrainConfig, train, write_trace_csv
 
 
 def flat_fields(config, prefix: str = "") -> dict:

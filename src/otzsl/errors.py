@@ -43,12 +43,6 @@ def knob(default, **rule):
     return dataclasses.field(default=default, metadata=rule)
 
 
-def bound_text(at_least=None, above=None, at_most=None) -> str:
-    """Bounds as check_value states them: "at least 0 and at most 1"."""
-    return " and ".join(f"{words} {bound}" for words, bound in (
-        ("at least", at_least), ("greater than", above), ("at most", at_most)) if bound is not None)
-
-
 def check_value(what: str, value, kind: type, choices: tuple = (), shown=None, *,
                 at_least=None, above=None, at_most=None):
     """`value`, a numpy scalar as its Python number, or ConfigError naming
@@ -68,7 +62,9 @@ def check_value(what: str, value, kind: type, choices: tuple = (), shown=None, *
         raise ConfigError(f"{what} must be one of {choices}, got {value!r}")
     elif ((at_least is not None and value < at_least) or (above is not None and value <= above)
           or (at_most is not None and value > at_most)):
-        rule = bound_text(at_least, above, at_most)
+        rule = " and ".join(f"{words} {bound}" for words, bound in (
+            ("at least", at_least), ("greater than", above), ("at most", at_most))
+            if bound is not None)
     else:
         return value
     raise ConfigError(f"{what} must be {rule}, got {repr(value) if shown is None else shown}")

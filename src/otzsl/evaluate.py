@@ -22,11 +22,10 @@ import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, write_json
 from .errors import DataFormatError, SolverError, check_fields, check_value, knob
-from .generator import GeneratorParams
+from .generator import GeneratorParams, synthesize_class_features
 from .linalg import log_softmax_rows
 from .mlp import adam_init, adam_step
 from .rng import SEED_BOUNDS, SeededRng
-from .training import synthesize_class_features
 
 PROTOCOLS = ("standard", "generalized", "transductive")
 # The test splits that each protocol scores, the seen split first; the CLI

@@ -12,7 +12,8 @@ constant matrix. One generator forward per training step serves both halves
 of the alternation: the caller solves the plan on the features of
 `generator_forward` and hands the same (features, cache) pair to `backward`,
 which differentiates the loss at that batch. Gradients are fully analytic;
-finite differences are used only in the tests.
+finite differences are used only in the tests. `synthesize_class_features`
+samples a trained generator per class, for evaluation's classifier and export.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNLABELED
-from .errors import check_value
+from .data import UNLABELED, AttributeMatrix
+from .errors import SolverError, check_value
 from .linalg import log_softmax_rows, unit_rows
 from .mlp import MlpParams, add_grads, init_mlp, mlp_backward, mlp_forward_cache
 from .rng import SeededRng
@@ -72,6 +73,27 @@ def generator_forward(g: GeneratorParams, attrs, noises) -> tuple[np.ndarray, tu
     if attrs.ndim != 2 or attrs.shape[1] != g.attr_dim:
         raise ValueError(f"attributes must be rows of dim {g.attr_dim}, got shape {attrs.shape}")
     return mlp_forward_cache(g.net, np.hstack([attrs, noises]))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up raises below instead
+def synthesize_class_features(g: GeneratorParams, attrs: AttributeMatrix, classes,
+                              per_class: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
+    """per_class generated features for each listed class, labels attached;
+    a class whose features are not finite is a SolverError."""
+    classes = [int(c) for c in classes]
+    per_class = check_value("per_class", per_class, int, at_least=1)
+    for c in classes:
+        if not 0 <= c < attrs.n_classes:
+            raise ValueError(f"class {c} outside 0..{attrs.n_classes - 1}")
+    feats = np.empty((len(classes) * per_class, g.feature_dim))
+    for i, c in enumerate(classes):  # each class's rows go straight to their place
+        noises = rng.gaussian(per_class * attrs.attr_dim).reshape(per_class, attrs.attr_dim)
+        rows = feats[i * per_class:(i + 1) * per_class]
+        rows[...] = generator_forward(g, np.tile(attrs.attrs[c], (per_class, 1)), noises)[0]
+        if not np.isfinite(rows).all():
+            raise SolverError(f"the generator's features for class {c} are not finite")
+    labels = np.repeat(np.asarray(classes, dtype=np.int64), per_class)
+    return feats, labels
 
 
 def _nca_term(pred, targets, attr_unit, nca_scale, grad_weight):

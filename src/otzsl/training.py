@@ -9,9 +9,12 @@ Each step runs the generator once, on the stacked seen and unseen halves of
 the synthetic batch; the plan is solved on those features and `backward`
 differentiates the same batch, so nothing is generated twice.
 
-Per iteration the batch RNG is consumed in a fixed order (real indices, seen
-replacement draws if any, seen noises, unseen class draws, unseen noises,
-branch coin) so runs are bit-reproducible for a given seed and config.
+An epoch is ceil(pool / batch_size) steps, the pool being the labeled seen
+rows plus, in transductive mode, the unlabeled ones. Per step the batch RNG is
+consumed in a fixed order (real indices, seen replacement draws if any, seen
+noises, unseen class draws, unseen noises, then one uniform for the branch
+coin, whatever the branch) so runs are bit-reproducible for a given seed and
+config.
 
 Modes: "standard" trains on labeled seen data only and serves both the
 standard and the generalized protocol, which differ only in the classifier
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import AttributeMatrix, FeatureDataset, UNLABELED, write_csv
-from .errors import DataFormatError, SolverError, check_fields, check_value, knob
+from .errors import DataFormatError, SolverError, check_fields, knob
 from .generator import GeneratorParams, backward, generator_forward, init_generator
 from .mlp import adam_init, adam_step, init_mlp
 from .ot import IpotConfig, Marginals, cosine_cost_matrix, ipot_solve, transition_plan
@@ -98,17 +101,16 @@ def sample_real_batch(data: FeatureDataset, b: int, rng: SeededRng,
     by the unlabeled pool (class -1) in transductive mode. A draw past the
     seen rows indexes the unlabeled pool, so neither pool is copied whole."""
     feats, labels = data.seen_train
+    # a pool left out or empty, which a hand-built dataset may give as (0, 0), adds no rows
+    pool = data.unseen_unlabeled if transductive and data.unseen_unlabeled.size else feats[:0]
     n_seen = feats.shape[0]
-    n_pool = data.unseen_unlabeled.shape[0] if transductive else 0
-    if n_seen + n_pool == 0:
+    if n_seen + pool.shape[0] == 0:
         raise ValueError("cannot sample from an empty pool")
-    idx = rng.integers(n_seen + n_pool, b)
-    if n_pool == 0:
-        return feats[idx], labels[idx]
+    idx = rng.integers(n_seen + pool.shape[0], b)
     seen = idx < n_seen
-    batch = np.empty((b, data.unseen_unlabeled.shape[1]))
+    batch = np.empty((b, data.feature_dim))
     batch[seen] = feats[idx[seen]]
-    batch[~seen] = data.unseen_unlabeled[idx[~seen] - n_seen]
+    batch[~seen] = pool[idx[~seen] - n_seen]
     classes = np.full(b, UNLABELED, dtype=np.int64)
     classes[seen] = labels[idx[seen]]
     return batch, classes
@@ -135,19 +137,6 @@ def sample_synth_batch(attrs: AttributeMatrix, class_pool, classes,
     return classes, noises
 
 
-def ot_branch_coin(rng: SeededRng, ot_prob: float) -> bool:
-    """Decide the branch for one iteration; always consumes one uniform."""
-    coin = float(rng.uniform(1)[0])
-    return ot_prob > 0.0 and coin <= ot_prob
-
-
-def iterations_per_epoch(pool_size: int, batch_size: int) -> int:
-    """Steps per epoch, at least 1; a pool size below 0 or a batch size below
-    1 (or either not an int) is a ConfigError."""
-    pool_size = check_value("pool_size", pool_size, int, at_least=0)
-    return max(1, math.ceil(pool_size / check_value("batch_size", batch_size, int, at_least=1)))
-
-
 # a blow-up raises from the finiteness checks of a step, not as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def train(data: FeatureDataset, attrs: AttributeMatrix,
@@ -172,12 +161,10 @@ def train(data: FeatureDataset, attrs: AttributeMatrix,
     adam = adam_init(params, cfg.learning_rate)
     batch_rng = root.split(3)
 
-    pool_size = data.seen_train[0].shape[0] + (
-        data.unseen_unlabeled.shape[0] if transductive else 0
-    )
-    iters = iterations_per_epoch(pool_size, cfg.batch_size)
-    trace = []
     b = cfg.batch_size
+    n_pool = data.unseen_unlabeled.shape[0] if transductive else 0
+    iters = math.ceil((data.seen_train[0].shape[0] + n_pool) / b)  # >= 1: seen_train is not empty
+    trace = []
     # every OT step couples b real rows to b generated ones, or to 2b in transductive mode
     marg = Marginals.uniform(b, 2 * b if transductive else b)
     unseen_draw = np.full(b, UNLABELED)  # every unseen class id is drawn
@@ -195,8 +182,8 @@ def train(data: FeatureDataset, attrs: AttributeMatrix,
                 generated = generator_forward(g, attrs.attrs[synth_classes],
                                               np.vstack([s_noises, u_noises]))
 
-                has_unlabeled = bool((real_classes == UNLABELED).any())
-                if ot_branch_coin(batch_rng, cfg.ot_prob) or has_unlabeled:
+                coin = batch_rng.uniform(1)[0]  # drawn on every step, whatever the branch
+                if (cfg.ot_prob > 0 and coin <= cfg.ot_prob) or (real_classes == UNLABELED).any():
                     branch = "ot"
                     synth = generated[0] if transductive else generated[0][:b]
                     cost = cosine_cost_matrix(real_feats, synth)
@@ -216,24 +203,3 @@ def train(data: FeatureDataset, attrs: AttributeMatrix,
             del res, generated  # free this step's grads and caches before the next step's
 
     return g, trace
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a blow-up raises below instead
-def synthesize_class_features(g: GeneratorParams, attrs: AttributeMatrix, classes,
-                              per_class: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
-    """per_class generated features for each listed class, labels attached;
-    a class whose features are not finite is a SolverError."""
-    classes = [int(c) for c in classes]
-    per_class = check_value("per_class", per_class, int, at_least=1)
-    for c in classes:
-        if not 0 <= c < attrs.n_classes:
-            raise ValueError(f"class {c} outside 0..{attrs.n_classes - 1}")
-    feats = np.empty((len(classes) * per_class, g.feature_dim))
-    for i, c in enumerate(classes):  # each class's rows go straight to their place
-        noises = rng.gaussian(per_class * attrs.attr_dim).reshape(per_class, attrs.attr_dim)
-        rows = feats[i * per_class:(i + 1) * per_class]
-        rows[...] = generator_forward(g, np.tile(attrs.attrs[c], (per_class, 1)), noises)[0]
-        if not np.isfinite(rows).all():
-            raise SolverError(f"the generator's features for class {c} are not finite")
-    labels = np.repeat(np.asarray(classes, dtype=np.int64), per_class)
-    return feats, labels

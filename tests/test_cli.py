@@ -20,7 +20,7 @@ import pytest
 
 from otzsl import cli, ot
 from otzsl.data import SyntheticSpec, load_matrix_csv, save_matrix_csv
-from otzsl.errors import ConfigError, bound_text
+from otzsl.errors import ConfigError
 from otzsl.evaluate import ClassifierConfig, EvalConfig
 from otzsl.rng import MAX_SEED, SeededRng
 from otzsl.training import TrainConfig
@@ -207,6 +207,12 @@ def test_every_flag_names_a_config_key():
         assert dests <= CONFIG_KEYS[command], (command, dests - CONFIG_KEYS[command])
 
 
+def bound_words(at_least=None, above=None, at_most=None) -> str:
+    """Bounds in check_value's wording: "at least 0 and at most 1"."""
+    return " and ".join(f"{words} {bound}" for words, bound in (
+        ("at least", at_least), ("greater than", above), ("at most", at_most)) if bound is not None)
+
+
 def test_readme_table_lists_each_rule_of_the_key_tables():
     """README's "key | choices or bound" table is built from the key tables:
     a row for each key with choices or bounds, the commands that share a key
@@ -219,7 +225,7 @@ def test_readme_table_lists_each_rule_of_the_key_tables():
         for key, entry in keys.items():
             rule = cli.key_rule(entry)[2]
             text = (", ".join(f"`{c}`" for c in rule["choices"]) if "choices" in rule
-                    else bound_text(**rule))
+                    else bound_words(**rule))
             if text:
                 rows.setdefault((key, text), []).append(command)
     want = ["| key | choices or bound |", "|---|---|"] + [

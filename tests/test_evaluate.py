@@ -12,10 +12,9 @@ from otzsl.errors import ConfigError, DataFormatError, SolverError
 from otzsl.evaluate import (PROTOCOLS, ClassifierConfig, ClassifierParams, EvalConfig,
                             evaluate, harmonic_mean, per_class_top1,
                             predict_ids, save_report, train_softmax)
-from otzsl.generator import GeneratorParams, init_generator
+from otzsl.generator import GeneratorParams, init_generator, synthesize_class_features
 from otzsl.mlp import MlpParams, mlp_size
 from otzsl.rng import SeededRng
-from otzsl.training import synthesize_class_features
 
 from conftest import (TINY_SPEC, count_finiteness_checks, perfbench_report_keys,
                       reference_write_json)

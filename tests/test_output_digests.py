@@ -1,12 +1,14 @@
-"""Every output byte of a fixed tiny-shape command list, pinned by sha256.
+"""Every output byte of two fixed command lists, pinned by sha256: a tiny-shape
+list of every command, and training and evaluation at the shapes the desk and
+paper workloads train at.
 
 Each command runs as `python -m otzsl` in a fresh interpreter with the BLAS
 thread variables set to 1, as perfbench runs it, inside one work directory
 where every path a command is given or prints is relative. The digests cover
 every file the commands write and every command's stdout, so a change that is
 meant to keep the output bytes shows that it does. A change that alters them
-on purpose replaces DIGESTS with the dict the failing assertion prints, and
-says so.
+on purpose replaces the dict of each failing test (DIGESTS,
+WORKLOAD_DIGESTS) with the dict its assertion prints, and says so.
 
 The digests were recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64; a
 BLAS build whose kernels round differently gives other bytes.
@@ -92,23 +94,104 @@ DIGESTS = {
 }
 
 
-def write_inputs(work: Path) -> None:
-    for name, cfg in CONFIGS.items():
+# OpenBLAS picks its kernels by shape, and a product that keeps its bytes at
+# batch 4 need not keep them at batch 32: slicing the columns of `r @ s.T`
+# equals the product of the sliced rows at 4x8, 128x512 and 128x2048, never at
+# 32x32 or 32x512. So the default desk shape (batch 32, 32-D) and one of
+# batch 128 with 512-D features are pinned too, one epoch each. ot_prob 0.5,
+# and at batch 128 training seed 1, make standard training take both branches
+# within its epoch.
+WORKLOAD_CONFIGS = {
+    "wide.json": {"feature_dim": 512, "samples_per_class": 40, "seed": 2},
+    "desk_train.json": {"epochs": 1, "ot_prob": 0.5},
+    "wide_train.json": {"epochs": 1, "ot_prob": 0.5, "batch_size": 128, "seed": 1},
+    "eval.json": {"classifier_epochs": 2},
+}
+
+WORKLOAD_COMMANDS = [
+    ("desk", ["gen-data"]),
+    ("desk_train", ["train", "--config", "desk_train.json", "--data", "desk"]),
+    ("desk_trans", ["train", "--config", "desk_train.json", "--data", "desk",
+                    "--mode", "transductive"]),
+    ("desk_standard", ["eval", "--config", "eval.json", "--data", "desk",
+                       "--checkpoint", "desk_train/checkpoint.bin", "--mode", "standard"]),
+    ("desk_generalized", ["eval", "--config", "eval.json", "--data", "desk",
+                          "--checkpoint", "desk_train/checkpoint.bin", "--mode", "generalized"]),
+    ("wide", ["gen-data", "--config", "wide.json"]),
+    ("wide_train", ["train", "--config", "wide_train.json", "--data", "wide"]),
+    ("wide_trans", ["train", "--config", "wide_train.json", "--data", "wide",
+                    "--mode", "transductive"]),
+    ("wide_generalized", ["eval", "--config", "eval.json", "--data", "wide",
+                          "--checkpoint", "wide_train/checkpoint.bin", "--mode", "generalized"]),
+]
+
+WORKLOAD_DIGESTS = {
+    "desk stdout": "81776ce32d9ef4484ffaea3f342e9453de51678bb216dd83fc8f67432e360498",
+    "desk/attributes.csv": "894822ad36823e5a4baa14ec2100bbaa51e6b59f1ab45848b010a1dd638f010e",
+    "desk/config.json": "34ba0159fca6f32a7ff2580bc4a586871cb27cd1f8acdf53ceb327fc56beacc1",
+    "desk/features.csv": "db4fa430203d1dbdd35d592f17c5fb10dfa35b2dd8fe9597ac22e27c04378feb",
+    "desk/split.json": "376f15c49aeea581f95db77b3d5f8ed6c3327a734e16c5049b448cc350b65126",
+    "desk_train stdout": "753e1355cdd11455bcfdb037318154415159aedb1e5eb9a2191b596d53ae9342",
+    "desk_train/checkpoint.bin": "6584a169fed171c104575597ac55e6ed3a1899b76dcfa41125869a6800796f05",
+    "desk_train/config.json": "917854102b9209e22630c69c086f56f38b2658848a4525df695ea5ea7ac8e503",
+    "desk_train/trace.csv": "40b6df406c19ccef265e8390901fe850aefc63eccfccd1e7606058c7cc023050",
+    "desk_trans stdout": "9756fff82e6859deeb73303f48bfd240e357c589446b85cb6e986156aad3fa4a",
+    "desk_trans/checkpoint.bin": "047caab6771b4025fe2a6be33705f26af5f7aeeac570eb72f7479bcf131eacb4",
+    "desk_trans/config.json": "ce6b2b5e5758b93ebbce91f47603b3a3e6df5d4b720b9e9c5b779bc38fbabebd",
+    "desk_trans/trace.csv": "92097d2e402e15cb824a7d16f6f0c6b2d85fea4b8d063a805d581e7f46403fbc",
+    "desk_standard stdout": "7d25eb5778b9e69ba82ea91040d3a3a3fcc417e6cb35e2d33ef72490871c4334",
+    "desk_standard/config.json": "85825ebf12519bac096d137d928f535d9eaac7c3deebc7ed93254600289737aa",
+    "desk_standard/report.json": "7909206e33e529a4d24f28df31046efa24881e363964c9a55a86417b854f4df4",
+    "desk_generalized stdout": "4e3ef3801fadef6732d171e5294e3aae57978a30db90f6670bbd2536415d633e",
+    "desk_generalized/config.json": "d8f9cf3e826f0fab0a53a7cc0871e0c956fe32ab10c9c731e525d2a0e1c8cf0c",
+    "desk_generalized/report.json": "f5adbd837d50644759064b9f0e09d9cea55ed0f677fc438a810ff96169520d31",
+    "wide stdout": "de8a13157a3a8fbd8c642444ee1f8e3d9d82c03893424b7d862ec79a061b4c17",
+    "wide/attributes.csv": "89012db0fdf0ecf266328293a317c3334a1d077d5bd3617d8a1983bbb032ceae",
+    "wide/config.json": "ead4f34aa8bcd8d8e31a3411f029b938d843a71ba1c3ed166e6c23084645463e",
+    "wide/features.csv": "3d7038a8100ef998b92a56a734871f37e81beac4a12ca9eb68f6d8a90fe3c1c1",
+    "wide/split.json": "bb301e5a04babf063911f9f7defe7aecee94e1ec768c80bcab819a1a77042661",
+    "wide_train stdout": "aa1e2f5ef04b96f10c3aabbe7e2563cc9858a5847d59fabf9045558877698dbe",
+    "wide_train/checkpoint.bin": "efc1eaa9d060d0b4c020291b412c1f3ad5b3a296052bacbbfcac2473862efdb9",
+    "wide_train/config.json": "072ca622a2675f7e6d8378e602b31b68b7e47fa3314c7f8230fc3533a73eebd9",
+    "wide_train/trace.csv": "d0297d2e04b412565aec992c5a6fb234502d0e685753f56cfaedbb371262f0b0",
+    "wide_trans stdout": "674d5e67e9595ebda789ac688f8833398b26d8751279c73479f152c891e21c95",
+    "wide_trans/checkpoint.bin": "3b0bee89a9fab7149ebf0cf43fdb0f93a15909c82bbfbf48beba049ca3528a43",
+    "wide_trans/config.json": "d56d3e830e0bfe809f1c68644b625e80d60030cea805c17a74ea5c53c33d4139",
+    "wide_trans/trace.csv": "e3c67f4b7d6a6467a7393b70ee8aa44245d5d1dc466e0304ec5c91ba4a06d98f",
+    "wide_generalized stdout": "8122911028bd290a726d53cf795f3fd90aa8a7df9f715479286b7551055ecf93",
+    "wide_generalized/config.json": "50b8955cbacc807f8bf01a6685acc78133aaa0925d50690e2a8a0146374efef5",
+    "wide_generalized/report.json": "03c9b24c12856cbf7997b28876bfa5cc5b453e031ddac1616374d46e01716872",
+}
+
+
+def write_inputs(work: Path, configs: dict) -> None:
+    for name, cfg in configs.items():
         (work / name).write_text(json.dumps(cfg))
     rows = [",".join(repr(((3 * i + 5 * j) % 7) / 4) for j in range(4)) for i in range(5)]
     (work / "cost.csv").write_text("rows,cols\n5,4\n" + "\n".join(rows) + "\n")
 
 
-def test_output_bytes_are_pinned(tmp_path):
+def output_digests(work: Path, configs: dict, commands: list) -> dict:
+    """The sha256 of each command's stdout and of every file it writes."""
     src = Path(otzsl.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), **{var: "1" for var in THREAD_VARS}}
-    write_inputs(tmp_path)
+    write_inputs(work, configs)
     digests = {}
-    for out, argv in COMMANDS:
+    for out, argv in commands:
         proc = subprocess.run([sys.executable, "-m", "otzsl", *argv, "--out", out],
-                              cwd=tmp_path, env=env, capture_output=True, timeout=300)
+                              cwd=work, env=env, capture_output=True, timeout=300)
         assert proc.returncode == 0 and proc.stderr == b"", (argv, proc.stderr.decode())
         digests[f"{out} stdout"] = hashlib.sha256(proc.stdout).hexdigest()
-        for path in sorted((tmp_path / out).iterdir()):
+        for path in sorted((work / out).iterdir()):
             digests[f"{out}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_output_bytes_are_pinned(tmp_path):
+    digests = output_digests(tmp_path, CONFIGS, COMMANDS)
     assert digests == DIGESTS, json.dumps(digests, indent=4)
+
+
+def test_output_bytes_are_pinned_at_workload_shapes(tmp_path):
+    digests = output_digests(tmp_path, WORKLOAD_CONFIGS, WORKLOAD_COMMANDS)
+    assert digests == WORKLOAD_DIGESTS, json.dumps(digests, indent=4)

@@ -82,7 +82,8 @@ def test_zsl_benchmark_rejects_a_bad_argument_before_any_work(tmp_path, args, me
 
 def test_verify_ends_its_summary_with_the_package_line_count(monkeypatch, capsys):
     """After one line per suite, the last line counts src/otzsl/'s lines as
-    `wc -l` does; it gates nothing, so failing suites still print it."""
+    `wc -l` does; it gates nothing, so failing suites still print it. Each
+    module's count comes before the suite lines."""
     sys.path.insert(0, str(SCRIPTS))
     try:
         import verify
@@ -93,6 +94,10 @@ def test_verify_ends_its_summary_with_the_package_line_count(monkeypatch, capsys
     assert verify.main() == 1
     lines = capsys.readouterr().out.splitlines()
     package = SCRIPTS.parent / "src" / "otzsl"
-    count = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in package.glob("*.py"))
+    counts = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+              for path in sorted(package.glob("*.py"))}
+    count = sum(counts.values())
     assert lines[-4:] == ["tier-1: FAIL (pytest exit 1)", "acceptance: FAIL (pytest exit 1)",
                           "perfbench smoke: PASS", f"src/otzsl: {count} lines"]
+    modules = [f"src/otzsl/{name}: {n} lines" for name, n in counts.items()]
+    assert lines[-4 - len(modules):-4] == modules

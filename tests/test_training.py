@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,13 +12,12 @@ from otzsl.data import (UNLABELED, AttributeMatrix, FeatureDataset, SyntheticSpe
                         make_synthetic_dataset)
 from otzsl.errors import ConfigError, DataFormatError, SolverError
 from otzsl.evaluate import ClassifierParams
-from otzsl.generator import GeneratorParams, backward, generator_forward, init_generator
+from otzsl.generator import (GeneratorParams, backward, generator_forward, init_generator,
+                             synthesize_class_features)
 from otzsl.mlp import MlpParams, adam_init, init_mlp, mlp_size
 from otzsl.ot import IpotConfig, Marginals, TransportPlan, transition_plan
 from otzsl.rng import SeededRng
-from otzsl.training import (TraceRow, TrainConfig, iterations_per_epoch,
-                            ot_branch_coin, sample_real_batch,
-                            sample_synth_batch, synthesize_class_features,
+from otzsl.training import (TraceRow, TrainConfig, sample_real_batch, sample_synth_batch,
                             train, write_trace_csv)
 from tests.conftest import count_finiteness_checks, traced_peak
 
@@ -62,6 +62,8 @@ def test_train_config_defaults():
     ({"reg_weight": -1.0}, "reg_weight"),
     ({"nca_scale": 0.0}, "nca_scale"),
     ({"batch_size": 1}, "batch_size"),
+    ({"batch_size": 2.5}, "batch_size must be of type int"),
+    ({"batch_size": True}, "batch_size must be of type int"),
     ({"learning_rate": -0.001}, "learning_rate"),
     ({"epochs": 0}, "epochs"),
     ({"mode": "inductive-ish"}, "mode"),
@@ -154,6 +156,20 @@ def test_sample_real_transductive_copies_only_the_batch(desk_dataset):
     assert peak <= 2 * batch.nbytes + 4096  # not the seen and unlabeled pools stacked
 
 
+@pytest.mark.parametrize("pool_shape", [(0, 6), (0, 0)])
+@pytest.mark.parametrize("transductive", [False, True])
+def test_sample_real_without_unlabeled_rows_draws_seen_rows(pool_shape, transductive):
+    """An empty pool, as load_dataset leaves it (0 x D) or as a hand-built
+    dataset may give it (0 x 0), adds no rows in either mode: the batch is
+    the seen rows at the drawn indices, with their labels and dtypes."""
+    rows = SeededRng(6).gaussian(30).reshape(5, 6)
+    data = dataset_from_rows(rows, [0, 1, 0, 1, 1], pool=np.zeros(pool_shape))
+    feats, labels = sample_real_batch(data, 7, SeededRng(2), transductive)
+    idx = SeededRng(2).integers(5, 7)
+    assert feats.dtype == np.float64 and np.array_equal(feats, rows[idx])
+    assert labels.dtype == np.int64 and labels.tolist() == np.array([0, 1, 0, 1, 1])[idx].tolist()
+
+
 def test_sample_real_empty_pool_errors():
     empty = (np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
     data = FeatureDataset(seen_train=empty, seen_test=empty,
@@ -238,46 +254,6 @@ def test_mirrored_batches_satisfy_transition_precondition(labels, seed):
                                rtol=0, atol=1e-12)
 
 
-# --- branch coin ---
-
-def test_branch_coin_frequency():
-    rng = SeededRng(17)
-    hits = sum(ot_branch_coin(rng, 0.9) for _ in range(10_000))
-    assert 0.88 <= hits / 10_000 <= 0.92
-
-
-def test_branch_coin_extremes():
-    rng = SeededRng(3)
-    assert all(ot_branch_coin(rng, 1.0) for _ in range(100))
-    assert not any(ot_branch_coin(rng, 0.0) for _ in range(100))
-
-
-def test_branch_coin_always_advances_stream():
-    a, b = SeededRng(5), SeededRng(5)
-    ot_branch_coin(a, 0.0)
-    b.uniform(1)
-    assert a.uniform(1)[0] == b.uniform(1)[0]
-
-
-def test_iterations_per_epoch():
-    assert iterations_per_epoch(10, 3) == 4
-    assert iterations_per_epoch(9, 3) == 3
-    assert iterations_per_epoch(1, 128) == 1
-    assert iterations_per_epoch(0, 4) == 1
-
-
-@pytest.mark.parametrize("pool_size, batch_size, message", [
-    (10, 0, "batch_size must be at least 1, got 0"),
-    (10, 2.5, "batch_size must be of type int, got 2.5"),
-    (10, True, "batch_size must be of type int, got True"),
-    (-1, 4, "pool_size must be at least 0, got -1"),
-    (2.5, 4, "pool_size must be of type int, got 2.5"),
-], ids=["batch_size=0", "batch_size=2.5", "batch_size=True", "pool_size=-1", "pool_size=2.5"])
-def test_iterations_per_epoch_rejects_counts_out_of_range(pool_size, batch_size, message):
-    with pytest.raises(ConfigError, match=f"^{message}$"):
-        iterations_per_epoch(pool_size, batch_size)
-
-
 # --- training loop ---
 
 def quick_cfg(**kwargs):
@@ -290,13 +266,60 @@ def test_train_p_one_never_takes_transition(tiny_dataset):
     attrs, data, _ = tiny_dataset
     _, trace = train(data, attrs, quick_cfg(ot_prob=1.0))
     assert [row.branch for row in trace].count("transition") == 0
-    assert len(trace) == iterations_per_epoch(data.seen_train[0].shape[0], 4)
+    assert len(trace) == math.ceil(data.seen_train[0].shape[0] / 4)
 
 
 def test_train_p_zero_all_transition(tiny_dataset):
     attrs, data, _ = tiny_dataset
     _, trace = train(data, attrs, quick_cfg(ot_prob=0.0))
     assert {row.branch for row in trace} == {"transition"}
+
+
+@pytest.mark.parametrize("n_seen, n_pool, mode, batch_size, steps", [
+    (10, 0, "standard", 3, 4),
+    (9, 0, "standard", 3, 3),
+    (1, 0, "standard", 128, 1),
+    (9, 5, "standard", 3, 3),  # the pool is not sampled, so it adds no step
+    (4, 5, "transductive", 3, 3),
+    (1, 1, "transductive", 128, 1),
+])
+def test_train_epoch_steps_cover_the_sampled_pool_once(n_seen, n_pool, mode, batch_size, steps):
+    """An epoch is ceil(pool / batch_size) steps, the pool being the seen rows
+    plus, in transductive mode, the unlabeled rows."""
+    rng = SeededRng(4)
+    data = dataset_from_rows(rng.gaussian(6 * n_seen), np.arange(n_seen) % 2,
+                             pool=rng.gaussian(6 * n_pool).reshape(n_pool, 6) if n_pool else None)
+    _, trace = train(data, four_class_attrs(),
+                     quick_cfg(mode=mode, batch_size=batch_size, epochs=2))
+    assert len(trace) == 2 * steps
+
+
+@pytest.mark.parametrize("ot_prob", [0.0, 0.5, 1.0])
+def test_train_draws_one_branch_coin_per_step_after_its_batches(tiny_dataset, monkeypatch,
+                                                                 ot_prob):
+    """Each standard step draws from the batch stream its real rows, its seen
+    and unseen generator inputs, then one uniform, whatever the branch; the
+    step takes the OT branch when ot_prob > 0 and that uniform is at most
+    ot_prob. Replaying the stream with the samplers gives each step's real
+    batch and branch, so a coin skipped at ot_prob 0 or 1 shifts every later
+    batch and fails here."""
+    attrs, data, _ = tiny_dataset
+    drawn, sample = [], training.sample_real_batch
+    monkeypatch.setattr(training, "sample_real_batch",
+                        lambda *args: drawn.append(sample(*args)) or drawn[-1])
+    cfg = quick_cfg(ot_prob=ot_prob, epochs=4)
+    _, trace = train(data, attrs, cfg)
+    rng = SeededRng(cfg.seed).split(3)
+    assert len(drawn) == len(trace)
+    for (feats, classes), row in zip(drawn, trace):
+        want_feats, want_classes = sample(data, cfg.batch_size, rng)
+        assert np.array_equal(feats, want_feats) and np.array_equal(classes, want_classes)
+        sample_synth_batch(attrs, attrs.seen_ids, want_classes, rng)
+        sample_synth_batch(attrs, attrs.unseen_ids, draws(cfg.batch_size), rng)
+        coin = rng.uniform(1)[0]
+        assert row.branch == ("ot" if ot_prob > 0 and coin <= ot_prob else "transition")
+    assert {row.branch for row in trace} == {0.0: {"transition"}, 0.5: {"ot", "transition"},
+                                             1.0: {"ot"}}[ot_prob]
 
 
 def test_train_double_run_bit_identical(tiny_dataset):
@@ -314,7 +337,7 @@ def test_train_trace_bookkeeping(tiny_dataset, monkeypatch):
     steps, adam_step = [], training.adam_step
     monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(adam_step(*args)))
     _, trace = train(data, attrs, quick_cfg(epochs=3))
-    iters = iterations_per_epoch(data.seen_train[0].shape[0], 4)
+    iters = math.ceil(data.seen_train[0].shape[0] / 4)
     assert len(trace) == 3 * iters
     assert len(steps) == 3 * iters
     assert all(np.isfinite([row.total_loss for row in trace]))
@@ -481,7 +504,7 @@ def test_train_step_checks_vectors_not_blocks(tiny_dataset, monkeypatch, ot_prob
     train(data, attrs, quick_cfg(ot_prob=ot_prob, epochs=1))
     one_epoch = len(checked)
     train(data, attrs, quick_cfg(ot_prob=ot_prob, epochs=2))
-    steps = iterations_per_epoch(data.seen_train[0].shape[0], 4)
+    steps = math.ceil(data.seen_train[0].shape[0] / 4)
     assert len(checked) - 2 * one_epoch == per_step * steps  # the setup checks cancel out
 
 
@@ -497,12 +520,12 @@ def test_train_loss_decreases(desk_dataset):
     attrs, data, _ = desk_dataset
     cfg = TrainConfig(reg_weight=0.05, batch_size=32, hidden_dim=32, epochs=10, seed=0)
     _, trace = train(data, attrs, cfg)
-    iters = iterations_per_epoch(data.seen_train[0].shape[0], 32)
+    iters = math.ceil(data.seen_train[0].shape[0] / 32)
     per_epoch = np.asarray([row.total_loss for row in trace]).reshape(10, iters).mean(axis=1)
     assert per_epoch[-1] <= 0.8 * per_epoch[0]
 
 
-# --- synthesis for the downstream classifier ---
+# --- synthesis for the downstream classifier (in the generator module) ---
 
 def test_synthesize_labels_and_shape():
     attrs = four_class_attrs()

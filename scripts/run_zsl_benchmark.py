@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from otzsl.cli import flat_fields, from_flat, read_value
-from otzsl.data import SyntheticSpec, make_synthetic_dataset
+from otzsl.data import SyntheticSpec, make_synthetic_dataset, unique_keys
 from otzsl.errors import ConfigError
 from otzsl.evaluate import EvalConfig, evaluate
 from otzsl.rng import check_seed
@@ -41,9 +41,10 @@ COLUMNS = ("std_A_u", "gzsl_A_u", "gzsl_A_s", "gzsl_H", "trans_A_u")
 
 
 def json_value(text: str):
-    """A flag's JSON text, decoded; bad JSON or too deep a nesting is a usage error."""
+    """A flag's JSON text, decoded; bad JSON, a repeated key or too deep a
+    nesting is a usage error."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
 

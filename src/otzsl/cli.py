@@ -7,7 +7,7 @@ batch_size). Each command declares its keys once, as knobs in its key table
 (see key_rule), and a value from the file or a flag is read by one rule (see
 read_value). The keys of gen-data, train and eval, their defaults and their
 rules are the fields of SyntheticSpec, TrainConfig and EvalConfig, a nested
-config field x spelled x_<field> (ipot_reg, classifier_epochs). `main` calls a
+config field x spelled x_<field> (classifier_epochs). `main` calls a
 command with its resolved config as cmd(cfg, out, stage); only a command that
 succeeds has its stage moved into --out (see staged), and the result lines it
 returns are printed once they are. Exit codes: 0 success, 1 runtime failure, 2
@@ -118,10 +118,10 @@ def resolve_config(keys: dict, args) -> dict:
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, object_pairs_hook=dataio.unique_keys)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep a nesting
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a repeated key, deep nesting
             raise ConfigError(f"{args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: top level must be a JSON object")
@@ -221,13 +221,9 @@ def cmd_solve_ot(cfg: dict, out: str, stage: str) -> list[str]:
         raise ConfigError("stop_tol applies only to the ipot solver; sinkhorn has no stop rule")
     cost = dataio.load_matrix_csv(cfg["cost"])
     marg = ot.Marginals.uniform(*cost.shape)
-    if solver == "ipot":
-        ipot_cfg = ot.IpotConfig(**_given(reg=cfg["lambda"], max_outer_iters=cfg["iters"],
-                                          stop_tol=cfg["stop_tol"]))
-        plan = ot.ipot_solve(cost, marg, ipot_cfg, record_trace=True)
-    else:
-        plan = ot.sinkhorn_solve(cost, marg, record_trace=True,
-                                 **_given(reg=cfg["lambda"], iterations=cfg["iters"]))
+    solve = ot.ipot_solve if solver == "ipot" else ot.sinkhorn_solve
+    plan = solve(cost, marg, record_trace=True,
+                 **_given(reg=cfg["lambda"], iterations=cfg["iters"], stop_tol=cfg["stop_tol"]))
     dataio.save_matrix_csv(plan.values, os.path.join(stage, "plan.csv"))
     dataio.save_matrix_csv(plan.trace, os.path.join(stage, "solver_trace.csv"))
     report = ot.check_marginals(plan.values, marg)
@@ -239,22 +235,19 @@ def cmd_solve_ot(cfg: dict, out: str, stage: str) -> list[str]:
 
 def cmd_compare_solvers(cfg: dict, out: str, stage: str) -> list[str]:
     rng = SeededRng(cfg["seed"])
-    n = cfg["size"]
-    # IPOT at its default λ, Sinkhorn at its own default and at IPOT's
-    ipot = ot.IpotConfig(max_outer_iters=cfg["iters"], stop_tol=0.0)
+    n, iters = cfg["size"], cfg["iters"]
     leads, curves, finals = [], [], {}
     for inst in range(cfg["instances"]):
         feat_rng = rng.split(inst + 1)
         real = feat_rng.gaussian(n * 16).reshape(n, 16)
         synth = feat_rng.gaussian(n * 16).reshape(n, 16)
         cost = ot.cosine_cost_matrix(real, synth)
-        runs = [
-            ("ipot", ipot.reg, ot.ipot_solve(cost, cfg=ipot, record_trace=True)),
-            ("sinkhorn", ot.SINKHORN_REG, ot.sinkhorn_solve(
-                cost, reg=ot.SINKHORN_REG, iterations=cfg["iters"], record_trace=True)),
-            ("sinkhorn", ipot.reg, ot.sinkhorn_solve(
-                cost, reg=ipot.reg, iterations=cfg["iters"], record_trace=True)),
-        ]
+        # IPOT at its default λ, Sinkhorn at its own default and at IPOT's
+        runs = [("ipot", ot.IPOT_REG, ot.ipot_solve(cost, iterations=iters, stop_tol=0.0,
+                                                    record_trace=True))]
+        runs += [("sinkhorn", reg, ot.sinkhorn_solve(cost, reg=reg, iterations=iters,
+                                                     record_trace=True))
+                 for reg in (ot.SINKHORN_REG, ot.IPOT_REG)]
         for name, reg, plan in runs:  # trace columns: iteration, cost, feasibility error
             leads += [f"{name},{reg},{inst},{int(it)}," for it in plan.trace[:, 0]]
             curves.append(plan.trace[:, 1:])

@@ -229,6 +229,17 @@ def write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
+def unique_keys(pairs) -> dict:
+    """The object_pairs_hook of every JSON read (a config, split.json): the
+    object's pairs as a dict, or ValueError naming a key that repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 # A class id is an integer of at most 15 digits, which stay exact as a float.
 _CLASS_ID = re.compile(r"\s*[+-]?[0-9]{1,15}\s*")
 
@@ -387,8 +398,8 @@ def load_dataset(dir_path: str, splits=SPLITS) -> tuple[AttributeMatrix, Feature
         raise DataFormatError(f"missing file: {split_path}")
     with open(split_path, encoding="utf-8") as fh:
         try:
-            split = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep a nesting
+            split = json.load(fh, object_pairs_hook=unique_keys)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a repeated key, deep nesting
             raise DataFormatError(f"{split_path}: {exc}") from None
     if not isinstance(split, dict) or set(split) != set(SPLIT_KEYS):
         got = sorted(split) if isinstance(split, dict) else f"a JSON {type(split).__name__}"

@@ -48,9 +48,10 @@ def check_value(what: str, value, kind: type, choices: tuple = (), shown=None, *
     """`value`, a numpy scalar as its Python number, or ConfigError naming
     `what` and showing `shown` (else the value's repr): an int is an int or
     a numpy integer, never a bool; a float is an int or a float, numpy ones
-    too, and finite; a value of another kind, a nested config among them, is
-    an instance of it; given choices, it is one of them; given bounds, it is
-    at least `at_least`, greater than `above` and at most `at_most`."""
+    too, and finite; a value of another kind (EvalConfig's nested
+    ClassifierConfig) is an instance of it; given choices, it is one of
+    them; given bounds, it is at least `at_least`, greater than `above` and
+    at most `at_most`."""
     value = value.item() if isinstance(value, np.generic) else value
     if isinstance(value, bool) or not isinstance(value, _NUMBERS.get(kind, kind)):
         rule = f"of type {kind.__name__}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, check_fields, check_value, knob
+from .errors import SolverError, check_value
 from .linalg import as_float_matrix, unit_rows
 
 # Largest marginal deviation a plan may show and still count as feasible:
@@ -29,7 +29,9 @@ FEASIBILITY_TOL = 1e-6
 _BLOCK_SWEEPS = 8
 _BLOCK_BYTES = 4 << 20
 
-# sinkhorn_solve's default entropic weight; compare-solvers also runs it
+# ipot_solve's default proximal weight and sinkhorn_solve's default entropic
+# weight; compare-solvers runs Sinkhorn at both
+IPOT_REG = 0.5
 SINKHORN_REG = 0.1
 
 
@@ -61,28 +63,6 @@ class Marginals:
         n_rows = check_value("n_rows", n_rows, int, at_least=1)
         n_cols = check_value("n_cols", n_cols, int, at_least=1)
         return Marginals(np.full(n_rows, 1.0 / n_rows), np.full(n_cols, 1.0 / n_cols))
-
-
-@dataclass(frozen=True)
-class IpotConfig:
-    """Proximal-step solver settings.
-
-    `reg` is the proximal weight: it shapes the step kernel, not the objective,
-    so unlike the entropic solver the final plan does not inherit its blur.
-    Each proximal step is one Sinkhorn sweep, deliberately inexact, as in Xie
-    et al. 2018 (arXiv 1802.04307). The outer cap is generous: typical
-    instances stop within a few hundred steps, but near-tied instances
-    converge linearly with rate close to 1 and need tens of thousands.
-    Training does not use this default: `TrainConfig.ipot` caps each batch
-    solve at 25 steps, and the train config `{"ipot_max_outer_iters": 200}`
-    restores the earlier 200-step budget.
-    """
-
-    reg: float = knob(0.5, above=0)
-    max_outer_iters: int = knob(100_000, at_least=1)
-    stop_tol: float = knob(1e-9, at_least=0)
-
-    __post_init__ = check_fields
 
 
 @dataclass(eq=False)
@@ -184,24 +164,30 @@ def _round_to_polytope(plan: np.ndarray, marg: Marginals) -> np.ndarray:
     return out
 
 
-def ipot_solve(
-    cost,
-    marg: Marginals | None = None,
-    cfg: IpotConfig = IpotConfig(),
-    record_trace: bool = False,
-) -> TransportPlan:
+def ipot_solve(cost, marg: Marginals | None = None, *, reg: float = IPOT_REG,
+               iterations: int = 100_000, stop_tol: float = 1e-9,
+               record_trace: bool = False) -> TransportPlan:
     """Proximal-point solve of min tr(T'C) over couplings of the marginals.
 
     Kernel G = exp(-C/reg) is fixed; every outer step reweights it by the
-    current plan (K = G * T), runs one Sinkhorn sweep, and rescales.
+    current plan (K = G * T), runs one Sinkhorn sweep, and rescales. `reg` is
+    the proximal weight: it shapes the step kernel, not the objective, so
+    unlike the entropic solver the final plan does not inherit its blur. Each
+    proximal step is one Sinkhorn sweep, deliberately inexact, as in Xie et
+    al. 2018 (arXiv 1802.04307).
+
     Stops once the max-abs change of the plan drops below `stop_tol` AND the
     marginal deviation is within FEASIBILITY_TOL; a converged plan is always
     feasible at that tolerance. The change criterion alone can fire while mass
     is still crawling along a near-tied edge of the polytope, so a run that
-    exhausts `max_outer_iters` comes back with converged=False and whatever
-    iterate it reached (useful for convergence curves). Either way the
-    returned values are rounded onto the marginal polytope, so every result
-    is a valid coupling; trace rows record the raw iterates.
+    exhausts `iterations` outer steps comes back with converged=False and
+    whatever iterate it reached (useful for convergence curves). Either way
+    the returned values are rounded onto the marginal polytope, so every
+    result is a valid coupling; trace rows record the raw iterates. The
+    default cap is generous: typical instances stop within a few hundred
+    steps, but near-tied instances converge linearly with rate close to 1 and
+    need tens of thousands. Training caps each batch solve at 25 steps
+    instead (TrainConfig).
 
     Right after each sweep, every plan entry below the smallest normal
     float64 (`np.finfo(np.float64).tiny`, about 2.2e-308) is set to zero.
@@ -212,24 +198,17 @@ def ipot_solve(
     iteration, and only entries that were subnormal differ, now exactly 0.
     NaN is not below tiny, so a collapsed sweep still raises.
     """
-    return _run_sweeps(cost, marg, cfg.reg, cfg.max_outer_iters, record_trace, cfg.stop_tol)
+    return _run_sweeps(cost, marg, reg, iterations, record_trace, stop_tol)
 
 
-def sinkhorn_solve(
-    cost,
-    marg: Marginals | None = None,
-    reg: float = SINKHORN_REG,
-    iterations: int = 200,
-    record_trace: bool = False,
-) -> TransportPlan:
+def sinkhorn_solve(cost, marg: Marginals | None = None, *, reg: float = SINKHORN_REG,
+                   iterations: int = 200, record_trace: bool = False) -> TransportPlan:
     """Entropic-regularized solve: fixed kernel K = exp(-C/reg), alternating
     row/column scalings for a fixed iteration count.
 
     The converged flag reports whether the raw final iterate is feasible
     within FEASIBILITY_TOL; the returned values are then rounded onto the
     marginal polytope like ipot_solve's."""
-    reg = check_value("reg", reg, float, above=0)
-    iterations = check_value("iterations", iterations, int, at_least=1)
     return _run_sweeps(cost, marg, reg, iterations, record_trace)
 
 
@@ -237,12 +216,14 @@ def _run_sweeps(cost, marg: Marginals | None, reg: float, budget: int, record_tr
                 stop_tol: float | None = None) -> TransportPlan:
     """Up to `budget` Sinkhorn sweeps on G = exp(-C/reg) from the product
     coupling, under marginals that are uniform when none are given: the
-    validation and loop of both solvers. With a `stop_tol` (ipot_solve) each
-    sweep scales G reweighted by the previous plan and flushes the new
-    plan's subnormal entries, and the first plan that meets the stop rule
-    returns as converged. Without one (sinkhorn_solve) each sweep scales G
-    itself, every sweep runs, and converged says whether the raw final
-    iterate is feasible.
+    validation and loop of both solvers. `reg` must be a float above 0,
+    `budget` an int of at least 1 and a given `stop_tol` a float of at least
+    0, or ConfigError names the solver's keyword. With a `stop_tol`
+    (ipot_solve) each sweep scales G reweighted by the previous plan and
+    flushes the new plan's subnormal entries, and the first plan that meets
+    the stop rule returns as converged. Without one (sinkhorn_solve) each
+    sweep scales G itself, every sweep runs, and converged says whether the
+    raw final iterate is feasible.
 
     The plans of a block of up to _BLOCK_SWEEPS sweeps go into consecutive
     slots of one buffer, after the plan the block started from, and the
@@ -255,6 +236,10 @@ def _run_sweeps(cost, marg: Marginals | None, reg: float, budget: int, record_tr
     block are discarded, so the result, `iterations_used`, the trace and
     the error are those of checking after every sweep.
     """
+    reg = check_value("reg", reg, float, above=0)
+    budget = check_value("iterations", budget, int, at_least=1)
+    if stop_tol is not None:
+        stop_tol = check_value("stop_tol", stop_tol, float, at_least=0)
     cost = as_float_matrix(cost, "cost matrix")
     if marg is None:
         marg = Marginals.uniform(*cost.shape)

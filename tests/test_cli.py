@@ -25,7 +25,7 @@ from otzsl.evaluate import ClassifierConfig, EvalConfig
 from otzsl.rng import MAX_SEED, SeededRng
 from otzsl.training import TrainConfig
 
-from conftest import reference_write_json
+from conftest import random_cost, reference_write_json
 
 TINY_GEN = {
     "seen_classes": 3,
@@ -136,6 +136,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"seen_classes": 3, "bogus_knob": 1}))
     assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+def test_repeated_config_key_rejected(workspace, tmp_path, capsys):
+    """A key given twice is a config error, not its last value winning."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": 1, "epochs": 2}')
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(cfg), "--data", str(workspace["data"]),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}: repeated key 'epochs'\n")
+    assert not out.exists()
 
 
 def test_config_must_be_object(tmp_path, capsys):
@@ -763,7 +774,7 @@ def test_gen_data_huge_noise_is_a_data_error_without_a_warning(tmp_path, capsys)
 
 @pytest.mark.parametrize("make", [
     lambda: SyntheticSpec(noise_sigma=-0.1), lambda: SyntheticSpec(noise_sigma=math.nan),
-    lambda: SyntheticSpec(noise_sigma=math.inf), lambda: ot.IpotConfig(reg=0.0),
+    lambda: SyntheticSpec(noise_sigma=math.inf), lambda: TrainConfig(ipot_reg=0.0),
     lambda: TrainConfig(batch_size=1), lambda: ClassifierConfig(epochs=0),
     lambda: EvalConfig(n_synth_per_class=0),
 ], ids=["dataset", "dataset-nan-noise", "dataset-inf-noise", "ipot", "train", "classifier",
@@ -776,7 +787,7 @@ def test_every_config_dataclass_rejects_a_bad_value_with_config_error(make):
     assert isinstance(info.value, ValueError)
 
 
-CONFIG_CLASSES = (SyntheticSpec, ot.IpotConfig, TrainConfig, ClassifierConfig, EvalConfig)
+CONFIG_CLASSES = (SyntheticSpec, TrainConfig, ClassifierConfig, EvalConfig)
 
 
 def wrong_type_rows():
@@ -796,8 +807,7 @@ def wrong_type_rows():
     cost = np.ones((3, 3))
     yield pytest.param(lambda: ot.sinkhorn_solve(cost, iterations=2.5), id="sinkhorn-iterations")
     yield pytest.param(lambda: ot.sinkhorn_solve(cost, reg=True), id="sinkhorn-reg-true")
-    yield pytest.param(lambda: ot.ipot_solve(cost, cfg=ot.IpotConfig(max_outer_iters=2.5)),
-                       id="ipot-budget")
+    yield pytest.param(lambda: ot.ipot_solve(cost, iterations=2.5), id="ipot-budget")
     yield pytest.param(lambda: TrainConfig(reg_weight=np.longdouble(1.5)), id="longdouble")
 
 
@@ -827,8 +837,7 @@ def test_a_config_field_takes_a_numpy_scalar(cls):
             value = NUMPY_SCALARS[field.type](1 if default is None else default)
             got = getattr(cls(**{field.name: value}), field.name)
             assert got == value and type(got) is type(value.item())
-    assert {f.type for f in dataclasses.fields(cls)} - set(NUMPY_SCALARS) <= {
-        "IpotConfig", "ClassifierConfig"}
+    assert {f.type for f in dataclasses.fields(cls)} - set(NUMPY_SCALARS) <= {"ClassifierConfig"}
 
 
 TINY = 5e-324  # the smallest positive float
@@ -844,12 +853,12 @@ BOUND_TABLE = {
     (SyntheticSpec, "samples_per_class"): ([4], [3]),
     (SyntheticSpec, "noise_sigma"): ([0.0], [-TINY]),
     (SyntheticSpec, "seed"): SEEDS,
-    (ot.IpotConfig, "reg"): ([TINY], [0.0]),
-    (ot.IpotConfig, "max_outer_iters"): ([1], [0]),
-    (ot.IpotConfig, "stop_tol"): ([0.0], [-TINY]),
     (TrainConfig, "ot_prob"): ([0.0, 1.0], [-TINY, math.nextafter(1.0, 2.0)]),
     (TrainConfig, "reg_weight"): ([0.0], [-TINY]),
     (TrainConfig, "nca_scale"): ([TINY], [0.0]),
+    (TrainConfig, "ipot_reg"): ([TINY], [0.0]),
+    (TrainConfig, "ipot_max_outer_iters"): ([1], [0]),
+    (TrainConfig, "ipot_stop_tol"): ([0.0], [-TINY]),
     (TrainConfig, "batch_size"): ([2], [1]),
     (TrainConfig, "learning_rate"): ([0.0], [-TINY]),
     (TrainConfig, "epochs"): ([1], [0]),
@@ -876,7 +885,7 @@ def bound_rows(accepted: bool):
 def test_bound_table_has_a_row_for_every_config_field():
     assert set(BOUND_TABLE) == {(cls, f.name) for cls in CONFIG_CLASSES
                                 for f in dataclasses.fields(cls)
-                                if f.type not in ("IpotConfig", "ClassifierConfig")}
+                                if f.type != "ClassifierConfig"}
 
 
 @pytest.mark.parametrize("cls, name, value", bound_rows(accepted=True))
@@ -927,10 +936,7 @@ def test_train_defaults_are_the_library_defaults(workspace, tmp_path):
     out = tmp_path / "defaults"
     assert run(["train", "--data", str(workspace["data"]), "--out", str(out)]) == 0
     echoed = json.loads((out / "config.json").read_text())
-    tc = TrainConfig()
-    want = {k: v for k, v in vars(tc).items() if k != "ipot"}
-    want.update({f"ipot_{k}": v for k, v in vars(tc.ipot).items()})
-    assert echoed == {"data": str(workspace["data"]), **want}
+    assert echoed == {"data": str(workspace["data"]), **vars(TrainConfig())}
 
 
 def test_train_rejects_generalized_mode(workspace, tmp_path, capsys):
@@ -1266,6 +1272,36 @@ def test_solve_ot_ipot_finds_permutation(tmp_path, capsys):
     assert printed <= 1e-8
 
 
+@pytest.mark.parametrize("solver, flags, stop_tol, used", [
+    ("ipot", ["--lambda", "0.3", "--iters", "40"], 1e-6, 25),
+    ("sinkhorn", ["--lambda", "0.3", "--iters", "40"], None, 40),
+    ("ipot", [], None, 63),
+    ("sinkhorn", [], None, 200),
+], ids=["ipot-keys", "sinkhorn-keys", "ipot-defaults", "sinkhorn-defaults"])
+def test_solve_ot_passes_its_keys_to_the_solver_it_names(tmp_path, solver, flags, stop_tol, used):
+    """plan.csv and solver_trace.csv are the named solver's results with
+    --lambda as reg, --iters as iterations and the stop_tol key; a key not
+    given keeps the solver's default. On this cost IPOT's stop rule fires
+    after 25 sweeps at stop_tol 1e-6 and 63 at its default, so each key
+    shows in the sweeps `used`."""
+    cost = random_cost(SeededRng(4), 4, 4)
+    path = tmp_path / "cost.csv"
+    save_matrix_csv(cost, str(path))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": solver, "stop_tol": stop_tol}))
+    out = tmp_path / "o"
+    assert run(["solve-ot", "--config", str(cfg), "--cost", str(path), *flags,
+                "--out", str(out)]) == 0
+    solve = {"ipot": ot.ipot_solve, "sinkhorn": ot.sinkhorn_solve}[solver]
+    keywords = {"reg": 0.3, "iterations": 40} if flags else {}
+    keywords.update({"stop_tol": stop_tol} if stop_tol is not None else {})
+    plan = solve(cost, record_trace=True, **keywords)
+    assert plan.iterations_used == used
+    for name, want in (("plan.csv", plan.values), ("solver_trace.csv", plan.trace)):
+        save_matrix_csv(want, str(tmp_path / name))
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
 def test_solve_ot_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "cost.csv"
     bad.write_text("being,wrong\n1,2\n")
@@ -1393,9 +1429,8 @@ def reference_curves_csv(size, instances, iters, seed, path):
         synth = feat_rng.gaussian(size * 16).reshape(size, 16)
         cost = ot.cosine_cost_matrix(real, synth)
         runs = [
-            ("ipot", 0.5, ot.ipot_solve(
-                cost, cfg=ot.IpotConfig(reg=0.5, max_outer_iters=iters, stop_tol=0.0),
-                record_trace=True)),
+            ("ipot", 0.5, ot.ipot_solve(cost, reg=0.5, iterations=iters, stop_tol=0.0,
+                                        record_trace=True)),
             ("sinkhorn", 0.1, ot.sinkhorn_solve(cost, reg=0.1, iterations=iters,
                                                 record_trace=True)),
             ("sinkhorn", 0.5, ot.sinkhorn_solve(cost, reg=0.5, iterations=iters,

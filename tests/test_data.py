@@ -390,6 +390,16 @@ def test_load_rejects_bad_json(tmp_path):
         load_dataset(str(tmp_path))
 
 
+def test_load_rejects_a_repeated_split_key(tmp_path):
+    """A second "seen" key is an error, not its last value winning."""
+    saved_dataset(tmp_path)
+    path = tmp_path / "split.json"
+    path.write_text(path.read_text().replace("{", '{"seen": [0],', 1))
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(str(tmp_path))
+    assert str(info.value) == f"{path}: repeated key 'seen'"
+
+
 def test_separate_pool_rows_roundtrip(tmp_path):
     """A pool that is not the unseen test set gets its own unlabeled rows."""
     feats = np.arange(16, dtype=np.float64).reshape(8, 2) + 1.0

@@ -10,7 +10,6 @@ from otzsl.ot import (
     _BLOCK_BYTES,
     _BLOCK_SWEEPS,
     FEASIBILITY_TOL,
-    IpotConfig,
     Marginals,
     _round_to_polytope,
     check_marginals,
@@ -171,15 +170,32 @@ def test_ipot_rejects_nonfinite_cost():
         ipot_solve(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
 
-def test_ipot_config_validation():
-    with pytest.raises(ValueError):
-        IpotConfig(reg=0.0)
-    with pytest.raises(ValueError):
-        IpotConfig(max_outer_iters=0)
-    with pytest.raises(ValueError):
-        IpotConfig(stop_tol=-1e-9)
-    with pytest.raises(ValueError):
-        IpotConfig(stop_tol=float("nan"))
+# Each bad solver argument with its ConfigError; stop_tol is IPOT's alone.
+BAD_ARGUMENTS = [
+    ({"reg": 0}, "reg must be greater than 0, got 0"),
+    ({"reg": -0.1}, "reg must be greater than 0, got -0.1"),
+    ({"reg": True}, "reg must be of type float, got True"),
+    ({"reg": float("nan")}, "reg must be a finite number, got nan"),
+    ({"iterations": 0}, "iterations must be at least 1, got 0"),
+    ({"iterations": 2.5}, "iterations must be of type int, got 2.5"),
+]
+BAD_STOP_TOLS = [
+    ({"stop_tol": -1e-9}, "stop_tol must be at least 0, got -1e-09"),
+    ({"stop_tol": float("nan")}, "stop_tol must be a finite number, got nan"),
+    ({"stop_tol": float("inf")}, "stop_tol must be a finite number, got inf"),
+]
+
+
+@pytest.mark.parametrize("solve, kwargs, message", [
+    *((ipot_solve, kwargs, message) for kwargs, message in BAD_ARGUMENTS + BAD_STOP_TOLS),
+    *((sinkhorn_solve, kwargs, message) for kwargs, message in BAD_ARGUMENTS),
+])
+def test_solvers_reject_bad_arguments(solve, kwargs, message):
+    """Both solvers check their keywords by one rule, a ConfigError (also a
+    ValueError) naming the keyword."""
+    with pytest.raises(ConfigError) as info:
+        solve(np.zeros((2, 2)), **kwargs)
+    assert str(info.value) == message and isinstance(info.value, ValueError)
 
 
 def test_ipot_reports_convergence_flag():
@@ -187,7 +203,7 @@ def test_ipot_reports_convergence_flag():
     C = random_cost(rng, 4, 4)
     full = ipot_solve(C)
     assert full.converged
-    starved = ipot_solve(C, cfg=IpotConfig(max_outer_iters=3))
+    starved = ipot_solve(C, iterations=3)
     assert not starved.converged
     assert starved.iterations_used == 3
 
@@ -197,7 +213,7 @@ def test_ipot_reports_convergence_flag():
 def test_ipot_plans_are_feasible(seed, n, m):
     C = random_cost(SeededRng(seed), n, m)
     marg = Marginals.uniform(n, m)
-    out = ipot_solve(C, marg, IpotConfig(max_outer_iters=400))
+    out = ipot_solve(C, marg, iterations=400)
     assert check_marginals(out.values, marg, tol=1e-6).passed
 
 
@@ -213,19 +229,19 @@ def test_ipot_permutation_equivariance():
         transport_cost(base.values, C), abs=1e-9)
 
 
-def ipot_reference(cost, cfg, marg=None, flush=True):
+def ipot_reference(cost, marg=None, flush=True, reg=0.5, iterations=100_000, stop_tol=1e-9):
     """Plain IPOT loop that tests the stop rule and finiteness after every
     sweep and builds each trace row from its own plan; ipot_solve, which
     tests them once per block, must match it bit for bit. With flush=False
     subnormal plan entries are kept."""
     marg = marg or Marginals.uniform(*cost.shape)
-    G = np.exp(-cost / cfg.reg)
+    G = np.exp(-cost / reg)
     a = marg.row.copy()
     plan = np.outer(marg.row, marg.col)
     trace = []
     converged = False
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for t in range(1, cfg.max_outer_iters + 1):
+        for t in range(1, iterations + 1):
             K = G * plan
             b = marg.col / (K.T @ a)
             a = marg.row / (K @ b)
@@ -242,15 +258,15 @@ def ipot_reference(cost, cfg, marg=None, flush=True):
             dev = max(np.max(np.abs(plan.sum(axis=1) - marg.row)),
                       np.max(np.abs(plan.sum(axis=0) - marg.col)))
             trace.append((t, np.sum(plan * cost), dev))
-            if delta < cfg.stop_tol and dev <= FEASIBILITY_TOL:
+            if delta < stop_tol and dev <= FEASIBILITY_TOL:
                 converged = True
                 break
     return _round_to_polytope(plan, marg), converged, t, np.asarray(trace)
 
 
-def assert_matches_reference(cost, cfg, record_trace, marg=None):
-    values, converged, iterations, trace = ipot_reference(cost, cfg, marg)
-    out = ipot_solve(cost, marg, cfg, record_trace)
+def assert_matches_reference(cost, record_trace, marg=None, **kwargs):
+    values, converged, iterations, trace = ipot_reference(cost, marg, **kwargs)
+    out = ipot_solve(cost, marg, record_trace=record_trace, **kwargs)
     assert np.array_equal(out.values, values)
     assert out.converged == converged
     assert out.iterations_used == iterations
@@ -268,8 +284,7 @@ def assert_matches_reference(cost, cfg, record_trace, marg=None):
 @pytest.mark.parametrize("budget", [1, 15, 16, 17, 33, 200], ids=lambda b: f"{b}-1")
 def test_ipot_budget_capped_matches_reference(budget, shape, record_trace):
     cost = random_cost(SeededRng(0), *shape)
-    cfg = IpotConfig(max_outer_iters=budget)
-    out = assert_matches_reference(cost, cfg, record_trace)
+    out = assert_matches_reference(cost, record_trace, iterations=budget)
     assert not out.converged and out.iterations_used == budget
 
 
@@ -282,7 +297,7 @@ def test_ipot_budget_capped_matches_reference(budget, shape, record_trace):
 ], ids=["shape0-1", "shape1-1", "16x16-2000", "32x32-2000", "24x40-2000", "48x48-2000"])
 def test_ipot_stop_inside_a_block_matches_reference(seed, shape, budget, record_trace):
     cost = random_cost(SeededRng(seed), *shape)
-    out = assert_matches_reference(cost, IpotConfig(max_outer_iters=budget), record_trace)
+    out = assert_matches_reference(cost, record_trace, iterations=budget)
     assert out.converged and out.iterations_used % _BLOCK_SWEEPS != 0
 
 
@@ -292,7 +307,7 @@ def test_ipot_trace_of_short_blocks_matches_reference():
     rows still equal those of one plan at a time."""
     cost = random_cost(SeededRng(4), 200, 200)
     assert (_BLOCK_BYTES // cost.nbytes - 1) // 2 < _BLOCK_SWEEPS
-    out = assert_matches_reference(cost, IpotConfig(max_outer_iters=20), True)
+    out = assert_matches_reference(cost, True, iterations=20)
     assert out.iterations_used == 20
 
 
@@ -301,8 +316,7 @@ def test_ipot_nonuniform_marginals_match_reference(budget):
     rng = SeededRng(6)
     row, col = rng.uniform(9) + 0.1, rng.uniform(13) + 0.1
     marg = Marginals(row / row.sum(), col / col.sum())
-    out = assert_matches_reference(random_cost(rng, 9, 13), IpotConfig(max_outer_iters=budget),
-                                   True, marg)
+    out = assert_matches_reference(random_cost(rng, 9, 13), True, marg, iterations=budget)
     assert out.converged == (budget == 5000)
 
 
@@ -313,9 +327,8 @@ def test_ipot_flushes_subnormal_plan_entries():
     rng = SeededRng(3)
     cost = cosine_cost_matrix(rng.gaussian(48 * 16).reshape(48, 16),
                               rng.gaussian(48 * 16).reshape(48, 16))
-    cfg = IpotConfig(max_outer_iters=2000)
-    values, converged, iterations, trace = ipot_reference(cost, cfg, flush=False)
-    out = ipot_solve(cost, cfg=cfg, record_trace=True)
+    values, converged, iterations, trace = ipot_reference(cost, flush=False, iterations=2000)
+    out = ipot_solve(cost, iterations=2000, record_trace=True)
     tiny = np.finfo(np.float64).tiny
     assert np.any((values > 0.0) & (values < tiny))
     assert (out.converged, out.iterations_used) == (converged, iterations)
@@ -329,14 +342,13 @@ def test_ipot_blow_up_matches_reference_without_warnings():
     """A tiny proximal weight drives the scalings to overflow mid-block: the
     error names the first non-finite sweep, and no RuntimeWarning escapes."""
     cost = random_cost(SeededRng(0), 16, 16)
-    cfg = IpotConfig(reg=0.002, max_outer_iters=5000)
     with pytest.raises(SolverError) as expected:
-        ipot_reference(cost, cfg)
+        ipot_reference(cost, reg=0.002, iterations=5000)
     assert "outer iteration 713;" in str(expected.value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError) as got:
-            ipot_solve(cost, cfg=cfg)
+            ipot_solve(cost, reg=0.002, iterations=5000)
     assert str(got.value) == str(expected.value)
 
 
@@ -380,15 +392,6 @@ def test_sinkhorn_overflow_raises_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="non-finite at iteration 1;"):
             sinkhorn_solve(np.array([[0.5, 1.0], [1.0, 0.5]]), reg=0.0007)
-
-
-def test_sinkhorn_parameter_validation():
-    """A bad reg or iteration count is a ConfigError, as IpotConfig's are."""
-    for kwargs, message in (({"reg": 0}, "reg must be greater than 0, got 0"),
-                            ({"reg": -0.1}, "reg must be greater than 0, got -0.1"),
-                            ({"iterations": 0}, "iterations must be at least 1, got 0")):
-        with pytest.raises(ConfigError, match=message):
-            sinkhorn_solve(np.zeros((2, 2)), **kwargs)
 
 
 @pytest.mark.parametrize("shape", [(6, 11), (100, 100)])

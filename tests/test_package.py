@@ -15,7 +15,7 @@ import pytest
 
 import otzsl
 import otzsl.evaluate as evaluate_module
-from otzsl import checkpoint, cli, data, errors, evaluate, ot, training
+from otzsl import checkpoint, cli, data, errors, evaluate, training
 from otzsl.generator import init_generator
 from otzsl.rng import SeededRng
 
@@ -96,7 +96,7 @@ def test_perfbench_counters_read_the_arguments_they_name():
 def test_each_config_dataclass_checks_its_fields_by_their_declarations_alone():
     """A config field declares its type, choices and bounds beside its
     default, so no config class runs a check of its own after check_fields."""
-    for cls in (data.SyntheticSpec, ot.IpotConfig, training.TrainConfig,
+    for cls in (data.SyntheticSpec, training.TrainConfig,
                 evaluate.ClassifierConfig, evaluate.EvalConfig):
         assert cls.__post_init__ is errors.check_fields, cls.__name__
 

@@ -70,10 +70,13 @@ def test_zsl_benchmark_reads_its_keys_as_otzsl_reads_a_config_file(tmp_path, fla
     (["--spec", "[" * 100_000], "argument --spec: invalid JSON: maximum recursion depth exceeded"),
     (["--config", "[" * 100_000], "argument --config: invalid JSON: maximum recursion depth"),
     (["--config", '{"epochs": '], "argument --config: invalid JSON: Expecting value: line 1"),
-], ids=["negative-seed", "deep-spec", "deep-config", "bad-json"])
+    (["--config", '{"hidden_dim": 8, "hidden_dim": 16}'],
+     "argument --config: invalid JSON: repeated key 'hidden_dim'"),
+], ids=["negative-seed", "deep-spec", "deep-config", "bad-json", "repeated-key"])
 def test_zsl_benchmark_rejects_a_bad_argument_before_any_work(tmp_path, args, message):
-    """A bad seed, or flag JSON that cannot be decoded, is a usage error
-    before the dataset is made, not a traceback after some rows."""
+    """A bad seed, or flag JSON that cannot be decoded or repeats a key, is
+    a usage error before the dataset is made, not a traceback after some
+    rows."""
     proc = run_script("run_zsl_benchmark.py", ["--epochs", "1", *args], tmp_path)
     assert proc.returncode == 2
     assert f"run_zsl_benchmark.py: error: {message}" in proc.stderr, proc.stderr[-500:]

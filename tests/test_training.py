@@ -15,7 +15,7 @@ from otzsl.evaluate import ClassifierParams
 from otzsl.generator import (GeneratorParams, backward, generator_forward, init_generator,
                              synthesize_class_features)
 from otzsl.mlp import MlpParams, adam_init, init_mlp, mlp_size
-from otzsl.ot import IpotConfig, Marginals, TransportPlan, transition_plan
+from otzsl.ot import Marginals, TransportPlan, transition_plan
 from otzsl.rng import SeededRng
 from otzsl.training import (TraceRow, TrainConfig, sample_real_batch, sample_synth_batch,
                             train, write_trace_csv)
@@ -53,7 +53,7 @@ def test_train_config_defaults():
     assert cfg.batch_size == 32
     assert cfg.learning_rate == 0.001
     assert cfg.epochs == 30
-    assert cfg.ipot.max_outer_iters == 25
+    assert (cfg.ipot_reg, cfg.ipot_max_outer_iters, cfg.ipot_stop_tol) == (0.5, 25, 1e-7)
 
 
 @pytest.mark.parametrize("kwargs,msg", [
@@ -398,22 +398,25 @@ def test_train_frozen_generator_constant_transport_cost(monkeypatch):
     assert np.array_equal(g.net.b2, b2)
 
 
-@pytest.mark.parametrize("cfg, budget", [
-    (quick_cfg(ot_prob=1.0), 25),
-    (quick_cfg(ot_prob=1.0, ipot=IpotConfig(max_outer_iters=200, stop_tol=1e-7)), 200),
+@pytest.mark.parametrize("cfg, keywords", [
+    (quick_cfg(ot_prob=1.0), (0.5, 25, 1e-7)),
+    (quick_cfg(ot_prob=1.0, ipot_reg=0.3, ipot_max_outer_iters=200, ipot_stop_tol=1e-6),
+     (0.3, 200, 1e-6)),
 ], ids=["default", "200"])
-def test_train_passes_its_ipot_budget_to_the_solver(cfg, budget, tiny_dataset, monkeypatch):
+def test_train_passes_its_ipot_budget_to_the_solver(cfg, keywords, tiny_dataset, monkeypatch):
+    """Every batch solve gets the config's ipot_reg, ipot_max_outer_iters and
+    ipot_stop_tol as the solver's reg, iterations and stop_tol."""
     attrs, data, _ = tiny_dataset
-    budgets, solve = [], training.ipot_solve
+    calls, solve = [], training.ipot_solve
 
-    def spy(cost, marginals, ipot_cfg):
-        budgets.append(ipot_cfg.max_outer_iters)
-        return solve(cost, marginals, ipot_cfg)
+    def spy(cost, marginals, **kwargs):
+        calls.append(tuple(sorted(kwargs.items())))
+        return solve(cost, marginals, **kwargs)
 
     monkeypatch.setattr(training, "ipot_solve", spy)
     _, trace = train(data, attrs, cfg)
-    assert budgets and len(budgets) == len(trace)
-    assert set(budgets) == {budget}
+    assert calls and len(calls) == len(trace)
+    assert set(calls) == {tuple(sorted(zip(("reg", "iterations", "stop_tol"), keywords)))}
 
 
 def test_train_transductive_forces_ot_on_unlabeled(tiny_dataset):

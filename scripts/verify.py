@@ -12,7 +12,12 @@ The suites, in order, from the repository root:
    copy of BENCHMARK.json, perfbench/ and src/. The smoke tests compare
    output bytes with the digest store `.perfbench/` in the checkout they run
    in, so a store left there by a run of other output bytes would fail them;
-   the copy starts without one.
+   the copy starts without one;
+4. the output digests under another OpenBLAS kernel:
+   `python -m pytest tests/test_output_digests.py` with OPENBLAS_CORETYPE=
+   Haswell set for pytest. The test pins its commands' kernel, so the
+   digests hold whatever the caller sets; a test that drops the pin fails
+   here, on any machine whose default kernel is not Haswell's.
 
 Each suite runs even when an earlier one failed. Then come the line count of
 each module of src/otzsl/, a summary line per suite, and the line count of
@@ -30,13 +35,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def pytest(cwd, *args) -> int:
+def pytest(cwd, *args, **variables) -> int:
     """The exit code of `python -m pytest *args` run in `cwd` with its src/
-    first on PYTHONPATH."""
-    env = dict(os.environ)
+    first on PYTHONPATH and the environment `variables` set."""
+    env = {**os.environ, **variables}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cwd) / "src"),
                                                       env.get("PYTHONPATH")]))
-    print(f"$ python -m pytest {' '.join(args)}  (in {cwd})", flush=True)
+    shown = "".join(f"{name}={value} " for name, value in variables.items())
+    print(f"$ {shown}python -m pytest {' '.join(args)}  (in {cwd})", flush=True)
     return subprocess.run([sys.executable, "-m", "pytest", *args], cwd=cwd, env=env).returncode
 
 
@@ -61,6 +67,8 @@ def main() -> int:
         ("tier-1", pytest(ROOT, "-q", "--continue-on-collection-errors")),
         ("acceptance", pytest(ROOT, "tests/test_acceptance.py", "-s")),
         ("perfbench smoke", perfbench_smoke()),
+        ("output digests, Haswell kernel", pytest(ROOT, "-q", "tests/test_output_digests.py",
+                                                  OPENBLAS_CORETYPE="Haswell")),
     ]
     counts = src_lines()
     for name, count in counts.items():

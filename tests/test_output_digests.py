@@ -4,14 +4,21 @@ paper workloads train at.
 
 Each command runs as `python -m otzsl` in a fresh interpreter with the BLAS
 thread variables set to 1, as perfbench runs it, inside one work directory
-where every path a command is given or prints is relative. The digests cover
+where every path a command is given or prints is relative. The children also
+pin OpenBLAS's kernel (BLAS_CORE), whatever the caller's environment says. The digests cover
 every file the commands write and every command's stdout, so a change that is
 meant to keep the output bytes shows that it does. A change that alters them
 on purpose replaces the dict of each failing test (DIGESTS,
 WORKLOAD_DIGESTS) with the dict its assertion prints, and says so.
 
-The digests were recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64; a
-BLAS build whose kernels round differently gives other bytes.
+OpenBLAS built with DYNAMIC_ARCH, as numpy's wheels are, picks its kernel at
+run time from the CPU, and kernels round float64 products differently: digests
+recorded under the SkylakeX kernel fail under Haswell, Nehalem or Prescott.
+So the children set OPENBLAS_CORETYPE to Prescott, the baseline kernel that
+every x86-64 CPU runs (OPENBLAS_VERBOSE=2 reports it as `Core: Katmai`).
+The digests were recorded under it with numpy 2.4.6 and OpenBLAS 0.3.31. An
+aarch64 machine runs no x86 kernel and gives other bytes; so does another
+OpenBLAS release or another BLAS.
 """
 
 import hashlib
@@ -24,6 +31,7 @@ from pathlib import Path
 import otzsl
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_CORE = {"OPENBLAS_CORETYPE": "Prescott"}
 
 CONFIGS = {
     "gen.json": {"seen_classes": 3, "unseen_classes": 2, "attr_dim": 6, "feature_dim": 8,
@@ -61,13 +69,13 @@ DIGESTS = {
     "data/features.csv": "9c4da880c97fe9657a671de525d9edffd7e69d3e3312d58a205f79ab781438fd",
     "data/split.json": "329c29277984628a678a28ea87555756bfbe9e83abe090fd855820cbd1947321",
     "train stdout": "3fa88fc8d1562c79372639aef7dcc1663e37d14c6a56c5466ee3b76c74bd53a3",
-    "train/checkpoint.bin": "bf9a3c20b1cbcbd819dd12e3cf195a7334d7b617c965aab9101f3137a1d87dfc",
+    "train/checkpoint.bin": "a4260a67bcf1b149e4d4da60370559f2dd14fa300e8e5ce4c0c05d17aca3badb",
     "train/config.json": "40f9dd2581de82d4aedeab1d8534c59791ac6a792fd5b8a3beafe5d247518630",
-    "train/trace.csv": "33e05ae3c1850c34ba62de2d14d7ba8d5669dadd5b1e85644e26da3b7a80bde3",
+    "train/trace.csv": "bd9bb880f273cdcdde8a9e21f8032cd6b8037fd5a2e05461e3e021e9e429e70d",
     "train_trans stdout": "f3ee008758eccc637fbe772e3de958bf441a30a5ad45bac566b95054c6781c20",
-    "train_trans/checkpoint.bin": "d5b57fd62aa7afc7b9b62df6d545d7b42674e336bc5d416cfc6db8902b8a12a0",
+    "train_trans/checkpoint.bin": "81cf119edb6578acecb01466ac61624bd3547f396dfbf8393edbed479057833b",
     "train_trans/config.json": "f94049c16501514366fc8a32ca558761173409243a5e7739aedc1b13df9e335f",
-    "train_trans/trace.csv": "b15f0b9146398f98d67dc5e244967ef952d54369435cfefddfc5632078a70dd9",
+    "train_trans/trace.csv": "225f9e0930c99144cbdd34001198144f52a2c61b0b9fb1bd1aaea314676450be",
     "eval_standard stdout": "875eb00c6f7ff9b07c5db62b5b8480d4cd488347622e54afeeacc42a4b78cd2d",
     "eval_standard/config.json": "47c2ec09f1d27903a9c2ac4c21a67a25e1541af2713dd06285cb6cb8ce16fc05",
     "eval_standard/report.json": "f9f50a5c2cd7ce1f4a431a648c3df263e34d7237562526ca253e5db32afc346b",
@@ -79,18 +87,18 @@ DIGESTS = {
     "eval_trans/report.json": "009b00b7db3a6a70bfaa8e151ee957932c9d1078ddf43e928317bbc37c8cb7a0",
     "export stdout": "12540220ea1a2d869090cd1839fc0bc275678e09a55382705d8d962bf6eb7799",
     "export/config.json": "ae36d06d798832fb99a486295a198bfb4cb076e59c0cc8da1476d3a455fdbb40",
-    "export/generated_features.csv": "683d5fff73fe3ab4cd8a487a8ae33173ddece0788419ec5f087b1c41320702df",
-    "solve_ipot stdout": "0eb2205f985c4fd08cd126c37a3d60ed3e595c19444d15c807e37b942658b01a",
+    "export/generated_features.csv": "bdf2a2b1513ce88191332989251496c9ce424708a7266cef74ba026cfea4a50d",
+    "solve_ipot stdout": "f5ee374bc6d94f5b732e1d1b575d50dfca3b142efad9f822d39050201848c81d",
     "solve_ipot/config.json": "3c4f8a9dd62901b649efbe09f82b6c5267fc26a6af0c7c760eae8df12b194605",
-    "solve_ipot/plan.csv": "45a52a3d06b295fcdf84b29edb53b19385666b27b6f541ef09438b96a15cae1a",
-    "solve_ipot/solver_trace.csv": "c19d1633ac82e81e09d3c6f28bb9b1b01ae109e0f3cdd728d40c0b95bc3637f3",
+    "solve_ipot/plan.csv": "390060bf24ceb7198490fadd39e878e0c084b515cf253e622555c0d998fc4d28",
+    "solve_ipot/solver_trace.csv": "583c11192f2cd52cfc37df365e101cb785e1a5595d4a593dfbb252d442c1c2c2",
     "solve_sinkhorn stdout": "5a0a04a897ff90dcf6ea0a251c65510352b54010f115ba57d0163c33b7c5d0ea",
     "solve_sinkhorn/config.json": "01a037c122c503691ed26e366f451e6ed37165778f4329e1a743667b0e1cab73",
-    "solve_sinkhorn/plan.csv": "e08aa71431c0220f0324e2310df041c8f211f2e96619ce0bb7cc8760a7952fca",
-    "solve_sinkhorn/solver_trace.csv": "b9bb614db728934549dbfd9765770554c67b312e2f42a50cb085812614c47494",
+    "solve_sinkhorn/plan.csv": "c3d8729b6b474aca443c1dca28f5a9e5a05c7bf2acac21284c2ef23ac2718e7b",
+    "solve_sinkhorn/solver_trace.csv": "f1ab8e72aba055a7af52b7a1a527cec1e0e01977ba85dbf2a1f16cd58f8afd11",
     "compare stdout": "1c347298dcb0b07d30a79b3cfac98351c83546058b2b7d95b0b9057ff912770f",
     "compare/config.json": "07ed1ef7c3eae2c4c2285869b68ec8e29372220d9cd3e46f7033854b3cbdf05a",
-    "compare/curves.csv": "4b71addc6039e6b3080dcdc4cbdeef0ee1a27a1c14fcef433df63daf40a27d86",
+    "compare/curves.csv": "8f2605a4bc883904f41ee99af9c60c3edf2a1a1903a066b9e8905b743c88435c",
 }
 
 
@@ -132,13 +140,13 @@ WORKLOAD_DIGESTS = {
     "desk/features.csv": "db4fa430203d1dbdd35d592f17c5fb10dfa35b2dd8fe9597ac22e27c04378feb",
     "desk/split.json": "376f15c49aeea581f95db77b3d5f8ed6c3327a734e16c5049b448cc350b65126",
     "desk_train stdout": "753e1355cdd11455bcfdb037318154415159aedb1e5eb9a2191b596d53ae9342",
-    "desk_train/checkpoint.bin": "6584a169fed171c104575597ac55e6ed3a1899b76dcfa41125869a6800796f05",
+    "desk_train/checkpoint.bin": "b94b1f03ac6c360978a2852e3cf2413f5ea72f91c6878b0ead4919ae964ef927",
     "desk_train/config.json": "917854102b9209e22630c69c086f56f38b2658848a4525df695ea5ea7ac8e503",
-    "desk_train/trace.csv": "40b6df406c19ccef265e8390901fe850aefc63eccfccd1e7606058c7cc023050",
+    "desk_train/trace.csv": "b52e7b83c4bb5460ba3dac5f8bd224d9477a0d5ca57514aa619aff3f8b7578c3",
     "desk_trans stdout": "9756fff82e6859deeb73303f48bfd240e357c589446b85cb6e986156aad3fa4a",
-    "desk_trans/checkpoint.bin": "047caab6771b4025fe2a6be33705f26af5f7aeeac570eb72f7479bcf131eacb4",
+    "desk_trans/checkpoint.bin": "82365006caf26f3234c1c803705b1c5e80f40bea8535d18ef615d59ab9f9f73d",
     "desk_trans/config.json": "ce6b2b5e5758b93ebbce91f47603b3a3e6df5d4b720b9e9c5b779bc38fbabebd",
-    "desk_trans/trace.csv": "92097d2e402e15cb824a7d16f6f0c6b2d85fea4b8d063a805d581e7f46403fbc",
+    "desk_trans/trace.csv": "58ae7da5e53ce911fff7456d42f38cbb763adba044d2431e95e02cea32471afa",
     "desk_standard stdout": "7d25eb5778b9e69ba82ea91040d3a3a3fcc417e6cb35e2d33ef72490871c4334",
     "desk_standard/config.json": "85825ebf12519bac096d137d928f535d9eaac7c3deebc7ed93254600289737aa",
     "desk_standard/report.json": "7909206e33e529a4d24f28df31046efa24881e363964c9a55a86417b854f4df4",
@@ -151,13 +159,13 @@ WORKLOAD_DIGESTS = {
     "wide/features.csv": "3d7038a8100ef998b92a56a734871f37e81beac4a12ca9eb68f6d8a90fe3c1c1",
     "wide/split.json": "bb301e5a04babf063911f9f7defe7aecee94e1ec768c80bcab819a1a77042661",
     "wide_train stdout": "aa1e2f5ef04b96f10c3aabbe7e2563cc9858a5847d59fabf9045558877698dbe",
-    "wide_train/checkpoint.bin": "efc1eaa9d060d0b4c020291b412c1f3ad5b3a296052bacbbfcac2473862efdb9",
+    "wide_train/checkpoint.bin": "bf508848760345390233a574e91833d626e659f903fc59599f908b056735a830",
     "wide_train/config.json": "072ca622a2675f7e6d8378e602b31b68b7e47fa3314c7f8230fc3533a73eebd9",
     "wide_train/trace.csv": "d0297d2e04b412565aec992c5a6fb234502d0e685753f56cfaedbb371262f0b0",
     "wide_trans stdout": "674d5e67e9595ebda789ac688f8833398b26d8751279c73479f152c891e21c95",
-    "wide_trans/checkpoint.bin": "3b0bee89a9fab7149ebf0cf43fdb0f93a15909c82bbfbf48beba049ca3528a43",
+    "wide_trans/checkpoint.bin": "830d50e531c66d0dece1307ad3d3470e65e029ed3ecc387c3ae8d7657b1f9b0b",
     "wide_trans/config.json": "d56d3e830e0bfe809f1c68644b625e80d60030cea805c17a74ea5c53c33d4139",
-    "wide_trans/trace.csv": "e3c67f4b7d6a6467a7393b70ee8aa44245d5d1dc466e0304ec5c91ba4a06d98f",
+    "wide_trans/trace.csv": "d9e76f2a6eba32b643e55a4ec77485bb252006e7ca14d6e73ac77c3ac3faa8f2",
     "wide_generalized stdout": "8122911028bd290a726d53cf795f3fd90aa8a7df9f715479286b7551055ecf93",
     "wide_generalized/config.json": "50b8955cbacc807f8bf01a6685acc78133aaa0925d50690e2a8a0146374efef5",
     "wide_generalized/report.json": "03c9b24c12856cbf7997b28876bfa5cc5b453e031ddac1616374d46e01716872",
@@ -174,7 +182,8 @@ def write_inputs(work: Path, configs: dict) -> None:
 def output_digests(work: Path, configs: dict, commands: list) -> dict:
     """The sha256 of each command's stdout and of every file it writes."""
     src = Path(otzsl.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src), **{var: "1" for var in THREAD_VARS}}
+    env = {**os.environ, "PYTHONPATH": str(src), **{var: "1" for var in THREAD_VARS},
+           **BLAS_CORE}
     write_inputs(work, configs)
     digests = {}
     for out, argv in commands:

@@ -81,7 +81,7 @@ def main() -> int:
 
     attrs, data, _ = make_synthetic_dataset(spec)
     print(f"dataset: {len(attrs.seen_ids)} seen / {len(attrs.unseen_ids)} unseen classes, "
-          f"{data.seen_train[0].shape[0]} training samples, D={data.feature_dim}")
+          f"{data.rows['seen_train'].size} training samples, D={data.feature_dim}")
     print(f"train config overrides {json.dumps(args.config)}, {args.epochs} epochs")
 
     print(f"{'seed':<6}" + "".join(f"{c:>11}" for c in COLUMNS) + f"{'train_s':>9}")

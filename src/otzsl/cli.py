@@ -167,11 +167,6 @@ def staged(out: str, cfg: dict):
         shutil.rmtree(made or stage, ignore_errors=True)
 
 
-def _given(**kwargs) -> dict:
-    """The keyword arguments that are set; unset ones keep the callee's defaults."""
-    return {k: v for k, v in kwargs.items() if v is not None}
-
-
 def _load_dataset_and_generator(cfg: dict, splits):
     """The dataset, holding only the named splits (see load_dataset), and the
     checkpoint's generator that eval and export read, checked to agree in
@@ -190,7 +185,7 @@ def cmd_gen_data(cfg: dict, out: str, stage: str) -> list[str]:
     spec = from_flat(dataio.SyntheticSpec(), cfg)
     attrs, dataset, _ = dataio.make_synthetic_dataset(spec)
     dataio.save_dataset(stage, attrs, dataset)
-    n = sum(s[0].shape[0] for s in (dataset.seen_train, dataset.seen_test, dataset.unseen_test))
+    n = sum(dataset.rows[name].size for name in dataio.LABELED_SPLITS)
     return [f"wrote dataset to {out}: {attrs.n_classes} classes, {n} samples"]
 
 
@@ -222,8 +217,9 @@ def cmd_solve_ot(cfg: dict, out: str, stage: str) -> list[str]:
     cost = dataio.load_matrix_csv(cfg["cost"])
     marg = ot.Marginals.uniform(*cost.shape)
     solve = ot.ipot_solve if solver == "ipot" else ot.sinkhorn_solve
-    plan = solve(cost, marg, record_trace=True,
-                 **_given(reg=cfg["lambda"], iterations=cfg["iters"], stop_tol=cfg["stop_tol"]))
+    given = {"reg": cfg["lambda"], "iterations": cfg["iters"], "stop_tol": cfg["stop_tol"]}
+    plan = solve(cost, marg, record_trace=True,  # an unset key keeps the solver's default
+                 **{k: v for k, v in given.items() if v is not None})
     dataio.save_matrix_csv(plan.values, os.path.join(stage, "plan.csv"))
     dataio.save_matrix_csv(plan.trace, os.path.join(stage, "solver_trace.csv"))
     report = ot.check_marginals(plan.values, marg)

@@ -37,11 +37,12 @@ LABELED_SPLITS = SPLITS[:3]
 SPLIT_KEYS = ("seen", "unseen", *(f"{name}_rows" for name in SPLITS))
 
 
-def _zero_norm_rows(features: np.ndarray) -> np.ndarray:
-    """Which rows of a finite 2-D array have norm zero; a row sum of squares,
-    with no temporary as large as the array."""
-    with np.errstate(over="ignore"):  # an inf sum is still not zero
-        return np.einsum("ij,ij->i", features, features) == 0.0
+def _squared_norms(features: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, with no temporary as large as the 2-D
+    array: zero only for a zero-norm row, and inf or nan for a row with a
+    non-finite value or whose sum overflows."""
+    with np.errstate(over="ignore"):
+        return np.einsum("ij,ij->i", features, features)
 
 
 @dataclass(eq=False)
@@ -72,7 +73,7 @@ class AttributeMatrix:
             raise DataFormatError(
                 f"seen+unseen ids must cover classes 0..{n - 1}, got {sorted(seen | unseen)}"
             )
-        if (zero_norm := _zero_norm_rows(self.attrs)).any():
+        if (zero_norm := _squared_norms(self.attrs) == 0.0).any():
             raise DataFormatError(
                 f"class {int(np.flatnonzero(zero_norm)[0])} has a zero-norm attribute vector")
         first = {}  # finite rows + 0.0 (-0.0 as 0.0) match in bytes exactly as in np.array_equal
@@ -90,50 +91,63 @@ class AttributeMatrix:
         return self.attrs.shape[0]
 
 
-def _check_rows(what: str, zero_norm: np.ndarray, labels: np.ndarray | None) -> None:
-    """The checks of a split's finite rows, in order: no row has norm zero,
-    and (given the labels) no class id is negative."""
-    if zero_norm.any():
-        raise DataFormatError(f"{what} row {int(np.flatnonzero(zero_norm)[0])} has zero norm")
-    if labels is not None and labels.size and labels.min() < 0:
-        raise DataFormatError(f"{what} has a negative class id")
-
-
 @dataclass(eq=False)
 class FeatureDataset:
-    """Labeled splits plus the optional unlabeled pool used by transductive
-    training. Each labeled split is a (features, class ids) pair; the pool is
-    a split without labels. Splits are checked in SPLITS order."""
+    """One real feature set, held as a dataset directory stores it: the N x D
+    `features` (the rows of features.csv), their N class ids `labels`
+    (UNLABELED for a row that is only in the pool), and `rows`, each split
+    of SPLITS mapped to its row indices (split.json's lists). A row is in
+    one labeled split at most; the unlabeled pool may list labeled rows too
+    (gen-data's pool is the unseen test rows), whose ids training ignores.
+    Checked once, in SPLITS order: the row lists first, then each split's
+    rows."""
 
-    seen_train: tuple[np.ndarray, np.ndarray]
-    seen_test: tuple[np.ndarray, np.ndarray]
-    unseen_test: tuple[np.ndarray, np.ndarray]
-    unseen_unlabeled: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+    rows: dict
 
     def __post_init__(self):
-        dims = set()
-        for name in SPLITS:
-            split = getattr(self, name)
-            feats, labels = split if name in LABELED_SPLITS else (split, None)
-            feats = np.asarray(feats, dtype=np.float64)
-            if labels is not None:
-                labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-            if feats.ndim != 2:
-                raise DataFormatError(f"{name} features must be 2-D, got shape {feats.shape}")
-            if labels is not None and labels.shape != feats.shape[:1]:
-                raise DataFormatError(
-                    f"{name} has {feats.shape[0]} rows but {labels.shape[0]} labels")
-            if not np.all(np.isfinite(feats)):
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        if self.features.ndim != 2:
+            raise DataFormatError(f"features must be 2-D, got shape {self.features.shape}")
+        if self.labels.shape != self.features.shape[:1]:
+            raise DataFormatError(
+                f"{self.features.shape[0]} feature rows but {self.labels.shape[0]} labels")
+        if set(self.rows) != set(SPLITS):
+            raise ValueError(f"rows must map each of {SPLITS}, got {sorted(self.rows)}")
+        n = self.features.shape[0]
+        # a JSON index past int64 stays a Python int, in an object array
+        rows = {name: np.asarray(self.rows[name]).reshape(-1) for name in SPLITS}
+        for name, r in rows.items():
+            if not ((r >= 0) & (r < n)).all():
+                raise DataFormatError(f"{name}_rows references rows outside 0..{n - 1}")
+        self.rows = rows = {name: r.astype(np.int64) for name, r in rows.items()}
+        for name in LABELED_SPLITS:
+            if (bad := np.flatnonzero(self.labels[rows[name]] == UNLABELED)).size:
+                raise DataFormatError(f"{name}_rows includes unlabeled row {rows[name][bad[0]]}")
+        for a, b in itertools.combinations(LABELED_SPLITS, 2):
+            # sets, not np.intersect1d, whose first call imports numpy.ma (about 15 ms)
+            if shared := set(rows[a].tolist()) & set(rows[b].tolist()):
+                raise DataFormatError(f"{a}_rows and {b}_rows share row {min(shared)}")
+        norms = _squared_norms(self.features)
+        finite = np.isfinite(norms)  # then each row whose sum is not finite, exactly
+        finite[~finite] = np.isfinite(self.features[~finite]).all(axis=1)
+        for name, r in rows.items():
+            if not finite[r].all():
                 raise DataFormatError(f"{name} features contain a non-finite value")
-            _check_rows(name, _zero_norm_rows(feats), labels)
-            setattr(self, name, feats if labels is None else (feats, labels))
-            dims |= {feats.shape[1]} if feats.size else set()
-        if len(dims) > 1:
-            raise DataFormatError(f"splits disagree on feature dimension: {sorted(dims)}")
+            if (zero := np.flatnonzero(norms[r] == 0.0)).size:
+                raise DataFormatError(f"{name} row {zero[0]} has zero norm")
+            if name in LABELED_SPLITS and (self.labels[r] < 0).any():
+                raise DataFormatError(f"{name} has a negative class id")
 
     @property
     def feature_dim(self) -> int:
-        return self.seen_train[0].shape[1]
+        return self.features.shape[1]
+
+    def split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """A copy of the features and class ids of split `name`, its rows in list order."""
+        return self.features[self.rows[name]], self.labels[self.rows[name]]
 
 
 @dataclass(frozen=True)
@@ -178,34 +192,33 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[AttributeMatrix, Featur
     ) / np.sqrt(spec.attr_dim)
     prototypes = attr_rows @ hidden_map.T
 
-    # Each class's rows are drawn straight into its split: a seen class's
-    # rows in the order of its split permutation, the first 70% to train.
-    n, d = spec.samples_per_class, spec.feature_dim
+    # Each class's rows are drawn straight into one matrix, through a view of
+    # each split's rows: the seen classes' training rows, their test rows,
+    # then the unseen rows, which double as the pool. A seen class's rows go
+    # in the order of its split permutation, the first 70% to train.
+    n, d, s = spec.samples_per_class, spec.feature_dim, spec.seen_classes
     cut = int(0.7 * n)
-    train = np.empty((spec.seen_classes, cut, d))
-    test = np.empty((spec.seen_classes, n - cut, d))
-    unseen = np.empty((spec.unseen_classes, n, d))
+    features = np.empty((n_classes * n, d))
+    train = features[:s * cut].reshape(s, cut, d)
+    test = features[s * cut:s * n].reshape(s, n - cut, d)
+    unseen = features[s * n:].reshape(-1, n, d)
     for c in range(n_classes):
         feats = noise_rng.gaussian(n * d).reshape(n, d)
         feats *= spec.noise_sigma
         feats += prototypes[c]
-        if c < spec.seen_classes:
+        if c < s:
             order = split_rng.permutation(n)
             train[c], test[c] = feats[order[:cut]], feats[order[cut:]]
         else:
-            unseen[c - spec.seen_classes] = feats
+            unseen[c - s] = feats
 
-    train, test, unseen = (x.reshape(-1, d) for x in (train, test, unseen))
-
-    seen_ids = tuple(range(spec.seen_classes))
-    unseen_ids = tuple(range(spec.seen_classes, n_classes))
+    seen_ids, unseen_ids = tuple(range(s)), tuple(range(s, n_classes))
     attrs = AttributeMatrix(attr_rows, seen_ids, unseen_ids)
-    dataset = FeatureDataset(
-        seen_train=(train, np.repeat(seen_ids, cut)),
-        seen_test=(test, np.repeat(seen_ids, n - cut)),
-        unseen_test=(unseen, np.repeat(unseen_ids, n)),
-        unseen_unlabeled=unseen,  # the test rows double as the pool
-    )
+    labels = np.concatenate([np.repeat(seen_ids, cut), np.repeat(seen_ids, n - cut),
+                             np.repeat(unseen_ids, n)])
+    unseen_rows = np.arange(s * n, n_classes * n)
+    rows = [np.arange(s * cut), np.arange(s * cut, s * n), unseen_rows, unseen_rows]
+    dataset = FeatureDataset(features, labels, dict(zip(SPLITS, rows)))
     return attrs, dataset, hidden_map
 
 
@@ -355,34 +368,24 @@ def save_dataset(dir_path: str, attrs: AttributeMatrix, data: FeatureDataset) ->
     header = "class_id," + ",".join(f"a_{j + 1}" for j in range(attrs.attr_dim))
     write_csv(os.path.join(dir_path, "attributes.csv"), header, [attrs.attrs],
               [f"{i}," for i in range(attrs.n_classes)])
-
-    blocks = [data.seen_train, data.seen_test, data.unseen_test]
-    pool = data.unseen_unlabeled
-    if not np.array_equal(pool, data.unseen_test[0]):  # else the test rows double as the pool
-        blocks.append((pool, np.full(len(pool), UNLABELED)))
-    feats, labels = zip(*blocks)  # written split by split, never stacked
-    header = "class_id," + ",".join(f"x_{j + 1}" for j in range(data.feature_dim))
-    write_csv(os.path.join(dir_path, "features.csv"), header, feats,
-              [f"{i}," for i in np.concatenate(labels).tolist()])
-
-    ends = np.cumsum([f.shape[0] for f in feats]).tolist()
-    rows = [list(range(start, end)) for start, end in zip([0] + ends, ends)]
-    split = dict(zip(SPLIT_KEYS, [list(attrs.seen_ids), list(attrs.unseen_ids), *rows[:3], rows[-1]]))
+    export_features_csv(data.features, data.labels, os.path.join(dir_path, "features.csv"))
+    rows = [data.rows[name].tolist() for name in SPLITS]
+    split = dict(zip(SPLIT_KEYS, [list(attrs.seen_ids), list(attrs.unseen_ids), *rows]))
     write_json(split, os.path.join(dir_path, "split.json"))
 
 
 def load_dataset(dir_path: str, splits=SPLITS) -> tuple[AttributeMatrix, FeatureDataset]:
-    """Read and validate a dataset directory. `splits` names the splits (of
-    SPLITS) that the caller reads. With any split named, the whole directory
-    is validated and no partially valid object escapes: every row of
-    features.csv is parsed and every split checked, in the same order
-    whatever the selection, so a defect in a split left out raises the error
-    that loading them all raises. A split left out is never copied out of
-    the file's rows and comes back empty, (0, D). With no split named (as
-    export reads), only attributes.csv, split.json's keys, the types of its
-    values and its class ids, and features.csv's header are read; a defect
-    in features.csv's rows or in split.json's row indices goes unseen, and
-    every split is empty."""
+    """Read and validate a dataset directory, keeping the rows of the splits
+    (of SPLITS) that `splits` names. With any split named, every row of
+    features.csv is parsed and the whole directory checked, as one
+    FeatureDataset of all the file's rows, so a defect in a split left out
+    raises the error that loading them all raises. One copy then keeps the
+    rows of the named splits in file order, a row that two of them list
+    once; a split left out lists no rows. With no split named (as export
+    reads), only attributes.csv, split.json's keys, the types of its values
+    and its class ids, and features.csv's header are read; a defect in
+    features.csv's rows or in split.json's row indices goes unseen, and the
+    dataset has no rows."""
     if extra := set(splits) - set(SPLITS):
         raise ValueError(f"unknown splits {sorted(extra)}")
     ids, attr_values = _read_labeled_csv(os.path.join(dir_path, "attributes.csv"), "class_id,a_1")
@@ -404,46 +407,30 @@ def load_dataset(dir_path: str, splits=SPLITS) -> tuple[AttributeMatrix, Feature
     if not isinstance(split, dict) or set(split) != set(SPLIT_KEYS):
         got = sorted(split) if isinstance(split, dict) else f"a JSON {type(split).__name__}"
         raise DataFormatError(f"{split_path}: expected keys {sorted(SPLIT_KEYS)}, got {got}")
-    n_rows = len(features)
     for key in SPLIT_KEYS:  # bool is an int subclass, and JSON true is no index
         if not isinstance(split[key], list) or not all(type(v) is int for v in split[key]):
             raise DataFormatError(f"{split_path}: {key} must be a list of integers")
-        if splits and key.endswith("_rows") and not all(0 <= v < n_rows for v in split[key]):
-            raise DataFormatError(f"{split_path}: {key} references rows outside 0..{n_rows - 1}")
-    rows = {name: np.asarray(split[f"{name}_rows"] if splits else [], dtype=np.int64)
-            for name in SPLITS}
 
     unknown = (set(split["seen"]) | set(split["unseen"])) - set(range(ids.size))
     if unknown:
         raise DataFormatError(f"{split_path}: classes {sorted(unknown)} absent from attributes.csv")
 
     attrs = AttributeMatrix(attr_matrix, tuple(split["seen"]), tuple(split["unseen"]))
-    for name in LABELED_SPLITS:
-        bad = np.flatnonzero(labels[rows[name]] == UNLABELED)
-        if bad.size:
-            raise DataFormatError(
-                f"{split_path}: {name}_rows includes unlabeled row {rows[name][bad[0]]}")
-    for a, b in itertools.combinations(LABELED_SPLITS, 2):  # a row is in one labeled split at most
-        # sets, not np.intersect1d, whose first call imports numpy.ma (about 15 ms)
-        if shared := set(rows[a].tolist()) & set(rows[b].tolist()):
-            raise DataFormatError(f"{split_path}: {a}_rows and {b}_rows share row {min(shared)}")
-    # FeatureDataset's checks that finite rows can fail, in its order, on every split
-    zero_norm = _zero_norm_rows(features)
-    for name in SPLITS:
-        _check_rows(name, zero_norm[rows[name]],
-                    labels[rows[name]] if name in LABELED_SPLITS else None)
+    data = FeatureDataset(features, labels,
+                          {name: split[f"{name}_rows"] if splits else [] for name in SPLITS})
     for name in LABELED_SPLITS:  # each labeled split's class ids lie in its side of the partition
         allowed = attrs.unseen_ids if name == "unseen_test" else attrs.seen_ids
-        if extra := set(labels[rows[name]].tolist()) - set(allowed):
+        if extra := set(labels[data.rows[name]].tolist()) - set(allowed):
             raise DataFormatError(f"{name} labels {sorted(extra)} fall outside the expected classes")
 
-    rows = {name: r if name in splits else r[:0] for name, r in rows.items()}  # left out: no rows
-    kept = {name: (features[rows[name]], labels[rows[name]]) for name in LABELED_SPLITS}
-    # the pool that save_dataset folds into the test rows shares their array
-    pool = (kept["unseen_test"][0] if np.array_equal(rows["unseen_unlabeled"], rows["unseen_test"])
-            else features[rows["unseen_unlabeled"]])
-    del features  # all of the file's rows, freed before the kept splits are checked
-    return attrs, FeatureDataset(**kept, unseen_unlabeled=pool)
+    keep = np.zeros(len(labels), dtype=bool)
+    for name in splits:
+        keep[data.rows[name]] = True
+    index = np.cumsum(keep) - 1  # a kept row's index among the kept rows
+    kept = (data.features[keep], labels[keep],
+            {name: index[r] if name in splits else r[:0] for name, r in data.rows.items()})
+    del data, features  # all of the file's rows, freed before the kept rows are checked
+    return attrs, FeatureDataset(*kept)
 
 
 def save_matrix_csv(matrix, path: str) -> None:

@@ -157,18 +157,18 @@ class EvalConfig:
 
 def protocol(mode: str, attrs: AttributeMatrix, data: FeatureDataset):
     """What protocol `mode` varies: the class ids its classifier ranks, and
-    the test splits it scores, each paired with the class ids it is scored
-    on. Generalized takes every class and both splits, the seen split first;
-    the others take the unseen ones. A mode outside PROTOCOLS is a
-    ConfigError, an empty test split a DataFormatError."""
+    the names of the test splits it scores, each paired with the class ids
+    it is scored on. Generalized takes every class and both splits, the seen
+    split first; the others take the unseen ones. A mode outside PROTOCOLS
+    is a ConfigError, an empty test split a DataFormatError."""
     check_value("mode", mode, str, PROTOCOLS)
     classes = tuple(range(attrs.n_classes)) if mode == "generalized" else attrs.unseen_ids
-    if data.unseen_test[0].shape[0] == 0:
+    if data.rows["unseen_test"].size == 0:
         raise DataFormatError("unseen test split is empty; nothing to evaluate")
-    if mode == "generalized" and data.seen_test[0].shape[0] == 0:
+    if mode == "generalized" and data.rows["seen_test"].size == 0:
         raise DataFormatError("seen test split is empty; generalized mode needs it")
     ids = {"seen_test": attrs.seen_ids, "unseen_test": attrs.unseen_ids}
-    return classes, [(getattr(data, name), ids[name]) for name in PROTOCOL_SPLITS[mode]]
+    return classes, [(name, ids[name]) for name in PROTOCOL_SPLITS[mode]]
 
 
 def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
@@ -185,15 +185,17 @@ def evaluate(mode: str, g: GeneratorParams, attrs: AttributeMatrix,
     feats, labels = synthesize_class_features(g, attrs, classes, cfg.n_synth_per_class,
                                               rng.split(1))
     clf = train_softmax(feats, labels, classes, cfg.classifier, rng.split(2))
+    del feats, labels  # the generated rows, freed before a test split is copied out
 
     # one prediction call per test split: a stacked matmul can differ in the low bits
-    preds = []
-    for name, ((x, _), _) in zip(PROTOCOL_SPLITS[mode], tests):
+    scored = []
+    for name, ids in tests:
+        x, y = data.split(name)
         try:
-            preds.append(predict_ids(clf, x))
+            preds = predict_ids(clf, x)
         except SolverError as exc:
             raise SolverError(f"{name}: {exc}") from None
-    scored = [per_class_top1(p, y, ids) for p, ((_, y), ids) in zip(preds, tests)]
+        scored.append(per_class_top1(preds, y, ids))
     report = {"mode": mode, "per_class": {str(c): v for per, _ in scored for c, v in per.items()},
               "A_u": scored[-1][1], "top_k": None, "n_synth_per_class": cfg.n_synth_per_class,
               "seed": cfg.seed}

@@ -102,21 +102,17 @@ def sample_real_batch(data: FeatureDataset, b: int, rng: SeededRng,
                       transductive: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """b uniform draws with replacement from the labeled seen pool, extended
     by the unlabeled pool (class -1) in transductive mode. A draw past the
-    seen rows indexes the unlabeled pool, so neither pool is copied whole."""
-    feats, labels = data.seen_train
-    # a pool left out or empty, which a hand-built dataset may give as (0, 0), adds no rows
-    pool = data.unseen_unlabeled if transductive and data.unseen_unlabeled.size else feats[:0]
-    n_seen = feats.shape[0]
-    if n_seen + pool.shape[0] == 0:
+    seen rows indexes the unlabeled pool; only the batch rows are copied."""
+    seen_rows = data.rows["seen_train"]
+    pool_rows = data.rows["unseen_unlabeled"] if transductive else seen_rows[:0]
+    n_seen = seen_rows.size
+    if n_seen + pool_rows.size == 0:
         raise ValueError("cannot sample from an empty pool")
-    idx = rng.integers(n_seen + pool.shape[0], b)
+    idx = rng.integers(n_seen + pool_rows.size, b)
     seen = idx < n_seen
-    batch = np.empty((b, data.feature_dim))
-    batch[seen] = feats[idx[seen]]
-    batch[~seen] = pool[idx[~seen] - n_seen]
-    classes = np.full(b, UNLABELED, dtype=np.int64)
-    classes[seen] = labels[idx[seen]]
-    return batch, classes
+    idx[seen] = seen_rows[idx[seen]]
+    idx[~seen] = pool_rows[idx[~seen] - n_seen]
+    return data.features[idx], np.where(seen, data.labels[idx], UNLABELED)
 
 
 def sample_synth_batch(attrs: AttributeMatrix, class_pool, classes,
@@ -150,9 +146,10 @@ def train(data: FeatureDataset, attrs: AttributeMatrix,
     transductive = cfg.mode == "transductive"
     if not attrs.unseen_ids:
         raise DataFormatError("training requires at least one unseen class")
-    if data.seen_train[0].shape[0] == 0:
+    n_seen, n_pool = data.rows["seen_train"].size, data.rows["unseen_unlabeled"].size
+    if n_seen == 0:
         raise DataFormatError("training requires labeled seen samples")
-    if transductive and data.unseen_unlabeled.shape[0] == 0:
+    if transductive and n_pool == 0:
         raise DataFormatError("transductive mode requires a non-empty unlabeled pool")
 
     d = attrs.attr_dim
@@ -165,8 +162,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix,
     batch_rng = root.split(3)
 
     b = cfg.batch_size
-    n_pool = data.unseen_unlabeled.shape[0] if transductive else 0
-    iters = math.ceil((data.seen_train[0].shape[0] + n_pool) / b)  # >= 1: seen_train is not empty
+    iters = math.ceil((n_seen + (n_pool if transductive else 0)) / b)  # >= 1: n_seen is not 0
     trace = []
     # every OT step couples b real rows to b generated ones, or to 2b in transductive mode
     marg = Marginals.uniform(b, 2 * b if transductive else b)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from otzsl.data import SyntheticSpec, make_synthetic_dataset
+from otzsl.data import SPLITS, UNLABELED, FeatureDataset, SyntheticSpec, make_synthetic_dataset
 
 PERFBENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -26,6 +26,27 @@ def tiny_dataset():
 def desk_dataset():
     """The default desk-scale dataset (8 seen / 4 unseen, D=32)."""
     return make_synthetic_dataset(SyntheticSpec())
+
+
+def split_rows(**lists) -> dict:
+    """Each split of SPLITS mapped to its row list in `lists`, or to none."""
+    return {name: lists.get(name, []) for name in SPLITS}
+
+
+def dataset_of(feature_dim, **splits) -> FeatureDataset:
+    """A FeatureDataset whose rows are the given splits' rows, stacked in
+    SPLITS order: a labeled split is a (features, class ids) pair, the pool
+    an array of features, each row of it UNLABELED; a split not given lists
+    no rows."""
+    feats, labels, rows, start = [np.zeros((0, feature_dim))], [np.zeros(0, dtype=np.int64)], {}, 0
+    for name in SPLITS:
+        split = splits.get(name, np.zeros((0, feature_dim)))
+        x, y = split if isinstance(split, tuple) else (split, np.full(len(split), UNLABELED))
+        feats.append(np.asarray(x, dtype=np.float64).reshape(-1, feature_dim))
+        labels.append(np.asarray(y, dtype=np.int64).reshape(-1))
+        rows[name] = np.arange(start, start + len(feats[-1]))
+        start += len(feats[-1])
+    return FeatureDataset(np.vstack(feats), np.concatenate(labels), rows)
 
 
 def random_cost(rng, n, m):

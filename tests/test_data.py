@@ -24,7 +24,7 @@ from otzsl.data import (
 )
 from otzsl.errors import DataFormatError
 from otzsl.rng import SeededRng
-from tests.conftest import TINY_SPEC, reference_write_json, traced_peak
+from tests.conftest import TINY_SPEC, dataset_of, reference_write_json, split_rows, traced_peak
 
 
 # ----------------------------------------------------------- attribute matrix
@@ -94,11 +94,10 @@ def test_norm_checks_take_huge_rows_without_warnings():
     # still not zero, and must not leak an overflow warning
     attrs = AttributeMatrix([[1e300, 0.0], [0.0, 1.0]], (0,), (1,))
     assert attrs.attrs[0, 0] == 1e300
-    rows = np.array([[1e300, -1e300, 0.0], [1.0, 2.0, 3.0]])
-    data = FeatureDataset(seen_train=(rows, np.array([0, 1])),
-                          seen_test=(rows, np.array([1, 0])),
-                          unseen_test=(rows[:1], np.array([2])), unseen_unlabeled=rows)
-    assert data.seen_train[0][0, 1] == -1e300
+    rows = np.array([[1e300, -1e300, 0.0], [1.0, 2.0, 3.0], [-1e300, 1.0, 1e300]])
+    data = FeatureDataset(rows, [0, 1, 2], split_rows(seen_train=[0], seen_test=[1],
+                                                      unseen_test=[2], unseen_unlabeled=[2, 0]))
+    assert data.features[0, 1] == -1e300
 
 
 def test_attribute_matrix_accessors():
@@ -110,74 +109,95 @@ def test_attribute_matrix_accessors():
 # ------------------------------------------------------------ feature dataset
 
 
-def two_class_dataset(pool_rows=0):
-    feats = np.arange(12, dtype=np.float64).reshape(6, 2) + 1.0
-    return FeatureDataset(
-        seen_train=(feats[:2], np.array([0, 0])),
-        seen_test=(feats[2:4], np.array([0, 0])),
-        unseen_test=(feats[4:], np.array([1, 1])),
-        unseen_unlabeled=feats[4:4 + pool_rows],
-    )
-
-
 def test_dataset_label_length_mismatch():
-    with pytest.raises(DataFormatError, match="labels"):
-        FeatureDataset(
-            seen_train=(np.ones((2, 2)), np.array([0])),
-            seen_test=(np.ones((1, 2)), np.array([0])),
-            unseen_test=(np.ones((1, 2)), np.array([1])),
-            unseen_unlabeled=np.zeros((0, 2)),
-        )
+    with pytest.raises(DataFormatError, match=r"^2 feature rows but 1 labels$"):
+        FeatureDataset(np.ones((2, 2)), [0], split_rows())
 
 
-def test_dataset_dimension_mismatch():
-    with pytest.raises(DataFormatError, match="dimension"):
-        FeatureDataset(
-            seen_train=(np.ones((2, 2)), np.array([0, 0])),
-            seen_test=(np.ones((1, 3)), np.array([0])),
-            unseen_test=(np.ones((1, 2)), np.array([1])),
-            unseen_unlabeled=np.zeros((0, 2)),
-        )
-    for pool in (np.ones(2), np.zeros(0)):  # the pool is 2-D like every split, even when empty
-        with pytest.raises(DataFormatError, match=r"^unseen_unlabeled features must be 2-D"):
-            FeatureDataset(
-                seen_train=(np.ones((2, 2)), np.array([0, 0])),
-                seen_test=(np.ones((1, 2)), np.array([0])),
-                unseen_test=(np.ones((1, 2)), np.array([1])),
-                unseen_unlabeled=pool,
-            )
+def test_dataset_features_must_be_2d():
+    for features in (np.ones(2), np.zeros(0)):  # 2-D even when empty
+        with pytest.raises(DataFormatError, match=r"^features must be 2-D"):
+            FeatureDataset(features, np.zeros(len(features)), split_rows())
 
 
-def test_dataset_empty_pool_gets_shaped():
-    data = two_class_dataset(pool_rows=0)
-    assert data.unseen_unlabeled.shape == (0, 2)
-    assert data.feature_dim == 2
+def test_dataset_rows_must_name_every_split():
+    with pytest.raises(ValueError, match="rows must map each of"):
+        FeatureDataset(np.ones((1, 2)), [0], {"seen_train": [0]})
+
+
+def test_dataset_without_a_pool_lists_no_pool_rows():
+    data = FeatureDataset(np.ones((2, 3)), [0, 1], split_rows(seen_train=[0], unseen_test=[1]))
+    assert data.rows["unseen_unlabeled"].dtype == np.int64
+    assert data.rows["unseen_unlabeled"].shape == (0,)
+    assert data.feature_dim == 3
+
+
+@pytest.mark.parametrize("index", [-1, 3, 2**70])
+def test_dataset_rejects_a_row_index_out_of_range(index):
+    """A JSON index past int64 is out of range too, not an OverflowError."""
+    with pytest.raises(DataFormatError, match=r"^seen_test_rows references rows outside 0\.\.2$"):
+        FeatureDataset(np.ones((3, 2)), [0, 0, 1], split_rows(seen_train=[0], seen_test=[1, index]))
+
+
+@pytest.mark.parametrize("a, b", [("seen_train", "seen_test"), ("seen_train", "unseen_test"),
+                                  ("seen_test", "unseen_test")])
+def test_dataset_rejects_a_row_in_two_labeled_splits(a, b):
+    """The pool may list labeled rows; two labeled splits may not share one."""
+    rows = split_rows(**{a: [0, 2, 3], b: [1, 3, 2]}, unseen_unlabeled=[0, 1, 2, 3])
+    with pytest.raises(DataFormatError, match=rf"^{a}_rows and {b}_rows share row 2$"):
+        FeatureDataset(np.ones((4, 2)), [0, 0, 0, 0], rows)
+
+
+@pytest.mark.parametrize("name", data_module.LABELED_SPLITS)
+def test_dataset_rejects_an_unlabeled_row_in_a_labeled_split(name):
+    rows = split_rows(**{name: [0, 2, 1]}, unseen_unlabeled=[2, 1])
+    with pytest.raises(DataFormatError, match=rf"^{name}_rows includes unlabeled row 2$"):
+        FeatureDataset(np.ones((3, 2)), [0, -1, -1], rows)
+    FeatureDataset(np.ones((3, 2)), [0, -1, -1], split_rows(**{name: [0]}, unseen_unlabeled=[2, 1]))
 
 
 def test_dataset_rejects_negative_label():
-    with pytest.raises(DataFormatError, match="negative"):
-        FeatureDataset(
-            seen_train=(np.ones((1, 2)), np.array([-1])),
-            seen_test=(np.ones((1, 2)), np.array([0])),
-            unseen_test=(np.ones((1, 2)), np.array([1])),
-            unseen_unlabeled=np.zeros((0, 2)),
-        )
+    with pytest.raises(DataFormatError, match=r"^seen_train has a negative class id$"):
+        FeatureDataset(np.ones((2, 2)), [-2, 1], split_rows(seen_train=[0], unseen_test=[1]))
+    # a pool row's class id is not checked
+    FeatureDataset(np.ones((2, 2)), [0, -2], split_rows(seen_train=[0], unseen_unlabeled=[1]))
 
 
-def test_dataset_checks_its_splits_in_splits_order():
-    """Each split is checked whole, in SPLITS order: a zero-norm seen_test
-    row is found before a non-finite pool, and the pool is checked as a
+def test_dataset_checks_the_row_lists_before_any_split_rows():
+    features = np.array([[np.nan, 1.0], [1.0, 1.0]])
+    with pytest.raises(DataFormatError, match=r"^unseen_test_rows references rows outside"):
+        FeatureDataset(features, [0, 1], split_rows(seen_train=[0], unseen_test=[2]))
+
+
+@pytest.mark.parametrize("defect, error", [
+    ([0.0, 0.0], "seen_test row 1 has zero norm"),
+    ([np.inf, 1.0], "seen_test features contain a non-finite value"),
+    ([1.0, 1.0], "unseen_unlabeled features contain a non-finite value"),
+])
+def test_dataset_names_the_first_split_in_splits_order_with_a_bad_row(defect, error):
+    """Each split is checked whole, in SPLITS order, whatever the order of
+    its rows in the matrix: a bad seen_test row is found before a non-finite
+    pool row, though the pool's row comes first; the pool is checked as a
     split without labels."""
-    ones = np.ones((2, 2))
-    for seen_test, error in [(np.array([[1.0, 2.0], [0.0, 0.0]]), "seen_test row 1 has zero norm"),
-                             (ones, "unseen_unlabeled features contain a non-finite value")]:
-        with pytest.raises(DataFormatError, match=f"^{error}$"):
-            FeatureDataset(
-                seen_train=(ones, np.array([0, 0])),
-                seen_test=(seen_test, np.array([0, 0])),
-                unseen_test=(ones, np.array([1, 1])),
-                unseen_unlabeled=np.array([[np.nan, 1.0]]),
-            )
+    features = np.array([[np.nan, 1.0], [1.0, 2.0], [1.0, 1.0], defect, [3.0, 1.0]])
+    rows = split_rows(seen_train=[2], seen_test=[1, 3], unseen_test=[4], unseen_unlabeled=[0])
+    with pytest.raises(DataFormatError, match=f"^{re.escape(error)}$"):
+        FeatureDataset(features, [-1, 0, 0, 0, 1], rows)
+
+
+def test_dataset_split_copies_its_rows_in_list_order():
+    features = np.arange(10.0).reshape(5, 2) + 1.0
+    data = FeatureDataset(features, [0, 1, 0, 2, -1],
+                          split_rows(seen_train=[3, 0, 2], unseen_test=[1], unseen_unlabeled=[4, 1]))
+    x, y = data.split("seen_train")
+    np.testing.assert_array_equal(x, features[[3, 0, 2]])
+    assert y.tolist() == [2, 0, 0]
+    x[:] = 0.0
+    assert data.features[3, 0] == 7.0
+    x, y = data.split("unseen_unlabeled")
+    np.testing.assert_array_equal(x, features[[4, 1]])
+    assert y.tolist() == [-1, 1]
+    assert data.split("seen_test")[0].shape == (0, 2)
 
 
 # ----------------------------------------------------------------- synthetic
@@ -205,10 +225,11 @@ def test_synthetic_shapes_and_split_sizes():
     assert hidden.shape == (s.feature_dim, s.attr_dim)
     per = s.samples_per_class
     cut = int(0.7 * per)
-    assert data.seen_train[0].shape == (s.seen_classes * cut, s.feature_dim)
-    assert data.seen_test[0].shape == (s.seen_classes * (per - cut), s.feature_dim)
-    assert data.unseen_test[0].shape == (s.unseen_classes * per, s.feature_dim)
-    np.testing.assert_array_equal(data.unseen_unlabeled, data.unseen_test[0])
+    assert data.features.shape == (attrs.n_classes * per, s.feature_dim)
+    assert data.split("seen_train")[0].shape == (s.seen_classes * cut, s.feature_dim)
+    assert data.split("seen_test")[0].shape == (s.seen_classes * (per - cut), s.feature_dim)
+    assert data.split("unseen_test")[0].shape == (s.unseen_classes * per, s.feature_dim)
+    np.testing.assert_array_equal(data.rows["unseen_unlabeled"], data.rows["unseen_test"])
 
 
 def test_synthetic_attributes_are_binary_and_distinct():
@@ -225,8 +246,8 @@ def test_synthetic_sigma_zero_gives_exact_prototypes():
                          feature_dim=5, samples_per_class=4, noise_sigma=0.0, seed=3)
     attrs, data, hidden = make_synthetic_dataset(spec)
     prototypes = attrs.attrs @ hidden.T
-    for feats, labels in (data.seen_train, data.seen_test, data.unseen_test):
-        for row, lab in zip(feats, labels):
+    for name in data_module.LABELED_SPLITS:
+        for row, lab in zip(*data.split(name)):
             np.testing.assert_array_equal(row, prototypes[lab])
 
 
@@ -235,7 +256,8 @@ def test_synthetic_deterministic():
     a2, d2, h2 = make_synthetic_dataset(TINY_SPEC)
     np.testing.assert_array_equal(a1.attrs, a2.attrs)
     np.testing.assert_array_equal(h1, h2)
-    np.testing.assert_array_equal(d1.seen_train[0], d2.seen_train[0])
+    np.testing.assert_array_equal(d1.features, d2.features)
+    np.testing.assert_array_equal(d1.labels, d2.labels)
 
 
 def test_synthetic_distinct_seeds_distinct_maps():
@@ -251,7 +273,7 @@ def test_synthetic_nearest_prototype_oracle_is_perfect():
     classifies unseen test samples perfectly."""
     attrs, data, hidden = make_synthetic_dataset(SyntheticSpec())
     prototypes = attrs.attrs @ hidden.T
-    feats, labels = data.unseen_test
+    feats, labels = data.split("unseen_test")
     dists = ((feats[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2)
     np.testing.assert_array_equal(np.argmin(dists, axis=1), labels)
 
@@ -291,10 +313,10 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(attrs.attrs, attrs2.attrs)
     assert attrs.seen_ids == attrs2.seen_ids
     assert attrs.unseen_ids == attrs2.unseen_ids
-    for name in ("seen_train", "seen_test", "unseen_test"):
-        np.testing.assert_array_equal(getattr(data, name)[0], getattr(data2, name)[0])
-        np.testing.assert_array_equal(getattr(data, name)[1], getattr(data2, name)[1])
-    np.testing.assert_array_equal(data.unseen_unlabeled, data2.unseen_unlabeled)
+    np.testing.assert_array_equal(data.features, data2.features)
+    np.testing.assert_array_equal(data.labels, data2.labels)
+    for name in data_module.SPLITS:
+        np.testing.assert_array_equal(data.rows[name], data2.rows[name])
 
 
 def test_save_twice_is_byte_identical(tmp_path):
@@ -379,7 +401,7 @@ def test_load_rejects_unlabeled_row_in_labeled_split(tmp_path):
     lines[1 + first_train_row] = ",".join(parts)
     fpath.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError,
-                       match=rf"split\.json: seen_train_rows includes unlabeled row {first_train_row}$"):
+                       match=rf"^seen_train_rows includes unlabeled row {first_train_row}$"):
         load_dataset(str(tmp_path))
 
 
@@ -404,17 +426,13 @@ def test_separate_pool_rows_roundtrip(tmp_path):
     """A pool that is not the unseen test set gets its own unlabeled rows."""
     feats = np.arange(16, dtype=np.float64).reshape(8, 2) + 1.0
     attrs = AttributeMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), (0,), (1,))
-    data = FeatureDataset(
-        seen_train=(feats[:3], np.array([0, 0, 0])),
-        seen_test=(feats[3:5], np.array([0, 0])),
-        unseen_test=(feats[5:7], np.array([1, 1])),
-        unseen_unlabeled=feats[7:],
-    )
+    data = dataset_of(2, seen_train=(feats[:3], [0, 0, 0]), seen_test=(feats[3:5], [0, 0]),
+                      unseen_test=(feats[5:7], [1, 1]), unseen_unlabeled=feats[7:])
     save_dataset(str(tmp_path), attrs, data)
     split = json.loads((tmp_path / "split.json").read_text())
-    assert split["unseen_unlabeled_rows"] != split["unseen_test_rows"]
+    assert split["unseen_unlabeled_rows"] == [7]
     _, data2 = load_dataset(str(tmp_path))
-    np.testing.assert_array_equal(data2.unseen_unlabeled, feats[7:])
+    np.testing.assert_array_equal(data2.split("unseen_unlabeled")[0], feats[7:])
     lines = (tmp_path / "features.csv").read_text().splitlines()
     assert lines[-1].startswith("-1,")
 
@@ -422,32 +440,36 @@ def test_separate_pool_rows_roundtrip(tmp_path):
 # ------------------------------------------------------------- kept splits
 
 
-def split_arrays(data, name):
-    """The arrays of one split: features and labels, or the pool's features."""
-    value = getattr(data, name)
-    return value if isinstance(value, tuple) else (value,)
-
-
 @pytest.mark.parametrize("splits", [
     ("seen_train",), ("seen_train", "unseen_unlabeled"), ("seen_test", "unseen_test"),
     ("unseen_test", "unseen_unlabeled"), ("unseen_unlabeled",),
 ], ids="+".join)
 def test_load_dataset_keeps_only_the_named_splits(tmp_path, splits):
-    """A named split has the bits of the full load; any other is empty, with
-    the feature width, (0, D), and no labels."""
+    """A named split has the bits of the full load; any other lists no rows.
+    The features hold the rows of the named splits and no others."""
     saved_dataset(tmp_path)
     _, full = load_dataset(str(tmp_path))
     _, data = load_dataset(str(tmp_path), splits)
     for name in data_module.SPLITS:
-        for got, want in zip(split_arrays(data, name), split_arrays(full, name)):
-            if name in splits:
+        if name in splits:
+            for got, want in zip(data.split(name), full.split(name)):
                 assert got.size and got.dtype == want.dtype
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-            else:
-                assert got.shape == ((0, full.feature_dim) if want.ndim == 2 else (0,))
-    # the pool that save_dataset folds into the unseen test rows shares their array
-    if "unseen_unlabeled" in splits:
-        assert (data.unseen_unlabeled is data.unseen_test[0]) == ("unseen_test" in splits)
+        else:
+            assert data.rows[name].shape == (0,)
+    kept = sorted(set().union(*(full.rows[name].tolist() for name in splits)))
+    np.testing.assert_array_equal(data.features.view(np.uint64),
+                                  full.features[kept].view(np.uint64))
+
+
+def test_subset_load_holds_each_kept_row_once(tmp_path):
+    """The pool that gen-data folds into the unseen test rows is not copied twice."""
+    attrs, _ = saved_dataset(tmp_path)
+    _, data = load_dataset(str(tmp_path), ("unseen_test", "unseen_unlabeled"))
+    n_unseen = len(attrs.unseen_ids) * TINY_SPEC.samples_per_class
+    assert data.features.shape == (n_unseen, TINY_SPEC.feature_dim)
+    assert data.rows["unseen_test"].tolist() == list(range(n_unseen))
+    assert data.rows["unseen_unlabeled"].tolist() == list(range(n_unseen))
 
 
 def test_load_dataset_rejects_an_unknown_split_name(tmp_path):
@@ -476,7 +498,7 @@ def edit_rows(tmp_path, key, edits):
 @pytest.mark.parametrize("edits, splits, message", [
     ([("seen_test_rows", 1, None, "0")], ("seen_train",), "seen_test row 1 has zero norm"),
     ([("unseen_test_rows", 2, 0, "-1")], ("seen_train",),
-     "split.json: unseen_test_rows includes unlabeled row {0}"),
+     "unseen_test_rows includes unlabeled row {0}"),
     ([("seen_test_rows", 0, 0, "-2")], ("seen_train", "unseen_unlabeled"),
      "seen_test has a negative class id"),
     ([("seen_test_rows", 0, 0, "4")], ("unseen_test",),
@@ -517,9 +539,9 @@ def test_load_rejects_labeled_splits_that_share_a_row(tmp_path, a, b):
     shared = split[f"{a}_rows"][-2:]
     split[f"{b}_rows"] = shared[::-1] + split[f"{b}_rows"]
     path.write_text(json.dumps(split))
-    message = f"split.json: {a}_rows and {b}_rows share row {min(shared)}"
+    message = f"{a}_rows and {b}_rows share row {min(shared)}"
     for splits in (data_module.SPLITS, (b,)):
-        with pytest.raises(DataFormatError, match=re.escape(message) + "$"):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             load_dataset(str(tmp_path), splits)
 
 
@@ -707,27 +729,22 @@ def test_dataset_codec_matches_reference(tmp_path):
     feats = np.column_stack([edge_matrix(16, 3, seed=13), np.arange(1.0, 17.0)])
     attrs_header = "class_id,a_1,a_2,a_3,a_4"
     attrs = AttributeMatrix(attr_values, (0, 1, 2), (3,))
-    data = FeatureDataset(
-        seen_train=(feats[:6], np.array([0, 1, 2, 0, 1, 2])),
-        seen_test=(feats[6:9], np.array([2, 1, 0])),
-        unseen_test=(feats[9:13], np.full(4, 3)),
-        unseen_unlabeled=feats[13:],
-    )
+    labels = np.array([0, 1, 2, 0, 1, 2, 2, 1, 0, 3, 3, 3, 3, -1, -1, -1])
+    data = FeatureDataset(feats, labels, split_rows(
+        seen_train=range(6), seen_test=range(6, 9), unseen_test=range(9, 13),
+        unseen_unlabeled=range(13, 16)))
     save_dataset(str(tmp_path), attrs, data)
     attrs2, data2 = load_dataset(str(tmp_path))
     reference_write(tmp_path / "ref_attrs.csv", attrs_header, attr_values, np.arange(4))
     assert (tmp_path / "attributes.csv").read_bytes() == (tmp_path / "ref_attrs.csv").read_bytes()
-    labels = np.concatenate([data.seen_train[1], data.seen_test[1], data.unseen_test[1], [-1, -1, -1]])
     reference_write(tmp_path / "ref_feats.csv", "class_id,x_1,x_2,x_3,x_4", feats, labels)
     assert (tmp_path / "features.csv").read_bytes() == (tmp_path / "ref_feats.csv").read_bytes()
 
     assert_same_bits(attrs2.attrs, reference_read(tmp_path / "attributes.csv", 1)[:, 1:])
     assert_same_bits(attrs2.attrs, attr_values)
     assert_same_bits(reference_read(tmp_path / "features.csv", 1)[:, 1:], feats)
-    for name in ("seen_train", "seen_test", "unseen_test"):
-        assert_same_bits(getattr(data2, name)[0], getattr(data, name)[0])
-        np.testing.assert_array_equal(getattr(data2, name)[1], getattr(data, name)[1])
-    assert_same_bits(data2.unseen_unlabeled, data.unseen_unlabeled)
+    assert_same_bits(data2.features, feats)
+    np.testing.assert_array_equal(data2.labels, labels)
 
 
 @pytest.mark.parametrize("name, line, col, cell, message", [
@@ -1016,9 +1033,8 @@ def test_load_dataset_peak_memory_is_about_twice_its_arrays(tmp_path):
     attrs, data, _ = make_synthetic_dataset(SyntheticSpec(feature_dim=256, samples_per_class=40))
     save_dataset(str(tmp_path), attrs, data)
     (attrs2, data2), peak = traced_peak(load_dataset, str(tmp_path))
-    arrays = [attrs2.attrs, data2.unseen_unlabeled,
-              *(x for name in ("seen_train", "seen_test", "unseen_test") for x in getattr(data2, name))]
-    returned = sum({id(x): x.nbytes for x in arrays}.values())
+    arrays = [attrs2.attrs, data2.features, data2.labels, *data2.rows.values()]
+    returned = sum(x.nbytes for x in arrays)
     assert peak <= 2.5 * returned
 
 
@@ -1035,13 +1051,13 @@ def test_a_file_whose_lines_end_in_cr_is_read_a_line_at_a_time(tmp_path):
 
 
 def test_check_split_makes_no_temporary_of_the_split_size():
-    """FeatureDataset's zero-norm check sums each row's squares in place:
-    only the boolean finiteness mask, an eighth of the split, is left."""
+    """FeatureDataset's checks sum each row's squares in place, and test
+    element by element only the rows whose sum is not finite: no temporary
+    of the features' size, not even a boolean one."""
     features = SeededRng(3).gaussian(2000 * 2048).reshape(2000, 2048)
-    labels, empty = np.zeros(2000, dtype=np.int64), np.zeros((0, 2048))
-    no_rows = (empty, np.zeros(0, dtype=np.int64))
-    data, peak = traced_peak(FeatureDataset, (features, labels), no_rows, no_rows, empty)
-    assert data.seen_train[0] is features
+    labels, rows = np.zeros(2000, dtype=np.int64), split_rows(seen_train=np.arange(2000))
+    data, peak = traced_peak(FeatureDataset, features, labels, rows)
+    assert data.features is features
     assert peak <= 0.2 * features.nbytes
 
 
@@ -1066,26 +1082,26 @@ def reference_synthetic_splits(spec):
 @pytest.mark.parametrize("spec", [TINY_SPEC, SyntheticSpec(samples_per_class=7, noise_sigma=0.0)])
 def test_synthetic_splits_match_reference(spec):
     _, data, _ = make_synthetic_dataset(spec)
-    got = (data.seen_train[0], data.seen_test[0], data.unseen_test[0])
+    got = (data.split(name)[0] for name in data_module.LABELED_SPLITS)
     for a, b in zip(got, reference_synthetic_splits(spec)):
         assert a.tobytes() == b.tobytes()
 
 
 def test_synthetic_rows_are_drawn_straight_into_their_splits():
-    """No stacked array of all rows and no second copy of the unseen rows:
-    the unlabeled pool is the unseen test array, and the peak stays near
-    the size of the splits."""
+    """No second copy of the rows and none of the unseen rows: the
+    unlabeled pool lists the unseen test rows, and the peak stays near the
+    size of the one feature matrix."""
     spec = SyntheticSpec(seen_classes=40, unseen_classes=10, feature_dim=256, samples_per_class=40)
     (_, data, _), peak = traced_peak(make_synthetic_dataset, spec)
-    assert data.unseen_unlabeled is data.unseen_test[0]
-    held = sum(getattr(data, name)[0].nbytes for name in ("seen_train", "seen_test", "unseen_test"))
+    np.testing.assert_array_equal(data.rows["unseen_unlabeled"], data.rows["unseen_test"])
+    held = data.features.nbytes
     assert peak <= 1.5 * held
 
 
 def test_save_dataset_writes_the_splits_without_stacking_them(tmp_path):
-    """features.csv is written split by split: the peak holds no copy of the
-    splits' rows."""
+    """features.csv is written from the one feature matrix as it is held:
+    the peak holds no copy of its rows."""
     attrs, data, _ = make_synthetic_dataset(SyntheticSpec(feature_dim=256, samples_per_class=40))
     _, peak = traced_peak(save_dataset, str(tmp_path), attrs, data)
-    written = sum(getattr(data, name)[0].nbytes for name in ("seen_train", "seen_test", "unseen_test"))
+    written = data.features.nbytes
     assert peak <= 0.25 * written

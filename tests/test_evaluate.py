@@ -280,12 +280,10 @@ def test_evaluate_rejects_bad_inputs(clean_dataset):
     g = oracle_generator(hidden_map)
     with pytest.raises(ConfigError, match=r"mode must be one of \(.*\), got 'zero-shot'"):
         evaluate("zero-shot", g, attrs, data, EvalConfig())
-    empty = dataclasses.replace(
-        data, unseen_test=(np.zeros((0, data.feature_dim)), np.zeros(0, dtype=np.int64)))
+    empty = dataclasses.replace(data, rows={**data.rows, "unseen_test": []})
     with pytest.raises(DataFormatError, match="unseen test split"):
         evaluate("standard", g, attrs, empty, EvalConfig())
-    no_seen = dataclasses.replace(
-        data, seen_test=(np.zeros((0, data.feature_dim)), np.zeros(0, dtype=np.int64)))
+    no_seen = dataclasses.replace(data, rows={**data.rows, "seen_test": []})
     with pytest.raises(DataFormatError, match="seen test split"):
         evaluate("generalized", g, attrs, no_seen, EvalConfig())
 
@@ -351,7 +349,7 @@ def reference_evaluate(mode, g, attrs, data, cfg):
         feats, labels = synthesize_class_features(g, attrs, classes,
                                                   cfg.n_synth_per_class, synth_rng)
         clf = train_softmax(feats, labels, classes, cfg.classifier, clf_rng)
-        test_feats, test_labels = data.unseen_test
+        test_feats, test_labels = data.split("unseen_test")
         pred = predict_ids(clf, test_feats)
         per_class, a_u = per_class_top1(pred, test_labels, classes)
         return {"mode": mode, "per_class": {str(c): v for c, v in per_class.items()},
@@ -363,8 +361,8 @@ def reference_evaluate(mode, g, attrs, data, cfg):
                                               cfg.n_synth_per_class, synth_rng)
     clf = train_softmax(feats, labels, classes, cfg.classifier, clf_rng)
 
-    seen_feats, seen_labels = data.seen_test
-    unseen_feats, unseen_labels = data.unseen_test
+    seen_feats, seen_labels = data.split("seen_test")
+    unseen_feats, unseen_labels = data.split("unseen_test")
     pred_seen = predict_ids(clf, seen_feats)
     pred_unseen = predict_ids(clf, unseen_feats)
     per_seen, a_s = per_class_top1(pred_seen, seen_labels, attrs.seen_ids)
@@ -410,8 +408,9 @@ def test_generalized_classifier_learns_from_generated_rows_only(noisy_dataset, m
         return train_softmax(features, *args)
 
     monkeypatch.setattr(evaluate_module, "train_softmax", spy)
-    feats, labels = data.seen_train
-    swapped = dataclasses.replace(data, seen_train=(-feats[::-1], labels))
+    features, train_rows = data.features.copy(), data.rows["seen_train"]
+    features[train_rows] = -features[train_rows[::-1]]
+    swapped = dataclasses.replace(data, features=features)
     got = evaluate("generalized", g, attrs, data, cfg)
     assert evaluate("generalized", g, attrs, swapped, cfg) == got
     assert rows == [attrs.n_classes * cfg.n_synth_per_class] * 2

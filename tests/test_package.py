@@ -81,6 +81,31 @@ def test_every_perfbench_trace_site_is_callable_after_importing_the_cli():
     assert out == "[]\n"
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    """The first call of np.unique, np.intersect1d or np.split imports
+    numpy.ma, about 15 ms and 1 MB of resident memory a command: each
+    command, run in a fresh interpreter, leaves it unimported."""
+    (tmp_path / "gen.json").write_text(json.dumps({
+        "seen_classes": 3, "unseen_classes": 2, "attr_dim": 6, "feature_dim": 8,
+        "samples_per_class": 8}))
+    (tmp_path / "cost.csv").write_text("rows,cols\n2,3\n0,1,2\n1,0,0.5\n")
+    data_dir, small = str(tmp_path / "data"), ["--epochs", "1"]
+    runs = {"data": ["gen-data", "--config", str(tmp_path / "gen.json")],
+            "train": ["train", "--data", data_dir, *small],
+            "trans": ["train", "--data", data_dir, *small, "--mode", "transductive"],
+            **{mode: ["eval", "--data", data_dir, "--mode", mode, "--n-synth-per-class", "3",
+                      "--checkpoint", str(tmp_path / ("trans" if mode == "transductive" else "train")
+                                          / "checkpoint.bin")] for mode in evaluate.PROTOCOLS},
+            "export": ["export", "--data", data_dir, "--checkpoint",
+                       str(tmp_path / "train" / "checkpoint.bin")],
+            "solve": ["solve-ot", "--cost", str(tmp_path / "cost.csv")],
+            "compare": ["compare-solvers", "--size", "4", "--instances", "1", "--iters", "5"]}
+    for out, argv in runs.items():
+        argv = [*argv, "--out", str(tmp_path / out)]
+        code = f"import sys\nfrom otzsl.cli import main\nprint(main({argv!r}), 'numpy.ma' in sys.modules)"
+        assert fresh_python(code).splitlines()[-1] == "0 False", argv
+
+
 def test_perfbench_counters_read_the_arguments_they_name():
     """perfbench's counters read these arguments by position."""
     def params(fn):

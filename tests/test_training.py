@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otzsl import generator, training
-from otzsl.data import (UNLABELED, AttributeMatrix, FeatureDataset, SyntheticSpec,
-                        make_synthetic_dataset)
+from otzsl.data import UNLABELED, AttributeMatrix, SyntheticSpec, make_synthetic_dataset
 from otzsl.errors import ConfigError, DataFormatError, SolverError
 from otzsl.evaluate import ClassifierParams
 from otzsl.generator import (GeneratorParams, backward, generator_forward, init_generator,
@@ -19,7 +18,7 @@ from otzsl.ot import Marginals, TransportPlan, transition_plan
 from otzsl.rng import SeededRng
 from otzsl.training import (TraceRow, TrainConfig, sample_real_batch, sample_synth_batch,
                             train, write_trace_csv)
-from tests.conftest import count_finiteness_checks, traced_peak
+from tests.conftest import count_finiteness_checks, dataset_of, traced_peak
 
 
 def four_class_attrs():
@@ -29,12 +28,9 @@ def four_class_attrs():
 def dataset_from_rows(rows, labels, feature_dim=6, pool=None):
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, feature_dim)
     labels = np.asarray(labels, dtype=np.int64)
-    empty = (np.zeros((0, feature_dim)), np.zeros(0, dtype=np.int64))
-    if pool is None:
-        pool = np.zeros((0, feature_dim))
-    return FeatureDataset(seen_train=(rows, labels), seen_test=empty,
-                          unseen_test=(rows[:1], labels[:1]),
-                          unseen_unlabeled=pool)
+    pool = {} if pool is None else {"unseen_unlabeled": pool}
+    return dataset_of(feature_dim, seen_train=(rows, labels), unseen_test=(rows[:1], labels[:1]),
+                      **pool)
 
 
 def constant_generator(attr_dim, feature_dim, value):
@@ -129,11 +125,11 @@ def test_sample_real_transductive_mixes_unlabeled():
 def reference_sample_real_batch(data, b, rng, transductive=False):
     """The sampler that stacked the seen and unlabeled pools on every call,
     kept as the reference for the draws."""
-    feats, labels = data.seen_train
-    if transductive and data.unseen_unlabeled.shape[0]:
-        feats = np.vstack([feats, data.unseen_unlabeled])
-        labels = np.concatenate([
-            labels, np.full(data.unseen_unlabeled.shape[0], UNLABELED, dtype=np.int64)])
+    feats, labels = data.split("seen_train")
+    if transductive:
+        pool = data.split("unseen_unlabeled")[0]
+        feats = np.vstack([feats, pool])
+        labels = np.concatenate([labels, np.full(pool.shape[0], UNLABELED, dtype=np.int64)])
     idx = rng.integers(feats.shape[0], b)
     return feats[idx], labels[idx]
 
@@ -156,14 +152,13 @@ def test_sample_real_transductive_copies_only_the_batch(desk_dataset):
     assert peak <= 2 * batch.nbytes + 4096  # not the seen and unlabeled pools stacked
 
 
-@pytest.mark.parametrize("pool_shape", [(0, 6), (0, 0)])
 @pytest.mark.parametrize("transductive", [False, True])
-def test_sample_real_without_unlabeled_rows_draws_seen_rows(pool_shape, transductive):
-    """An empty pool, as load_dataset leaves it (0 x D) or as a hand-built
-    dataset may give it (0 x 0), adds no rows in either mode: the batch is
-    the seen rows at the drawn indices, with their labels and dtypes."""
+def test_sample_real_without_unlabeled_rows_draws_seen_rows(transductive):
+    """A pool that lists no rows, as load_dataset leaves it when training
+    reads no pool, adds no rows in either mode: the batch is the seen rows
+    at the drawn indices, with their labels and dtypes."""
     rows = SeededRng(6).gaussian(30).reshape(5, 6)
-    data = dataset_from_rows(rows, [0, 1, 0, 1, 1], pool=np.zeros(pool_shape))
+    data = dataset_from_rows(rows, [0, 1, 0, 1, 1])
     feats, labels = sample_real_batch(data, 7, SeededRng(2), transductive)
     idx = SeededRng(2).integers(5, 7)
     assert feats.dtype == np.float64 and np.array_equal(feats, rows[idx])
@@ -171,10 +166,7 @@ def test_sample_real_without_unlabeled_rows_draws_seen_rows(pool_shape, transduc
 
 
 def test_sample_real_empty_pool_errors():
-    empty = (np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
-    data = FeatureDataset(seen_train=empty, seen_test=empty,
-                          unseen_test=(np.ones((1, 6)), np.zeros(1, dtype=np.int64)),
-                          unseen_unlabeled=np.zeros((0, 6)))
+    data = dataset_of(6, unseen_test=(np.ones((1, 6)), [0]))
     with pytest.raises(ValueError, match="empty pool"):
         sample_real_batch(data, 4, SeededRng(0))
 
@@ -266,7 +258,7 @@ def test_train_p_one_never_takes_transition(tiny_dataset):
     attrs, data, _ = tiny_dataset
     _, trace = train(data, attrs, quick_cfg(ot_prob=1.0))
     assert [row.branch for row in trace].count("transition") == 0
-    assert len(trace) == math.ceil(data.seen_train[0].shape[0] / 4)
+    assert len(trace) == math.ceil(data.rows["seen_train"].size / 4)
 
 
 def test_train_p_zero_all_transition(tiny_dataset):
@@ -337,7 +329,7 @@ def test_train_trace_bookkeeping(tiny_dataset, monkeypatch):
     steps, adam_step = [], training.adam_step
     monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(adam_step(*args)))
     _, trace = train(data, attrs, quick_cfg(epochs=3))
-    iters = math.ceil(data.seen_train[0].shape[0] / 4)
+    iters = math.ceil(data.rows["seen_train"].size / 4)
     assert len(trace) == 3 * iters
     assert len(steps) == 3 * iters
     assert all(np.isfinite([row.total_loss for row in trace]))
@@ -350,7 +342,8 @@ def test_train_runs_the_generator_once_per_step(tiny_dataset, monkeypatch, mode,
     # passes of the network train builds for the generator are counted; a
     # one-row unlabeled pool leaves transductive batches without it now and then
     attrs, data, _ = tiny_dataset
-    data = dataclasses.replace(data, unseen_unlabeled=data.unseen_unlabeled[:1])
+    data = dataclasses.replace(data, rows={**data.rows,
+                                           "unseen_unlabeled": data.rows["unseen_unlabeled"][:1]})
     made, rows = [], []
     init = training.init_generator
 
@@ -441,10 +434,7 @@ def test_train_transductive_needs_pool(tiny_dataset):
 
 def test_train_needs_labeled_samples(tiny_dataset):
     attrs, _, _ = tiny_dataset
-    empty = (np.zeros((0, 8)), np.zeros(0, dtype=np.int64))
-    data = FeatureDataset(seen_train=empty, seen_test=empty,
-                          unseen_test=(np.ones((1, 8)), np.zeros(1, dtype=np.int64)),
-                          unseen_unlabeled=np.zeros((0, 8)))
+    data = dataset_of(8, unseen_test=(np.ones((1, 8)), [0]))
     with pytest.raises(DataFormatError, match="labeled seen samples"):
         train(data, attrs, quick_cfg())
 
@@ -507,7 +497,7 @@ def test_train_step_checks_vectors_not_blocks(tiny_dataset, monkeypatch, ot_prob
     train(data, attrs, quick_cfg(ot_prob=ot_prob, epochs=1))
     one_epoch = len(checked)
     train(data, attrs, quick_cfg(ot_prob=ot_prob, epochs=2))
-    steps = math.ceil(data.seen_train[0].shape[0] / 4)
+    steps = math.ceil(data.rows["seen_train"].size / 4)
     assert len(checked) - 2 * one_epoch == per_step * steps  # the setup checks cancel out
 
 
@@ -523,7 +513,7 @@ def test_train_loss_decreases(desk_dataset):
     attrs, data, _ = desk_dataset
     cfg = TrainConfig(reg_weight=0.05, batch_size=32, hidden_dim=32, epochs=10, seed=0)
     _, trace = train(data, attrs, cfg)
-    iters = math.ceil(data.seen_train[0].shape[0] / 32)
+    iters = math.ceil(data.rows["seen_train"].size / 32)
     per_epoch = np.asarray([row.total_loss for row in trace]).reshape(10, iters).mean(axis=1)
     assert per_epoch[-1] <= 0.8 * per_epoch[0]
 
@@ -631,7 +621,7 @@ def test_dataclasses_that_hold_arrays_compare_and_hash_by_identity(tiny_dataset)
     attrs, data, _ = tiny_dataset
     g, _ = train(data, attrs, TrainConfig(epochs=1, batch_size=8, hidden_dim=4))
     f = init_mlp(g.feature_dim, 4, g.attr_dim, SeededRng(1))
-    feats, labels = data.seen_train[0][:2], data.seen_train[1][:2]
+    feats, labels = (x[:2] for x in data.split("seen_train"))
     plan = TransportPlan(transition_plan(labels, labels), converged=True, iterations_used=0)
     generated = generator_forward(g, attrs.attrs[labels],
                                   SeededRng(2).gaussian(2 * g.attr_dim).reshape(2, -1))

@@ -38,7 +38,7 @@ def dataset_of(feature_dim, **splits) -> FeatureDataset:
     SPLITS order: a labeled split is a (features, class ids) pair, the pool
     an array of features, each row of it UNLABELED; a split not given lists
     no rows."""
-    feats, labels, rows, start = [np.zeros((0, feature_dim))], [np.zeros(0, dtype=np.int64)], {}, 0
+    feats, labels, rows, start = [], [], {}, 0
     for name in SPLITS:
         split = splits.get(name, np.zeros((0, feature_dim)))
         x, y = split if isinstance(split, tuple) else (split, np.full(len(split), UNLABELED))

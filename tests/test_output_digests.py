@@ -4,10 +4,10 @@ paper workloads train at.
 
 Each command runs as `python -m otzsl` in a fresh interpreter with the BLAS
 thread variables set to 1, as perfbench runs it, inside one work directory
-where every path a command is given or prints is relative. The children also
-pin OpenBLAS's kernel (BLAS_CORE), whatever the caller's environment says. The digests cover
-every file the commands write and every command's stdout, so a change that is
-meant to keep the output bytes shows that it does. A change that alters them
+where every path a command is given or prints is relative, and with
+OpenBLAS's kernel pinned (BLAS_CORE) whatever the caller's environment says.
+The digests cover every file the commands write and every command's stdout,
+so a change that is meant to keep the output bytes shows that it does. A change that alters them
 on purpose replaces the dict of each failing test (DIGESTS,
 WORKLOAD_DIGESTS) with the dict its assertion prints, and says so.
 

@@ -20,9 +20,11 @@ The suites, in order, from the repository root:
    here, on any machine whose default kernel is not Haswell's.
 
 Each suite runs even when an earlier one failed. Then come the line count of
-each module of src/otzsl/, a summary line per suite, and the line count of
-src/otzsl/ (each as `wc -l` counts it), the figure the ROADMAP's design aim
-tracks; the counts gate nothing.
+each module of src/otzsl/, the number of config keys of each command (read
+from the CLI's key tables, so a change that adds or drops a knob shows it),
+a summary line per suite, and the line count of src/otzsl/ (each as `wc -l`
+counts it), the figure the ROADMAP's design aim tracks; the counts gate
+nothing.
 """
 
 import os
@@ -33,6 +35,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from otzsl import cli
 
 
 def pytest(cwd, *args, **variables) -> int:
@@ -62,6 +67,14 @@ def src_lines() -> dict:
             for path in sorted((ROOT / "src" / "otzsl").glob("*.py"))}
 
 
+def config_key_counts() -> dict:
+    """The number of config keys of each command of the CLI, by command name,
+    in the order of its help."""
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions if action.dest == "command")
+    return {name: len(parser.parse_args([name]).keys) for name in commands}
+
+
 def main() -> int:
     results = [
         ("tier-1", pytest(ROOT, "-q", "--continue-on-collection-errors")),
@@ -73,6 +86,8 @@ def main() -> int:
     counts = src_lines()
     for name, count in counts.items():
         print(f"src/otzsl/{name}: {count} lines")
+    for command, count in config_key_counts().items():
+        print(f"{command}: {count} config keys")
     for name, code in results:
         print(f"{name}: {'PASS' if code == 0 else f'FAIL (pytest exit {code})'}")
     print(f"src/otzsl: {sum(counts.values())} lines")

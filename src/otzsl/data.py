@@ -264,6 +264,15 @@ def _class_id(cell: str) -> float:
     return float(cell.strip())  # float() keeps some whitespace that \s matches
 
 
+def _open(path: str, **kwargs):
+    """open(path, **kwargs), a file to read; one that cannot be opened is a
+    DataFormatError naming it."""
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _lines(path: str):
     """Yield each non-blank line of a text file with its 1-based number.
     Lines break at LF, CRLF and CR, as numpy and universal newlines read a
@@ -274,7 +283,7 @@ def _lines(path: str):
     number = offset = 0
     # latin-1 reads each byte as one character, and newline="" ends a line at
     # LF, CRLF or CR, so each line is bytes.splitlines' line, read one at a time
-    with open(path, encoding="latin-1", newline="") as fh:
+    with _open(path, encoding="latin-1", newline="") as fh:
         for text in fh:
             raw = text.encode("latin-1")
             try:  # with its line end, so a bad byte reads as in the whole text
@@ -324,7 +333,7 @@ def _read_csv(path: str, n_head: int, check_head, class_ids: bool = False,
             values = np.empty((0, width))  # loadtxt would warn on a body with no rows
         else:
             try:  # comments=None, or loadtxt reads the cell `2#3` as 2
-                with open(path, encoding="utf-8") as fh:  # by name, numpy also opens URLs
+                with _open(path, encoding="utf-8") as fh:  # by name, numpy also opens URLs
                     values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
                                         skiprows=head[-1][0],
                                         converters={0: _class_id} if class_ids else None)
@@ -399,7 +408,7 @@ def load_dataset(dir_path: str, splits=SPLITS) -> tuple[AttributeMatrix, Feature
     split_path = os.path.join(dir_path, "split.json")
     if not os.path.isfile(split_path):
         raise DataFormatError(f"missing file: {split_path}")
-    with open(split_path, encoding="utf-8") as fh:
+    with _open(split_path, encoding="utf-8") as fh:
         try:
             split = json.load(fh, object_pairs_hook=unique_keys)
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a repeated key, deep nesting

@@ -186,8 +186,8 @@ def ipot_solve(cost, marg: Marginals | None = None, *, reg: float = IPOT_REG,
     result is a valid coupling; trace rows record the raw iterates. The
     default cap is generous: typical instances stop within a few hundred
     steps, but near-tied instances converge linearly with rate close to 1 and
-    need tens of thousands. Training caps each batch solve at 25 steps
-    instead (TrainConfig).
+    need tens of thousands. Training runs each batch solve for all of its
+    25 steps instead (stop_tol 0, TrainConfig).
 
     Right after each sweep, every plan entry below the smallest normal
     float64 (`np.finfo(np.float64).tiny`, about 2.2e-308) is set to zero.

@@ -53,17 +53,17 @@ class TrainConfig:
     term, and nca_scale is that regularizer's softmax sharpness. mode is one
     of MODES; the generalized protocol evaluates a standard-mode generator.
 
-    ipot_reg, ipot_max_outer_iters and ipot_stop_tol are the reg, iterations
-    and stop_tol of each batch's ipot_solve. The default budget is
-    deliberately small, 25 proximal steps of one sweep each. Training
-    re-solves a fresh batch every step and only needs the current inexact
-    proximal iterate for a gradient, not a converged plan (Xie et al. 2018,
-    arXiv 1802.04307); batch cost matrices with near-tied entries would
-    otherwise crawl for tens of thousands of sweeps every iteration. On the
-    default synthetic dataset, over training seeds 0-4, 25 steps keep the
-    mean and the min of standard A_u, generalized H and transductive A_u
-    within 0.01 of a 200-step budget (README, "Performance"). The config
-    `{"ipot_max_outer_iters": 200}` restores the earlier 200-step budget.
+    ipot_reg and ipot_max_outer_iters are the reg and iterations of each
+    batch's ipot_solve, which runs every step (stop_tol 0): 25 proximal
+    steps of one sweep each by default. Training re-solves a fresh batch
+    every step and only needs the current inexact proximal iterate for a
+    gradient, not a converged plan (Xie et al. 2018, arXiv 1802.04307);
+    batch cost matrices with near-tied entries would otherwise crawl for
+    tens of thousands of sweeps every iteration. On the default synthetic
+    dataset, over training seeds 0-4, 25 steps keep the mean and the min of
+    standard A_u, generalized H and transductive A_u within 0.01 of a
+    200-step budget (README, "Performance"), which the config
+    `{"ipot_max_outer_iters": 200}` restores.
     """
 
     ot_prob: float = knob(0.9, at_least=0, at_most=1)
@@ -71,7 +71,6 @@ class TrainConfig:
     nca_scale: float = knob(0.5, above=0)
     ipot_reg: float = knob(0.5, above=0)
     ipot_max_outer_iters: int = knob(25, at_least=1)
-    ipot_stop_tol: float = knob(1e-7, at_least=0)
     batch_size: int = knob(32, at_least=2)
     learning_rate: float = knob(0.001, at_least=0)
     epochs: int = knob(30, at_least=1)
@@ -187,8 +186,7 @@ def train(data: FeatureDataset, attrs: AttributeMatrix,
                     synth = generated[0] if transductive else generated[0][:b]
                     cost = cosine_cost_matrix(real_feats, synth)
                     core = ipot_solve(cost, marg, reg=cfg.ipot_reg,
-                                      iterations=cfg.ipot_max_outer_iters,
-                                      stop_tol=cfg.ipot_stop_tol).values
+                                      iterations=cfg.ipot_max_outer_iters, stop_tol=0.0).values
                 else:
                     branch = "transition"
                     core = transition_plan(real_classes, s_classes)

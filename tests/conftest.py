@@ -1,5 +1,8 @@
 import ast
+import builtins
+import errno
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -106,3 +109,18 @@ def count_finiteness_checks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(np, "isfinite", counting)
     return sizes
+
+
+def deny_open(monkeypatch, path, nth: int = 1) -> None:
+    """Make the nth and every later open of `path` raise PermissionError, as
+    on a file its reader may not read (root ignores chmod, so open is patched)."""
+    opened, real_open = [], builtins.open
+
+    def fake(file, *args, **kwargs):
+        if os.fspath(file) == os.fspath(path):
+            opened.append(file)
+            if len(opened) >= nth:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", fake)

@@ -25,7 +25,7 @@ from otzsl.evaluate import ClassifierConfig, EvalConfig
 from otzsl.rng import MAX_SEED, SeededRng
 from otzsl.training import TrainConfig
 
-from conftest import random_cost, reference_write_json
+from conftest import deny_open, random_cost, reference_write_json
 
 TINY_GEN = {
     "seen_classes": 3,
@@ -162,6 +162,49 @@ def test_config_bad_json(tmp_path):
     assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh-out", "existing-out"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_config_that_cannot_be_read_is_a_usage_error(kind, fresh, tmp_path, capsys):
+    """--config naming a missing file or a directory exits 2 before any
+    work, and --out stays as it was."""
+    cfg = tmp_path / "cfg.json"
+    if kind == "directory":
+        cfg.mkdir()
+    out = tmp_path / "runs" / "run"
+    if not fresh:
+        out.mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+    before = snapshot(tmp_path)
+    assert run(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    code = errno.ENOENT if kind == "missing" else errno.EISDIR
+    assert capsys.readouterr() == (
+        "", f"error: cannot read config: [Errno {code}] {os.strerror(code)}: {str(cfg)!r}\n")
+    assert snapshot(tmp_path) == before
+
+
+# Each input file of train and solve-ot and the open that fails: a CSV is
+# opened by the line reader and then again for the parse of its body.
+@pytest.mark.parametrize("command, name, nth", [
+    ("train", "attributes.csv", 1), ("train", "features.csv", 2), ("train", "split.json", 1),
+    ("solve-ot", "cost.csv", 1), ("solve-ot", "cost.csv", 2)])
+def test_an_input_that_cannot_be_opened_is_a_data_error(command, name, nth, workspace, tmp_path,
+                                                         monkeypatch, capsys):
+    """An input file that exists but cannot be opened exits 2 with an error
+    that names it, not as an unexpected error, and writes no --out."""
+    cost = tmp_path / "cost.csv"
+    save_matrix_csv(np.array([[0.5]]), str(cost))
+    if command == "solve-ot":
+        path, argv = cost, ["solve-ot", "--cost", str(cost)]
+    else:
+        path, argv = workspace["data"] / name, ["train", "--data", str(workspace["data"]),
+                                                "--epochs", "1"]
+    deny_open(monkeypatch, str(path), nth)
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read {path}: Permission denied\n")
+    assert not out.exists()
+
+
 def test_config_echoed(workspace):
     echoed = json.loads((workspace["run"] / "config.json").read_text())
     assert echoed["epochs"] == 2 and echoed["hidden_dim"] == 8
@@ -174,8 +217,7 @@ CONFIG_KEYS = {
     "gen-data": {"seen_classes", "unseen_classes", "attr_dim", "feature_dim",
                  "samples_per_class", "noise_sigma", "seed"},
     "train": {"data", "ot_prob", "reg_weight", "nca_scale", "batch_size", "learning_rate",
-              "epochs", "seed", "mode", "hidden_dim", "ipot_reg",
-              "ipot_max_outer_iters", "ipot_stop_tol"},
+              "epochs", "seed", "mode", "hidden_dim", "ipot_reg", "ipot_max_outer_iters"},
     "eval": {"data", "checkpoint", "mode", "n_synth_per_class", "seed",
              "classifier_learning_rate", "classifier_epochs", "classifier_batch_size"},
     "solve-ot": {"cost", "solver", "lambda", "iters", "stop_tol"},
@@ -858,7 +900,6 @@ BOUND_TABLE = {
     (TrainConfig, "nca_scale"): ([TINY], [0.0]),
     (TrainConfig, "ipot_reg"): ([TINY], [0.0]),
     (TrainConfig, "ipot_max_outer_iters"): ([1], [0]),
-    (TrainConfig, "ipot_stop_tol"): ([0.0], [-TINY]),
     (TrainConfig, "batch_size"): ([2], [1]),
     (TrainConfig, "learning_rate"): ([0.0], [-TINY]),
     (TrainConfig, "epochs"): ([1], [0]),
@@ -1160,6 +1201,20 @@ def test_an_old_eval_config_with_top_k_is_an_unknown_key(value, workspace, tmp_p
     assert run(["eval", "--config", str(cfg), "--data", str(workspace["data"]),
                 "--checkpoint", str(workspace["ckpt"]), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}: unknown keys ['top_k']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [None, 1e-7])
+def test_an_old_train_config_with_ipot_stop_tol_is_an_unknown_key(value, workspace, tmp_path,
+                                                                  capsys):
+    """Every training solve runs its whole IPOT budget; a train config written
+    while ipot_stop_tol was a key is rejected before anything is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "ipot_stop_tol": value}))
+    out = tmp_path / "o"
+    assert run(["train", "--config", str(cfg), "--data", str(workspace["data"]),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown keys ['ipot_stop_tol']\n"
     assert not out.exists()
 
 

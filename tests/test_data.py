@@ -24,7 +24,14 @@ from otzsl.data import (
 )
 from otzsl.errors import DataFormatError
 from otzsl.rng import SeededRng
-from tests.conftest import TINY_SPEC, dataset_of, reference_write_json, split_rows, traced_peak
+from tests.conftest import (
+    TINY_SPEC,
+    dataset_of,
+    deny_open,
+    reference_write_json,
+    split_rows,
+    traced_peak,
+)
 
 
 # ----------------------------------------------------------- attribute matrix
@@ -104,6 +111,16 @@ def test_attribute_matrix_accessors():
     am = AttributeMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), (0,), (1,))
     assert am.n_classes == 2
     assert am.attr_dim == 2
+
+
+@pytest.mark.parametrize("attrs, message", [
+    (np.ones(2), r"attribute matrix must be 2-D, got shape \(2,\)"),
+    (np.zeros((0, 2)), r"attribute matrix must be 2-D, got shape \(0, 2\)"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "attribute matrix has a non-finite entry"),
+], ids=["1-D", "no-rows", "non-finite"])
+def test_attribute_matrix_must_be_a_finite_matrix_of_one_row_or_more(attrs, message):
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        AttributeMatrix(attrs, (0,), (1,))
 
 
 # ------------------------------------------------------------ feature dataset
@@ -215,6 +232,14 @@ def test_spec_validation():
     for seed in (-1, 2**64):  # a seed names its own stream, never another one modulo 2^64
         with pytest.raises(ValueError, match="seed"):
             SyntheticSpec(seed=seed)
+
+
+def test_synthetic_classes_need_distinct_attribute_vectors():
+    """One binary attribute gives one nonzero vector, too few for three classes."""
+    spec = SyntheticSpec(seen_classes=2, unseen_classes=1, attr_dim=1)
+    with pytest.raises(DataFormatError,
+                       match="^could not draw distinct attribute vectors after 100 redraws$"):
+        make_synthetic_dataset(spec)
 
 
 def test_synthetic_shapes_and_split_sizes():
@@ -337,6 +362,39 @@ def saved_dataset(tmp_path):
     attrs, data, _ = make_synthetic_dataset(TINY_SPEC)
     save_dataset(str(tmp_path), attrs, data)
     return attrs, data
+
+
+def test_load_requires_split_json(tmp_path):
+    saved_dataset(tmp_path)
+    (tmp_path / "split.json").unlink()
+    with pytest.raises(DataFormatError,
+                       match=f"^missing file: {re.escape(str(tmp_path / 'split.json'))}$"):
+        load_dataset(str(tmp_path))
+
+
+def test_load_rejects_attribute_class_ids_other_than_0_to_n(tmp_path):
+    attrs, _ = saved_dataset(tmp_path)
+    path = tmp_path / "attributes.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = "7" + lines[2][lines[2].index(","):]  # class 1's row, now class 7
+    path.write_text("\n".join(lines) + "\n")
+    ids = [0, 7, *range(2, attrs.n_classes)]
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"attributes.csv class ids must be 0..{attrs.n_classes - 1}, got {ids}")):
+        load_dataset(str(tmp_path))
+
+
+# The opens of each dataset file: a CSV is opened by the line reader and then
+# again for the one parse of its body; split.json once.
+@pytest.mark.parametrize("name, nth", [("attributes.csv", 1), ("attributes.csv", 2),
+                                       ("features.csv", 1), ("features.csv", 2),
+                                       ("split.json", 1)])
+def test_load_reports_a_file_it_cannot_open_as_a_data_error(tmp_path, monkeypatch, name, nth):
+    saved_dataset(tmp_path)
+    deny_open(monkeypatch, os.path.join(str(tmp_path), name), nth)
+    with pytest.raises(DataFormatError,
+                       match=f"^cannot read {re.escape(str(tmp_path / name))}: Permission denied$"):
+        load_dataset(str(tmp_path))
 
 
 def test_load_rejects_wrong_column_count(tmp_path):
@@ -555,6 +613,16 @@ def test_matrix_roundtrip(tmp_path):
     m = SeededRng(9).gaussian(12).reshape(3, 4)
     save_matrix_csv(m, path)
     np.testing.assert_array_equal(load_matrix_csv(path), m)
+
+
+@pytest.mark.parametrize("nth", [1, 2])
+def test_matrix_a_file_that_cannot_be_opened_is_a_data_error(tmp_path, monkeypatch, nth):
+    path = tmp_path / "m.csv"
+    save_matrix_csv(np.eye(2), str(path))
+    deny_open(monkeypatch, str(path), nth)
+    with pytest.raises(DataFormatError,
+                       match=f"^cannot read {re.escape(str(path))}: Permission denied$"):
+        load_matrix_csv(str(path))
 
 
 def test_matrix_bad_header(tmp_path):

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from otzsl.linalg import log_softmax_rows, unit_rows
+from otzsl.linalg import as_float_matrix, log_softmax_rows, unit_rows
 from otzsl.ot import cosine_cost_matrix
 from otzsl.rng import SeededRng
 
@@ -23,6 +25,13 @@ def softmax_rows(m):
 def cosine(x, y) -> float:
     """The one entry of cosine_cost_matrix for a single pair of vectors."""
     return float(cosine_cost_matrix(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
+
+
+@pytest.mark.parametrize("values, shape", [([1.0, 2.0], "(2,)"), (3.0, "()")],
+                         ids=["1-D", "0-D"])
+def test_as_float_matrix_rejects_an_array_that_is_not_2d(values, shape):
+    with pytest.raises(ValueError, match=re.escape(f"cost must be 2-D, got shape {shape}")):
+        as_float_matrix(values, "cost")
 
 
 def test_cosine_identical_direction_is_zero():

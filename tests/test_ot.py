@@ -118,6 +118,13 @@ def test_marginals_rejects_invalid(row, col):
         Marginals(np.asarray(row, dtype=float), np.asarray(col, dtype=float))
 
 
+@pytest.mark.parametrize("row, col, name", [([0.5, np.nan, 0.5], [1.0], "row"),
+                                             ([1.0], [np.inf, 0.5], "col")], ids=["row", "col"])
+def test_marginals_rejects_a_non_finite_mass(row, col, name):
+    with pytest.raises(ValueError, match=f"^{name} marginal has a non-finite entry$"):
+        Marginals(np.array(row), np.array(col))
+
+
 # ----------------------------------------------------------------------- ipot
 
 

@@ -70,11 +70,11 @@ DIGESTS = {
     "data/split.json": "329c29277984628a678a28ea87555756bfbe9e83abe090fd855820cbd1947321",
     "train stdout": "3fa88fc8d1562c79372639aef7dcc1663e37d14c6a56c5466ee3b76c74bd53a3",
     "train/checkpoint.bin": "a4260a67bcf1b149e4d4da60370559f2dd14fa300e8e5ce4c0c05d17aca3badb",
-    "train/config.json": "40f9dd2581de82d4aedeab1d8534c59791ac6a792fd5b8a3beafe5d247518630",
+    "train/config.json": "5050172eaeb8c32440668ba8f19235ee8755c4f25dcf8e1286bf4e1421935d36",
     "train/trace.csv": "bd9bb880f273cdcdde8a9e21f8032cd6b8037fd5a2e05461e3e021e9e429e70d",
     "train_trans stdout": "f3ee008758eccc637fbe772e3de958bf441a30a5ad45bac566b95054c6781c20",
     "train_trans/checkpoint.bin": "81cf119edb6578acecb01466ac61624bd3547f396dfbf8393edbed479057833b",
-    "train_trans/config.json": "f94049c16501514366fc8a32ca558761173409243a5e7739aedc1b13df9e335f",
+    "train_trans/config.json": "683c5d2172c6c8b6a6bf2c6c710b2dbad3648d0c12ff2f451005308ca91afc87",
     "train_trans/trace.csv": "225f9e0930c99144cbdd34001198144f52a2c61b0b9fb1bd1aaea314676450be",
     "eval_standard stdout": "875eb00c6f7ff9b07c5db62b5b8480d4cd488347622e54afeeacc42a4b78cd2d",
     "eval_standard/config.json": "47c2ec09f1d27903a9c2ac4c21a67a25e1541af2713dd06285cb6cb8ce16fc05",
@@ -141,11 +141,11 @@ WORKLOAD_DIGESTS = {
     "desk/split.json": "376f15c49aeea581f95db77b3d5f8ed6c3327a734e16c5049b448cc350b65126",
     "desk_train stdout": "753e1355cdd11455bcfdb037318154415159aedb1e5eb9a2191b596d53ae9342",
     "desk_train/checkpoint.bin": "b94b1f03ac6c360978a2852e3cf2413f5ea72f91c6878b0ead4919ae964ef927",
-    "desk_train/config.json": "917854102b9209e22630c69c086f56f38b2658848a4525df695ea5ea7ac8e503",
+    "desk_train/config.json": "e0d468c86a6f64514362aa779441277177bb1bb67280ac260b1f900dedeba312",
     "desk_train/trace.csv": "b52e7b83c4bb5460ba3dac5f8bd224d9477a0d5ca57514aa619aff3f8b7578c3",
     "desk_trans stdout": "9756fff82e6859deeb73303f48bfd240e357c589446b85cb6e986156aad3fa4a",
     "desk_trans/checkpoint.bin": "82365006caf26f3234c1c803705b1c5e80f40bea8535d18ef615d59ab9f9f73d",
-    "desk_trans/config.json": "ce6b2b5e5758b93ebbce91f47603b3a3e6df5d4b720b9e9c5b779bc38fbabebd",
+    "desk_trans/config.json": "dfb005ea1eda504c9b25ac7e39b99ff10327a941188bbeb26965441d31833376",
     "desk_trans/trace.csv": "58ae7da5e53ce911fff7456d42f38cbb763adba044d2431e95e02cea32471afa",
     "desk_standard stdout": "7d25eb5778b9e69ba82ea91040d3a3a3fcc417e6cb35e2d33ef72490871c4334",
     "desk_standard/config.json": "85825ebf12519bac096d137d928f535d9eaac7c3deebc7ed93254600289737aa",
@@ -160,11 +160,11 @@ WORKLOAD_DIGESTS = {
     "wide/split.json": "bb301e5a04babf063911f9f7defe7aecee94e1ec768c80bcab819a1a77042661",
     "wide_train stdout": "aa1e2f5ef04b96f10c3aabbe7e2563cc9858a5847d59fabf9045558877698dbe",
     "wide_train/checkpoint.bin": "bf508848760345390233a574e91833d626e659f903fc59599f908b056735a830",
-    "wide_train/config.json": "072ca622a2675f7e6d8378e602b31b68b7e47fa3314c7f8230fc3533a73eebd9",
+    "wide_train/config.json": "15672a07f95597bb0a2787108fcc0cf16c2d951155eb0f5a4139f8152a2836e8",
     "wide_train/trace.csv": "d0297d2e04b412565aec992c5a6fb234502d0e685753f56cfaedbb371262f0b0",
     "wide_trans stdout": "674d5e67e9595ebda789ac688f8833398b26d8751279c73479f152c891e21c95",
     "wide_trans/checkpoint.bin": "830d50e531c66d0dece1307ad3d3470e65e029ed3ecc387c3ae8d7657b1f9b0b",
-    "wide_trans/config.json": "d56d3e830e0bfe809f1c68644b625e80d60030cea805c17a74ea5c53c33d4139",
+    "wide_trans/config.json": "a1fa1fad45638d82432a91b549ea2a975e0c6af96ebc1fcc03204800808b3494",
     "wide_trans/trace.csv": "d9e76f2a6eba32b643e55a4ec77485bb252006e7ca14d6e73ac77c3ac3faa8f2",
     "wide_generalized stdout": "8122911028bd290a726d53cf795f3fd90aa8a7df9f715479286b7551055ecf93",
     "wide_generalized/config.json": "50b8955cbacc807f8bf01a6685acc78133aaa0925d50690e2a8a0146374efef5",

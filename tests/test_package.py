@@ -181,3 +181,21 @@ def test_every_library_function_and_class_is_used_outside_its_definition():
             used |= names_used(node) - ({node.name} if is_def else set())
     assert len(defined) > 90
     assert [name for name in defined if name.split(".")[1] not in used] == []
+
+
+def test_every_config_field_is_read_outside_its_class():
+    """No knob is validated and then ignored: each field of each config
+    dataclass is read as an attribute (`cfg.epochs`) somewhere in src/otzsl/
+    outside its own class."""
+    read = []  # (the top-level class the read is in, or None; the attribute read)
+    for path in sorted((SRC / "otzsl").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            read += [(owner, sub.attr) for sub in ast.walk(node)
+                     if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)]
+    classes = (data.SyntheticSpec, training.TrainConfig, evaluate.ClassifierConfig,
+               evaluate.EvalConfig)
+    fields = [(cls.__name__, f.name) for cls in classes for f in dataclasses.fields(cls)]
+    assert len(fields) > 20
+    assert [f"{cls}.{name}" for cls, name in fields
+            if not any(owner != cls and attr == name for owner, attr in read)] == []

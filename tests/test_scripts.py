@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from otzsl import cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -86,7 +88,8 @@ def test_zsl_benchmark_rejects_a_bad_argument_before_any_work(tmp_path, args, me
 def test_verify_ends_its_summary_with_the_package_line_count(monkeypatch, capsys):
     """After one line per suite, the last line counts src/otzsl/'s lines as
     `wc -l` does; it gates nothing, so failing suites still print it. Each
-    module's count comes before the suite lines."""
+    module's count, then each command's number of config keys, come before
+    the suite lines."""
     sys.path.insert(0, str(SCRIPTS))
     try:
         import verify
@@ -105,4 +108,8 @@ def test_verify_ends_its_summary_with_the_package_line_count(monkeypatch, capsys
                           "output digests, Haswell kernel: FAIL (pytest exit 1)",
                           f"src/otzsl: {count} lines"]
     modules = [f"src/otzsl/{name}: {n} lines" for name, n in counts.items()]
-    assert lines[-5 - len(modules):-5] == modules
+    tables = {"gen-data": cli.GEN_DATA_KEYS, "train": cli.TRAIN_KEYS, "eval": cli.EVAL_KEYS,
+              "solve-ot": cli.SOLVE_OT_KEYS, "compare-solvers": cli.COMPARE_KEYS,
+              "export": cli.EXPORT_KEYS}
+    keys = [f"{command}: {len(table)} config keys" for command, table in tables.items()]
+    assert lines[-5 - len(keys) - len(modules):-5] == modules + keys

@@ -49,7 +49,7 @@ def test_train_config_defaults():
     assert cfg.batch_size == 32
     assert cfg.learning_rate == 0.001
     assert cfg.epochs == 30
-    assert (cfg.ipot_reg, cfg.ipot_max_outer_iters, cfg.ipot_stop_tol) == (0.5, 25, 1e-7)
+    assert (cfg.ipot_reg, cfg.ipot_max_outer_iters) == (0.5, 25)
 
 
 @pytest.mark.parametrize("kwargs,msg", [
@@ -392,24 +392,26 @@ def test_train_frozen_generator_constant_transport_cost(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg, keywords", [
-    (quick_cfg(ot_prob=1.0), (0.5, 25, 1e-7)),
-    (quick_cfg(ot_prob=1.0, ipot_reg=0.3, ipot_max_outer_iters=200, ipot_stop_tol=1e-6),
-     (0.3, 200, 1e-6)),
+    (quick_cfg(ot_prob=1.0), (0.5, 25, 0.0)),
+    (quick_cfg(ot_prob=1.0, ipot_reg=0.3, ipot_max_outer_iters=200), (0.3, 200, 0.0)),
 ], ids=["default", "200"])
 def test_train_passes_its_ipot_budget_to_the_solver(cfg, keywords, tiny_dataset, monkeypatch):
-    """Every batch solve gets the config's ipot_reg, ipot_max_outer_iters and
-    ipot_stop_tol as the solver's reg, iterations and stop_tol."""
+    """Every batch solve gets the config's ipot_reg and ipot_max_outer_iters
+    as the solver's reg and iterations, and stop_tol 0, so it runs them all."""
     attrs, data, _ = tiny_dataset
-    calls, solve = [], training.ipot_solve
+    calls, used, solve = [], set(), training.ipot_solve
 
     def spy(cost, marginals, **kwargs):
         calls.append(tuple(sorted(kwargs.items())))
-        return solve(cost, marginals, **kwargs)
+        plan = solve(cost, marginals, **kwargs)
+        used.add((plan.iterations_used, plan.converged))
+        return plan
 
     monkeypatch.setattr(training, "ipot_solve", spy)
     _, trace = train(data, attrs, cfg)
     assert calls and len(calls) == len(trace)
     assert set(calls) == {tuple(sorted(zip(("reg", "iterations", "stop_tol"), keywords)))}
+    assert used == {(cfg.ipot_max_outer_iters, False)}
 
 
 def test_train_transductive_forces_ot_on_unlabeled(tiny_dataset):
